@@ -1,337 +1,105 @@
-//! Regenerates the paper's figures 6-9 as text tables, plus a
-//! machine-readable metrics JSON attributing each speedup to optimizer
-//! decisions and the executed opcode mix.
+//! Prints the paper's figures 6-9 as text tables over all four
+//! configurations, including the `ast-interp` column that lagbench does
+//! not time, or the optimizer ablation table.
 //!
 //! Usage:
-//! `cargo run --release -p lagoon-bench --bin figures [fig6|fig7|fig8|fig9|all] [reps]`
+//! `cargo run --release -p lagoon-bench --bin figures -- [fig6|fig7|fig8|fig9|all] [reps]`
+//! `cargo run --release -p lagoon-bench --bin figures -- ablation [reps]`
 //!
-//! The `bench4` mode instead runs the peephole A/B sweep — every
-//! benchmark of figures 6-8 under all four configurations with the
-//! superinstruction pass on and off — and writes the flat records to a
-//! JSON file (default `BENCH_4.json`):
-//! `cargo run --release -p lagoon-bench --bin figures bench4 [reps] [out.json]`
-//!
-//! The `bench5` mode measures the parallel-build scheduler and the
-//! evaluation daemon — cold-store builds of the 13-module typed graph at
-//! `--jobs 1/2/4/8` (with artifact digests proving byte-identity) plus
-//! daemon throughput against per-request cold worlds — and writes
-//! `BENCH_5.json`:
-//! `cargo run --release -p lagoon-bench --bin figures bench5 [reps] [out.json]`
-//!
-//! The `bench6` mode measures the structured tracer — a tracing on/off
-//! A/B over the figure 6–8 suite, plus a daemon soak recording the
-//! interner gauge across 500 inline-source requests — and writes
-//! `BENCH_6.json`:
-//! `cargo run --release -p lagoon-bench --bin figures bench6 [reps] [out.json]`
-//!
-//! The `bench7` mode measures daemon memory stability and self-healing
-//! — a long inline-source soak (interner slope and RSS series), a
-//! worker-recycling overhead A/B, and retrying clients under a
-//! shedding flood — and writes `BENCH_7.json`:
-//! `cargo run --release -p lagoon-bench --bin figures bench7 [requests] [out.json]`
-//!
-//! The `bench8` mode runs the tagged-value-word A/B — figures 6–8 under
-//! `vm` and `vm+opt` on the current representation, joined against the
-//! recorded pre-change baseline — plus the `--jobs 1`/`--jobs 8` store
-//! digest identity re-check, and writes `BENCH_8.json`:
-//! `cargo run --release -p lagoon-bench --bin figures bench8 [reps] [out.json]`
-//! With `LAGOON_BENCH8_GATE=1` (CI's bench-smoke), the run exits
-//! nonzero if the new representation measures slower than the recorded
-//! baseline on either configuration or the store digests diverge.
-//!
-//! The `bench10` mode measures the HTTP gateway's shard scaling —
-//! mixed run/expand/check traffic offered open-loop at a constant rate
-//! (calibrated to overload one shard) against 1/2/4 shards, recording
-//! p50/p99 latency from scheduled arrival, throughput, shed rate,
-//! per-shard utilization, and the shared store's digest at each shard
-//! count — and writes `BENCH_10.json`:
-//! `cargo run --release -p lagoon-bench --bin figures bench10 [requests] [out.json]`
+//! Each cell keeps the best of `reps` timed runs (default 3), compile
+//! time excluded as in the paper, and every configuration must produce
+//! the same value. Any other argument prints usage and exits 2.
 
-use lagoon_bench::{
-    bench4_json, bench4_sweep, benchmarks_for, collect_metrics, format_figure, measure_figure,
-    metrics_json, Config, Figure,
-};
+use lagoon_bench::{ablation_table, format_figure, measure_figure, Figure};
 
-fn run_bench4(args: &[String]) {
-    let reps: usize = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(5);
-    let path = args.get(3).map(String::as_str).unwrap_or("BENCH_4.json");
-    let rows = match bench4_sweep(&[Figure::Fig6, Figure::Fig7, Figure::Fig8], reps) {
-        Ok(rows) => rows,
-        Err(e) => {
-            eprintln!("error in bench4 sweep: {e}");
-            std::process::exit(1);
-        }
-    };
-    match std::fs::write(path, bench4_json(&rows)) {
-        Ok(()) => println!("wrote {path} ({} records, {reps} reps)", rows.len()),
-        Err(e) => {
-            eprintln!("error writing {path}: {e}");
-            std::process::exit(1);
-        }
-    }
+const USAGE: &str = "usage: figures [fig6|fig7|fig8|fig9|all|ablation] [reps]";
+
+/// What one invocation prints.
+#[derive(Debug, PartialEq)]
+enum Mode {
+    /// These figures' tables, with `reps` timed runs per cell.
+    Figures(Vec<Figure>, usize),
+    /// The ablation table, with `reps` timed runs per cell.
+    Ablation(usize),
 }
 
-fn run_bench5(args: &[String]) {
-    let reps: usize = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(3);
-    let path = args.get(3).map(String::as_str).unwrap_or("BENCH_5.json");
-    let builds = match lagoon_bench::bench5::bench5_build_sweep(&[1, 2, 4, 8], reps) {
-        Ok(records) => records,
-        Err(e) => {
-            eprintln!("error in bench5 build sweep: {e}");
-            std::process::exit(1);
-        }
+/// Parses the arguments after the program name.
+fn parse_mode(args: &[String]) -> Result<Mode, String> {
+    if args.len() > 2 {
+        return Err(format!("unexpected argument {:?}", args[2]));
+    }
+    let reps = match args.get(1) {
+        None => 3,
+        Some(s) => match s.parse() {
+            Ok(n) if n > 0 => n,
+            _ => return Err(format!("reps must be a positive integer, got {s:?}")),
+        },
     };
-    for b in &builds {
-        println!(
-            "build --jobs {}: {:8.2} ms  utilization {:4.2}  store digest {:016x}",
-            b.jobs, b.best_ms, b.utilization, b.artifacts_digest
-        );
-    }
-    let serve = match lagoon_bench::bench5::bench5_serve(32, 4) {
-        Ok(serve) => serve,
-        Err(e) => {
-            eprintln!("error in bench5 serve measurement: {e}");
-            std::process::exit(1);
-        }
-    };
-    println!(
-        "serve ({} workers, {} requests): daemon {:.2} ms vs cold {:.2} ms ({:.2}x)",
-        serve.workers,
-        serve.requests,
-        serve.daemon_ms,
-        serve.cold_ms,
-        serve.speedup()
-    );
-    match std::fs::write(path, lagoon_bench::bench5::bench5_json(&builds, &serve)) {
-        Ok(()) => println!("wrote {path} ({} build records, {reps} reps)", builds.len()),
-        Err(e) => {
-            eprintln!("error writing {path}: {e}");
-            std::process::exit(1);
-        }
-    }
-}
-
-fn run_bench6(args: &[String]) {
-    let reps: usize = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(5);
-    let path = args.get(3).map(String::as_str).unwrap_or("BENCH_6.json");
-    let ab =
-        match lagoon_bench::bench6::bench6_ab(&[Figure::Fig6, Figure::Fig7, Figure::Fig8], reps) {
-            Ok(rows) => rows,
-            Err(e) => {
-                eprintln!("error in bench6 tracing A/B: {e}");
-                std::process::exit(1);
-            }
-        };
-    for r in &ab {
-        println!(
-            "{:<14} off {:8.2} ms  on {:8.2} ms  overhead {:5.1}%  ({} spans)",
-            r.name,
-            r.off_ms,
-            r.on_ms,
-            r.overhead_percent(),
-            r.spans
-        );
-    }
-    let soak = match lagoon_bench::bench6::bench6_soak(500, 50, 2) {
-        Ok(soak) => soak,
-        Err(e) => {
-            eprintln!("error in bench6 daemon soak: {e}");
-            std::process::exit(1);
-        }
-    };
-    println!(
-        "soak ({} requests): interner {} -> {} symbols ({:.1} per request)",
-        soak.requests,
-        soak.interner_start,
-        soak.interner_end,
-        soak.growth_per_request()
-    );
-    match std::fs::write(path, lagoon_bench::bench6::bench6_json(&ab, &soak)) {
-        Ok(()) => println!("wrote {path} ({} A/B records, {reps} reps)", ab.len()),
-        Err(e) => {
-            eprintln!("error writing {path}: {e}");
-            std::process::exit(1);
-        }
-    }
-}
-
-fn run_bench7(args: &[String]) {
-    let requests: usize = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(500);
-    let path = args.get(3).map(String::as_str).unwrap_or("BENCH_7.json");
-    let soak = match lagoon_bench::bench7::bench7_soak(requests, (requests / 20).max(1), 2) {
-        Ok(soak) => soak,
-        Err(e) => {
-            eprintln!("error in bench7 soak: {e}");
-            std::process::exit(1);
-        }
-    };
-    let recycle = match lagoon_bench::bench7::bench7_recycle(60) {
-        Ok(recycle) => recycle,
-        Err(e) => {
-            eprintln!("error in bench7 recycle A/B: {e}");
-            std::process::exit(1);
-        }
-    };
-    let retry = match lagoon_bench::bench7::bench7_retry(8, 8) {
-        Ok(retry) => retry,
-        Err(e) => {
-            eprintln!("error in bench7 retry flood: {e}");
-            std::process::exit(1);
-        }
-    };
-    println!(
-        "{}",
-        lagoon_bench::bench7::bench7_report(&soak, &recycle, &retry)
-    );
-    match std::fs::write(
-        path,
-        lagoon_bench::bench7::bench7_json(&soak, &recycle, &retry),
-    ) {
-        Ok(()) => println!("wrote {path} ({requests}-request soak)"),
-        Err(e) => {
-            eprintln!("error writing {path}: {e}");
-            std::process::exit(1);
-        }
-    }
-}
-
-fn run_bench8(args: &[String]) {
-    let reps: usize = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(5);
-    let path = args.get(3).map(String::as_str).unwrap_or("BENCH_8.json");
-    let report =
-        match lagoon_bench::bench8::bench8_sweep(&[Figure::Fig6, Figure::Fig7, Figure::Fig8], reps)
-        {
-            Ok(report) => report,
-            Err(e) => {
-                eprintln!("error in bench8 A/B sweep: {e}");
-                std::process::exit(1);
-            }
-        };
-    let (vm, vm_opt) = (report.median_speedup("vm"), report.median_speedup("vm+opt"));
-    println!("bench8: median speedup vm {vm:.2}x, vm+opt {vm_opt:.2}x over the boxed baseline");
-    for (jobs, digest) in &report.digests {
-        println!("  --jobs {jobs}: store digest {digest:016x}");
-    }
-    if !report.digests_match() {
-        eprintln!("store digests diverge between --jobs 1 and --jobs 8");
-        std::process::exit(1);
-    }
-    match std::fs::write(path, lagoon_bench::bench8::bench8_json(&report)) {
-        Ok(()) => println!("wrote {path} ({} records, {reps} reps)", report.rows.len()),
-        Err(e) => {
-            eprintln!("error writing {path}: {e}");
-            std::process::exit(1);
-        }
-    }
-    if std::env::var("LAGOON_BENCH8_GATE").as_deref() == Ok("1") && (vm < 1.0 || vm_opt < 1.0) {
-        eprintln!("bench8 gate: new representation slower than the recorded baseline");
-        std::process::exit(1);
-    }
-}
-
-fn run_bench10(args: &[String]) {
-    let requests: usize = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(240);
-    let path = args.get(3).map(String::as_str).unwrap_or("BENCH_10.json");
-    let opts = lagoon_bench::bench10::Bench10Options {
-        requests,
-        ..lagoon_bench::bench10::Bench10Options::default()
-    };
-    let report = match lagoon_bench::bench10::bench10_sweep(&opts) {
-        Ok(report) => report,
-        Err(e) => {
-            eprintln!("error in bench10 gateway sweep: {e}");
-            std::process::exit(1);
-        }
-    };
-    println!(
-        "bench10: {} backend, offered {:.1} req/s, {} workers/shard, queue cap {}",
-        report.backend, report.offered_rps, report.workers_per_shard, report.queue_cap
-    );
-    for r in &report.records {
-        println!(
-            "  {} shard(s): p50 {:7.2} ms  p99 {:8.2} ms  {:6.1} req/s  shed {:5.1}%  store {:016x}",
-            r.shards,
-            r.p50_ms,
-            r.p99_ms,
-            r.rps,
-            100.0 * r.shed as f64 / r.requests.max(1) as f64,
-            r.store_digest
-        );
-    }
-    if !report.digests_match() {
-        eprintln!("store digests diverge between shard counts");
-        std::process::exit(1);
-    }
-    match std::fs::write(path, lagoon_bench::bench10::bench10_json(&report)) {
-        Ok(()) => println!(
-            "wrote {path} ({} records, {requests} requests each)",
-            report.records.len()
-        ),
-        Err(e) => {
-            eprintln!("error writing {path}: {e}");
-            std::process::exit(1);
-        }
-    }
-}
-
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let which = args.get(1).map(String::as_str).unwrap_or("all");
-    if which == "bench4" {
-        return run_bench4(&args);
-    }
-    if which == "bench5" {
-        return run_bench5(&args);
-    }
-    if which == "bench6" {
-        return run_bench6(&args);
-    }
-    if which == "bench7" {
-        return run_bench7(&args);
-    }
-    if which == "bench8" {
-        return run_bench8(&args);
-    }
-    if which == "bench10" {
-        return run_bench10(&args);
-    }
-    let reps: usize = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(3);
-    let figures: Vec<Figure> = match which {
+    let figures = match args.first().map_or("all", String::as_str) {
         "fig6" => vec![Figure::Fig6],
         "fig7" => vec![Figure::Fig7],
         "fig8" => vec![Figure::Fig8],
         "fig9" => vec![Figure::Fig9],
-        _ => vec![Figure::Fig6, Figure::Fig7, Figure::Fig8, Figure::Fig9],
+        "all" => vec![Figure::Fig6, Figure::Fig7, Figure::Fig8, Figure::Fig9],
+        "ablation" => return Ok(Mode::Ablation(reps)),
+        other => return Err(format!("unknown mode {other:?}")),
     };
-    let mut metrics = Vec::new();
-    for figure in &figures {
-        match measure_figure(*figure, reps) {
-            Ok(rows) => println!("{}\n", format_figure(*figure, &rows)),
-            Err(e) => {
-                eprintln!("error measuring {figure:?}: {e}");
-                std::process::exit(1);
-            }
-        }
-        // a separate instrumented run per benchmark; the timed reps
-        // above stay diagnostics-off
-        for bench in benchmarks_for(*figure) {
-            for config in [Config::Vm, Config::VmTyped, Config::VmOpt] {
-                match collect_metrics(&bench, config) {
-                    Ok(m) => metrics.push(m),
-                    Err(e) => {
-                        eprintln!("error collecting metrics for {}: {e}", bench.name);
-                        std::process::exit(1);
-                    }
-                }
-            }
-        }
+    Ok(Mode::Figures(figures, reps))
+}
+
+fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let mode = parse_mode(&args).unwrap_or_else(|e| {
+        eprintln!("figures: {e}\n{USAGE}");
+        std::process::exit(2);
+    });
+    let result = match mode {
+        Mode::Figures(figures, reps) => figures.into_iter().try_for_each(|figure| {
+            let rows = measure_figure(figure, reps)?;
+            println!("{}\n", format_figure(figure, &rows));
+            Ok(())
+        }),
+        Mode::Ablation(reps) => ablation_table(reps).map(|table| println!("{table}")),
+    };
+    if let Err(e) = result {
+        eprintln!("figures: {e}");
+        std::process::exit(1);
     }
-    let path = "figures-metrics.json";
-    match std::fs::write(path, metrics_json(&metrics)) {
-        Ok(()) => println!("wrote {path} ({} rows)", metrics.len()),
-        Err(e) => {
-            eprintln!("error writing {path}: {e}");
-            std::process::exit(1);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Mode, String> {
+        parse_mode(&args.iter().map(|s| s.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn modes_parse_with_default_and_explicit_reps() {
+        let all = vec![Figure::Fig6, Figure::Fig7, Figure::Fig8, Figure::Fig9];
+        assert_eq!(parse(&[]), Ok(Mode::Figures(all.clone(), 3)));
+        assert_eq!(parse(&["all", "5"]), Ok(Mode::Figures(all, 5)));
+        assert_eq!(
+            parse(&["fig8", "1"]),
+            Ok(Mode::Figures(vec![Figure::Fig8], 1))
+        );
+        assert_eq!(parse(&["fig9"]), Ok(Mode::Figures(vec![Figure::Fig9], 3)));
+        assert_eq!(parse(&["ablation"]), Ok(Mode::Ablation(3)));
+        assert_eq!(parse(&["ablation", "2"]), Ok(Mode::Ablation(2)));
+    }
+
+    #[test]
+    fn unknown_modes_and_bad_reps_are_rejected() {
+        for args in [
+            &["nonsense"][..],
+            &["bench7", "500"],
+            &["bench4", "1", "out.json"],
+            &["fig8", "0"],
+            &["fig8", "many"],
+            &["fig8", "1", "extra"],
+        ] {
+            assert!(parse(args).is_err(), "{args:?} parsed");
         }
     }
 }

@@ -1,10 +1,10 @@
 //! # lagoon-bench
 //!
-//! The benchmark harness reproducing the paper's evaluation (§7.3,
-//! figures 6–9). Every benchmark is written once, in typed style; the
-//! untyped original is derived by stripping the `(: …)` declarations —
-//! exactly the relationship between the paper's benchmark versions ("the
-//! typed versions have type annotations … and are otherwise identical").
+//! The program corpus of the paper's evaluation (§7.3, figures 6–9).
+//! Every benchmark is written once, in typed style; the untyped original
+//! is derived by stripping the `(: …)` declarations — exactly the
+//! relationship between the paper's benchmark versions ("the typed
+//! versions have type annotations … and are otherwise identical").
 //!
 //! Four configurations stand in for the paper's per-figure compiler bars
 //! (see DESIGN.md's substitution table):
@@ -15,19 +15,19 @@
 //! | `vm`          | untyped | bytecode VM |
 //! | `vm+typed`    | typed, no optimizer | bytecode VM |
 //! | `vm+opt`      | typed, optimized | bytecode VM |
+//!
+//! Speed numbers come from `lagbench`, the repository's benchmark. This
+//! crate adds two views over the corpus: the `figures` table printer
+//! (the only place the `ast-interp` column is timed) and the `opmix`
+//! per-program attribution.
 
 #![warn(missing_docs)]
 
-pub mod bench10;
-pub mod bench5;
-pub mod bench6;
-pub mod bench7;
-pub mod bench8;
-pub mod harness;
 pub mod programs;
 
 use lagoon_core::{EngineKind, ModuleRegistry};
 use lagoon_runtime::{RtError, Value};
+use std::rc::Rc;
 use std::time::{Duration, Instant};
 
 /// Which of the paper's figures a benchmark belongs to.
@@ -165,10 +165,31 @@ pub fn benchmarks_for(figure: Figure) -> Vec<Benchmark> {
         .collect()
 }
 
-fn fresh_registry() -> std::rc::Rc<ModuleRegistry> {
+/// The benchmark with this name, from any figure.
+pub fn benchmark(name: &str) -> Option<Benchmark> {
+    all_benchmarks().into_iter().find(|b| b.name == name)
+}
+
+fn fresh_registry() -> Rc<ModuleRegistry> {
     let reg = ModuleRegistry::new();
     lagoon_optimizer::register_typed_languages(&reg);
     reg
+}
+
+/// Adds `source` to `reg` as `module`, compiles it, and returns a closure
+/// that runs it once per call on fresh instances.
+fn compile_runner(
+    reg: Rc<ModuleRegistry>,
+    module: String,
+    source: &str,
+    engine: EngineKind,
+) -> Result<impl FnMut() -> Result<Value, RtError>, RtError> {
+    reg.add_module(&module, source);
+    reg.compile(lagoon_syntax::Symbol::intern(&module))?;
+    Ok(move || {
+        reg.reset_instances();
+        reg.run(&module, engine)
+    })
 }
 
 /// Compiles a benchmark under a configuration, returning a closure that
@@ -183,15 +204,12 @@ pub fn prepare(
     bench: &Benchmark,
     config: Config,
 ) -> Result<impl FnMut() -> Result<Value, RtError>, RtError> {
-    let reg = fresh_registry();
-    let module = format!("{}--{}", bench.name, config.label());
-    reg.add_module(&module, &bench.source_for(config));
-    reg.compile(lagoon_syntax::Symbol::intern(&module))?;
-    let engine = config.engine();
-    Ok(move || {
-        reg.reset_instances();
-        reg.run(&module, engine)
-    })
+    compile_runner(
+        fresh_registry(),
+        format!("{}--{}", bench.name, config.label()),
+        &bench.source_for(config),
+        config.engine(),
+    )
 }
 
 /// Runs a benchmark once under a configuration, returning the produced
@@ -246,25 +264,8 @@ pub fn measure_figure(figure: Figure, reps: usize) -> Result<Vec<Row>, RtError> 
         let mut reference: Option<Value> = None;
         for config in Config::all() {
             let mut runner = prepare(&bench, config)?;
-            let mut best = f64::INFINITY;
-            for _ in 0..reps {
-                let start = Instant::now();
-                let v = runner()?;
-                best = best.min(start.elapsed().as_secs_f64());
-                match &reference {
-                    None => reference = Some(v),
-                    Some(r) => {
-                        if !r.equal(&v) {
-                            return Err(RtError::user(format!(
-                                "{}: {} produced {v}, expected {r}",
-                                bench.name,
-                                config.label()
-                            )));
-                        }
-                    }
-                }
-            }
-            times.push((config, best));
+            let what = format!("{}: {}", bench.name, config.label());
+            times.push((config, best_secs(&mut runner, reps, &mut reference, &what)?));
         }
         rows.push(Row {
             name: bench.name,
@@ -272,6 +273,30 @@ pub fn measure_figure(figure: Figure, reps: usize) -> Result<Vec<Row>, RtError> 
         });
     }
     Ok(rows)
+}
+
+/// The best wall-clock seconds over `reps` calls of `runner`. Every
+/// produced value must equal `reference`, which the first one sets.
+fn best_secs(
+    runner: &mut impl FnMut() -> Result<Value, RtError>,
+    reps: usize,
+    reference: &mut Option<Value>,
+    what: &str,
+) -> Result<f64, RtError> {
+    let mut best = f64::INFINITY;
+    for _ in 0..reps {
+        let start = Instant::now();
+        let v = runner()?;
+        best = best.min(start.elapsed().as_secs_f64());
+        match reference {
+            None => *reference = Some(v),
+            Some(r) if !r.equal(&v) => {
+                return Err(RtError::user(format!("{what} produced {v}, expected {r}")))
+            }
+            Some(_) => {}
+        }
+    }
+    Ok(best)
 }
 
 /// Formats rows as the figure's table: absolute milliseconds plus times
@@ -314,275 +339,53 @@ pub fn format_figure(figure: Figure, rows: &[Row]) -> String {
     out
 }
 
-/// Where a benchmark's speedup comes from, for one configuration: the
-/// optimizer decision counts (compile time) and the executed opcode mix
-/// (run time, all zero unless the `vm-counters` feature is on).
-#[derive(Clone, Debug)]
-pub struct Metrics {
-    /// Benchmark name.
-    pub name: &'static str,
-    /// Configuration label (see [`Config::label`]).
-    pub config: &'static str,
-    /// Optimizer rewrites applied while compiling the benchmark.
-    pub rewrites: u64,
-    /// Optimizer near-misses (specializations blocked, with reasons).
-    pub near_misses: u64,
-    /// Executed generic (tag-dispatching) instructions.
-    pub generic_ops: u64,
-    /// Executed specialized (unsafe-derived) instructions.
-    pub specialized_ops: u64,
-    /// Executed peephole superinstructions (fused opcodes).
-    pub fused_ops: u64,
-    /// All executed instructions.
-    pub total_ops: u64,
-}
+/// The ablation columns: no optimizer, one §7.2 rewrite family each
+/// (`lagoon_optimizer::register_ablation_languages`), the full optimizer.
+const ABLATION: [(&str, &str); 6] = [
+    ("typed/no-opt", "no-opt"),
+    ("typed/only-floats", "only-floats"),
+    ("typed/only-complexes", "only-complexes"),
+    ("typed/only-fixnums", "only-fixnums"),
+    ("typed/only-pairs", "only-pairs"),
+    ("typed/lagoon", "full"),
+];
 
-/// Compiles and runs a benchmark once with the diagnostics sink (and,
-/// when available, the VM's opcode counters) enabled, and distills the
-/// collected events into a [`Metrics`] row.
-///
-/// This is a *separate* instrumented run — the timed reps in
-/// [`measure_figure`] stay diagnostics-off.
+/// Runs `mbrot`, `pseudoknot` and `nqueens` on the VM under each
+/// ablation language `reps` times (keeping the best time) and formats
+/// the table attributing the optimizer's speedup to its rewrite
+/// families. Every language must agree on each program's value.
 ///
 /// # Errors
 ///
-/// Propagates compile-time and runtime errors.
-pub fn collect_metrics(bench: &Benchmark, config: Config) -> Result<Metrics, RtError> {
-    let collector = lagoon_diag::Collector::install();
-    let result = (|| {
-        let mut runner = prepare(bench, config)?;
-        #[cfg(feature = "vm-counters")]
-        {
-            lagoon_vm::counters::reset();
-            lagoon_vm::counters::set_active(true);
-        }
-        let run = runner();
-        #[cfg(feature = "vm-counters")]
-        lagoon_vm::counters::set_active(false);
-        run
-    })();
-    lagoon_diag::uninstall();
-    result?;
-    #[cfg_attr(not(feature = "vm-counters"), allow(unused_mut))]
-    let mut report = collector.report();
-    #[cfg(feature = "vm-counters")]
-    report.set_opcodes(
-        lagoon_vm::counters::snapshot()
-            .into_iter()
-            .map(|(op, class, fused, count)| lagoon_diag::OpcodeRow {
-                op: op.to_string(),
-                class: class.name().to_string(),
-                fused,
-                count,
-            })
-            .collect(),
-    );
-    Ok(Metrics {
-        name: bench.name,
-        config: config.label(),
-        rewrites: report.rewrites.len() as u64,
-        near_misses: report.near_misses.len() as u64,
-        generic_ops: report.generic_ops(),
-        specialized_ops: report.specialized_ops(),
-        fused_ops: report.fused_ops(),
-        total_ops: report.total_ops(),
-    })
-}
-
-/// Serializes metrics rows as a JSON array (hand-rolled; the workspace
-/// takes no serialization dependency).
-pub fn metrics_json(rows: &[Metrics]) -> String {
+/// Propagates compile and runtime errors; errors if two languages
+/// disagree on a benchmark's result.
+pub fn ablation_table(reps: usize) -> Result<String, RtError> {
     use std::fmt::Write;
-    let mut out = String::from("[");
-    for (i, m) in rows.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{{\"name\":{},\"config\":{},\"rewrites\":{},\"near_misses\":{},\
-             \"generic_ops\":{},\"specialized_ops\":{},\"fused_ops\":{},\"total_ops\":{}}}",
-            lagoon_diag::json_string(m.name),
-            lagoon_diag::json_string(m.config),
-            m.rewrites,
-            m.near_misses,
-            m.generic_ops,
-            m.specialized_ops,
-            m.fused_ops,
-            m.total_ops,
-        );
+    let mut out =
+        String::from("Ablation: one rewrite family at a time (best ms, smaller is better)\n");
+    let _ = write!(out, "{:<12}", "benchmark");
+    for (_, column) in ABLATION {
+        let _ = write!(out, "{column:>16}");
     }
-    out.push(']');
-    out
-}
-
-/// One record of the peephole A/B sweep behind `BENCH_4.json`: a
-/// benchmark under one configuration with the superinstruction pass on
-/// or off, with the median wall time over the timed reps and the opcode
-/// totals from one separate instrumented run (zeros without the
-/// `vm-counters` feature, and for `ast-interp`, which executes no
-/// bytecode).
-#[derive(Clone, Debug)]
-pub struct Bench4Row {
-    /// Benchmark name.
-    pub name: &'static str,
-    /// Figure label (`"fig6"`…`"fig9"`).
-    pub figure: &'static str,
-    /// Configuration label (see [`Config::label`]).
-    pub config: &'static str,
-    /// Whether the peephole pass was enabled for this record.
-    pub peephole: bool,
-    /// Median wall-clock time over the reps, in milliseconds.
-    pub median_ms: f64,
-    /// Executed generic (tag-dispatching) instructions.
-    pub generic_ops: u64,
-    /// Executed specialized (unsafe-derived) instructions.
-    pub specialized_ops: u64,
-    /// Executed peephole superinstructions.
-    pub fused_ops: u64,
-    /// All executed instructions.
-    pub total_ops: u64,
-}
-
-fn figure_label(figure: Figure) -> &'static str {
-    match figure {
-        Figure::Fig6 => "fig6",
-        Figure::Fig7 => "fig7",
-        Figure::Fig8 => "fig8",
-        Figure::Fig9 => "fig9",
-    }
-}
-
-fn median(times: &mut [f64]) -> f64 {
-    times.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-    let n = times.len();
-    if n == 0 {
-        f64::NAN
-    } else if n % 2 == 1 {
-        times[n / 2]
-    } else {
-        (times[n / 2 - 1] + times[n / 2]) / 2.0
-    }
-}
-
-/// Runs the peephole A/B sweep over `figures`: every benchmark under
-/// every configuration, peephole on and (for the bytecode configs) off,
-/// `reps` timed runs each plus one instrumented run for opcode totals.
-/// All records of a benchmark must agree on the produced value — this
-/// doubles as the correctness gate CI's `bench-smoke` job runs.
-///
-/// The thread-local peephole setting is restored to *on* before
-/// returning.
-///
-/// # Errors
-///
-/// Propagates compile and runtime errors; errors if any configuration
-/// (with either peephole setting) disagrees on a benchmark's result.
-pub fn bench4_sweep(figures: &[Figure], reps: usize) -> Result<Vec<Bench4Row>, RtError> {
-    let result = bench4_sweep_inner(figures, reps);
-    lagoon_vm::peephole::set_enabled(true);
-    result
-}
-
-fn bench4_sweep_inner(figures: &[Figure], reps: usize) -> Result<Vec<Bench4Row>, RtError> {
-    let mut rows = Vec::new();
-    for figure in figures {
-        for bench in benchmarks_for(*figure) {
-            let mut reference: Option<Value> = None;
-            for config in Config::all() {
-                // ast-interp never executes bytecode, so the off record
-                // would duplicate the on record exactly
-                let settings: &[bool] = match config {
-                    Config::AstInterp => &[true],
-                    _ => &[true, false],
-                };
-                for &peephole in settings {
-                    lagoon_vm::peephole::set_enabled(peephole);
-                    let mut runner = prepare(&bench, config)?;
-                    let mut times = Vec::with_capacity(reps);
-                    for _ in 0..reps {
-                        let start = Instant::now();
-                        let v = runner()?;
-                        times.push(start.elapsed().as_secs_f64() * 1000.0);
-                        match &reference {
-                            None => reference = Some(v),
-                            Some(r) => {
-                                if !r.equal(&v) {
-                                    return Err(RtError::user(format!(
-                                        "{}: {} (peephole {}) produced {v}, expected {r}",
-                                        bench.name,
-                                        config.label(),
-                                        if peephole { "on" } else { "off" },
-                                    )));
-                                }
-                            }
-                        }
-                    }
-                    #[cfg_attr(not(feature = "vm-counters"), allow(unused_mut))]
-                    let mut totals = (0u64, 0u64, 0u64, 0u64);
-                    #[cfg(feature = "vm-counters")]
-                    {
-                        lagoon_vm::counters::reset();
-                        lagoon_vm::counters::set_active(true);
-                        let counted = runner();
-                        lagoon_vm::counters::set_active(false);
-                        counted?;
-                        for (_, class, fused, count) in lagoon_vm::counters::snapshot() {
-                            match class {
-                                lagoon_vm::bytecode::OpClass::Generic => totals.0 += count,
-                                lagoon_vm::bytecode::OpClass::Specialized => totals.1 += count,
-                                lagoon_vm::bytecode::OpClass::Control => {}
-                            }
-                            if fused {
-                                totals.2 += count;
-                            }
-                            totals.3 += count;
-                        }
-                    }
-                    rows.push(Bench4Row {
-                        name: bench.name,
-                        figure: figure_label(*figure),
-                        config: config.label(),
-                        peephole,
-                        median_ms: median(&mut times),
-                        generic_ops: totals.0,
-                        specialized_ops: totals.1,
-                        fused_ops: totals.2,
-                        total_ops: totals.3,
-                    });
-                }
-            }
+    for name in ["mbrot", "pseudoknot", "nqueens"] {
+        let bench = benchmark(name).ok_or_else(|| RtError::user(format!("no benchmark {name}")))?;
+        let _ = write!(out, "\n{name:<12}");
+        let mut reference: Option<Value> = None;
+        for (lang, column) in ABLATION {
+            let reg = fresh_registry();
+            lagoon_optimizer::register_ablation_languages(&reg);
+            let mut runner = compile_runner(
+                reg,
+                format!("{name}--{column}"),
+                &format!("#lang {lang}\n{}", bench.source),
+                EngineKind::Vm,
+            )?;
+            let what = format!("{name}: {lang}");
+            let best = best_secs(&mut runner, reps, &mut reference, &what)?;
+            let _ = write!(out, "{:>16.1}", best * 1000.0);
         }
     }
-    Ok(rows)
-}
-
-/// Serializes [`Bench4Row`]s as a JSON array (hand-rolled; the
-/// workspace takes no serialization dependency).
-pub fn bench4_json(rows: &[Bench4Row]) -> String {
-    use std::fmt::Write;
-    let mut out = String::from("[");
-    for (i, r) in rows.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{{\"name\":{},\"figure\":{},\"config\":{},\"peephole\":{},\"median_ms\":{:.6},\
-             \"generic_ops\":{},\"specialized_ops\":{},\"fused_ops\":{},\"total_ops\":{}}}",
-            lagoon_diag::json_string(r.name),
-            lagoon_diag::json_string(r.figure),
-            lagoon_diag::json_string(r.config),
-            r.peephole,
-            r.median_ms,
-            r.generic_ops,
-            r.specialized_ops,
-            r.fused_ops,
-            r.total_ops,
-        );
-    }
-    out.push(']');
-    out
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -643,10 +446,7 @@ mod tests {
             .stack_size(256 * 1024 * 1024)
             .spawn(|| {
                 for name in ["tak", "partialsums", "pseudoknot", "funcds"] {
-                    let bench = all_benchmarks()
-                        .into_iter()
-                        .find(|b| b.name == name)
-                        .unwrap();
+                    let bench = benchmark(name).unwrap();
                     let (vi, _) = run_once(&bench, Config::AstInterp).unwrap();
                     let (vv, _) = run_once(&bench, Config::Vm).unwrap();
                     assert!(vi.equal(&vv), "{name}: interp={vi} vm={vv}");
@@ -655,63 +455,5 @@ mod tests {
             .unwrap()
             .join()
             .unwrap();
-    }
-
-    #[test]
-    fn bench4_sweep_covers_both_settings_and_agrees() {
-        let rows = bench4_sweep(&[Figure::Fig8], 1).unwrap();
-        // ast-interp appears once (peephole-on only); the three bytecode
-        // configs appear with the pass both on and off
-        assert_eq!(rows.len(), 7);
-        assert!(rows.iter().all(|r| r.figure == "fig8"));
-        assert_eq!(rows.iter().filter(|r| r.config == "ast-interp").count(), 1);
-        assert_eq!(rows.iter().filter(|r| !r.peephole).count(), 3);
-        #[cfg(feature = "vm-counters")]
-        {
-            let on = rows
-                .iter()
-                .find(|r| r.config == "vm" && r.peephole)
-                .unwrap();
-            let off = rows
-                .iter()
-                .find(|r| r.config == "vm" && !r.peephole)
-                .unwrap();
-            assert!(on.fused_ops > 0, "no fusions executed on pseudoknot");
-            assert_eq!(off.fused_ops, 0);
-            assert!(on.total_ops < off.total_ops);
-        }
-        // the sweep restores the thread-local default
-        assert!(lagoon_vm::peephole::enabled());
-        let json = bench4_json(&rows);
-        assert!(json.starts_with('[') && json.ends_with(']'));
-        assert!(json.contains("\"peephole\":false"));
-        assert!(json.contains("\"fused_ops\""));
-    }
-
-    #[test]
-    fn median_is_order_insensitive() {
-        assert_eq!(median(&mut [3.0, 1.0, 2.0]), 2.0);
-        assert_eq!(median(&mut [4.0, 1.0, 3.0, 2.0]), 2.5);
-        assert!(median(&mut []).is_nan());
-    }
-
-    #[test]
-    fn metrics_attribute_the_speedup() {
-        let bench = all_benchmarks()
-            .into_iter()
-            .find(|b| b.name == "mbrot")
-            .unwrap();
-        let typed = collect_metrics(&bench, Config::VmTyped).unwrap();
-        let opt = collect_metrics(&bench, Config::VmOpt).unwrap();
-        assert_eq!(typed.rewrites, 0);
-        assert!(opt.rewrites > 0, "optimizer applied nothing on mbrot");
-        #[cfg(feature = "vm-counters")]
-        {
-            assert!(opt.specialized_ops > 0);
-            assert!(opt.generic_ops < typed.generic_ops);
-        }
-        let json = metrics_json(&[typed, opt]);
-        assert!(json.starts_with('[') && json.ends_with(']'));
-        assert!(json.contains("\"specialized_ops\""));
     }
 }

@@ -38,33 +38,7 @@ use lagoon_runtime::RtError;
 use lagoon_syntax::{Datum, PropValue, Span, Symbol, SynData, Syntax};
 use lagoon_typed::check::prop_type;
 use lagoon_typed::{Tcx, Type};
-use std::cell::Cell;
 use std::rc::Rc;
-
-thread_local! {
-    static REWRITE_COUNT: Cell<u64> = const { Cell::new(0) };
-    static REWRITE_MODULE: Cell<Option<Symbol>> = const { Cell::new(None) };
-}
-
-/// Number of specializing rewrites performed on this thread *for the
-/// module currently (or most recently) being optimized*. The counter
-/// resets each time optimization moves to a new module.
-#[deprecated(note = "install a lagoon_diag::Collector and read the decision log \
-            (Event::Rewrite) instead")]
-pub fn rewrite_count() -> u64 {
-    REWRITE_COUNT.with(Cell::get)
-}
-
-/// Resets the legacy counter whenever optimization enters a new module,
-/// so back-to-back runs no longer report cumulative counts.
-fn note_module(module: Symbol) {
-    REWRITE_MODULE.with(|m| {
-        if m.get() != Some(module) {
-            m.set(Some(module));
-            REWRITE_COUNT.with(|c| c.set(0));
-        }
-    });
-}
 
 /// The per-expression optimization context: which module is being
 /// optimized (for attributing diagnostics) and which rewrite families are
@@ -74,10 +48,9 @@ struct Ctx {
     options: Options,
 }
 
-/// Records an applied rewrite: bumps the legacy counter and, when
-/// diagnostics are on, logs the decision with its source span.
+/// Records an applied rewrite: when tracing or diagnostics are on,
+/// logs the decision with its source span.
 fn applied(ctx: &Ctx, family: &'static str, op: &str, rule: &'static str, span: Span) {
-    REWRITE_COUNT.with(|c| c.set(c.get() + 1));
     if lagoon_diag::trace::active() {
         lagoon_diag::trace::note("rewrite", format!("{op} -> {rule} @ {span}"));
     }
@@ -547,7 +520,6 @@ pub fn optimize(tcx: &Tcx, stx: &Syntax) -> Result<Syntax, RtError> {
         module: tcx.exp.module_name,
         options: Options::full(),
     };
-    note_module(ctx.module);
     optimize_expr(stx, &ctx)
 }
 
@@ -559,7 +531,6 @@ pub fn optimize_with(options: Options) -> std::rc::Rc<lagoon_typed::OptimizeFn> 
             module: tcx.exp.module_name,
             options,
         };
-        note_module(ctx.module);
         optimize_expr(stx, &ctx)
     })
 }
@@ -1017,26 +988,6 @@ mod decision_log_tests {
         assert_eq!(ns.len(), 1, "{ns:?}");
         assert_eq!(ns[0].0, "fixnum");
         assert!(ns[0].2.contains("overflow"), "{}", ns[0].2);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn legacy_counter_resets_per_module() {
-        let reg = ModuleRegistry::new();
-        register_typed_languages(&reg);
-        reg.add_module(
-            "a",
-            "#lang typed/lagoon\n(define: (f [x : Float] [y : Float]) : Float (+ x y))",
-        );
-        reg.add_module(
-            "b",
-            "#lang typed/lagoon\n(define: (g [x : Float]) : Float (* x x))",
-        );
-        reg.expanded_body("a").unwrap();
-        let after_a = rewrite_count();
-        assert_eq!(after_a, 1);
-        reg.expanded_body("b").unwrap();
-        assert_eq!(rewrite_count(), 1, "count must reset between modules");
     }
 }
 

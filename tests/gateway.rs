@@ -1,8 +1,9 @@
 //! Integration tests for the HTTP gateway: a real `lagoon gateway`
 //! process (two spawned daemon shards sharing one store) takes raw
 //! sockets probing the HTTP/1.1 parser's edges, pipelined and
-//! keep-alive traffic, trace-id propagation, and a shard kill with
-//! failover and supervised respawn.
+//! keep-alive traffic, trace-id propagation, a shard kill with
+//! failover and supervised respawn, and a store built through one
+//! shard or two coming out byte for byte the same.
 
 use lagoon::gateway::http::HttpClient;
 use lagoon::server::json::{self, Json};
@@ -309,4 +310,114 @@ fn killed_shard_fails_over_and_respawns() {
         std::thread::sleep(Duration::from_millis(100));
     }
     gateway.shutdown();
+}
+
+/// Every `.lagc` artifact in `dir`, by file name.
+fn store_artifacts(dir: &std::path::Path) -> std::collections::BTreeMap<String, Vec<u8>> {
+    std::fs::read_dir(dir)
+        .expect("read store")
+        .map(|entry| entry.expect("store entry").path())
+        .filter(|path| path.extension().is_some_and(|ext| ext == "lagc"))
+        .map(|path| {
+            let name = path.file_name().expect("file name");
+            let bytes = std::fs::read(&path).expect("read artifact");
+            (name.to_string_lossy().into_owned(), bytes)
+        })
+        .collect()
+}
+
+#[test]
+fn one_and_two_shard_stores_are_byte_identical() {
+    let scratch = std::env::temp_dir().join(format!("lagoon-gw-stores-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&scratch);
+    let src = scratch.join("src");
+    std::fs::create_dir_all(&src).expect("source dir");
+
+    // four chains of three typed modules, each under an untyped entry,
+    // and one untyped entry over all four chains
+    let chains = ["pa", "pb", "pc", "pd"];
+    for c in chains {
+        for d in 0..3 {
+            let (require, callee) = if d == 2 {
+                (String::new(), "add1".to_string())
+            } else {
+                (
+                    format!("(require {c}{})\n", d + 1),
+                    format!("{c}{}-f", d + 1),
+                )
+            };
+            let module = format!(
+                "#lang typed/lagoon\n{require}(: {c}{d}-f : Integer -> Integer)\n\
+                 (define ({c}{d}-f n) (if (= n 0) 1 (+ ({callee} (- n 1)) 1)))\n\
+                 (provide {c}{d}-f)\n"
+            );
+            std::fs::write(src.join(format!("{c}{d}.lag")), module).expect("write module");
+        }
+        let entry = format!("#lang lagoon\n(require {c}0)\n({c}0-f 9)\n");
+        std::fs::write(src.join(format!("{c}.lag")), entry).expect("write entry");
+    }
+    std::fs::write(
+        src.join("top.lag"),
+        "#lang lagoon\n(require pa0 pb0 pc0 pd0)\n(+ (pa0-f 9) (pb0-f 9) (pc0-f 9) (pd0-f 9))\n",
+    )
+    .expect("write top");
+
+    let mut stores = Vec::new();
+    for shards in ["1", "2"] {
+        let store = scratch.join(format!("store-{shards}"));
+        let gateway = GatewayProc::spawn(&[
+            "--shards",
+            shards,
+            "--workers-per-shard",
+            "2",
+            "--root",
+            src.to_str().expect("utf-8 path"),
+            "--cache-dir",
+            store.to_str().expect("utf-8 path"),
+        ]);
+        // the five entries at once, so a 2-shard fleet splits the graph
+        // between its processes and both write the shared store
+        let requests: Vec<_> = chains
+            .iter()
+            .map(|c| (c.to_string(), "10"))
+            .chain([("top".to_string(), "40")])
+            .map(|(module, expected)| {
+                let addr = gateway.addr.clone();
+                std::thread::spawn(move || {
+                    let mut client = HttpClient::connect(&addr, Some(Duration::from_secs(120)))
+                        .expect("connect");
+                    let body = format!(r#"{{"module":"{module}"}}"#);
+                    let response = client
+                        .request("POST", "/v1/run", &[], body.as_bytes())
+                        .expect("run entry");
+                    assert_eq!(response.status, 200, "{}", response.body_str());
+                    let parsed = body_json(&response);
+                    assert_eq!(
+                        parsed.get("value").and_then(Json::as_str),
+                        Some(expected),
+                        "{module}: {parsed}"
+                    );
+                })
+            })
+            .collect();
+        for request in requests {
+            request.join().expect("request thread");
+        }
+        gateway.shutdown();
+        stores.push(store_artifacts(&store));
+    }
+
+    // 4 chains x 3 typed modules + 5 entries
+    assert_eq!(stores[0].len(), 17, "{:?}", stores[0].keys());
+    assert_eq!(
+        stores[0].keys().collect::<Vec<_>>(),
+        stores[1].keys().collect::<Vec<_>>()
+    );
+    for (name, bytes) in &stores[0] {
+        assert!(
+            stores[1][name] == *bytes,
+            "{name} differs between the 1-shard and 2-shard stores"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&scratch);
 }

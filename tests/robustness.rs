@@ -378,6 +378,20 @@ fn peephole_differential_sweep_matches_unfused_semantics() {
         }
     }
 
+    // one counted VM run of a benchmark program: value + captured
+    // output, then executed (fused, total) opcodes
+    fn counted(src: &str, peephole: bool) -> ((String, String), u64, u64) {
+        lagoon::set_peephole(peephole);
+        let lagoon = Lagoon::new();
+        lagoon.add_module("diff", src);
+        let (result, out) =
+            lagoon::capture_output(|| lagoon.run_with_stats("diff", EngineKind::Vm));
+        lagoon::set_peephole(true);
+        let (v, report) = result.unwrap_or_else(|e| panic!("benchmark failed: {e}\n{src}"));
+        let observed = (normalize(&v.write_string()), normalize(&out));
+        (observed, report.fused_ops(), report.total_ops())
+    }
+
     let mut sources: Vec<(String, Vec<EngineKind>, Limits)> = Vec::new();
     // seeded generator modules, on both engines
     let mut rng = SplitMix64::new(0xd1ff);
@@ -388,16 +402,6 @@ fn peephole_differential_sweep_matches_unfused_semantics() {
             vec![EngineKind::Vm, EngineKind::Interp],
             strict(),
         ));
-    }
-    // the benchmark programs (untyped and optimized-typed), on the VM
-    for bench in all_benchmarks() {
-        for config in [Config::Vm, Config::VmOpt] {
-            sources.push((
-                bench.source_for(config),
-                vec![EngineKind::Vm],
-                Limits::default(),
-            ));
-        }
     }
     let (mut compared, mut skipped) = (0u64, 0u64);
     for (src, engines, limits) in &sources {
@@ -428,6 +432,33 @@ fn peephole_differential_sweep_matches_unfused_semantics() {
         compared > sources.len() as u64 / 2,
         "only {compared} comparisons ran ({skipped} skipped)"
     );
+
+    // the benchmark programs (untyped and optimized-typed), on the VM:
+    // the same observations with the pass on and off, and the pass must
+    // actually fuse — fused ops run only with it on, and save dispatches.
+    // Counting is slow in debug builds, so each config gets a thread
+    // (worlds, the peephole setting and the counters are thread-local).
+    std::thread::scope(|scope| {
+        for config in [Config::Vm, Config::VmOpt] {
+            scope.spawn(move || {
+                for bench in all_benchmarks() {
+                    let src = bench.source_for(config);
+                    let what = format!("{} [{}]", bench.name, config.label());
+                    let (on, on_fused, on_total) = counted(&src, true);
+                    let (off, off_fused, off_total) = counted(&src, false);
+                    assert_eq!(on, off, "peephole changed value/output for {what}");
+                    if cfg!(feature = "vm-counters") {
+                        assert!(on_fused > 0, "{what}: no fused ops executed");
+                        assert!(
+                            on_total < off_total,
+                            "{what}: {on_total} ops fused vs {off_total} unfused"
+                        );
+                        assert_eq!(off_fused, 0, "{what}: fused ops ran with the pass off");
+                    }
+                }
+            });
+        }
+    });
 }
 
 #[test]
