@@ -128,6 +128,17 @@ enum CacheOutcome {
     },
 }
 
+/// An artifact that passed its own header checks, before its module
+/// dependencies are checked (see [`ModuleRegistry::verify_artifact`]).
+struct OwnHeader {
+    /// The [`store::artifact_digest`] its importers record.
+    digest: u64,
+    /// Its module dependencies, each with the digest it recorded.
+    deps: Vec<(Symbol, u64)>,
+    /// Its length in bytes.
+    len: usize,
+}
+
 /// Module names that map to a file inside the store directory. Names
 /// with path separators (or traversal) are compiled but never stored.
 fn cacheable_name(name: Symbol) -> bool {
@@ -469,6 +480,45 @@ impl ModuleRegistry {
         Some(loaded)
     }
 
+    /// The artifact checks a header decides on its own (see [`store`]'s
+    /// "Validity"): the artifact names `name`, matches this session's
+    /// peephole setting and base environment, and was compiled from the
+    /// module's current source. `Err` says why the artifact is stale.
+    fn check_header(&self, name: Symbol, header: &store::Header) -> Result<(), String> {
+        if header.name != name {
+            return Err(format!("artifact names module {}", header.name));
+        }
+        let peephole = lagoon_vm::peephole::enabled();
+        if header.peephole != peephole {
+            let on_off = |on: bool| if on { "on" } else { "off" };
+            return Err(format!(
+                "compiled with peephole {}, session runs with it {}",
+                on_off(header.peephole),
+                on_off(peephole),
+            ));
+        }
+        if header.env_digest != self.env_digest.get() {
+            return Err("base environment changed".to_owned());
+        }
+        let Some(source) = self.source_of(name) else {
+            return Err("module source unavailable".to_owned());
+        };
+        if header.source_digest != store::source_digest(&source) {
+            return Err("source changed".to_owned());
+        }
+        Ok(())
+    }
+
+    /// The bytes of `name`'s artifact, when a store is configured and
+    /// holds one.
+    fn read_artifact(&self, name: Symbol) -> Option<Vec<u8>> {
+        let dir = self.store_dir.borrow().clone()?;
+        if !cacheable_name(name) {
+            return None;
+        }
+        std::fs::read(artifact_path(&dir, name)).ok()
+    }
+
     /// Attempts to satisfy `compile(name)` from the on-disk store.
     ///
     /// # Errors
@@ -478,67 +528,43 @@ impl ModuleRegistry {
     /// with a diagnostic event, never an error or a panic.
     fn try_load_cached(&self, name: Symbol) -> Result<CacheOutcome, RtError> {
         use lagoon_diag::CacheStatus;
-        let quiet = CacheOutcome::Miss { reported: false };
-        let Some(dir) = self.store_dir.borrow().clone() else {
-            return Ok(quiet);
-        };
-        if !cacheable_name(name) {
-            return Ok(quiet);
-        }
-        let Ok(bytes) = std::fs::read(artifact_path(&dir, name)) else {
-            return Ok(quiet);
+        let Some(bytes) = self.read_artifact(name) else {
+            return Ok(CacheOutcome::Miss { reported: false });
         };
         let _t = lagoon_diag::time(lagoon_diag::Phase::Load, name);
         let stale = |detail: String| {
             lagoon_diag::cache_event(name, CacheStatus::Stale, detail);
             Ok(CacheOutcome::Miss { reported: true })
         };
-        let rehydrators = self.rehydrators.borrow().clone();
-        let artifact = match store::decode(&bytes, &|tag, datum| {
-            rehydrators.get(&tag).and_then(|f| f(datum))
-        }) {
-            Ok(a) => a,
+        let corrupt = |e: lagoon_syntax::WireError| {
+            lagoon_diag::cache_event(name, CacheStatus::Corrupt, e.to_string());
+            Ok(CacheOutcome::Miss { reported: true })
+        };
+        let (header, body) = match store::decode_header(&bytes) {
+            Ok(h) => h,
             Err(store::DecodeError::Version { found }) => {
                 return stale(format!("format version {found}"));
             }
-            Err(store::DecodeError::Corrupt(e)) => {
-                lagoon_diag::cache_event(name, CacheStatus::Corrupt, e.to_string());
-                return Ok(CacheOutcome::Miss { reported: true });
-            }
+            Err(store::DecodeError::Corrupt(e)) => return corrupt(e),
         };
-        if artifact.name != name {
-            return stale(format!("artifact names module {}", artifact.name));
-        }
-        if artifact.peephole != lagoon_vm::peephole::enabled() {
-            return stale(format!(
-                "compiled with peephole {}, session runs with it {}",
-                if artifact.peephole { "on" } else { "off" },
-                if lagoon_vm::peephole::enabled() {
-                    "on"
-                } else {
-                    "off"
-                },
-            ));
-        }
-        if artifact.env_digest != self.env_digest.get() {
-            return stale("base environment changed".to_owned());
-        }
-        let Some(source) = self.source_of(name) else {
-            return stale("module source unavailable".to_owned());
-        };
-        if artifact.source_digest != store::source_digest(&source) {
-            return stale("source changed".to_owned());
+        if let Err(detail) = self.check_header(name, &header) {
+            return stale(detail);
         }
         // dependencies: registered languages by constant digest; module
         // dependencies must themselves have come from the store, with the
         // digest this artifact was compiled against (a freshly compiled
         // dep uses live gensyms a decoded importer cannot reference)
-        for (dep, recorded) in &artifact.dep_digests {
+        for (dep, recorded) in &header.dep_digests {
             if self.languages.borrow().contains_key(dep) {
                 if *recorded != store::language_digest(*dep) {
                     return stale(format!("language {dep} changed"));
                 }
                 continue;
+            }
+            // a dependency back onto the modules being compiled: only a
+            // crafted artifact records one, and loading it would recurse
+            if self.compiling.borrow().contains(dep) {
+                return stale(format!("dependency cycle through {dep}"));
             }
             self.compile(*dep)?;
             match self.artifact_digests.borrow().get(dep) {
@@ -546,6 +572,13 @@ impl ModuleRegistry {
                 _ => return stale(format!("dependency {dep} recompiled")),
             }
         }
+        let rehydrators = self.rehydrators.borrow().clone();
+        let artifact = match body.decode(header, &|tag, datum| {
+            rehydrators.get(&tag).and_then(|f| f(datum))
+        }) {
+            Ok(a) => a,
+            Err(e) => return corrupt(e),
+        };
         // collision guard: decoding re-interns gensym names, so a global
         // this module defines must not collide with any name visible to
         // it — the base environment or a dependency's exports
@@ -555,7 +588,7 @@ impl ModuleRegistry {
             .keys()
             .map(|s| s.with_str(Symbol::intern))
             .collect();
-        for (dep, _) in &artifact.dep_digests {
+        for (dep, _) in &artifact.header.dep_digests {
             if let Some(language) = self.languages.borrow().get(dep).cloned() {
                 visible.extend(language.values.keys().map(|s| s.with_str(Symbol::intern)));
                 continue;
@@ -580,6 +613,99 @@ impl ModuleRegistry {
             .insert(name, (store::artifact_digest(&bytes), true));
         lagoon_diag::cache_event(name, CacheStatus::Hit, format!("{} bytes", bytes.len()));
         Ok(CacheOutcome::Hit(Rc::new(artifact.into_compiled())))
+    }
+
+    /// Decides from artifact headers alone whether `name`'s artifact is
+    /// up to date, without decoding or compiling anything: the artifact
+    /// passes the header checks a load applies first, and so, in turn,
+    /// does every dependency it recorded — a registered language by its
+    /// [`store::language_digest`], a module by the digest of its own
+    /// verified artifact. The recorded dependencies include requires a
+    /// macro generated, which no scan of the source text sees.
+    ///
+    /// True when the artifact is up to date; false when it is dirty:
+    /// missing, stale, corrupt, or part of a recorded dependency cycle.
+    /// `verdicts` memoizes one walk over the store, mapping each module
+    /// checked to its artifact digest when up to date and to `None` when
+    /// dirty; pass the same map to every call of the walk. Each module
+    /// found up to date emits one `hit` cache event; a dirty one emits
+    /// nothing, since compiling it reports why.
+    ///
+    /// Dependencies are walked with an explicit stack, so a long chain
+    /// does not deepen the native stack.
+    pub fn verify_artifact(
+        &self,
+        name: Symbol,
+        verdicts: &mut HashMap<Symbol, Option<u64>>,
+    ) -> bool {
+        enum Step {
+            Enter(Symbol),
+            /// The module passed its own checks, and its module
+            /// dependencies, entered after it, are settled: compare
+            /// their digests with the ones it recorded.
+            Exit(Symbol, OwnHeader),
+        }
+        let mut stack = vec![Step::Enter(name)];
+        // modules entered but not exited: the path from `name` down, so
+        // a dependency found here closes a cycle
+        let mut path: HashSet<Symbol> = HashSet::new();
+        while let Some(step) = stack.pop() {
+            match step {
+                Step::Enter(m) => {
+                    if path.contains(&m) || verdicts.contains_key(&m) {
+                        continue;
+                    }
+                    let Some(own) = self.verify_own_header(m) else {
+                        verdicts.insert(m, None);
+                        continue;
+                    };
+                    path.insert(m);
+                    let deps: Vec<Step> =
+                        own.deps.iter().map(|(dep, _)| Step::Enter(*dep)).collect();
+                    stack.push(Step::Exit(m, own));
+                    stack.extend(deps);
+                }
+                Step::Exit(m, own) => {
+                    path.remove(&m);
+                    let fresh = own
+                        .deps
+                        .iter()
+                        .all(|(dep, recorded)| verdicts.get(dep) == Some(&Some(*recorded)));
+                    if fresh {
+                        lagoon_diag::cache_event(
+                            m,
+                            lagoon_diag::CacheStatus::Hit,
+                            format!("{} bytes, header verified", own.len),
+                        );
+                    }
+                    verdicts.insert(m, fresh.then_some(own.digest));
+                }
+            }
+        }
+        matches!(verdicts.get(&name), Some(Some(_)))
+    }
+
+    /// `verify_artifact`'s checks on one artifact, leaving its module
+    /// dependencies to the caller: the header checks, and the digest of
+    /// every registered language it recorded.
+    fn verify_own_header(&self, name: Symbol) -> Option<OwnHeader> {
+        let bytes = self.read_artifact(name)?;
+        let (header, _) = store::decode_header(&bytes).ok()?;
+        self.check_header(name, &header).ok()?;
+        let languages = self.languages.borrow();
+        let mut deps = Vec::new();
+        for (dep, digest) in header.dep_digests {
+            if !languages.contains_key(&dep) {
+                deps.push((dep, digest));
+            } else if digest != store::language_digest(dep) {
+                return None;
+            }
+        }
+        Some(OwnHeader {
+            digest: store::artifact_digest(&bytes),
+            deps,
+            len: bytes.len(),
+        })
     }
 
     /// Best-effort write of a fresh compile's artifact. Emits this

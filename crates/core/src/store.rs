@@ -10,9 +10,19 @@
 //!
 //! ## Validity
 //!
-//! An artifact is *valid* (a cache hit) only when all of these match:
+//! Checking an artifact splits in two. The **header checks** need only
+//! the frame and the header ([`decode_header`]), so a rebuild applies
+//! them to decide which modules are up to date
+//! ([`ModuleRegistry::verify_artifact`](crate::module::ModuleRegistry::verify_artifact)),
+//! and a load applies them first:
 //!
-//! * the `"LAGC"` magic and [`FORMAT_VERSION`];
+//! * the `"LAGC"` magic, [`FORMAT_VERSION`], and the **content digest**
+//!   — a hash of the body, so a flipped or truncated byte reads as
+//!   corrupt before anything is decoded;
+//! * the **module name** the artifact was written for;
+//! * the **peephole flag** — whether the superinstruction pass was on
+//!   when the artifact was compiled. A session running with
+//!   `--no-peephole` must not reuse fused bytecode (and vice versa);
 //! * the **environment digest** — a hash of the base environment's
 //!   global names. The prelude's definitions are alpha-renamed with a
 //!   process-global counter, so artifacts only make sense against a
@@ -20,16 +30,32 @@
 //!   for;
 //! * the **source digest** — a hash of the module's current source
 //!   text (which includes its `#lang` line);
-//! * the **peephole flag** — whether the superinstruction pass was on
-//!   when the artifact was compiled. A session running with
-//!   `--no-peephole` must not reuse fused bytecode (and vice versa);
-//! * every **dependency digest** — a hash of the dependency's own
-//!   artifact *bytes*, and the dependency must itself have been loaded
-//!   from the store this session. A freshly compiled dependency uses
-//!   live gensyms that a decoded importer (whose symbols were
-//!   re-interned by name) cannot see, so a fresh dep always forces the
-//!   importer to recompile. This rule is also what makes editing one
-//!   module invalidate its dependents.
+//! * every recorded **dependency digest** — [`language_digest`] for a
+//!   registered language, otherwise a hash of the dependency's own
+//!   artifact *bytes*, which must itself pass these checks. This rule
+//!   is what makes editing one module invalidate its dependents, and
+//!   the recorded list includes requires a macro generated, which no
+//!   scan of the source text sees.
+//!
+//! The **load checks** need the decoded body or a live registry, so
+//! only a load (`lagoon run`, the daemon, a build worker's
+//! dependencies) applies them, after the header checks:
+//!
+//! * every native-transformer export **rehydrates** from a registered
+//!   recipe;
+//! * no global the module defines **collides** with a name visible to
+//!   it, since decoding re-interns gensym names;
+//! * each module dependency was itself **loaded** from the store this
+//!   session: a freshly compiled dependency uses live gensyms that a
+//!   decoded importer cannot see, so a fresh dep forces the importer to
+//!   recompile.
+//!
+//! A rebuild skips the load checks for a module whose header checks
+//! pass, because it loads nothing. Which recipes are registered and
+//! which names are visible are fixed by the binary, the base
+//! environment and the dependencies' artifacts, and the header checks
+//! compare the last two by digest, so for an artifact this binary wrote
+//! the load checks cannot fail once the header checks pass.
 //!
 //! Failing the version or digest checks is *stale*; bytes that cannot
 //! be decoded are *corrupt*. Both fall back to recompilation with a
@@ -94,9 +120,10 @@ impl std::fmt::Display for DecodeError {
     }
 }
 
-/// A decoded artifact: everything in a [`CompiledModule`] plus the
-/// digests the registry validates before trusting it.
-pub struct Artifact {
+/// An artifact's header: the digests a rebuild compares to decide
+/// whether the module is up to date, readable without decoding the body.
+#[derive(Debug)]
+pub struct Header {
     /// Digest of the base environment the artifact was compiled against.
     pub env_digest: u64,
     /// Digest of the module's source text at compile time.
@@ -112,6 +139,17 @@ pub struct Artifact {
     /// Runtime requires, each with the digest of the dependency's own
     /// artifact bytes (or [`language_digest`] for registered languages).
     pub dep_digests: Vec<(Symbol, u64)>,
+}
+
+/// The undecoded rest of an artifact whose frame and header
+/// [`decode_header`] accepted.
+pub struct Body<'a>(WireReader<'a>);
+
+/// A decoded artifact: everything in a [`CompiledModule`] plus the
+/// header the registry validates before trusting it.
+pub struct Artifact {
+    /// The header.
+    pub header: Header,
     /// Exports: external name → binding.
     pub exports: Vec<(Symbol, Binding)>,
     /// Persisted compile-time declarations to replay on import.
@@ -128,13 +166,18 @@ impl Artifact {
     /// compiles).
     pub fn into_compiled(self) -> CompiledModule {
         CompiledModule {
-            name: self.name,
-            lang: self.lang,
+            name: self.header.name,
+            lang: self.header.lang,
             exports: self.exports,
             expanded: Vec::new(),
             forms: self.forms,
             code: self.code,
-            requires: self.dep_digests.iter().map(|(dep, _)| *dep).collect(),
+            requires: self
+                .header
+                .dep_digests
+                .iter()
+                .map(|(dep, _)| *dep)
+                .collect(),
             persisted: self.persisted,
         }
     }
@@ -203,7 +246,7 @@ fn encode_binding(w: &mut WireWriter, binding: &Binding) -> Result<(), WireError
 fn decode_binding(
     r: &mut WireReader,
     rehydrate: &dyn Fn(Symbol, &Datum) -> Option<Rc<NativeMacro>>,
-) -> Result<Binding, DecodeError> {
+) -> Result<Binding, WireError> {
     let at = r.position();
     match r.u8()? {
         0 => Ok(Binding::Variable(r.symbol()?)),
@@ -211,25 +254,20 @@ fn decode_binding(
             let tag = r.u8()?;
             CoreFormKind::from_wire_tag(tag)
                 .map(Binding::Core)
-                .ok_or_else(|| {
-                    DecodeError::Corrupt(WireError::new(format!("unknown core-form tag {tag}"), at))
-                })
+                .ok_or_else(|| WireError::new(format!("unknown core-form tag {tag}"), at))
         }
         2 => {
             let name = r.symbol()?;
             let tag = r.symbol()?;
             let datum = r.datum()?;
             rehydrate(tag, &datum).map(Binding::Native).ok_or_else(|| {
-                DecodeError::Corrupt(WireError::new(
+                WireError::new(
                     format!("no rehydrator registered for {tag} (export {name})"),
                     at,
-                ))
+                )
             })
         }
-        t => Err(DecodeError::Corrupt(WireError::new(
-            format!("unknown binding tag {t}"),
-            at,
-        ))),
+        t => Err(WireError::new(format!("unknown binding tag {t}"), at)),
     }
 }
 
@@ -284,18 +322,15 @@ pub fn encode(
     Ok(framed.into_bytes())
 }
 
-/// Decodes artifact bytes. `rehydrate` maps a recipe tag + datum back
-/// to a live native transformer (see
-/// [`ModuleRegistry::register_rehydrator`](crate::module::ModuleRegistry::register_rehydrator)).
+/// Reads an artifact's frame — the magic, the format version and the
+/// content digest, checked against the body — and then its [`Header`].
+/// The returned [`Body`] decodes the rest.
 ///
 /// # Errors
 ///
 /// [`DecodeError::Version`] for a format-version mismatch (stale);
 /// [`DecodeError::Corrupt`] for anything structurally invalid.
-pub fn decode(
-    bytes: &[u8],
-    rehydrate: &dyn Fn(Symbol, &Datum) -> Option<Rc<NativeMacro>>,
-) -> Result<Artifact, DecodeError> {
+pub fn decode_header(bytes: &[u8]) -> Result<(Header, Body<'_>), DecodeError> {
     let mut outer = WireReader::new(bytes);
     let magic = outer.raw(4)?;
     if magic != MAGIC {
@@ -329,45 +364,81 @@ pub fn decode(
         let digest = r.uint()?;
         dep_digests.push((dep, digest));
     }
-    let nexports = r.len()?;
-    let mut exports = Vec::with_capacity(nexports);
-    for _ in 0..nexports {
-        let external = r.symbol()?;
-        let binding = decode_binding(&mut r, rehydrate)?;
-        exports.push((external, binding));
-    }
-    let npersisted = r.len()?;
-    let mut persisted = Vec::with_capacity(npersisted);
-    for _ in 0..npersisted {
-        let tag = r.symbol()?;
-        let key = r.symbol()?;
-        let datum = r.datum()?;
-        persisted.push((tag, key, datum));
-    }
-    let nforms = r.len()?;
-    let mut forms = Vec::with_capacity(nforms);
-    for _ in 0..nforms {
-        forms.push(codec::decode_form(&mut r)?);
-    }
-    let code = codec::decode_module_code(&mut r)?;
-    if !r.is_empty() {
-        return Err(DecodeError::Corrupt(WireError::new(
-            format!("{} trailing bytes after artifact", r.remaining()),
-            r.position(),
-        )));
-    }
-    Ok(Artifact {
+    let header = Header {
         env_digest,
         source_digest,
         peephole,
         name,
         lang,
         dep_digests,
-        exports,
-        persisted,
-        forms,
-        code,
-    })
+    };
+    Ok((header, Body(r)))
+}
+
+impl Body<'_> {
+    /// Decodes the body behind `header`. `rehydrate` maps a recipe tag +
+    /// datum back to a live native transformer (see
+    /// [`ModuleRegistry::register_rehydrator`](crate::module::ModuleRegistry::register_rehydrator)).
+    ///
+    /// # Errors
+    ///
+    /// Anything structurally invalid, including an export whose recipe
+    /// has no rehydrator: the artifact is corrupt.
+    pub fn decode(
+        self,
+        header: Header,
+        rehydrate: &dyn Fn(Symbol, &Datum) -> Option<Rc<NativeMacro>>,
+    ) -> Result<Artifact, WireError> {
+        let mut r = self.0;
+        let nexports = r.len()?;
+        let mut exports = Vec::with_capacity(nexports);
+        for _ in 0..nexports {
+            let external = r.symbol()?;
+            let binding = decode_binding(&mut r, rehydrate)?;
+            exports.push((external, binding));
+        }
+        let npersisted = r.len()?;
+        let mut persisted = Vec::with_capacity(npersisted);
+        for _ in 0..npersisted {
+            let tag = r.symbol()?;
+            let key = r.symbol()?;
+            let datum = r.datum()?;
+            persisted.push((tag, key, datum));
+        }
+        let nforms = r.len()?;
+        let mut forms = Vec::with_capacity(nforms);
+        for _ in 0..nforms {
+            forms.push(codec::decode_form(&mut r)?);
+        }
+        let code = codec::decode_module_code(&mut r)?;
+        if !r.is_empty() {
+            return Err(WireError::new(
+                format!("{} trailing bytes after artifact", r.remaining()),
+                r.position(),
+            ));
+        }
+        Ok(Artifact {
+            header,
+            exports,
+            persisted,
+            forms,
+            code,
+        })
+    }
+}
+
+/// Decodes artifact bytes: [`decode_header`], then [`Body::decode`].
+///
+/// # Errors
+///
+/// [`DecodeError::Version`] for a format-version mismatch (stale);
+/// [`DecodeError::Corrupt`] for anything structurally invalid.
+pub fn decode(
+    bytes: &[u8],
+    rehydrate: &dyn Fn(Symbol, &Datum) -> Option<Rc<NativeMacro>>,
+) -> Result<Artifact, DecodeError> {
+    let (header, body) = decode_header(bytes)?;
+    Ok(body.decode(header, rehydrate)?)
 }
 
 #[cfg(test)]
@@ -424,12 +495,12 @@ mod tests {
         let deps = vec![(Symbol::intern("dep"), 77u64)];
         let bytes = encode(&m, 11, 22, &deps).unwrap();
         let a = decode(&bytes, &no_rehydrate).unwrap();
-        assert_eq!(a.env_digest, 11);
-        assert_eq!(a.source_digest, 22);
-        assert_eq!(a.peephole, lagoon_vm::peephole::enabled());
-        assert_eq!(a.name, m.name);
-        assert_eq!(a.lang, m.lang);
-        assert_eq!(a.dep_digests, deps);
+        assert_eq!(a.header.env_digest, 11);
+        assert_eq!(a.header.source_digest, 22);
+        assert_eq!(a.header.peephole, lagoon_vm::peephole::enabled());
+        assert_eq!(a.header.name, m.name);
+        assert_eq!(a.header.lang, m.lang);
+        assert_eq!(a.header.dep_digests, deps);
         assert_eq!(a.persisted, m.persisted);
         let back = a.into_compiled();
         assert_eq!(back.requires, m.requires);
@@ -446,6 +517,10 @@ mod tests {
             Err(DecodeError::Version { .. }) => {}
             other => panic!("expected version error, got {other:?}", other = other.err()),
         }
+        assert!(matches!(
+            decode_header(&bytes),
+            Err(DecodeError::Version { .. })
+        ));
     }
 
     #[test]
@@ -455,16 +530,25 @@ mod tests {
             Binding::Variable(Symbol::intern("x~1")),
         )]);
         let bytes = encode(&m, 1, 2, &[(Symbol::intern("dep"), 3)]).unwrap();
+        let (header, _) = decode_header(&bytes).unwrap();
+        assert_eq!(header.dep_digests, vec![(Symbol::intern("dep"), 3)]);
+        // the header check rejects exactly what the full decode's frame
+        // rejects: every truncation and flip, before any body decoding
+        let agree = |b: &[u8], what: &str| {
+            let full = decode(b, &no_rehydrate).is_ok();
+            assert_eq!(decode_header(b).is_ok(), full, "{what}");
+            full
+        };
         // truncations
         for cut in 0..bytes.len() {
-            assert!(decode(&bytes[..cut], &no_rehydrate).is_err());
+            assert!(!agree(&bytes[..cut], &format!("truncation at {cut}")));
         }
         // single-byte flips: the content digest guarantees every one is
         // rejected (no flip can silently mutate the decoded artifact)
         for i in 0..bytes.len() {
             let mut dup = bytes.clone();
             dup[i] ^= 0x55;
-            assert!(decode(&dup, &no_rehydrate).is_err(), "flip at byte {i}");
+            assert!(!agree(&dup, &format!("flip at byte {i}")));
         }
     }
 
@@ -486,8 +570,12 @@ mod tests {
         );
         let m = sample_module(vec![(Symbol::intern("m"), Binding::Native(mac))]);
         let bytes = encode(&m, 0, 0, &[]).unwrap();
-        // without a rehydrator: corrupt
-        assert!(decode(&bytes, &no_rehydrate).is_err());
+        // without a rehydrator: the header is sound, the body corrupt
+        assert!(decode_header(&bytes).is_ok());
+        assert!(matches!(
+            decode(&bytes, &no_rehydrate),
+            Err(DecodeError::Corrupt(_))
+        ));
         // with one: the recipe datum comes back
         let a = decode(&bytes, &|tag, d| {
             assert_eq!(tag, Symbol::intern("test-recipe"));

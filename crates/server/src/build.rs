@@ -1,22 +1,31 @@
 //! The parallel build scheduler.
 //!
-//! [`build`] compiles a module graph across `jobs` worker threads. The
-//! entry modules' sources are scanned for top-level `(require …)` forms
-//! to recover the static dependency graph, which is then scheduled as a
-//! wavefront: a module becomes ready the moment its last dependency
-//! finishes. Each worker owns a private [`ModuleRegistry`] — Lagoon
-//! values are `Rc`-based and never cross threads — so workers exchange
-//! finished modules only through the *serialized* `.lagc` artifacts in
-//! the shared content-addressed store. Because gensym freshening is
-//! deterministic per module content (see `lagoon_syntax::fresh_scope`),
-//! every worker that compiles a given module writes byte-identical
-//! artifacts, and `--jobs N` output is byte-identical to `--jobs 1`.
+//! [`build`] first *discovers* the module graph on one thread of its
+//! own: it scans each source, from the entry modules down, for
+//! top-level `(require …)` forms, and then checks each module's
+//! artifact from its header alone. A module whose artifact is up to
+//! date ([`ModuleRegistry::verify_artifact`]: its header and,
+//! transitively, its recorded dependencies' headers pass the store's
+//! checks) is done: nothing decodes or compiles it. The *dirty* modules
+//! are compiled as a wavefront across up to `jobs` worker threads: a
+//! module becomes ready the moment its last dirty dependency finishes,
+//! and no worker starts when nothing is dirty.
+//!
+//! Each worker owns a private [`ModuleRegistry`] — Lagoon values are
+//! `Rc`-based and never cross threads — so workers exchange finished
+//! modules only through the *serialized* `.lagc` artifacts in the shared
+//! content-addressed store, where a compile loads each dependency with
+//! every check the store has. Because gensym freshening is deterministic
+//! per module content (see `lagoon_syntax::fresh_scope`), every worker
+//! that compiles a given module writes byte-identical artifacts, and
+//! `--jobs N` output is byte-identical to `--jobs 1`.
 //!
 //! A process-wide single-flight map backs the schedule up: requires the
 //! static scan could not see (macros can synthesize `require` forms
 //! during expansion) are claimed in the map by the first worker to need
 //! them, and other workers briefly block and then load the artifact
-//! from the store instead of re-compiling.
+//! from the store instead of re-compiling. Modules discovery found up
+//! to date start out settled in the map, so loading one claims nothing.
 
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -27,6 +36,7 @@ use std::thread::{self, ThreadId};
 use std::time::{Duration, Instant};
 
 use lagoon_core::ModuleRegistry;
+use lagoon_diag::trace::{Trace, TraceSpan};
 use lagoon_diag::{Collector, Limits, Report};
 use lagoon_syntax::{read_module, Symbol};
 
@@ -58,9 +68,9 @@ pub struct BuildOptions {
     /// Whether workers run the VM's peephole pass (thread-local state,
     /// so it must be forwarded explicitly).
     pub peephole: bool,
-    /// Whether each worker records a structured trace of its phase
-    /// spans. Traces come back on [`BuildReport::traces`], one track
-    /// per worker (see `lagoon_diag::trace`).
+    /// Whether the build records a structured trace: one `discovery`
+    /// span, and each worker's phase spans. Traces come back on
+    /// [`BuildReport::traces`], one track each (see `lagoon_diag::trace`).
     pub trace: bool,
 }
 
@@ -79,7 +89,7 @@ impl Default for BuildOptions {
 /// What happened to one module during a build.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ModuleStatus {
-    /// Compiled (or loaded from the store) successfully.
+    /// Up to date in the store (no worker), or compiled successfully.
     Built,
     /// Compilation failed; the message is the structured error rendered.
     Failed(String),
@@ -94,9 +104,10 @@ pub struct ModuleOutcome {
     pub name: String,
     /// Outcome.
     pub status: ModuleStatus,
-    /// Wall time spent compiling this module (zero for skipped rows).
+    /// Wall time spent compiling this module (zero when no worker did).
     pub duration: Duration,
-    /// Index of the worker that built it (`None` for skipped rows).
+    /// Index of the worker that compiled it: `None` when its artifact
+    /// was up to date, or when it was not attempted.
     pub worker: Option<usize>,
 }
 
@@ -114,13 +125,15 @@ pub struct WorkerRow {
 /// The result of a parallel build.
 #[derive(Debug)]
 pub struct BuildReport {
-    /// Worker count actually used.
+    /// Worker count requested (at least 1).
     pub jobs: usize,
-    /// End-to-end wall time, including graph scan and worker setup.
+    /// End-to-end wall time, including discovery and worker setup.
     pub wall: Duration,
-    /// Outcome per module, in completion order.
+    /// Outcome per module of the static graph (the requires each
+    /// source names, from the entries down), sorted by name.
     pub modules: Vec<ModuleOutcome>,
-    /// Per-worker utilization.
+    /// Per-worker utilization, one row per worker started: at most one
+    /// per dirty module, and none when every module was up to date.
     pub workers: Vec<WorkerRow>,
     /// Times a worker blocked on another worker's in-flight compile of
     /// the same module instead of starting a duplicate one.
@@ -131,9 +144,9 @@ pub struct BuildReport {
     pub cache_misses: usize,
     /// The merged diagnostics report from every worker.
     pub diag: Report,
-    /// Per-worker phase traces (`(worker index, trace)`), recorded only
-    /// when [`BuildOptions::trace`] was set.
-    pub traces: Vec<(usize, lagoon_diag::trace::Trace)>,
+    /// Named trace tracks — `discovery`, then `worker 0`, `worker 1`, …
+    /// — recorded only when [`BuildOptions::trace`] was set.
+    pub traces: Vec<(String, Trace)>,
 }
 
 impl BuildReport {
@@ -242,9 +255,14 @@ struct SingleFlight {
 }
 
 impl SingleFlight {
-    fn new() -> SingleFlight {
+    /// A map in which the modules `done` are already built.
+    fn new(done: Vec<String>) -> SingleFlight {
         SingleFlight {
-            state: Mutex::new(HashMap::new()),
+            state: Mutex::new(
+                done.into_iter()
+                    .map(|name| (name, FlightState::Done))
+                    .collect(),
+            ),
             cv: Condvar::new(),
             waits: AtomicU64::new(0),
         }
@@ -288,18 +306,78 @@ impl SingleFlight {
 }
 
 // ---------------------------------------------------------------------------
-// Graph scan
+// Discovery
 // ---------------------------------------------------------------------------
 
-/// Forward edges per module, plus modules that failed to scan (with why).
-type ScanResult = (HashMap<String, Vec<String>>, Vec<(String, String)>);
-
-/// The static dependency graph: for each module, the `(require …)`
-/// names its top level mentions. Requires synthesized by macros are
+/// The `(require …)` names a module's top level mentions: its edges in
+/// the static dependency graph. Requires synthesized by macros are
 /// invisible here; the single-flight map covers those at build time.
-fn scan_graph(entries: &[String], source_of: &SourceFn) -> ScanResult {
-    let mut deps: HashMap<String, Vec<String>> = HashMap::new();
-    let mut failures: Vec<(String, String)> = Vec::new();
+fn scan_requires(name: &str, source: &str) -> Result<Vec<String>, String> {
+    let module = read_module(source, name).map_err(|e| format!("read error: {e:?}"))?;
+    let mut found = Vec::new();
+    for form in &module.body {
+        let Some(items) = form.as_list() else {
+            continue;
+        };
+        let is_require = items
+            .first()
+            .and_then(|h| h.sym())
+            .is_some_and(|s| s.with_str(|s| s == "require"));
+        if !is_require {
+            continue;
+        }
+        for spec in &items[1..] {
+            if let Some(sym) = spec.sym() {
+                let dep = sym.as_str();
+                if !found.contains(&dep) {
+                    found.push(dep);
+                }
+            }
+        }
+    }
+    Ok(found)
+}
+
+/// The static graph, split by what the store already holds.
+#[derive(Default)]
+struct Discovery {
+    /// Modules of the graph whose artifacts are up to date.
+    verified: Vec<String>,
+    /// Every module whose artifact the walk found up to date: the
+    /// verified ones, and dependencies only a macro requires.
+    settled: Vec<String>,
+    /// Dirty modules, each with the modules its source requires.
+    dirty: HashMap<String, Vec<String>>,
+    /// Modules that failed to scan (with why).
+    failures: Vec<(String, String)>,
+    /// The `hit` rows of the settled modules.
+    report: Report,
+    trace: Option<Trace>,
+}
+
+/// A registry set up the way every build thread needs it.
+fn build_registry(opts: &BuildOptions) -> std::rc::Rc<ModuleRegistry> {
+    let registry = ModuleRegistry::new();
+    lagoon_optimizer::register_typed_languages(&registry);
+    registry.set_store_dir(opts.cache_dir.clone());
+    registry
+}
+
+/// Scans the static graph from `entries` — the requires each source
+/// names — and then verifies each module's artifact from its header.
+/// Runs on a thread of its own, so the caller's thread-local
+/// diagnostics, limits, trace and peephole state are untouched.
+fn discover(entries: &[String], source_of: &SourceFn, opts: &BuildOptions) -> Discovery {
+    let start = Instant::now();
+    lagoon_vm::peephole::set_enabled(opts.peephole);
+    let collector = Collector::install();
+    let registry = build_registry(opts);
+    {
+        let source_of = Arc::clone(source_of);
+        registry.set_loader(move |name: Symbol| source_of(&name.as_str()));
+    }
+    let mut found = Discovery::default();
+    let mut graph: Vec<(String, Vec<String>)> = Vec::new();
     let mut queue: VecDeque<String> = entries.iter().cloned().collect();
     let mut seen: HashSet<String> = HashSet::new();
     while let Some(name) = queue.pop_front() {
@@ -307,39 +385,54 @@ fn scan_graph(entries: &[String], source_of: &SourceFn) -> ScanResult {
             continue;
         }
         let Some(source) = source_of(&name) else {
-            failures.push((name, "module not found".to_string()));
+            found.failures.push((name, "module not found".to_string()));
             continue;
         };
-        match read_module(&source, &name) {
-            Ok(module) => {
-                let mut found = Vec::new();
-                for form in &module.body {
-                    let Some(items) = form.as_list() else {
-                        continue;
-                    };
-                    let is_require = items
-                        .first()
-                        .and_then(|h| h.sym())
-                        .is_some_and(|s| s.with_str(|s| s == "require"));
-                    if !is_require {
-                        continue;
-                    }
-                    for spec in &items[1..] {
-                        if let Some(sym) = spec.sym() {
-                            let dep = sym.as_str();
-                            if !found.contains(&dep) {
-                                queue.push_back(dep.clone());
-                                found.push(dep);
-                            }
-                        }
-                    }
-                }
-                deps.insert(name, found);
+        match scan_requires(&name, &source) {
+            Ok(deps) => {
+                // the header checks read the source from the registry
+                registry.add_module(&name, &source);
+                queue.extend(deps.iter().cloned());
+                graph.push((name, deps));
             }
-            Err(e) => failures.push((name, format!("read error: {e:?}"))),
+            Err(why) => found.failures.push((name, why)),
         }
     }
-    (deps, failures)
+    let mut verdicts = HashMap::new();
+    for (name, deps) in graph {
+        if registry.verify_artifact(Symbol::intern(&name), &mut verdicts) {
+            found.verified.push(name);
+        } else {
+            found.dirty.insert(name, deps);
+        }
+    }
+    found.settled = verdicts
+        .into_iter()
+        .filter(|(_, digest)| digest.is_some())
+        .map(|(name, _)| name.as_str())
+        .collect();
+    lagoon_diag::uninstall();
+    found.report = collector.report();
+    if opts.trace {
+        let dirty = found.dirty.len() + found.failures.len();
+        found.trace = Some(Trace {
+            spans: vec![TraceSpan {
+                id: 0,
+                parent: None,
+                phase: "discovery",
+                label: format!("{} entries", entries.len()),
+                start_us: 0,
+                dur_us: start.elapsed().as_micros().try_into().unwrap_or(u64::MAX),
+                src: None,
+                notes: vec![
+                    ("verified", found.verified.len().to_string()),
+                    ("dirty", dirty.to_string()),
+                ],
+            }],
+            dropped: 0,
+        });
+    }
+    found
 }
 
 // ---------------------------------------------------------------------------
@@ -453,7 +546,7 @@ struct WorkerResult {
     index: usize,
     row: WorkerRow,
     report: Report,
-    trace: Option<lagoon_diag::trace::Trace>,
+    trace: Option<Trace>,
 }
 
 fn rt_error_text(e: &lagoon_runtime::RtError) -> String {
@@ -475,9 +568,7 @@ fn worker_loop(
     }
 
     let setup_start = Instant::now();
-    let registry = ModuleRegistry::new();
-    lagoon_optimizer::register_typed_languages(&registry);
-    registry.set_store_dir(opts.cache_dir.clone());
+    let registry = build_registry(opts);
     // Names this worker claimed in the single-flight map from inside the
     // loader (statically invisible requires); released after the
     // enclosing top-level compile returns.
@@ -545,24 +636,36 @@ fn worker_loop(
 // Entry point
 // ---------------------------------------------------------------------------
 
-/// Builds `entries` (and everything they require) across
-/// `opts.jobs` worker threads, compiling into the shared `.lagc` store.
+/// Builds `entries` (and everything they require) across up to
+/// `opts.jobs` worker threads, compiling into the shared `.lagc` store
+/// only the modules whose artifacts are not up to date.
 pub fn build(entries: &[String], source_of: SourceFn, opts: &BuildOptions) -> BuildReport {
     let start = Instant::now();
     let jobs = opts.jobs.max(1);
 
-    let (deps, scan_failures) = scan_graph(entries, &source_of);
+    let found = thread::scope(|scope| {
+        scope
+            .spawn(|| discover(entries, &source_of, opts))
+            .join()
+            .unwrap_or_else(|_| Discovery {
+                failures: entries
+                    .iter()
+                    .map(|e| (e.clone(), "internal error: discovery panicked".to_string()))
+                    .collect(),
+                ..Discovery::default()
+            })
+    });
 
-    // Wavefront setup: count unfinished deps, record reverse edges.
+    // Wavefront setup over the dirty modules: count unfinished deps,
+    // record reverse edges.
     let mut waiting: HashMap<String, usize> = HashMap::new();
     let mut dependents: HashMap<String, Vec<String>> = HashMap::new();
     let mut ready: VecDeque<String> = VecDeque::new();
-    let known: HashSet<&String> = deps.keys().collect();
-    for (name, ds) in &deps {
-        // Deps that failed to scan don't gate scheduling (the compile
-        // will surface the real error); deps outside the scanned set
-        // (shouldn't happen) are ignored likewise.
-        let gating: Vec<&String> = ds.iter().filter(|d| known.contains(d)).collect();
+    for (name, ds) in &found.dirty {
+        // Only dirty deps gate scheduling: an up-to-date one is already
+        // in the store, and one that failed to scan is reported by the
+        // compile that needs it.
+        let gating: Vec<&String> = ds.iter().filter(|d| found.dirty.contains_key(*d)).collect();
         if gating.is_empty() {
             ready.push_back(name.clone());
         } else {
@@ -572,17 +675,21 @@ pub fn build(entries: &[String], source_of: SourceFn, opts: &BuildOptions) -> Bu
             }
         }
     }
-    let mut outcomes: Vec<ModuleOutcome> = scan_failures
-        .into_iter()
-        .map(|(name, why)| ModuleOutcome {
-            name,
-            status: ModuleStatus::Failed(why),
-            duration: Duration::ZERO,
-            worker: None,
-        })
-        .collect();
+    let failed = found.failures.into_iter().map(|(name, why)| ModuleOutcome {
+        name,
+        status: ModuleStatus::Failed(why),
+        duration: Duration::ZERO,
+        worker: None,
+    });
+    let up_to_date = found.verified.into_iter().map(|name| ModuleOutcome {
+        name,
+        status: ModuleStatus::Built,
+        duration: Duration::ZERO,
+        worker: None,
+    });
+    let mut outcomes: Vec<ModuleOutcome> = failed.chain(up_to_date).collect();
 
-    let remaining = deps.len();
+    let remaining = found.dirty.len();
     let sched = Scheduler {
         state: Mutex::new(SchedState {
             ready,
@@ -595,11 +702,15 @@ pub fn build(entries: &[String], source_of: SourceFn, opts: &BuildOptions) -> Bu
         }),
         cv: Condvar::new(),
     };
-    let flight = Arc::new(SingleFlight::new());
+    // Up-to-date modules are built already: a worker that loads one as
+    // a dependency must not claim it, or other workers that need it
+    // would wait for that worker's whole job.
+    let flight = Arc::new(SingleFlight::new(found.settled));
 
-    let mut worker_results: Vec<WorkerResult> = Vec::with_capacity(jobs);
+    let started = jobs.min(remaining);
+    let mut worker_results: Vec<WorkerResult> = Vec::with_capacity(started);
     thread::scope(|scope| {
-        let handles: Vec<_> = (0..jobs)
+        let handles: Vec<_> = (0..started)
             .map(|i| {
                 let sched = &sched;
                 let flight = &flight;
@@ -627,17 +738,20 @@ pub fn build(entries: &[String], source_of: SourceFn, opts: &BuildOptions) -> Bu
     let state = sched.state.into_inner().unwrap_or_else(|e| e.into_inner());
     outcomes.extend(state.outcomes);
 
-    let mut diag = Report::default();
+    let mut diag = found.report;
     let mut workers = Vec::with_capacity(worker_results.len());
-    let mut traces = Vec::new();
+    let mut traces: Vec<(String, Trace)> = found
+        .trace
+        .map(|t| ("discovery".to_string(), t))
+        .into_iter()
+        .collect();
     for r in worker_results {
         workers.push(r.row);
         diag.merge(r.report);
         if let Some(t) = r.trace {
-            traces.push((r.index, t));
+            traces.push((format!("worker {}", r.index), t));
         }
     }
-    traces.sort_by_key(|(i, _)| *i);
     // Count store traffic from the merged cache events, but only for
     // modules in this build's graph: worker registries also hit the
     // store for the prelude and language modules.

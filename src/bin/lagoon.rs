@@ -259,12 +259,7 @@ fn build_cmd(args: &[String]) -> ExitCode {
     };
     let report = lagoon::server::build(&names, lagoon::server::dir_source(root), &opts);
     if let Some(path) = &trace_out {
-        let tracks: Vec<(String, lagoon::diag::trace::Trace)> = report
-            .traces
-            .iter()
-            .map(|(i, t)| (format!("worker {i}"), t.clone()))
-            .collect();
-        let json = lagoon::diag::trace::chrome_trace_json(&tracks, &[]);
+        let json = lagoon::diag::trace::chrome_trace_json(&report.traces, &[]);
         if let Err(e) = std::fs::write(path, json) {
             eprintln!("cannot write trace {}: {e}", path.display());
             return ExitCode::FAILURE;
@@ -274,13 +269,16 @@ fn build_cmd(args: &[String]) -> ExitCode {
     if args.iter().any(|a| a == "--json") {
         println!("{}", report.to_json());
     } else {
-        let built = report
+        let built: Vec<_> = report
             .modules
             .iter()
             .filter(|m| m.status == lagoon::server::ModuleStatus::Built)
-            .count();
+            .collect();
+        let compiled = built.iter().filter(|m| m.worker.is_some()).count();
+        let up_to_date = built.len() - compiled;
         println!(
-            "built {built}/{} modules with {} jobs in {:.1} ms ({} store hits, {} misses, utilization {:.0}%)",
+            "built {}/{} modules with {} jobs in {:.1} ms: {up_to_date} up to date, {compiled} compiled ({} store hits, {} misses, utilization {:.0}%)",
+            built.len(),
             report.modules.len(),
             report.jobs,
             report.wall.as_secs_f64() * 1e3,

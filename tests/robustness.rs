@@ -604,7 +604,8 @@ fn lagc_corruption_sweep_never_panics() {
     // random byte flips (and truncations) in on-disk artifacts must
     // surface as corrupt-artifact diagnostics followed by a clean
     // recompile — never a panic, never an internal error, and never a
-    // silently different program result
+    // silently different program result — both when a run loads them
+    // and when a rebuild checks their headers
     let n: u64 = std::env::var("LAGOON_FUZZ_N")
         .ok()
         .and_then(|v| v.parse().ok())
@@ -613,18 +614,46 @@ fn lagc_corruption_sweep_never_panics() {
     let dir = std::env::temp_dir().join(format!("lagoon-corrupt-sweep-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
+    let sources: std::collections::BTreeMap<String, String> = [
+        (
+            "base",
+            "#lang lagoon\n(define (shout s) (string-append s \"!\"))\n(provide shout)\n",
+        ),
+        ("app", "#lang lagoon\n(require base)\n(shout \"hey\")\n"),
+    ]
+    .into_iter()
+    .map(|(name, source)| (name.to_string(), source.to_string()))
+    .collect();
     let lagoon = Lagoon::new();
     lagoon.set_cache_dir(Some(dir.clone()));
-    lagoon.add_module(
-        "base",
-        "#lang lagoon\n(define (shout s) (string-append s \"!\"))\n(provide shout)\n",
-    );
-    lagoon.add_module("app", "#lang lagoon\n(require base)\n(shout \"hey\")\n");
+    for (name, source) in &sources {
+        lagoon.add_module(name, source);
+    }
     let expected = lagoon.run("app", EngineKind::Vm).unwrap().to_string();
+    let run = |i: u64, what: &str| {
+        lagoon.registry().reset_compiled();
+        match lagoon.run("app", EngineKind::Vm) {
+            Ok(v) => assert_eq!(
+                v.to_string(),
+                expected,
+                "iteration {i}: {what} changed the result"
+            ),
+            Err(e) => panic!(
+                "iteration {i}: {what} must recompile, not fail (kind {:?}): {e}",
+                e.kind
+            ),
+        }
+    };
+    let opts = lagoon::server::BuildOptions {
+        cache_dir: Some(dir.clone()),
+        ..Default::default()
+    };
     let mut rng = SplitMix64::new(0x1a6c);
     for i in 0..n {
-        let victim = dir.join(if i % 2 == 0 { "base.lagc" } else { "app.lagc" });
-        let mut bytes = std::fs::read(&victim).unwrap();
+        let module = if i % 2 == 0 { "base" } else { "app" };
+        let victim = dir.join(format!("{module}.lagc"));
+        let intact = std::fs::read(&victim).unwrap();
+        let mut bytes = intact.clone();
         if rng.chance(1, 4) {
             // truncate somewhere
             bytes.truncate(rng.below(bytes.len() as u64 + 1) as usize);
@@ -635,14 +664,25 @@ fn lagc_corruption_sweep_never_panics() {
             }
         }
         std::fs::write(&victim, &bytes).unwrap();
-        lagoon.registry().reset_compiled();
-        match lagoon.run("app", EngineKind::Vm) {
-            Ok(v) => assert_eq!(v.to_string(), expected, "iteration {i} changed the result"),
-            Err(e) => panic!(
-                "iteration {i}: corruption must recompile, not fail (kind {:?}): {e}",
-                e.kind
-            ),
+        run(i, "loading the corruption");
+
+        std::fs::write(&victim, &bytes).unwrap();
+        let report = lagoon::server::build_from_map(&["app".to_string()], sources.clone(), &opts);
+        assert!(report.success(), "iteration {i}: {:?}", report.failures());
+        // a truncation to full length (or flips that cancel) leaves the
+        // artifact intact, and then it is up to date
+        if bytes != intact {
+            assert!(
+                !report
+                    .diag
+                    .caches
+                    .iter()
+                    .any(|c| c.module == module && c.status == "hit"),
+                "iteration {i}: a rebuild trusted a corrupted {module}: {:?}",
+                report.diag.caches
+            );
         }
+        run(i, "the rebuilt store");
     }
     let _ = std::fs::remove_dir_all(&dir);
 }

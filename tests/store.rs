@@ -624,3 +624,391 @@ fn parallel_build_reports_failures_and_skips_dependents() {
         );
     }
 }
+
+// ---------------------------------------------------------------------------
+// Rebuilds over an existing store
+// ---------------------------------------------------------------------------
+
+fn build_into(
+    sources: &std::collections::BTreeMap<String, String>,
+    entries: &[&str],
+    jobs: usize,
+    dir: &std::path::Path,
+) -> lagoon::server::BuildReport {
+    let entries: Vec<String> = entries.iter().map(|e| e.to_string()).collect();
+    let report = lagoon::server::build_from_map(
+        &entries,
+        sources.clone(),
+        &lagoon::server::BuildOptions {
+            jobs,
+            cache_dir: Some(dir.to_path_buf()),
+            ..Default::default()
+        },
+    );
+    assert!(report.success(), "build failed: {:?}", report.failures());
+    report
+}
+
+/// The modules a build compiled (the rest were up to date), sorted.
+fn compiled_modules(report: &lagoon::server::BuildReport) -> Vec<&str> {
+    let mut names: Vec<&str> = report
+        .modules
+        .iter()
+        .filter(|m| m.worker.is_some())
+        .map(|m| m.name.as_str())
+        .collect();
+    names.sort_unstable();
+    names
+}
+
+fn cache_rows<'a>(report: &'a lagoon::server::BuildReport, status: &str) -> Vec<&'a str> {
+    report
+        .diag
+        .caches
+        .iter()
+        .filter(|c| c.status == status)
+        .map(|c| c.module.as_str())
+        .collect()
+}
+
+#[test]
+fn no_op_rebuild_verifies_headers_and_compiles_nothing() {
+    let sources = stress_graph();
+    for jobs in [1usize, 4] {
+        let dir = temp_store(&format!("noop-{jobs}"));
+        build_into(&sources, &["top"], jobs, &dir);
+        let stamp = |dir: &std::path::Path| {
+            artifact_bytes(dir)
+                .into_iter()
+                .map(|(name, bytes)| {
+                    let mtime = std::fs::metadata(dir.join(&name))
+                        .and_then(|m| m.modified())
+                        .unwrap();
+                    (name, (bytes, mtime))
+                })
+                .collect::<std::collections::BTreeMap<_, _>>()
+        };
+        let before = stamp(&dir);
+
+        let report = build_into(&sources, &["top"], jobs, &dir);
+        assert_eq!(report.modules.len(), sources.len(), "jobs={jobs}");
+        for m in &report.modules {
+            assert_eq!(m.status, lagoon::server::ModuleStatus::Built, "{}", m.name);
+            assert_eq!(m.worker, None, "jobs={jobs}: {} was compiled", m.name);
+        }
+        assert!(
+            report.workers.is_empty(),
+            "no worker starts when all is fresh"
+        );
+        assert!(
+            cache_rows(&report, "miss").is_empty(),
+            "{:?}",
+            report.diag.caches
+        );
+        assert!(
+            cache_rows(&report, "stale").is_empty(),
+            "{:?}",
+            report.diag.caches
+        );
+        let mut hits = cache_rows(&report, "hit");
+        hits.sort_unstable();
+        let modules: Vec<&str> = sources.keys().map(String::as_str).collect();
+        assert_eq!(hits, modules, "exactly one hit per module, jobs={jobs}");
+        assert_eq!(report.cache_hits, sources.len());
+        assert_eq!(stamp(&dir), before, "a no-op rebuild rewrote the store");
+    }
+}
+
+#[test]
+fn build_traces_open_with_a_discovery_track() {
+    let sources = stress_graph();
+    let dir = temp_store("discovery-trace");
+    let traced = |jobs: usize| {
+        let report = lagoon::server::build_from_map(
+            &["top".to_string()],
+            sources.clone(),
+            &lagoon::server::BuildOptions {
+                jobs,
+                cache_dir: Some(dir.clone()),
+                trace: true,
+                ..Default::default()
+            },
+        );
+        assert!(report.success(), "{:?}", report.failures());
+        let tracks: Vec<&str> = report.traces.iter().map(|(n, _)| n.as_str()).collect();
+        let discovery = &report.traces[0].1.spans;
+        assert_eq!(discovery.len(), 1, "one discovery span");
+        assert_eq!(discovery[0].phase, "discovery");
+        let notes: Vec<String> = discovery[0]
+            .notes
+            .iter()
+            .map(|(k, v)| format!("{k}={v}"))
+            .collect();
+        (tracks.join(" "), notes.join(" "))
+    };
+    let n = sources.len();
+    let (tracks, notes) = traced(2);
+    assert_eq!(tracks, "discovery worker 0 worker 1");
+    assert_eq!(notes, format!("verified=0 dirty={n}"));
+    let (tracks, notes) = traced(2);
+    assert_eq!(tracks, "discovery", "a no-op rebuild starts no worker");
+    assert_eq!(notes, format!("verified={n} dirty=0"));
+}
+
+#[test]
+fn an_edit_recompiles_exactly_the_module_and_its_importers() {
+    let mut sources = stress_graph();
+    let dir = temp_store("edit-rebuild");
+    build_into(&sources, &["top"], 2, &dir);
+
+    // (module edited, every module that must recompile): a mid-chain
+    // module reaches only its chain, the one leaf reaches every module
+    let all: Vec<String> = sources.keys().cloned().collect();
+    let edits = [
+        ("a2", vec!["a0", "a1", "a2", "mid", "top"]),
+        ("leaf", all.iter().map(String::as_str).collect()),
+    ];
+    for (edited, expected) in edits {
+        let old = sources[edited].clone();
+        let new = old.replace("(+ 1", "(+ 2").replace("(+ n 1)", "(+ n 3)");
+        assert_ne!(new, old, "the edit must change {edited}");
+        sources.insert(edited.to_string(), new);
+        let report = build_into(&sources, &["top"], 2, &dir);
+        assert_eq!(
+            compiled_modules(&report),
+            expected,
+            "after editing {edited}"
+        );
+
+        // the store equals a cold build of the edited graph
+        let cold = temp_store(&format!("edit-cold-{edited}"));
+        build_into(&sources, &["top"], 1, &cold);
+        assert_eq!(
+            artifact_bytes(&dir),
+            artifact_bytes(&cold),
+            "rebuilt store differs from a cold build after editing {edited}"
+        );
+    }
+
+    // and the rebuilt store runs the edited program without compiling
+    let lagoon = Lagoon::new();
+    lagoon.set_cache_dir(Some(dir));
+    for (name, source) in &sources {
+        lagoon.add_module(name, source);
+    }
+    let (v, report) = lagoon.run_with_stats("top", EngineKind::Vm).unwrap();
+    assert_eq!(v.to_string(), "35");
+    assert_eq!(report.cache_misses(), 0, "{:?}", report.caches);
+}
+
+#[test]
+fn editing_a_hidden_dependency_recompiles_its_importer() {
+    // the require only exists after (use-math) expands, so no scan sees
+    // it; the importer's artifact recorded it all the same
+    let mathlib = "#lang lagoon\n(define (add2 a b) (+ a b))\n(provide add2)\n";
+    let mut sources = std::collections::BTreeMap::new();
+    sources.insert("mathlib".to_string(), mathlib.to_string());
+    sources.insert(
+        "main".to_string(),
+        "#lang lagoon
+(define-syntax use-math (syntax-rules () [(_) (require mathlib)]))
+(use-math)
+(add2 40 2)
+"
+        .to_string(),
+    );
+    let dir = temp_store("hidden-dep");
+    // every build reports the static graph, whatever the store holds
+    let graph = |report: &lagoon::server::BuildReport| {
+        let names: Vec<String> = report.modules.iter().map(|m| m.name.clone()).collect();
+        assert_eq!(names, ["main"], "the static graph");
+    };
+    graph(&build_into(&sources, &["main"], 1, &dir));
+    assert!(dir.join("mathlib.lagc").is_file());
+    let report = build_into(&sources, &["main"], 1, &dir);
+    graph(&report);
+    assert!(compiled_modules(&report).is_empty());
+
+    sources.insert("mathlib".to_string(), mathlib.replace("(+ a b)", "(* a b)"));
+    let report = build_into(&sources, &["main"], 1, &dir);
+    graph(&report);
+    assert_eq!(compiled_modules(&report), ["main"]);
+    assert!(
+        report
+            .diag
+            .caches
+            .iter()
+            .any(|c| c.module == "mathlib" && c.status == "stale" && c.detail == "source changed"),
+        "{:?}",
+        report.diag.caches
+    );
+
+    let lagoon = Lagoon::new();
+    lagoon.set_cache_dir(Some(dir));
+    for (name, source) in &sources {
+        lagoon.add_module(name, source);
+    }
+    let (v, report) = lagoon.run_with_stats("main", EngineKind::Vm).unwrap();
+    assert_eq!(v.to_string(), "80");
+    assert_eq!(report.cache_misses(), 0, "{:?}", report.caches);
+}
+
+#[test]
+fn importers_sharing_up_to_date_dependencies_do_not_wait_on_each_other() {
+    // u and v require the libraries p and q in opposite orders. Editing
+    // both importers leaves the libraries up to date, so the two workers
+    // load them concurrently; neither may claim one for the length of
+    // its own compile (the other would wait, and with opposite orders
+    // each would wait on the other)
+    let mut sources = std::collections::BTreeMap::new();
+    for lib in ["p", "q"] {
+        sources.insert(
+            lib.to_string(),
+            format!("#lang lagoon\n(define ({lib}-val) 1)\n(provide {lib}-val)\n"),
+        );
+    }
+    // enough definitions after the requires that each compile outlasts
+    // the other worker's start
+    let body: String = (0..300)
+        .map(|i| format!("(define (g{i} x) (if (< x {i}) (+ x 1) (g{i} (- x 1))))\n"))
+        .collect();
+    for (name, first, second) in [("u", "p", "q"), ("v", "q", "p")] {
+        sources.insert(
+            name.to_string(),
+            format!(
+                "#lang lagoon\n(require {first})\n(require {second})\n{body}(+ ({first}-val) ({second}-val))\n"
+            ),
+        );
+    }
+    let dir = temp_store("shared-deps");
+    build_into(&sources, &["u", "v"], 2, &dir);
+    for name in ["u", "v"] {
+        let edited = sources[name].replace("(+ (", "(- (");
+        sources.insert(name.to_string(), edited);
+    }
+    let report = build_into(&sources, &["u", "v"], 2, &dir);
+    assert_eq!(compiled_modules(&report), ["u", "v"]);
+    assert_eq!(report.single_flight_waits, 0);
+    let mut recompiled = cache_rows(&report, "stale");
+    recompiled.sort_unstable();
+    assert_eq!(recompiled, ["u", "v"], "{:?}", report.diag.caches);
+    assert!(cache_rows(&report, "miss").is_empty());
+}
+
+#[test]
+fn artifacts_recording_each_other_recompile_instead_of_looping() {
+    let mut sources = std::collections::BTreeMap::new();
+    sources.insert(
+        "x".to_string(),
+        "#lang lagoon\n(define x 1)\n(provide x)\n".to_string(),
+    );
+    sources.insert(
+        "y".to_string(),
+        "#lang lagoon\n(define y 2)\n(provide y)\n".to_string(),
+    );
+    let dir = temp_store("dep-cycle");
+    build_into(&sources, &["x", "y"], 1, &dir);
+    let cold = artifact_bytes(&dir);
+
+    // rewrite both artifacts, digests intact, each recording the other
+    // as a dependency: a cycle no compile could have produced
+    let no_rehydrate = |_: lagoon::Symbol, _: &lagoon::Datum| None;
+    for (name, other) in [("x", "y"), ("y", "x")] {
+        let path = dir.join(format!("{name}.lagc"));
+        let artifact = lagoon_core::store::decode(&std::fs::read(&path).unwrap(), &no_rehydrate)
+            .unwrap_or_else(|e| panic!("{name}: {e}"));
+        let (env, src) = (artifact.header.env_digest, artifact.header.source_digest);
+        let deps = [(lagoon::Symbol::intern(other), 7)];
+        let bytes = lagoon_core::store::encode(&artifact.into_compiled(), env, src, &deps).unwrap();
+        std::fs::write(&path, bytes).unwrap();
+    }
+
+    let report = build_into(&sources, &["x", "y"], 1, &dir);
+    assert_eq!(compiled_modules(&report), ["x", "y"]);
+    assert_eq!(
+        artifact_bytes(&dir),
+        cold,
+        "the recompiles restore the store"
+    );
+}
+
+#[test]
+fn a_long_chain_rebuilds_from_a_small_stack() {
+    const N: usize = 2_000;
+    let mut sources = std::collections::BTreeMap::new();
+    sources.insert(
+        "c0".to_string(),
+        "#lang lagoon\n(define (f0) 0)\n(provide f0)\n".to_string(),
+    );
+    for i in 1..N {
+        sources.insert(
+            format!("c{i}"),
+            format!(
+                "#lang lagoon\n(require c{})\n(define (f{i}) (+ 1 (f{}))) \n(provide f{i})\n",
+                i - 1,
+                i - 1
+            ),
+        );
+    }
+    let top = format!("c{}", N - 1);
+    let dir = temp_store("long-chain");
+    build_into(&sources, &[&top], 1, &dir);
+
+    let store = dir.clone();
+    let report = std::thread::Builder::new()
+        .stack_size(256 * 1024)
+        .spawn(move || build_into(&sources, &[&top], 2, &store))
+        .unwrap()
+        .join()
+        .expect("the rebuild must not overflow a 256 KiB stack");
+    assert_eq!(report.modules.len(), N);
+    assert!(compiled_modules(&report).is_empty());
+    assert_eq!(report.cache_hits, N);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn an_unregistered_recipe_passes_the_header_but_loads_as_corrupt() {
+    let (lagoon, dir) = cached_world("unregistered-recipe");
+    lagoon.run("main", EngineKind::Vm).unwrap();
+    let path = dir.join("util.lagc");
+    let written = std::fs::read(&path).unwrap();
+
+    // rename util's typed-export recipe tag to one no rehydrator serves,
+    // then re-frame the body so the content digest still holds
+    let mut r = lagoon_syntax::WireReader::new(&written);
+    let magic = r.raw(4).unwrap();
+    let version = r.u32().unwrap();
+    r.uint().unwrap();
+    let mut body = r.raw(r.remaining()).unwrap().to_vec();
+    let tag = b"typed-export-indirection";
+    let at = body
+        .windows(tag.len())
+        .position(|w| w == tag)
+        .expect("util exports a typed indirection");
+    body[at + tag.len() - 1] = b'X';
+    let mut framed = lagoon_syntax::WireWriter::new();
+    framed.raw(magic);
+    framed.u32(version);
+    framed.uint(lagoon_syntax::fnv1a(&body));
+    framed.raw(&body);
+    let crafted = framed.into_bytes();
+    assert!(lagoon_core::store::decode_header(&crafted).is_ok());
+    std::fs::write(&path, &crafted).unwrap();
+
+    lagoon.registry().reset_compiled();
+    let (v, report) = lagoon.run_with_stats("main", EngineKind::Vm).unwrap();
+    assert_eq!(v.to_string(), "42");
+    let util = report
+        .caches
+        .iter()
+        .find(|r| r.module == "util")
+        .unwrap_or_else(|| panic!("no cache row for util: {:?}", report.caches));
+    assert_eq!(util.status, "corrupt");
+    assert!(util.detail.contains("no rehydrator"), "{}", util.detail);
+    assert_eq!(
+        std::fs::read(&path).unwrap(),
+        written,
+        "the recompile rewrote util"
+    );
+}
