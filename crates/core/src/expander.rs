@@ -120,7 +120,7 @@ impl Expander {
     }
 
     /// Converts a budget exhaustion into a span-carrying diagnostic,
-    /// emitting the structured [`lagoon_diag::Event::Limit`] on the way.
+    /// recording the limit hit ([`lagoon_diag::limit_event`]) on the way.
     fn exhaust(&self, e: lagoon_diag::Exhausted, stx: &Syntax) -> RtError {
         lagoon_diag::limit_event(&e, self.module_name, Some(stx.span()));
         RtError::from(e).with_span(stx.span())
@@ -874,20 +874,12 @@ fn head_sym(stx: &Syntax) -> Option<Symbol> {
     }
 }
 
-/// Opens a per-top-level-form trace span labeled with the form's
-/// defining (or head) identifier and carrying its source location —
-/// the file:line attribution `lagoon run --trace` shows under each
-/// module's expand span. Inert (one flag read) when no tracer is
-/// installed.
+/// Opens a per-top-level-form span labeled with the form's defining (or
+/// head) identifier and carrying its source location — the file:line
+/// attribution `lagoon run --trace` shows under each module's expand
+/// span. Inert (one thread-local read) when no recorder is installed.
 fn form_trace_span(name: Option<Symbol>, stx: &Syntax) -> lagoon_diag::trace::SpanGuard {
-    if !lagoon_diag::trace::active() {
-        return lagoon_diag::trace::start("form", "");
-    }
-    let label = match name {
-        Some(sym) => sym.with_str(|n| lagoon_syntax::strip_gensym(n).to_string()),
-        None => "<form>".to_string(),
-    };
-    lagoon_diag::trace::start_at("form", &label, stx.span())
+    lagoon_diag::trace::start_at("form", name, stx.span())
 }
 
 /// Builds the surface application `(#%values-check rhs n)` — at run

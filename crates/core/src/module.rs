@@ -611,7 +611,7 @@ impl ModuleRegistry {
         self.artifact_digests
             .borrow_mut()
             .insert(name, (store::artifact_digest(&bytes), true));
-        lagoon_diag::cache_event(name, CacheStatus::Hit, format!("{} bytes", bytes.len()));
+        lagoon_diag::cache_event(name, CacheStatus::Hit, bytes.len());
         Ok(CacheOutcome::Hit(Rc::new(artifact.into_compiled())))
     }
 
@@ -714,7 +714,7 @@ impl ModuleRegistry {
     /// caching — they never fail the compile.
     fn store_artifact(&self, compiled: &CompiledModule, reported: bool) {
         use lagoon_diag::CacheStatus;
-        let miss = |detail: String| {
+        let miss = |detail: lagoon_diag::Val| {
             if !reported {
                 lagoon_diag::cache_event(compiled.name, CacheStatus::Miss, detail);
             }
@@ -724,7 +724,7 @@ impl ModuleRegistry {
         };
         let name = compiled.name;
         if !cacheable_name(name) {
-            miss("not cached: unstorable module name".to_owned());
+            miss("not cached: unstorable module name".into());
             return;
         }
         // this compile supersedes any digest recorded for an older artifact
@@ -738,14 +738,14 @@ impl ModuleRegistry {
             match self.artifact_digests.borrow().get(dep) {
                 Some((digest, _)) => dep_digests.push((*dep, *digest)),
                 None => {
-                    miss(format!("not cached: dependency {dep} is uncacheable"));
+                    miss(format!("not cached: dependency {dep} is uncacheable").into());
                     let _ = std::fs::remove_file(artifact_path(&dir, name));
                     return;
                 }
             }
         }
         let Some(source) = self.source_of(name) else {
-            miss("not cached: module source unavailable".to_owned());
+            miss("not cached: module source unavailable".into());
             return;
         };
         let encoded = store::encode(
@@ -757,7 +757,7 @@ impl ModuleRegistry {
         let bytes = match encoded {
             Ok(b) => b,
             Err(e) => {
-                miss(format!("not cached: {e}"));
+                miss(format!("not cached: {e}").into());
                 let _ = std::fs::remove_file(artifact_path(&dir, name));
                 return;
             }
@@ -768,9 +768,9 @@ impl ModuleRegistry {
                 self.artifact_digests
                     .borrow_mut()
                     .insert(name, (store::artifact_digest(&bytes), false));
-                miss("compiled and stored".to_owned());
+                miss("compiled and stored".into());
             }
-            Err(e) => miss(format!("not cached: {e}")),
+            Err(e) => miss(format!("not cached: {e}").into()),
         }
     }
 

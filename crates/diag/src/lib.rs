@@ -3,15 +3,19 @@
 //! A zero-dependency diagnostics subsystem threaded through every layer of
 //! the Lagoon pipeline: the reader/expander, the typechecker, the
 //! type-driven optimizer, the bytecode VM, and the contract system all
-//! emit structured [`Event`]s into a thread-local [`DiagSink`].
+//! write into one thread-local *record*. The record holds spans — timed
+//! pipeline phases and per-form expansion, plus zero-duration points for
+//! optimizer rewrites and near misses, store lookups and limit hits — and
+//! counts that add in place (macro steps, contract crossings, VM profile
+//! samples, …), so it grows with program structure, not executed work.
 //!
-//! The sink is **off by default** and the emission sites guard on
-//! [`enabled`] (a single thread-local flag read), so instrumented code
-//! costs nothing when diagnostics are disabled. Consumers install a sink
-//! (usually a [`Collector`]) around the work they want to observe:
+//! Recording is **off by default**: every emission site checks whether a
+//! recorder is installed (one thread-local read), so uninstrumented code
+//! pays one branch. A consumer installs a recorder around the work it
+//! wants to observe and reads views of the finished record:
 //!
 //! ```
-//! use lagoon_diag::{Collector, Event, Phase};
+//! use lagoon_diag::{Collector, Phase};
 //! use lagoon_syntax::Symbol;
 //!
 //! let collector = Collector::install();
@@ -22,12 +26,15 @@
 //! lagoon_diag::uninstall();
 //! let report = collector.report();
 //! assert_eq!(report.phases.len(), 1);
+//! assert_eq!(collector.trace().spans.len(), 1);
 //! ```
 //!
-//! [`Report`] aggregates the raw event stream into the tables the CLI
-//! (`lagoon run --stats`) and the bench harness print, and renders them
-//! either as text or as machine-readable JSON (hand-rolled — this crate
-//! deliberately depends on nothing but `lagoon-syntax`, for [`Span`]s).
+//! [`Report`] holds the tables the CLI (`lagoon run --stats`) and the
+//! daemon print, rendered as text or hand-rolled JSON (this crate
+//! deliberately depends on nothing but `lagoon-syntax`, for [`Span`]s);
+//! [`trace::Trace`] is the span tree `--trace` exports. The record keeps
+//! symbols, spans and unrendered [`Val`]ues, so only the views format
+//! strings.
 
 #![warn(missing_docs)]
 
@@ -38,16 +45,18 @@ pub mod trace;
 pub use limits::{Budget, Exhausted, FaultPlan, Limits};
 
 use lagoon_syntax::{Span, Symbol};
-use std::cell::{Cell, RefCell};
-use std::fmt::Write as _;
+use std::cell::RefCell;
+use std::collections::{HashMap, VecDeque};
+use std::fmt::{self, Write as _};
 use std::rc::Rc;
 use std::time::Instant;
+use trace::{SpanGuard, Trace};
 
 // ---------------------------------------------------------------------
-// the event model
+// the record
 // ---------------------------------------------------------------------
 
-/// A pipeline phase, for enter/exit timing events.
+/// A pipeline phase, timed by [`time`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Phase {
     /// Reading source text into syntax objects.
@@ -70,7 +79,17 @@ pub enum Phase {
 }
 
 impl Phase {
-    /// The lower-case display name used in tables and JSON.
+    const ALL: [Phase; 7] = [
+        Phase::Read,
+        Phase::Expand,
+        Phase::Typecheck,
+        Phase::Optimize,
+        Phase::Compile,
+        Phase::Load,
+        Phase::Run,
+    ];
+
+    /// The lower-case display name used in tables, JSON and span tags.
     pub fn name(self) -> &'static str {
         match self {
             Phase::Read => "read",
@@ -111,121 +130,434 @@ impl CacheStatus {
     }
 }
 
-/// One structured diagnostic event.
-#[derive(Clone, Debug)]
-pub enum Event {
-    /// A phase began for `module`.
-    PhaseStart {
-        /// Which phase began.
-        phase: Phase,
-        /// The module being processed.
-        module: Symbol,
-    },
-    /// A phase finished for `module`, `nanos` of wall-clock time after it
-    /// began.
-    PhaseEnd {
-        /// Which phase ended.
-        phase: Phase,
-        /// The module being processed.
-        module: Symbol,
-        /// Wall-clock duration in nanoseconds.
-        nanos: u128,
-    },
-    /// A named counter increment (macro-expansion steps, `local-expand`
-    /// invocations, annotations consulted, flat contract checks, …).
-    Counter {
-        /// Counter name.
-        name: &'static str,
-        /// The module the count is attributed to.
-        module: Symbol,
-        /// Amount to add.
-        delta: u64,
-    },
-    /// The optimizer applied a specializing rewrite.
-    Rewrite {
-        /// Rewrite family (`"float"`, `"float-complex"`, `"fixnum"`,
-        /// `"pairs"` — the paper §7.2 catalogue).
-        family: &'static str,
-        /// The generic operation that was rewritten (e.g. `"+"`).
-        op: String,
-        /// The `unsafe-*` primitive it became (e.g. `"unsafe-fl+"`).
-        rule: &'static str,
-        /// The module being optimized.
-        module: Symbol,
-        /// Source location of the application site.
-        span: Span,
-    },
-    /// The optimizer matched a rewrite's shape but was blocked — a site
-    /// worth knowing about when tuning type annotations.
-    NearMiss {
-        /// Rewrite family that almost fired.
-        family: &'static str,
-        /// The generic operation at the site.
-        op: String,
-        /// The module being optimized.
-        module: Symbol,
-        /// Source location of the application site.
-        span: Span,
-        /// Why the rewrite was blocked.
-        reason: String,
-    },
-    /// A call crossed a contracted typed/untyped boundary (paper §6).
-    ContractCrossing {
-        /// The wrapped procedure's name, when known.
-        export: Option<Symbol>,
-        /// The positive blame party (the implementation side).
-        positive: Symbol,
-        /// The negative blame party (the client side).
-        negative: Symbol,
-    },
-    /// The compiled-module store was consulted for `module`.
-    Cache {
-        /// The module looked up.
-        module: Symbol,
-        /// What the store found.
-        status: CacheStatus,
-        /// Human-readable detail (why stale/corrupt; empty otherwise).
-        detail: String,
-    },
-    /// A resource budget was exhausted (or an injected fault fired) and
-    /// the pipeline unwound with a structured diagnostic.
-    Limit {
-        /// Which budget ran out (see [`limits::Budget::name`]).
-        budget: &'static str,
-        /// The module being processed when the budget ran out.
-        module: Symbol,
-        /// Source location of the charge site, when known.
-        span: Option<Span>,
-    },
+/// A span note's value, kept unrendered in the record; views format it.
+#[derive(Clone, Debug, PartialEq)]
+pub enum Val {
+    /// A fixed string.
+    Str(&'static str),
+    /// A name; rendered without its gensym suffix.
+    Sym(Symbol),
+    /// A number.
+    Num(u64),
+    /// Text built at the emission site.
+    Text(String),
 }
 
-/// Emits a compiled-module-store lookup event; a no-op when disabled.
-/// When a [`trace`] tracer is installed the outcome is also attached as
-/// a `store` annotation on the innermost open span (the load or compile
-/// phase consulting the store).
-pub fn cache_event(module: Symbol, status: CacheStatus, detail: impl Into<String>) {
-    if !enabled() && !trace::active() {
-        return;
+impl From<&'static str> for Val {
+    fn from(s: &'static str) -> Val {
+        Val::Str(s)
     }
-    let detail = detail.into();
-    if trace::active() {
-        let summary = if detail.is_empty() {
-            status.name().to_string()
-        } else {
-            format!("{} ({detail})", status.name())
+}
+
+impl From<String> for Val {
+    fn from(s: String) -> Val {
+        Val::Text(s)
+    }
+}
+
+impl From<usize> for Val {
+    fn from(n: usize) -> Val {
+        Val::Num(n as u64)
+    }
+}
+
+impl fmt::Display for Val {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Val::Str(s) => f.write_str(s),
+            Val::Sym(s) => s.with_str(|n| f.write_str(lagoon_syntax::strip_gensym(n))),
+            Val::Num(n) => write!(f, "{n}"),
+            Val::Text(s) => f.write_str(s),
+        }
+    }
+}
+
+/// Completed spans one record keeps. Once the ring fills, the oldest
+/// span is dropped and counted; counts are never dropped.
+pub const SPAN_CAPACITY: usize = 65_536;
+
+/// One span: a phase tag, an optional label (usually the module), its
+/// interval on the record's clock, an optional source location, and
+/// notes. Decision points are spans with zero duration.
+pub(crate) struct SpanRec {
+    pub(crate) id: u64,
+    pub(crate) parent: Option<u64>,
+    pub(crate) phase: &'static str,
+    pub(crate) label: Option<Symbol>,
+    pub(crate) start_ns: u64,
+    pub(crate) dur_ns: u64,
+    pub(crate) src: Option<Span>,
+    pub(crate) notes: Vec<(&'static str, Val)>,
+}
+
+impl SpanRec {
+    fn note(&self, key: &str) -> Option<&Val> {
+        self.notes.iter().find(|(k, _)| *k == key).map(|(_, v)| v)
+    }
+
+    /// A note that holds a fixed string (`""` when absent).
+    fn tag(&self, key: &str) -> &'static str {
+        match self.note(key) {
+            Some(Val::Str(s)) => s,
+            _ => "",
+        }
+    }
+
+    fn text(&self, key: &str) -> String {
+        self.note(key).map(Val::to_string).unwrap_or_default()
+    }
+
+    fn module(&self) -> String {
+        self.label.map(|m| m.as_str()).unwrap_or_default()
+    }
+}
+
+/// What a count adds up.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) enum Key {
+    /// A named counter of a module.
+    Counter(&'static str, Symbol),
+    /// Calls through one contracted boundary: export, positive and
+    /// negative blame parties.
+    Crossing(Option<Symbol>, Symbol, Symbol),
+    /// VM profile samples in one function (`None`: anonymous code).
+    Sample(Option<Symbol>),
+    /// Executions of one opcode: mnemonic, class, fused.
+    Opcode(&'static str, &'static str, bool),
+}
+
+/// One thread's recording: the open-span stack, the ring of completed
+/// spans, and the counts.
+pub(crate) struct Record {
+    epoch: Instant,
+    next_id: u64,
+    /// The open-span stack; the last entry is the innermost span.
+    pub(crate) open: Vec<SpanRec>,
+    /// Completed spans, oldest completion first, bounded by `cap`.
+    pub(crate) done: VecDeque<SpanRec>,
+    cap: usize,
+    pub(crate) dropped: u64,
+    /// Each count's first-seen rank and total.
+    counts: HashMap<Key, (usize, u64)>,
+}
+
+impl Record {
+    fn now_ns(&self) -> u64 {
+        self.epoch.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64
+    }
+
+    /// A span starting now under the innermost open span.
+    fn span(&mut self, phase: &'static str, label: Option<Symbol>, src: Option<Span>) -> SpanRec {
+        let id = self.next_id;
+        self.next_id += 1;
+        SpanRec {
+            id,
+            parent: self.open.last().map(|s| s.id),
+            phase,
+            label,
+            start_ns: self.now_ns(),
+            dur_ns: 0,
+            src,
+            notes: Vec::new(),
+        }
+    }
+
+    pub(crate) fn open(
+        &mut self,
+        phase: &'static str,
+        label: Option<Symbol>,
+        src: Option<Span>,
+    ) -> u64 {
+        let span = self.span(phase, label, src);
+        let id = span.id;
+        self.open.push(span);
+        id
+    }
+
+    pub(crate) fn close_top(&mut self) {
+        let Some(mut span) = self.open.pop() else {
+            return;
         };
-        trace::note_or_event("store", summary);
+        span.dur_ns = self.now_ns().saturating_sub(span.start_ns);
+        self.finish(span);
     }
-    if enabled() {
-        emit(Event::Cache {
-            module,
-            status,
-            detail,
-        });
+
+    /// Records a zero-duration span under the innermost open span, or
+    /// at top level when none is open.
+    fn point(
+        &mut self,
+        phase: &'static str,
+        module: Symbol,
+        src: Option<Span>,
+        notes: Vec<(&'static str, Val)>,
+    ) {
+        let mut span = self.span(phase, Some(module), src);
+        span.notes = notes;
+        self.finish(span);
+    }
+
+    fn finish(&mut self, span: SpanRec) {
+        if self.done.len() >= self.cap {
+            self.done.pop_front();
+            self.dropped += 1;
+        }
+        self.done.push_back(span);
+    }
+
+    fn add(&mut self, key: Key, delta: u64) {
+        let rank = self.counts.len();
+        self.counts.entry(key).or_insert((rank, 0)).1 += delta;
+    }
+
+    /// The counts in first-seen order.
+    pub(crate) fn counts(&self) -> Vec<(Key, u64)> {
+        let mut counts: Vec<_> = self.counts.iter().map(|(k, v)| (*k, *v)).collect();
+        counts.sort_by_key(|(_, (rank, _))| *rank);
+        counts.into_iter().map(|(k, (_, n))| (k, n)).collect()
+    }
+
+    fn report(&self) -> Report {
+        let mut report = Report::default();
+        for s in &self.done {
+            let at = || s.src.map(|src| src.to_string()).unwrap_or_default();
+            let line = s.src.map_or(0, |src| src.line);
+            match s.phase {
+                "rewrite" => report.rewrites.push(RewriteRow {
+                    family: s.tag("family"),
+                    op: s.text("op"),
+                    rule: s.text("rule"),
+                    module: s.module(),
+                    span: at(),
+                    line,
+                }),
+                "near-miss" => report.near_misses.push(NearMissRow {
+                    family: s.tag("family"),
+                    op: s.text("op"),
+                    module: s.module(),
+                    span: at(),
+                    line,
+                    reason: s.text("reason"),
+                }),
+                "store" => report.caches.push(CacheRow {
+                    module: s.module(),
+                    status: s.tag("store"),
+                    detail: match s.note("detail") {
+                        Some(Val::Num(bytes)) => format!("{bytes} bytes"),
+                        detail => detail.map(Val::to_string).unwrap_or_default(),
+                    },
+                }),
+                "limit" => report.limits.push(LimitRow {
+                    budget: s.text("budget"),
+                    module: s.module(),
+                    span: at(),
+                }),
+                tag => {
+                    if let Some(phase) = Phase::ALL.into_iter().find(|p| p.name() == tag) {
+                        report.phases.push(PhaseRow {
+                            module: s.module(),
+                            phase: phase.name(),
+                            nanos: u128::from(s.dur_ns),
+                        });
+                    }
+                }
+            }
+        }
+        for (key, value) in self.counts() {
+            match key {
+                Key::Counter(name, module) => report.counters.push(CounterRow {
+                    module: module.as_str(),
+                    name: name.to_string(),
+                    value,
+                }),
+                Key::Crossing(export, positive, negative) => add_contract(
+                    &mut report.contracts,
+                    ContractRow {
+                        export: export
+                            .map_or_else(|| "<anonymous>".to_string(), |e| Val::Sym(e).to_string()),
+                        positive: positive.as_str(),
+                        negative: negative.as_str(),
+                        count: value,
+                    },
+                ),
+                Key::Opcode(op, class, fused) => report.opcodes.push(OpcodeRow {
+                    op: op.to_string(),
+                    class: class.to_string(),
+                    fused,
+                    count: value,
+                }),
+                Key::Sample(_) => {}
+            }
+        }
+        report
+            .opcodes
+            .sort_by(|a, b| b.count.cmp(&a.count).then_with(|| a.op.cmp(&b.op)));
+        report
     }
 }
 
-/// Emits a budget-exhaustion event; a no-op when disabled.
+thread_local! {
+    static RECORDER: RefCell<Option<Rc<RefCell<Record>>>> = const { RefCell::new(None) };
+}
+
+/// Runs `f` on this thread's record; `None` (and `f` never runs) when
+/// no recorder is installed.
+pub(crate) fn with_record<R>(f: impl FnOnce(&mut Record) -> R) -> Option<R> {
+    RECORDER.with(|r| r.borrow().as_ref().map(|rec| f(&mut rec.borrow_mut())))
+}
+
+/// True when a recorder is installed on this thread. Sites whose
+/// emission is not free (formatting a near-miss reason, say) guard on
+/// this.
+#[inline]
+pub fn enabled() -> bool {
+    RECORDER.with(|r| r.borrow().is_some())
+}
+
+/// A handle on one installed record. Its views — [`Collector::report`],
+/// [`Collector::trace`] and the daemon's two summaries — are pure
+/// functions of the record and stay valid after [`uninstall`].
+///
+/// Epoch symbols are meaningful only on the thread that interned them
+/// (see `lagoon_syntax::seal_arena`), so take views on the recording
+/// thread.
+#[derive(Clone)]
+pub struct Collector(Rc<RefCell<Record>>);
+
+impl Collector {
+    /// Installs a fresh record as this thread's recorder, replacing any
+    /// previous one, and returns a handle on it.
+    pub fn install() -> Collector {
+        Collector::install_with_capacity(SPAN_CAPACITY)
+    }
+
+    pub(crate) fn install_with_capacity(cap: usize) -> Collector {
+        let record = Rc::new(RefCell::new(Record {
+            epoch: Instant::now(),
+            next_id: 0,
+            open: Vec::new(),
+            done: VecDeque::new(),
+            cap: cap.max(1),
+            dropped: 0,
+            counts: HashMap::new(),
+        }));
+        RECORDER.with(|r| *r.borrow_mut() = Some(Rc::clone(&record)));
+        Collector(record)
+    }
+
+    /// The `--stats` view: phase rows, counters, the optimizer decision
+    /// log, contract crossings, limit hits, store lookups and opcodes.
+    pub fn report(&self) -> Report {
+        self.0.borrow().report()
+    }
+
+    /// The `--trace` view: the completed spans, rendered.
+    pub fn trace(&self) -> Trace {
+        self.0.borrow().trace()
+    }
+
+    /// [`Report::timing_buckets`] without building the report.
+    pub fn timing_buckets(&self) -> [(&'static str, u128); 6] {
+        let record = self.0.borrow();
+        buckets(record.done.iter().map(|s| (s.phase, u128::from(s.dur_ns))))
+    }
+
+    /// Store lookups that hit, and those that ended in compilation,
+    /// without building the report.
+    pub fn cache_counts(&self) -> (usize, usize) {
+        let record = self.0.borrow();
+        let lookups = record.done.iter().filter(|s| s.phase == "store");
+        let hits = lookups.clone().filter(|s| s.tag("store") == "hit").count();
+        (hits, lookups.count() - hits)
+    }
+}
+
+/// Removes this thread's recorder, closing any spans an unwinding error
+/// left open at the current time.
+pub fn uninstall() {
+    if let Some(record) = RECORDER.with(|r| r.borrow_mut().take()) {
+        let mut record = record.borrow_mut();
+        while !record.open.is_empty() {
+            record.close_top();
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// emission
+// ---------------------------------------------------------------------
+
+/// Opens a span timing `phase` for `module`; it closes when the guard
+/// drops. When no recorder is installed the guard is inert and no clock
+/// is read.
+pub fn time(phase: Phase, module: Symbol) -> SpanGuard {
+    trace::start(phase.name(), Some(module))
+}
+
+/// Adds `delta` to the counter `name` of `module`.
+pub fn count(name: &'static str, module: Symbol, delta: u64) {
+    with_record(|r| r.add(Key::Counter(name, module), delta));
+}
+
+/// Counts one call through a contracted typed/untyped boundary (paper
+/// §6): `export` is the wrapped procedure's name when known.
+pub fn contract_crossing(export: Option<Symbol>, positive: Symbol, negative: Symbol) {
+    with_record(|r| r.add(Key::Crossing(export, positive, negative), 1));
+}
+
+/// Counts one VM profile sample in `function` (`None` for anonymous or
+/// top-level code). The VM takes at most one sample per fuel chunk of
+/// executed steps (see [`limits::vm_take_fuel`]).
+pub fn sample(function: Option<Symbol>) {
+    with_record(|r| r.add(Key::Sample(function), 1));
+}
+
+/// Adds `count` executions of the opcode `op` (of instruction `class`,
+/// and a peephole superinstruction when `fused`).
+pub fn opcode(op: &'static str, class: &'static str, fused: bool, count: u64) {
+    with_record(|r| r.add(Key::Opcode(op, class, fused), count));
+}
+
+/// Records an applied optimizer rewrite: the generic `op` at `src` in
+/// `module` became the `rule` primitive of rewrite `family` (`"float"`,
+/// `"float-complex"`, `"fixnum"`, `"pairs"` — the paper §7.2 catalogue).
+pub fn rewrite(module: Symbol, family: &'static str, op: Symbol, rule: &'static str, src: Span) {
+    with_record(|r| {
+        let notes = vec![
+            ("family", Val::Str(family)),
+            ("op", Val::Sym(op)),
+            ("rule", Val::Str(rule)),
+        ];
+        r.point("rewrite", module, Some(src), notes);
+    });
+}
+
+/// Records a near miss: the site matched a rewrite's shape but was
+/// blocked, for `reason` — a site worth knowing about when tuning type
+/// annotations.
+pub fn near_miss(module: Symbol, family: &'static str, op: Symbol, src: Span, reason: String) {
+    with_record(|r| {
+        let notes = vec![
+            ("family", Val::Str(family)),
+            ("op", Val::Sym(op)),
+            ("reason", Val::Text(reason)),
+        ];
+        r.point("near-miss", module, Some(src), notes);
+    });
+}
+
+/// Records a compiled-module store lookup for `module`. A byte count as
+/// `detail` renders as `"<n> bytes"`.
+pub fn cache_event(module: Symbol, status: CacheStatus, detail: impl Into<Val>) {
+    with_record(|r| {
+        let notes = vec![
+            ("store", Val::Str(status.name())),
+            ("detail", detail.into()),
+        ];
+        r.point("store", module, None, notes);
+    });
+}
+
+/// Records an exhausted budget (or an injected fault).
 pub fn limit_event(exhausted: &Exhausted, module: Symbol, span: Option<Span>) {
     limit_event_named(exhausted.budget.name(), module, span);
 }
@@ -233,149 +565,11 @@ pub fn limit_event(exhausted: &Exhausted, module: Symbol, span: Option<Span>) {
 /// Like [`limit_event`] for callers that only have the budget's name
 /// (e.g. recovered from an error kind rather than a live [`Exhausted`]).
 pub fn limit_event_named(budget: &'static str, module: Symbol, span: Option<Span>) {
-    if enabled() {
-        emit(Event::Limit {
-            budget,
-            module,
-            span,
-        });
-    }
-}
-
-/// A consumer of diagnostic events.
-pub trait DiagSink {
-    /// Receives one event. Called only while the sink is installed and on
-    /// the installing thread.
-    fn event(&self, event: &Event);
+    with_record(|r| r.point("limit", module, span, vec![("budget", Val::Str(budget))]));
 }
 
 // ---------------------------------------------------------------------
-// the thread-local sink
-// ---------------------------------------------------------------------
-
-thread_local! {
-    static SINK: RefCell<Option<Rc<dyn DiagSink>>> = const { RefCell::new(None) };
-    static ENABLED: Cell<bool> = const { Cell::new(false) };
-}
-
-/// True when a sink is installed on this thread. Instrumentation sites
-/// whose event construction is not free should guard on this; it is a
-/// single thread-local flag read.
-#[inline]
-pub fn enabled() -> bool {
-    ENABLED.with(Cell::get)
-}
-
-/// Installs `sink` as this thread's diagnostic sink, replacing any
-/// previous one, and enables emission.
-pub fn install(sink: Rc<dyn DiagSink>) {
-    SINK.with(|s| *s.borrow_mut() = Some(sink));
-    ENABLED.with(|e| e.set(true));
-}
-
-/// Removes and returns this thread's sink, disabling emission.
-pub fn uninstall() -> Option<Rc<dyn DiagSink>> {
-    ENABLED.with(|e| e.set(false));
-    SINK.with(|s| s.borrow_mut().take())
-}
-
-/// Sends `event` to the installed sink; a no-op when disabled.
-pub fn emit(event: Event) {
-    if !enabled() {
-        return;
-    }
-    let sink = SINK.with(|s| s.borrow().clone());
-    if let Some(sink) = sink {
-        sink.event(&event);
-    }
-}
-
-/// Emits a counter increment; a no-op when disabled.
-pub fn count(name: &'static str, module: Symbol, delta: u64) {
-    if enabled() {
-        emit(Event::Counter {
-            name,
-            module,
-            delta,
-        });
-    }
-}
-
-/// Starts timing a phase: emits [`Event::PhaseStart`] now and
-/// [`Event::PhaseEnd`] when the returned guard drops. When a [`trace`]
-/// tracer is installed the guard additionally holds a trace span open
-/// for the phase — independently of the event sink, so `--trace` runs
-/// see the phase tree without paying for event collection. When both
-/// are disabled the guard is inert and no clock is read.
-pub fn time(phase: Phase, module: Symbol) -> PhaseTimer {
-    let span = if trace::active() {
-        Some(module.with_str(|m| trace::start(phase.name(), m)))
-    } else {
-        None
-    };
-    if !enabled() {
-        return PhaseTimer(None, span);
-    }
-    emit(Event::PhaseStart { phase, module });
-    PhaseTimer(Some((phase, module, Instant::now())), span)
-}
-
-/// Drop guard created by [`time`]; emits the matching
-/// [`Event::PhaseEnd`] (and closes the phase's trace span) when
-/// dropped.
-pub struct PhaseTimer(Option<(Phase, Symbol, Instant)>, Option<trace::SpanGuard>);
-
-impl Drop for PhaseTimer {
-    fn drop(&mut self) {
-        if let Some((phase, module, start)) = self.0.take() {
-            emit(Event::PhaseEnd {
-                phase,
-                module,
-                nanos: start.elapsed().as_nanos(),
-            });
-        }
-        // close the phase's trace span after the end event timestamp
-        drop(self.1.take());
-    }
-}
-
-// ---------------------------------------------------------------------
-// the collecting sink
-// ---------------------------------------------------------------------
-
-/// A sink that records every event, for building a [`Report`] afterwards.
-#[derive(Default)]
-pub struct Collector {
-    events: RefCell<Vec<Event>>,
-}
-
-impl Collector {
-    /// Creates a collector and installs it as this thread's sink.
-    pub fn install() -> Rc<Collector> {
-        let c = Rc::new(Collector::default());
-        install(c.clone());
-        c
-    }
-
-    /// A copy of every event recorded so far, in emission order.
-    pub fn events(&self) -> Vec<Event> {
-        self.events.borrow().clone()
-    }
-
-    /// Aggregates the recorded events into a [`Report`].
-    pub fn report(&self) -> Report {
-        Report::from_events(&self.events.borrow())
-    }
-}
-
-impl DiagSink for Collector {
-    fn event(&self, event: &Event) {
-        self.events.borrow_mut().push(event.clone());
-    }
-}
-
-// ---------------------------------------------------------------------
-// the aggregated report
+// the report view
 // ---------------------------------------------------------------------
 
 /// One phase-timing row.
@@ -469,7 +663,7 @@ pub struct CacheRow {
     pub detail: String,
 }
 
-/// One opcode-execution row (supplied by the VM's `vm-counters` feature).
+/// One opcode-execution row.
 #[derive(Clone, Debug)]
 pub struct OpcodeRow {
     /// Instruction mnemonic.
@@ -482,7 +676,7 @@ pub struct OpcodeRow {
     pub count: u64,
 }
 
-/// An aggregated diagnostics report, renderable as text or JSON.
+/// The tables of one record, renderable as text or JSON.
 #[derive(Clone, Debug, Default)]
 pub struct Report {
     /// Completed phases, in completion order.
@@ -499,128 +693,55 @@ pub struct Report {
     pub limits: Vec<LimitRow>,
     /// Compiled-module-store lookups, in emission order.
     pub caches: Vec<CacheRow>,
-    /// Opcode execution counts (empty unless the VM ran with counters).
+    /// Opcode execution counts, most executed first (empty unless the
+    /// run counted opcodes).
     pub opcodes: Vec<OpcodeRow>,
 }
 
-impl Report {
-    /// Aggregates a raw event stream.
-    pub fn from_events(events: &[Event]) -> Report {
-        let mut report = Report::default();
-        for event in events {
-            match event {
-                Event::PhaseStart { .. } => {}
-                Event::PhaseEnd {
-                    phase,
-                    module,
-                    nanos,
-                } => report.phases.push(PhaseRow {
-                    module: module.as_str(),
-                    phase: phase.name(),
-                    nanos: *nanos,
-                }),
-                Event::Counter {
-                    name,
-                    module,
-                    delta,
-                } => {
-                    let module = module.as_str();
-                    match report
-                        .counters
-                        .iter_mut()
-                        .find(|c| c.module == module && c.name == *name)
-                    {
-                        Some(row) => row.value += delta,
-                        None => report.counters.push(CounterRow {
-                            module,
-                            name: (*name).to_string(),
-                            value: *delta,
-                        }),
-                    }
-                }
-                Event::Rewrite {
-                    family,
-                    op,
-                    rule,
-                    module,
-                    span,
-                } => report.rewrites.push(RewriteRow {
-                    family,
-                    op: op.clone(),
-                    rule: (*rule).to_string(),
-                    module: module.as_str(),
-                    span: span.to_string(),
-                    line: span.line,
-                }),
-                Event::NearMiss {
-                    family,
-                    op,
-                    module,
-                    span,
-                    reason,
-                } => report.near_misses.push(NearMissRow {
-                    family,
-                    op: op.clone(),
-                    module: module.as_str(),
-                    span: span.to_string(),
-                    line: span.line,
-                    reason: reason.clone(),
-                }),
-                Event::ContractCrossing {
-                    export,
-                    positive,
-                    negative,
-                } => {
-                    let export = export
-                        .map(|s| s.with_str(|n| strip_gensym(n).to_string()))
-                        .unwrap_or_else(|| "<anonymous>".to_string());
-                    let positive = positive.as_str();
-                    let negative = negative.as_str();
-                    match report.contracts.iter_mut().find(|c| {
-                        c.export == export && c.positive == positive && c.negative == negative
-                    }) {
-                        Some(row) => row.count += 1,
-                        None => report.contracts.push(ContractRow {
-                            export,
-                            positive,
-                            negative,
-                            count: 1,
-                        }),
-                    }
-                }
-                Event::Cache {
-                    module,
-                    status,
-                    detail,
-                } => report.caches.push(CacheRow {
-                    module: module.as_str(),
-                    status: status.name(),
-                    detail: detail.clone(),
-                }),
-                Event::Limit {
-                    budget,
-                    module,
-                    span,
-                } => report.limits.push(LimitRow {
-                    budget: (*budget).to_string(),
-                    module: module.as_str(),
-                    span: span.map(|s| s.to_string()).unwrap_or_default(),
-                }),
-            }
+/// Adds `row` to the contract rows, summing with an existing row for
+/// the same boundary.
+fn add_contract(rows: &mut Vec<ContractRow>, row: ContractRow) {
+    match rows.iter_mut().find(|c| {
+        c.export == row.export && c.positive == row.positive && c.negative == row.negative
+    }) {
+        Some(existing) => existing.count += row.count,
+        None => rows.push(row),
+    }
+}
+
+/// Phase time aggregated into the coarse pipeline buckets; see
+/// [`Report::timing_buckets`].
+fn buckets<'a>(phases: impl Iterator<Item = (&'a str, u128)>) -> [(&'static str, u128); 6] {
+    let (mut read, mut expand, mut check, mut optimize, mut compile, mut load, mut run) =
+        (0u128, 0u128, 0u128, 0u128, 0u128, 0u128, 0u128);
+    for (phase, nanos) in phases {
+        match phase {
+            "read" => read += nanos,
+            "expand" => expand += nanos,
+            "typecheck" => check += nanos,
+            "optimize" => optimize += nanos,
+            "compile" => compile += nanos,
+            "load" => load += nanos,
+            "run" => run += nanos,
+            _ => {}
         }
-        report
     }
+    let expand = expand.saturating_sub(check + optimize);
+    [
+        ("read", read),
+        ("expand", expand),
+        ("check", check),
+        ("compile", compile + optimize),
+        ("load", load),
+        ("run", run),
+    ]
+}
 
-    /// Installs opcode-execution counts (from the VM's `vm-counters`
-    /// snapshot; this crate cannot depend on the VM).
-    pub fn set_opcodes(&mut self, opcodes: Vec<OpcodeRow>) {
-        self.opcodes = opcodes;
-    }
-
+impl Report {
     /// Folds another report into this one: rows append (in `other`'s
-    /// order after this report's), and counter/contract rows for the
-    /// same key merge by summing. The parallel build scheduler uses
-    /// this to combine per-worker collectors into one build report.
+    /// order after this report's), and counter/contract/opcode rows for
+    /// the same key merge by summing. The parallel build scheduler uses
+    /// this to combine its threads' reports into one build report.
     pub fn merge(&mut self, other: Report) {
         self.phases.extend(other.phases);
         for c in other.counters {
@@ -636,12 +757,7 @@ impl Report {
         self.rewrites.extend(other.rewrites);
         self.near_misses.extend(other.near_misses);
         for c in other.contracts {
-            match self.contracts.iter_mut().find(|row| {
-                row.export == c.export && row.positive == c.positive && row.negative == c.negative
-            }) {
-                Some(row) => row.count += c.count,
-                None => self.contracts.push(c),
-            }
+            add_contract(&mut self.contracts, c);
         }
         self.limits.extend(other.limits);
         self.caches.extend(other.caches);
@@ -730,29 +846,7 @@ impl Report {
     /// `compile` (both produce the executable artifact) and
     /// typechecking to `check`.
     pub fn timing_buckets(&self) -> [(&'static str, u128); 6] {
-        let (mut read, mut expand, mut check, mut optimize, mut compile, mut load, mut run) =
-            (0u128, 0u128, 0u128, 0u128, 0u128, 0u128, 0u128);
-        for p in &self.phases {
-            match p.phase {
-                "read" => read += p.nanos,
-                "expand" => expand += p.nanos,
-                "typecheck" => check += p.nanos,
-                "optimize" => optimize += p.nanos,
-                "compile" => compile += p.nanos,
-                "load" => load += p.nanos,
-                "run" => run += p.nanos,
-                _ => {}
-            }
-        }
-        let expand = expand.saturating_sub(check + optimize);
-        [
-            ("read", read),
-            ("expand", expand),
-            ("check", check),
-            ("compile", compile + optimize),
-            ("load", load),
-            ("run", run),
-        ]
+        buckets(self.phases.iter().map(|p| (p.phase, p.nanos)))
     }
 
     /// The phase-timing table alone (used by `lagoon expand --timings`).
@@ -1183,14 +1277,6 @@ fn push_rows<T>(out: &mut String, rows: &[T], mut f: impl FnMut(&mut String, &T)
     }
 }
 
-/// Drops a gensym suffix so reports show the name the user wrote:
-/// `shout~122` → `shout` (global-counter form) and
-/// `shout~1a2b3c4d.7` → `shout` (deterministic scoped form). Names
-/// without a recognized suffix pass through untouched.
-fn strip_gensym(name: &str) -> String {
-    lagoon_syntax::strip_gensym(name).to_string()
-}
-
 /// Renders `s` as a JSON string literal (with escaping).
 pub fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
@@ -1223,12 +1309,9 @@ mod tests {
     #[test]
     fn disabled_by_default_and_emission_is_dropped() {
         assert!(!enabled());
-        emit(Event::Counter {
-            name: "x",
-            module: m("main"),
-            delta: 1,
-        });
-        // nothing to observe: no sink, no panic
+        count("x", m("main"), 1);
+        rewrite(m("main"), "float", m("+"), "unsafe-fl+", Span::synthetic());
+        // nothing to observe: no recorder, no panic
         let timer = time(Phase::Read, m("main"));
         drop(timer);
     }
@@ -1241,24 +1324,10 @@ mod tests {
         count("macro-steps", m("main"), 3);
         {
             let _t = time(Phase::Expand, m("main"));
+            rewrite(m("main"), "float", m("+"), "unsafe-fl+", Span::synthetic());
         }
-        emit(Event::Rewrite {
-            family: "float",
-            op: "+".to_string(),
-            rule: "unsafe-fl+",
-            module: m("main"),
-            span: Span::synthetic(),
-        });
-        emit(Event::ContractCrossing {
-            export: Some(m("inc")),
-            positive: m("lib"),
-            negative: m("untyped-client"),
-        });
-        emit(Event::ContractCrossing {
-            export: Some(m("inc")),
-            positive: m("lib"),
-            negative: m("untyped-client"),
-        });
+        contract_crossing(Some(m("inc")), m("lib"), m("untyped-client"));
+        contract_crossing(Some(m("inc")), m("lib"), m("untyped-client"));
         uninstall();
         assert!(!enabled());
 
@@ -1268,6 +1337,7 @@ mod tests {
         assert_eq!(report.phases.len(), 1);
         assert_eq!(report.phases[0].phase, "expand");
         assert_eq!(report.rewrites.len(), 1);
+        assert_eq!(report.rewrites[0].op, "+");
         assert_eq!(report.contracts.len(), 1);
         assert_eq!(report.contracts[0].count, 2);
 
@@ -1275,6 +1345,68 @@ mod tests {
         assert!(text.contains("phase timings"));
         assert!(text.contains("unsafe-fl+"));
         assert!(text.contains("inc"));
+    }
+
+    #[test]
+    fn one_record_feeds_the_report_and_the_trace() {
+        let c = Collector::install();
+        {
+            let _t = time(Phase::Expand, m("traced-mod"));
+            {
+                let _u = time(Phase::Typecheck, m("traced-mod"));
+            }
+            cache_event(m("traced-mod"), CacheStatus::Hit, 123usize);
+        }
+        cache_event(m("late"), CacheStatus::Miss, "compiled and stored");
+        uninstall();
+
+        let t = c.trace();
+        assert_eq!(t.spans.len(), 4);
+        let expand = t.spans.iter().find(|s| s.phase == "expand").expect("span");
+        let check = t
+            .spans
+            .iter()
+            .find(|s| s.phase == "typecheck")
+            .expect("span");
+        assert_eq!(check.parent, Some(expand.id));
+        assert_eq!(expand.label, "traced-mod");
+        // store lookups are zero-duration spans under the open span, or
+        // at top level when none is open
+        let stores: Vec<_> = t.spans.iter().filter(|s| s.phase == "store").collect();
+        assert_eq!(stores[0].parent, Some(expand.id));
+        assert_eq!(stores[0].dur_us, 0);
+        assert_eq!(stores[1].parent, None);
+
+        let report = c.report();
+        assert_eq!(report.phases.len(), 2);
+        assert_eq!(report.caches.len(), 2);
+        assert_eq!(report.caches[0].detail, "123 bytes");
+        assert_eq!(c.cache_counts(), (1, 1));
+        assert_eq!(c.timing_buckets(), report.timing_buckets());
+    }
+
+    #[test]
+    fn counts_add_in_place() {
+        let c = Collector::install();
+        for _ in 0..10_000 {
+            contract_crossing(None, m("lib"), m("client"));
+            count("contract-flat-checks", m("lib"), 1);
+            sample(None);
+        }
+        sample(Some(m("fib")));
+        sample(Some(Symbol::fresh("fib")));
+        uninstall();
+        let report = c.report();
+        assert_eq!(report.contracts.len(), 1);
+        assert_eq!(report.contracts[0].export, "<anonymous>");
+        assert_eq!(report.contracts[0].count, 10_000);
+        assert_eq!(report.counters[0].value, 10_000);
+        // alpha-renamed functions aggregate under the name the user wrote
+        let profile = vec![("<anonymous>".to_string(), 10_000), ("fib".to_string(), 2)];
+        let trace = c.trace();
+        assert_eq!(trace.profile, profile);
+        assert!(trace.profile_json().contains(r#"{"fn":"fib","chunks":2}"#));
+        assert!(trace.spans.is_empty());
     }
 
     #[test]
@@ -1290,33 +1422,14 @@ mod tests {
 
     #[test]
     fn opcode_summaries() {
-        let mut report = Report::default();
-        report.set_opcodes(vec![
-            OpcodeRow {
-                op: "Add2".to_string(),
-                class: "generic".to_string(),
-                fused: false,
-                count: 10,
-            },
-            OpcodeRow {
-                op: "FlAdd".to_string(),
-                class: "specialized".to_string(),
-                fused: false,
-                count: 30,
-            },
-            OpcodeRow {
-                op: "BrLt2".to_string(),
-                class: "generic".to_string(),
-                fused: true,
-                count: 15,
-            },
-            OpcodeRow {
-                op: "Return".to_string(),
-                class: "control".to_string(),
-                fused: false,
-                count: 5,
-            },
-        ]);
+        let c = Collector::install();
+        opcode("Add2", "generic", false, 10);
+        opcode("FlAdd", "specialized", false, 30);
+        opcode("BrLt2", "generic", true, 15);
+        opcode("Return", "control", false, 5);
+        uninstall();
+        let report = c.report();
+        assert_eq!(report.opcodes[0].op, "FlAdd", "most executed first");
         assert_eq!(report.generic_ops(), 25);
         assert_eq!(report.specialized_ops(), 30);
         assert_eq!(report.total_ops(), 60);
@@ -1332,6 +1445,7 @@ mod tests {
 
     #[test]
     fn strip_gensym_handles_both_forms() {
+        use lagoon_syntax::strip_gensym;
         assert_eq!(strip_gensym("shout~122"), "shout");
         assert_eq!(strip_gensym("shout~1a2b3c4d.7"), "shout");
         assert_eq!(strip_gensym("shout"), "shout");
@@ -1449,33 +1563,5 @@ mod tests {
         assert!((64.0..=100.0).contains(&p50), "{p50}");
         // the power-of-two ceiling is coarser than the estimate
         assert_eq!(h.quantile_upper_micros(0.5), 128);
-    }
-
-    #[test]
-    fn phase_timer_opens_trace_spans_without_a_sink() {
-        assert!(!enabled());
-        trace::install(16);
-        {
-            let _t = time(Phase::Expand, m("traced-mod"));
-            {
-                let _u = time(Phase::Typecheck, m("traced-mod"));
-            }
-            cache_event(m("traced-mod"), CacheStatus::Hit, "123 bytes");
-        }
-        let t = trace::uninstall().expect("tracer installed");
-        assert_eq!(t.spans.len(), 2);
-        let expand = t.spans.iter().find(|s| s.phase == "expand").expect("span");
-        let check = t
-            .spans
-            .iter()
-            .find(|s| s.phase == "typecheck")
-            .expect("span");
-        assert_eq!(check.parent, Some(expand.id));
-        assert_eq!(expand.label, "traced-mod");
-        // the cache event was attached as a note on the open expand span
-        assert!(expand
-            .notes
-            .iter()
-            .any(|(k, v)| *k == "store" && v.contains("hit")));
     }
 }

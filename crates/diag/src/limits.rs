@@ -192,6 +192,9 @@ struct State {
     expansion_steps_left: u64,
     phase1_steps_left: u64,
     vm_steps_left: u64,
+    /// Steps executed since the refill at which the next VM profile
+    /// sample falls due.
+    next_sample: u64,
     expansion_depth: u64,
     phase1_nesting: u32,
     deadline_stride: u64,
@@ -208,6 +211,7 @@ impl State {
             expansion_steps_left: limits.max_expansion_steps,
             phase1_steps_left: limits.max_phase1_steps,
             vm_steps_left: limits.max_vm_steps,
+            next_sample: VM_CHUNK,
             expansion_depth: 0,
             phase1_nesting: 0,
             deadline_stride: DEADLINE_STRIDE,
@@ -246,6 +250,7 @@ pub fn refill() {
         s.expansion_steps_left = limits.max_expansion_steps;
         s.phase1_steps_left = limits.max_phase1_steps;
         s.vm_steps_left = limits.max_vm_steps;
+        s.next_sample = VM_CHUNK;
         s.expansion_depth = 0;
         s.deadline_stride = DEADLINE_STRIDE;
     });
@@ -481,10 +486,19 @@ pub fn interp_step() -> Result<(), Exhausted> {
 /// an armed VM-step fault's trigger falls inside a previous grant.
 /// Charges the whole chunk up front; call [`vm_return_fuel`] with the
 /// unused remainder when leaving the dispatch loop.
-pub fn vm_take_fuel() -> Result<u64, Exhausted> {
+///
+/// Also says whether a VM profile sample is due: true at most once per
+/// [`VM_CHUNK`] steps executed since the last refill, however often the
+/// VM is re-entered.
+pub fn vm_take_fuel() -> Result<(u64, bool), Exhausted> {
     STATE.with(|s| {
         let mut s = s.borrow_mut();
         check_deadline_inner(&s)?;
+        let used = s.limits.max_vm_steps.saturating_sub(s.vm_steps_left);
+        let sample = used >= s.next_sample;
+        if sample {
+            s.next_sample = used.saturating_add(VM_CHUNK);
+        }
         if s.vm_steps_left == 0 {
             return Err(exhausted(Budget::VmSteps, s.limits.max_vm_steps));
         }
@@ -502,7 +516,7 @@ pub fn vm_take_fuel() -> Result<u64, Exhausted> {
         if let Some(n) = s.fault_vm_left.as_mut() {
             *n -= grant;
         }
-        Ok(grant)
+        Ok((grant, sample))
     })
 }
 
@@ -610,11 +624,27 @@ mod tests {
             max_vm_steps: 100_000,
             ..Limits::unlimited()
         });
-        let grant = vm_take_fuel().unwrap();
-        assert_eq!(grant, VM_CHUNK);
+        let (grant, sample) = vm_take_fuel().unwrap();
+        assert_eq!((grant, sample), (VM_CHUNK, false));
         vm_return_fuel(grant - 10);
-        let grant2 = vm_take_fuel().unwrap();
-        assert_eq!(grant2, VM_CHUNK.min(100_000 - 10));
+        let (grant2, sample) = vm_take_fuel().unwrap();
+        assert_eq!((grant2, sample), (VM_CHUNK.min(100_000 - 10), false));
+        install(Limits::default());
+    }
+
+    #[test]
+    fn profile_samples_fall_due_once_per_chunk_of_steps() {
+        install(Limits::unlimited());
+        let mut samples = 0;
+        // a thousand short VM entries: 100 steps each, 100k in total
+        for _ in 0..1000 {
+            let (grant, sample) = vm_take_fuel().unwrap();
+            samples += usize::from(sample);
+            vm_return_fuel(grant - 100);
+        }
+        assert_eq!(samples, 1);
+        refill();
+        assert!(!vm_take_fuel().unwrap().1, "a refill starts a new count");
         install(Limits::default());
     }
 
@@ -625,10 +655,10 @@ mod tests {
             vm_step: Some(VM_CHUNK + 5),
             ..FaultPlan::default()
         });
-        let g1 = vm_take_fuel().unwrap();
+        let (g1, _) = vm_take_fuel().unwrap();
         assert_eq!(g1, VM_CHUNK);
-        let g2 = vm_take_fuel().unwrap();
-        assert_eq!(g2, 5);
+        let (g2, sample) = vm_take_fuel().unwrap();
+        assert_eq!((g2, sample), (5, true));
         assert_eq!(vm_take_fuel().unwrap_err().budget, Budget::InjectedFault);
         clear_faults();
         install(Limits::default());

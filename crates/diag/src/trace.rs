@@ -1,260 +1,61 @@
-//! Thread-local span tracing.
+//! Spans on the thread-local record, and the trace view.
 //!
-//! A tracer records *spans* — start/end pairs on a monotonic clock with
-//! parent nesting, a phase tag, an optional source [`Span`] attachment,
-//! and key/value notes — into a bounded ring buffer. Like the event
-//! sink in the crate root, it is **off by default**: every entry point
-//! guards on [`active`] (one thread-local flag read), so instrumented
-//! code costs nothing until a consumer calls [`install`].
+//! A span is a start/end pair on the record's monotonic clock with
+//! parent nesting, a phase tag, an optional label and source [`Span`],
+//! and key/value notes. The pipeline's phase timers ([`crate::time`])
+//! open one per phase; the expander adds per-top-level-form child spans
+//! carrying each form's source location; optimizer decisions, store
+//! lookups and limit hits are zero-duration spans under whatever span is
+//! open. Like every emission site, [`start`] and [`note`] are inert
+//! (one thread-local read) until a [`Collector`](crate::Collector) is
+//! installed.
 //!
-//! The pipeline's phase timers ([`crate::time`]) open a trace span
-//! whenever a tracer is installed, independently of whether the event
-//! sink is on, so `lagoon run --trace out.json` sees the whole
-//! read/expand/typecheck/optimize/compile/load/run tree without paying
-//! for event collection. The expander adds per-top-level-form child
-//! spans carrying each form's source location, and the compiled store
-//! annotates the enclosing span with hit/miss/stale outcomes.
-//!
-//! A finished [`Trace`] renders to Chrome trace-event JSON (the
-//! `about:tracing` / Perfetto format): see [`chrome_trace_json`].
+//! [`Collector::trace`](crate::Collector::trace) renders the completed
+//! spans as a [`Trace`], which [`chrome_trace_json`] writes as Chrome
+//! trace-event JSON (the `about:tracing` / Perfetto format).
 //!
 //! ```
-//! use lagoon_diag::trace;
-//! trace::install(trace::DEFAULT_CAPACITY);
+//! use lagoon_diag::{trace, Collector};
+//! use lagoon_syntax::Symbol;
+//! let collector = Collector::install();
 //! {
-//!     let _outer = trace::start("expand", "main");
-//!     let _inner = trace::start("typecheck", "main");
-//!     trace::note("checked", "12 forms");
+//!     let _outer = trace::start("expand", Some(Symbol::intern("main")));
+//!     let _inner = trace::start("typecheck", Some(Symbol::intern("main")));
+//!     trace::note("checked", 12usize);
 //! }
-//! let t = trace::uninstall().expect("tracer was installed");
+//! lagoon_diag::uninstall();
+//! let t = collector.trace();
 //! assert_eq!(t.spans.len(), 2);
 //! // children complete first; parents carry smaller start times
 //! assert_eq!(t.spans[0].phase, "typecheck");
 //! assert_eq!(t.spans[1].parent, None);
 //! ```
 
-use lagoon_syntax::Span;
-use std::cell::{Cell, RefCell};
-use std::collections::VecDeque;
+use crate::{with_record, Key, Record, Val};
+use lagoon_syntax::{Span, Symbol};
+use std::collections::HashMap;
 use std::fmt::Write as _;
-use std::time::Instant;
-
-/// Default ring-buffer capacity (completed spans retained per tracer).
-pub const DEFAULT_CAPACITY: usize = 65_536;
-
-/// One completed span.
-#[derive(Clone, Debug)]
-pub struct TraceSpan {
-    /// Unique id within this tracer (allocation order).
-    pub id: u64,
-    /// The id of the span this one nested inside, if any.
-    pub parent: Option<u64>,
-    /// Phase tag (`"read"`, `"expand"`, `"form"`, `"run"`, …).
-    pub phase: &'static str,
-    /// Human label — usually the module or form being processed.
-    pub label: String,
-    /// Start time in microseconds since the tracer was installed.
-    pub start_us: u64,
-    /// Duration in microseconds (end and start are truncated on the
-    /// same clock, so a child's interval never escapes its parent's).
-    pub dur_us: u64,
-    /// Source location attached via [`attach_src`], when any.
-    pub src: Option<Span>,
-    /// Key/value annotations attached via [`note`], in arrival order.
-    pub notes: Vec<(&'static str, String)>,
-}
-
-struct OpenSpan {
-    id: u64,
-    parent: Option<u64>,
-    phase: &'static str,
-    label: String,
-    start_us: u64,
-    src: Option<Span>,
-    notes: Vec<(&'static str, String)>,
-}
-
-struct Tracer {
-    epoch: Instant,
-    next_id: u64,
-    /// The open-span stack; the last entry is the innermost span.
-    open: Vec<OpenSpan>,
-    /// Completed spans, oldest first, bounded by `cap`.
-    done: VecDeque<TraceSpan>,
-    cap: usize,
-    dropped: u64,
-}
-
-impl Tracer {
-    fn now_us(&self) -> u64 {
-        self.epoch.elapsed().as_micros().min(u128::from(u64::MAX)) as u64
-    }
-
-    fn close_top(&mut self) {
-        let Some(open) = self.open.pop() else { return };
-        let end_us = self.now_us();
-        let span = TraceSpan {
-            id: open.id,
-            parent: open.parent,
-            phase: open.phase,
-            label: open.label,
-            start_us: open.start_us,
-            dur_us: end_us.saturating_sub(open.start_us),
-            src: open.src,
-            notes: open.notes,
-        };
-        if self.done.len() >= self.cap {
-            self.done.pop_front();
-            self.dropped += 1;
-        }
-        self.done.push_back(span);
-    }
-}
-
-thread_local! {
-    static TRACER: RefCell<Option<Tracer>> = const { RefCell::new(None) };
-    static ACTIVE: Cell<bool> = const { Cell::new(false) };
-}
-
-/// True when a tracer is installed on this thread. Instrumentation
-/// whose span construction is not free should guard on this.
-#[inline]
-pub fn active() -> bool {
-    ACTIVE.with(Cell::get)
-}
-
-/// Installs a fresh tracer on this thread (replacing any previous one)
-/// with room for `capacity` completed spans; older spans are dropped —
-/// and counted — once the ring fills. Zero capacities are bumped to 1.
-pub fn install(capacity: usize) {
-    TRACER.with(|t| {
-        *t.borrow_mut() = Some(Tracer {
-            epoch: Instant::now(),
-            next_id: 0,
-            open: Vec::new(),
-            done: VecDeque::new(),
-            cap: capacity.max(1),
-            dropped: 0,
-        });
-    });
-    ACTIVE.with(|a| a.set(true));
-}
-
-/// Removes this thread's tracer and returns the completed trace. Spans
-/// still open (an error unwound past their guards without dropping
-/// them, which ordinary `let _t = start(…)` usage never does) are
-/// force-closed at the current time first.
-pub fn uninstall() -> Option<Trace> {
-    ACTIVE.with(|a| a.set(false));
-    TRACER.with(|t| {
-        let mut tracer = t.borrow_mut().take()?;
-        while !tracer.open.is_empty() {
-            tracer.close_top();
-        }
-        Some(Trace {
-            spans: tracer.done.into_iter().collect(),
-            dropped: tracer.dropped,
-        })
-    })
-}
 
 /// Opens a span nested under the innermost open span; the returned
-/// guard closes it on drop. Inert (and free) when no tracer is
+/// guard closes it on drop. Inert (and free) when no recorder is
 /// installed.
-pub fn start(phase: &'static str, label: &str) -> SpanGuard {
-    if !active() {
-        return SpanGuard(None);
-    }
-    TRACER.with(|t| {
-        let mut borrow = t.borrow_mut();
-        let Some(tracer) = borrow.as_mut() else {
-            return SpanGuard(None);
-        };
-        let id = tracer.next_id;
-        tracer.next_id += 1;
-        let parent = tracer.open.last().map(|o| o.id);
-        let start_us = tracer.now_us();
-        tracer.open.push(OpenSpan {
-            id,
-            parent,
-            phase,
-            label: label.to_string(),
-            start_us,
-            src: None,
-            notes: Vec::new(),
-        });
-        SpanGuard(Some(id))
-    })
+pub fn start(phase: &'static str, label: Option<Symbol>) -> SpanGuard {
+    SpanGuard(with_record(|r| r.open(phase, label, None)))
 }
 
-/// Like [`start`], attaching `src` up front (synthetic spans — line 0 —
-/// are treated as "no location" and skipped).
-pub fn start_at(phase: &'static str, label: &str, src: Span) -> SpanGuard {
-    let guard = start(phase, label);
-    if guard.0.is_some() {
-        attach_src(src);
-    }
-    guard
-}
-
-/// Attaches a source location to the innermost open span (no-op when
-/// nothing is open, or for synthetic spans).
-pub fn attach_src(src: Span) {
-    if !active() || src.is_synthetic() {
-        return;
-    }
-    TRACER.with(|t| {
-        if let Some(tracer) = t.borrow_mut().as_mut() {
-            if let Some(open) = tracer.open.last_mut() {
-                open.src = Some(src);
-            }
-        }
-    });
+/// Like [`start`], attaching `src` (synthetic spans — line 0 — are
+/// treated as "no location" and skipped).
+pub fn start_at(phase: &'static str, label: Option<Symbol>, src: Span) -> SpanGuard {
+    let src = (!src.is_synthetic()).then_some(src);
+    SpanGuard(with_record(|r| r.open(phase, label, src)))
 }
 
 /// Attaches a `key: value` note to the innermost open span (no-op when
 /// nothing is open).
-pub fn note(key: &'static str, value: impl Into<String>) {
-    if !active() {
-        return;
-    }
-    TRACER.with(|t| {
-        if let Some(tracer) = t.borrow_mut().as_mut() {
-            if let Some(open) = tracer.open.last_mut() {
-                open.notes.push((key, value.into()));
-            }
-        }
-    });
-}
-
-/// Like [`note`], but never lost: when no span is open the annotation
-/// is recorded as a standalone zero-duration span with phase `key` and
-/// label `value` instead (the store emits miss events after the phase
-/// timers have closed, for example).
-pub fn note_or_event(key: &'static str, value: impl Into<String>) {
-    if !active() {
-        return;
-    }
-    TRACER.with(|t| {
-        if let Some(tracer) = t.borrow_mut().as_mut() {
-            let value = value.into();
-            if let Some(open) = tracer.open.last_mut() {
-                open.notes.push((key, value));
-            } else {
-                let id = tracer.next_id;
-                tracer.next_id += 1;
-                let start_us = tracer.now_us();
-                tracer.open.push(OpenSpan {
-                    id,
-                    parent: None,
-                    phase: key,
-                    label: value,
-                    start_us,
-                    src: None,
-                    notes: Vec::new(),
-                });
-                tracer.close_top();
-            }
+pub fn note(key: &'static str, value: impl Into<Val>) {
+    with_record(|r| {
+        if let Some(open) = r.open.last_mut() {
+            open.notes.push((key, value.into()));
         }
     });
 }
@@ -266,32 +67,96 @@ pub struct SpanGuard(Option<u64>);
 impl Drop for SpanGuard {
     fn drop(&mut self) {
         let Some(id) = self.0.take() else { return };
-        TRACER.with(|t| {
-            let mut borrow = t.borrow_mut();
-            let Some(tracer) = borrow.as_mut() else {
-                return;
-            };
+        with_record(|r| {
             // Close down to and including our own span. Guards drop in
             // LIFO order, so normally our span *is* the top; anything
             // above it leaked its guard and gets closed here too.
-            if tracer.open.iter().any(|o| o.id == id) {
-                while tracer.open.last().is_some_and(|o| o.id != id) {
-                    tracer.close_top();
+            if r.open.iter().any(|o| o.id == id) {
+                while r.open.last().is_some_and(|o| o.id != id) {
+                    r.close_top();
                 }
-                tracer.close_top();
+                r.close_top();
             }
         });
     }
 }
 
+/// One completed span, rendered.
+#[derive(Clone, Debug)]
+pub struct TraceSpan {
+    /// Unique id within the record (allocation order).
+    pub id: u64,
+    /// The id of the span this one nested inside, if any.
+    pub parent: Option<u64>,
+    /// Phase tag (`"read"`, `"expand"`, `"form"`, `"store"`, …).
+    pub phase: &'static str,
+    /// Human label — usually the module or form being processed;
+    /// `<phase>` for an unlabeled span.
+    pub label: String,
+    /// Start time in microseconds since the recorder was installed.
+    pub start_us: u64,
+    /// Duration in microseconds (end and start are truncated on the
+    /// same clock, so a child's interval never escapes its parent's).
+    pub dur_us: u64,
+    /// Source location, when any.
+    pub src: Option<Span>,
+    /// Key/value annotations, in arrival order.
+    pub notes: Vec<(&'static str, String)>,
+}
+
 /// A finished trace: completed spans in completion order (children
-/// before their parents), plus how many were dropped to the ring bound.
+/// before their parents), how many were dropped to the ring bound, and
+/// the VM profile.
 #[derive(Clone, Debug, Default)]
 pub struct Trace {
     /// Completed spans, oldest completion first.
     pub spans: Vec<TraceSpan>,
     /// Spans evicted from the ring buffer (0 unless the trace overflowed).
     pub dropped: u64,
+    /// VM profile samples as `(function, chunks)`, most sampled first
+    /// (ties by name). Gensym suffixes are stripped, so alpha-renamed
+    /// user functions aggregate under the name the user wrote.
+    pub profile: Vec<(String, u64)>,
+}
+
+impl Record {
+    pub(crate) fn trace(&self) -> Trace {
+        let spans = self
+            .done
+            .iter()
+            .map(|s| {
+                let start_us = s.start_ns / 1000;
+                let end_us = s.start_ns.saturating_add(s.dur_ns) / 1000;
+                TraceSpan {
+                    id: s.id,
+                    parent: s.parent,
+                    phase: s.phase,
+                    label: s
+                        .label
+                        .map_or_else(|| format!("<{}>", s.phase), |l| Val::Sym(l).to_string()),
+                    start_us,
+                    dur_us: end_us - start_us,
+                    src: s.src,
+                    notes: s.notes.iter().map(|(k, v)| (*k, v.to_string())).collect(),
+                }
+            })
+            .collect();
+        let mut merged: HashMap<String, u64> = HashMap::new();
+        for (key, chunks) in self.counts() {
+            if let Key::Sample(function) = key {
+                let name =
+                    function.map_or_else(|| "<anonymous>".to_string(), |f| Val::Sym(f).to_string());
+                *merged.entry(name).or_insert(0) += chunks;
+            }
+        }
+        let mut profile: Vec<(String, u64)> = merged.into_iter().collect();
+        profile.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+        Trace {
+            spans,
+            dropped: self.dropped,
+            profile,
+        }
+    }
 }
 
 impl Trace {
@@ -328,6 +193,23 @@ impl Trace {
             }
             out.push_str("}}");
         }
+    }
+
+    /// The profile as a JSON array of `{"fn","chunks"}` rows.
+    pub fn profile_json(&self) -> String {
+        let mut out = String::from("[");
+        for (i, (name, chunks)) in self.profile.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            let _ = write!(
+                out,
+                "{{\"fn\":{},\"chunks\":{chunks}}}",
+                crate::json_string(name)
+            );
+        }
+        out.push(']');
+        out
     }
 }
 
@@ -375,46 +257,38 @@ pub fn chrome_trace_json(tracks: &[(String, Trace)], extra: &[(&str, String)]) -
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{uninstall, Collector};
+
+    fn m(name: &str) -> Option<Symbol> {
+        Some(Symbol::intern(name))
+    }
 
     #[test]
     fn inert_when_not_installed() {
-        assert!(!active());
-        let guard = start("read", "main");
+        assert!(!crate::enabled());
+        let guard = start("read", m("main"));
         note("k", "v");
-        attach_src(Span::synthetic());
         drop(guard);
-        assert!(uninstall().is_none());
+        uninstall();
     }
 
     #[test]
     fn spans_nest_and_close_in_order() {
-        install(16);
+        let c = Collector::install();
         {
-            let _a = start("expand", "main");
+            let _a = start("expand", m("main"));
             {
-                let _b = start("typecheck", "main");
-                note("forms", "3");
+                let _b = start("typecheck", m("main"));
+                note("forms", 3usize);
             }
-            let _c = start("optimize", "main");
+            let _c = start("optimize", m("main"));
         }
-        let t = uninstall().expect("installed");
+        uninstall();
+        let t = c.trace();
         assert_eq!(t.spans.len(), 3);
         assert_eq!(t.dropped, 0);
-        let expand = t
-            .spans
-            .iter()
-            .find(|s| s.phase == "expand")
-            .expect("expand");
-        let check = t
-            .spans
-            .iter()
-            .find(|s| s.phase == "typecheck")
-            .expect("typecheck");
-        let opt = t
-            .spans
-            .iter()
-            .find(|s| s.phase == "optimize")
-            .expect("optimize");
+        let find = |phase: &str| t.spans.iter().find(|s| s.phase == phase).expect(phase);
+        let (expand, check, opt) = (find("expand"), find("typecheck"), find("optimize"));
         assert_eq!(check.parent, Some(expand.id));
         assert_eq!(opt.parent, Some(expand.id));
         assert_eq!(expand.parent, None);
@@ -427,45 +301,52 @@ mod tests {
     }
 
     #[test]
-    fn ring_buffer_drops_oldest() {
-        install(2);
+    fn ring_buffer_drops_oldest_spans_but_no_counts() {
+        let c = Collector::install_with_capacity(2);
         for i in 0..5 {
-            let _s = start("form", &format!("f{i}"));
+            let _s = start("form", m(&format!("f{i}")));
+            crate::count("forms", Symbol::intern("main"), 1);
         }
-        let t = uninstall().expect("installed");
+        uninstall();
+        let t = c.trace();
         assert_eq!(t.spans.len(), 2);
         assert_eq!(t.dropped, 3);
         assert_eq!(t.spans[0].label, "f3");
         assert_eq!(t.spans[1].label, "f4");
+        assert_eq!(c.report().counters[0].value, 5);
     }
 
     #[test]
     fn uninstall_force_closes_open_spans() {
-        install(16);
-        let guard = start("run", "main");
+        let c = Collector::install();
+        let guard = start("run", m("main"));
         std::mem::forget(guard);
-        let t = uninstall().expect("installed");
+        uninstall();
+        let t = c.trace();
         assert_eq!(t.spans.len(), 1);
         assert_eq!(t.spans[0].phase, "run");
     }
 
     #[test]
     fn chrome_json_shape() {
-        install(16);
+        let c = Collector::install();
         {
             let _a = start_at(
                 "read",
-                "mod \"x\"",
+                m("mod \"x\""),
                 Span {
-                    source: lagoon_syntax::Symbol::intern("x.lag"),
+                    source: Symbol::intern("x.lag"),
                     start: 0,
                     end: 1,
                     line: 3,
                     col: 1,
                 },
             );
+            let _form = start("form", None);
         }
-        let t = uninstall().expect("installed");
+        uninstall();
+        let t = c.trace();
+        assert_eq!(t.spans[0].label, "<form>");
         let json = chrome_trace_json(&[("main".to_string(), t)], &[("profile", "[]".to_string())]);
         assert!(json.starts_with("{\"traceEvents\":["));
         assert!(json.contains("\"ph\":\"X\""));

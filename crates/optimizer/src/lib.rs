@@ -33,7 +33,6 @@
 
 use lagoon_core::build::{self, id};
 use lagoon_core::ModuleRegistry;
-use lagoon_diag::Event;
 use lagoon_runtime::RtError;
 use lagoon_syntax::{Datum, PropValue, Span, Symbol, SynData, Syntax};
 use lagoon_typed::check::prop_type;
@@ -48,33 +47,16 @@ struct Ctx {
     options: Options,
 }
 
-/// Records an applied rewrite: when tracing or diagnostics are on,
-/// logs the decision with its source span.
-fn applied(ctx: &Ctx, family: &'static str, op: &str, rule: &'static str, span: Span) {
-    if lagoon_diag::trace::active() {
-        lagoon_diag::trace::note("rewrite", format!("{op} -> {rule} @ {span}"));
-    }
-    if lagoon_diag::enabled() {
-        lagoon_diag::emit(Event::Rewrite {
-            family,
-            op: op.to_string(),
-            rule,
-            module: ctx.module,
-            span,
-        });
-    }
+/// Records an applied rewrite of `op` at `span` in the decision log.
+fn applied(ctx: &Ctx, family: &'static str, op: Symbol, rule: &'static str, span: Span) {
+    lagoon_diag::rewrite(ctx.module, family, op, rule, span);
 }
 
 /// Records a near-miss: a site that matched a rewrite's shape but was
-/// blocked, with the reason. Only constructed when diagnostics are on.
-fn near_miss(ctx: &Ctx, family: &'static str, op: &str, span: Span, reason: String) {
-    lagoon_diag::emit(Event::NearMiss {
-        family,
-        op: op.to_string(),
-        module: ctx.module,
-        span,
-        reason,
-    });
+/// blocked, with the reason. Callers build the reason only when a
+/// recorder is installed.
+fn near_miss(ctx: &Ctx, family: &'static str, op: Symbol, span: Span, reason: String) {
+    lagoon_diag::near_miss(ctx.module, family, op, span, reason);
 }
 
 /// The operand's static type rendered for near-miss reasons.
@@ -285,7 +267,9 @@ const INT_ARITH: &[&str] = &["+", "-", "*", "/", "min", "max"];
 /// Rewrites one application whose operands have already been optimized.
 /// Returns `None` if no specialization applies; `span` is the original
 /// application's source location, attached to logged decisions.
-fn specialize_app(op_name: &str, args: &[Syntax], span: Span, ctx: &Ctx) -> Option<Syntax> {
+fn specialize_app(op: Symbol, args: &[Syntax], span: Span, ctx: &Ctx) -> Option<Syntax> {
+    let op_name = strip_rename(op);
+    let op_name = op_name.as_str();
     let options = &ctx.options;
     let diag = lagoon_diag::enabled();
     // float binary ops: both operands coercible to Float, at least one
@@ -299,7 +283,7 @@ fn specialize_app(op_name: &str, args: &[Syntax], span: Span, ctx: &Ctx) -> Opti
             {
                 match (coerce_to_float(&args[0]), coerce_to_float(&args[1])) {
                     (Some(a), Some(b)) => {
-                        applied(ctx, "float", op_name, unsafe_op, span);
+                        applied(ctx, "float", op, unsafe_op, span);
                         return Some(build::app(id(unsafe_op), vec![a, b]));
                     }
                     (a, _) => {
@@ -308,7 +292,7 @@ fn specialize_app(op_name: &str, args: &[Syntax], span: Span, ctx: &Ctx) -> Opti
                             near_miss(
                                 ctx,
                                 "float",
-                                op_name,
+                                op,
                                 span,
                                 format!(
                                     "mixed operands: one side has static type {}, \
@@ -325,7 +309,7 @@ fn specialize_app(op_name: &str, args: &[Syntax], span: Span, ctx: &Ctx) -> Opti
             if options.complexes && (is_complex(&args[0]) || is_complex(&args[1])) {
                 match (coerce_to_complex(&args[0]), coerce_to_complex(&args[1])) {
                     (Some(a), Some(b)) => {
-                        applied(ctx, "float-complex", op_name, unsafe_op, span);
+                        applied(ctx, "float-complex", op, unsafe_op, span);
                         return Some(build::app(id(unsafe_op), vec![a, b]));
                     }
                     (a, _) => {
@@ -334,7 +318,7 @@ fn specialize_app(op_name: &str, args: &[Syntax], span: Span, ctx: &Ctx) -> Opti
                             near_miss(
                                 ctx,
                                 "float-complex",
-                                op_name,
+                                op,
                                 span,
                                 format!(
                                     "mixed operands: one side has static type {}, \
@@ -350,7 +334,7 @@ fn specialize_app(op_name: &str, args: &[Syntax], span: Span, ctx: &Ctx) -> Opti
         if let Some((_, unsafe_op)) = FX_CMPS.iter().find(|(g, _)| *g == op_name) {
             if options.fixnums {
                 if is_int(&args[0]) && is_int(&args[1]) {
-                    applied(ctx, "fixnum", op_name, unsafe_op, span);
+                    applied(ctx, "fixnum", op, unsafe_op, span);
                     return Some(build::app(
                         id(unsafe_op),
                         vec![args[0].clone(), args[1].clone()],
@@ -367,7 +351,7 @@ fn specialize_app(op_name: &str, args: &[Syntax], span: Span, ctx: &Ctx) -> Opti
                     near_miss(
                         ctx,
                         "fixnum",
-                        op_name,
+                        op,
                         span,
                         format!(
                             "mixed operands: one side has static type {}, not Integer",
@@ -386,7 +370,7 @@ fn specialize_app(op_name: &str, args: &[Syntax], span: Span, ctx: &Ctx) -> Opti
             near_miss(
                 ctx,
                 "fixnum",
-                op_name,
+                op,
                 span,
                 "Integer arithmetic is overflow-checked; wrapping unsafe-fx \
                  arithmetic would change semantics (comparisons do specialize)"
@@ -398,62 +382,62 @@ fn specialize_app(op_name: &str, args: &[Syntax], span: Span, ctx: &Ctx) -> Opti
         let a = &args[0];
         if let Some((_, unsafe_op)) = FL_UNOPS.iter().find(|(g, _)| *g == op_name) {
             if options.floats && is_float(a) {
-                applied(ctx, "float", op_name, unsafe_op, span);
+                applied(ctx, "float", op, unsafe_op, span);
                 return Some(build::app(id(unsafe_op), vec![a.clone()]));
             }
         }
         match op_name {
             "add1" if options.floats && is_float(a) => {
-                applied(ctx, "float", op_name, "unsafe-fl+", span);
+                applied(ctx, "float", op, "unsafe-fl+", span);
                 return Some(build::app(
                     id("unsafe-fl+"),
                     vec![a.clone(), float_literal_stx(1.0)],
                 ));
             }
             "sub1" if options.floats && is_float(a) => {
-                applied(ctx, "float", op_name, "unsafe-fl-", span);
+                applied(ctx, "float", op, "unsafe-fl-", span);
                 return Some(build::app(
                     id("unsafe-fl-"),
                     vec![a.clone(), float_literal_stx(1.0)],
                 ));
             }
             "zero?" if options.floats && is_float(a) => {
-                applied(ctx, "float", op_name, "unsafe-fl=", span);
+                applied(ctx, "float", op, "unsafe-fl=", span);
                 return Some(build::app(
                     id("unsafe-fl="),
                     vec![a.clone(), float_literal_stx(0.0)],
                 ));
             }
             "zero?" if options.fixnums && is_int(a) => {
-                applied(ctx, "fixnum", op_name, "unsafe-fx=", span);
+                applied(ctx, "fixnum", op, "unsafe-fx=", span);
                 return Some(build::app(
                     id("unsafe-fx="),
                     vec![a.clone(), build::lst(vec![id("quote"), build::int(0)])],
                 ));
             }
             "magnitude" if options.complexes && is_complex(a) => {
-                applied(ctx, "float-complex", op_name, "unsafe-fcmagnitude", span);
+                applied(ctx, "float-complex", op, "unsafe-fcmagnitude", span);
                 return Some(build::app(id("unsafe-fcmagnitude"), vec![a.clone()]));
             }
             "exact->inexact" if options.floats && is_int(a) => {
-                applied(ctx, "float", op_name, "unsafe-fx->fl", span);
+                applied(ctx, "float", op, "unsafe-fx->fl", span);
                 return Some(build::app(id("unsafe-fx->fl"), vec![a.clone()]));
             }
             "car" | "first" if options.pairs && is_known_pair(a) => {
-                applied(ctx, "pairs", op_name, "unsafe-car", span);
+                applied(ctx, "pairs", op, "unsafe-car", span);
                 return Some(build::app(id("unsafe-car"), vec![a.clone()]));
             }
             "cdr" | "rest" if options.pairs && is_known_pair(a) => {
-                applied(ctx, "pairs", op_name, "unsafe-cdr", span);
+                applied(ctx, "pairs", op, "unsafe-cdr", span);
                 return Some(build::app(id("unsafe-cdr"), vec![a.clone()]));
             }
             "second" | "cadr" if options.pairs && is_known_pair(a) && pair_depth(a) >= 2 => {
-                applied(ctx, "pairs", op_name, "unsafe-car", span);
+                applied(ctx, "pairs", op, "unsafe-car", span);
                 let cdr = build::app(id("unsafe-cdr"), vec![a.clone()]);
                 return Some(build::app(id("unsafe-car"), vec![cdr]));
             }
             "third" | "caddr" if options.pairs && is_known_pair(a) && pair_depth(a) >= 3 => {
-                applied(ctx, "pairs", op_name, "unsafe-car", span);
+                applied(ctx, "pairs", op, "unsafe-car", span);
                 let cdr = build::app(id("unsafe-cdr"), vec![a.clone()]);
                 let cddr = build::app(id("unsafe-cdr"), vec![cdr]);
                 return Some(build::app(id("unsafe-car"), vec![cddr]));
@@ -464,7 +448,7 @@ fn specialize_app(op_name: &str, args: &[Syntax], span: Span, ctx: &Ctx) -> Opti
                 near_miss(
                     ctx,
                     "pairs",
-                    op_name,
+                    op,
                     span,
                     format!(
                         "operand has possibly-empty static type {}; the pair \
@@ -477,7 +461,7 @@ fn specialize_app(op_name: &str, args: &[Syntax], span: Span, ctx: &Ctx) -> Opti
                 near_miss(
                     ctx,
                     "pairs",
-                    op_name,
+                    op,
                     span,
                     format!(
                         "known list prefix of {} is too short for {op_name}",
@@ -601,8 +585,7 @@ fn optimize_expr(stx: &Syntax, ctx: &Ctx) -> Result<Syntax, RtError> {
                 .map(|a| optimize_expr(a, ctx))
                 .collect::<Result<Vec<_>, _>>()?;
             if let Some(op_sym) = op.sym() {
-                let name = strip_rename(op_sym);
-                if let Some(specialized) = specialize_app(&name, &args, stx.span(), ctx) {
+                if let Some(specialized) = specialize_app(op_sym, &args, stx.span(), ctx) {
                     // keep the application's computed type annotation
                     return Ok(specialized.copy_properties_from(stx));
                 }
@@ -853,11 +836,11 @@ mod tests {
 mod decision_log_tests {
     use super::*;
     use lagoon_core::ModuleRegistry;
-    use lagoon_diag::{Collector, Event};
+    use lagoon_diag::{Collector, Report};
 
-    /// Expands `src` as module `main` with a collector installed and
-    /// returns the recorded events.
-    fn events_for(src: &str) -> Vec<Event> {
+    /// Expands `src` as module `main` with a recorder installed and
+    /// returns the recorded report.
+    fn report_for(src: &str) -> Report {
         let reg = ModuleRegistry::new();
         register_typed_languages(&reg);
         reg.add_module("main", src);
@@ -865,58 +848,42 @@ mod decision_log_tests {
         let result = reg.expanded_body("main");
         lagoon_diag::uninstall();
         result.unwrap();
-        collector.events()
+        collector.report()
     }
 
-    fn rewrites(events: &[Event]) -> Vec<(&'static str, String, &'static str, u32)> {
-        events
+    fn rewrites(report: &Report) -> Vec<(&'static str, String, String, u32)> {
+        report
+            .rewrites
             .iter()
-            .filter_map(|e| match e {
-                Event::Rewrite {
-                    family,
-                    op,
-                    rule,
-                    span,
-                    ..
-                } => Some((*family, op.clone(), *rule, span.line)),
-                _ => None,
-            })
+            .map(|r| (r.family, r.op.clone(), r.rule.clone(), r.line))
             .collect()
     }
 
-    fn near_misses(events: &[Event]) -> Vec<(&'static str, String, String, u32)> {
-        events
+    fn near_misses(report: &Report) -> Vec<(&'static str, String, String, u32)> {
+        report
+            .near_misses
             .iter()
-            .filter_map(|e| match e {
-                Event::NearMiss {
-                    family,
-                    op,
-                    reason,
-                    span,
-                    ..
-                } => Some((*family, op.clone(), reason.clone(), span.line)),
-                _ => None,
-            })
+            .map(|n| (n.family, n.op.clone(), n.reason.clone(), n.line))
             .collect()
     }
 
     #[test]
     fn float_rewrite_logs_one_event_with_span() {
         let events =
-            events_for("#lang typed/lagoon\n(define: (f [x : Float] [y : Float]) : Float (+ x y))");
+            report_for("#lang typed/lagoon\n(define: (f [x : Float] [y : Float]) : Float (+ x y))");
         let rs = rewrites(&events);
         assert_eq!(rs.len(), 1, "expected exactly one rewrite: {rs:?}");
         let (family, op, rule, line) = &rs[0];
         assert_eq!(*family, "float");
         assert_eq!(op, "+");
-        assert_eq!(*rule, "unsafe-fl+");
+        assert_eq!(rule, "unsafe-fl+");
         assert_eq!(*line, 2, "span should point at the source line");
     }
 
     #[test]
     fn fixnum_comparison_logs_one_event() {
         let events =
-            events_for("#lang typed/lagoon\n(define: (f [x : Integer]) : Boolean (< x 10))");
+            report_for("#lang typed/lagoon\n(define: (f [x : Integer]) : Boolean (< x 10))");
         let rs = rewrites(&events);
         assert_eq!(rs.len(), 1, "{rs:?}");
         assert_eq!(rs[0].0, "fixnum");
@@ -926,7 +893,7 @@ mod decision_log_tests {
 
     #[test]
     fn float_complex_rewrite_logs_one_event() {
-        let events = events_for(
+        let events = report_for(
             "#lang typed/lagoon\n(define: (f [z : Float-Complex]) : Float-Complex (* z 2.0+2.0i))",
         );
         let rs = rewrites(&events);
@@ -938,7 +905,7 @@ mod decision_log_tests {
 
     #[test]
     fn tag_check_elimination_logs_one_event() {
-        let events = events_for(
+        let events = report_for(
             "#lang typed/lagoon\n(define: (f [p : (List Integer Integer)]) : Integer (first p))",
         );
         let rs = rewrites(&events);
@@ -950,7 +917,7 @@ mod decision_log_tests {
 
     #[test]
     fn mixed_type_arithmetic_logs_a_near_miss_with_reason() {
-        let events = events_for(
+        let events = report_for(
             "#lang typed/lagoon\n(define: (f [x : Float] [y : Number]) : Number (+ x y))",
         );
         assert!(rewrites(&events).is_empty());
@@ -968,7 +935,7 @@ mod decision_log_tests {
 
     #[test]
     fn possibly_empty_listof_logs_a_near_miss() {
-        let events = events_for(
+        let events = report_for(
             "#lang typed/lagoon\n(define: (f [l : (Listof Integer)]) : Integer (car l))",
         );
         assert!(rewrites(&events).is_empty());
@@ -980,7 +947,7 @@ mod decision_log_tests {
 
     #[test]
     fn integer_arithmetic_logs_overflow_near_miss() {
-        let events = events_for(
+        let events = report_for(
             "#lang typed/lagoon\n(define: (f [x : Integer] [y : Integer]) : Integer (+ x y))",
         );
         assert!(rewrites(&events).is_empty());

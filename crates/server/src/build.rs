@@ -36,7 +36,7 @@ use std::thread::{self, ThreadId};
 use std::time::{Duration, Instant};
 
 use lagoon_core::ModuleRegistry;
-use lagoon_diag::trace::{Trace, TraceSpan};
+use lagoon_diag::trace::Trace;
 use lagoon_diag::{Collector, Limits, Report};
 use lagoon_syntax::{read_module, Symbol};
 
@@ -68,9 +68,10 @@ pub struct BuildOptions {
     /// Whether workers run the VM's peephole pass (thread-local state,
     /// so it must be forwarded explicitly).
     pub peephole: bool,
-    /// Whether the build records a structured trace: one `discovery`
-    /// span, and each worker's phase spans. Traces come back on
-    /// [`BuildReport::traces`], one track each (see `lagoon_diag::trace`).
+    /// Whether the build returns its traces: the `discovery` span (with
+    /// the store hits it verified), and each worker's spans. Traces come
+    /// back on [`BuildReport::traces`], one track each (see
+    /// `lagoon_diag::trace`).
     pub trace: bool,
 }
 
@@ -142,7 +143,7 @@ pub struct BuildReport {
     pub cache_hits: usize,
     /// Compiled-store misses across all workers.
     pub cache_misses: usize,
-    /// The merged diagnostics report from every worker.
+    /// The merged diagnostics report of discovery and every worker.
     pub diag: Report,
     /// Named trace tracks — `discovery`, then `worker 0`, `worker 1`, …
     /// — recorded only when [`BuildOptions::trace`] was set.
@@ -364,18 +365,19 @@ fn build_registry(opts: &BuildOptions) -> std::rc::Rc<ModuleRegistry> {
 }
 
 /// Scans the static graph from `entries` — the requires each source
-/// names — and then verifies each module's artifact from its header.
-/// Runs on a thread of its own, so the caller's thread-local
-/// diagnostics, limits, trace and peephole state are untouched.
+/// names — and then verifies each module's artifact from its header,
+/// inside one `discovery` span. Runs on a thread of its own, so the
+/// caller's thread-local diagnostics, limits and peephole state are
+/// untouched.
 fn discover(entries: &[String], source_of: &SourceFn, opts: &BuildOptions) -> Discovery {
-    let start = Instant::now();
     lagoon_vm::peephole::set_enabled(opts.peephole);
-    let collector = Collector::install();
     let registry = build_registry(opts);
     {
         let source_of = Arc::clone(source_of);
         registry.set_loader(move |name: Symbol| source_of(&name.as_str()));
     }
+    let collector = Collector::install();
+    let span = lagoon_diag::trace::start("discovery", None);
     let mut found = Discovery::default();
     let mut graph: Vec<(String, Vec<String>)> = Vec::new();
     let mut queue: VecDeque<String> = entries.iter().cloned().collect();
@@ -411,27 +413,12 @@ fn discover(entries: &[String], source_of: &SourceFn, opts: &BuildOptions) -> Di
         .filter(|(_, digest)| digest.is_some())
         .map(|(name, _)| name.as_str())
         .collect();
+    lagoon_diag::trace::note("verified", found.verified.len());
+    lagoon_diag::trace::note("dirty", found.dirty.len() + found.failures.len());
+    drop(span);
     lagoon_diag::uninstall();
     found.report = collector.report();
-    if opts.trace {
-        let dirty = found.dirty.len() + found.failures.len();
-        found.trace = Some(Trace {
-            spans: vec![TraceSpan {
-                id: 0,
-                parent: None,
-                phase: "discovery",
-                label: format!("{} entries", entries.len()),
-                start_us: 0,
-                dur_us: start.elapsed().as_micros().try_into().unwrap_or(u64::MAX),
-                src: None,
-                notes: vec![
-                    ("verified", found.verified.len().to_string()),
-                    ("dirty", dirty.to_string()),
-                ],
-            }],
-            dropped: 0,
-        });
-    }
+    found.trace = opts.trace.then(|| collector.trace());
     found
 }
 
@@ -563,9 +550,6 @@ fn worker_loop(
     lagoon_vm::peephole::set_enabled(opts.peephole);
     lagoon_diag::limits::install(opts.limits);
     let collector = Collector::install();
-    if opts.trace {
-        lagoon_diag::trace::install(lagoon_diag::trace::DEFAULT_CAPACITY);
-    }
 
     let setup_start = Instant::now();
     let registry = build_registry(opts);
@@ -619,16 +603,13 @@ fn worker_loop(
         });
     }
     lagoon_diag::uninstall();
-    let trace = if opts.trace {
-        lagoon_diag::trace::uninstall()
-    } else {
-        None
-    };
+    // the views are taken here: the record's epoch symbols mean nothing
+    // on the scheduler's thread
     WorkerResult {
         index,
         row,
         report: collector.report(),
-        trace,
+        trace: opts.trace.then(|| collector.trace()),
     }
 }
 

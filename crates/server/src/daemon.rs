@@ -10,9 +10,10 @@
 //! `resource-exhausted` error instead of queuing without bound.
 //!
 //! Each request runs under its own [`Limits`] (merged over the server's
-//! defaults) with the diagnostics collector installed, behind the same
-//! panic barrier as the embedding API. `{"op":"shutdown"}` — or, on
-//! unix, `SIGTERM` — drains the queue and stops the workers gracefully.
+//! defaults) with a diagnostics recorder installed, behind the same
+//! panic barrier as the embedding API; the response's `phases` are a
+//! view of that record. `{"op":"shutdown"}` — or, on unix, `SIGTERM` —
+//! drains the queue and stops the workers gracefully.
 
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Write};
@@ -1225,11 +1226,11 @@ fn handle_request(
         registry.remove_module(&name);
     }
 
-    let report = collector.report();
+    let (hits, misses) = collector.cache_counts();
     {
         let mut stats = shared.stats.lock().unwrap_or_else(|e| e.into_inner());
-        stats.cache_hits += report.cache_hits() as u64;
-        stats.cache_misses += report.cache_misses() as u64;
+        stats.cache_hits += hits as u64;
+        stats.cache_misses += misses as u64;
     }
 
     let mut response = match result {
@@ -1240,12 +1241,12 @@ fn handle_request(
         // Per-phase span summary (pipeline buckets, ms). Present on
         // errors too: a failed request still shows how far it got.
         let mut phases = BTreeMap::new();
-        for (name, nanos) in report.timing_buckets() {
+        for (name, nanos) in collector.timing_buckets() {
             phases.insert(name.to_string(), Json::Num(nanos as f64 / 1e6));
         }
         map.insert("phases".to_string(), Json::Obj(phases));
         if want_diag {
-            let parsed = json::parse(&report.to_json()).unwrap_or(Json::Null);
+            let parsed = json::parse(&collector.report().to_json()).unwrap_or(Json::Null);
             map.insert("report".to_string(), parsed);
         }
     }

@@ -1,10 +1,9 @@
-//! Per-opcode execution counters (the `vm-counters` feature).
+//! Per-opcode execution counters.
 //!
-//! Counting is doubly gated: the feature compiles the counting path in at
-//! all, and [`set_active`] turns it on for a particular run. The machine
-//! ([`crate::machine`]) checks [`active`] once per VM entry and selects a
-//! monomorphized interpreter loop, so the hot loop carries no per-opcode
-//! branch when counting is off.
+//! Counting is always compiled in and off until [`set_active`] turns it
+//! on for a run. The machine ([`crate::machine`]) checks [`active`] once
+//! per VM entry and selects a monomorphized interpreter loop, so the hot
+//! loop carries no per-opcode branch when counting is off.
 
 use crate::bytecode::{Op, OpClass};
 use std::cell::{Cell, RefCell};

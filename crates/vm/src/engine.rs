@@ -37,11 +37,7 @@ pub fn apply_contracted(
     args: &[Value],
 ) -> Result<Value, RtError> {
     if lagoon_diag::enabled() {
-        lagoon_diag::emit(lagoon_diag::Event::ContractCrossing {
-            export: c.inner.procedure_name(),
-            positive: c.positive,
-            negative: c.negative,
-        });
+        lagoon_diag::contract_crossing(c.inner.procedure_name(), c.positive, c.negative);
     }
     let Contract::Function(doms, rng) = &c.contract else {
         return Err(RtError::new(

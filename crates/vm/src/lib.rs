@@ -20,15 +20,12 @@
 
 pub mod bytecode;
 pub mod compile;
-#[cfg(feature = "vm-counters")]
 pub mod counters;
 pub mod engine;
 pub mod interp;
 pub mod ir;
 pub mod machine;
 pub mod peephole;
-#[cfg(feature = "vm-profile")]
-pub mod profile;
 
 pub mod codec;
 

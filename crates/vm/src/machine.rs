@@ -257,9 +257,8 @@ fn return_buffers(mut bufs: Buffers) {
 ///
 /// Selects between the counting and non-counting monomorphizations of
 /// [`exec`] once per entry, so the hot loop itself carries no counting
-/// branch when opcode counters are off (or compiled out).
+/// branch when opcode counters are off.
 fn run(proto: Rc<Proto>, env: Rc<VmEnv>, args: &[Value]) -> Result<Value, RtError> {
-    #[cfg(feature = "vm-counters")]
     if crate::counters::active() {
         return exec::<true>(proto, env, args);
     }
@@ -315,17 +314,18 @@ fn exec_loop<const COUNT: bool>(
 
     loop {
         if *fuel == 0 {
-            *fuel = lagoon_diag::limits::vm_take_fuel().map_err(RtError::from)?;
-            // sampling profiler: attribute this fuel chunk to the
-            // innermost running function (rarely-taken branch, so the
-            // hot path carries no per-opcode cost)
-            #[cfg(feature = "vm-profile")]
-            crate::profile::sample(cur.proto.name);
+            let (grant, sample) = lagoon_diag::limits::vm_take_fuel().map_err(RtError::from)?;
+            *fuel = grant;
+            // sampling profiler: attribute the last chunk of executed
+            // steps to the innermost running function (rarely-taken
+            // branch, so the hot path carries no per-opcode cost)
+            if sample {
+                lagoon_diag::sample(cur.proto.name);
+            }
         }
         *fuel -= 1;
         let op = cur.proto.code[cur.ip];
         cur.ip += 1;
-        #[cfg(feature = "vm-counters")]
         if COUNT {
             crate::counters::record(&op);
         }
@@ -361,7 +361,6 @@ fn exec_loop<const COUNT: bool>(
                             idx = j;
                             cur.ip += 1;
                             *fuel -= 1;
-                            #[cfg(feature = "vm-counters")]
                             if COUNT {
                                 crate::counters::record(&Op::LoadGlobal(idx));
                             }

@@ -691,10 +691,10 @@ fn run_file(
     }
 }
 
-/// `lagoon run --trace out.json`: runs with the structured tracer (and,
-/// when the `vm-profile` feature is on, the VM sampling profiler)
-/// installed, then writes a Chrome trace-event JSON file loadable in
-/// Perfetto or chrome://tracing.
+/// `lagoon run --trace out.json`: runs with a diagnostics recorder
+/// installed, then writes its trace view — spans plus the VM sampling
+/// profile — as a Chrome trace-event JSON file loadable in Perfetto or
+/// chrome://tracing.
 fn run_file_traced(
     file: &Path,
     engine: EngineKind,
@@ -714,21 +714,10 @@ fn run_file_traced(
             return ExitCode::FAILURE;
         }
     };
-    #[cfg(feature = "vm-profile")]
-    {
-        lagoon_vm::profile::reset();
-        lagoon_vm::profile::set_active(true);
-    }
     let (result, trace) = lagoon.run_traced(&main, engine);
-    #[cfg_attr(not(feature = "vm-profile"), allow(unused_mut))]
-    let mut extra: Vec<(&str, String)> = Vec::new();
-    #[cfg(feature = "vm-profile")]
-    {
-        lagoon_vm::profile::set_active(false);
-        extra.push(("vmProfile", lagoon_vm::profile::snapshot_json()));
-    }
+    let profile = trace.profile_json();
     let tracks = [("main".to_string(), trace)];
-    let json = lagoon::diag::trace::chrome_trace_json(&tracks, &extra);
+    let json = lagoon::diag::trace::chrome_trace_json(&tracks, &[("vmProfile", profile)]);
     if let Err(e) = std::fs::write(out_path, json) {
         eprintln!("cannot write trace {}: {e}", out_path.display());
         return ExitCode::FAILURE;

@@ -177,15 +177,45 @@ impl Lagoon {
         guarded(|| self.registry.expanded_body(module))
     }
 
-    /// Like [`Lagoon::run`] but with the diagnostics sink installed for
+    /// Compiles `name` and runs it on fresh instances with a diagnostics
+    /// recorder installed, so the run span (and, when `count_opcodes`,
+    /// the VM's opcode counts) covers the full execution rather than a
+    /// cached instance. The recorder's views stay valid after it
+    /// returns, even when the run failed.
+    fn run_recorded(
+        &self,
+        name: &str,
+        engine: EngineKind,
+        count_opcodes: bool,
+    ) -> (Result<Value, RtError>, diag::Collector) {
+        let collector = diag::Collector::install();
+        lagoon_vm::counters::reset();
+        let result = guarded(|| {
+            self.registry.compile(Symbol::intern(name))?;
+            self.registry.reset_instances();
+            lagoon_vm::counters::set_active(count_opcodes);
+            let _t = diag::time(diag::Phase::Run, Symbol::intern(name));
+            self.registry.run(name, engine)
+        });
+        lagoon_vm::counters::set_active(false);
+        if let Err(e) = &result {
+            // surface budget exhaustion in the report's limits table
+            if let Kind::ResourceExhausted { budget } = e.kind {
+                diag::limit_event_named(budget, Symbol::intern(name), e.span);
+            }
+        }
+        for (op, class, fused, count) in lagoon_vm::counters::snapshot() {
+            diag::opcode(op, class.name(), fused, count);
+        }
+        diag::uninstall();
+        (result, collector)
+    }
+
+    /// Like [`Lagoon::run`] but with a diagnostics recorder installed for
     /// the duration: returns the result value together with a
     /// [`diag::Report`] covering phase timings, macro/typechecker
     /// counters, the optimizer decision log, contract boundary crossings,
-    /// and (when the `vm-counters` feature is on) the executed opcode mix.
-    ///
-    /// The module (and anything it pulls in) is compiled first, then run
-    /// on fresh instances, so the run-phase timing and opcode counts cover
-    /// the full execution rather than a cached instance.
+    /// and the executed opcode mix.
     ///
     /// # Errors
     ///
@@ -195,76 +225,27 @@ impl Lagoon {
         name: &str,
         engine: EngineKind,
     ) -> Result<(Value, diag::Report), RtError> {
-        let collector = diag::Collector::install();
-        let result = guarded(|| {
-            self.registry.compile(Symbol::intern(name))?;
-            // run on fresh instances so the counters see the whole execution
-            self.registry.reset_instances();
-            #[cfg(feature = "vm-counters")]
-            {
-                lagoon_vm::counters::reset();
-                lagoon_vm::counters::set_active(true);
-            }
-            let result = {
-                let _t = diag::time(diag::Phase::Run, Symbol::intern(name));
-                self.registry.run(name, engine)
-            };
-            #[cfg(feature = "vm-counters")]
-            lagoon_vm::counters::set_active(false);
-            result
-        });
-        if let Err(e) = &result {
-            // surface budget exhaustion in the report's limits table
-            if let Kind::ResourceExhausted { budget } = e.kind {
-                diag::limit_event_named(budget, Symbol::intern(name), e.span);
-            }
-        }
-        diag::uninstall();
-        let value = result?;
-        #[cfg_attr(not(feature = "vm-counters"), allow(unused_mut))]
-        let mut report = collector.report();
-        #[cfg(feature = "vm-counters")]
-        report.set_opcodes(
-            lagoon_vm::counters::snapshot()
-                .into_iter()
-                .map(|(op, class, fused, count)| diag::OpcodeRow {
-                    op: op.to_string(),
-                    class: class.name().to_string(),
-                    fused,
-                    count,
-                })
-                .collect(),
-        );
-        Ok((value, report))
+        let (result, collector) = self.run_recorded(name, engine, true);
+        Ok((result?, collector.report()))
     }
 
-    /// Like [`Lagoon::run`] but with the structured tracer installed for
-    /// the duration: returns the run's outcome together with a
-    /// [`diag::trace::Trace`] of nested phase spans
-    /// (read/expand/typecheck/optimize/compile/load/run, plus per-form
-    /// expansion spans carrying source positions and store hit/miss
-    /// annotations). The trace is returned even when the run fails, so
-    /// callers can see how far it got.
-    ///
-    /// The module is compiled first, then run on fresh instances, so the
-    /// run span covers the full execution rather than a cached instance.
+    /// Like [`Lagoon::run_with_stats`], returning the other view of the
+    /// same record: a [`diag::trace::Trace`] of nested spans
+    /// (read/expand/typecheck/optimize/compile/load/run, per-form
+    /// expansion spans carrying source positions, optimizer decisions
+    /// and store lookups) and the VM profile. Opcodes are not counted, so
+    /// the run span times the uninstrumented loop. The trace is returned
+    /// even when the run fails, so callers can see how far it got.
     pub fn run_traced(
         &self,
         name: &str,
         engine: EngineKind,
     ) -> (Result<Value, RtError>, diag::trace::Trace) {
-        diag::trace::install(diag::trace::DEFAULT_CAPACITY);
-        let result = guarded(|| {
-            self.registry.compile(Symbol::intern(name))?;
-            self.registry.reset_instances();
-            let _t = diag::time(diag::Phase::Run, Symbol::intern(name));
-            self.registry.run(name, engine)
-        });
-        let trace = diag::trace::uninstall().unwrap_or_default();
-        (result, trace)
+        let (result, collector) = self.run_recorded(name, engine, false);
+        (result, collector.trace())
     }
 
-    /// Like [`Lagoon::expanded`] but with the diagnostics sink installed:
+    /// Like [`Lagoon::expanded`] but with a diagnostics recorder installed:
     /// returns the expanded forms together with a report of per-phase
     /// timings and expansion counters.
     ///

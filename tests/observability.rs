@@ -1,9 +1,8 @@
 //! End-to-end tests of the diagnostics subsystem through the facade:
 //! `run_with_stats` must surface phase timings, the optimizer decision
-//! log, contract boundary crossings, and (with `vm-counters`) the
-//! executed opcode mix — and the optimized opcode mix must actually
-//! show the generic-to-specialized dispatch shift the paper's §7
-//! rewrites promise.
+//! log, contract boundary crossings, and the executed opcode mix — and
+//! the optimized opcode mix must actually show the generic-to-specialized
+//! dispatch shift the paper's §7 rewrites promise.
 
 use lagoon::{EngineKind, Lagoon};
 
@@ -60,7 +59,6 @@ fn stats_run_uninstalls_sink_on_error() {
 /// opcode mix contains specialized (unsafe-derived) instructions and
 /// strictly fewer generic tag-dispatching ones than the same program
 /// under `typed/no-opt`.
-#[cfg(feature = "vm-counters")]
 #[test]
 fn optimized_opcode_mix_shifts_from_generic_to_specialized() {
     let run = |lang: &str| {
@@ -118,4 +116,53 @@ fn contract_boundary_crossings_are_counted_per_export() {
     // typed exports blame a generic "untyped-client" — the concrete
     // client is unknown when the wrapper is built
     assert_eq!(row.negative, "untyped-client");
+}
+
+/// A typed export called `n` times from untyped code: every call crosses
+/// the contract boundary and runs two flat checks.
+fn crossing_world(n: u64) -> Lagoon {
+    let lagoon = Lagoon::new();
+    lagoon.add_module(
+        "lib",
+        "#lang typed/lagoon
+         (: inc : Integer -> Integer)
+         (define (inc x) (+ x 1))
+         (provide inc)",
+    );
+    lagoon.add_module(
+        "client",
+        &format!(
+            "#lang lagoon
+             (require lib)
+             (define (loop i acc) (if (= i 0) acc (loop (- i 1) (inc acc))))
+             (loop {n} 0)"
+        ),
+    );
+    lagoon
+}
+
+#[test]
+fn the_record_grows_with_program_structure_not_executed_work() {
+    // (span rows, count rows) of the report, and the spans of a trace
+    let size = |n: u64| {
+        let lagoon = crossing_world(n);
+        let (value, report) = lagoon.run_with_stats("client", EngineKind::Vm).unwrap();
+        assert_eq!(value.to_string(), n.to_string());
+        let inc = report
+            .contracts
+            .iter()
+            .find(|c| c.export == "inc")
+            .unwrap_or_else(|| panic!("no crossing row for inc: {:?}", report.contracts));
+        assert_eq!(inc.count, n);
+        let spans = report.phases.len()
+            + report.rewrites.len()
+            + report.near_misses.len()
+            + report.caches.len()
+            + report.limits.len();
+        let counts = report.counters.len() + report.contracts.len() + report.opcodes.len();
+        let (result, trace) = crossing_world(n).run_traced("client", EngineKind::Vm);
+        assert_eq!(result.unwrap().to_string(), n.to_string());
+        (spans, counts, trace.spans.len())
+    };
+    assert_eq!(size(1_000), size(100_000));
 }

@@ -447,14 +447,12 @@ fn peephole_differential_sweep_matches_unfused_semantics() {
                     let (on, on_fused, on_total) = counted(&src, true);
                     let (off, off_fused, off_total) = counted(&src, false);
                     assert_eq!(on, off, "peephole changed value/output for {what}");
-                    if cfg!(feature = "vm-counters") {
-                        assert!(on_fused > 0, "{what}: no fused ops executed");
-                        assert!(
-                            on_total < off_total,
-                            "{what}: {on_total} ops fused vs {off_total} unfused"
-                        );
-                        assert_eq!(off_fused, 0, "{what}: fused ops ran with the pass off");
-                    }
+                    assert!(on_fused > 0, "{what}: no fused ops executed");
+                    assert!(
+                        on_total < off_total,
+                        "{what}: {on_total} ops fused vs {off_total} unfused"
+                    );
+                    assert_eq!(off_fused, 0, "{what}: fused ops ran with the pass off");
                 }
             });
         }

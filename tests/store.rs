@@ -736,23 +736,34 @@ fn build_traces_open_with_a_discovery_track() {
         );
         assert!(report.success(), "{:?}", report.failures());
         let tracks: Vec<&str> = report.traces.iter().map(|(n, _)| n.as_str()).collect();
-        let discovery = &report.traces[0].1.spans;
+        // one discovery span, with the header walk's store hits under it
+        let (discovery, hits): (Vec<_>, Vec<_>) = report.traces[0]
+            .1
+            .spans
+            .iter()
+            .partition(|s| s.phase == "discovery");
         assert_eq!(discovery.len(), 1, "one discovery span");
-        assert_eq!(discovery[0].phase, "discovery");
+        assert!(
+            hits.iter()
+                .all(|s| s.phase == "store" && s.parent == Some(discovery[0].id)),
+            "{hits:?}"
+        );
         let notes: Vec<String> = discovery[0]
             .notes
             .iter()
             .map(|(k, v)| format!("{k}={v}"))
             .collect();
-        (tracks.join(" "), notes.join(" "))
+        (tracks.join(" "), notes.join(" "), hits.len())
     };
     let n = sources.len();
-    let (tracks, notes) = traced(2);
+    let (tracks, notes, hits) = traced(2);
     assert_eq!(tracks, "discovery worker 0 worker 1");
     assert_eq!(notes, format!("verified=0 dirty={n}"));
-    let (tracks, notes) = traced(2);
+    assert_eq!(hits, 0);
+    let (tracks, notes, hits) = traced(2);
     assert_eq!(tracks, "discovery", "a no-op rebuild starts no worker");
     assert_eq!(notes, format!("verified={n} dirty=0"));
+    assert_eq!(hits, n, "one store hit per verified module");
 }
 
 #[test]

@@ -189,3 +189,93 @@ fn chrome_trace_json_round_trips() {
     assert_eq!(parsed.get("droppedSpans").and_then(Json::as_u64), Some(0));
     assert!(parsed.get("vmProfile").is_some());
 }
+
+/// Three rewrites (`=` and `-` on integers, `+` on floats, and `sqrt`)
+/// and one near miss (the overflow-checked integer `-`).
+const DECISIONS_PROGRAM: &str = "#lang typed/lagoon\n\
+    (: go : Integer Float -> Float)\n\
+    (define (go i acc) (if (= i 0) acc (go (- i 1) (+ acc 1.5))))\n\
+    (: h : Float -> Float)\n\
+    (define (h x) (sqrt x))\n\
+    (go 100000 0.0)\n";
+
+#[test]
+fn chrome_export_and_report_are_views_of_one_record() {
+    let dir = std::env::temp_dir().join(format!("lagoon-trace-views-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let lagoon = Lagoon::new();
+    lagoon.set_cache_dir(Some(dir.clone()));
+    lagoon.add_module("decisions", DECISIONS_PROGRAM);
+    let collector = lagoon::diag::Collector::install();
+    let value = lagoon.run("decisions", EngineKind::Vm);
+    lagoon::diag::uninstall();
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(value.expect("program runs").to_string(), "150000.0");
+    let report = collector.report();
+    assert!(report.rewrites.len() >= 3, "{:?}", report.rewrites);
+    assert!(!report.near_misses.is_empty(), "{:?}", report.near_misses);
+
+    let rendered =
+        lagoon::diag::trace::chrome_trace_json(&[("main".to_string(), collector.trace())], &[]);
+    let parsed = json::parse(&rendered).expect("chrome trace JSON parses");
+    let Some(Json::Arr(events)) = parsed.get("traceEvents") else {
+        panic!("traceEvents missing: {rendered}");
+    };
+    let cat = |e: &Json| e.get("cat").and_then(Json::as_str).map(str::to_string);
+    let arg = |e: &Json, key: &str| {
+        e.get("args")
+            .and_then(|a| a.get(key))
+            .and_then(Json::as_str)
+            .map(str::to_string)
+    };
+    let of = |c: &str| -> Vec<&Json> {
+        events
+            .iter()
+            .filter(|e| cat(e).as_deref() == Some(c))
+            .collect()
+    };
+
+    // every decision is its own record, so none is lost to a repeated key
+    let mut rules: Vec<String> = of("rewrite")
+        .iter()
+        .filter_map(|e| arg(e, "rule"))
+        .collect();
+    let mut logged: Vec<String> = report.rewrites.iter().map(|r| r.rule.clone()).collect();
+    rules.sort();
+    logged.sort();
+    assert_eq!(rules, logged);
+    assert_eq!(of("near-miss").len(), report.near_misses.len());
+
+    let stores: Vec<(String, String)> = of("store")
+        .iter()
+        .map(|e| {
+            let module = e.get("name").and_then(Json::as_str).unwrap_or_default();
+            (module.to_string(), arg(e, "store").unwrap_or_default())
+        })
+        .collect();
+    let rows: Vec<(String, String)> = report
+        .caches
+        .iter()
+        .map(|c| (c.module.clone(), c.status.to_string()))
+        .collect();
+    assert!(!rows.is_empty(), "a cold run with a store looks modules up");
+    assert_eq!(stores, rows);
+
+    let pipeline = [
+        "read",
+        "expand",
+        "typecheck",
+        "optimize",
+        "compile",
+        "load",
+        "run",
+    ];
+    let traced: std::collections::BTreeSet<String> = events
+        .iter()
+        .filter_map(cat)
+        .filter(|c| pipeline.contains(&c.as_str()))
+        .collect();
+    let reported: std::collections::BTreeSet<String> =
+        report.phases.iter().map(|p| p.phase.to_string()).collect();
+    assert_eq!(traced, reported);
+}
