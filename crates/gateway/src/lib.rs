@@ -1,44 +1,44 @@
-//! The lagoon gateway: an HTTP/1.1 front end over a pool of sharded
-//! evaluation daemons.
+//! The lagoon gateway: a router over a pool of sharded evaluation
+//! daemons.
 //!
-//! The daemon (PR 5–7) speaks a bespoke NDJSON protocol from a single
-//! process. The gateway puts a standard transport in front of it and
-//! scales it out: `POST /v1/run|expand|check` and `GET
-//! /v1/stats|healthz` map onto the existing request taxonomy, and a
-//! shard supervisor runs N daemons — spawned `lagoon serve` processes
-//! in production, in-process servers in tests — that share compiled
-//! modules only through the content-addressed `.lagc` store (made
-//! multi-process-safe by PR 3's tmp+rename writes).
+//! The gateway answers the daemon's own HTTP routes — `POST
+//! /v1/run|expand|check`, `GET /v1/stats`, `POST /v1/shutdown` — plus
+//! `GET /v1/healthz`, through the same accept and connection loops
+//! ([`lagoon_server::http`]). A shard supervisor runs N daemons —
+//! spawned `lagoon serve` processes in production, in-process servers in
+//! tests and the benchmark — that share compiled modules only through
+//! the content-addressed `.lagc` store (made multi-process-safe by its
+//! tmp+rename writes).
 //!
 //! Routing is least-outstanding-requests with shed-aware failover: a
 //! request goes to the shard with the fewest requests in flight, and a
-//! shedding rejection (`resource-exhausted` with a `reason`) or a
-//! transport failure moves it to the next-least-loaded shard before
-//! anything surfaces to the client. Only when *every* shard sheds does
-//! the client see a 503 — carrying the daemon's own `retry_after_ms`
-//! hint as a `Retry-After` header. PR 6's trace ids thread through
-//! HTTP: `x-lagoon-trace-id` in on the request, echoed out on the
-//! response, and per-shard phase buckets aggregate in `/v1/stats`.
+//! 503 shed or a transport failure moves it to the next-least-loaded
+//! shard before anything surfaces to the client. The gateway never
+//! parses a request or response body: it forwards the body bytes and
+//! the `x-lagoon-trace-id` header, and passes the daemon's status,
+//! body, trace and retry headers back. Only when *every* shard sheds
+//! does the client see the 503, with the daemon's `retry-after` hint.
 
 #![warn(missing_docs)]
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 
-pub mod http;
 pub mod shard;
 
-use std::collections::BTreeMap;
-use std::io::BufReader;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+/// The HTTP layer, which moved to [`lagoon_server::http`]; re-exported
+/// under its old path for the benchmark, which still imports it here.
+pub use lagoon_server::http;
+
+use std::net::SocketAddr;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use lagoon_diag::{Histogram, Limits};
+use lagoon_diag::Limits;
+use lagoon_server::http::{Front, HttpResponse, Reply, Request, Service};
 use lagoon_server::json::{self, obj, Json};
 
-use http::Request;
 use shard::{Shard, ShardBackend};
 
 /// Options for [`Gateway::start`].
@@ -62,15 +62,15 @@ pub struct GatewayOptions {
     pub limits: Limits,
     /// Whether shard workers run the VM peephole pass.
     pub peephole: bool,
-    /// HTTP `Content-Length` cap — the same bound the daemon enforces
-    /// on an NDJSON line (see `ServeOptions::max_request_bytes`).
+    /// Request body cap, for the gateway and its shard daemons alike
+    /// (the body is forwarded unchanged).
     pub max_body_bytes: usize,
     /// Bound on connect/read/write against a shard.
     pub request_timeout: Option<Duration>,
     /// Enables `POST /v1/test/kill-shard` (and the daemons' test ops).
     pub test_ops: bool,
     /// Extra arguments appended to each spawned `serve` command
-    /// (process backend only) — e.g. limit flags.
+    /// (process backend only) — e.g. `--recycle-after N`.
     pub extra_shard_args: Vec<String>,
 }
 
@@ -94,39 +94,24 @@ impl Default for GatewayOptions {
     }
 }
 
-impl GatewayOptions {
-    /// The NDJSON line cap passed to shard daemons: the HTTP body cap
-    /// plus headroom, since the gateway re-serializes the body with an
-    /// injected `op` (and possibly a `trace_id`) before proxying.
-    pub fn shard_request_bytes(&self) -> usize {
-        self.max_body_bytes.saturating_mul(2).max(4096)
-    }
-}
+/// The request header the gateway forwards to the daemon unchanged.
+const TRACE: &str = "x-lagoon-trace-id";
 
-/// HTTP-side counters, split from the shard gauges.
-#[derive(Default)]
-struct HttpStats {
-    requests: u64,
-    ok_2xx: u64,
-    err_4xx: u64,
-    err_5xx: u64,
-    /// Requests that were shed by every shard (surfaced as 503).
-    sheds: u64,
-    /// Requests that succeeded on a shard other than the first pick.
-    failovers: u64,
-    /// Requests that failed on every shard at the transport level.
-    unavailable: u64,
-    bytes_in: u64,
-    bytes_out: u64,
-    per_route: BTreeMap<String, Histogram>,
-}
+/// The response headers passed back from the daemon unchanged.
+const FORWARDED: [&str; 3] = [TRACE, "retry-after", "x-lagoon-retry-after-ms"];
 
 struct GwShared {
+    front: Front,
     opts: GatewayOptions,
     shards: Vec<Shard>,
     shutdown: AtomicBool,
     started: Instant,
-    http: Mutex<HttpStats>,
+    /// Requests that every shard shed (surfaced as 503).
+    sheds: AtomicU64,
+    /// Requests that succeeded on a shard other than the first pick.
+    failovers: AtomicU64,
+    /// Requests that failed on every shard at the transport level.
+    unavailable: AtomicU64,
 }
 
 /// A running gateway; call [`Gateway::shutdown`] then [`Gateway::wait`]
@@ -147,9 +132,8 @@ impl Gateway {
     /// Returns bind or shard-spawn failures (already-started shards
     /// are stopped before the error surfaces).
     pub fn start(opts: GatewayOptions) -> std::io::Result<Gateway> {
-        let listener = TcpListener::bind(&opts.addr)?;
+        let listener = lagoon_server::http::listen(&opts.addr)?;
         let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
         let mut shards = Vec::new();
         for index in 0..opts.shards.max(1) {
             match Shard::start(&opts, index) {
@@ -162,16 +146,30 @@ impl Gateway {
                 }
             }
         }
+        let mut routes = vec![
+            ("GET", "/v1/healthz"),
+            ("GET", "/v1/stats"),
+            ("POST", "/v1/run"),
+            ("POST", "/v1/expand"),
+            ("POST", "/v1/check"),
+            ("POST", "/v1/shutdown"),
+        ];
+        if opts.test_ops {
+            routes.push(("POST", "/v1/test/kill-shard"));
+        }
         let shared = Arc::new(GwShared {
+            front: Front::new(routes, opts.max_body_bytes),
             opts,
             shards,
             shutdown: AtomicBool::new(false),
             started: Instant::now(),
-            http: Mutex::new(HttpStats::default()),
+            sheds: AtomicU64::new(0),
+            failovers: AtomicU64::new(0),
+            unavailable: AtomicU64::new(0),
         });
         let acceptor = {
             let shared = Arc::clone(&shared);
-            std::thread::spawn(move || acceptor_main(listener, &shared))
+            std::thread::spawn(move || lagoon_server::http::serve(listener, shared))
         };
         let supervisor = {
             let shared = Arc::clone(&shared);
@@ -193,12 +191,12 @@ impl Gateway {
     /// Starts shutdown: the acceptor stops taking connections and
     /// [`Gateway::wait`] will drain the shards.
     pub fn shutdown(&self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
+        self.shared.drain();
     }
 
     /// Whether a shutdown has been requested.
     pub fn is_shutting_down(&self) -> bool {
-        self.shared.shutdown.load(Ordering::SeqCst)
+        self.shared.draining()
     }
 
     /// Blocks until the acceptor and supervisor exit, then drains and
@@ -224,7 +222,7 @@ impl Gateway {
 
 fn supervisor_main(shared: &Arc<GwShared>) {
     loop {
-        if shared.shutdown.load(Ordering::SeqCst) {
+        if shared.draining() {
             return;
         }
         for shard in &shared.shards {
@@ -234,399 +232,172 @@ fn supervisor_main(shared: &Arc<GwShared>) {
     }
 }
 
-fn acceptor_main(listener: TcpListener, shared: &Arc<GwShared>) {
-    loop {
-        if lagoon_server::daemon::sigterm_triggered() {
-            shared.shutdown.store(true, Ordering::SeqCst);
-        }
-        if shared.shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let _ = stream.set_nodelay(true);
-                let shared = Arc::clone(shared);
-                std::thread::spawn(move || connection_main(stream, &shared));
+impl Service for GwShared {
+    fn front(&self) -> &Front {
+        &self.front
+    }
+
+    fn call(&self, path: &'static str, request: &Request) -> Reply {
+        match path {
+            "/v1/healthz" => healthz(self),
+            "/v1/stats" => {
+                let deep = !request.head.target.contains("deep=0");
+                Reply::json(200, &stats_json(self, deep))
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(20));
+            "/v1/shutdown" => {
+                self.drain();
+                Reply::json(
+                    200,
+                    &obj(vec![
+                        ("ok", Json::Bool(true)),
+                        ("draining", Json::Bool(true)),
+                    ]),
+                )
             }
-            Err(_) => std::thread::sleep(Duration::from_millis(20)),
+            "/v1/test/kill-shard" => kill_shard(self, request),
+            _ => dispatch(self, path, request),
         }
+    }
+
+    fn draining(&self) -> bool {
+        self.shutdown.load(Ordering::SeqCst)
+    }
+
+    fn drain(&self) {
+        self.shutdown.store(true, Ordering::SeqCst);
     }
 }
 
-/// One JSON error body in the daemon's error shape, so HTTP clients
-/// and NDJSON clients see the same taxonomy.
-fn error_body(kind: &str, message: &str, extra: Vec<(&str, Json)>) -> Vec<u8> {
-    let mut fields = vec![
-        ("kind", Json::Str(kind.to_string())),
-        ("message", Json::Str(message.to_string())),
-    ];
-    fields.extend(extra);
-    obj(vec![("ok", Json::Bool(false)), ("error", obj(fields))])
-        .to_string()
-        .into_bytes()
-}
-
-/// A fully-assembled response, ready to write.
-struct Outcome {
-    status: u16,
-    headers: Vec<(&'static str, String)>,
-    body: Vec<u8>,
-}
-
-impl Outcome {
-    fn new(status: u16, body: Vec<u8>) -> Outcome {
-        Outcome {
-            status,
-            headers: Vec::new(),
-            body,
-        }
-    }
-}
-
-fn connection_main(stream: TcpStream, shared: &Arc<GwShared>) {
-    let Ok(write_half) = stream.try_clone() else {
-        return;
-    };
-    let mut writer = write_half;
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(60)));
-    let mut reader = BufReader::new(stream);
-    loop {
-        let head = match http::read_head(&mut reader) {
-            Ok(head) => head,
-            Err(e) => {
-                let Some((status, message, _close)) = http::error_status(&e) else {
-                    return;
-                };
-                let body = error_body("protocol", &message, vec![]);
-                let _ = http::write_response(&mut writer, status, &[], &body, false);
-                return;
-            }
-        };
-        if head.expects_continue() && http::write_continue(&mut writer).is_err() {
-            return;
-        }
-        let body = match http::read_body(&mut reader, &head, shared.opts.max_body_bytes) {
-            Ok(body) => body,
-            Err(e) => {
-                let Some((status, message, _close)) = http::error_status(&e) else {
-                    return;
-                };
-                let kind = if status == 413 {
-                    "resource-exhausted"
-                } else {
-                    "protocol"
-                };
-                let extra = if status == 413 {
-                    vec![
-                        ("reason", Json::Str("request-too-large".to_string())),
-                        ("retryable", Json::Bool(false)),
-                    ]
-                } else {
-                    vec![]
-                };
-                let body = error_body(kind, &message, extra);
-                let _ = http::write_response(&mut writer, status, &[], &body, false);
-                return;
-            }
-        };
-        let keep_alive = head.keep_alive();
-        let started = Instant::now();
-        let request = Request { head, body };
-        let outcome = route(shared, &request);
-        {
-            let mut stats = shared.http.lock().unwrap_or_else(|e| e.into_inner());
-            stats.requests += 1;
-            stats.bytes_in += request.body.len() as u64;
-            stats.bytes_out += outcome.body.len() as u64;
-            match outcome.status {
-                200 => stats.ok_2xx += 1,
-                400..=499 => stats.err_4xx += 1,
-                _ => stats.err_5xx += 1,
-            }
-            let route_key = request.path().trim_start_matches("/v1/").to_string();
-            stats
-                .per_route
-                .entry(route_key)
-                .or_default()
-                .record(started.elapsed());
-        }
-        if http::write_response(
-            &mut writer,
-            outcome.status,
-            &outcome.headers,
-            &outcome.body,
-            keep_alive,
-        )
-        .is_err()
-            || !keep_alive
-        {
-            return;
-        }
-    }
-}
-
-/// Routes one request. Application-level failures (unknown route, bad
-/// JSON) are cleanly framed responses and keep the connection open.
-fn route(shared: &Arc<GwShared>, request: &Request) -> Outcome {
-    let method = request.head.method.as_str();
-    match (method, request.path()) {
-        ("GET", "/v1/healthz") => healthz(shared),
-        ("GET", "/v1/stats") => {
-            let deep = !request.head.target.contains("deep=0");
-            Outcome::new(200, stats_json(shared, deep).to_string().into_bytes())
-        }
-        ("POST", "/v1/run") => dispatch(shared, request, "run"),
-        ("POST", "/v1/expand") => dispatch(shared, request, "expand"),
-        ("POST", "/v1/check") => dispatch(shared, request, "check"),
-        ("POST", "/v1/shutdown") => {
-            shared.shutdown.store(true, Ordering::SeqCst);
-            Outcome::new(
-                200,
-                obj(vec![
-                    ("ok", Json::Bool(true)),
-                    ("draining", Json::Bool(true)),
-                ])
-                .to_string()
-                .into_bytes(),
-            )
-        }
-        ("POST", "/v1/test/kill-shard") if shared.opts.test_ops => kill_shard(shared, request),
-        (
-            _,
-            "/v1/healthz" | "/v1/stats" | "/v1/run" | "/v1/expand" | "/v1/check" | "/v1/shutdown",
-        ) => Outcome::new(
-            405,
-            error_body(
-                "protocol",
-                &format!("method {method} not allowed here"),
-                vec![],
-            ),
-        ),
-        (_, path) => Outcome::new(
-            404,
-            error_body("protocol", &format!("no route for {path}"), vec![]),
-        ),
-    }
-}
-
-fn healthz(shared: &Arc<GwShared>) -> Outcome {
+fn healthz(shared: &GwShared) -> Reply {
     let live = shared.shards.iter().filter(|s| s.is_live()).count();
-    let total = shared.shards.len();
-    let ok = live >= 1 && !shared.shutdown.load(Ordering::SeqCst);
+    let ok = live >= 1 && !shared.draining();
     let body = obj(vec![
         ("ok", Json::Bool(ok)),
         ("live", Json::Num(live as f64)),
-        ("shards", Json::Num(total as f64)),
-    ])
-    .to_string()
-    .into_bytes();
-    Outcome::new(if ok { 200 } else { 503 }, body)
+        ("shards", Json::Num(shared.shards.len() as f64)),
+    ]);
+    Reply::json(if ok { 200 } else { 503 }, &body)
 }
 
-fn kill_shard(shared: &Arc<GwShared>, request: &Request) -> Outcome {
-    let parsed = std::str::from_utf8(&request.body)
+fn kill_shard(shared: &GwShared, request: &Request) -> Reply {
+    let index = lagoon_server::http::json_body(&request.body)
         .ok()
-        .and_then(|s| json::parse(s).ok());
-    let index = parsed
-        .as_ref()
-        .and_then(|p| p.get("shard"))
-        .and_then(Json::as_u64)
+        .and_then(|body| body.get("shard").and_then(Json::as_u64))
         .unwrap_or(0) as usize;
     match shared.shards.get(index) {
-        None => Outcome::new(
-            400,
-            error_body("protocol", &format!("no shard {index}"), vec![]),
-        ),
+        None => Reply::error(400, "protocol", &format!("no shard {index}")),
         Some(shard) => {
             shard.kill();
-            Outcome::new(
+            Reply::json(
                 200,
-                obj(vec![
+                &obj(vec![
                     ("ok", Json::Bool(true)),
                     ("killed", Json::Num(index as f64)),
-                ])
-                .to_string()
-                .into_bytes(),
+                ]),
             )
         }
     }
-}
-
-/// Whether a proxied daemon response is a shedding rejection
-/// (admission control, not a program error), and its retry hint.
-fn shed_info(parsed: &Json) -> Option<(bool, Option<u64>)> {
-    let err = parsed.get("error")?;
-    if err.get("kind").and_then(Json::as_str) != Some("resource-exhausted") {
-        return None;
-    }
-    err.get("reason").and_then(Json::as_str)?;
-    let retryable = err.get("retryable").and_then(Json::as_bool) == Some(true);
-    let hint = err.get("retry_after_ms").and_then(Json::as_u64);
-    Some((retryable, hint))
 }
 
 /// Proxies a run/expand/check request to the shard pool:
 /// least-outstanding first, failing over across shards on transport
-/// errors and sheds, so a single dead or saturated shard is invisible
-/// to the client.
-fn dispatch(shared: &Arc<GwShared>, request: &Request, op: &str) -> Outcome {
-    let text = match std::str::from_utf8(&request.body) {
-        Ok(t) => t,
-        Err(_) => {
-            return Outcome::new(400, error_body("protocol", "body is not UTF-8", vec![]));
-        }
-    };
-    let mut parsed = if text.trim().is_empty() {
-        Json::Obj(BTreeMap::new())
-    } else {
-        match json::parse(text) {
-            Ok(p @ Json::Obj(_)) => p,
-            Ok(_) => {
-                return Outcome::new(
-                    400,
-                    error_body("protocol", "body must be a JSON object", vec![]),
-                );
-            }
-            Err(e) => {
-                return Outcome::new(
-                    400,
-                    error_body("protocol", &format!("bad JSON body: {e}"), vec![]),
-                );
-            }
-        }
-    };
-    if let Json::Obj(map) = &mut parsed {
-        // The route determines the op — a body-supplied "op" cannot
-        // smuggle shutdown/test ops through the proxy.
-        map.insert("op".to_string(), Json::Str(op.to_string()));
-        if let Some(id) = request.header("x-lagoon-trace-id") {
-            if !id.is_empty() {
-                map.insert(
-                    "trace_id".to_string(),
-                    Json::Str(id.chars().take(64).collect()),
-                );
-            }
-        }
-    }
-    let line = parsed.to_string();
+/// errors and 503 sheds, so a single dead or saturated shard is
+/// invisible to the client.
+fn dispatch(shared: &GwShared, path: &str, request: &Request) -> Reply {
+    let trace: Vec<(&str, String)> = request
+        .header(TRACE)
+        .map(|id| (TRACE, id.to_string()))
+        .into_iter()
+        .collect();
 
     // Least-outstanding routing: try shards from least to most loaded.
     let mut order: Vec<usize> = (0..shared.shards.len()).collect();
     order.sort_by_key(|i| shared.shards[*i].outstanding.load(Ordering::Relaxed));
 
-    let mut last_shed: Option<(String, usize, Option<u64>)> = None;
+    let mut last_shed: Option<(HttpResponse, usize)> = None;
     for (attempt, &index) in order.iter().enumerate() {
         let shard = &shared.shards[index];
         shard.outstanding.fetch_add(1, Ordering::Relaxed);
-        let result = shard.proxy(&line, shared.opts.request_timeout);
+        let result = shard.request(
+            "POST",
+            path,
+            &trace,
+            &request.body,
+            shared.opts.request_timeout,
+        );
         shard.outstanding.fetch_sub(1, Ordering::Relaxed);
-        match result {
-            Err(_) => continue,
-            Ok(response) => {
-                let parsed = json::parse(&response).unwrap_or(Json::Null);
-                if let Some((_retryable, hint)) = shed_info(&parsed) {
-                    // Shed — try the next shard (even a non-retryable
-                    // "shutting-down" shed: another shard may take it).
-                    last_shed = Some((response, index, hint));
-                    continue;
-                }
-                if attempt > 0 {
-                    let mut stats = shared.http.lock().unwrap_or_else(|e| e.into_inner());
-                    stats.failovers += 1;
-                }
-                return respond(&parsed, response, index);
-            }
+        let Ok(response) = result else { continue };
+        shard.done.fetch_add(1, Ordering::Relaxed);
+        if response.status == 503 {
+            // Shed — try the next shard (even a non-retryable
+            // "shutting-down" shed: another shard may take it).
+            shard.sheds.fetch_add(1, Ordering::Relaxed);
+            last_shed = Some((response, index));
+            continue;
         }
+        if attempt > 0 {
+            shared.failovers.fetch_add(1, Ordering::Relaxed);
+        }
+        return forward(response, index);
     }
 
-    if let Some((response, index, hint)) = last_shed {
-        let mut stats = shared.http.lock().unwrap_or_else(|e| e.into_inner());
-        stats.sheds += 1;
-        drop(stats);
-        let ms = hint.unwrap_or(100);
-        let mut outcome = Outcome::new(503, response.into_bytes());
-        outcome
-            .headers
-            .push(("retry-after", ms.div_ceil(1000).max(1).to_string()));
-        outcome
-            .headers
-            .push(("x-lagoon-retry-after-ms", ms.to_string()));
-        outcome.headers.push(("x-lagoon-shard", index.to_string()));
-        return outcome;
+    if let Some((response, index)) = last_shed {
+        shared.sheds.fetch_add(1, Ordering::Relaxed);
+        return forward(response, index);
     }
 
-    let mut stats = shared.http.lock().unwrap_or_else(|e| e.into_inner());
-    stats.unavailable += 1;
-    drop(stats);
-    let mut outcome = Outcome::new(
-        502,
-        error_body(
-            "unavailable",
-            "no shard could take the request",
-            vec![
+    shared.unavailable.fetch_add(1, Ordering::Relaxed);
+    let body = obj(vec![
+        ("ok", Json::Bool(false)),
+        (
+            "error",
+            obj(vec![
+                ("kind", Json::Str("unavailable".to_string())),
+                (
+                    "message",
+                    Json::Str("no shard could take the request".to_string()),
+                ),
                 ("retryable", Json::Bool(true)),
                 ("retry_after_ms", Json::Num(200.0)),
-            ],
+            ]),
         ),
-    );
-    outcome
-        .headers
-        .push(("x-lagoon-retry-after-ms", "200".to_string()));
-    outcome
-}
-
-/// Maps a daemon response onto an HTTP status. The status reflects the
-/// *serving* outcome, not the program's: protocol misuse is 400,
-/// daemon internal errors are 500, and program-level results — values
-/// and type/runtime/budget errors alike — are 200 with the structured
-/// body, because the gateway served them successfully.
-fn respond(parsed: &Json, response: String, shard_index: usize) -> Outcome {
-    let status = match parsed
-        .get("error")
-        .and_then(|e| e.get("kind"))
-        .and_then(Json::as_str)
-    {
-        Some("protocol") => 400,
-        Some("internal") => 500,
-        _ => 200,
-    };
-    let mut outcome = Outcome::new(status, response.into_bytes());
-    outcome
-        .headers
-        .push(("x-lagoon-shard", shard_index.to_string()));
-    if let Some(id) = parsed.get("trace_id").and_then(Json::as_str) {
-        outcome.headers.push(("x-lagoon-trace-id", id.to_string()));
+    ]);
+    Reply {
+        headers: vec![("x-lagoon-retry-after-ms", "200".to_string())],
+        ..Reply::json(502, &body)
     }
-    outcome
 }
 
-/// The gateway statistics object: HTTP counters, per-route latency
-/// histograms, per-shard gauges with aggregated phase buckets, and
-/// (when `deep`) each daemon's own `stats` object embedded.
-fn stats_json(shared: &Arc<GwShared>, deep: bool) -> Json {
-    let http = {
-        let stats = shared.http.lock().unwrap_or_else(|e| e.into_inner());
-        let mut routes = BTreeMap::new();
-        for (route, h) in &stats.per_route {
-            let parsed = json::parse(&h.to_json()).unwrap_or(Json::Null);
-            routes.insert(route.clone(), parsed);
+/// A daemon's response as the gateway's reply: its status, body, trace
+/// and retry headers unchanged, plus the shard that served it.
+fn forward(response: HttpResponse, shard: usize) -> Reply {
+    let mut headers: Vec<(&'static str, String)> = FORWARDED
+        .iter()
+        .filter_map(|&name| response.header(name).map(|v| (name, v.to_string())))
+        .collect();
+    headers.push(("x-lagoon-shard", shard.to_string()));
+    Reply {
+        status: response.status,
+        headers,
+        body: response.body,
+    }
+}
+
+/// The gateway statistics object: the connection loop's HTTP counters
+/// and per-route latency histograms with the routing counters, per-shard
+/// gauges, and (when `deep`) each daemon's own `stats` object embedded.
+fn stats_json(shared: &GwShared, deep: bool) -> Json {
+    let mut http = shared.front.stats_json();
+    if let Json::Obj(map) = &mut http {
+        for (name, counter) in [
+            ("sheds", &shared.sheds),
+            ("failovers", &shared.failovers),
+            ("unavailable", &shared.unavailable),
+        ] {
+            let n = counter.load(Ordering::Relaxed);
+            map.insert(name.to_string(), Json::Num(n as f64));
         }
-        obj(vec![
-            ("requests", Json::Num(stats.requests as f64)),
-            ("ok_2xx", Json::Num(stats.ok_2xx as f64)),
-            ("err_4xx", Json::Num(stats.err_4xx as f64)),
-            ("err_5xx", Json::Num(stats.err_5xx as f64)),
-            ("sheds", Json::Num(stats.sheds as f64)),
-            ("failovers", Json::Num(stats.failovers as f64)),
-            ("unavailable", Json::Num(stats.unavailable as f64)),
-            ("bytes_in", Json::Num(stats.bytes_in as f64)),
-            ("bytes_out", Json::Num(stats.bytes_out as f64)),
-            ("routes", Json::Obj(routes)),
-        ])
-    };
+    }
     let shard_gauges: Vec<Json> = shared.shards.iter().map(Shard::gauges).collect();
     let live = shared.shards.iter().filter(|s| s.is_live()).count();
     let mut fields = vec![
@@ -649,7 +420,9 @@ fn stats_json(shared: &Arc<GwShared>, deep: bool) -> Json {
             .shards
             .iter()
             .map(|s| {
-                s.daemon_stats(shared.opts.request_timeout)
+                s.request("GET", "/v1/stats", &[], b"", shared.opts.request_timeout)
+                    .ok()
+                    .and_then(|r| json::parse(&r.body_str()).ok())
                     .unwrap_or(Json::Null)
             })
             .collect();
@@ -663,47 +436,28 @@ mod tests {
     use super::*;
 
     #[test]
-    fn shed_info_classifies_rejections() {
-        let shed = json::parse(
-            r#"{"ok":false,"error":{"kind":"resource-exhausted","message":"m",
-                "reason":"queue-full","retryable":true,"retry_after_ms":25}}"#,
-        )
-        .unwrap();
-        assert_eq!(shed_info(&shed), Some((true, Some(25))));
-        // A program that exhausted its own budget has no "reason" and
-        // must NOT be failed over: rerunning it elsewhere wastes a
-        // second shard's time on the same deterministic outcome.
-        let budget = json::parse(
-            r#"{"ok":false,"error":{"kind":"resource-exhausted","message":"m","budget":"vm-steps"}}"#,
-        )
-        .unwrap();
-        assert_eq!(shed_info(&budget), None);
-        let ok = json::parse(r#"{"ok":true,"value":"3"}"#).unwrap();
-        assert_eq!(shed_info(&ok), None);
-    }
-
-    #[test]
-    fn respond_maps_outcomes_to_statuses() {
-        let ok = json::parse(r#"{"ok":true,"value":"3","trace_id":"t-9"}"#).unwrap();
-        let outcome = respond(&ok, ok.to_string(), 1);
-        assert_eq!(outcome.status, 200);
-        assert!(outcome
-            .headers
-            .iter()
-            .any(|(k, v)| *k == "x-lagoon-trace-id" && v == "t-9"));
-        assert!(outcome
-            .headers
-            .iter()
-            .any(|(k, v)| *k == "x-lagoon-shard" && v == "1"));
-        let protocol =
-            json::parse(r#"{"ok":false,"error":{"kind":"protocol","message":"m"}}"#).unwrap();
-        assert_eq!(respond(&protocol, protocol.to_string(), 0).status, 400);
-        let internal =
-            json::parse(r#"{"ok":false,"error":{"kind":"internal","message":"m"}}"#).unwrap();
-        assert_eq!(respond(&internal, internal.to_string(), 0).status, 500);
-        // Program-level errors are 200: the gateway served the request.
-        let type_err =
-            json::parse(r#"{"ok":false,"error":{"kind":"type","message":"m"}}"#).unwrap();
-        assert_eq!(respond(&type_err, type_err.to_string(), 0).status, 200);
+    fn forward_keeps_the_daemons_status_body_and_headers() {
+        let response = HttpResponse {
+            status: 503,
+            headers: vec![
+                ("content-length".to_string(), "2".to_string()),
+                ("X-Lagoon-Trace-Id".to_string(), "t-9".to_string()),
+                ("retry-after".to_string(), "1".to_string()),
+                ("x-lagoon-retry-after-ms".to_string(), "25".to_string()),
+            ],
+            body: b"{}".to_vec(),
+        };
+        let reply = forward(response, 1);
+        assert_eq!(reply.status, 503);
+        assert_eq!(reply.body, b"{}");
+        assert_eq!(
+            reply.headers,
+            vec![
+                ("x-lagoon-trace-id", "t-9".to_string()),
+                ("retry-after", "1".to_string()),
+                ("x-lagoon-retry-after-ms", "25".to_string()),
+                ("x-lagoon-shard", "1".to_string()),
+            ]
+        );
     }
 }

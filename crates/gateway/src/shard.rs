@@ -1,10 +1,10 @@
 //! Shard management: each shard is one evaluation daemon — a spawned
 //! `lagoon serve` process or an in-process [`Server`] — plus the
-//! gateway-side state needed to route to it: a pool of idle NDJSON
-//! connections, an outstanding-request gauge for least-outstanding
+//! gateway-side state needed to route to it: a pool of idle keep-alive
+//! HTTP connections, an outstanding-request gauge for least-outstanding
 //! routing, and failure counters.
 //!
-//! The supervisor tick ([`Shard::ensure_live`]) is PR 7's worker
+//! The supervisor tick ([`Shard::ensure_live`]) is the daemon's worker
 //! respawn pattern lifted to process granularity: a shard whose
 //! process exits (crash, kill) is respawned in place with the same
 //! store directory, and the connection pool is flushed so stale
@@ -15,7 +15,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
-use lagoon_server::client::Connection;
+use lagoon_server::http::{HttpClient, HttpResponse};
 use lagoon_server::json::{obj, Json};
 use lagoon_server::{ServeOptions, Server};
 
@@ -32,7 +32,7 @@ pub enum ShardBackend {
         cmd: Vec<String>,
     },
     /// Run the daemon on threads inside this process (tests and the
-    /// bench harness's fallback when no `lagoon` binary is around).
+    /// benchmark, which runs without a `lagoon` binary).
     InProcess,
 }
 
@@ -48,7 +48,7 @@ struct ShardInner {
     runtime: Runtime,
     /// Idle keep-alive connections to this shard, reused across
     /// requests (capped; see [`Shard::park`]).
-    idle: Vec<Connection>,
+    idle: Vec<HttpClient>,
 }
 
 /// One shard: its running daemon and the routing state around it.
@@ -59,17 +59,14 @@ pub struct Shard {
     /// Requests currently in flight against this shard — the
     /// least-outstanding routing key.
     pub outstanding: AtomicUsize,
-    /// Requests this shard completed (any response, shed or not).
+    /// Requests this shard answered (any response, shed or not).
     pub done: AtomicU64,
-    /// Responses that were shedding rejections.
+    /// Responses that were 503 sheds.
     pub sheds: AtomicU64,
     /// Transport failures talking to this shard.
     pub conn_errors: AtomicU64,
     /// Times the supervisor respawned this shard's daemon.
     pub respawns: AtomicU64,
-    /// Aggregated per-phase milliseconds from proxied responses
-    /// (read/expand/typecheck/… buckets, PR 6's trace taxonomy).
-    phases: Mutex<std::collections::BTreeMap<String, f64>>,
 }
 
 /// Most idle connections parked per shard.
@@ -89,7 +86,7 @@ fn start_backend(opts: &GatewayOptions, index: usize) -> std::io::Result<(String
                 peephole: opts.peephole,
                 recycle_after: 0,
                 test_ops: opts.test_ops,
-                max_request_bytes: opts.shard_request_bytes(),
+                max_request_bytes: opts.max_body_bytes,
             })?;
             Ok((
                 server.addr().to_string(),
@@ -100,6 +97,7 @@ fn start_backend(opts: &GatewayOptions, index: usize) -> std::io::Result<(String
             let (program, prefix) = cmd
                 .split_first()
                 .ok_or_else(|| std::io::Error::other("empty shard command"))?;
+            let limits = &opts.limits;
             let mut command = std::process::Command::new(program);
             command.args(prefix);
             command.args([
@@ -111,8 +109,21 @@ fn start_backend(opts: &GatewayOptions, index: usize) -> std::io::Result<(String
                 "--queue-cap",
                 &opts.queue_cap.to_string(),
                 "--max-request-bytes",
-                &opts.shard_request_bytes().to_string(),
+                &opts.max_body_bytes.to_string(),
+                "--max-steps",
+                &limits.max_vm_steps.to_string(),
+                "--max-expand-steps",
+                &limits.max_expansion_steps.to_string(),
+                "--max-expand-depth",
+                &limits.max_expansion_depth.to_string(),
+                "--max-phase1-steps",
+                &limits.max_phase1_steps.to_string(),
+                "--max-stack-depth",
+                &limits.max_stack_depth.to_string(),
             ]);
+            if let Some(timeout) = limits.timeout {
+                command.args(["--timeout-ms", &timeout.as_millis().to_string()]);
+            }
             if let Some(dir) = &opts.cache_dir {
                 command.args(["--cache-dir", &dir.display().to_string()]);
             }
@@ -187,7 +198,6 @@ impl Shard {
             sheds: AtomicU64::new(0),
             conn_errors: AtomicU64::new(0),
             respawns: AtomicU64::new(0),
-            phases: Mutex::new(std::collections::BTreeMap::new()),
         })
     }
 
@@ -213,7 +223,7 @@ impl Shard {
         }
     }
 
-    /// Sends one NDJSON line to this shard and reads the response,
+    /// Sends one request to this shard's daemon and reads the response,
     /// reusing a pooled connection when one is parked. A stale pooled
     /// connection (daemon restarted since it was parked) is retried
     /// once on a fresh dial before the error surfaces.
@@ -221,40 +231,35 @@ impl Shard {
     /// # Errors
     ///
     /// Propagates transport failures (after the one stale retry).
-    pub fn proxy(&self, line: &str, timeout: Option<Duration>) -> std::io::Result<String> {
+    pub fn request(
+        &self,
+        method: &str,
+        path: &str,
+        headers: &[(&str, String)],
+        body: &[u8],
+        timeout: Option<Duration>,
+    ) -> std::io::Result<HttpResponse> {
         let pooled = {
             let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
             inner.idle.pop().map(|c| (c, inner.addr.clone()))
         };
         if let Some((mut conn, addr)) = pooled {
-            match conn.roundtrip(line) {
-                Ok(response) if !response.is_empty() => {
-                    self.record(&response);
-                    self.park(conn, &addr);
-                    return Ok(response);
-                }
-                // EOF or error on a pooled socket: the daemon likely
-                // restarted; fall through to a fresh dial.
-                _ => {}
+            // An error on a pooled socket means the daemon likely
+            // restarted; fall through to a fresh dial.
+            if let Ok(response) = conn.request(method, path, headers, body) {
+                self.park(conn, &addr, &response);
+                return Ok(response);
             }
         }
         let addr = self.addr();
-        let mut conn = match Connection::connect(&addr, timeout) {
-            Ok(c) => c,
-            Err(e) => {
-                self.conn_errors.fetch_add(1, Ordering::Relaxed);
-                return Err(e);
-            }
-        };
-        match conn.roundtrip(line) {
-            Ok(response) if !response.is_empty() => {
-                self.record(&response);
-                self.park(conn, &addr);
+        let sent = HttpClient::connect(&addr, timeout).and_then(|mut conn| {
+            let response = conn.request(method, path, headers, body)?;
+            Ok((conn, response))
+        });
+        match sent {
+            Ok((conn, response)) => {
+                self.park(conn, &addr, &response);
                 Ok(response)
-            }
-            Ok(_) => {
-                self.conn_errors.fetch_add(1, Ordering::Relaxed);
-                Err(std::io::Error::other("shard closed the connection"))
             }
             Err(e) => {
                 self.conn_errors.fetch_add(1, Ordering::Relaxed);
@@ -263,34 +268,13 @@ impl Shard {
         }
     }
 
-    /// Folds a successful response into the shard's counters and phase
-    /// buckets.
-    fn record(&self, response: &str) {
-        self.done.fetch_add(1, Ordering::Relaxed);
-        let Ok(parsed) = lagoon_server::json::parse(response) else {
+    /// Parks an idle connection for reuse, unless the daemon closed it,
+    /// the shard has moved (respawn changed its address), or the pool
+    /// is full.
+    fn park(&self, conn: HttpClient, addr: &str, response: &HttpResponse) {
+        if response.closes() {
             return;
-        };
-        if parsed
-            .get("error")
-            .and_then(|e| e.get("reason"))
-            .and_then(Json::as_str)
-            .is_some()
-        {
-            self.sheds.fetch_add(1, Ordering::Relaxed);
         }
-        if let Some(Json::Obj(phases)) = parsed.get("phases") {
-            let mut agg = self.phases.lock().unwrap_or_else(|e| e.into_inner());
-            for (name, ms) in phases {
-                if let Json::Num(ms) = ms {
-                    *agg.entry(name.clone()).or_insert(0.0) += ms;
-                }
-            }
-        }
-    }
-
-    /// Parks an idle connection for reuse, unless the shard has moved
-    /// (respawn changed its address) or the pool is full.
-    fn park(&self, conn: Connection, addr: &str) {
         let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
         if inner.addr == addr && inner.idle.len() < IDLE_POOL_CAP {
             inner.idle.push(conn);
@@ -352,24 +336,8 @@ impl Shard {
         }
     }
 
-    /// Asks the shard's daemon for its own `stats` object.
-    pub fn daemon_stats(&self, timeout: Option<Duration>) -> Option<Json> {
-        let addr = self.addr();
-        let response =
-            lagoon_server::client::request_line(&addr, r#"{"op":"stats"}"#, timeout).ok()?;
-        lagoon_server::json::parse(&response).ok()
-    }
-
     /// The gateway-side gauges for this shard as a JSON object.
     pub fn gauges(&self) -> Json {
-        let phases = {
-            let agg = self.phases.lock().unwrap_or_else(|e| e.into_inner());
-            Json::Obj(
-                agg.iter()
-                    .map(|(k, v)| (k.clone(), Json::Num(*v)))
-                    .collect(),
-            )
-        };
         obj(vec![
             ("index", Json::Num(self.index as f64)),
             ("addr", Json::Str(self.addr())),
@@ -391,15 +359,14 @@ impl Shard {
                 "respawns",
                 Json::Num(self.respawns.load(Ordering::Relaxed) as f64),
             ),
-            ("phases_ms", phases),
         ])
     }
 
-    /// Final teardown: ask the daemon to drain via its own protocol,
-    /// then reap it. Used by gateway shutdown (not the kill path).
+    /// Final teardown: ask the daemon to drain through its own
+    /// shutdown route, then reap it. Used by gateway shutdown (not the
+    /// kill path).
     pub fn stop(&self, timeout: Option<Duration>) {
-        let addr = self.addr();
-        let _ = lagoon_server::client::request_line(&addr, r#"{"op":"shutdown"}"#, timeout);
+        let _ = self.request("POST", "/v1/shutdown", &[], b"{}", timeout);
         let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
         inner.idle.clear();
         match std::mem::replace(&mut inner.runtime, Runtime::Dead) {

@@ -1,20 +1,23 @@
-//! A minimal client for the evaluation daemon: one JSON line out, one
-//! JSON line back, with optional retry-and-jittered-backoff for
-//! transient failures. Backs the `lagoon remote` subcommand and the
+//! The client side of the serving protocol: [`HttpClient`] plus a
+//! [`RetryPolicy`] with jittered backoff for transient failures. A
+//! daemon and a gateway serve the same `/v1/*` routes, so one client
+//! reaches either. Backs the `lagoon remote` subcommand and the
 //! integration tests.
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
+use lagoon_diag::gen::SplitMix64;
+
+use crate::http::{HttpClient, HttpResponse};
 use crate::json::{self, obj, Json};
 
-/// Retry-with-backoff settings for [`request_line_retry`].
+/// Retry-with-backoff settings for [`repeat_request`].
 ///
-/// A request is retried when the connection fails outright (refused,
-/// reset mid-read — e.g. the daemon is restarting) or when the daemon
-/// sheds it with a retryable `resource-exhausted` rejection
-/// (`queue-full`, `workers-degraded`, `workers-unavailable`). Errors
+/// A request is retried when the transport fails outright (refused,
+/// reset mid-read — e.g. the server is restarting) or when the server
+/// marks its response retryable with an `x-lagoon-retry-after-ms`
+/// header: a daemon shedding for `queue-full`, `workers-degraded` or
+/// `workers-unavailable`, or a gateway with no reachable shard. Errors
 /// produced by the *program* — including its own budget exhaustion —
 /// are never retried.
 ///
@@ -45,17 +48,9 @@ impl Default for RetryPolicy {
     }
 }
 
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 impl RetryPolicy {
     /// The jittered delay before retry number `attempt` (1-based).
-    pub fn delay(&self, attempt: u32, rng: &mut u64) -> Duration {
+    pub fn delay(&self, attempt: u32, rng: &mut SplitMix64) -> Duration {
         let ceil = self
             .base
             .saturating_mul(1u32 << attempt.min(16))
@@ -63,143 +58,25 @@ impl RetryPolicy {
             .max(self.base);
         let floor = self.base / 2;
         let span = ceil.saturating_sub(floor).as_millis().max(1) as u64;
-        floor + Duration::from_millis(splitmix64(rng) % span)
+        floor + Duration::from_millis(rng.below(span))
     }
 }
 
-/// Whether a response line is a daemon shedding rejection worth
-/// retrying (see [`RetryPolicy`]). Malformed lines are not retryable —
-/// they indicate a protocol bug, not a transient condition.
-pub fn is_retryable_response(line: &str) -> bool {
-    let Ok(parsed) = json::parse(line) else {
-        return false;
-    };
-    let Some(err) = parsed.get("error") else {
-        return false;
-    };
-    err.get("kind").and_then(Json::as_str) == Some("resource-exhausted")
-        && err.get("retryable").and_then(Json::as_bool) == Some(true)
-}
-
-/// The server's `retry_after_ms` hint on a shedding rejection, if any.
-/// Retrying clients prefer this over their own backoff schedule: the
-/// daemon knows whether it shed for a draining queue (tens of ms) or a
-/// dead worker pool (hundreds).
-pub fn retry_after_hint(line: &str) -> Option<Duration> {
-    let parsed = json::parse(line).ok()?;
-    let ms = parsed.get("error")?.get("retry_after_ms")?.as_u64()?;
+/// The server's retry hint: a retryable response carries
+/// `x-lagoon-retry-after-ms`, sized to how long the condition usually
+/// lasts (a draining queue: tens of milliseconds; a dead worker pool:
+/// hundreds). `None` means the response is final.
+pub fn retry_hint(response: &HttpResponse) -> Option<Duration> {
+    let ms = response.header("x-lagoon-retry-after-ms")?.parse().ok()?;
     Some(Duration::from_millis(ms))
 }
 
-/// The delay before the next retry: the server's hint (plus up to 50%
-/// jitter, so a shed burst does not return in lockstep) when the
-/// response carries one, the policy's own jittered backoff otherwise.
-fn retry_delay(
-    policy: &RetryPolicy,
-    attempt: u32,
-    rng: &mut u64,
-    hint: Option<Duration>,
-) -> Duration {
-    match hint {
-        Some(hint) => {
-            let jitter_ms = (hint.as_millis() / 2).max(1) as u64;
-            (hint + Duration::from_millis(splitmix64(rng) % jitter_ms)).min(policy.max)
-        }
-        None => policy.delay(attempt, rng),
-    }
-}
-
-/// [`request_line`] with retry-and-jittered-backoff: I/O failures and
-/// retryable daemon rejections are retried up to `policy.attempts`
-/// total attempts. Returns the last response (or the last I/O error if
-/// every attempt failed to connect), plus the number of retries taken.
-///
-/// # Errors
-///
-/// Propagates the final connection or I/O failure once attempts are
-/// exhausted.
-pub fn request_line_retry(
-    addr: &str,
-    line: &str,
-    timeout: Option<Duration>,
-    policy: &RetryPolicy,
-) -> std::io::Result<(String, u32)> {
-    let mut rng = policy.seed;
-    let attempts = policy.attempts.max(1);
-    let mut retries = 0;
-    loop {
-        let outcome = request_line(addr, line, timeout);
-        let (retry, hint) = match &outcome {
-            Ok(response) => (is_retryable_response(response), retry_after_hint(response)),
-            Err(_) => (true, None),
-        };
-        if !retry || retries + 1 >= attempts {
-            return outcome.map(|r| (r, retries));
-        }
-        retries += 1;
-        std::thread::sleep(retry_delay(policy, retries, &mut rng, hint));
-    }
-}
-
-/// Sends one newline-delimited request line and reads one response
-/// line. `timeout` bounds both the connect and the read.
-///
-/// # Errors
-///
-/// Propagates connection and I/O failures.
-pub fn request_line(addr: &str, line: &str, timeout: Option<Duration>) -> std::io::Result<String> {
-    let stream = TcpStream::connect(addr)?;
-    // small request/response lines; Nagle + delayed ACK would add
-    // ~40ms per hop otherwise
-    let _ = stream.set_nodelay(true);
-    stream.set_read_timeout(timeout)?;
-    stream.set_write_timeout(timeout)?;
-    let mut writer = stream.try_clone()?;
-    writer.write_all(line.as_bytes())?;
-    writer.write_all(b"\n")?;
-    writer.flush()?;
-    let mut response = String::new();
-    BufReader::new(stream).read_line(&mut response)?;
-    Ok(response.trim_end().to_string())
-}
-
-/// A persistent connection that can pipeline several requests.
-pub struct Connection {
-    writer: TcpStream,
-    reader: BufReader<TcpStream>,
-}
-
-impl Connection {
-    /// Connects to a daemon.
-    ///
-    /// # Errors
-    ///
-    /// Propagates connection failures.
-    pub fn connect(addr: &str, timeout: Option<Duration>) -> std::io::Result<Connection> {
-        let stream = TcpStream::connect(addr)?;
-        let _ = stream.set_nodelay(true);
-        stream.set_read_timeout(timeout)?;
-        stream.set_write_timeout(timeout)?;
-        let writer = stream.try_clone()?;
-        Ok(Connection {
-            writer,
-            reader: BufReader::new(stream),
-        })
-    }
-
-    /// Sends one request line and reads the response line.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O failures.
-    pub fn roundtrip(&mut self, line: &str) -> std::io::Result<String> {
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")?;
-        self.writer.flush()?;
-        let mut response = String::new();
-        self.reader.read_line(&mut response)?;
-        Ok(response.trim_end().to_string())
-    }
+/// The delay before retrying a response that carried `hint`: the hint
+/// plus up to 50% jitter, so a shed burst does not return in lockstep,
+/// capped at the policy's ceiling.
+fn hinted_delay(policy: &RetryPolicy, hint: Duration, rng: &mut SplitMix64) -> Duration {
+    let jitter_ms = (hint.as_millis() / 2).max(1) as u64;
+    (hint + Duration::from_millis(rng.below(jitter_ms))).min(policy.max)
 }
 
 /// The outcome of [`repeat_request`]: per-request responses plus the
@@ -210,96 +87,80 @@ pub struct RepeatOutcome {
     pub ok: u64,
     /// Responses that were errors (after retries were exhausted).
     pub errors: u64,
-    /// Shed-retries taken across all requests.
+    /// Retries taken across all requests.
     pub retries: u64,
     /// Fresh connections dialed after the first (0 = one connection
     /// served every request).
     pub reconnects: u64,
     /// Wall-clock for the whole batch.
     pub wall: Duration,
-    /// The final response line of each request, in order.
+    /// The final response body of each request, in order.
     pub responses: Vec<String>,
 }
 
-/// Sends `line` `repeat` times over **one** persistent [`Connection`],
-/// reconnecting only when the transport fails (daemon restart, reset),
-/// and honoring retryable sheds — with the server's `retry_after_ms`
-/// hint when present — per `policy`. Backs `lagoon remote --repeat`.
+/// Sends one request `repeat` times over **one** keep-alive
+/// [`HttpClient`], reconnecting only when the transport fails (server
+/// restart, reset) or the server closes the connection, and retrying
+/// retryable responses — after their `x-lagoon-retry-after-ms` hint —
+/// per `policy`. Backs `lagoon remote`.
 ///
 /// # Errors
 ///
-/// Returns the final I/O error only if a connection can never be
-/// (re-)established within the policy's attempts; shed responses and
-/// program errors are recorded in the outcome, not raised.
+/// Returns the final I/O error only if a request never got a response
+/// within the policy's attempts; retryable responses that stay so, and
+/// program errors, are recorded in the outcome, not raised.
 pub fn repeat_request(
     addr: &str,
-    line: &str,
+    method: &str,
+    target: &str,
+    body: &[u8],
     repeat: u64,
     timeout: Option<Duration>,
     policy: &RetryPolicy,
 ) -> std::io::Result<RepeatOutcome> {
-    let started = std::time::Instant::now();
-    let mut rng = policy.seed;
+    let started = Instant::now();
+    let mut rng = SplitMix64::new(policy.seed);
     let attempts = policy.attempts.max(1);
     let mut outcome = RepeatOutcome::default();
-    let mut conn: Option<Connection> = None;
+    let mut conn: Option<HttpClient> = None;
+    let mut dialed = false;
     for _ in 0..repeat.max(1) {
         let mut tries = 0u32;
         let response = loop {
-            if conn.is_none() {
-                match Connection::connect(addr, timeout) {
-                    Ok(c) => {
-                        if outcome.responses.is_empty() && tries == 0 {
-                            // first dial, not a reconnect
-                        } else {
-                            outcome.reconnects += 1;
-                        }
-                        conn = Some(c);
-                    }
-                    Err(e) => {
-                        tries += 1;
-                        if tries >= attempts {
-                            return Err(e);
-                        }
-                        outcome.retries += 1;
-                        std::thread::sleep(policy.delay(tries, &mut rng));
-                        continue;
-                    }
-                }
+            tries += 1;
+            let sent = match conn.take() {
+                Some(client) => Ok(client),
+                None => HttpClient::connect(addr, timeout).inspect(|_| {
+                    outcome.reconnects += u64::from(dialed);
+                    dialed = true;
+                }),
             }
-            let result = conn
-                .as_mut()
-                .map(|c| c.roundtrip(line))
-                .unwrap_or_else(|| Err(std::io::Error::other("no connection")));
-            match result {
-                // An empty line is EOF: the daemon closed on us.
-                Ok(response) if !response.is_empty() => {
-                    if is_retryable_response(&response) {
-                        tries += 1;
-                        if tries >= attempts {
-                            break response;
+            .and_then(|mut client| {
+                let response = client.request(method, target, &[], body)?;
+                Ok((client, response))
+            });
+            match sent {
+                Ok((client, response)) => {
+                    if !response.closes() {
+                        conn = Some(client);
+                    }
+                    match retry_hint(&response) {
+                        Some(hint) if tries < attempts => {
+                            outcome.retries += 1;
+                            std::thread::sleep(hinted_delay(policy, hint, &mut rng));
                         }
-                        let hint = retry_after_hint(&response);
-                        outcome.retries += 1;
-                        std::thread::sleep(retry_delay(policy, tries, &mut rng, hint));
-                        continue;
+                        _ => break response,
                     }
-                    break response;
                 }
-                Ok(_) | Err(_) => {
-                    conn = None;
-                    tries += 1;
-                    if tries >= attempts {
-                        return Err(std::io::Error::other(
-                            "connection lost and retries exhausted",
-                        ));
-                    }
+                Err(e) if tries >= attempts => return Err(e),
+                Err(_) => {
                     outcome.retries += 1;
                     std::thread::sleep(policy.delay(tries, &mut rng));
                 }
             }
         };
-        let ok = json::parse(&response)
+        let body = response.body_str();
+        let ok = json::parse(&body)
             .ok()
             .and_then(|r| r.get("ok").and_then(Json::as_bool))
             == Some(true);
@@ -308,61 +169,94 @@ pub fn repeat_request(
         } else {
             outcome.errors += 1;
         }
-        outcome.responses.push(response);
+        outcome.responses.push(body);
     }
     outcome.wall = started.elapsed();
     Ok(outcome)
 }
 
-/// Builds a request object for `op` against an inline source text.
-pub fn inline_request(op: &str, source: &str, limits: Vec<(&str, u64)>) -> String {
-    let mut fields = vec![
-        ("op", Json::Str(op.to_string())),
-        ("source", Json::Str(source.to_string())),
-    ];
-    let limit_obj = obj(limits
-        .into_iter()
-        .map(|(k, v)| (k, Json::Num(v as f64)))
-        .collect());
-    if limit_obj != obj(vec![]) {
-        fields.push(("limits", limit_obj));
+/// A keep-alive connection taking request lines that carry an `"op"`
+/// field, each posted to `/v1/{op}`, answered with the response body.
+/// It keeps the request-line interface the benchmark drives a daemon
+/// through; new callers use [`HttpClient`].
+pub struct Connection(HttpClient);
+
+impl Connection {
+    /// Connects to a daemon.
+    ///
+    /// # Errors
+    ///
+    /// Propagates connection failures.
+    pub fn connect(addr: &str, timeout: Option<Duration>) -> std::io::Result<Connection> {
+        HttpClient::connect(addr, timeout).map(Connection)
     }
-    obj(fields).to_string()
+
+    /// Posts one request line to the route its `"op"` names and returns
+    /// the response body.
+    ///
+    /// # Errors
+    ///
+    /// Propagates I/O failures.
+    pub fn roundtrip(&mut self, line: &str) -> std::io::Result<String> {
+        let parsed = json::parse(line).unwrap_or(Json::Null);
+        let op = parsed.get("op").and_then(Json::as_str).unwrap_or_default();
+        let response = self
+            .0
+            .request("POST", &format!("/v1/{op}"), &[], line.as_bytes())?;
+        Ok(response.body_str())
+    }
 }
 
-/// Builds a request object for `op` against a named module.
-pub fn module_request(op: &str, module: &str) -> String {
-    obj(vec![
-        ("op", Json::Str(op.to_string())),
-        ("module", Json::Str(module.to_string())),
-    ])
-    .to_string()
+/// Builds a run/expand/check request body for an inline source text,
+/// with per-request `limits` (which may only tighten the server's).
+pub fn inline_request(source: &str, limits: Vec<(&str, u64)>) -> String {
+    let mut fields = vec![("source", Json::Str(source.to_string()))];
+    if !limits.is_empty() {
+        let limits = limits
+            .into_iter()
+            .map(|(k, v)| (k, Json::Num(v as f64)))
+            .collect();
+        fields.push(("limits", obj(limits)));
+    }
+    obj(fields).to_string()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    const SHED: &str = r#"{"ok":false,"error":{"kind":"resource-exhausted","message":"m",
-        "reason":"queue-full","retryable":true,"retry_after_ms":25}}"#;
+    fn response(headers: &[(&str, &str)]) -> HttpResponse {
+        HttpResponse {
+            status: 503,
+            headers: headers
+                .iter()
+                .map(|(k, v)| (k.to_string(), v.to_string()))
+                .collect(),
+            body: Vec::new(),
+        }
+    }
 
     #[test]
-    fn retry_hint_is_read_from_shed_responses() {
-        assert_eq!(retry_after_hint(SHED), Some(Duration::from_millis(25)));
-        assert_eq!(retry_after_hint(r#"{"ok":true}"#), None);
-        assert_eq!(retry_after_hint("not json"), None);
+    fn retry_hint_is_read_from_the_header() {
+        let shed = response(&[("X-Lagoon-Retry-After-Ms", "25")]);
+        assert_eq!(retry_hint(&shed), Some(Duration::from_millis(25)));
+        assert_eq!(retry_hint(&response(&[("retry-after", "1")])), None);
+        assert_eq!(
+            retry_hint(&response(&[("x-lagoon-retry-after-ms", "soon")])),
+            None
+        );
     }
 
     #[test]
     fn hinted_delay_stays_near_the_hint_and_below_the_ceiling() {
         let policy = RetryPolicy::default();
-        let mut rng = 7;
+        let mut rng = SplitMix64::new(7);
         for _ in 0..32 {
-            let d = retry_delay(&policy, 1, &mut rng, Some(Duration::from_millis(100)));
+            let d = hinted_delay(&policy, Duration::from_millis(100), &mut rng);
             assert!(d >= Duration::from_millis(100) && d <= Duration::from_millis(150));
         }
         // A hint above the ceiling is clamped to it.
-        let d = retry_delay(&policy, 1, &mut rng, Some(Duration::from_secs(10)));
+        let d = hinted_delay(&policy, Duration::from_secs(10), &mut rng);
         assert!(d <= policy.max);
     }
 }

@@ -1,23 +1,27 @@
 //! The evaluation daemon.
 //!
-//! [`Server::start`] binds a TCP listener and serves newline-delimited
-//! JSON requests (`{"op":"run"|"expand"|"check"|"stats"|"shutdown", …}`)
-//! across a pool of worker threads. Each worker owns a private Lagoon
-//! world — registry, languages, compiled-store handle — so requests
-//! never share live values; compiled modules are shared only through
-//! the serialized `.lagc` store. The request queue is bounded: when it
-//! fills, new requests are rejected immediately with a structured
-//! `resource-exhausted` error instead of queuing without bound.
+//! [`Server::start`] binds a TCP listener and serves HTTP/1.1 through
+//! the shared loops in [`crate::http`]: `POST /v1/run|expand|check` with
+//! a JSON body, `GET /v1/stats` and `POST /v1/shutdown`; the route is
+//! the op. Requests run on a pool of worker threads. Each worker owns a
+//! private Lagoon world — registry, languages, compiled-store handle —
+//! so requests never share live values; compiled modules are shared
+//! only through the serialized `.lagc` store. The request queue is
+//! bounded: when it fills, new requests are shed immediately with a 503
+//! and a structured `resource-exhausted` body instead of queuing
+//! without bound.
 //!
 //! Each request runs under its own [`Limits`] (merged over the server's
 //! defaults) with a diagnostics recorder installed, behind the same
 //! panic barrier as the embedding API; the response's `phases` are a
-//! view of that record. `{"op":"shutdown"}` — or, on unix, `SIGTERM` —
-//! drains the queue and stops the workers gracefully.
+//! view of that record. The status is the serving outcome, not the
+//! program's: program results (values and type, runtime or budget
+//! errors alike) are 200, `protocol` errors 400, `internal` errors 500,
+//! sheds 503. `POST /v1/shutdown` — or, on unix, `SIGTERM` — drains the
+//! queue and stops the workers gracefully.
 
 use std::collections::BTreeMap;
-use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::SocketAddr;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -30,6 +34,7 @@ use lagoon_diag::{Collector, Histogram, Limits};
 use lagoon_runtime::{Kind, RtError};
 use lagoon_syntax::Symbol;
 
+use crate::http::{self, error_json, rejection, Front, Reply, Request, Service};
 use crate::json::{self, obj, Json};
 
 /// Options for [`Server::start`].
@@ -53,14 +58,13 @@ pub struct ServeOptions {
     /// many requests; `0` disables. Defense-in-depth against residual
     /// per-world growth (e.g. a stream of distinct named modules).
     pub recycle_after: usize,
-    /// Enables the `test-panic`/`test-kill` ops that deliberately crash
-    /// a worker — for the self-healing tests and CI probes only.
+    /// Enables the `POST /v1/test/panic|kill` routes that deliberately
+    /// crash a worker — for the self-healing tests and CI probes only.
     pub test_ops: bool,
-    /// Longest accepted request line in bytes (clamped to at least
-    /// 1024). A longer NDJSON line is answered with a structured
-    /// `resource-exhausted` / `request-too-large` error instead of
-    /// being buffered without bound; the gateway enforces the same cap
-    /// as its HTTP `Content-Length` limit.
+    /// Largest accepted request body in bytes (clamped to at least
+    /// 1024). A larger `Content-Length` is answered 413 with a
+    /// structured `resource-exhausted` / `request-too-large` body, and
+    /// the connection closes, instead of being buffered without bound.
     pub max_request_bytes: usize,
 }
 
@@ -81,12 +85,17 @@ impl Default for ServeOptions {
     }
 }
 
-/// Default cap on a single NDJSON request line (1 MiB).
+/// Default cap on a request body (1 MiB).
 pub const DEFAULT_MAX_REQUEST_BYTES: usize = 1 << 20;
 
 struct Job {
+    /// The route after `/v1/`: `run`, `expand`, `check`, `test/panic`
+    /// or `test/kill`.
+    op: &'static str,
     request: Json,
-    reply: mpsc::Sender<String>,
+    /// The client's trace id (see [`trace_id`]).
+    trace_id: Option<String>,
+    reply: mpsc::Sender<Reply>,
 }
 
 struct QueueState {
@@ -122,7 +131,9 @@ struct StatsInner {
     errors: u64,
     cache_hits: u64,
     cache_misses: u64,
-    per_op: BTreeMap<String, Histogram>,
+    per_op: BTreeMap<&'static str, Histogram>,
+    /// Pipeline time per phase bucket, summed over every request (ms).
+    phases_ms: BTreeMap<&'static str, f64>,
     worker_busy: Vec<Duration>,
     /// Highest total symbol count (arena + all worker epochs) sampled
     /// at a request completion.
@@ -151,6 +162,7 @@ struct StatsInner {
 }
 
 struct Shared {
+    front: Front,
     queue: Mutex<QueueState>,
     cv: Condvar,
     shutdown: AtomicBool,
@@ -253,8 +265,13 @@ impl Shared {
             // Histogram::to_json emits a JSON object; round-trip it
             // through the parser to embed it structurally.
             let parsed = json::parse(&h.to_json()).unwrap_or(Json::Null);
-            ops.insert(op.clone(), parsed);
+            ops.insert(op.to_string(), parsed);
         }
+        let phases_ms = s
+            .phases_ms
+            .iter()
+            .map(|(name, ms)| (name.to_string(), Json::Num(*ms)))
+            .collect();
         let depth_series: Vec<Json> = s
             .depth_series
             .iter()
@@ -365,8 +382,88 @@ impl Shared {
             ("worker_busy_ms", Json::Arr(busy_ms)),
             ("worker_spans", Json::Arr(worker_spans)),
             ("ops", Json::Obj(ops)),
+            ("phases_ms", Json::Obj(phases_ms)),
+            ("http", self.front.stats_json()),
         ])
     }
+
+    /// Parses a run/expand/check (or test) request and queues it for
+    /// the workers: a 400 for a body that is not a JSON object, a 503
+    /// shed when the queue is full or draining, else the worker's reply.
+    fn submit(&self, path: &'static str, request: &Request) -> Reply {
+        let body = match http::json_body(&request.body) {
+            Ok(body) => body,
+            Err(message) => return Reply::error(400, "protocol", &message),
+        };
+        let (tx, rx) = mpsc::channel();
+        let job = Job {
+            op: path.trim_start_matches("/v1/"),
+            request: body,
+            trace_id: trace_id(request),
+            reply: tx,
+        };
+        match self.enqueue(job) {
+            Err((reason, message)) => rejection(reason, &message),
+            // A worker that dies mid-request drops the reply sender; the
+            // client still gets a structured error, never a hung
+            // connection.
+            Ok(()) => rx
+                .recv()
+                .unwrap_or_else(|_| Reply::error(500, "internal", "worker dropped the request")),
+        }
+    }
+}
+
+impl Service for Shared {
+    fn front(&self) -> &Front {
+        &self.front
+    }
+
+    fn call(&self, path: &'static str, request: &Request) -> Reply {
+        match path {
+            "/v1/stats" => {
+                let mut stats = self.stats_json();
+                if let Json::Obj(map) = &mut stats {
+                    map.insert("ok".to_string(), Json::Bool(true));
+                }
+                Reply::json(200, &stats)
+            }
+            "/v1/shutdown" => {
+                self.begin_shutdown();
+                Reply::json(
+                    200,
+                    &obj(vec![
+                        ("ok", Json::Bool(true)),
+                        ("draining", Json::Bool(true)),
+                    ]),
+                )
+            }
+            _ => self.submit(path, request),
+        }
+    }
+
+    fn draining(&self) -> bool {
+        self.shutdown.load(Ordering::SeqCst)
+    }
+
+    fn drain(&self) {
+        self.begin_shutdown();
+    }
+}
+
+/// The client's `x-lagoon-trace-id`, if it has any visible ASCII: the
+/// daemon echoes it as a response header and records it on the worker
+/// span, so it keeps only those characters (a bare CR could split the
+/// echoed header) and at most 64 of them (a hostile client cannot
+/// bloat the span history).
+fn trace_id(request: &Request) -> Option<String> {
+    let id: String = request
+        .header("x-lagoon-trace-id")?
+        .chars()
+        .filter(char::is_ascii_graphic)
+        .take(64)
+        .collect();
+    (!id.is_empty()).then_some(id)
 }
 
 /// Total size and count of `.lagc` artifacts in the store directory
@@ -391,15 +488,12 @@ fn store_gauges(dir: Option<&PathBuf>) -> (u64, u64) {
 }
 
 impl StatsInner {
-    fn record_op(&mut self, op: &str, latency: Duration, worker: usize, err: bool) {
+    fn record_op(&mut self, op: &'static str, latency: Duration, worker: usize, err: bool) {
         self.done += 1;
         if err {
             self.errors += 1;
         }
-        self.per_op
-            .entry(op.to_string())
-            .or_default()
-            .record(latency);
+        self.per_op.entry(op).or_default().record(latency);
         if self.worker_busy.len() <= worker {
             self.worker_busy.resize(worker + 1, Duration::ZERO);
         }
@@ -438,10 +532,19 @@ impl Server {
     ///
     /// Returns the bind error if the address is unavailable.
     pub fn start(opts: ServeOptions) -> std::io::Result<Server> {
-        let listener = TcpListener::bind(&opts.addr)?;
+        let listener = http::listen(&opts.addr)?;
         let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
         let workers = opts.workers.max(1);
+        let mut routes = vec![
+            ("POST", "/v1/run"),
+            ("POST", "/v1/expand"),
+            ("POST", "/v1/check"),
+            ("GET", "/v1/stats"),
+            ("POST", "/v1/shutdown"),
+        ];
+        if opts.test_ops {
+            routes.extend([("POST", "/v1/test/panic"), ("POST", "/v1/test/kill")]);
+        }
         // Warm the shared arena with the prelude/core world, then seal
         // it: a throwaway registry bootstrap interns every prelude,
         // core-form, primitive, and typed-language name into the arena
@@ -456,6 +559,7 @@ impl Server {
         }
         lagoon_syntax::seal_arena();
         let shared = Arc::new(Shared {
+            front: Front::new(routes, opts.max_request_bytes.max(1024)),
             queue: Mutex::new(QueueState {
                 jobs: std::collections::VecDeque::new(),
             }),
@@ -480,7 +584,7 @@ impl Server {
         }
         let acceptor = {
             let shared = Arc::clone(&shared);
-            std::thread::spawn(move || acceptor_main(listener, &shared))
+            std::thread::spawn(move || http::serve(listener, shared))
         };
         let supervisor = {
             let shared = Arc::clone(&shared);
@@ -511,7 +615,7 @@ impl Server {
 
     /// Blocks until the acceptor, supervisor, and all workers have
     /// drained and exited (call [`Server::shutdown`] first, or rely on
-    /// a client's `{"op":"shutdown"}` / SIGTERM).
+    /// a client's `POST /v1/shutdown` / SIGTERM).
     pub fn wait(mut self) {
         self.join_all();
     }
@@ -580,251 +684,6 @@ fn supervisor_main(shared: &Arc<Shared>) {
             return;
         }
         std::thread::sleep(Duration::from_millis(25));
-    }
-}
-
-// ---------------------------------------------------------------------------
-// SIGTERM (unix): flag checked by the acceptor loop.
-// ---------------------------------------------------------------------------
-
-#[cfg(unix)]
-mod sig {
-    use std::os::raw::c_int;
-    use std::sync::atomic::{AtomicBool, Ordering};
-
-    pub static TERM: AtomicBool = AtomicBool::new(false);
-
-    extern "C" fn on_term(_signum: c_int) {
-        TERM.store(true, Ordering::SeqCst);
-    }
-
-    extern "C" {
-        fn signal(signum: c_int, handler: extern "C" fn(c_int)) -> usize;
-    }
-
-    /// Installs the handler for SIGTERM (15). std already links libc,
-    /// so no new dependency is involved.
-    pub fn install() {
-        unsafe {
-            signal(15, on_term);
-        }
-    }
-
-    pub fn triggered() -> bool {
-        TERM.load(Ordering::SeqCst)
-    }
-}
-
-/// Installs the SIGTERM → graceful-drain hook (no-op off unix).
-pub fn install_sigterm_handler() {
-    #[cfg(unix)]
-    sig::install();
-}
-
-/// Whether SIGTERM has been delivered since
-/// [`install_sigterm_handler`] ran (always false off unix). The
-/// gateway's acceptor polls this the same way the daemon's does.
-pub fn sigterm_triggered() -> bool {
-    #[cfg(unix)]
-    {
-        sig::triggered()
-    }
-    #[cfg(not(unix))]
-    {
-        false
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Acceptor and connections
-// ---------------------------------------------------------------------------
-
-fn acceptor_main(listener: TcpListener, shared: &Arc<Shared>) {
-    loop {
-        if sigterm_triggered() {
-            shared.begin_shutdown();
-        }
-        if shared.shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let _ = stream.set_nodelay(true);
-                let shared = Arc::clone(shared);
-                std::thread::spawn(move || connection_main(stream, &shared));
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(20));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(20)),
-        }
-    }
-}
-
-fn error_json(kind: &str, message: &str) -> Json {
-    obj(vec![
-        ("ok", Json::Bool(false)),
-        (
-            "error",
-            obj(vec![
-                ("kind", Json::Str(kind.to_string())),
-                ("message", Json::Str(message.to_string())),
-            ]),
-        ),
-    ])
-}
-
-/// An admission rejection: `resource-exhausted` with a shedding
-/// `reason` ("queue-full" | "workers-degraded" | "workers-unavailable"
-/// | "shutting-down" | "request-too-large") and a `retryable` flag.
-/// Clients with a retry policy back off and retry exactly these — a
-/// program that exhausted its *own* budget carries a `budget` field
-/// instead and is never retried. Retryable sheds also carry a
-/// `retry_after_ms` hint sized to how long the condition usually
-/// lasts: a full queue drains in tens of milliseconds, a degraded pool
-/// needs a respawn, an empty pool needs several.
-fn reject_json(reason: &str, message: &str) -> Json {
-    let retryable = matches!(
-        reason,
-        "queue-full" | "workers-degraded" | "workers-unavailable"
-    );
-    let retry_after_ms = match reason {
-        "queue-full" => Some(25.0),
-        "workers-degraded" => Some(50.0),
-        "workers-unavailable" => Some(100.0),
-        _ => None,
-    };
-    let mut fields = vec![
-        ("kind", Json::Str("resource-exhausted".to_string())),
-        ("message", Json::Str(message.to_string())),
-        ("reason", Json::Str(reason.to_string())),
-        ("retryable", Json::Bool(retryable)),
-    ];
-    if let Some(ms) = retry_after_ms {
-        fields.push(("retry_after_ms", Json::Num(ms)));
-    }
-    obj(vec![("ok", Json::Bool(false)), ("error", obj(fields))])
-}
-
-/// One bounded-read outcome: a complete line, an over-cap line (fully
-/// drained off the stream, so the connection stays framed), or EOF.
-enum BoundedLine {
-    Line(String),
-    TooLong,
-    Eof,
-}
-
-/// Reads one `\n`-terminated line, buffering at most `cap` bytes. An
-/// over-long line is consumed to its newline with bounded memory — the
-/// connection can keep serving after the structured rejection.
-fn read_bounded_line(reader: &mut impl BufRead, cap: usize) -> std::io::Result<BoundedLine> {
-    let mut buf: Vec<u8> = Vec::new();
-    let mut over = false;
-    loop {
-        let chunk = reader.fill_buf()?;
-        if chunk.is_empty() {
-            return Ok(if over {
-                BoundedLine::TooLong
-            } else if buf.is_empty() {
-                BoundedLine::Eof
-            } else {
-                BoundedLine::Line(String::from_utf8_lossy(&buf).into_owned())
-            });
-        }
-        if let Some(pos) = chunk.iter().position(|b| *b == b'\n') {
-            if !over {
-                buf.extend_from_slice(&chunk[..pos]);
-            }
-            reader.consume(pos + 1);
-            return Ok(if over || buf.len() > cap {
-                BoundedLine::TooLong
-            } else {
-                BoundedLine::Line(String::from_utf8_lossy(&buf).into_owned())
-            });
-        }
-        let n = chunk.len();
-        if !over {
-            if buf.len() + n > cap {
-                over = true;
-                buf.clear();
-            } else {
-                buf.extend_from_slice(chunk);
-            }
-        }
-        reader.consume(n);
-    }
-}
-
-fn connection_main(stream: TcpStream, shared: &Arc<Shared>) {
-    let Ok(peer) = stream.try_clone() else { return };
-    let mut writer = peer;
-    let mut reader = BufReader::new(stream);
-    let cap = shared.opts.max_request_bytes.max(1024);
-    loop {
-        let line = match read_bounded_line(&mut reader, cap) {
-            Err(_) | Ok(BoundedLine::Eof) => return,
-            Ok(BoundedLine::TooLong) => {
-                let response = reject_json(
-                    "request-too-large",
-                    &format!("request line exceeds {cap} bytes"),
-                )
-                .to_string();
-                if writer.write_all(response.as_bytes()).is_err()
-                    || writer.write_all(b"\n").is_err()
-                    || writer.flush().is_err()
-                {
-                    return;
-                }
-                continue;
-            }
-            Ok(BoundedLine::Line(line)) => line,
-        };
-        if line.trim().is_empty() {
-            continue;
-        }
-        let response = match json::parse(&line) {
-            Err(e) => error_json("protocol", &format!("bad request: {e}")).to_string(),
-            Ok(request) => match request.get("op").and_then(Json::as_str) {
-                Some("shutdown") => {
-                    shared.begin_shutdown();
-                    obj(vec![
-                        ("ok", Json::Bool(true)),
-                        ("draining", Json::Bool(true)),
-                    ])
-                    .to_string()
-                }
-                Some("stats") => {
-                    let mut o = shared.stats_json();
-                    if let Json::Obj(map) = &mut o {
-                        map.insert("ok".to_string(), Json::Bool(true));
-                    }
-                    o.to_string()
-                }
-                Some(op)
-                    if matches!(op, "run" | "expand" | "check")
-                        || (shared.opts.test_ops && matches!(op, "test-panic" | "test-kill")) =>
-                {
-                    let (tx, rx) = mpsc::channel();
-                    match shared.enqueue(Job { request, reply: tx }) {
-                        Err((reason, why)) => reject_json(reason, &why).to_string(),
-                        // A worker that dies mid-request drops the
-                        // reply sender; the client still gets a
-                        // structured error, never a hung connection.
-                        Ok(()) => rx.recv().unwrap_or_else(|_| {
-                            error_json("internal", "worker dropped the request").to_string()
-                        }),
-                    }
-                }
-                Some(other) => error_json("protocol", &format!("unknown op '{other}'")).to_string(),
-                None => error_json("protocol", "missing \"op\"").to_string(),
-            },
-        };
-        if writer.write_all(response.as_bytes()).is_err() {
-            return;
-        }
-        if writer.write_all(b"\n").is_err() || writer.flush().is_err() {
-            return;
-        }
     }
 }
 
@@ -953,7 +812,7 @@ impl Drop for LiveWorkerGuard<'_> {
 /// pre-request state: no run-time state *or memory* crosses requests.
 ///
 /// Self-healing layers, outermost first: a thread death (escaped
-/// panic — in production a bug, in tests `test-kill`) drops the reply
+/// panic — in production a bug, in tests `test/kill`) drops the reply
 /// sender (the connection maps that to a structured `internal` error)
 /// and the supervisor respawns the slot; the per-request `catch_unwind`
 /// below converts panics that escape `handle_request`'s own barrier
@@ -1005,19 +864,19 @@ fn worker_main(index: usize, shared: &Arc<Shared>) {
         for job in batch {
             let start = Instant::now();
             let start_ms = start.duration_since(shared.started).as_secs_f64() * 1e3;
-            let op = job
-                .request
-                .get("op")
-                .and_then(Json::as_str)
-                .unwrap_or("run")
-                .to_string();
-            if op == "test-kill" && shared.opts.test_ops {
+            let op = job.op;
+            if op == "test/kill" {
                 // Simulates a crashed worker: die outside every barrier,
                 // dropping `job.reply` (client sees a structured error) and
                 // leaving the thread to the supervisor.
-                panic!("test-kill: deliberate worker death");
+                panic!("test/kill: deliberate worker death");
             }
-            let trace_id = request_trace_id(&job.request, &TRACE_SEQ);
+            // Echoed on the response and recorded on the request's worker
+            // span, so clients can line up their own telemetry with the
+            // daemon's.
+            let trace_id = job
+                .trace_id
+                .unwrap_or_else(|| format!("lag-{}", TRACE_SEQ.fetch_add(1, Ordering::Relaxed)));
 
             // Reclamation checkpoint: if the request leaves the persistent
             // registry footprint unchanged, everything it interned and
@@ -1027,7 +886,7 @@ fn worker_main(index: usize, shared: &Arc<Shared>) {
             let epoch = lagoon_syntax::epoch_mark();
 
             let outcome = catch_unwind(AssertUnwindSafe(|| {
-                handle_request(&registry, &job.request, &op, shared, &REQ_ID)
+                handle_request(&registry, &job.request, op, shared, &REQ_ID)
             }));
             let (response, panicked) = match outcome {
                 Ok((response, panicked)) => (response, panicked),
@@ -1085,11 +944,11 @@ fn worker_main(index: usize, shared: &Arc<Shared>) {
             };
             {
                 let mut stats = shared.stats.lock().unwrap_or_else(|e| e.into_inner());
-                stats.record_op(&op, latency, index, is_err);
+                stats.record_op(op, latency, index, is_err);
                 stats.record_depth(shared.started.elapsed().as_millis() as u64, depth);
                 stats.record_span(WorkerSpan {
                     worker: index,
-                    op: op.clone(),
+                    op: op.to_string(),
                     trace_id: trace_id.clone(),
                     start_ms,
                     dur_ms: latency.as_secs_f64() * 1e3,
@@ -1098,22 +957,29 @@ fn worker_main(index: usize, shared: &Arc<Shared>) {
             let mut response = response;
             if let Json::Obj(map) = &mut response {
                 map.insert("micros".to_string(), Json::Num(latency.as_micros() as f64));
-                map.insert("trace_id".to_string(), Json::Str(trace_id));
+                map.insert("trace_id".to_string(), Json::Str(trace_id.clone()));
             }
-            let _ = job.reply.send(response.to_string());
+            let _ = job.reply.send(Reply {
+                headers: vec![("x-lagoon-trace-id", trace_id)],
+                ..Reply::json(status_of(&response), &response)
+            });
         }
     }
 }
 
-/// The request's correlation id: a client-supplied `"trace_id"` string
-/// (bounded, so a hostile client cannot bloat the span history) or a
-/// generated `lag-N`. Echoed on the response and recorded on the
-/// request's worker span, so clients can line up their own telemetry
-/// with the daemon's.
-fn request_trace_id(request: &Json, seq: &AtomicU64) -> String {
-    match request.get("trace_id").and_then(Json::as_str) {
-        Some(id) if !id.is_empty() => id.chars().take(64).collect(),
-        _ => format!("lag-{}", seq.fetch_add(1, Ordering::Relaxed)),
+/// The HTTP status of a worker's response: the serving outcome, not the
+/// program's. Protocol misuse is 400 and a daemon fault 500; program
+/// results — values and type, runtime or budget errors alike — are 200
+/// with the structured body, because the daemon served them.
+fn status_of(response: &Json) -> u16 {
+    match response
+        .get("error")
+        .and_then(|e| e.get("kind"))
+        .and_then(Json::as_str)
+    {
+        Some("protocol") => 400,
+        Some("internal") => 500,
+        _ => 200,
     }
 }
 
@@ -1124,7 +990,7 @@ fn request_trace_id(request: &Json, seq: &AtomicU64) -> String {
 fn handle_request(
     registry: &std::rc::Rc<ModuleRegistry>,
     request: &Json,
-    op: &str,
+    op: &'static str,
     shared: &Arc<Shared>,
     req_id: &AtomicU64,
 ) -> (Json, bool) {
@@ -1150,7 +1016,7 @@ fn handle_request(
             }
             m.to_string()
         }
-        (None, None) if op == "test-panic" && shared.opts.test_ops => {
+        (None, None) if op == "test/panic" => {
             // Deliberate panic *inside* the request barrier: the client
             // must get a structured `internal` error and the worker
             // must survive (its world is rebuilt).
@@ -1179,9 +1045,7 @@ fn handle_request(
     let result: Result<Json, RtError> = {
         lagoon_diag::limits::refill();
         let guarded = catch_unwind(AssertUnwindSafe(|| match op {
-            "test-panic" if shared.opts.test_ops => {
-                panic!("test-panic: deliberate request panic")
-            }
+            "test/panic" => panic!("test/panic: deliberate request panic"),
             "run" => {
                 let (result, output) =
                     lagoon_runtime::io::capture_output(|| registry.run(&name, engine));
@@ -1227,10 +1091,14 @@ fn handle_request(
     }
 
     let (hits, misses) = collector.cache_counts();
+    let buckets = collector.timing_buckets();
     {
         let mut stats = shared.stats.lock().unwrap_or_else(|e| e.into_inner());
         stats.cache_hits += hits as u64;
         stats.cache_misses += misses as u64;
+        for &(name, nanos) in &buckets {
+            *stats.phases_ms.entry(name).or_insert(0.0) += nanos as f64 / 1e6;
+        }
     }
 
     let mut response = match result {
@@ -1240,10 +1108,10 @@ fn handle_request(
     if let Json::Obj(map) = &mut response {
         // Per-phase span summary (pipeline buckets, ms). Present on
         // errors too: a failed request still shows how far it got.
-        let mut phases = BTreeMap::new();
-        for (name, nanos) in collector.timing_buckets() {
-            phases.insert(name.to_string(), Json::Num(nanos as f64 / 1e6));
-        }
+        let phases = buckets
+            .iter()
+            .map(|(name, nanos)| (name.to_string(), Json::Num(*nanos as f64 / 1e6)))
+            .collect();
         map.insert("phases".to_string(), Json::Obj(phases));
         if want_diag {
             let parsed = json::parse(&collector.report().to_json()).unwrap_or(Json::Null);
@@ -1258,48 +1126,53 @@ mod tests {
     use super::*;
 
     #[test]
-    fn bounded_line_read_caps_and_resyncs() {
-        let data = format!("ok\n{}\nafter\n", "x".repeat(64));
-        let mut r = std::io::Cursor::new(data.into_bytes());
-        assert!(matches!(
-            read_bounded_line(&mut r, 16).unwrap(),
-            BoundedLine::Line(l) if l == "ok"
-        ));
-        // The over-long line is consumed (bounded memory), and the
-        // stream stays framed: the next line parses normally.
-        assert!(matches!(
-            read_bounded_line(&mut r, 16).unwrap(),
-            BoundedLine::TooLong
-        ));
-        assert!(matches!(
-            read_bounded_line(&mut r, 16).unwrap(),
-            BoundedLine::Line(l) if l == "after"
-        ));
-        assert!(matches!(
-            read_bounded_line(&mut r, 16).unwrap(),
-            BoundedLine::Eof
-        ));
+    fn statuses_reflect_the_serving_outcome() {
+        let status = |body: &str| status_of(&json::parse(body).unwrap());
+        assert_eq!(status(r#"{"ok":true,"value":"3"}"#), 200);
+        assert_eq!(
+            status(r#"{"ok":false,"error":{"kind":"protocol","message":"m"}}"#),
+            400
+        );
+        assert_eq!(
+            status(r#"{"ok":false,"error":{"kind":"internal","message":"m"}}"#),
+            500
+        );
+        // Program-level errors are 200: the daemon served the request.
+        assert_eq!(
+            status(r#"{"ok":false,"error":{"kind":"type","message":"m"}}"#),
+            200
+        );
+        // A program that exhausted its own budget is a result too, so
+        // the gateway never fails it over to a second shard.
+        assert_eq!(
+            status(
+                r#"{"ok":false,"error":{"kind":"resource-exhausted","message":"m","budget":"vm-steps"}}"#
+            ),
+            200
+        );
     }
 
     #[test]
-    fn reject_json_carries_retry_hints() {
-        let err = |reason: &str| reject_json(reason, "m");
-        for (reason, ms) in [
-            ("queue-full", 25),
-            ("workers-degraded", 50),
-            ("workers-unavailable", 100),
-        ] {
-            let r = err(reason);
-            let e = r.get("error").expect("error");
-            assert_eq!(e.get("retryable").and_then(Json::as_bool), Some(true));
-            assert_eq!(e.get("retry_after_ms").and_then(Json::as_u64), Some(ms));
-        }
-        for reason in ["shutting-down", "request-too-large"] {
-            let r = err(reason);
-            let e = r.get("error").expect("error");
-            assert_eq!(e.get("retryable").and_then(Json::as_bool), Some(false));
-            assert!(e.get("retry_after_ms").is_none());
-        }
+    fn trace_ids_keep_visible_ascii_and_are_bounded() {
+        let with = |id: &str| Request {
+            head: http::Head {
+                method: "POST".to_string(),
+                target: "/v1/run".to_string(),
+                http11: true,
+                headers: vec![("X-Lagoon-Trace-Id".to_string(), id.to_string())],
+            },
+            body: Vec::new(),
+        };
+        assert_eq!(trace_id(&with("t-1")).as_deref(), Some("t-1"));
+        assert_eq!(
+            trace_id(&with("a\rx-evil: 1")).as_deref(),
+            Some("ax-evil:1")
+        );
+        assert_eq!(
+            trace_id(&with(&"x".repeat(100))).map(|id| id.len()),
+            Some(64)
+        );
+        assert_eq!(trace_id(&with(" \r ")), None);
     }
 
     #[test]

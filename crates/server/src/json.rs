@@ -1,8 +1,8 @@
 //! A minimal JSON value, parser, and writer.
 //!
-//! The daemon speaks newline-delimited JSON over TCP and the workspace
+//! Request and response bodies on the wire are JSON, and the workspace
 //! builds offline with no external crates, so this module hand-rolls the
-//! small subset the wire protocol needs: objects, arrays, strings with
+//! small subset the protocol needs: objects, arrays, strings with
 //! `\uXXXX` escapes, numbers, booleans, and `null`. Serialization reuses
 //! [`lagoon_diag::json_string`] so string escaping matches the rest of
 //! the tooling's JSON output.

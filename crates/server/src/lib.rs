@@ -13,11 +13,14 @@
 //!
 //! - [`build`] schedules a statically-scanned dependency graph as a
 //!   wavefront over N compile workers (`lagoon build --jobs N`).
-//! - [`daemon`] serves `run`/`expand`/`check` requests over
-//!   newline-delimited JSON on TCP with a bounded queue, per-request
-//!   resource limits, and graceful drain (`lagoon serve`).
-//! - [`client`] is the matching one-line-out, one-line-back client
-//!   (`lagoon remote`).
+//! - [`daemon`] serves `run`/`expand`/`check` requests over HTTP with a
+//!   bounded queue, per-request resource limits, and graceful drain
+//!   (`lagoon serve`).
+//! - [`http`] is the one wire protocol: the HTTP/1.1 parser, writer and
+//!   keep-alive client, and the accept and connection loops that the
+//!   daemon and the gateway both run.
+//! - [`client`] adds retry with jittered backoff to the HTTP client
+//!   (`lagoon remote`, against a daemon or a gateway).
 //! - [`json`] is the std-only JSON used on the wire (the workspace
 //!   builds offline; no external crates).
 
@@ -29,7 +32,9 @@
 pub mod build;
 pub mod client;
 pub mod daemon;
+pub mod http;
 pub mod json;
 
 pub use build::{build, build_from_map, dir_source, BuildOptions, BuildReport, ModuleStatus};
-pub use daemon::{install_sigterm_handler, ServeOptions, Server};
+pub use daemon::{ServeOptions, Server};
+pub use http::install_sigterm_handler;

@@ -44,29 +44,30 @@
 //! lagoon serve [--addr HOST:PORT] [--workers N] [--queue-cap N]
 //!              [--root <dir>] [--cache-dir <dir>] [--no-peephole]
 //!              [--max-request-bytes B] [limit options]
-//!                                      evaluation daemon: newline-delimited
-//!                                      JSON requests over TCP, bounded
-//!                                      queue with backpressure, per-request
-//!                                      limits and request-size cap, graceful
-//!                                      drain on SIGTERM or
-//!                                      {"op":"shutdown"}.
+//!                                      evaluation daemon over HTTP/1.1:
+//!                                      POST /v1/run|expand|check, GET
+//!                                      /v1/stats, bounded queue with
+//!                                      backpressure, per-request limits
+//!                                      and body-size cap, graceful drain
+//!                                      on SIGTERM or POST /v1/shutdown.
 //! lagoon gateway [--addr HOST:PORT] [--shards N] [--workers-per-shard M]
 //!              [--queue-cap N] [--root <dir>] [--cache-dir <dir>]
 //!              [--no-peephole] [--max-request-bytes B] [limit options]
-//!                                      HTTP/1.1 front end over N daemon
-//!                                      shards (spawned `lagoon serve`
-//!                                      processes sharing one .lagc store):
-//!                                      POST /v1/run|expand|check and GET
-//!                                      /v1/stats|healthz, keep-alive and
+//!                                      router over N daemon shards
+//!                                      (spawned `lagoon serve` processes
+//!                                      sharing one .lagc store): the
+//!                                      daemon's routes plus GET
+//!                                      /v1/healthz, keep-alive and
 //!                                      pipelining, least-outstanding
 //!                                      routing with shed-aware failover,
 //!                                      dead shards respawned in place.
 //! lagoon remote --addr HOST:PORT <run|expand|check> <file.lag> [--json]
 //!              [--repeat N] [limit options]
 //! lagoon remote --addr HOST:PORT <stats|shutdown> [--json]
-//!                                      client for a running daemon;
-//!                                      --repeat sends the request N times
-//!                                      over one persistent connection.
+//!                                      client for a running daemon or
+//!                                      gateway; --repeat sends the request
+//!                                      N times over one persistent
+//!                                      connection.
 //!
 //! limit options (resource budgets; runaway programs become diagnostics):
 //!   --max-steps <n>          run-time VM/interpreter steps
@@ -415,21 +416,9 @@ fn gateway_cmd(args: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    // Limit flags pass through to each spawned shard daemon verbatim.
     let mut extra_shard_args = Vec::new();
-    for flag in [
-        "--max-steps",
-        "--max-expand-steps",
-        "--max-expand-depth",
-        "--max-phase1-steps",
-        "--max-stack-depth",
-        "--timeout-ms",
-        "--recycle-after",
-    ] {
-        if let Some(v) = flag_value(args, flag) {
-            extra_shard_args.push(flag.to_string());
-            extra_shard_args.push(v.to_string());
-        }
+    if let Some(n) = flag_value(args, "--recycle-after") {
+        extra_shard_args.extend(["--recycle-after".to_string(), n.to_string()]);
     }
     let opts = lagoon::gateway::GatewayOptions {
         addr: flag_value(args, "--addr")
@@ -469,7 +458,8 @@ fn gateway_cmd(args: &[String]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// `lagoon remote`: one request against a running daemon.
+/// `lagoon remote`: one request (or `--repeat N`) against a running
+/// daemon or gateway.
 fn remote_cmd(args: &[String]) -> ExitCode {
     let Some(addr) = flag_value(args, "--addr") else {
         eprintln!("remote needs --addr HOST:PORT");
@@ -484,51 +474,56 @@ fn remote_cmd(args: &[String]) -> ExitCode {
     let Some(op) = op else {
         return usage();
     };
-    let request = if matches!(op.as_str(), "stats" | "shutdown") {
-        format!("{{\"op\":\"{op}\"}}")
-    } else {
-        let Some(file) = args.iter().find(|a| a.ends_with(".lag")) else {
-            eprintln!("remote {op} needs a <file.lag>");
-            return ExitCode::from(2);
-        };
-        let source = match std::fs::read_to_string(file) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("cannot read {file}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let limits = match parse_limits(args) {
-            Ok(l) => l,
-            Err(e) => {
-                eprintln!("{e}");
+    let (method, body) = match op.as_str() {
+        "stats" => ("GET", String::new()),
+        "shutdown" => ("POST", "{}".to_string()),
+        _ => {
+            let Some(file) = args.iter().find(|a| a.ends_with(".lag")) else {
+                eprintln!("remote {op} needs a <file.lag>");
                 return ExitCode::from(2);
+            };
+            let source = match std::fs::read_to_string(file) {
+                Ok(s) => s,
+                Err(e) => {
+                    eprintln!("cannot read {file}: {e}");
+                    return ExitCode::FAILURE;
+                }
+            };
+            let limits = match parse_limits(args) {
+                Ok(l) => l,
+                Err(e) => {
+                    eprintln!("{e}");
+                    return ExitCode::from(2);
+                }
+            };
+            let mut wire = Vec::new();
+            if let Some(l) = limits {
+                wire = vec![
+                    ("max_expansion_steps", l.max_expansion_steps),
+                    ("max_expansion_depth", l.max_expansion_depth),
+                    ("max_phase1_steps", l.max_phase1_steps),
+                    ("max_vm_steps", l.max_vm_steps),
+                    ("max_stack_depth", l.max_stack_depth),
+                ];
+                if let Some(t) = l.timeout {
+                    wire.push(("timeout_ms", t.as_millis() as u64));
+                }
             }
-        };
-        let mut wire = Vec::new();
-        if let Some(l) = limits {
-            wire = vec![
-                ("max_expansion_steps", l.max_expansion_steps),
-                ("max_expansion_depth", l.max_expansion_depth),
-                ("max_phase1_steps", l.max_phase1_steps),
-                ("max_vm_steps", l.max_vm_steps),
-                ("max_stack_depth", l.max_stack_depth),
-            ];
-            if let Some(t) = l.timeout {
-                wire.push(("timeout_ms", t.as_millis() as u64));
-            }
-        }
-        lagoon::server::client::inline_request(op, &source, wire)
-    };
-    let retries = match parse_flag(args, "--retries", 3u32) {
-        Ok(n) => n,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::from(2);
+            (
+                "POST",
+                lagoon::server::client::inline_request(&source, wire),
+            )
         }
     };
-    let backoff_ms = match parse_flag(args, "--backoff-ms", 25u64) {
-        Ok(n) => n,
+    let parsed: Result<(u32, u64, u64), String> = (|| {
+        Ok((
+            parse_flag(args, "--retries", 3u32)?,
+            parse_flag(args, "--backoff-ms", 25u64)?,
+            parse_flag(args, "--repeat", 1u64)?,
+        ))
+    })();
+    let (retries, backoff_ms, repeat) = match parsed {
+        Ok(p) => p,
         Err(e) => {
             eprintln!("{e}");
             return ExitCode::from(2);
@@ -541,97 +536,70 @@ fn remote_cmd(args: &[String]) -> ExitCode {
         seed: 0x5EED ^ u64::from(std::process::id()),
         ..Default::default()
     };
-    let timeout = Some(std::time::Duration::from_secs(60));
-    let repeat = match parse_flag(args, "--repeat", 1u64) {
-        Ok(n) => n,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::from(2);
-        }
-    };
-    if repeat > 1 {
-        // One persistent connection for the whole batch, reconnecting
-        // only on transport failure, honoring shed retry-after hints.
-        return match lagoon::server::client::repeat_request(
-            addr, &request, repeat, timeout, &policy,
-        ) {
-            Ok(outcome) => {
-                if args.iter().any(|a| a == "--json") {
-                    for response in &outcome.responses {
-                        println!("{response}");
-                    }
-                } else {
-                    println!(
-                        "{} ok, {} error{} over {repeat} requests in {:.1} ms \
-                         ({} retries, {} reconnects)",
-                        outcome.ok,
-                        outcome.errors,
-                        if outcome.errors == 1 { "" } else { "s" },
-                        outcome.wall.as_secs_f64() * 1e3,
-                        outcome.retries,
-                        outcome.reconnects,
-                    );
-                }
-                if outcome.errors == 0 {
-                    ExitCode::SUCCESS
-                } else {
-                    ExitCode::FAILURE
-                }
-            }
-            Err(e) => {
-                eprintln!("request failed: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    match lagoon::server::client::request_line_retry(addr, &request, timeout, &policy) {
-        Ok((response, _retries)) => {
-            if args.iter().any(|a| a == "--json") {
-                println!("{response}");
-                return ExitCode::SUCCESS;
-            }
-            match lagoon::server::json::parse(&response) {
-                Ok(parsed) => {
-                    let ok = parsed
-                        .get("ok")
-                        .and_then(lagoon::server::json::Json::as_bool)
-                        == Some(true);
-                    if ok {
-                        if let Some(v) = parsed
-                            .get("value")
-                            .and_then(lagoon::server::json::Json::as_str)
-                        {
-                            if let Some(out) = parsed
-                                .get("output")
-                                .and_then(lagoon::server::json::Json::as_str)
-                            {
-                                print!("{out}");
-                            }
-                            println!("{v}");
-                        } else {
-                            println!("{response}");
-                        }
-                        ExitCode::SUCCESS
-                    } else {
-                        let msg = parsed
-                            .get("error")
-                            .and_then(|e| e.get("message"))
-                            .and_then(lagoon::server::json::Json::as_str)
-                            .unwrap_or("unknown error");
-                        eprintln!("{msg}");
-                        ExitCode::FAILURE
-                    }
-                }
-                Err(_) => {
-                    println!("{response}");
-                    ExitCode::SUCCESS
-                }
-            }
-        }
+    // One persistent connection for the whole batch, reconnecting only
+    // on transport failure, honoring shed retry-after hints.
+    let outcome = match lagoon::server::client::repeat_request(
+        addr,
+        method,
+        &format!("/v1/{op}"),
+        body.as_bytes(),
+        repeat,
+        Some(std::time::Duration::from_secs(60)),
+        &policy,
+    ) {
+        Ok(outcome) => outcome,
         Err(e) => {
             eprintln!("request failed: {e}");
-            ExitCode::FAILURE
+            return ExitCode::FAILURE;
         }
+    };
+    if args.iter().any(|a| a == "--json") {
+        for response in &outcome.responses {
+            println!("{response}");
+        }
+    } else if repeat > 1 {
+        println!(
+            "{} ok, {} error{} over {repeat} requests in {:.1} ms \
+             ({} retries, {} reconnects)",
+            outcome.ok,
+            outcome.errors,
+            if outcome.errors == 1 { "" } else { "s" },
+            outcome.wall.as_secs_f64() * 1e3,
+            outcome.retries,
+            outcome.reconnects,
+        );
+    } else {
+        print_response(outcome.responses.first().map_or("", String::as_str));
+    }
+    if outcome.errors == 0 {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
+    }
+}
+
+/// Prints one response body for a person: a run's output and value, an
+/// error's message on stderr, anything else as the body itself.
+fn print_response(response: &str) {
+    use lagoon::server::json::{self, Json};
+    let Ok(parsed) = json::parse(response) else {
+        println!("{response}");
+        return;
+    };
+    if parsed.get("ok").and_then(Json::as_bool) != Some(true) {
+        let msg = parsed
+            .get("error")
+            .and_then(|e| e.get("message"))
+            .and_then(Json::as_str)
+            .unwrap_or("unknown error");
+        eprintln!("{msg}");
+    } else if let Some(v) = parsed.get("value").and_then(Json::as_str) {
+        if let Some(out) = parsed.get("output").and_then(Json::as_str) {
+            print!("{out}");
+        }
+        println!("{v}");
+    } else {
+        println!("{response}");
     }
 }
 

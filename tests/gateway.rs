@@ -3,10 +3,14 @@
 //! sockets probing the HTTP/1.1 parser's edges, pipelined and
 //! keep-alive traffic, trace-id propagation, a shard kill with
 //! failover and supervised respawn, and a store built through one
-//! shard or two coming out byte for byte the same.
+//! shard or two coming out byte for byte the same. Both shard backends
+//! run under the gateway's limits.
 
-use lagoon::gateway::http::HttpClient;
+use lagoon::gateway::shard::ShardBackend;
+use lagoon::gateway::{Gateway, GatewayOptions};
+use lagoon::server::http::{HttpClient, HttpResponse};
 use lagoon::server::json::{self, Json};
+use lagoon::Limits;
 use std::io::{BufRead, Read, Write};
 use std::net::TcpStream;
 use std::process::{Child, Command, Stdio};
@@ -94,7 +98,7 @@ fn status_of(response: &str) -> u16 {
         .unwrap_or_else(|| panic!("no status line in {response:?}"))
 }
 
-fn body_json(response: &lagoon::gateway::http::HttpResponse) -> Json {
+fn body_json(response: &HttpResponse) -> Json {
     json::parse(&response.body_str())
         .unwrap_or_else(|e| panic!("non-JSON body {:?}: {e}", response.body_str()))
 }
@@ -242,12 +246,35 @@ fn stats_and_healthz_report_the_fleet() {
         .expect("run");
     assert_eq!(response.status, 200);
 
+    // Hundreds of distinct unknown paths all land in one bucket: the
+    // per-route histograms are keyed by matched route, so the key set
+    // stays fixed whatever paths clients probe.
+    const PROBES: u64 = 300;
+    for i in 0..PROBES {
+        let response = client
+            .request("GET", &format!("/v1/probe-{i}"), &[], b"")
+            .expect("404 roundtrip");
+        assert_eq!(response.status, 404);
+    }
+
     let response = client.request("GET", "/v1/stats", &[], b"").expect("stats");
     assert_eq!(response.status, 200);
     let parsed = body_json(&response);
     assert_eq!(parsed.get("shards").and_then(Json::as_u64), Some(2));
     let http = parsed.get("http").expect("http stats");
-    assert!(http.get("requests").and_then(Json::as_u64).unwrap_or(0) >= 2);
+    assert!(http.get("requests").and_then(Json::as_u64).unwrap_or(0) >= 2 + PROBES);
+    let routes = match http.get("routes") {
+        Some(Json::Obj(routes)) => routes,
+        other => panic!("route histograms missing: {other:?}"),
+    };
+    assert_eq!(
+        routes.keys().map(String::as_str).collect::<Vec<_>>(),
+        ["healthz", "run", "unmatched"]
+    );
+    assert_eq!(
+        routes["unmatched"].get("count").and_then(Json::as_u64),
+        Some(PROBES)
+    );
     let shard_gauges = match parsed.get("shard") {
         Some(Json::Arr(items)) => items.len(),
         other => panic!("shard gauges missing: {other:?}"),
@@ -420,4 +447,59 @@ fn one_and_two_shard_stores_are_byte_identical() {
         );
     }
     let _ = std::fs::remove_dir_all(&scratch);
+}
+
+/// A gateway's default limits bind its shards whichever backend runs
+/// them: a spawned `lagoon serve` gets them as flags, an in-process
+/// daemon as options.
+#[test]
+fn both_shard_backends_apply_the_gateway_limits() {
+    let spin = br##"{"source":"#lang lagoon\n(define (spin n) (if (= n 0) 'done (spin (- n 1))))\n(spin 200000)\n"}"##;
+    for backend in [
+        ShardBackend::InProcess,
+        ShardBackend::Process {
+            cmd: vec![env!("CARGO_BIN_EXE_lagoon").to_string()],
+        },
+    ] {
+        let name = format!("{backend:?}");
+        let gateway = Gateway::start(GatewayOptions {
+            shards: 1,
+            workers_per_shard: 1,
+            backend,
+            limits: Limits {
+                max_vm_steps: 10_000,
+                ..Limits::default()
+            },
+            ..GatewayOptions::default()
+        })
+        .expect("start gateway");
+        let response =
+            HttpClient::connect(&gateway.addr().to_string(), Some(Duration::from_secs(30)))
+                .and_then(|mut client| client.request("POST", "/v1/run", &[], spin));
+        // stop the shard before asserting, so a failure leaves no
+        // spawned daemon behind
+        gateway.shutdown();
+        gateway.wait();
+        let response = response.expect("run");
+        assert_eq!(response.status, 200, "{name}: {}", response.body_str());
+        let error = body_json(&response)
+            .get("error")
+            .cloned()
+            .unwrap_or_else(|| {
+                panic!(
+                    "{name}: the step budget did not fire: {}",
+                    response.body_str()
+                )
+            });
+        assert_eq!(
+            error.get("kind").and_then(Json::as_str),
+            Some("resource-exhausted"),
+            "{name}: {error}"
+        );
+        assert_eq!(
+            error.get("budget").and_then(Json::as_str),
+            Some("vm-steps"),
+            "{name}: {error}"
+        );
+    }
 }

@@ -3,9 +3,9 @@
 //! one must surface as a structured [`RtError`] (never a panic, hang, or
 //! host stack overflow), and budget failures must say which budget died.
 //!
-//! The fuzz sweep runs `LAGOON_FUZZ_N` inputs when that variable is set
-//! (CI sets 10000 on a release build); the default is sized for debug
-//! test runs.
+//! The fuzz sweeps — of programs and of the HTTP request parser — run
+//! `LAGOON_FUZZ_N` inputs when that variable is set (CI sets 10000 on a
+//! release build); the default is sized for debug test runs.
 
 use std::time::Duration;
 
@@ -335,6 +335,235 @@ fn fuzz_sweep_never_panics() {
 
 fn gen_input(rng: &mut SplitMix64) -> String {
     lagoon::diag::gen::gen_module(rng, 6, true)
+}
+
+/// Body cap for the HTTP parser sweep: small, so mutated lengths cross it.
+const FUZZ_BODY_CAP: usize = 4096;
+
+/// One well-formed request: its parts and its bytes on the wire.
+struct CleanRequest {
+    method: &'static str,
+    target: String,
+    headers: Vec<(String, String)>,
+    body: Vec<u8>,
+    wire: Vec<u8>,
+}
+
+fn clean_request(rng: &mut SplitMix64) -> CleanRequest {
+    let method = rng.pick(&["GET", "POST"]);
+    let mut target = format!(
+        "/v1/{}",
+        rng.pick(&["run", "expand", "check", "stats", "healthz", "test/kill"])
+    );
+    if rng.chance(1, 4) {
+        target.push_str("?deep=0");
+    }
+    let body: Vec<u8> = if method == "POST" {
+        (0..rng.below(200)).map(|_| rng.below(256) as u8).collect()
+    } else {
+        Vec::new()
+    };
+    let mut headers = vec![("host".to_string(), "lagoon".to_string())];
+    if rng.chance(1, 2) {
+        headers.push((
+            "x-lagoon-trace-id".to_string(),
+            format!("t-{}", rng.next_u64()),
+        ));
+    }
+    if rng.chance(1, 4) {
+        headers.push(("connection".to_string(), "keep-alive".to_string()));
+    }
+    if method == "POST" || rng.chance(1, 3) {
+        headers.push(("content-length".to_string(), body.len().to_string()));
+    }
+    let eol = if rng.chance(1, 4) { "\n" } else { "\r\n" };
+    let mut head = format!("{method} {target} HTTP/1.1{eol}");
+    for (name, value) in &headers {
+        head.push_str(&format!("{name}: {value}{eol}"));
+    }
+    head.push_str(eol);
+    let mut wire = head.into_bytes();
+    wire.extend_from_slice(&body);
+    CleanRequest {
+        method,
+        target,
+        headers,
+        body,
+        wire,
+    }
+}
+
+/// Applies one structural mutation to a request's wire bytes: byte
+/// flips, inserted framing bytes, deleted, duplicated or truncated
+/// ranges, and edits aimed at each framing rule (request line,
+/// version, header caps, `Content-Length`, `Transfer-Encoding`).
+fn mutate_request(rng: &mut SplitMix64, wire: &mut Vec<u8>) {
+    let at = |rng: &mut SplitMix64, wire: &Vec<u8>| rng.below(wire.len() as u64 + 1) as usize;
+    let head_end = wire
+        .windows(2)
+        .position(|w| w == b"\n\r" || w == b"\n\n")
+        .map_or(wire.len(), |p| p + 1);
+    let first_eol = wire.iter().position(|b| *b == b'\n').unwrap_or(wire.len());
+    // where a header line can go: after the request line
+    let header_at = (first_eol + 1).min(wire.len());
+    match rng.below(12) {
+        0 => {
+            for _ in 0..=rng.below(4) {
+                let i = at(rng, wire).min(wire.len().saturating_sub(1));
+                if let Some(b) = wire.get_mut(i) {
+                    *b = rng.below(256) as u8;
+                }
+            }
+        }
+        1 => {
+            let b = rng.pick(&[b'\r', b'\n', b' ', b':', b'\t', 0, 0xff, b'9']);
+            let i = at(rng, wire);
+            wire.insert(i, b);
+        }
+        2 => {
+            let (i, j) = (at(rng, wire), at(rng, wire));
+            wire.drain(i.min(j)..i.max(j));
+        }
+        3 => {
+            let i = at(rng, wire);
+            wire.truncate(i);
+        }
+        4 => {
+            let (i, j) = (at(rng, wire), at(rng, wire));
+            let copy = wire[i.min(j)..i.max(j)].to_vec();
+            let k = at(rng, wire);
+            wire.splice(k..k, copy);
+        }
+        5 => {
+            let value = rng.pick(&[
+                "-1",
+                "banana",
+                "99999999999999999999999",
+                "4097",
+                "0",
+                "3",
+                "1000",
+                " 12 ",
+            ]);
+            let line = format!("content-length: {value}\r\n");
+            wire.splice(header_at..header_at, line.into_bytes());
+        }
+        6 => {
+            let line = b"transfer-encoding: chunked\r\n".to_vec();
+            wire.splice(header_at..header_at, line);
+        }
+        7 => {
+            let long = format!("x-big: {}\r\n", "v".repeat(9 * 1024));
+            wire.splice(header_at..header_at, long.into_bytes());
+        }
+        8 => {
+            let many: String = (0..=100).map(|i| format!("h{i}: v\r\n")).collect();
+            wire.splice(header_at..header_at, many.into_bytes());
+        }
+        9 => {
+            let bad = rng.pick(&[
+                "post /v1/run HTTP/1.1",
+                "GET /v1/run HTTP/2.0",
+                "GET /v1/run HTTX/1.1",
+                "GET  /v1/run HTTP/1.1",
+                "GET /v1/run",
+                "{\"op\":\"run\"}",
+            ]);
+            wire.splice(..first_eol, bad.bytes());
+        }
+        10 => {
+            let target = format!("GET /{} HTTP/1.1", "a".repeat(9 * 1024));
+            wire.splice(..first_eol, target.into_bytes());
+        }
+        _ => {
+            // drop one header line (content-length among them)
+            let lines: Vec<usize> = wire[..head_end.min(wire.len())]
+                .iter()
+                .enumerate()
+                .filter(|(_, b)| **b == b'\n')
+                .map(|(i, _)| i)
+                .collect();
+            if lines.len() >= 2 {
+                let k = 1 + rng.below(lines.len() as u64 - 1) as usize;
+                wire.drain(lines[k - 1] + 1..=lines[k]);
+            }
+        }
+    }
+}
+
+#[test]
+fn http_parser_fuzz_never_panics() {
+    use lagoon::server::http::{error_status, read_body, read_head, HttpError};
+    use std::io::{BufReader, Cursor};
+
+    let n: u64 = std::env::var("LAGOON_FUZZ_N")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(if cfg!(debug_assertions) { 1_000 } else { 5_000 });
+    let mut rng = SplitMix64::new(0x4775);
+    let mut statuses = std::collections::BTreeMap::new();
+    let mut mutated_ok = 0u64;
+    for i in 0..n {
+        // two clean requests, then a mutated one, on one stream
+        let first = clean_request(&mut rng);
+        let second = clean_request(&mut rng);
+        let mut bad = clean_request(&mut rng).wire;
+        for _ in 0..=rng.below(3) {
+            mutate_request(&mut rng, &mut bad);
+        }
+        let mut stream = first.wire.clone();
+        stream.extend_from_slice(&second.wire);
+        stream.extend_from_slice(&bad);
+        // a small buffer, so lines and bodies straddle refills
+        let mut reader = BufReader::with_capacity(64, Cursor::new(stream));
+
+        for clean in [&first, &second] {
+            let head = read_head(&mut reader)
+                .unwrap_or_else(|e| panic!("input {i}: clean head failed: {e:?}"));
+            assert_eq!(head.method, clean.method, "input {i}");
+            assert_eq!(head.target, clean.target, "input {i}");
+            assert_eq!(head.headers, clean.headers, "input {i}");
+            let body = read_body(&mut reader, &head, FUZZ_BODY_CAP)
+                .unwrap_or_else(|e| panic!("input {i}: clean body failed: {e:?}"));
+            assert_eq!(body, clean.body, "input {i}: pipelined body out of order");
+        }
+
+        // whatever follows must parse or fail with a framing status; a
+        // server closes the connection at the first error
+        for _ in 0..64 {
+            let parsed = read_head(&mut reader)
+                .and_then(|head| read_body(&mut reader, &head, FUZZ_BODY_CAP));
+            let e = match parsed {
+                Ok(_) => {
+                    mutated_ok += 1;
+                    continue;
+                }
+                Err(e) => e,
+            };
+            match (error_status(&e), &e) {
+                (None, HttpError::Closed | HttpError::Io(_)) => {}
+                (Some((status, message)), _) => {
+                    assert!(
+                        [400, 411, 413, 414, 431, 501, 505].contains(&status),
+                        "input {i}: {e:?} maps to {status} {message}"
+                    );
+                    *statuses.entry(status).or_insert(0u64) += 1;
+                }
+                (None, _) => panic!("input {i}: {e:?} has no status"),
+            }
+            break;
+        }
+    }
+    // sanity: the mutations must reach every framing rule and leave some
+    // requests parseable, or the sweep proves nothing
+    if n >= 1_000 {
+        assert_eq!(
+            statuses.keys().copied().collect::<Vec<u16>>(),
+            [400, 411, 413, 414, 431, 501, 505],
+            "{statuses:?}"
+        );
+        assert!(mutated_ok > 0, "no mutated request parsed: {statuses:?}");
+    }
 }
 
 #[test]

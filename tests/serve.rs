@@ -1,14 +1,17 @@
 //! Integration tests for the evaluation daemon: a real `lagoon serve`
-//! process takes 16 concurrent requests mixing well-typed programs,
+//! process takes 16 concurrent HTTP requests mixing well-typed programs,
 //! type errors, runtime errors, and deadline-exceeding loops — every
-//! response is structured JSON, per-request limits hold, and no state
-//! crosses requests.
+//! response is structured JSON with a status that reflects the serving
+//! outcome, per-request limits hold, and no state crosses requests.
 
 use lagoon::server::client;
+use lagoon::server::http::{HttpClient, HttpResponse};
 use lagoon::server::json::{self, Json};
-use std::io::BufRead;
+use std::io::{BufRead, Read, Write};
 use std::process::{Child, Command, Stdio};
 use std::time::Duration;
+
+const TIMEOUT: Option<Duration> = Some(Duration::from_secs(30));
 
 struct Daemon {
     child: Child,
@@ -43,13 +46,13 @@ impl Daemon {
         Daemon { child, addr }
     }
 
-    /// Sends `{"op":"shutdown"}` and waits (bounded) for the drain.
+    fn client(&self) -> HttpClient {
+        HttpClient::connect(&self.addr, TIMEOUT).expect("connect")
+    }
+
+    /// Posts `/v1/shutdown` and waits (bounded) for the drain.
     fn shutdown(mut self) {
-        let _ = client::request_line(
-            &self.addr,
-            "{\"op\":\"shutdown\"}",
-            Some(Duration::from_secs(10)),
-        );
+        let _ = self.client().request("POST", "/v1/shutdown", &[], b"{}");
         for _ in 0..200 {
             match self.child.try_wait() {
                 Ok(Some(status)) => {
@@ -65,10 +68,36 @@ impl Daemon {
     }
 }
 
-fn roundtrip(addr: &str, request: &str) -> Json {
-    let response = client::request_line(addr, request, Some(Duration::from_secs(30)))
-        .unwrap_or_else(|e| panic!("request failed: {e}"));
-    json::parse(&response).unwrap_or_else(|e| panic!("non-JSON response {response:?}: {e}"))
+fn body_json(response: &HttpResponse) -> Json {
+    json::parse(&response.body_str())
+        .unwrap_or_else(|e| panic!("non-JSON body {:?}: {e}", response.body_str()))
+}
+
+/// One request on a fresh connection.
+fn send(addr: &str, method: &str, path: &str, body: &str) -> HttpResponse {
+    HttpClient::connect(addr, TIMEOUT)
+        .and_then(|mut client| client.request(method, path, &[], body.as_bytes()))
+        .unwrap_or_else(|e| panic!("{method} {path} failed: {e}"))
+}
+
+/// One request on a fresh connection: its status and parsed body.
+fn call(addr: &str, method: &str, path: &str, body: &str) -> (u16, Json) {
+    let response = send(addr, method, path, body);
+    (response.status, body_json(&response))
+}
+
+/// A `run` that the daemon served (status 200, whatever the program did).
+fn run(addr: &str, body: &str) -> Json {
+    let (status, response) = call(addr, "POST", "/v1/run", body);
+    assert_eq!(status, 200, "{response}");
+    response
+}
+
+fn stats(addr: &str) -> Json {
+    let (status, stats) = call(addr, "GET", "/v1/stats", "");
+    assert_eq!(status, 200, "{stats}");
+    assert_eq!(stats.get("ok").and_then(Json::as_bool), Some(true));
+    stats
 }
 
 fn err_kind(response: &Json) -> Option<&str> {
@@ -84,22 +113,20 @@ fn daemon_serves_16_concurrent_mixed_requests() {
     // The well-typed one defines and mutates module state, so any
     // cross-request bleed would change its observed value.
     let well_typed = client::inline_request(
-        "run",
         "#lang typed/lagoon\n(define: c : Integer 0)\n(set! c (+ c 1))\n(display c)\nc\n",
         vec![],
     );
     let type_error = client::inline_request(
-        "run",
         "#lang typed/lagoon\n(define: x : Integer \"not an int\")\nx\n",
         vec![],
     );
-    let runtime_error = client::inline_request("run", "#lang lagoon\n(car 5)\n", vec![]);
+    let runtime_error = client::inline_request("#lang lagoon\n(car 5)\n", vec![]);
     let deadline = client::inline_request(
-        "run",
         "#lang lagoon\n(define (spin n) (spin (+ n 1)))\n(spin 0)\n",
         vec![("max_vm_steps", 50_000), ("timeout_ms", 2_000)],
     );
 
+    // Program errors are served results: every response is a 200.
     let responses: Vec<(usize, Json)> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..16)
             .map(|i| {
@@ -110,7 +137,7 @@ fn daemon_serves_16_concurrent_mixed_requests() {
                     2 => runtime_error.clone(),
                     _ => deadline.clone(),
                 };
-                scope.spawn(move || (i, roundtrip(&addr, &request)))
+                scope.spawn(move || (i, run(&addr, &request)))
             })
             .collect();
         handles
@@ -180,10 +207,9 @@ fn daemon_serves_16_concurrent_mixed_requests() {
         );
     }
 
-    // the stats op reflects the traffic: 16 requests done, with run
+    // the stats route reflects the traffic: 16 requests done, with run
     // latencies recorded in the per-op histogram
-    let stats = roundtrip(&addr, "{\"op\":\"stats\"}");
-    assert_eq!(stats.get("ok").and_then(Json::as_bool), Some(true));
+    let stats = stats(&addr);
     let done = stats
         .get("requests")
         .and_then(|r| r.get("done"))
@@ -206,14 +232,13 @@ fn daemon_expand_check_and_protocol_errors() {
     let daemon = Daemon::spawn(&[]);
     let addr = daemon.addr.clone();
 
-    let expanded = roundtrip(
+    let (status, expanded) = call(
         &addr,
-        &client::inline_request(
-            "expand",
-            "#lang lagoon\n(define (f x) (* x x))\n(f 3)\n",
-            vec![],
-        ),
+        "POST",
+        "/v1/expand",
+        &client::inline_request("#lang lagoon\n(define (f x) (* x x))\n(f 3)\n", vec![]),
     );
+    assert_eq!(status, 200);
     assert_eq!(expanded.get("ok").and_then(Json::as_bool), Some(true));
     let forms = match expanded.get("forms") {
         Some(Json::Arr(forms)) => forms,
@@ -221,34 +246,58 @@ fn daemon_expand_check_and_protocol_errors() {
     };
     assert!(!forms.is_empty());
 
-    let checked = roundtrip(
+    let (status, checked) = call(
         &addr,
+        "POST",
+        "/v1/check",
         &client::inline_request(
-            "check",
             "#lang typed/lagoon\n(: ok : Integer -> Integer)\n(define (ok n) (+ n 1))\n",
             vec![],
         ),
     );
+    assert_eq!(status, 200);
     assert_eq!(checked.get("ok").and_then(Json::as_bool), Some(true));
 
-    // malformed JSON and unknown ops come back as protocol errors, not
-    // dropped connections
-    let garbage = roundtrip(&addr, "this is not json");
-    assert_eq!(err_kind(&garbage), Some("protocol"));
-    let unknown = roundtrip(&addr, "{\"op\":\"reboot\"}");
-    assert_eq!(err_kind(&unknown), Some("protocol"));
-    let missing = roundtrip(&addr, "{\"op\":\"run\"}");
-    assert_eq!(err_kind(&missing), Some("protocol"));
+    // malformed JSON, unknown routes, wrong methods and missing fields
+    // come back as structured protocol errors, not dropped connections;
+    // the route is the op, and the test routes exist only under
+    // --test-ops
+    for (method, path, body, want) in [
+        ("POST", "/v1/run", "this is not json", 400),
+        ("POST", "/v1/run", "[1, 2]", 400),
+        ("POST", "/v1/run", "{}", 400),
+        ("POST", "/v1/reboot", "{}", 404),
+        ("POST", "/v1/test/kill", "{}", 404),
+        ("GET", "/v1/run", "", 405),
+    ] {
+        let (status, response) = call(&addr, method, path, body);
+        assert_eq!(status, want, "{method} {path} {body:?}: {response}");
+        assert_eq!(err_kind(&response), Some("protocol"), "{response}");
+    }
 
-    // one connection can pipeline several requests
-    let mut conn =
-        client::Connection::connect(&addr, Some(Duration::from_secs(30))).expect("connect");
+    // a raw request line in the retired newline-delimited format is a
+    // framing error: a structured 400, then the daemon closes (no hang)
+    let mut raw = std::net::TcpStream::connect(&addr).expect("connect");
+    raw.set_read_timeout(TIMEOUT).expect("timeout");
+    raw.write_all(b"{\"op\":\"run\",\"source\":\"#lang lagoon\\n(+ 1 2)\\n\"}\n")
+        .expect("write");
+    let mut answer = String::new();
+    raw.read_to_string(&mut answer).expect("read to close");
+    assert!(answer.starts_with("HTTP/1.1 400 "), "{answer}");
+    assert!(answer.contains("\"kind\":\"protocol\""), "{answer}");
+
+    // one connection pipelines several requests: all sent before any
+    // response is read, answered in order
+    let mut conn = daemon.client();
     for i in 0..3 {
-        let request = client::inline_request("run", &format!("#lang lagoon\n(+ {i} 10)\n"), vec![]);
-        let response = conn.roundtrip(&request).expect("pipelined request");
-        let parsed = json::parse(&response).expect("json");
+        let request = client::inline_request(&format!("#lang lagoon\n(+ {i} 10)\n"), vec![]);
+        conn.send("POST", "/v1/run", &[], request.as_bytes())
+            .expect("pipelined send");
+    }
+    for i in 0..3 {
+        let response = conn.read_response().expect("pipelined read");
         assert_eq!(
-            parsed.get("value").and_then(Json::as_str),
+            body_json(&response).get("value").and_then(Json::as_str),
             Some(format!("{}", i + 10).as_str())
         );
     }
@@ -259,13 +308,12 @@ fn daemon_expand_check_and_protocol_errors() {
 #[test]
 fn daemon_backpressure_rejects_rather_than_queues_unboundedly() {
     // one worker and a 2-deep queue: flooding with slow requests must
-    // produce resource-exhausted rejections, and the daemon must stay
+    // produce resource-exhausted 503s, and the daemon must stay
     // healthy afterwards
     let daemon = Daemon::spawn(&["--queue-cap", "2", "--workers", "1"]);
     let addr = daemon.addr.clone();
 
     let slow = client::inline_request(
-        "run",
         "#lang lagoon\n(define (spin n) (if (= n 0) 'done (spin (- n 1))))\n(spin 3000000)\n",
         vec![],
     );
@@ -274,13 +322,13 @@ fn daemon_backpressure_rejects_rather_than_queues_unboundedly() {
             .map(|_| {
                 let addr = addr.clone();
                 let slow = slow.clone();
-                scope.spawn(move || roundtrip(&addr, &slow))
+                scope.spawn(move || call(&addr, "POST", "/v1/run", &slow))
             })
             .collect();
         handles
             .into_iter()
             .map(|h| h.join().expect("client"))
-            .filter(|r| err_kind(r) == Some("resource-exhausted"))
+            .filter(|(status, r)| *status == 503 && err_kind(r) == Some("resource-exhausted"))
             .count()
     });
     assert!(
@@ -289,9 +337,9 @@ fn daemon_backpressure_rejects_rather_than_queues_unboundedly() {
     );
 
     // after the flood, the daemon still answers
-    let after = roundtrip(
+    let after = run(
         &addr,
-        &client::inline_request("run", "#lang lagoon\n(+ 1 2)\n", vec![]),
+        &client::inline_request("#lang lagoon\n(+ 1 2)\n", vec![]),
     );
     assert_eq!(after.get("value").and_then(Json::as_str), Some("3"));
 
@@ -317,7 +365,7 @@ fn daemon_stats_gauges_trace_ids_and_flat_interner() {
     // until all four workers have published their bootstrap baselines
     let deadline = std::time::Instant::now() + Duration::from_secs(30);
     loop {
-        let stats = roundtrip(&addr, "{\"op\":\"stats\"}");
+        let stats = stats(&addr);
         assert!(
             gauge(&stats, "interner", "at_start") <= gauge(&stats, "interner", "symbols"),
             "baseline precedes the current count: {stats}"
@@ -347,29 +395,34 @@ fn daemon_stats_gauges_trace_ids_and_flat_interner() {
             let i = batch * PER_BATCH + j;
             let source =
                 format!("#lang lagoon\n(define gauge-probe-{i} {i})\n(+ gauge-probe-{i} 1)\n");
-            let response = roundtrip(&addr, &client::inline_request("run", &source, vec![]));
+            let response = send(
+                &addr,
+                "POST",
+                "/v1/run",
+                &client::inline_request(&source, vec![]),
+            );
+            let parsed = body_json(&response);
             assert_eq!(
-                response.get("value").and_then(Json::as_str),
+                parsed.get("value").and_then(Json::as_str),
                 Some((i + 1).to_string().as_str()),
-                "{response}"
+                "{parsed}"
             );
-            // every response carries a generated trace id and a
-            // per-phase pipeline summary
-            assert!(
-                response.get("trace_id").and_then(Json::as_str).is_some(),
-                "missing trace_id: {response}"
-            );
-            let phases = response
+            // every response carries a generated trace id, echoed as a
+            // header, and a per-phase pipeline summary
+            let trace_id = parsed.get("trace_id").and_then(Json::as_str);
+            assert!(trace_id.is_some(), "missing trace_id: {parsed}");
+            assert_eq!(response.header("x-lagoon-trace-id"), trace_id);
+            let phases = parsed
                 .get("phases")
-                .unwrap_or_else(|| panic!("missing phases: {response}"));
+                .unwrap_or_else(|| panic!("missing phases: {parsed}"));
             for key in ["read", "expand", "check", "compile", "load", "run"] {
                 assert!(
                     matches!(phases.get(key), Some(Json::Num(_))),
-                    "phases missing {key}: {response}"
+                    "phases missing {key}: {parsed}"
                 );
             }
         }
-        let sample = roundtrip(&addr, "{\"op\":\"stats\"}");
+        let sample = stats(&addr);
         assert_eq!(
             gauge(&sample, "interner", "symbols"),
             gauge(&sample, "interner", "at_start"),
@@ -382,20 +435,26 @@ fn daemon_stats_gauges_trace_ids_and_flat_interner() {
         );
     }
 
-    // a client-supplied trace id is echoed back verbatim
-    let tagged = client::inline_request("run", "#lang lagoon\n(+ 1 2)\n", vec![]).replacen(
-        '{',
-        "{\"trace_id\":\"probe-xyz\",",
-        1,
-    );
-    let response = roundtrip(&addr, &tagged);
+    // a client-supplied trace id rides the x-lagoon-trace-id header in
+    // and comes back verbatim, in the body and as a header
+    let mut conn = daemon.client();
+    let response = conn
+        .request(
+            "POST",
+            "/v1/run",
+            &[("x-lagoon-trace-id", "probe-xyz".to_string())],
+            client::inline_request("#lang lagoon\n(+ 1 2)\n", vec![]).as_bytes(),
+        )
+        .expect("traced run");
+    assert_eq!(response.header("x-lagoon-trace-id"), Some("probe-xyz"));
+    let parsed = body_json(&response);
     assert_eq!(
-        response.get("trace_id").and_then(Json::as_str),
+        parsed.get("trace_id").and_then(Json::as_str),
         Some("probe-xyz"),
-        "{response}"
+        "{parsed}"
     );
 
-    let after = roundtrip(&addr, "{\"op\":\"stats\"}");
+    let after = stats(&addr);
     let symbols_after = gauge(&after, "interner", "symbols");
     assert_eq!(
         symbols_after,
@@ -432,6 +491,25 @@ fn daemon_stats_gauges_trace_ids_and_flat_interner() {
         assert!(span.get("op").and_then(Json::as_str).is_some());
         assert!(span.get("worker").and_then(Json::as_u64).is_some());
     }
+    // phase time sums over every request, and the connection loop's
+    // per-route histograms, are part of the daemon's own stats
+    for key in ["read", "expand", "check", "compile", "load", "run"] {
+        assert!(
+            matches!(
+                after.get("phases_ms").and_then(|p| p.get(key)),
+                Some(Json::Num(_))
+            ),
+            "phases_ms missing {key}: {after}"
+        );
+    }
+    let routed = after
+        .get("http")
+        .and_then(|h| h.get("routes"))
+        .and_then(|r| r.get("run"))
+        .and_then(|r| r.get("count"))
+        .and_then(Json::as_u64)
+        .unwrap_or(0);
+    assert!(routed > (BATCHES * PER_BATCH) as u64, "{after}");
 
     daemon.shutdown();
 }
@@ -439,26 +517,28 @@ fn daemon_stats_gauges_trace_ids_and_flat_interner() {
 #[test]
 fn daemon_recovers_from_worker_death() {
     // a single worker, killed mid-request: the in-flight client gets a
-    // structured error (never a hung connection), the supervisor
-    // respawns the slot, and the SAME connection keeps working
+    // structured 500 (never a hung connection), the supervisor respawns
+    // the slot, and the SAME connection keeps working
     let daemon = Daemon::spawn(&["--workers", "1", "--test-ops"]);
     let addr = daemon.addr.clone();
 
-    let mut conn =
-        client::Connection::connect(&addr, Some(Duration::from_secs(30))).expect("connect");
+    let mut conn = daemon.client();
     let killed = conn
-        .roundtrip("{\"op\":\"test-kill\"}")
+        .request("POST", "/v1/test/kill", &[], b"{}")
         .expect("kill roundtrip");
-    let killed = json::parse(&killed).expect("json");
+    assert_eq!(killed.status, 500);
+    let killed = body_json(&killed);
     assert_eq!(killed.get("ok").and_then(Json::as_bool), Some(false));
     assert_eq!(err_kind(&killed), Some("internal"), "{killed}");
 
     // follow-up requests queue until the respawned worker drains them —
     // no request is lost to the death
     for i in 0..3 {
-        let request = client::inline_request("run", &format!("#lang lagoon\n(+ {i} 1)\n"), vec![]);
-        let response = conn.roundtrip(&request).expect("post-death request");
-        let parsed = json::parse(&response).expect("json");
+        let request = client::inline_request(&format!("#lang lagoon\n(+ {i} 1)\n"), vec![]);
+        let response = conn
+            .request("POST", "/v1/run", &[], request.as_bytes())
+            .expect("post-death request");
+        let parsed = body_json(&response);
         assert_eq!(
             parsed.get("value").and_then(Json::as_str),
             Some(format!("{}", i + 1).as_str()),
@@ -466,7 +546,7 @@ fn daemon_recovers_from_worker_death() {
         );
     }
 
-    let stats = roundtrip(&addr, "{\"op\":\"stats\"}");
+    let stats = stats(&addr);
     assert!(gauge(&stats, "supervision", "deaths") >= 1, "{stats}");
     assert!(gauge(&stats, "supervision", "respawns") >= 1, "{stats}");
     assert_eq!(gauge(&stats, "supervision", "live"), 1, "{stats}");
@@ -479,18 +559,19 @@ fn daemon_contains_request_panics_without_losing_the_worker() {
     let daemon = Daemon::spawn(&["--workers", "1", "--test-ops"]);
     let addr = daemon.addr.clone();
 
-    let panicked = roundtrip(&addr, "{\"op\":\"test-panic\"}");
+    let (status, panicked) = call(&addr, "POST", "/v1/test/panic", "");
+    assert_eq!(status, 500);
     assert_eq!(panicked.get("ok").and_then(Json::as_bool), Some(false));
     assert_eq!(err_kind(&panicked), Some("internal"), "{panicked}");
 
     // the worker caught the panic, rebuilt its world, and still answers
-    let after = roundtrip(
+    let after = run(
         &addr,
-        &client::inline_request("run", "#lang lagoon\n(* 6 7)\n", vec![]),
+        &client::inline_request("#lang lagoon\n(* 6 7)\n", vec![]),
     );
     assert_eq!(after.get("value").and_then(Json::as_str), Some("42"));
 
-    let stats = roundtrip(&addr, "{\"op\":\"stats\"}");
+    let stats = stats(&addr);
     assert!(gauge(&stats, "supervision", "panics") >= 1, "{stats}");
     assert_eq!(
         gauge(&stats, "supervision", "deaths"),
@@ -509,8 +590,8 @@ fn daemon_recycles_worker_worlds_on_schedule() {
     let addr = daemon.addr.clone();
 
     for i in 0..5 {
-        let request = client::inline_request("run", &format!("#lang lagoon\n(+ {i} 2)\n"), vec![]);
-        let response = roundtrip(&addr, &request);
+        let request = client::inline_request(&format!("#lang lagoon\n(+ {i} 2)\n"), vec![]);
+        let response = run(&addr, &request);
         assert_eq!(
             response.get("value").and_then(Json::as_str),
             Some(format!("{}", i + 2).as_str()),
@@ -518,7 +599,7 @@ fn daemon_recycles_worker_worlds_on_schedule() {
         );
     }
 
-    let stats = roundtrip(&addr, "{\"op\":\"stats\"}");
+    let stats = stats(&addr);
     assert!(
         gauge(&stats, "supervision", "recycles") >= 2,
         "5 requests at --recycle-after 2 must recycle at least twice: {stats}"
@@ -530,14 +611,14 @@ fn daemon_recycles_worker_worlds_on_schedule() {
 
 #[test]
 fn shedding_rejections_are_marked_retryable_and_retry_succeeds() {
-    // one worker, 1-deep queue: flood it, then confirm (a) rejections
-    // carry reason + retryable, (b) the retrying client path eventually
-    // lands every request once the flood drains
+    // one worker, 1-deep queue: flood it, then confirm (a) sheds are
+    // 503s whose bodies carry reason + retryable and whose headers carry
+    // the retry hint, (b) the retrying client path eventually lands
+    // every request once the flood drains
     let daemon = Daemon::spawn(&["--queue-cap", "1", "--workers", "1"]);
     let addr = daemon.addr.clone();
 
     let slow = client::inline_request(
-        "run",
         "#lang lagoon\n(define (spin n) (if (= n 0) 'done (spin (- n 1))))\n(spin 400000)\n",
         vec![],
     );
@@ -555,7 +636,7 @@ fn shedding_rejections_are_marked_retryable_and_retry_succeeds() {
             .map(|_| {
                 let addr = addr.clone();
                 let slow = slow.clone();
-                scope.spawn(move || roundtrip(&addr, &slow))
+                scope.spawn(move || send(&addr, "POST", "/v1/run", &slow))
             })
             .collect();
         // retrying clients must all land despite the flood
@@ -563,13 +644,16 @@ fn shedding_rejections_are_marked_retryable_and_retry_succeeds() {
             .map(|i| {
                 let addr = addr.clone();
                 let request =
-                    client::inline_request("run", &format!("#lang lagoon\n(+ {i} 100)\n"), vec![]);
+                    client::inline_request(&format!("#lang lagoon\n(+ {i} 100)\n"), vec![]);
                 let policy = client::RetryPolicy { seed: i, ..policy };
                 scope.spawn(move || {
-                    client::request_line_retry(
+                    client::repeat_request(
                         &addr,
-                        &request,
-                        Some(Duration::from_secs(30)),
+                        "POST",
+                        "/v1/run",
+                        request.as_bytes(),
+                        1,
+                        TIMEOUT,
                         &policy,
                     )
                     .expect("retry client io")
@@ -579,16 +663,16 @@ fn shedding_rejections_are_marked_retryable_and_retry_succeeds() {
         let rejections = floods
             .into_iter()
             .map(|h| h.join().expect("flood client"))
-            .filter(|r| {
-                if err_kind(r) != Some("resource-exhausted") {
+            .filter(|response| {
+                if response.status != 503 {
                     return false;
                 }
+                let r = body_json(response);
+                assert_eq!(err_kind(&r), Some("resource-exhausted"), "{r}");
                 let err = r.get("error").expect("error object");
                 // daemon shedding names its reason and marks retryability;
                 // program-level budget exhaustion has neither
-                if err.get("budget").is_some() {
-                    return false;
-                }
+                assert!(err.get("budget").is_none(), "{r}");
                 assert!(
                     matches!(
                         err.get("reason").and_then(Json::as_str),
@@ -597,16 +681,22 @@ fn shedding_rejections_are_marked_retryable_and_retry_succeeds() {
                     "shed without a reason: {r}"
                 );
                 assert_eq!(err.get("retryable").and_then(Json::as_bool), Some(true));
+                let hint = err.get("retry_after_ms").and_then(Json::as_u64);
+                assert_eq!(
+                    response
+                        .header("x-lagoon-retry-after-ms")
+                        .and_then(|v| v.parse().ok()),
+                    hint,
+                    "{r}"
+                );
+                assert_eq!(response.header("retry-after"), Some("1"));
                 true
             })
             .count();
         let retried_ok = retriers
             .into_iter()
             .map(|h| h.join().expect("retry client"))
-            .filter(|(response, _)| {
-                let parsed = json::parse(response).expect("json");
-                parsed.get("ok").and_then(Json::as_bool) == Some(true)
-            })
+            .filter(|outcome| outcome.ok == 1)
             .count();
         (rejections, retried_ok)
     });
@@ -623,21 +713,24 @@ fn shedding_rejections_are_marked_retryable_and_retry_succeeds() {
 }
 
 #[test]
-fn oversized_request_lines_are_rejected_and_resync() {
+fn oversized_requests_are_rejected_and_a_fresh_connection_is_served() {
     let daemon = Daemon::spawn(&["--max-request-bytes", "4096"]);
-    let mut conn =
-        client::Connection::connect(&daemon.addr, Some(Duration::from_secs(10))).expect("connect");
+    let mut conn = daemon.client();
 
-    // A request line far over the cap: the daemon must answer with a
-    // structured rejection instead of buffering it (or dying), then
-    // resynchronize at the newline so the connection keeps working.
-    let giant = format!(
-        "{{\"op\":\"run\",\"source\":\"#lang lagoon\\n{}\\n\"}}",
-        "(+ 1 1) ".repeat(2048)
+    // A body far over the cap: the daemon must answer with a structured
+    // 413 instead of buffering it (or dying). The request boundary is
+    // lost, so it closes that connection.
+    let giant = client::inline_request(
+        &format!("#lang lagoon\n{}\n", "(+ 1 1) ".repeat(2048)),
+        vec![],
     );
     assert!(giant.len() > 8192, "probe must exceed the cap");
-    let response = conn.roundtrip(&giant).expect("rejection roundtrip");
-    let parsed = json::parse(&response).expect("structured rejection");
+    let response = conn
+        .request("POST", "/v1/run", &[], giant.as_bytes())
+        .expect("rejection roundtrip");
+    assert_eq!(response.status, 413);
+    assert_eq!(response.header("connection"), Some("close"));
+    let parsed = body_json(&response);
     assert_eq!(parsed.get("ok").and_then(Json::as_bool), Some(false));
     let err = parsed.get("error").expect("error object");
     assert_eq!(
@@ -650,11 +743,11 @@ fn oversized_request_lines_are_rejected_and_resync() {
     );
     assert_eq!(err.get("retryable").and_then(Json::as_bool), Some(false));
 
-    // Same connection, normal-sized request: still served.
-    let response = conn
-        .roundtrip("{\"op\":\"run\",\"source\":\"#lang lagoon\\n(+ 20 1)\\n\"}")
-        .expect("post-rejection roundtrip");
-    let parsed = json::parse(&response).expect("json");
+    // A fresh connection with a normal-sized request: still served.
+    let parsed = run(
+        &daemon.addr,
+        &client::inline_request("#lang lagoon\n(+ 20 1)\n", vec![]),
+    );
     assert_eq!(parsed.get("ok").and_then(Json::as_bool), Some(true));
     assert_eq!(parsed.get("value").and_then(Json::as_str), Some("21"));
 
