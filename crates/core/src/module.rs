@@ -482,20 +482,11 @@ impl ModuleRegistry {
 
     /// The artifact checks a header decides on its own (see [`store`]'s
     /// "Validity"): the artifact names `name`, matches this session's
-    /// peephole setting and base environment, and was compiled from the
-    /// module's current source. `Err` says why the artifact is stale.
+    /// base environment, and was compiled from the module's current
+    /// source. `Err` says why the artifact is stale.
     fn check_header(&self, name: Symbol, header: &store::Header) -> Result<(), String> {
         if header.name != name {
             return Err(format!("artifact names module {}", header.name));
-        }
-        let peephole = lagoon_vm::peephole::enabled();
-        if header.peephole != peephole {
-            let on_off = |on: bool| if on { "on" } else { "off" };
-            return Err(format!(
-                "compiled with peephole {}, session runs with it {}",
-                on_off(header.peephole),
-                on_off(peephole),
-            ));
         }
         if header.env_digest != self.env_digest.get() {
             return Err("base environment changed".to_owned());
@@ -868,11 +859,6 @@ impl ModuleRegistry {
             let _t = lagoon_diag::time(lagoon_diag::Phase::Compile, name);
             let forms: Vec<CoreForm> = expanded.iter().map(parse_form).collect::<Result<_, _>>()?;
             let code = Compiler::compile_module(&forms)?;
-            let peep = lagoon_vm::peephole::last_stats();
-            if peep.fused > 0 {
-                lagoon_diag::count("peephole-fused", name, peep.fused);
-                lagoon_diag::count("peephole-removed", name, peep.removed);
-            }
             (forms, code)
         };
 

@@ -20,9 +20,6 @@
 //!   — a hash of the body, so a flipped or truncated byte reads as
 //!   corrupt before anything is decoded;
 //! * the **module name** the artifact was written for;
-//! * the **peephole flag** — whether the superinstruction pass was on
-//!   when the artifact was compiled. A session running with
-//!   `--no-peephole` must not reuse fused bytecode (and vice versa);
 //! * the **environment digest** — a hash of the base environment's
 //!   global names. The prelude's definitions are alpha-renamed with a
 //!   process-global counter, so artifacts only make sense against a
@@ -57,8 +54,13 @@
 //! compare the last two by digest, so for an artifact this binary wrote
 //! the load checks cannot fail once the header checks pass.
 //!
+//! Decoding the body also checks every index the bytecode holds (locals,
+//! captures, constants, globals, child protos, operand addresses and
+//! jump targets) against the proto or module it belongs to, since the
+//! machine indexes without checking.
+//!
 //! Failing the version or digest checks is *stale*; bytes that cannot
-//! be decoded are *corrupt*. Both fall back to recompilation with a
+//! be decoded, or that index out of range, are *corrupt*. Both fall back to recompilation with a
 //! structured diagnostic — never a panic (the wire layer is fully
 //! bounds-checked).
 //!
@@ -85,8 +87,10 @@ use std::rc::Rc;
 /// artifact's `peephole` flag. 3 switched [`Value`](lagoon_runtime::Value)
 /// to the tagged word representation, changing constant encoding (NaN
 /// canonicalization means float constants round-trip through one bit
-/// pattern per NaN) and the opcode operand layout.
-pub const FORMAT_VERSION: u32 = 3;
+/// pattern per NaN) and the opcode operand layout. 4 gave instructions
+/// operand addresses and branch forms, retiring the float-stack and
+/// superinstruction opcodes and the `peephole` flag.
+pub const FORMAT_VERSION: u32 = 4;
 
 const MAGIC: &[u8; 4] = b"LAGC";
 
@@ -128,10 +132,6 @@ pub struct Header {
     pub env_digest: u64,
     /// Digest of the module's source text at compile time.
     pub source_digest: u64,
-    /// Whether the peephole superinstruction pass was enabled when the
-    /// module was compiled. Bytecode with (or without) fused ops is
-    /// only a cache hit for a session running the same configuration.
-    pub peephole: bool,
     /// The module's name.
     pub name: Symbol,
     /// The module's language.
@@ -286,7 +286,6 @@ pub fn encode(
     let mut w = WireWriter::new();
     w.uint(env_digest);
     w.uint(src_digest);
-    w.bool(lagoon_vm::peephole::enabled());
     w.symbol(module.name);
     w.symbol(module.lang);
     w.len(dep_digests.len());
@@ -354,7 +353,6 @@ pub fn decode_header(bytes: &[u8]) -> Result<(Header, Body<'_>), DecodeError> {
     let mut r = WireReader::new(body);
     let env_digest = r.uint()?;
     let source_digest = r.uint()?;
-    let peephole = r.bool()?;
     let name = r.symbol()?;
     let lang = r.symbol()?;
     let ndeps = r.len()?;
@@ -367,7 +365,6 @@ pub fn decode_header(bytes: &[u8]) -> Result<(Header, Body<'_>), DecodeError> {
     let header = Header {
         env_digest,
         source_digest,
-        peephole,
         name,
         lang,
         dep_digests,
@@ -497,7 +494,6 @@ mod tests {
         let a = decode(&bytes, &no_rehydrate).unwrap();
         assert_eq!(a.header.env_digest, 11);
         assert_eq!(a.header.source_digest, 22);
-        assert_eq!(a.header.peephole, lagoon_vm::peephole::enabled());
         assert_eq!(a.header.name, m.name);
         assert_eq!(a.header.lang, m.lang);
         assert_eq!(a.header.dep_digests, deps);

@@ -512,7 +512,7 @@ pub fn sample(function: Option<Symbol>) {
 }
 
 /// Adds `count` executions of the opcode `op` (of instruction `class`,
-/// and a peephole superinstruction when `fused`).
+/// with a folded operand or a branch target when `fused`).
 pub fn opcode(op: &'static str, class: &'static str, fused: bool, count: u64) {
     with_record(|r| r.add(Key::Opcode(op, class, fused), count));
 }
@@ -670,7 +670,8 @@ pub struct OpcodeRow {
     pub op: String,
     /// Instruction class: `"control"`, `"generic"`, or `"specialized"`.
     pub class: String,
-    /// Whether this is a peephole superinstruction (fused opcode).
+    /// Whether these executions had a folded operand address or a
+    /// branch target (the VM's `Op::is_fused`).
     pub fused: bool,
     /// Times executed.
     pub count: u64,
@@ -808,7 +809,7 @@ impl Report {
         }
     }
 
-    /// Total executions of peephole superinstructions (fused opcodes).
+    /// Total executions with a folded operand or a branch target.
     pub fn fused_ops(&self) -> u64 {
         self.opcodes
             .iter()

@@ -60,8 +60,6 @@ pub struct GatewayOptions {
     pub source_root: Option<PathBuf>,
     /// Default per-request limits for the shard daemons.
     pub limits: Limits,
-    /// Whether shard workers run the VM peephole pass.
-    pub peephole: bool,
     /// Request body cap, for the gateway and its shard daemons alike
     /// (the body is forwarded unchanged).
     pub max_body_bytes: usize,
@@ -85,7 +83,6 @@ impl Default for GatewayOptions {
             cache_dir: None,
             source_root: None,
             limits: Limits::default(),
-            peephole: true,
             max_body_bytes: 1 << 20,
             request_timeout: Some(Duration::from_secs(30)),
             test_ops: false,

@@ -83,7 +83,6 @@ fn start_backend(opts: &GatewayOptions, index: usize) -> std::io::Result<(String
                 cache_dir: opts.cache_dir.clone(),
                 source_root: opts.source_root.clone(),
                 limits: opts.limits,
-                peephole: opts.peephole,
                 recycle_after: 0,
                 test_ops: opts.test_ops,
                 max_request_bytes: opts.max_body_bytes,
@@ -129,9 +128,6 @@ fn start_backend(opts: &GatewayOptions, index: usize) -> std::io::Result<(String
             }
             if let Some(root) = &opts.source_root {
                 command.args(["--root", &root.display().to_string()]);
-            }
-            if !opts.peephole {
-                command.arg("--no-peephole");
             }
             if opts.test_ops {
                 command.arg("--test-ops");

@@ -113,15 +113,39 @@ pub fn div(a: &Value, b: &Value) -> Result<Value, RtError> {
 }
 
 /// Generic numeric comparison for `<`, `<=`, `>`, `>=` (reals only).
-pub fn compare(op: &str, a: &Value, b: &Value) -> Result<std::cmp::Ordering, RtError> {
+/// A NaN operand is unordered (`None`), so every one of those tests is
+/// `#f` on it, as in Racket.
+pub fn compare(op: &str, a: &Value, b: &Value) -> Result<Option<std::cmp::Ordering>, RtError> {
     match promote(op, a, b)? {
-        Promoted::Ints(x, y) => Ok(x.cmp(&y)),
-        Promoted::Floats(x, y) => x
-            .partial_cmp(&y)
-            .ok_or_else(|| RtError::type_error(format!("{op}: cannot compare NaN"))),
+        Promoted::Ints(x, y) => Ok(Some(x.cmp(&y))),
+        Promoted::Floats(x, y) => Ok(x.partial_cmp(&y)),
         Promoted::Complexes(..) => Err(RtError::type_error(format!(
             "{op}: complex numbers are not ordered"
         ))),
+    }
+}
+
+/// Flonum `min`: NaN if either operand is, else the first operand
+/// unless the second is smaller. Generic `min` on two flonums picks the
+/// same operand, signed zeros included.
+pub fn flmin(a: f64, b: f64) -> f64 {
+    if a.is_nan() || b.is_nan() {
+        f64::NAN
+    } else if b < a {
+        b
+    } else {
+        a
+    }
+}
+
+/// Flonum `max`, the mirror of [`flmin`].
+pub fn flmax(a: f64, b: f64) -> f64 {
+    if a.is_nan() || b.is_nan() {
+        f64::NAN
+    } else if b > a {
+        b
+    } else {
+        a
     }
 }
 
@@ -381,7 +405,7 @@ mod tests {
         assert!(num_eq(&int(big), &int(big)).unwrap());
         assert_eq!(
             compare("<", &int(big), &int(big + 1)).unwrap(),
-            std::cmp::Ordering::Less
+            Some(std::cmp::Ordering::Less)
         );
     }
 
@@ -399,10 +423,16 @@ mod tests {
     #[test]
     fn comparisons() {
         use std::cmp::Ordering::*;
-        assert_eq!(compare("<", &int(1), &int(2)).unwrap(), Less);
-        assert_eq!(compare("<", &fl(2.0), &int(2)).unwrap(), Equal);
-        assert_eq!(compare("<", &int(3), &fl(2.5)).unwrap(), Greater);
+        assert_eq!(compare("<", &int(1), &int(2)).unwrap(), Some(Less));
+        assert_eq!(compare("<", &fl(2.0), &int(2)).unwrap(), Some(Equal));
+        assert_eq!(compare("<", &int(3), &fl(2.5)).unwrap(), Some(Greater));
+        assert_eq!(compare("<", &fl(f64::NAN), &int(1)).unwrap(), None);
         assert!(compare("<", &cpx(1.0, 1.0), &int(1)).is_err());
+        // flmin/flmax propagate NaN and pick signed zeros like generic min/max
+        assert!(flmin(f64::NAN, 1.0).is_nan() && flmax(1.0, f64::NAN).is_nan());
+        assert_eq!(flmin(0.0, -0.0).to_bits(), 0.0f64.to_bits());
+        assert_eq!(flmin(1.0, -0.0).to_bits(), (-0.0f64).to_bits());
+        assert_eq!(flmax(-0.0, 0.0).to_bits(), (-0.0f64).to_bits());
         assert!(num_eq(&int(2), &fl(2.0)).unwrap());
         assert!(num_eq(&cpx(1.0, 2.0), &cpx(1.0, 2.0)).unwrap());
     }

@@ -43,12 +43,27 @@ fn chain_compare(
 ) -> impl Fn(&[Value]) -> Result<Value, RtError> {
     move |args| {
         for w in args.windows(2) {
-            if !ok(number::compare(name, &w[0], &w[1])?) {
+            if !number::compare(name, &w[0], &w[1])?.is_some_and(ok) {
                 return Ok(Value::Bool(false));
             }
         }
         Ok(Value::Bool(true))
     }
+}
+
+/// `min` or `max`: the argument no other one beats, or `+nan.0` when any
+/// argument is NaN. Every argument is type-checked either way.
+fn extremum(name: &str, args: &[Value], beats: fn(Ordering) -> bool) -> Result<Value, RtError> {
+    let mut best = args[0].clone();
+    let mut nan = false;
+    for v in &args[1..] {
+        match number::compare(name, v, &best)? {
+            Some(o) if beats(o) => best = v.clone(),
+            Some(_) => {}
+            None => nan = true,
+        }
+    }
+    Ok(if nan { Value::Float(f64::NAN) } else { best })
 }
 
 pub(super) fn install(out: &mut Vec<(lagoon_syntax::Symbol, Value)>) {
@@ -127,22 +142,10 @@ pub(super) fn install(out: &mut Vec<(lagoon_syntax::Symbol, Value)>) {
         number::magnitude(&args[0])
     });
     def(out, "min", Arity::at_least(1), |args| {
-        let mut best = args[0].clone();
-        for v in &args[1..] {
-            if number::compare("min", v, &best)?.is_lt() {
-                best = v.clone();
-            }
-        }
-        Ok(best)
+        extremum("min", args, Ordering::is_lt)
     });
     def(out, "max", Arity::at_least(1), |args| {
-        let mut best = args[0].clone();
-        for v in &args[1..] {
-            if number::compare("max", v, &best)?.is_gt() {
-                best = v.clone();
-            }
-        }
-        Ok(best)
+        extremum("max", args, Ordering::is_gt)
     });
 
     def(out, "quotient", Arity::exactly(2), |args| {
@@ -210,12 +213,12 @@ pub(super) fn install(out: &mut Vec<(lagoon_syntax::Symbol, Value)>) {
     });
     def(out, "positive?", Arity::exactly(1), |args| {
         Ok(Value::Bool(
-            number::compare("positive?", &args[0], &Value::Int(0))?.is_gt(),
+            number::compare("positive?", &args[0], &Value::Int(0))?.is_some_and(Ordering::is_gt),
         ))
     });
     def(out, "negative?", Arity::exactly(1), |args| {
         Ok(Value::Bool(
-            number::compare("negative?", &args[0], &Value::Int(0))?.is_lt(),
+            number::compare("negative?", &args[0], &Value::Int(0))?.is_some_and(Ordering::is_lt),
         ))
     });
     def(out, "even?", Arity::exactly(1), |args| {

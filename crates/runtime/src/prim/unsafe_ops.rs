@@ -86,10 +86,10 @@ pub(super) fn install(out: &mut Vec<(lagoon_syntax::Symbol, Value)>) {
         Ok(Value::Float(fl(&a[0]).sqrt()))
     });
     def(out, "unsafe-flmin", Arity::exactly(2), |a| {
-        Ok(Value::Float(fl(&a[0]).min(fl(&a[1]))))
+        Ok(Value::Float(crate::number::flmin(fl(&a[0]), fl(&a[1]))))
     });
     def(out, "unsafe-flmax", Arity::exactly(2), |a| {
-        Ok(Value::Float(fl(&a[0]).max(fl(&a[1]))))
+        Ok(Value::Float(crate::number::flmax(fl(&a[0]), fl(&a[1]))))
     });
     def(out, "unsafe-flsin", Arity::exactly(1), |a| {
         Ok(Value::Float(fl(&a[0]).sin()))

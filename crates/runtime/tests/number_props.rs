@@ -96,8 +96,8 @@ fn comparison_is_total_on_reals() {
     for _ in 0..256 {
         let ai = Value::Int(rng.int(-1_000_000, 1_000_000));
         let bf = Value::Float(rng.float(-1e6, 1e6));
-        let lt = number::compare("<", &ai, &bf).unwrap().is_lt();
-        let gt = number::compare(">", &ai, &bf).unwrap().is_gt();
+        let lt = number::compare("<", &ai, &bf).unwrap().unwrap().is_lt();
+        let gt = number::compare(">", &ai, &bf).unwrap().unwrap().is_gt();
         let eq = number::num_eq(&ai, &bf).unwrap();
         assert_eq!([lt, gt, eq].iter().filter(|x| **x).count(), 1);
     }

@@ -65,9 +65,6 @@ pub struct BuildOptions {
     pub cache_dir: Option<PathBuf>,
     /// Resource limits installed on every worker thread.
     pub limits: Limits,
-    /// Whether workers run the VM's peephole pass (thread-local state,
-    /// so it must be forwarded explicitly).
-    pub peephole: bool,
     /// Whether the build returns its traces: the `discovery` span (with
     /// the store hits it verified), and each worker's spans. Traces come
     /// back on [`BuildReport::traces`], one track each (see
@@ -81,7 +78,6 @@ impl Default for BuildOptions {
             jobs: 1,
             cache_dir: None,
             limits: Limits::default(),
-            peephole: lagoon_vm::peephole::enabled(),
             trace: false,
         }
     }
@@ -367,10 +363,8 @@ fn build_registry(opts: &BuildOptions) -> std::rc::Rc<ModuleRegistry> {
 /// Scans the static graph from `entries` — the requires each source
 /// names — and then verifies each module's artifact from its header,
 /// inside one `discovery` span. Runs on a thread of its own, so the
-/// caller's thread-local diagnostics, limits and peephole state are
-/// untouched.
+/// caller's thread-local diagnostics and limits are untouched.
 fn discover(entries: &[String], source_of: &SourceFn, opts: &BuildOptions) -> Discovery {
-    lagoon_vm::peephole::set_enabled(opts.peephole);
     let registry = build_registry(opts);
     {
         let source_of = Arc::clone(source_of);
@@ -547,7 +541,6 @@ fn worker_loop(
     source_of: &SourceFn,
     opts: &BuildOptions,
 ) -> WorkerResult {
-    lagoon_vm::peephole::set_enabled(opts.peephole);
     lagoon_diag::limits::install(opts.limits);
     let collector = Collector::install();
 

@@ -52,8 +52,6 @@ pub struct ServeOptions {
     pub source_root: Option<PathBuf>,
     /// Default per-request limits (a request may tighten them).
     pub limits: Limits,
-    /// Whether workers run the VM peephole pass.
-    pub peephole: bool,
     /// Rebuild a worker's world (registry + symbol epoch) after this
     /// many requests; `0` disables. Defense-in-depth against residual
     /// per-world growth (e.g. a stream of distinct named modules).
@@ -77,7 +75,6 @@ impl Default for ServeOptions {
             cache_dir: None,
             source_root: None,
             limits: Limits::default(),
-            peephole: lagoon_vm::peephole::enabled(),
             recycle_after: 0,
             test_ops: false,
             max_request_bytes: DEFAULT_MAX_REQUEST_BYTES,
@@ -820,7 +817,6 @@ impl Drop for LiveWorkerGuard<'_> {
 /// can leave registry guards dirty); `--recycle-after N` rebuilds the
 /// world on a schedule as defense-in-depth.
 fn worker_main(index: usize, shared: &Arc<Shared>) {
-    lagoon_vm::peephole::set_enabled(shared.opts.peephole);
     shared.live_workers.fetch_add(1, Ordering::SeqCst);
     let _live = LiveWorkerGuard(shared);
     let mut registry = build_world(shared);

@@ -21,7 +21,7 @@
 //! (data inspection, error reporting) — modules whose exports need
 //! richer phase-1 state are rejected as uncacheable by the store layer.
 
-use crate::bytecode::{CaptureSrc, ModuleCode, Op, Proto};
+use crate::bytecode::{Arg, CaptureSrc, ModuleCode, Op, Proto};
 use crate::ir::{CoreExpr, CoreForm, LambdaCore};
 use lagoon_runtime::{Arity, Value};
 use lagoon_syntax::{ScopeSet, Symbol, Syntax, WireError, WireReader, WireWriter};
@@ -35,7 +35,10 @@ macro_rules! op_codec {
         plain  { $($pt:literal => $pv:ident,)* }
         index  { $($it:literal => $iv:ident,)* }
         argc   { $($at:literal => $av:ident,)* }
-        index2 { $($dt:literal => $dv:ident,)* }
+        arg    { $($gt:literal => $gv:ident,)* }
+        arg2   { $($ht:literal => $hv:ident,)* }
+        br     { $($bt:literal => $bv:ident,)* }
+        br2    { $($ct:literal => $cv:ident,)* }
     ) => {
         /// Encodes one instruction (a `u8` tag plus varint operands).
         pub fn encode_op(w: &mut WireWriter, op: Op) {
@@ -49,10 +52,25 @@ macro_rules! op_codec {
                     w.u8($at);
                     w.uint(u64::from(n));
                 })*
-                $(Op::$dv(x, y) => {
-                    w.u8($dt);
-                    w.u32(x);
-                    w.u32(y);
+                $(Op::$gv(a) => {
+                    w.u8($gt);
+                    w.u32(a.bits());
+                })*
+                $(Op::$hv(a, b) => {
+                    w.u8($ht);
+                    w.u32(a.bits());
+                    w.u32(b.bits());
+                })*
+                $(Op::$bv(a, t) => {
+                    w.u8($bt);
+                    w.u32(a.bits());
+                    w.u32(t);
+                })*
+                $(Op::$cv(a, b, t) => {
+                    w.u8($ct);
+                    w.u32(a.bits());
+                    w.u32(b.bits());
+                    w.u32(t);
                 })*
             }
         }
@@ -61,7 +79,8 @@ macro_rules! op_codec {
         ///
         /// # Errors
         ///
-        /// Fails on truncation or an unknown opcode tag.
+        /// Fails on truncation, an unknown opcode tag, or a malformed
+        /// operand address.
         pub fn decode_op(r: &mut WireReader) -> Result<Op, WireError> {
             let at = r.position();
             let tag = r.u8()?;
@@ -69,7 +88,10 @@ macro_rules! op_codec {
                 $($pt => Op::$pv,)*
                 $($it => Op::$iv(r.u32()?),)*
                 $($at => Op::$av(r.u16()?),)*
-                $($dt => Op::$dv(r.u32()?, r.u32()?),)*
+                $($gt => Op::$gv(read_arg(r)?),)*
+                $($ht => Op::$hv(read_arg(r)?, read_arg(r)?),)*
+                $($bt => Op::$bv(read_arg(r)?, r.u32()?),)*
+                $($ct => Op::$cv(read_arg(r)?, read_arg(r)?, r.u32()?),)*
                 other => {
                     return Err(WireError::new(format!("unknown opcode tag {other}"), at))
                 }
@@ -78,9 +100,20 @@ macro_rules! op_codec {
 
         #[cfg(test)]
         fn all_ops() -> Vec<Op> {
-            vec![$(Op::$pv,)* $(Op::$iv(7),)* $(Op::$av(3),)* $(Op::$dv(7, 5),)*]
+            let (l, k) = (Arg::local(7).unwrap(), Arg::constant(5).unwrap());
+            vec![
+                $(Op::$pv,)* $(Op::$iv(7),)* $(Op::$av(3),)* $(Op::$gv(l),)*
+                $(Op::$hv(l, k),)* $(Op::$bv(k, 9),)* $(Op::$cv(k, Arg::STACK, 9),)*
+            ]
         }
     };
+}
+
+fn read_arg(r: &mut WireReader) -> Result<Arg, WireError> {
+    let at = r.position();
+    let bits = r.u32()?;
+    Arg::from_bits(bits)
+        .ok_or_else(|| WireError::new(format!("malformed operand address {bits:#x}"), at))
 }
 
 op_codec! {
@@ -91,76 +124,18 @@ op_codec! {
         14 => BoxNew,
         15 => BoxGet,
         16 => BoxSet,
-        17 => Add2,
-        18 => Sub2,
-        19 => Mul2,
-        20 => Div2,
-        21 => Lt2,
-        22 => Le2,
-        23 => Gt2,
-        24 => Ge2,
-        25 => NumEq2,
-        26 => Add1,
-        27 => Sub1,
-        28 => ZeroP,
-        29 => Car,
-        30 => Cdr,
-        31 => Cons,
-        32 => NullP,
-        33 => PairP,
-        34 => Not,
-        35 => EqP,
-        36 => VectorRef,
-        37 => VectorSet,
-        38 => VectorLength,
-        39 => FlAdd,
-        40 => FlSub,
-        41 => FlMul,
-        42 => FlDiv,
-        43 => FlLt,
-        44 => FlLe,
-        45 => FlGt,
-        46 => FlGe,
-        47 => FlEq,
-        48 => FlSqrt,
-        49 => FlAbs,
-        50 => FlMin,
-        51 => FlMax,
-        52 => FxAdd,
-        53 => FxSub,
-        54 => FxMul,
-        55 => FxLt,
-        56 => FxLe,
-        57 => FxGt,
-        58 => FxGe,
-        59 => FxEq,
-        60 => FcAdd,
-        61 => FcSub,
-        62 => FcMul,
-        63 => FcDiv,
-        64 => FcMag,
-        65 => UnsafeCar,
-        66 => UnsafeCdr,
-        67 => UnsafeVectorRef,
-        68 => UnsafeVectorSet,
-        69 => UnsafeVectorLength,
-        70 => FxToFl,
-        74 => FlUnbox,
-        75 => FlUnboxFx,
-        76 => FlBox,
-        77 => FlSAdd,
-        78 => FlSSub,
-        79 => FlSMul,
-        80 => FlSDiv,
-        81 => FlSSqrt,
-        82 => FlSAbs,
-        83 => FlSMin,
-        84 => FlSMax,
-        85 => FlSLt,
-        86 => FlSLe,
-        87 => FlSGt,
-        88 => FlSGe,
-        89 => FlSEq,
+        17 => Add1,
+        18 => Sub1,
+        19 => Cons,
+        20 => Not,
+        21 => EqP,
+        22 => VectorSet,
+        23 => VectorLength,
+        24 => FlSqrt,
+        25 => FlAbs,
+        26 => FcMag,
+        27 => UnsafeVectorSet,
+        28 => UnsafeVectorLength,
     }
     index {
         0 => Const,
@@ -172,56 +147,78 @@ op_codec! {
         7 => Jump,
         8 => JumpIfFalse,
         9 => MakeClosure,
-        71 => FlPushLocal,
-        72 => FlPushCapture,
-        73 => FlPushConst,
-        // peephole compare-and-branch fusions (operand: jump target)
-        90 => BrLt2,
-        91 => BrLe2,
-        92 => BrGt2,
-        93 => BrGe2,
-        94 => BrNumEq2,
-        95 => BrZeroP,
-        96 => BrNullP,
-        97 => BrPairP,
-        98 => BrFlLt,
-        99 => BrFlLe,
-        100 => BrFlGt,
-        101 => BrFlGe,
-        102 => BrFlEq,
-        103 => BrFxLt,
-        104 => BrFxLe,
-        105 => BrFxGt,
-        106 => BrFxGe,
-        107 => BrFxEq,
-        108 => BrFlSLt,
-        109 => BrFlSLe,
-        110 => BrFlSGt,
-        111 => BrFlSGe,
-        112 => BrFlSEq,
-        // peephole load+unop fusions (operand: local slot)
-        113 => CarL,
-        114 => CdrL,
-        115 => UnsafeCarL,
-        116 => UnsafeCdrL,
     }
     argc {
         10 => Call,
         11 => TailCall,
     }
-    index2 {
-        // peephole load/operate superinstructions (two u32 operands)
-        117 => AddLL,
-        118 => SubLL,
-        119 => MulLL,
-        120 => AddLC,
-        121 => SubLC,
-        122 => VectorRefLL,
-        123 => FxAddLL,
-        124 => FxSubLL,
-        125 => FxAddLC,
-        126 => FxSubLC,
-        127 => UnsafeVectorRefLL,
+    arg {
+        30 => ZeroP,
+        31 => Car,
+        32 => Cdr,
+        33 => NullP,
+        34 => PairP,
+        35 => UnsafeCar,
+        36 => UnsafeCdr,
+        37 => FxToFl,
+    }
+    arg2 {
+        40 => Add2,
+        41 => Sub2,
+        42 => Mul2,
+        43 => Div2,
+        44 => Lt2,
+        45 => Le2,
+        46 => Gt2,
+        47 => Ge2,
+        48 => NumEq2,
+        49 => VectorRef,
+        50 => FlAdd,
+        51 => FlSub,
+        52 => FlMul,
+        53 => FlDiv,
+        54 => FlLt,
+        55 => FlLe,
+        56 => FlGt,
+        57 => FlGe,
+        58 => FlEq,
+        59 => FlMin,
+        60 => FlMax,
+        61 => FxAdd,
+        62 => FxSub,
+        63 => FxMul,
+        64 => FxLt,
+        65 => FxLe,
+        66 => FxGt,
+        67 => FxGe,
+        68 => FxEq,
+        69 => FcAdd,
+        70 => FcSub,
+        71 => FcMul,
+        72 => FcDiv,
+        73 => UnsafeVectorRef,
+    }
+    br {
+        80 => BrZeroP,
+        81 => BrNullP,
+        82 => BrPairP,
+    }
+    br2 {
+        90 => BrLt2,
+        91 => BrLe2,
+        92 => BrGt2,
+        93 => BrGe2,
+        94 => BrNumEq2,
+        95 => BrFlLt,
+        96 => BrFlLe,
+        97 => BrFlGt,
+        98 => BrFlGe,
+        99 => BrFlEq,
+        100 => BrFxLt,
+        101 => BrFxLe,
+        102 => BrFxGt,
+        103 => BrFxGe,
+        104 => BrFxEq,
     }
 }
 
@@ -411,11 +408,72 @@ pub fn decode_module_code(r: &mut WireReader) -> Result<ModuleCode, WireError> {
     for _ in 0..n {
         defined.push(r.u32()?);
     }
-    Ok(ModuleCode {
+    let code = ModuleCode {
         top,
         global_names,
         defined,
-    })
+    };
+    check_module(&code).map_err(|e| WireError::new(e, r.position()))?;
+    Ok(code)
+}
+
+/// Checks every index a decoded module holds against the proto or
+/// module it belongs to. A content digest proves the bytes are the ones
+/// written, not that they make sense, and the machine indexes without
+/// checking.
+fn check_module(code: &ModuleCode) -> Result<(), String> {
+    let nglobals = code.global_names.len();
+    if let Some(i) = code.defined.iter().find(|&&i| i as usize >= nglobals) {
+        return Err(format!("defined global {i} out of range"));
+    }
+    // the module body runs with no captures
+    if !code.top.captures.is_empty() {
+        return Err("module body declares captures".to_owned());
+    }
+    check_proto(&code.top, nglobals)
+}
+
+fn check_proto(p: &Proto, nglobals: usize) -> Result<(), String> {
+    let fits = |i: u32, n: usize| (i as usize) < n;
+    let nlocals = p.nlocals as usize;
+    for child in &p.protos {
+        for src in &child.captures {
+            let ok = match *src {
+                CaptureSrc::Local(i) => fits(i, nlocals),
+                CaptureSrc::Capture(i) => fits(i, p.captures.len()),
+            };
+            if !ok {
+                return Err(format!("capture source {src:?} out of range"));
+            }
+        }
+        check_proto(child, nglobals)?;
+    }
+    for (at, op) in p.code.iter().enumerate() {
+        let index_ok = match *op {
+            Op::Const(k) => fits(k, p.consts.len()),
+            Op::LoadLocal(i) | Op::StoreLocal(i) => fits(i, nlocals),
+            Op::LoadCapture(i) => fits(i, p.captures.len()),
+            Op::LoadGlobal(i) | Op::StoreGlobal(i) => fits(i, nglobals),
+            Op::MakeClosure(i) => fits(i, p.protos.len()),
+            _ => true,
+        };
+        let slots = |a: Arg| {
+            if a.is_const() {
+                p.consts.len()
+            } else {
+                nlocals
+            }
+        };
+        let args_ok = op
+            .args()
+            .iter()
+            .all(|&a| a.is_stack() || a.index() < slots(a));
+        let target_ok = op.target().is_none_or(|t| fits(t, p.code.len()));
+        if !(index_ok && args_ok && target_ok) {
+            return Err(format!("instruction {at} ({op:?}) is out of range"));
+        }
+    }
+    Ok(())
 }
 
 fn encode_exprs(w: &mut WireWriter, exprs: &[CoreExpr]) -> Result<(), WireError> {
@@ -660,11 +718,9 @@ mod tests {
 
     #[test]
     fn every_opcode_round_trips() {
+        // one of each instruction: `encode_op`'s match is exhaustive
         let ops = all_ops();
-        assert!(
-            ops.len() >= 128,
-            "expected the full instruction set incl. peephole superinstructions"
-        );
+        assert_eq!(ops.len(), 89);
         let mut w = WireWriter::new();
         for op in &ops {
             encode_op(&mut w, *op);
@@ -691,14 +747,15 @@ mod tests {
     }
 
     #[test]
-    fn fused_two_operand_ops_keep_operand_order() {
+    fn addressed_ops_keep_operand_order() {
         // asymmetric operands so a swapped encode/decode would show
+        let (l, k) = (|i| Arg::local(i).unwrap(), |i| Arg::constant(i).unwrap());
         let ops = [
-            Op::AddLL(1, 2),
-            Op::SubLC(9, 4),
-            Op::VectorRefLL(0, 3),
-            Op::FxAddLC(6, 8),
-            Op::UnsafeVectorRefLL(2, 1),
+            Op::Add2(l(1), l(2)),
+            Op::Sub2(l(9), k(4)),
+            Op::VectorRef(Arg::STACK, l(3)),
+            Op::BrFlLt(k(6), l(8), 2),
+            Op::BrNullP(l(2), 1),
         ];
         let mut w = WireWriter::new();
         for op in &ops {
@@ -710,6 +767,68 @@ mod tests {
             assert_eq!(decode_op(&mut r).unwrap(), *op);
         }
         assert!(r.is_empty());
+    }
+
+    #[test]
+    fn out_of_range_indices_fail_to_decode() {
+        let l = |i| Arg::local(i).unwrap();
+        let k = |i| Arg::constant(i).unwrap();
+        // a 2-local proto with one constant, one capture, one child and
+        // 3 instructions (`op` first), in a module with one global
+        let module = |op: Op, capture: CaptureSrc| {
+            let child = Rc::new(Proto {
+                name: None,
+                arity: Arity::exactly(0),
+                nlocals: 0,
+                captures: vec![capture],
+                code: vec![Op::LoadCapture(0), Op::Return],
+                consts: vec![],
+                protos: vec![],
+            });
+            let f = Rc::new(Proto {
+                name: None,
+                arity: Arity::exactly(2),
+                nlocals: 2,
+                captures: vec![CaptureSrc::Local(0)],
+                code: vec![op, Op::Void, Op::Return],
+                consts: vec![Value::Int(1)],
+                protos: vec![child],
+            });
+            let top = Proto {
+                name: None,
+                arity: Arity::exactly(0),
+                nlocals: 1,
+                captures: vec![],
+                code: vec![Op::MakeClosure(0), Op::Return],
+                consts: vec![],
+                protos: vec![f],
+            };
+            let code = ModuleCode {
+                top: Rc::new(top),
+                global_names: vec![Symbol::intern("g")],
+                defined: vec![0],
+            };
+            let mut w = WireWriter::new();
+            encode_module_code(&mut w, &code).unwrap();
+            decode_module_code(&mut WireReader::new(&w.into_bytes()))
+        };
+        let ok = CaptureSrc::Local(1);
+        assert!(module(Op::Add2(l(1), k(0)), ok).is_ok());
+        for (what, op, capture) in [
+            ("local", Op::LoadLocal(2), ok),
+            ("constant", Op::Const(1), ok),
+            ("capture", Op::LoadCapture(1), ok),
+            ("global", Op::LoadGlobal(1), ok),
+            ("child proto", Op::MakeClosure(1), ok),
+            ("local address", Op::Add2(l(2), k(0)), ok),
+            ("constant address", Op::Car(k(1)), ok),
+            ("jump target", Op::JumpIfFalse(3), ok),
+            ("branch target", Op::BrLt2(l(0), l(1), 3), ok),
+            ("capture source", Op::Void, CaptureSrc::Local(2)),
+        ] {
+            let e = module(op, capture).expect_err(what);
+            assert!(e.to_string().contains("out of range"), "{what}: {e}");
+        }
     }
 
     #[test]
@@ -782,10 +901,19 @@ mod tests {
             name: Some(Symbol::intern("inner")),
             arity: Arity::at_least(1),
             nlocals: 3,
-            captures: vec![CaptureSrc::Local(0), CaptureSrc::Capture(1)],
-            code: vec![Op::LoadCapture(0), Op::Return],
+            captures: vec![CaptureSrc::Local(0), CaptureSrc::Capture(0)],
+            code: vec![Op::LoadCapture(1), Op::Return],
             consts: vec![Value::Int(42), Value::string("hi")],
             protos: vec![],
+        });
+        let mid = Rc::new(Proto {
+            name: None,
+            arity: Arity::exactly(1),
+            nlocals: 1,
+            captures: vec![CaptureSrc::Local(0)],
+            code: vec![Op::MakeClosure(0), Op::Return],
+            consts: vec![],
+            protos: vec![inner],
         });
         let outer = Proto {
             name: None,
@@ -794,7 +922,7 @@ mod tests {
             captures: vec![],
             code: vec![Op::MakeClosure(0), Op::Call(0), Op::Return],
             consts: vec![Value::Void, Value::Float(1.5)],
-            protos: vec![inner],
+            protos: vec![mid],
         };
         let code = ModuleCode {
             top: Rc::new(outer),
@@ -868,7 +996,7 @@ mod tests {
             arity: Arity::exactly(2),
             nlocals: 2,
             captures: vec![CaptureSrc::Local(1)],
-            code: vec![Op::LoadLocal(0), Op::LoadLocal(1), Op::Add2, Op::Return],
+            code: vec![Op::Add2(Arg::local(0).unwrap(), Arg::STACK), Op::Return],
             consts: vec![Value::Symbol(Symbol::intern("sym"))],
             protos: vec![],
         };

@@ -11,13 +11,19 @@
 //!   like `+`, or unsafe like `unsafe-fl+`) with a matching argument count
 //!   compiles to a dedicated instruction instead of a procedure call. The
 //!   `unsafe-*` instructions skip tag dispatch entirely; this is the
-//!   backend channel the paper's optimizer communicates through (§7.1).
+//!   backend channel the paper's optimizer communicates through (§7.1);
+//! * **operand addressing** — an operand that is a constant or an
+//!   unmutated local is named in place ([`Arg`]) instead of being pushed,
+//!   and a comparison or predicate that an `if` tests becomes a branch
+//!   form carrying the jump target. Generic and `unsafe-*` instructions
+//!   get the same treatment, so a specialized instruction never costs
+//!   more dispatches than the generic one it replaces.
 //!
 //! Precondition (guaranteed by the expander): all bindings are globally
 //! uniquely named, so a reference spelled `+` can only denote the base
 //! environment's `+`.
 
-use crate::bytecode::{specialized_op, CaptureSrc, ModuleCode, Op, Proto};
+use crate::bytecode::{specialized_op, Arg, CaptureSrc, ModuleCode, Op, PrimOp, Proto};
 use crate::ir::{CoreExpr, CoreForm, LambdaCore};
 use lagoon_runtime::{Arity, Kind, RtError, Value};
 use lagoon_syntax::Symbol;
@@ -33,6 +39,8 @@ struct FnScope {
     capture_names: Vec<Symbol>,
     capture_srcs: Vec<CaptureSrc>,
     code: Vec<Op>,
+    /// The code position the last patched jump lands on.
+    label: Option<usize>,
     consts: Vec<Value>,
     protos: Vec<Rc<Proto>>,
 }
@@ -47,6 +55,7 @@ impl FnScope {
             capture_names: Vec::new(),
             capture_srcs: Vec::new(),
             code: Vec::new(),
+            label: None,
             consts: Vec::new(),
             protos: Vec::new(),
         }
@@ -70,11 +79,30 @@ impl FnScope {
         self.code.len() - 1
     }
 
+    /// Ends an `if` test: a trailing comparison or predicate becomes
+    /// its branch form, anything else is followed by `JumpIfFalse`.
+    /// Returns the position to patch with the else target. A comparison
+    /// that a jump lands just after stays as it is, because that jump
+    /// expects the `JumpIfFalse` there.
+    fn emit_test_jump(&mut self) -> usize {
+        let at = self.code.len();
+        if self.label != Some(at) {
+            if let Some(last) = self.code.last_mut() {
+                if let Some(br) = last.branch_form(0) {
+                    *last = br;
+                    return at - 1;
+                }
+            }
+        }
+        self.emit(Op::JumpIfFalse(0))
+    }
+
     fn patch_jump(&mut self, at: usize) {
-        let target = self.code.len() as u32;
-        match &mut self.code[at] {
-            Op::Jump(t) | Op::JumpIfFalse(t) => *t = target,
-            other => unreachable!("patching non-jump {other:?}"),
+        let here = self.code.len();
+        self.label = Some(here);
+        match self.code[at].target_mut() {
+            Some(t) => *t = here as u32,
+            None => unreachable!("patching non-jump {:?}", self.code[at]),
         }
     }
 
@@ -167,20 +195,12 @@ impl Compiler {
             .filter_map(|s| c.globals.get(s).copied())
             .collect();
         defined.sort_unstable();
-        let code = ModuleCode {
+        crate::peephole::record(count_fused(&top));
+        Ok(ModuleCode {
             top,
             global_names: c.global_names,
             defined,
-        };
-        // the superinstruction pass runs here so every compilation path
-        // (module pipeline, prelude, tests) shares one choke point; the
-        // thread-local knob is the `--no-peephole` escape hatch
-        if crate::peephole::enabled() {
-            Ok(crate::peephole::optimize_module(code))
-        } else {
-            crate::peephole::clear_stats();
-            Ok(code)
-        }
+        })
     }
 
     // `fns` is non-empty between the pushes in `compile_module` /
@@ -327,7 +347,7 @@ impl Compiler {
             CoreExpr::Var(sym, _) => self.emit_load(*sym),
             CoreExpr::If(c, t, e) => {
                 self.compile_expr(c, false)?;
-                let jf = self.top().emit(Op::JumpIfFalse(0));
+                let jf = self.top().emit_test_jump();
                 self.compile_expr(t, tail)?;
                 let j = self.top().emit(Op::Jump(0));
                 self.top().patch_jump(jf);
@@ -394,18 +414,20 @@ impl Compiler {
                         .iter()
                         .any(|s| s.locals.contains_key(sym) || s.capture_names.contains(sym));
                     if !is_local && !self.defined.contains(sym) {
-                        // unboxed fusion for nested unsafe-fl trees (the
-                        // §7.1 unboxing channel); single operations use
-                        // the plain specialized instruction
-                        if self.fl_tree_weight(expr) >= 2 {
-                            if let Some(()) = self.try_compile_fl_root(expr)? {
-                                return Ok(());
-                            }
-                        }
-                        if let Some(op) = sym.with_str(|n| specialized_op(n, args.len())) {
-                            for a in args {
-                                self.compile_expr(a, false)?;
-                            }
+                        if let Some(prim) = sym.with_str(|n| specialized_op(n, args.len())) {
+                            let op = match prim {
+                                PrimOp::Stack(op) => {
+                                    for a in args {
+                                        self.compile_expr(a, false)?;
+                                    }
+                                    op
+                                }
+                                PrimOp::Unary(op) => op(self.compile_operand(&args[0])?),
+                                PrimOp::Binary(op) => {
+                                    let a = self.compile_operand(&args[0])?;
+                                    op(a, self.compile_operand(&args[1])?)
+                                }
+                            };
                             self.top().emit(op);
                             return Ok(());
                         }
@@ -423,174 +445,37 @@ impl Compiler {
         }
         Ok(())
     }
-}
 
-fn fl_binary_op(name: &str) -> Option<Op> {
-    Some(match name {
-        "unsafe-fl+" => Op::FlSAdd,
-        "unsafe-fl-" => Op::FlSSub,
-        "unsafe-fl*" => Op::FlSMul,
-        "unsafe-fl/" => Op::FlSDiv,
-        "unsafe-flmin" => Op::FlSMin,
-        "unsafe-flmax" => Op::FlSMax,
-        _ => return None,
-    })
-}
-
-fn fl_unary_op(name: &str) -> Option<Op> {
-    Some(match name {
-        "unsafe-flsqrt" => Op::FlSSqrt,
-        "unsafe-flabs" => Op::FlSAbs,
-        _ => return None,
-    })
-}
-
-fn fl_compare_op(name: &str) -> Option<Op> {
-    Some(match name {
-        "unsafe-fl<" => Op::FlSLt,
-        "unsafe-fl<=" => Op::FlSLe,
-        "unsafe-fl>" => Op::FlSGt,
-        "unsafe-fl>=" => Op::FlSGe,
-        "unsafe-fl=" => Op::FlSEq,
-        _ => return None,
-    })
-}
-
-impl Compiler {
-    /// How many fusible `unsafe-fl*` operations this expression tree
-    /// contains at its top (fusion only pays off for nested trees).
-    fn fl_tree_weight(&self, expr: &CoreExpr) -> usize {
-        match expr {
-            CoreExpr::App(f, args, _) => {
-                let Some(sym) = (match &**f {
-                    CoreExpr::Var(sym, _) => Some(*sym),
-                    _ => None,
-                }) else {
-                    return 0;
-                };
-                let is_fl = sym.with_str(|name| {
-                    (args.len() == 2
-                        && (fl_binary_op(name).is_some() || fl_compare_op(name).is_some()))
-                        || (args.len() == 1
-                            && (fl_unary_op(name).is_some() || name == "unsafe-fx->fl"))
-                });
-                if !is_fl {
-                    return 0;
-                }
-                1 + args.iter().map(|a| self.fl_tree_weight(a)).sum::<usize>()
-            }
-            _ => 0,
-        }
-    }
-
-    /// Compiles a root `unsafe-fl*` application as fused unboxed code.
-    /// Numeric roots end with `FlBox`; comparison roots push the boolean
-    /// directly. Returns `Ok(None)` if the root is not fusible.
-    fn try_compile_fl_root(&mut self, expr: &CoreExpr) -> Result<Option<()>, RtError> {
-        let CoreExpr::App(f, args, _) = expr else {
-            return Ok(None);
-        };
-        let CoreExpr::Var(sym, _) = &**f else {
-            return Ok(None);
-        };
-        let (compare, binary, unary) =
-            sym.with_str(|name| (fl_compare_op(name), fl_binary_op(name), fl_unary_op(name)));
-        if args.len() == 2 {
-            if let Some(op) = compare {
-                self.compile_fl_operand(&args[0])?;
-                self.compile_fl_operand(&args[1])?;
-                self.top().emit(op);
-                return Ok(Some(()));
-            }
-            if let Some(op) = binary {
-                self.compile_fl_operand(&args[0])?;
-                self.compile_fl_operand(&args[1])?;
-                let scope = self.top();
-                scope.emit(op);
-                scope.emit(Op::FlBox);
-                return Ok(Some(()));
-            }
-        }
-        if args.len() == 1 {
-            if let Some(op) = unary {
-                self.compile_fl_operand(&args[0])?;
-                let scope = self.top();
-                scope.emit(op);
-                scope.emit(Op::FlBox);
-                return Ok(Some(()));
-            }
-        }
-        Ok(None)
-    }
-
-    /// Compiles an operand of a fused float expression, leaving one
-    /// unboxed `f64` on the float stack.
-    fn compile_fl_operand(&mut self, expr: &CoreExpr) -> Result<(), RtError> {
-        match expr {
-            CoreExpr::Quote(v) if v.is_float() => {
+    /// Compiles one operand of an addressed instruction: a constant or
+    /// an unmutated local is named in place, anything else is evaluated
+    /// onto the stack. A local's slot is written only when its binding
+    /// is initialized, so reading it when the instruction runs sees the
+    /// same value as pushing it first would have.
+    fn compile_operand(&mut self, expr: &CoreExpr) -> Result<Arg, RtError> {
+        let addressed = match expr {
+            CoreExpr::Quote(v) => {
                 let k = self.top().add_const(v.clone());
-                self.top().emit(Op::FlPushConst(k));
-                return Ok(());
+                Arg::constant(k)
             }
-            CoreExpr::Var(sym, _) if !self.mutated.contains(sym) => {
-                // only pure locals/captures stay unboxed; globals and
-                // boxed variables fall through to the generic path
-                match self.resolve(*sym) {
-                    Resolved::Local(i) => {
-                        self.top().emit(Op::FlPushLocal(i));
-                        return Ok(());
-                    }
-                    Resolved::Capture(i) => {
-                        self.top().emit(Op::FlPushCapture(i));
-                        return Ok(());
-                    }
-                    Resolved::Global(_) => {}
-                }
-            }
-            CoreExpr::App(f, args, _) => {
-                if let CoreExpr::Var(sym, _) = &**f {
-                    let is_local = self
-                        .fns
-                        .iter()
-                        .any(|s| s.locals.contains_key(sym) || s.capture_names.contains(sym));
-                    if !is_local && !self.defined.contains(sym) {
-                        let (binary, unary, fx_to_fl) = sym.with_str(|name| {
-                            (
-                                fl_binary_op(name),
-                                fl_unary_op(name),
-                                name == "unsafe-fx->fl",
-                            )
-                        });
-                        if args.len() == 2 {
-                            if let Some(op) = binary {
-                                self.compile_fl_operand(&args[0])?;
-                                self.compile_fl_operand(&args[1])?;
-                                self.top().emit(op);
-                                return Ok(());
-                            }
-                        }
-                        if args.len() == 1 {
-                            if let Some(op) = unary {
-                                self.compile_fl_operand(&args[0])?;
-                                self.top().emit(op);
-                                return Ok(());
-                            }
-                            if fx_to_fl {
-                                self.compile_expr(&args[0], false)?;
-                                self.top().emit(Op::FlUnboxFx);
-                                return Ok(());
-                            }
-                        }
-                    }
-                }
-            }
-            _ => {}
+            CoreExpr::Var(sym, _) if !self.mutated.contains(sym) => match self.resolve(*sym) {
+                Resolved::Local(i) => Arg::local(i),
+                Resolved::Capture(_) | Resolved::Global(_) => None,
+            },
+            _ => None,
+        };
+        if let Some(arg) = addressed {
+            return Ok(arg);
         }
-        // generic fallback: compute boxed, then move to the float stack
         self.compile_expr(expr, false)?;
-        self.top().emit(Op::FlUnbox);
-        Ok(())
+        Ok(Arg::STACK)
     }
+}
+
+/// How many instructions of `proto` and its children carry a folded
+/// operand or a branch target.
+fn count_fused(proto: &Proto) -> u64 {
+    let own = proto.code.iter().filter(|op| op.is_fused()).count() as u64;
+    own + proto.protos.iter().map(|p| count_fused(p)).sum::<u64>()
 }
 
 /// Collects every `set!` target and `letrec`-bound name — the variables
@@ -645,6 +530,16 @@ mod tests {
         Compiler::compile_module(&forms).unwrap()
     }
 
+    const S: Arg = Arg::STACK;
+
+    fn l(i: u32) -> Arg {
+        Arg::local(i).unwrap()
+    }
+
+    fn k(i: u32) -> Arg {
+        Arg::constant(i).unwrap()
+    }
+
     #[test]
     fn constants_and_globals() {
         let m = compile("(define-values (x) 3) x");
@@ -658,20 +553,20 @@ mod tests {
     #[test]
     fn generic_primitives_specialize() {
         let m = compile("(#%plain-app + 1 2)");
-        assert!(m.top.code.contains(&Op::Add2));
+        assert!(m.top.code.contains(&Op::Add2(k(0), k(1))));
         assert!(!m.top.disassemble().contains("Call"));
     }
 
     #[test]
     fn unsafe_primitives_specialize() {
         let m = compile("(#%plain-app unsafe-fl+ 1.0 2.0)");
-        assert!(m.top.code.contains(&Op::FlAdd));
+        assert!(m.top.code.contains(&Op::FlAdd(k(0), k(1))));
     }
 
     #[test]
     fn variadic_calls_do_not_specialize() {
         let m = compile("(#%plain-app + 1 2 3)");
-        assert!(!m.top.code.contains(&Op::Add2));
+        assert!(!m.top.code.iter().any(|op| op.mnemonic() == "Add2"));
         assert!(m.top.code.iter().any(|op| matches!(op, Op::Call(3))));
     }
 
@@ -680,13 +575,13 @@ mod tests {
         // a local named `+` must be called as a closure, not as Add2
         let m = compile("(#%plain-app (#%plain-lambda (+) (#%plain-app + 1 2)) car)");
         let inner = &m.top.protos[0];
-        assert!(!inner.code.contains(&Op::Add2));
+        assert!(!inner.code.iter().any(|op| op.mnemonic() == "Add2"));
     }
 
     #[test]
     fn module_defined_primitive_name_does_not_specialize() {
         let m = compile("(define-values (+) 1) (#%plain-app + 1 2)");
-        assert!(!m.top.code.contains(&Op::Add2));
+        assert!(!m.top.code.iter().any(|op| op.mnemonic() == "Add2"));
     }
 
     #[test]
@@ -721,94 +616,162 @@ mod tests {
         let d = m.top.disassemble();
         assert!(!d.contains("Box"));
     }
-}
-
-#[cfg(test)]
-mod fusion_tests {
-    use super::*;
-    use crate::ir::parse_form;
-    use lagoon_syntax::read_all;
-
-    fn compile(src: &str) -> ModuleCode {
-        let forms = read_all(src, "<t>")
-            .unwrap()
-            .iter()
-            .map(parse_form)
-            .collect::<Result<Vec<_>, _>>()
-            .unwrap();
-        Compiler::compile_module(&forms).unwrap()
-    }
 
     #[test]
-    fn nested_fl_trees_fuse() {
-        // (unsafe-flsqrt (unsafe-fl+ (unsafe-fl* x x) (unsafe-fl* y y)))
+    fn locals_and_constants_are_addressed_in_place() {
         let m = compile(
             "(#%plain-lambda (x y)
-               (#%plain-app unsafe-flsqrt
-                 (#%plain-app unsafe-fl+
-                   (#%plain-app unsafe-fl* x x)
-                   (#%plain-app unsafe-fl* y y))))",
+               (#%plain-app unsafe-fl+ (#%plain-app unsafe-fl* x x) (#%plain-app - y 1)))",
         );
         let inner = &m.top.protos[0];
-        assert!(inner.code.contains(&Op::FlPushLocal(0)));
-        assert!(inner.code.contains(&Op::FlSMul));
-        assert!(inner.code.contains(&Op::FlSAdd));
-        assert!(inner.code.contains(&Op::FlSSqrt));
-        assert!(inner.code.contains(&Op::FlBox));
-        // no boxed float instructions remain
-        assert!(!inner.code.contains(&Op::FlMul));
-        assert!(!inner.code.contains(&Op::FlAdd));
+        assert_eq!(
+            inner.code,
+            vec![
+                Op::FlMul(l(0), l(0)),
+                Op::Sub2(l(1), k(0)),
+                Op::FlAdd(S, S),
+                Op::Return,
+            ]
+        );
     }
 
     #[test]
-    fn single_fl_ops_stay_unfused() {
-        let m = compile("(#%plain-lambda (x y) (#%plain-app unsafe-fl+ x y))");
-        let inner = &m.top.protos[0];
-        assert!(inner.code.contains(&Op::FlAdd));
-        assert!(!inner.code.contains(&Op::FlSAdd));
-    }
-
-    #[test]
-    fn fused_comparisons_produce_booleans() {
+    fn one_operand_accessors_are_addressed() {
         let m = compile(
-            "(#%plain-lambda (x y)
-               (#%plain-app unsafe-fl< (#%plain-app unsafe-fl* x x) y))",
+            "(#%plain-lambda (p i)
+               (#%plain-app cons (#%plain-app car p)
+                 (#%plain-app unsafe-cdr (#%plain-app unsafe-fx->fl i))))",
         );
         let inner = &m.top.protos[0];
-        assert!(inner.code.contains(&Op::FlSLt));
-        assert!(!inner.code.contains(&Op::FlBox), "comparison must not box");
+        assert_eq!(
+            inner.code,
+            vec![
+                Op::Car(l(0)),
+                Op::FxToFl(l(1)),
+                Op::UnsafeCdr(S),
+                Op::Cons,
+                Op::Return
+            ]
+        );
     }
 
     #[test]
-    fn generic_subexpressions_enter_via_unbox() {
-        // (unsafe-fl+ (f x) (unsafe-fl* x x)) — (f x) is a real call
+    fn captures_globals_and_boxes_load_onto_the_stack() {
+        // only unmutated locals and constants are addressed: a capture, a
+        // global and a boxed local keep their load, so evaluation order
+        // and unbound-variable errors are unchanged
         let m = compile(
-            "(define-values (f) (#%plain-lambda (x) x))
+            "(define-values (g) 2)
              (#%plain-lambda (x)
-               (#%plain-app unsafe-fl+ (#%plain-app f x) (#%plain-app unsafe-fl* x x)))",
+               (let-values ([(b) 1])
+                 (begin
+                   (set! b 3)
+                   (#%plain-lambda ()
+                     (#%plain-app + (#%plain-app * x g) b)))))",
         );
-        let inner = &m.top.protos[1];
-        assert!(inner.code.contains(&Op::FlUnbox));
-        assert!(inner.code.contains(&Op::FlSAdd));
+        let inner = &m.top.protos[0].protos[0];
+        assert_eq!(
+            inner.code,
+            vec![
+                Op::LoadCapture(0),
+                Op::LoadGlobal(0),
+                Op::Mul2(S, S),
+                Op::LoadCapture(1),
+                Op::BoxGet,
+                Op::Add2(S, S),
+                Op::Return,
+            ]
+        );
     }
 
     #[test]
-    fn fx_to_fl_leaves_convert_unboxed() {
+    fn if_tests_take_the_branch_form() {
         let m = compile(
-            "(#%plain-lambda (i y)
-               (#%plain-app unsafe-fl+ (#%plain-app unsafe-fx->fl i) y))",
+            "(#%plain-lambda (i n xs)
+               (if (#%plain-app unsafe-fx< i n)
+                   (if (#%plain-app null? xs) 1 2)
+                   (if (#%plain-app zero? (#%plain-app car xs)) 3 4)))",
         );
         let inner = &m.top.protos[0];
-        assert!(inner.code.contains(&Op::FlUnboxFx));
+        assert_eq!(
+            inner.code,
+            vec![
+                Op::BrFxLt(l(0), l(1), 6),
+                Op::BrNullP(l(2), 4),
+                Op::Const(0),
+                Op::Jump(5),
+                Op::Const(1),
+                Op::Jump(11),
+                Op::Car(l(2)),
+                Op::BrZeroP(S, 10),
+                Op::Const(2),
+                Op::Jump(11),
+                Op::Const(3),
+                Op::Return,
+            ]
+        );
     }
 
     #[test]
-    fn generic_float_code_is_never_fused() {
+    fn a_comparison_a_jump_lands_after_keeps_its_jump_if_false() {
+        // the then-arm's Jump lands on the outer test's JumpIfFalse, so
+        // the trailing `>` must not absorb it
+        let m = compile(
+            "(#%plain-lambda (p x)
+               (if (if p (#%plain-app < x 1) (#%plain-app > x 2)) 3 4))",
+        );
+        assert_eq!(
+            m.top.protos[0].code,
+            vec![
+                Op::LoadLocal(0),
+                Op::JumpIfFalse(4),
+                Op::Lt2(l(1), k(0)),
+                Op::Jump(5),
+                Op::Gt2(l(1), k(1)),
+                Op::JumpIfFalse(8),
+                Op::Const(2),
+                Op::Jump(9),
+                Op::Const(3),
+                Op::Return,
+            ]
+        );
+        // a comparison that a jump lands *on* still takes the branch form
+        let m = compile("(#%plain-lambda (p x) (if (#%plain-app < (if p 1 2) x) 3 4))");
+        assert_eq!(
+            m.top.protos[0].code,
+            vec![
+                Op::LoadLocal(0),
+                Op::JumpIfFalse(4),
+                Op::Const(0),
+                Op::Jump(5),
+                Op::Const(1),
+                Op::BrLt2(S, l(1), 8),
+                Op::Const(2),
+                Op::Jump(9),
+                Op::Const(3),
+                Op::Return,
+            ]
+        );
+    }
+
+    #[test]
+    fn generic_code_never_uses_fl_ops() {
         let m = compile("(#%plain-lambda (x y) (#%plain-app + (#%plain-app * x x) y))");
         let inner = &m.top.protos[0];
-        assert!(!inner
-            .code
-            .iter()
-            .any(|op| matches!(op, Op::FlSAdd | Op::FlSMul | Op::FlPushLocal(_))));
+        assert!(inner.code.iter().all(|op| !op.mnemonic().starts_with("Fl")));
+        assert_eq!(
+            inner.code,
+            vec![Op::Mul2(l(0), l(0)), Op::Add2(S, l(1)), Op::Return]
+        );
+    }
+
+    #[test]
+    fn last_stats_count_fused_instructions() {
+        compile(
+            "(#%plain-lambda (x)
+               (if (#%plain-app < x 0) (#%plain-app car x) (#%plain-app cons x x)))",
+        );
+        // BrLt2 and Car(L0); Cons and the loads are plain stack code
+        assert_eq!(crate::peephole::last_stats().fused, 2);
     }
 }

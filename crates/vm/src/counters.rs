@@ -9,10 +9,12 @@ use crate::bytecode::{Op, OpClass};
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 
+/// Executions per (mnemonic, fused), with the instruction's class.
+type Counts = HashMap<(&'static str, bool), (OpClass, u64)>;
+
 thread_local! {
     static ACTIVE: Cell<bool> = const { Cell::new(false) };
-    static COUNTS: RefCell<HashMap<&'static str, (OpClass, bool, u64)>> =
-        RefCell::new(HashMap::new());
+    static COUNTS: RefCell<Counts> = RefCell::new(HashMap::new());
 }
 
 /// Turns opcode counting on or off for this thread. The machine samples
@@ -27,14 +29,16 @@ pub fn active() -> bool {
     ACTIVE.with(Cell::get)
 }
 
-/// Records one execution of `op`.
+/// Records one execution of `op`. An instruction counts separately with
+/// and without folded operands (`Add2(S, S)` and `Add2(L0, K1)` are two
+/// rows), so the fused share is exact.
 #[inline]
 pub fn record(op: &Op) {
     COUNTS.with(|c| {
         c.borrow_mut()
-            .entry(op.mnemonic())
-            .or_insert((op.class(), op.is_fused(), 0))
-            .2 += 1;
+            .entry((op.mnemonic(), op.is_fused()))
+            .or_insert((op.class(), 0))
+            .1 += 1;
     });
 }
 
@@ -44,32 +48,37 @@ pub fn reset() {
 }
 
 /// The recorded counts as `(mnemonic, class, fused, count)`, sorted by
-/// descending count (ties by mnemonic for stable output). `fused` marks
-/// peephole superinstructions, so reports can show a fusion rate.
+/// descending count (ties by mnemonic, then fused, for stable output).
+/// `fused` marks executions with a folded operand or a branch target
+/// ([`Op::is_fused`]), so reports can show a fusion rate.
 pub fn snapshot() -> Vec<(&'static str, OpClass, bool, u64)> {
     let mut rows: Vec<_> = COUNTS.with(|c| {
         c.borrow()
             .iter()
-            .map(|(&name, &(class, fused, count))| (name, class, fused, count))
+            .map(|(&(name, fused), &(class, count))| (name, class, fused, count))
             .collect()
     });
-    rows.sort_by(|a, b| b.3.cmp(&a.3).then(a.0.cmp(b.0)));
+    rows.sort_by(|a, b| b.3.cmp(&a.3).then(a.0.cmp(b.0)).then(a.2.cmp(&b.2)));
     rows
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bytecode::Arg;
 
     #[test]
     fn record_and_snapshot() {
+        let (s, l) = (Arg::STACK, Arg::local(0).unwrap());
         reset();
-        record(&Op::Add2);
-        record(&Op::Add2);
-        record(&Op::FlAdd);
-        record(&Op::BrLt2(0));
+        record(&Op::Add2(s, s));
+        record(&Op::Add2(s, s));
+        record(&Op::Add2(l, s));
+        record(&Op::FlAdd(s, s));
+        record(&Op::BrLt2(s, s, 0));
         let snap = snapshot();
         assert_eq!(snap[0], ("Add2", OpClass::Generic, false, 2));
+        assert!(snap.contains(&("Add2", OpClass::Generic, true, 1)));
         assert!(snap.contains(&("FlAdd", OpClass::Specialized, false, 1)));
         assert!(snap.contains(&("BrLt2", OpClass::Generic, true, 1)));
         reset();

@@ -8,9 +8,11 @@
 //! tag-dispatching numeric tower; the `Fl*`/`Fx*`/`Fc*`/`Unsafe*`
 //! instructions extract payloads with a single pattern match and no
 //! checks — the machine-level realization of the paper's unsafe
-//! primitives.
+//! primitives. Both read their operands through [`Arg`] addresses:
+//! stack-top operands are popped (the second above the first), frame
+//! slots and constants are read in place.
 
-use crate::bytecode::{CaptureSrc, ModuleCode, Op, Proto};
+use crate::bytecode::{Arg, CaptureSrc, ModuleCode, Op, Proto};
 use crate::engine::{apply_contracted, is_apply_native, splice_apply_args, Engine};
 use lagoon_runtime::{number, Closure, Kind, RtError, Value};
 use lagoon_syntax::Symbol;
@@ -86,13 +88,6 @@ struct Frame {
     /// Index of the first argument/local on the stack; `base - 1` holds
     /// the callee value.
     base: usize,
-    /// Float-stack depth when this frame was entered. A fused float
-    /// sequence may be *suspended* across a call (a generic operand of
-    /// a fused expression can itself be a call), so the fstack is not
-    /// globally empty at call edges; the invariant is per-frame balance:
-    /// every frame returns with the fstack exactly as deep as it found
-    /// it, asserted at `Return`/`TailCall`.
-    fbase: usize,
     env: Rc<VmEnv>,
 }
 
@@ -215,7 +210,7 @@ macro_rules! fcval {
 }
 
 /// Reusable per-activation machine state: the unified operand/locals
-/// stack, the unboxed float side stack, and the suspended-caller frames.
+/// stack and the suspended-caller frames.
 ///
 /// Pooled per thread so re-entrant VM activations (a native calling back
 /// into hosted code) each check out their own buffers while plain calls
@@ -223,7 +218,6 @@ macro_rules! fcval {
 #[derive(Default)]
 struct Buffers {
     stack: Vec<Value>,
-    fstack: Vec<f64>,
     frames: Vec<Frame>,
 }
 
@@ -238,12 +232,11 @@ fn take_buffers() -> Buffers {
 }
 
 /// Returns a checked-out buffer set to the pool, clearing it first. The
-/// clear is the error-unwind invariant restore: a mid-fused-sequence
-/// error can abandon operands on `stack` and — crucially — unboxed
-/// floats on `fstack`; the next activation must start from empty.
+/// clear is the error-unwind invariant restore: an error can abandon
+/// operands and frames on the stack; the next activation must start
+/// from empty.
 fn return_buffers(mut bufs: Buffers) {
     bufs.stack.clear();
-    bufs.fstack.clear();
     bufs.frames.clear();
     BUFFER_POOL.with(|pool| {
         let mut pool = pool.borrow_mut();
@@ -296,12 +289,6 @@ fn exec_loop<const COUNT: bool>(
     // `base - 1`, its args/locals at frame-pointer-relative slots
     // `base..base + nlocals`, and operand temporaries above them
     let stack = &mut bufs.stack;
-    // the unboxed float stack used by fused unsafe-fl* sequences; each
-    // frame returns it at the depth it was entered with (a fused
-    // sequence may be suspended across a call when a generic operand is
-    // itself a call), and an error unwind clears it wholesale in
-    // `return_buffers`
-    let fstack = &mut bufs.fstack;
     // suspended callers only — the active frame lives in the `cur`
     // local, so per-instruction dispatch touches frame state (proto,
     // code, ip, base, env) through a local instead of re-borrowing the
@@ -400,21 +387,11 @@ fn exec_loop<const COUNT: bool>(
                     env,
                 })));
             }
-            Op::Call(n) => {
-                match enter_call(stack, n as usize, None, frames.len() + 1)? {
-                    Dispatch::Frame(mut f) => {
-                        // the callee must leave the caller's suspended
-                        // unboxed floats (if any) untouched
-                        f.fbase = fstack.len();
-                        frames.push(std::mem::replace(&mut cur, f));
-                    }
-                    Dispatch::Done => {}
-                }
-            }
+            Op::Call(n) => match enter_call(stack, n as usize, None, frames.len() + 1)? {
+                Dispatch::Frame(f) => frames.push(std::mem::replace(&mut cur, f)),
+                Dispatch::Done => {}
+            },
             Op::TailCall(n) => {
-                // a tail call is the frame's result, so the frame's own
-                // fused sequences must all be drained by now
-                debug_assert!(fstack.len() == cur.fbase, "fstack unbalanced at TailCall");
                 let argstart = stack.len() - n as usize;
                 // self-tail-call: the callee is bit-identical to the
                 // closure this frame is already running (the common
@@ -440,10 +417,7 @@ fn exec_loop<const COUNT: bool>(
                     continue;
                 }
                 match enter_call(stack, n as usize, Some(cur.base), frames.len())? {
-                    Dispatch::Frame(mut f) => {
-                        f.fbase = cur.fbase;
-                        cur = f;
-                    }
+                    Dispatch::Frame(f) => cur = f,
                     Dispatch::Done => {
                         // a native/contracted callee completed the tail
                         // call; unwind to the caller as `Return` would
@@ -460,8 +434,6 @@ fn exec_loop<const COUNT: bool>(
                 }
             }
             Op::Return => {
-                // the frame hands back exactly the fstack it was given
-                debug_assert!(fstack.len() == cur.fbase, "fstack unbalanced at Return");
                 let result = pop!(stack);
                 stack.truncate(cur.base - 1);
                 match frames.pop() {
@@ -502,35 +474,20 @@ fn exec_loop<const COUNT: bool>(
             }
 
             // ---- generic fast paths ----
-            Op::Add2 => {
-                let b = pop!(stack);
-                let a = pop!(stack);
-                stack.push(add_value(&a, &b)?);
-            }
-            Op::Sub2 => {
-                let b = pop!(stack);
-                let a = pop!(stack);
-                stack.push(sub_value(&a, &b)?);
-            }
-            Op::Mul2 => {
-                let b = pop!(stack);
-                let a = pop!(stack);
-                stack.push(mul_value(&a, &b)?);
-            }
-            Op::Div2 => {
-                let b = pop!(stack);
-                let a = pop!(stack);
-                stack.push(div_value(&a, &b)?);
-            }
-            Op::Lt2 => cmpop(stack, "<", |o| o.is_lt())?,
-            Op::Le2 => cmpop(stack, "<=", |o| o.is_le())?,
-            Op::Gt2 => cmpop(stack, ">", |o| o.is_gt())?,
-            Op::Ge2 => cmpop(stack, ">=", |o| o.is_ge())?,
-            Op::NumEq2 => {
-                let b = pop!(stack);
-                let a = pop!(stack);
-                stack.push(Value::Bool(num_eq_value(&a, &b)?));
-            }
+            Op::Add2(a, b) => arith(stack, &cur, a, b, add_value)?,
+            Op::Sub2(a, b) => arith(stack, &cur, a, b, sub_value)?,
+            Op::Mul2(a, b) => arith(stack, &cur, a, b, mul_value)?,
+            Op::Div2(a, b) => arith(stack, &cur, a, b, div_value)?,
+            Op::Lt2(a, b) => test(stack, &cur, a, b, lt)?,
+            Op::Le2(a, b) => test(stack, &cur, a, b, le)?,
+            Op::Gt2(a, b) => test(stack, &cur, a, b, gt)?,
+            Op::Ge2(a, b) => test(stack, &cur, a, b, ge)?,
+            Op::NumEq2(a, b) => test(stack, &cur, a, b, num_eq_value)?,
+            Op::BrLt2(a, b, t) => branch(stack, &mut cur, a, b, t, lt)?,
+            Op::BrLe2(a, b, t) => branch(stack, &mut cur, a, b, t, le)?,
+            Op::BrGt2(a, b, t) => branch(stack, &mut cur, a, b, t, gt)?,
+            Op::BrGe2(a, b, t) => branch(stack, &mut cur, a, b, t, ge)?,
+            Op::BrNumEq2(a, b, t) => branch(stack, &mut cur, a, b, t, num_eq_value)?,
             Op::Add1 => {
                 let a = pop!(stack);
                 stack.push(add_value(&a, &Value::Int(1))?);
@@ -539,30 +496,45 @@ fn exec_loop<const COUNT: bool>(
                 let a = pop!(stack);
                 stack.push(sub_value(&a, &Value::Int(1))?);
             }
-            Op::ZeroP => {
-                let a = pop!(stack);
-                stack.push(Value::Bool(zero_value(&a)?));
+            Op::ZeroP(a) => {
+                let x = unary(stack, &cur, a, zero_value)??;
+                stack.push(Value::Bool(x));
             }
-            Op::Car => {
-                let a = pop!(stack);
-                stack.push(car_value(&a)?);
+            Op::BrZeroP(a, t) => {
+                if !unary(stack, &cur, a, zero_value)?? {
+                    cur.ip = t as usize;
+                }
             }
-            Op::Cdr => {
-                let a = pop!(stack);
-                stack.push(cdr_value(&a)?);
+            Op::Car(a) => {
+                let x = unary(stack, &cur, a, car_value)??;
+                stack.push(x);
+            }
+            Op::Cdr(a) => {
+                let x = unary(stack, &cur, a, cdr_value)??;
+                stack.push(x);
             }
             Op::Cons => {
                 let b = pop!(stack);
                 let a = pop!(stack);
                 stack.push(Value::cons(a, b));
             }
-            Op::NullP => {
-                let a = pop!(stack);
-                stack.push(Value::Bool(a.is_nil()));
+            Op::NullP(a) => {
+                let x = unary(stack, &cur, a, Value::is_nil)?;
+                stack.push(Value::Bool(x));
             }
-            Op::PairP => {
-                let a = pop!(stack);
-                stack.push(Value::Bool(a.as_pair().is_some()));
+            Op::BrNullP(a, t) => {
+                if !unary(stack, &cur, a, Value::is_nil)? {
+                    cur.ip = t as usize;
+                }
+            }
+            Op::PairP(a) => {
+                let x = unary(stack, &cur, a, |v| v.as_pair().is_some())?;
+                stack.push(Value::Bool(x));
+            }
+            Op::BrPairP(a, t) => {
+                if unary(stack, &cur, a, |v| v.as_pair().is_none())? {
+                    cur.ip = t as usize;
+                }
             }
             Op::Not => {
                 let a = pop!(stack);
@@ -573,11 +545,7 @@ fn exec_loop<const COUNT: bool>(
                 let a = pop!(stack);
                 stack.push(Value::Bool(a.eq_identity(&b)));
             }
-            Op::VectorRef => {
-                let i = pop!(stack);
-                let v = pop!(stack);
-                stack.push(vector_ref_value(&v, &i)?);
-            }
+            Op::VectorRef(a, b) => arith(stack, &cur, a, b, vector_ref_value)?,
             Op::VectorSet => {
                 let x = pop!(stack);
                 let i = pop!(stack);
@@ -622,15 +590,32 @@ fn exec_loop<const COUNT: bool>(
             }
 
             // ---- unsafe specialized instructions ----
-            Op::FlAdd => flbin(stack, |a, b| a + b)?,
-            Op::FlSub => flbin(stack, |a, b| a - b)?,
-            Op::FlMul => flbin(stack, |a, b| a * b)?,
-            Op::FlDiv => flbin(stack, |a, b| a / b)?,
-            Op::FlLt => flcmp(stack, |a, b| a < b)?,
-            Op::FlLe => flcmp(stack, |a, b| a <= b)?,
-            Op::FlGt => flcmp(stack, |a, b| a > b)?,
-            Op::FlGe => flcmp(stack, |a, b| a >= b)?,
-            Op::FlEq => flcmp(stack, |a, b| a == b)?,
+            Op::FlAdd(a, b) => fl(stack, &cur, a, b, |x, y| x + y)?,
+            Op::FlSub(a, b) => fl(stack, &cur, a, b, |x, y| x - y)?,
+            Op::FlMul(a, b) => fl(stack, &cur, a, b, |x, y| x * y)?,
+            Op::FlDiv(a, b) => fl(stack, &cur, a, b, |x, y| x / y)?,
+            Op::FlMin(a, b) => fl(stack, &cur, a, b, number::flmin)?,
+            Op::FlMax(a, b) => fl(stack, &cur, a, b, number::flmax)?,
+            Op::FlLt(a, b) => test(stack, &cur, a, b, |x, y| Ok(flval!(x) < flval!(y)))?,
+            Op::FlLe(a, b) => test(stack, &cur, a, b, |x, y| Ok(flval!(x) <= flval!(y)))?,
+            Op::FlGt(a, b) => test(stack, &cur, a, b, |x, y| Ok(flval!(x) > flval!(y)))?,
+            Op::FlGe(a, b) => test(stack, &cur, a, b, |x, y| Ok(flval!(x) >= flval!(y)))?,
+            Op::FlEq(a, b) => test(stack, &cur, a, b, |x, y| Ok(flval!(x) == flval!(y)))?,
+            Op::BrFlLt(a, b, t) => {
+                branch(stack, &mut cur, a, b, t, |x, y| Ok(flval!(x) < flval!(y)))?
+            }
+            Op::BrFlLe(a, b, t) => {
+                branch(stack, &mut cur, a, b, t, |x, y| Ok(flval!(x) <= flval!(y)))?
+            }
+            Op::BrFlGt(a, b, t) => {
+                branch(stack, &mut cur, a, b, t, |x, y| Ok(flval!(x) > flval!(y)))?
+            }
+            Op::BrFlGe(a, b, t) => {
+                branch(stack, &mut cur, a, b, t, |x, y| Ok(flval!(x) >= flval!(y)))?
+            }
+            Op::BrFlEq(a, b, t) => {
+                branch(stack, &mut cur, a, b, t, |x, y| Ok(flval!(x) == flval!(y)))?
+            }
             Op::FlSqrt => {
                 let a = flval!(pop!(stack));
                 stack.push(Value::Float(a.sqrt()));
@@ -639,22 +624,35 @@ fn exec_loop<const COUNT: bool>(
                 let a = flval!(pop!(stack));
                 stack.push(Value::Float(a.abs()));
             }
-            Op::FlMin => flbin(stack, f64::min)?,
-            Op::FlMax => flbin(stack, f64::max)?,
-            Op::FxAdd => fxbin(stack, i64::wrapping_add)?,
-            Op::FxSub => fxbin(stack, i64::wrapping_sub)?,
-            Op::FxMul => fxbin(stack, i64::wrapping_mul)?,
-            Op::FxLt => fxcmp(stack, |a, b| a < b)?,
-            Op::FxLe => fxcmp(stack, |a, b| a <= b)?,
-            Op::FxGt => fxcmp(stack, |a, b| a > b)?,
-            Op::FxGe => fxcmp(stack, |a, b| a >= b)?,
-            Op::FxEq => fxcmp(stack, |a, b| a == b)?,
-            Op::FcAdd => fcbin(stack, |(ar, ai), (br, bi)| (ar + br, ai + bi))?,
-            Op::FcSub => fcbin(stack, |(ar, ai), (br, bi)| (ar - br, ai - bi))?,
-            Op::FcMul => fcbin(stack, |(ar, ai), (br, bi)| {
+            Op::FxAdd(a, b) => fx(stack, &cur, a, b, i64::wrapping_add)?,
+            Op::FxSub(a, b) => fx(stack, &cur, a, b, i64::wrapping_sub)?,
+            Op::FxMul(a, b) => fx(stack, &cur, a, b, i64::wrapping_mul)?,
+            Op::FxLt(a, b) => test(stack, &cur, a, b, |x, y| Ok(fxval!(x) < fxval!(y)))?,
+            Op::FxLe(a, b) => test(stack, &cur, a, b, |x, y| Ok(fxval!(x) <= fxval!(y)))?,
+            Op::FxGt(a, b) => test(stack, &cur, a, b, |x, y| Ok(fxval!(x) > fxval!(y)))?,
+            Op::FxGe(a, b) => test(stack, &cur, a, b, |x, y| Ok(fxval!(x) >= fxval!(y)))?,
+            Op::FxEq(a, b) => test(stack, &cur, a, b, |x, y| Ok(fxval!(x) == fxval!(y)))?,
+            Op::BrFxLt(a, b, t) => {
+                branch(stack, &mut cur, a, b, t, |x, y| Ok(fxval!(x) < fxval!(y)))?
+            }
+            Op::BrFxLe(a, b, t) => {
+                branch(stack, &mut cur, a, b, t, |x, y| Ok(fxval!(x) <= fxval!(y)))?
+            }
+            Op::BrFxGt(a, b, t) => {
+                branch(stack, &mut cur, a, b, t, |x, y| Ok(fxval!(x) > fxval!(y)))?
+            }
+            Op::BrFxGe(a, b, t) => {
+                branch(stack, &mut cur, a, b, t, |x, y| Ok(fxval!(x) >= fxval!(y)))?
+            }
+            Op::BrFxEq(a, b, t) => {
+                branch(stack, &mut cur, a, b, t, |x, y| Ok(fxval!(x) == fxval!(y)))?
+            }
+            Op::FcAdd(a, b) => fc(stack, &cur, a, b, |(ar, ai), (br, bi)| (ar + br, ai + bi))?,
+            Op::FcSub(a, b) => fc(stack, &cur, a, b, |(ar, ai), (br, bi)| (ar - br, ai - bi))?,
+            Op::FcMul(a, b) => fc(stack, &cur, a, b, |(ar, ai), (br, bi)| {
                 (ar * br - ai * bi, ar * bi + ai * br)
             })?,
-            Op::FcDiv => fcbin(stack, |(ar, ai), (br, bi)| {
+            Op::FcDiv(a, b) => fc(stack, &cur, a, b, |(ar, ai), (br, bi)| {
                 let d = br * br + bi * bi;
                 ((ar * br + ai * bi) / d, (ai * br - ar * bi) / d)
             })?,
@@ -662,19 +660,28 @@ fn exec_loop<const COUNT: bool>(
                 let (re, im) = fcval!(pop!(stack));
                 stack.push(Value::Float(re.hypot(im)));
             }
-            Op::UnsafeCar => {
-                let a = pop!(stack);
-                stack.push(unsafe_car_value(&a));
+            Op::UnsafeCar(a) => {
+                let x = unary(stack, &cur, a, |v| match v.as_pair() {
+                    Some(p) => p.0.clone(),
+                    None => v.clone(),
+                })?;
+                stack.push(x);
             }
-            Op::UnsafeCdr => {
-                let a = pop!(stack);
-                stack.push(unsafe_cdr_value(&a));
+            Op::UnsafeCdr(a) => {
+                let x = unary(stack, &cur, a, |v| match v.as_pair() {
+                    Some(p) => p.1.clone(),
+                    None => v.clone(),
+                })?;
+                stack.push(x);
             }
-            Op::UnsafeVectorRef => {
-                let i = pop!(stack);
-                let v = pop!(stack);
-                stack.push(unsafe_vector_ref_value(&v, &i));
-            }
+            Op::UnsafeVectorRef(a, b) => arith(stack, &cur, a, b, |v, i| {
+                Ok(match (v.as_vector(), i.as_int()) {
+                    (Some(vec), Some(n)) => {
+                        vec.borrow().get(n as usize).cloned().unwrap_or(Value::Void)
+                    }
+                    _ => Value::Void,
+                })
+            })?,
             Op::UnsafeVectorSet => {
                 let x = pop!(stack);
                 let i = pop!(stack);
@@ -693,197 +700,149 @@ fn exec_loop<const COUNT: bool>(
                 let len = v.as_vector().map_or(0, |vec| vec.borrow().len() as i64);
                 stack.push(Value::Int(len));
             }
-            Op::FxToFl => {
-                let a = fxval!(pop!(stack));
-                stack.push(Value::Float(a as f64));
-            }
-
-            // ---- unboxed float fusion ----
-            Op::FlPushLocal(i) => {
-                let v = flval!(stack[cur.base + i as usize]);
-                fstack.push(v);
-            }
-            Op::FlPushCapture(i) => {
-                let v = flval!(cur.env.captures[i as usize]);
-                fstack.push(v);
-            }
-            Op::FlPushConst(k) => {
-                let v = flval!(cur.proto.consts[k as usize]);
-                fstack.push(v);
-            }
-            Op::FlUnbox => {
-                let v = flval!(pop!(stack));
-                fstack.push(v);
-            }
-            Op::FlUnboxFx => {
-                let v = fxval!(pop!(stack));
-                fstack.push(v as f64);
-            }
-            Op::FlBox => {
-                let v = pop!(fstack);
-                stack.push(Value::Float(v));
-            }
-            Op::FlSAdd => flfuse(fstack, |a, b| a + b)?,
-            Op::FlSSub => flfuse(fstack, |a, b| a - b)?,
-            Op::FlSMul => flfuse(fstack, |a, b| a * b)?,
-            Op::FlSDiv => flfuse(fstack, |a, b| a / b)?,
-            Op::FlSMin => flfuse(fstack, f64::min)?,
-            Op::FlSMax => flfuse(fstack, f64::max)?,
-            Op::FlSSqrt => {
-                let a = pop!(fstack);
-                fstack.push(a.sqrt());
-            }
-            Op::FlSAbs => {
-                let a = pop!(fstack);
-                fstack.push(a.abs());
-            }
-            Op::FlSLt => flfusecmp(fstack, stack, |a, b| a < b)?,
-            Op::FlSLe => flfusecmp(fstack, stack, |a, b| a <= b)?,
-            Op::FlSGt => flfusecmp(fstack, stack, |a, b| a > b)?,
-            Op::FlSGe => flfusecmp(fstack, stack, |a, b| a >= b)?,
-            Op::FlSEq => flfusecmp(fstack, stack, |a, b| a == b)?,
-
-            // ---- peephole superinstructions ----
-            //
-            // Each arm is the exact composition of its unfused window:
-            // same operand order, same error paths, same stack effect.
-            // The `Br*` forms jump when the comparison is *false*,
-            // matching `cmp; JumpIfFalse`.
-            Op::BrLt2(t) => brcmp(stack, &mut cur.ip, t, "<", |o| o.is_lt())?,
-            Op::BrLe2(t) => brcmp(stack, &mut cur.ip, t, "<=", |o| o.is_le())?,
-            Op::BrGt2(t) => brcmp(stack, &mut cur.ip, t, ">", |o| o.is_gt())?,
-            Op::BrGe2(t) => brcmp(stack, &mut cur.ip, t, ">=", |o| o.is_ge())?,
-            Op::BrNumEq2(t) => {
-                let b = pop!(stack);
-                let a = pop!(stack);
-                if !num_eq_value(&a, &b)? {
-                    cur.ip = t as usize;
-                }
-            }
-            Op::BrZeroP(t) => {
-                let a = pop!(stack);
-                if !zero_value(&a)? {
-                    cur.ip = t as usize;
-                }
-            }
-            Op::BrNullP(t) => {
-                if !pop!(stack).is_nil() {
-                    cur.ip = t as usize;
-                }
-            }
-            Op::BrPairP(t) => {
-                if pop!(stack).as_pair().is_none() {
-                    cur.ip = t as usize;
-                }
-            }
-            Op::BrFlLt(t) => brflcmp(stack, &mut cur.ip, t, |a, b| a < b)?,
-            Op::BrFlLe(t) => brflcmp(stack, &mut cur.ip, t, |a, b| a <= b)?,
-            Op::BrFlGt(t) => brflcmp(stack, &mut cur.ip, t, |a, b| a > b)?,
-            Op::BrFlGe(t) => brflcmp(stack, &mut cur.ip, t, |a, b| a >= b)?,
-            Op::BrFlEq(t) => brflcmp(stack, &mut cur.ip, t, |a, b| a == b)?,
-            Op::BrFxLt(t) => brfxcmp(stack, &mut cur.ip, t, |a, b| a < b)?,
-            Op::BrFxLe(t) => brfxcmp(stack, &mut cur.ip, t, |a, b| a <= b)?,
-            Op::BrFxGt(t) => brfxcmp(stack, &mut cur.ip, t, |a, b| a > b)?,
-            Op::BrFxGe(t) => brfxcmp(stack, &mut cur.ip, t, |a, b| a >= b)?,
-            Op::BrFxEq(t) => brfxcmp(stack, &mut cur.ip, t, |a, b| a == b)?,
-            Op::BrFlSLt(t) => brflscmp(fstack, &mut cur.ip, t, |a, b| a < b)?,
-            Op::BrFlSLe(t) => brflscmp(fstack, &mut cur.ip, t, |a, b| a <= b)?,
-            Op::BrFlSGt(t) => brflscmp(fstack, &mut cur.ip, t, |a, b| a > b)?,
-            Op::BrFlSGe(t) => brflscmp(fstack, &mut cur.ip, t, |a, b| a >= b)?,
-            Op::BrFlSEq(t) => brflscmp(fstack, &mut cur.ip, t, |a, b| a == b)?,
-            Op::CarL(i) => {
-                let x = car_value(&stack[cur.base + i as usize])?;
-                stack.push(x);
-            }
-            Op::CdrL(i) => {
-                let x = cdr_value(&stack[cur.base + i as usize])?;
-                stack.push(x);
-            }
-            Op::UnsafeCarL(i) => {
-                let x = unsafe_car_value(&stack[cur.base + i as usize]);
-                stack.push(x);
-            }
-            Op::UnsafeCdrL(i) => {
-                let x = unsafe_cdr_value(&stack[cur.base + i as usize]);
-                stack.push(x);
-            }
-            Op::AddLL(i, j) => {
-                let x = add_value(&stack[cur.base + i as usize], &stack[cur.base + j as usize])?;
-                stack.push(x);
-            }
-            Op::SubLL(i, j) => {
-                let x = sub_value(&stack[cur.base + i as usize], &stack[cur.base + j as usize])?;
-                stack.push(x);
-            }
-            Op::MulLL(i, j) => {
-                let x = mul_value(&stack[cur.base + i as usize], &stack[cur.base + j as usize])?;
-                stack.push(x);
-            }
-            Op::AddLC(i, k) => {
-                let x = add_value(&stack[cur.base + i as usize], &cur.proto.consts[k as usize])?;
-                stack.push(x);
-            }
-            Op::SubLC(i, k) => {
-                let x = sub_value(&stack[cur.base + i as usize], &cur.proto.consts[k as usize])?;
-                stack.push(x);
-            }
-            Op::VectorRefLL(i, j) => {
-                let x =
-                    vector_ref_value(&stack[cur.base + i as usize], &stack[cur.base + j as usize])?;
-                stack.push(x);
-            }
-            Op::FxAddLL(i, j) => {
-                let a = fxval!(stack[cur.base + i as usize]);
-                let b = fxval!(stack[cur.base + j as usize]);
-                stack.push(Value::Int(a.wrapping_add(b)));
-            }
-            Op::FxSubLL(i, j) => {
-                let a = fxval!(stack[cur.base + i as usize]);
-                let b = fxval!(stack[cur.base + j as usize]);
-                stack.push(Value::Int(a.wrapping_sub(b)));
-            }
-            Op::FxAddLC(i, k) => {
-                let a = fxval!(stack[cur.base + i as usize]);
-                let b = fxval!(cur.proto.consts[k as usize]);
-                stack.push(Value::Int(a.wrapping_add(b)));
-            }
-            Op::FxSubLC(i, k) => {
-                let a = fxval!(stack[cur.base + i as usize]);
-                let b = fxval!(cur.proto.consts[k as usize]);
-                stack.push(Value::Int(a.wrapping_sub(b)));
-            }
-            Op::UnsafeVectorRefLL(i, j) => {
-                let x = unsafe_vector_ref_value(
-                    &stack[cur.base + i as usize],
-                    &stack[cur.base + j as usize],
-                );
-                stack.push(x);
+            Op::FxToFl(a) => {
+                let x = unary(stack, &cur, a, |v| fxval!(v) as f64)?;
+                stack.push(Value::Float(x));
             }
         }
     }
 }
 
-#[inline]
-fn flfuse(fstack: &mut Vec<f64>, f: fn(f64, f64) -> f64) -> Result<(), RtError> {
-    let b = pop!(fstack);
-    let a = pop!(fstack);
-    fstack.push(f(a, b));
-    Ok(())
+/// The operand `arg` addresses: `held` when it was popped, otherwise a
+/// slot of `frame` or one of its constants.
+#[inline(always)]
+fn operand<'a>(
+    arg: Arg,
+    held: &'a Option<Value>,
+    stack: &'a [Value],
+    frame: &'a Frame,
+) -> &'a Value {
+    match held {
+        Some(v) => v,
+        None if arg.is_const() => &frame.proto.consts[arg.index()],
+        None => &stack[frame.base + arg.index()],
+    }
 }
 
-#[inline]
-fn flfusecmp(
-    fstack: &mut Vec<f64>,
+/// Applies `f` to the operands `a` and `b` address. Stack-top operands
+/// are popped first, `b` from above `a`, as the pushes left them.
+#[inline(always)]
+fn binary<R>(
     stack: &mut Vec<Value>,
-    f: fn(f64, f64) -> bool,
+    frame: &Frame,
+    a: Arg,
+    b: Arg,
+    f: impl FnOnce(&Value, &Value) -> R,
+) -> Result<R, RtError> {
+    let held_b = if b.is_stack() {
+        Some(pop!(stack))
+    } else {
+        None
+    };
+    let held_a = if a.is_stack() {
+        Some(pop!(stack))
+    } else {
+        None
+    };
+    Ok(f(
+        operand(a, &held_a, stack, frame),
+        operand(b, &held_b, stack, frame),
+    ))
+}
+
+/// Applies `f` to the operand `a` addresses.
+#[inline(always)]
+fn unary<R>(
+    stack: &mut Vec<Value>,
+    frame: &Frame,
+    a: Arg,
+    f: impl FnOnce(&Value) -> R,
+) -> Result<R, RtError> {
+    let held = if a.is_stack() {
+        Some(pop!(stack))
+    } else {
+        None
+    };
+    Ok(f(operand(a, &held, stack, frame)))
+}
+
+type Test = fn(&Value, &Value) -> Result<bool, RtError>;
+
+/// A two-operand instruction whose result is a value.
+#[inline(always)]
+fn arith(
+    stack: &mut Vec<Value>,
+    frame: &Frame,
+    a: Arg,
+    b: Arg,
+    f: fn(&Value, &Value) -> Result<Value, RtError>,
 ) -> Result<(), RtError> {
-    let b = pop!(fstack);
-    let a = pop!(fstack);
-    stack.push(Value::Bool(f(a, b)));
+    let x = binary(stack, frame, a, b, f)??;
+    stack.push(x);
     Ok(())
 }
 
-/// `car` with the checked error path, shared by `Car` and `CarL`.
+/// A comparison or predicate whose result is pushed as a boolean.
+#[inline(always)]
+fn test(stack: &mut Vec<Value>, frame: &Frame, a: Arg, b: Arg, f: Test) -> Result<(), RtError> {
+    let x = binary(stack, frame, a, b, f)??;
+    stack.push(Value::Bool(x));
+    Ok(())
+}
+
+/// The branch form of a comparison or predicate: jumps to `t` when the
+/// test is false.
+#[inline(always)]
+fn branch(
+    stack: &mut Vec<Value>,
+    frame: &mut Frame,
+    a: Arg,
+    b: Arg,
+    t: u32,
+    f: Test,
+) -> Result<(), RtError> {
+    if !binary(stack, frame, a, b, f)?? {
+        frame.ip = t as usize;
+    }
+    Ok(())
+}
+
+#[inline(always)]
+fn fl(
+    stack: &mut Vec<Value>,
+    frame: &Frame,
+    a: Arg,
+    b: Arg,
+    f: fn(f64, f64) -> f64,
+) -> Result<(), RtError> {
+    let x = binary(stack, frame, a, b, |x, y| f(flval!(x), flval!(y)))?;
+    stack.push(Value::Float(x));
+    Ok(())
+}
+
+#[inline(always)]
+fn fx(
+    stack: &mut Vec<Value>,
+    frame: &Frame,
+    a: Arg,
+    b: Arg,
+    f: fn(i64, i64) -> i64,
+) -> Result<(), RtError> {
+    let x = binary(stack, frame, a, b, |x, y| f(fxval!(x), fxval!(y)))?;
+    stack.push(Value::Int(x));
+    Ok(())
+}
+
+type FcOp = fn((f64, f64), (f64, f64)) -> (f64, f64);
+
+#[inline(always)]
+fn fc(stack: &mut Vec<Value>, frame: &Frame, a: Arg, b: Arg, f: FcOp) -> Result<(), RtError> {
+    let (re, im) = binary(stack, frame, a, b, |x, y| f(fcval!(x), fcval!(y)))?;
+    stack.push(Value::Complex(re, im));
+    Ok(())
+}
+
+/// Checked `car`.
 #[inline]
 fn car_value(a: &Value) -> Result<Value, RtError> {
     match a.as_pair() {
@@ -895,7 +854,7 @@ fn car_value(a: &Value) -> Result<Value, RtError> {
     }
 }
 
-/// `cdr` with the checked error path, shared by `Cdr` and `CdrL`.
+/// Checked `cdr`.
 #[inline]
 fn cdr_value(a: &Value) -> Result<Value, RtError> {
     match a.as_pair() {
@@ -907,26 +866,7 @@ fn cdr_value(a: &Value) -> Result<Value, RtError> {
     }
 }
 
-/// `unsafe-car`: a non-pair passes through unchanged (arbitrary but
-/// never UB), shared by `UnsafeCar` and `UnsafeCarL`.
-#[inline]
-fn unsafe_car_value(a: &Value) -> Value {
-    match a.as_pair() {
-        Some(p) => p.0.clone(),
-        None => a.clone(),
-    }
-}
-
-/// `unsafe-cdr`, shared by `UnsafeCdr` and `UnsafeCdrL`.
-#[inline]
-fn unsafe_cdr_value(a: &Value) -> Value {
-    match a.as_pair() {
-        Some(p) => p.1.clone(),
-        None => a.clone(),
-    }
-}
-
-/// `zero?` with the checked error path, shared by `ZeroP` and `BrZeroP`.
+/// `zero?` with the checked error path.
 #[inline]
 fn zero_value(a: &Value) -> Result<bool, RtError> {
     if let Some(n) = a.as_int() {
@@ -943,7 +883,7 @@ fn zero_value(a: &Value) -> Result<bool, RtError> {
     }
 }
 
-/// Checked `vector-ref`, shared by `VectorRef` and `VectorRefLL`.
+/// Checked `vector-ref`.
 #[inline]
 fn vector_ref_value(v: &Value, i: &Value) -> Result<Value, RtError> {
     match (v.as_vector(), i.as_int()) {
@@ -967,82 +907,6 @@ fn vector_ref_value(v: &Value, i: &Value) -> Result<Value, RtError> {
             i.write_string()
         ))),
     }
-}
-
-/// `unsafe-vector-ref` (out-of-range/non-vector yields void), shared by
-/// `UnsafeVectorRef` and `UnsafeVectorRefLL`.
-#[inline]
-fn unsafe_vector_ref_value(v: &Value, i: &Value) -> Value {
-    match (v.as_vector(), i.as_int()) {
-        (Some(vec), Some(n)) => vec.borrow().get(n as usize).cloned().unwrap_or(Value::Void),
-        _ => Value::Void,
-    }
-}
-
-/// Fused generic compare-and-branch: pops like the comparison, jumps to
-/// `t` when it is false (like the `JumpIfFalse` it replaces).
-#[inline]
-fn brcmp(
-    stack: &mut Vec<Value>,
-    ip: &mut usize,
-    t: u32,
-    name: &'static str,
-    ok: fn(std::cmp::Ordering) -> bool,
-) -> Result<(), RtError> {
-    let b = pop!(stack);
-    let a = pop!(stack);
-    if !ok(compare_value(name, &a, &b)?) {
-        *ip = t as usize;
-    }
-    Ok(())
-}
-
-/// Fused `Fl*` compare-and-branch.
-#[inline]
-fn brflcmp(
-    stack: &mut Vec<Value>,
-    ip: &mut usize,
-    t: u32,
-    f: fn(f64, f64) -> bool,
-) -> Result<(), RtError> {
-    let b = flval!(pop!(stack));
-    let a = flval!(pop!(stack));
-    if !f(a, b) {
-        *ip = t as usize;
-    }
-    Ok(())
-}
-
-/// Fused `Fx*` compare-and-branch.
-#[inline]
-fn brfxcmp(
-    stack: &mut Vec<Value>,
-    ip: &mut usize,
-    t: u32,
-    f: fn(i64, i64) -> bool,
-) -> Result<(), RtError> {
-    let b = fxval!(pop!(stack));
-    let a = fxval!(pop!(stack));
-    if !f(a, b) {
-        *ip = t as usize;
-    }
-    Ok(())
-}
-
-/// Fused float-stack compare-and-branch.
-#[inline]
-fn brflscmp(
-    fstack: &mut Vec<f64>,
-    ip: &mut usize,
-    t: u32,
-    f: fn(f64, f64) -> bool,
-) -> Result<(), RtError> {
-    let b = pop!(fstack);
-    let a = pop!(fstack);
-    if !f(a, b) {
-        *ip = t as usize;
-    }
-    Ok(())
 }
 
 // Inline fast paths for the generic arithmetic opcodes: two flonums or
@@ -1101,17 +965,36 @@ fn div_value(a: &Value, b: &Value) -> Result<Value, RtError> {
     number::div(a, b)
 }
 
+/// Generic ordering: `None` when a NaN operand leaves it unordered.
 #[inline(always)]
-fn compare_value(name: &'static str, a: &Value, b: &Value) -> Result<std::cmp::Ordering, RtError> {
+fn compare_value(
+    name: &'static str,
+    a: &Value,
+    b: &Value,
+) -> Result<Option<std::cmp::Ordering>, RtError> {
     if let (Some(x), Some(y)) = (a.as_float(), b.as_float()) {
-        // NaN operands fall through to the tower's "cannot compare" error
-        if let Some(o) = x.partial_cmp(&y) {
-            return Ok(o);
-        }
-    } else if let (Some(x), Some(y)) = (a.as_int(), b.as_int()) {
-        return Ok(x.cmp(&y));
+        return Ok(x.partial_cmp(&y));
+    }
+    if let (Some(x), Some(y)) = (a.as_int(), b.as_int()) {
+        return Ok(Some(x.cmp(&y)));
     }
     number::compare(name, a, b)
+}
+
+fn lt(a: &Value, b: &Value) -> Result<bool, RtError> {
+    Ok(compare_value("<", a, b)?.is_some_and(|o| o.is_lt()))
+}
+
+fn le(a: &Value, b: &Value) -> Result<bool, RtError> {
+    Ok(compare_value("<=", a, b)?.is_some_and(|o| o.is_le()))
+}
+
+fn gt(a: &Value, b: &Value) -> Result<bool, RtError> {
+    Ok(compare_value(">", a, b)?.is_some_and(|o| o.is_gt()))
+}
+
+fn ge(a: &Value, b: &Value) -> Result<bool, RtError> {
+    Ok(compare_value(">=", a, b)?.is_some_and(|o| o.is_ge()))
 }
 
 #[inline(always)]
@@ -1123,61 +1006,6 @@ fn num_eq_value(a: &Value, b: &Value) -> Result<bool, RtError> {
         return Ok(x == y);
     }
     number::num_eq(a, b)
-}
-
-#[inline]
-fn cmpop(
-    stack: &mut Vec<Value>,
-    name: &'static str,
-    ok: fn(std::cmp::Ordering) -> bool,
-) -> Result<(), RtError> {
-    let b = pop!(stack);
-    let a = pop!(stack);
-    stack.push(Value::Bool(ok(compare_value(name, &a, &b)?)));
-    Ok(())
-}
-
-#[inline]
-fn flbin(stack: &mut Vec<Value>, f: fn(f64, f64) -> f64) -> Result<(), RtError> {
-    let b = flval!(pop!(stack));
-    let a = flval!(pop!(stack));
-    stack.push(Value::Float(f(a, b)));
-    Ok(())
-}
-
-#[inline]
-fn flcmp(stack: &mut Vec<Value>, f: fn(f64, f64) -> bool) -> Result<(), RtError> {
-    let b = flval!(pop!(stack));
-    let a = flval!(pop!(stack));
-    stack.push(Value::Bool(f(a, b)));
-    Ok(())
-}
-
-#[inline]
-fn fxbin(stack: &mut Vec<Value>, f: fn(i64, i64) -> i64) -> Result<(), RtError> {
-    let b = fxval!(pop!(stack));
-    let a = fxval!(pop!(stack));
-    stack.push(Value::Int(f(a, b)));
-    Ok(())
-}
-
-#[inline]
-fn fxcmp(stack: &mut Vec<Value>, f: fn(i64, i64) -> bool) -> Result<(), RtError> {
-    let b = fxval!(pop!(stack));
-    let a = fxval!(pop!(stack));
-    stack.push(Value::Bool(f(a, b)));
-    Ok(())
-}
-
-type FcOp = fn((f64, f64), (f64, f64)) -> (f64, f64);
-
-#[inline]
-fn fcbin(stack: &mut Vec<Value>, f: FcOp) -> Result<(), RtError> {
-    let b = fcval!(pop!(stack));
-    let a = fcval!(pop!(stack));
-    let (re, im) = f(a, b);
-    stack.push(Value::Complex(re, im));
-    Ok(())
 }
 
 /// What [`enter_call`] resolved the callee to.
@@ -1312,9 +1140,6 @@ fn make_frame(
         proto,
         ip: 0,
         base,
-        // callers that dispatch onto a non-empty float stack overwrite
-        // this with the live depth (see `Op::Call`)
-        fbase: 0,
         env,
     })
 }

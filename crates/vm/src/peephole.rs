@@ -1,453 +1,28 @@
-//! Bytecode peephole/superinstruction pass.
-//!
-//! Sits between the compiler ([`crate::compile`]) and the machine
-//! ([`crate::machine`]): [`optimize_module`] rewrites each [`Proto`]'s
-//! instruction stream over a sliding window, replacing common two- and
-//! three-instruction sequences with the fused superinstructions defined
-//! in [`crate::bytecode`]. Two families are fused:
-//!
-//! * **compare-and-branch** — a comparison or predicate followed by the
-//!   `JumpIfFalse` that consumes it (`Lt2; JumpIfFalse t` → `BrLt2 t`),
-//!   for the generic, `Fx*`, `Fl*`, and unboxed `FlS*` comparisons.
-//!   This hits every loop header.
-//! * **load/operate** — `LoadLocal`/`Const` pushes followed by the
-//!   operation that pops them (`LoadLocal i; LoadLocal j; Add2` →
-//!   `AddLL i j`, `LoadLocal i; Car` → `CarL i`, …).
-//!
-//! The pass is **semantics-preserving by construction**: each fused
-//! opcode executes the exact code paths of its unfused window (same
-//! error messages, same stack effect, same observable order), and a
-//! window is only fused when none of its *interior* instructions is a
-//! jump target. Because jump targets are absolute instruction indices
-//! and fusion shrinks the stream, every target is remapped through an
-//! old-index → new-index table after rewriting.
-//!
-//! The pass is also **optional**: it runs by default, and is disabled
-//! for the thread with [`set_enabled`] (the facade's
-//! `Lagoon::set_peephole(false)` / the CLI's `--no-peephole`).
+//! The compiler's count of fused instructions, kept under this module
+//! path because the benchmark reads [`last_stats`] here. Delete the
+//! module when the benchmark next changes.
 
-use crate::bytecode::{ModuleCode, Op, Proto};
 use std::cell::Cell;
-use std::rc::Rc;
 
 thread_local! {
-    static ENABLED: Cell<bool> = const { Cell::new(true) };
-    static LAST: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
+    static LAST: Cell<u64> = const { Cell::new(0) };
 }
 
-/// Enables or disables the pass for this thread. Affects subsequent
-/// compilations only; already-compiled code is untouched.
-pub fn set_enabled(on: bool) {
-    ENABLED.with(|e| e.set(on));
-}
-
-/// Whether the pass is enabled on this thread (the default).
-pub fn enabled() -> bool {
-    ENABLED.with(Cell::get)
-}
-
-/// What the most recent [`optimize_module`] call on this thread did.
+/// What the most recent module compilation on this thread emitted.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PeepStats {
-    /// Superinstructions created.
+    /// Instructions with a folded operand address or a branch target
+    /// (those [`Op::is_fused`](crate::bytecode::Op::is_fused) marks).
     pub fused: u64,
-    /// Instructions eliminated (window width minus one, summed).
-    pub removed: u64,
 }
 
-/// Statistics for the most recent [`optimize_module`] call on this
-/// thread; the module pipeline reads this right after compiling to
-/// surface fusion counts through `lagoon-diag`.
+/// Statistics for the most recent module compilation on this thread.
 pub fn last_stats() -> PeepStats {
-    let (fused, removed) = LAST.with(Cell::get);
-    PeepStats { fused, removed }
-}
-
-/// Zeroes [`last_stats`]; the compiler calls this when the pass is
-/// skipped so a later read doesn't see a previous module's numbers.
-pub fn clear_stats() {
-    LAST.with(|l| l.set((0, 0)));
-}
-
-/// Runs the peephole pass over every proto of a compiled module.
-pub fn optimize_module(code: ModuleCode) -> ModuleCode {
-    let mut stats = PeepStats::default();
-    let top = optimize_proto(&code.top, &mut stats);
-    LAST.with(|l| l.set((stats.fused, stats.removed)));
-    ModuleCode {
-        top,
-        global_names: code.global_names,
-        defined: code.defined,
+    PeepStats {
+        fused: LAST.with(Cell::get),
     }
 }
 
-fn optimize_proto(p: &Proto, stats: &mut PeepStats) -> Rc<Proto> {
-    let protos = p
-        .protos
-        .iter()
-        .map(|child| optimize_proto(child, stats))
-        .collect();
-    Rc::new(Proto {
-        name: p.name,
-        arity: p.arity,
-        nlocals: p.nlocals,
-        captures: p.captures.clone(),
-        code: optimize_code(&p.code, stats),
-        consts: p.consts.clone(),
-        protos,
-    })
-}
-
-/// The absolute jump target carried by `op`, if any.
-fn jump_target(op: Op) -> Option<u32> {
-    match op {
-        Op::Jump(t)
-        | Op::JumpIfFalse(t)
-        | Op::BrLt2(t)
-        | Op::BrLe2(t)
-        | Op::BrGt2(t)
-        | Op::BrGe2(t)
-        | Op::BrNumEq2(t)
-        | Op::BrZeroP(t)
-        | Op::BrNullP(t)
-        | Op::BrPairP(t)
-        | Op::BrFlLt(t)
-        | Op::BrFlLe(t)
-        | Op::BrFlGt(t)
-        | Op::BrFlGe(t)
-        | Op::BrFlEq(t)
-        | Op::BrFxLt(t)
-        | Op::BrFxLe(t)
-        | Op::BrFxGt(t)
-        | Op::BrFxGe(t)
-        | Op::BrFxEq(t)
-        | Op::BrFlSLt(t)
-        | Op::BrFlSLe(t)
-        | Op::BrFlSGt(t)
-        | Op::BrFlSGe(t)
-        | Op::BrFlSEq(t) => Some(t),
-        _ => None,
-    }
-}
-
-/// `op` with its jump target replaced by `t`. Identity for targetless
-/// instructions.
-fn retarget(op: Op, t: u32) -> Op {
-    match op {
-        Op::Jump(_) => Op::Jump(t),
-        Op::JumpIfFalse(_) => Op::JumpIfFalse(t),
-        Op::BrLt2(_) => Op::BrLt2(t),
-        Op::BrLe2(_) => Op::BrLe2(t),
-        Op::BrGt2(_) => Op::BrGt2(t),
-        Op::BrGe2(_) => Op::BrGe2(t),
-        Op::BrNumEq2(_) => Op::BrNumEq2(t),
-        Op::BrZeroP(_) => Op::BrZeroP(t),
-        Op::BrNullP(_) => Op::BrNullP(t),
-        Op::BrPairP(_) => Op::BrPairP(t),
-        Op::BrFlLt(_) => Op::BrFlLt(t),
-        Op::BrFlLe(_) => Op::BrFlLe(t),
-        Op::BrFlGt(_) => Op::BrFlGt(t),
-        Op::BrFlGe(_) => Op::BrFlGe(t),
-        Op::BrFlEq(_) => Op::BrFlEq(t),
-        Op::BrFxLt(_) => Op::BrFxLt(t),
-        Op::BrFxLe(_) => Op::BrFxLe(t),
-        Op::BrFxGt(_) => Op::BrFxGt(t),
-        Op::BrFxGe(_) => Op::BrFxGe(t),
-        Op::BrFxEq(_) => Op::BrFxEq(t),
-        Op::BrFlSLt(_) => Op::BrFlSLt(t),
-        Op::BrFlSLe(_) => Op::BrFlSLe(t),
-        Op::BrFlSGt(_) => Op::BrFlSGt(t),
-        Op::BrFlSGe(_) => Op::BrFlSGe(t),
-        Op::BrFlSEq(_) => Op::BrFlSEq(t),
-        other => other,
-    }
-}
-
-/// Fuses one window starting at `w[0]`, if a pattern applies and no
-/// *interior* window position is a jump target (`tgt` is the
-/// is-jump-target slice aligned with `w`; the window start may itself
-/// be a target — the fused op simply becomes that target). Returns the
-/// superinstruction and the window width it swallows. Branch targets in
-/// the result are still *old* indices; the caller remaps them.
-fn try_fuse(w: &[Op], tgt: &[bool]) -> Option<(Op, usize)> {
-    let interior_free = |width: usize| tgt.get(1..width).is_some_and(|t| !t.iter().any(|b| *b));
-    if w.len() >= 3 && interior_free(3) {
-        if let (Op::LoadLocal(i), Op::LoadLocal(j)) = (w[0], w[1]) {
-            let fused = match w[2] {
-                Op::Add2 => Some(Op::AddLL(i, j)),
-                Op::Sub2 => Some(Op::SubLL(i, j)),
-                Op::Mul2 => Some(Op::MulLL(i, j)),
-                Op::VectorRef => Some(Op::VectorRefLL(i, j)),
-                Op::FxAdd => Some(Op::FxAddLL(i, j)),
-                Op::FxSub => Some(Op::FxSubLL(i, j)),
-                Op::UnsafeVectorRef => Some(Op::UnsafeVectorRefLL(i, j)),
-                _ => None,
-            };
-            if let Some(op) = fused {
-                return Some((op, 3));
-            }
-        }
-        if let (Op::LoadLocal(i), Op::Const(k)) = (w[0], w[1]) {
-            let fused = match w[2] {
-                Op::Add2 => Some(Op::AddLC(i, k)),
-                Op::Sub2 => Some(Op::SubLC(i, k)),
-                Op::FxAdd => Some(Op::FxAddLC(i, k)),
-                Op::FxSub => Some(Op::FxSubLC(i, k)),
-                _ => None,
-            };
-            if let Some(op) = fused {
-                return Some((op, 3));
-            }
-        }
-    }
-    if w.len() >= 2 && interior_free(2) {
-        if let Op::JumpIfFalse(t) = w[1] {
-            let fused = match w[0] {
-                Op::Lt2 => Some(Op::BrLt2(t)),
-                Op::Le2 => Some(Op::BrLe2(t)),
-                Op::Gt2 => Some(Op::BrGt2(t)),
-                Op::Ge2 => Some(Op::BrGe2(t)),
-                Op::NumEq2 => Some(Op::BrNumEq2(t)),
-                Op::ZeroP => Some(Op::BrZeroP(t)),
-                Op::NullP => Some(Op::BrNullP(t)),
-                Op::PairP => Some(Op::BrPairP(t)),
-                Op::FlLt => Some(Op::BrFlLt(t)),
-                Op::FlLe => Some(Op::BrFlLe(t)),
-                Op::FlGt => Some(Op::BrFlGt(t)),
-                Op::FlGe => Some(Op::BrFlGe(t)),
-                Op::FlEq => Some(Op::BrFlEq(t)),
-                Op::FxLt => Some(Op::BrFxLt(t)),
-                Op::FxLe => Some(Op::BrFxLe(t)),
-                Op::FxGt => Some(Op::BrFxGt(t)),
-                Op::FxGe => Some(Op::BrFxGe(t)),
-                Op::FxEq => Some(Op::BrFxEq(t)),
-                Op::FlSLt => Some(Op::BrFlSLt(t)),
-                Op::FlSLe => Some(Op::BrFlSLe(t)),
-                Op::FlSGt => Some(Op::BrFlSGt(t)),
-                Op::FlSGe => Some(Op::BrFlSGe(t)),
-                Op::FlSEq => Some(Op::BrFlSEq(t)),
-                _ => None,
-            };
-            if let Some(op) = fused {
-                return Some((op, 2));
-            }
-        }
-        if let Op::LoadLocal(i) = w[0] {
-            let fused = match w[1] {
-                Op::Car => Some(Op::CarL(i)),
-                Op::Cdr => Some(Op::CdrL(i)),
-                Op::UnsafeCar => Some(Op::UnsafeCarL(i)),
-                Op::UnsafeCdr => Some(Op::UnsafeCdrL(i)),
-                _ => None,
-            };
-            if let Some(op) = fused {
-                return Some((op, 2));
-            }
-        }
-    }
-    None
-}
-
-fn optimize_code(code: &[Op], stats: &mut PeepStats) -> Vec<Op> {
-    // Absolute jump targets; `code.len()` is a valid target (a branch
-    // patched to fall off the end, which `Return` placement makes
-    // unreachable in compiler output but the remap must still cover).
-    let mut is_target = vec![false; code.len() + 1];
-    for op in code {
-        if let Some(t) = jump_target(*op) {
-            if let Some(slot) = is_target.get_mut(t as usize) {
-                *slot = true;
-            }
-        }
-    }
-    let mut out = Vec::with_capacity(code.len());
-    let mut map = vec![0u32; code.len() + 1];
-    let mut i = 0;
-    while i < code.len() {
-        match try_fuse(&code[i..], &is_target[i..]) {
-            Some((op, width)) => {
-                // Swallowed positions can't be jump targets, but map
-                // them to the fused op anyway so the remap is total.
-                for m in &mut map[i..i + width] {
-                    *m = out.len() as u32;
-                }
-                out.push(op);
-                stats.fused += 1;
-                stats.removed += width as u64 - 1;
-                i += width;
-            }
-            None => {
-                map[i] = out.len() as u32;
-                out.push(code[i]);
-                i += 1;
-            }
-        }
-    }
-    map[code.len()] = out.len() as u32;
-    for op in &mut out {
-        if let Some(t) = jump_target(*op) {
-            *op = retarget(*op, map[t as usize]);
-        }
-    }
-    out
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use lagoon_runtime::Arity;
-
-    fn proto(code: Vec<Op>) -> Proto {
-        Proto {
-            name: None,
-            arity: Arity::exactly(0),
-            nlocals: 4,
-            captures: vec![],
-            code,
-            consts: vec![],
-            protos: vec![],
-        }
-    }
-
-    fn opt(code: Vec<Op>) -> Vec<Op> {
-        let mut stats = PeepStats::default();
-        optimize_proto(&proto(code), &mut stats).code.clone()
-    }
-
-    #[test]
-    fn compare_and_branch_fuses_and_targets_remap() {
-        // LoadLocal/LoadLocal/Lt2 is not a fusable 3-window; the
-        // 2-window Lt2+JumpIfFalse fires instead (its start being a
-        // jump target of the backward Jump is fine), and both the
-        // forward branch 6→5 and the backward Jump 2→2 remap.
-        let out = opt(vec![
-            Op::LoadLocal(0),
-            Op::LoadLocal(1),
-            Op::Lt2,
-            Op::JumpIfFalse(6),
-            Op::Jump(2),
-            Op::Void,
-            Op::Void,
-            Op::Return,
-        ]);
-        assert_eq!(
-            out,
-            vec![
-                Op::LoadLocal(0),
-                Op::LoadLocal(1),
-                Op::BrLt2(5),
-                Op::Jump(2),
-                Op::Void,
-                Op::Void,
-                Op::Return,
-            ]
-        );
-    }
-
-    #[test]
-    fn load_load_binop_fuses() {
-        let out = opt(vec![
-            Op::LoadLocal(2),
-            Op::LoadLocal(3),
-            Op::Add2,
-            Op::Return,
-        ]);
-        assert_eq!(out, vec![Op::AddLL(2, 3), Op::Return]);
-    }
-
-    #[test]
-    fn load_const_binop_fuses() {
-        let out = opt(vec![Op::LoadLocal(0), Op::Const(1), Op::Sub2, Op::Return]);
-        assert_eq!(out, vec![Op::SubLC(0, 1), Op::Return]);
-    }
-
-    #[test]
-    fn load_car_fuses() {
-        let out = opt(vec![Op::LoadLocal(1), Op::Cdr, Op::Return]);
-        assert_eq!(out, vec![Op::CdrL(1), Op::Return]);
-    }
-
-    #[test]
-    fn jump_target_inside_window_blocks_fusion() {
-        // The Add2 at index 2 is a jump target: fusing
-        // [LoadLocal, LoadLocal, Add2] would jump into a superinstruction.
-        let out = opt(vec![
-            Op::LoadLocal(0),
-            Op::LoadLocal(1),
-            Op::Add2,
-            Op::JumpIfFalse(2),
-            Op::Return,
-        ]);
-        assert_eq!(
-            out,
-            vec![
-                Op::LoadLocal(0),
-                Op::LoadLocal(1),
-                Op::Add2,
-                Op::JumpIfFalse(2),
-                Op::Return,
-            ]
-        );
-    }
-
-    #[test]
-    fn window_start_as_target_still_fuses() {
-        // Index 1 (Lt2) is a target; the fused BrLt2 takes its place
-        // and the incoming edge remaps onto it.
-        let out = opt(vec![
-            Op::Void,
-            Op::Lt2,
-            Op::JumpIfFalse(0),
-            Op::Jump(1),
-            Op::Return,
-        ]);
-        assert_eq!(out, vec![Op::Void, Op::BrLt2(0), Op::Jump(1), Op::Return]);
-    }
-
-    #[test]
-    fn pass_is_idempotent() {
-        let code = vec![
-            Op::LoadLocal(0),
-            Op::Const(0),
-            Op::FxAdd,
-            Op::FxLt,
-            Op::JumpIfFalse(0),
-            Op::Return,
-        ];
-        let once = opt(code);
-        let twice = opt(once.clone());
-        assert_eq!(once, twice);
-    }
-
-    #[test]
-    fn stats_count_fusions_and_removals() {
-        let mut stats = PeepStats::default();
-        optimize_proto(
-            &proto(vec![
-                Op::LoadLocal(0),
-                Op::LoadLocal(1),
-                Op::Add2, // 3-window fusion: 2 removed
-                Op::Lt2,
-                Op::JumpIfFalse(0), // 2-window fusion: 1 removed
-                Op::Return,
-            ]),
-            &mut stats,
-        );
-        assert_eq!(
-            stats,
-            PeepStats {
-                fused: 2,
-                removed: 3
-            }
-        );
-    }
-
-    #[test]
-    fn enable_knob_is_thread_local_and_defaults_on() {
-        assert!(enabled());
-        set_enabled(false);
-        assert!(!enabled());
-        set_enabled(true);
-        assert!(enabled());
-    }
+pub(crate) fn record(fused: u64) {
+    LAST.with(|l| l.set(fused));
 }

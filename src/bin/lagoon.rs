@@ -1,20 +1,17 @@
 //! The `lagoon` command-line tool.
 //!
 //! ```text
-//! lagoon run <file.lag> [--interp] [--stats [--json]] [--no-peephole]
-//!            [--no-cache] [--cache-dir <dir>] [--trace <out.json>]
-//!            [limit options]
+//! lagoon run <file.lag> [--interp] [--stats [--json]] [--no-cache]
+//!            [--cache-dir <dir>] [--trace <out.json>] [limit options]
 //!                                      run a program (required modules
 //!                                      resolve lazily to sibling
 //!                                      <name>.lag files at compile time);
 //!                                      --stats prints phase timings, the
 //!                                      optimizer decision log, and opcode
-//!                                      counters (including fused
-//!                                      superinstructions), --json
-//!                                      machine-readably. --no-peephole
-//!                                      disables the VM's bytecode fusion
-//!                                      pass (artifacts record the setting,
-//!                                      so switching it recompiles).
+//!                                      counters (marking instructions
+//!                                      with folded operands or branch
+//!                                      targets as fused), --json
+//!                                      machine-readably.
 //!                                      Compiled modules persist as .lagc
 //!                                      artifacts under <dir>/compiled (or
 //!                                      --cache-dir) and are reused while
@@ -28,8 +25,7 @@
 //! lagoon repl [--typed]                interactive prompt
 //!
 //! lagoon build <entry.lag>... [--jobs N] [--cache-dir <dir>]
-//!              [--no-peephole] [--stats [--json]] [--trace <out.json>]
-//!              [limit options]
+//!              [--stats [--json]] [--trace <out.json>] [limit options]
 //!                                      compile a module graph in parallel:
 //!                                      the graph is scanned from top-level
 //!                                      (require ...) forms and scheduled as
@@ -42,7 +38,7 @@
 //!                                      --jobs 1. --trace writes one Chrome
 //!                                      trace track per worker.
 //! lagoon serve [--addr HOST:PORT] [--workers N] [--queue-cap N]
-//!              [--root <dir>] [--cache-dir <dir>] [--no-peephole]
+//!              [--root <dir>] [--cache-dir <dir>]
 //!              [--max-request-bytes B] [limit options]
 //!                                      evaluation daemon over HTTP/1.1:
 //!                                      POST /v1/run|expand|check, GET
@@ -52,7 +48,7 @@
 //!                                      on SIGTERM or POST /v1/shutdown.
 //! lagoon gateway [--addr HOST:PORT] [--shards N] [--workers-per-shard M]
 //!              [--queue-cap N] [--root <dir>] [--cache-dir <dir>]
-//!              [--no-peephole] [--max-request-bytes B] [limit options]
+//!              [--max-request-bytes B] [limit options]
 //!                                      router over N daemon shards
 //!                                      (spawned `lagoon serve` processes
 //!                                      sharing one .lagc store): the
@@ -85,7 +81,7 @@ use std::process::ExitCode;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  lagoon run <file.lag> [--interp] [--stats [--json]] [--no-peephole] [--no-cache] [--cache-dir <dir>] [--trace <out.json>] [limit options]\n  lagoon expand <file.lag> [--timings]\n  lagoon repl [--typed]\n  lagoon build <entry.lag>... [--jobs N] [--cache-dir <dir>] [--no-peephole] [--stats [--json]] [--trace <out.json>] [limit options]\n  lagoon serve [--addr HOST:PORT] [--workers N] [--queue-cap N] [--recycle-after N] [--root <dir>] [--cache-dir <dir>] [--no-peephole] [--max-request-bytes B] [limit options]\n  lagoon gateway [--addr HOST:PORT] [--shards N] [--workers-per-shard M] [--queue-cap N] [--root <dir>] [--cache-dir <dir>] [--no-peephole] [--max-request-bytes B] [limit options]\n  lagoon remote --addr HOST:PORT <run|expand|check|stats|shutdown> [<file.lag>] [--json] [--repeat N] [--retries N] [--backoff-ms B] [limit options]\n\nlimit options:\n  --max-steps <n>  --max-expand-steps <n>  --max-expand-depth <n>\n  --max-phase1-steps <n>  --max-stack-depth <n>  --timeout-ms <n>"
+        "usage:\n  lagoon run <file.lag> [--interp] [--stats [--json]] [--no-cache] [--cache-dir <dir>] [--trace <out.json>] [limit options]\n  lagoon expand <file.lag> [--timings]\n  lagoon repl [--typed]\n  lagoon build <entry.lag>... [--jobs N] [--cache-dir <dir>] [--stats [--json]] [--trace <out.json>] [limit options]\n  lagoon serve [--addr HOST:PORT] [--workers N] [--queue-cap N] [--recycle-after N] [--root <dir>] [--cache-dir <dir>] [--max-request-bytes B] [limit options]\n  lagoon gateway [--addr HOST:PORT] [--shards N] [--workers-per-shard M] [--queue-cap N] [--root <dir>] [--cache-dir <dir>] [--max-request-bytes B] [limit options]\n  lagoon remote --addr HOST:PORT <run|expand|check|stats|shutdown> [<file.lag>] [--json] [--repeat N] [--retries N] [--backoff-ms B] [limit options]\n\nlimit options:\n  --max-steps <n>  --max-expand-steps <n>  --max-expand-depth <n>\n  --max-phase1-steps <n>  --max-stack-depth <n>  --timeout-ms <n>"
     );
     ExitCode::from(2)
 }
@@ -153,9 +149,6 @@ fn main() -> ExitCode {
             };
             let stats = args.iter().any(|a| a == "--stats");
             let json = args.iter().any(|a| a == "--json");
-            // applies to everything this thread compiles, so set it
-            // before any Lagoon world is built
-            lagoon::set_peephole(!args.iter().any(|a| a == "--no-peephole"));
             let limits = match parse_limits(&args) {
                 Ok(l) => l,
                 Err(e) => {
@@ -255,7 +248,6 @@ fn build_cmd(args: &[String]) -> ExitCode {
         jobs,
         cache_dir: Some(cache_dir),
         limits,
-        peephole: !args.iter().any(|a| a == "--no-peephole"),
         trace: trace_out.is_some(),
     };
     let report = lagoon::server::build(&names, lagoon::server::dir_source(root), &opts);
@@ -359,7 +351,6 @@ fn serve_cmd(args: &[String]) -> ExitCode {
         cache_dir: flag_value(args, "--cache-dir").map(PathBuf::from),
         source_root: flag_value(args, "--root").map(PathBuf::from),
         limits,
-        peephole: !args.iter().any(|a| a == "--no-peephole"),
         recycle_after,
         // Undocumented: enables the fault-injection ops ("test-panic",
         // "test-kill") the supervision tests drive.
@@ -433,7 +424,6 @@ fn gateway_cmd(args: &[String]) -> ExitCode {
         cache_dir: flag_value(args, "--cache-dir").map(PathBuf::from),
         source_root: flag_value(args, "--root").map(PathBuf::from),
         limits,
-        peephole: !args.iter().any(|a| a == "--no-peephole"),
         max_body_bytes,
         request_timeout: Some(std::time::Duration::from_secs(60)),
         test_ops: args.iter().any(|a| a == "--test-ops"),

@@ -75,22 +75,6 @@ fn guarded<T>(f: impl FnOnce() -> Result<T, RtError>) -> Result<T, RtError> {
     }
 }
 
-/// Turns the VM's bytecode peephole (superinstruction) pass on or off
-/// for modules compiled on this thread from now on. Defaults to on.
-///
-/// The setting is part of cache validity: `.lagc` artifacts record the
-/// state they were compiled under, and a session running the other
-/// configuration recompiles rather than reusing them.
-pub fn set_peephole(on: bool) {
-    lagoon_vm::peephole::set_enabled(on);
-}
-
-/// Whether the VM's bytecode peephole pass is currently enabled on this
-/// thread.
-pub fn peephole_enabled() -> bool {
-    lagoon_vm::peephole::enabled()
-}
-
 /// An embedded Lagoon world with the base and typed languages installed.
 pub struct Lagoon {
     registry: Rc<ModuleRegistry>,
@@ -271,13 +255,6 @@ impl Lagoon {
     /// The resource limits currently in force on this thread.
     pub fn limits(&self) -> Limits {
         diag::limits::current()
-    }
-
-    /// Enables or disables the VM's bytecode peephole pass for modules
-    /// this world compiles from now on (see [`set_peephole`]). Modules
-    /// already compiled keep the bytecode they have.
-    pub fn set_peephole(&self, on: bool) {
-        set_peephole(on);
     }
 
     /// The underlying registry, for advanced embedding (registering

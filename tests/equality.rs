@@ -66,6 +66,30 @@ const TABLE: &[(&str, &str)] = &[
     // happens on every float construction, not just reader literals)
     ("(eqv? (/ 0.0 0.0) (* +inf.0 0.0))", "#t"),
     ("(eqv? (- 0.0) 0.0)", "#f"),
+    // ordered comparisons answer #f on NaN, whether constant-folded into
+    // an instruction, read from locals, as an `if` test or variadic
+    ("(< +nan.0 1.0)", "#f"),
+    ("(> 1 +nan.0)", "#f"),
+    ("(<= +nan.0 +nan.0)", "#f"),
+    ("(>= 1.0 +nan.0)", "#f"),
+    ("(< 0 +nan.0 1)", "#f"),
+    ("((lambda (x y) (>= x y)) (/ 0.0 0.0) 1.0)", "#f"),
+    ("((lambda (x y) (if (< x y) 1 2)) (/ 0.0 0.0) 1.0)", "2"),
+    ("(positive? +nan.0)", "#f"),
+    ("(negative? +nan.0)", "#f"),
+    // min and max return +nan.0 when any argument is NaN, in any order
+    ("(min +nan.0 1.0)", "+nan.0"),
+    ("(min 1.0 +nan.0)", "+nan.0"),
+    ("(max +nan.0 1.0)", "+nan.0"),
+    ("(max 1.0 +nan.0)", "+nan.0"),
+    ("(max 1 2.0 +nan.0)", "+nan.0"),
+    // and so do the flonum-specific forms (Racket's flmin/flmax)
+    ("(unsafe-flmin 1.0 +nan.0)", "+nan.0"),
+    ("(unsafe-flmax +nan.0 1.0)", "+nan.0"),
+    (
+        "((lambda (x y) (unsafe-flmin x y)) (/ 0.0 0.0) 1.0)",
+        "+nan.0",
+    ),
 ];
 
 #[test]

@@ -89,117 +89,300 @@ fn reader_printer_round_trip() {
 // well-typed expression generator
 // ---------------------------------------------------------------------
 
-/// A generated arithmetic expression together with its static type
-/// (true = Float, false = Integer).
+/// A generated expression, rendered for the typed languages and for
+/// `#lang lagoon`, with its static type (true = Float, false = Integer).
 #[derive(Clone, Debug)]
 struct Expr {
-    src: String,
+    typed: String,
+    untyped: String,
     is_float: bool,
 }
 
-fn arb_expr(rng: &mut Rng, depth: usize) -> Expr {
-    if depth == 0 || rng.below(3) == 0 {
-        return match rng.below(4) {
-            0 => Expr {
-                src: rng.int(1, 50).to_string(),
-                is_float: false,
-            },
-            1 => Expr {
-                src: format!("{}.5", rng.int(1, 50)),
-                is_float: true,
-            },
-            2 => Expr {
-                src: "x".into(),
-                is_float: false,
-            },
-            _ => Expr {
-                src: "y".into(),
-                is_float: true,
-            },
-        };
+impl Expr {
+    fn leaf(src: String, is_float: bool) -> Expr {
+        Expr {
+            typed: src.clone(),
+            untyped: src,
+            is_float,
+        }
     }
-    match rng.below(4) {
-        // binary arithmetic: the result is float if either side is
-        0 => {
-            let op = ["+", "-", "*"][rng.below(3)];
-            let a = arb_expr(rng, depth - 1);
-            let b = arb_expr(rng, depth - 1);
-            Expr {
-                src: format!("({op} {} {})", a.src, b.src),
-                is_float: a.is_float || b.is_float,
+
+    /// `template` with each `{}` filled by the next operand, in both
+    /// renderings.
+    fn shape(template: &str, operands: &[&Expr], is_float: bool) -> Expr {
+        Expr::shape2(template, template, operands, is_float)
+    }
+
+    /// Like [`Expr::shape`], with a template of its own for the typed
+    /// rendering (for binding forms that carry annotations there).
+    fn shape2(typed: &str, untyped: &str, operands: &[&Expr], is_float: bool) -> Expr {
+        let fill = |template: &str, pick: fn(&Expr) -> &str| {
+            let mut out = String::new();
+            let mut ops = operands.iter();
+            for (i, piece) in template.split("{}").enumerate() {
+                if i > 0 {
+                    out.push_str(pick(ops.next().expect("one operand per hole")));
+                }
+                out.push_str(piece);
             }
+            out
+        };
+        Expr {
+            typed: fill(typed, |e| &e.typed),
+            untyped: fill(untyped, |e| &e.untyped),
+            is_float,
         }
-        // float-only ops (operand coerced)
-        1 => {
-            let a = arb_expr(rng, depth - 1);
-            Expr {
-                src: format!("(sqrt (exact->inexact (abs {})))", a.src),
-                is_float: true,
-            }
+    }
+
+    /// The same expression, as a Float.
+    fn inexact(self) -> Expr {
+        if self.is_float {
+            self
+        } else {
+            Expr::shape("(exact->inexact {})", &[&self], true)
         }
-        // comparisons guarded inside if
-        2 => {
-            let c = arb_expr(rng, depth - 1);
-            let t = arb_expr(rng, depth - 1);
-            let e = arb_expr(rng, depth - 1);
-            // branches must have the same type for simplicity: coerce
-            let (ts, es) = if t.is_float == e.is_float {
-                (t.src.clone(), e.src.clone())
-            } else {
-                (
-                    format!("(exact->inexact {})", t.src),
-                    format!("(exact->inexact {})", e.src),
-                )
-            };
-            Expr {
-                src: format!("(if (< (exact->inexact {}) 25.0) {ts} {es})", c.src),
-                is_float: t.is_float || e.is_float,
-            }
-        }
-        // min/max keep both real
-        _ => {
-            let a = arb_expr(rng, depth - 1);
-            let b = arb_expr(rng, depth - 1);
-            Expr {
-                src: format!(
-                    "(min (exact->inexact {}) (exact->inexact {}))",
-                    a.src, b.src
-                ),
-                is_float: true,
-            }
+    }
+
+    fn ty(&self) -> &'static str {
+        if self.is_float {
+            "Float"
+        } else {
+            "Integer"
         }
     }
 }
 
-/// The optimizer-correctness property: untyped, typed-unoptimized,
-/// and typed-optimized builds of the same program agree on both
-/// engines.
+/// A random expression over the variables in `vars` (name, is-Float).
+/// The shapes reach every instruction form the compiler emits: operands
+/// that are locals, constants, captures or nested calls, comparisons and
+/// `zero?` as `if` tests, and (when `calls_loop`) a call to the
+/// tail-recursive `loop`.
+fn arb_expr(rng: &mut Rng, depth: usize, vars: &[(String, bool)], calls_loop: bool) -> Expr {
+    if depth == 0 || rng.below(4) == 0 {
+        return match rng.below(5) {
+            0 => Expr::leaf(rng.int(1, 50).to_string(), false),
+            1 => Expr::leaf(format!("{}.5", rng.int(-20, 50)), true),
+            2 => Expr::leaf(["0.0", "-0.0", "+inf.0"][rng.below(3)].to_string(), true),
+            _ => {
+                let (name, is_float) = &vars[rng.below(vars.len())];
+                Expr::leaf(name.clone(), *is_float)
+            }
+        };
+    }
+    let sub = |rng: &mut Rng| arb_expr(rng, depth - 1, vars, calls_loop);
+    match rng.below(if calls_loop { 10 } else { 9 }) {
+        // binary arithmetic: the result is float if either side is
+        0 | 1 => {
+            let op = ["+", "-", "*"][rng.below(3)];
+            let (a, b) = (sub(rng), sub(rng));
+            let is_float = a.is_float || b.is_float;
+            Expr::shape(&format!("({op} {{}} {{}})"), &[&a, &b], is_float)
+        }
+        // float-only ops. `sqrt` gets a non-negative, never-NaN operand
+        // (an Integer's magnitude): generic `sqrt` of a negative or NaN
+        // flonum is complex where `unsafe-flsqrt`'s is NaN, a known
+        // deviation this table leaves out
+        2 => {
+            let a = sub(rng);
+            if a.is_float {
+                Expr::shape("(abs {})", &[&a], true)
+            } else {
+                Expr::shape("(sqrt (exact->inexact (abs {})))", &[&a], true)
+            }
+        }
+        // a comparison or `zero?` as an `if` test
+        3 | 4 => {
+            let test = if rng.below(4) == 0 {
+                Expr::shape("(zero? {})", &[&sub(rng)], false)
+            } else {
+                let op = ["<", "<=", ">", ">=", "="][rng.below(5)];
+                let (a, b) = (sub(rng), sub(rng));
+                Expr::shape(&format!("({op} {{}} {{}})"), &[&a, &b], false)
+            };
+            let (mut t, mut e) = (sub(rng), sub(rng));
+            if t.is_float != e.is_float {
+                (t, e) = (t.inexact(), e.inexact());
+            }
+            let is_float = t.is_float;
+            Expr::shape("(if {} {} {})", &[&test, &t, &e], is_float)
+        }
+        // min/max keep both real
+        5 => {
+            let op = ["min", "max"][rng.below(2)];
+            let (a, b) = (sub(rng).inexact(), sub(rng).inexact());
+            Expr::shape(&format!("({op} {{}} {{}})"), &[&a, &b], true)
+        }
+        // a let-bound local
+        6 => {
+            let rhs = sub(rng);
+            let name = format!("v{depth}");
+            let mut inner = vars.to_vec();
+            inner.push((name.clone(), rhs.is_float));
+            let body = arb_expr(rng, depth - 1, &inner, calls_loop);
+            Expr::shape2(
+                &format!("(let: ([{name} : {} {{}}]) {{}})", rhs.ty()),
+                &format!("(let ([{name} {{}}]) {{}})"),
+                &[&rhs, &body],
+                body.is_float,
+            )
+        }
+        // an immediately applied closure: its body captures the
+        // enclosing variables
+        7 => {
+            let arg = sub(rng).inexact();
+            let name = format!("z{depth}");
+            let mut inner = vars.to_vec();
+            inner.push((name.clone(), true));
+            let body = arb_expr(rng, depth - 1, &inner, calls_loop);
+            Expr::shape2(
+                &format!("((lambda: ([{name} : Float]) : {} {{}}) {{}})", body.ty()),
+                &format!("((lambda ({name}) {{}}) {{}})"),
+                &[&body, &arg],
+                body.is_float,
+            )
+        }
+        // exact arithmetic that can fail: overflow past i64, division
+        // by zero
+        8 => {
+            let ints: Vec<&String> = vars.iter().filter(|v| !v.1).map(|v| &v.0).collect();
+            let int = |rng: &mut Rng| match rng.below(ints.len() + 2) {
+                0 => Expr::leaf("0".into(), false),
+                1 => Expr::leaf("3".into(), false),
+                i => Expr::leaf(ints[i - 2].clone(), false),
+            };
+            let (a, b, c) = (int(rng), int(rng), int(rng));
+            Expr::shape("(quotient (* {} {}) {})", &[&a, &b, &c], false)
+        }
+        // the tail-recursive helper, a few iterations
+        _ => {
+            let start = sub(rng).inexact();
+            Expr::shape(&format!("(loop {} {{}})", rng.below(4)), &[&start], true)
+        }
+    }
+}
+
+/// One generated program: `f` over `x : Integer` and `y : Float`, and
+/// the tail-recursive `loop` it may call.
+fn arb_program(rng: &mut Rng) -> (String, String) {
+    let step = arb_expr(rng, 2, &[("i".into(), false), ("acc".into(), true)], false).inexact();
+    let body = arb_expr(rng, 4, &[("x".into(), false), ("y".into(), true)], true);
+    let loop_def = |step: &str| {
+        format!("(define (loop i acc) (if (< i 1) acc (loop (- i 1) {step})))\n(provide f)\n")
+    };
+    let typed = format!(
+        "(: loop : Integer Float -> Float)\n{}(: f : Integer Float -> {})\n(define (f x y) {})\n",
+        loop_def(&step.typed),
+        body.ty(),
+        body.typed
+    );
+    let untyped = format!(
+        "{}(define (f x y) {})\n",
+        loop_def(&step.untyped),
+        body.untyped
+    );
+    (typed, untyped)
+}
+
+/// The typed edge-value differential. Every generated program runs
+/// `(f x y)` over an edge table — `y` across the signed zeros, the
+/// infinities, NaN, the smallest subnormal and ±1.5; `x` across
+/// zero, ±1 and both sides of the ±2^47 immediate-integer boundary — in
+/// four configurations: untyped on the VM (`vm`), typed without the
+/// optimizer (`vm+typed`), typed and optimized (`vm+opt`), and untyped
+/// on the tree-walking interpreter (`ast-interp`). The optimized build
+/// also runs on the interpreter, which reaches the runtime's `unsafe-*`
+/// primitives instead of the VM's instructions. Every configuration must
+/// produce the same outcome: the printed value, or the error kind and
+/// message. Runs `LAGOON_FUZZ_N / 10` programs when that is set.
 #[test]
 fn optimizer_preserves_semantics() {
+    use lagoon_vm::Engine;
+
+    const EDGE_X: [i64; 7] = [
+        0,
+        1,
+        -1,
+        (1 << 47) - 1,
+        -((1 << 47) - 1),
+        1 << 47,
+        -(1 << 47),
+    ];
+    const EDGE_Y: [f64; 8] = [
+        0.0,
+        -0.0,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::NAN,
+        5e-324,
+        1.5,
+        -1.5,
+    ];
+    let programs: usize = std::env::var("LAGOON_FUZZ_N")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .map_or(if cfg!(debug_assertions) { 24 } else { 96 }, |n: usize| {
+            n / 10
+        })
+        .max(1);
+
+    let configs = [
+        ("vm", "u", EngineKind::Vm),
+        ("vm+typed", "n", EngineKind::Vm),
+        ("vm+opt", "t", EngineKind::Vm),
+        ("ast-interp", "u", EngineKind::Interp),
+        ("vm+opt on ast-interp", "t", EngineKind::Interp),
+    ];
     let mut rng = Rng(0x0B51D1A);
-    for _ in 0..48 {
-        let e = arb_expr(&mut rng, 4);
-        let ret = if e.is_float { "Float" } else { "Integer" };
-        let typed_body = format!(
-            "(: f : Integer Float -> {ret})\n(define (f x y) {})\n(f 7 3.5)",
-            e.src
-        );
-        let untyped_body = format!("(define (f x y) {})\n(f 7 3.5)", e.src);
-
-        let lagoon = Lagoon::new();
-        lagoon.add_module("u", &format!("#lang lagoon\n{untyped_body}\n"));
-        lagoon.add_module("t", &format!("#lang typed/lagoon\n{typed_body}\n"));
-        lagoon.add_module("n", &format!("#lang typed/no-opt\n{typed_body}\n"));
-
-        let vu = lagoon.run("u", EngineKind::Vm).unwrap();
-        let vt = lagoon.run("t", EngineKind::Vm).unwrap();
-        let vn = lagoon.run("n", EngineKind::Vm).unwrap();
-        let vi = lagoon.run("t", EngineKind::Interp).unwrap();
-
-        assert!(vu.equal(&vt), "untyped={} typed={} src={}", vu, vt, e.src);
-        assert!(vt.equal(&vn), "typed={} no-opt={} src={}", vt, vn, e.src);
-        assert!(vt.equal(&vi), "vm={} interp={} src={}", vt, vi, e.src);
+    let mut lagoon = Lagoon::new();
+    let mut errors = 0;
+    for program in 0..programs {
+        if program % 32 == 31 {
+            // bound the world's growth at high LAGOON_FUZZ_N
+            lagoon = Lagoon::new();
+        }
+        let (typed, untyped) = arb_program(&mut rng);
+        lagoon.add_module("u", &format!("#lang lagoon\n{untyped}"));
+        lagoon.add_module("n", &format!("#lang typed/no-opt\n{typed}"));
+        lagoon.add_module("t", &format!("#lang typed/lagoon\n{typed}"));
+        let fs: Vec<_> = configs
+            .iter()
+            .map(|(label, module, engine)| {
+                lagoon
+                    .exported(module, "f", *engine)
+                    .unwrap_or_else(|e| panic!("{label}: {e}\n{typed}"))
+            })
+            .collect();
+        for x in EDGE_X {
+            for y in EDGE_Y {
+                let args = [lagoon::Value::Int(x), lagoon::Value::Float(y)];
+                let outcomes: Vec<String> = configs
+                    .iter()
+                    .zip(&fs)
+                    .map(|((_, _, engine), f)| {
+                        let result = match engine {
+                            EngineKind::Vm => lagoon_vm::Vm.apply(f, &args),
+                            EngineKind::Interp => lagoon_vm::Interp.apply(f, &args),
+                        };
+                        match result {
+                            Ok(v) => v.write_string(),
+                            Err(e) => {
+                                errors += 1;
+                                format!("error {:?}: {}", e.kind, e.message)
+                            }
+                        }
+                    })
+                    .collect();
+                for ((label, _, _), outcome) in configs.iter().zip(&outcomes).skip(1) {
+                    assert_eq!(
+                        outcome, &outcomes[0],
+                        "{label} differs from vm on (f {x} {y:?}):\n{typed}"
+                    );
+                }
+            }
+        }
     }
+    // the table must reach the error paths too, or it proves less
+    assert!(errors > 0, "no generated program raised an error");
 }
 
 /// Hygiene under adversarial user variable names: a macro-introduced

@@ -180,7 +180,7 @@ fn old_format_artifacts_are_stale_not_corrupt() {
     let mut bytes = std::fs::read(&path).unwrap();
     assert_eq!(&bytes[..4], b"LAGC");
     assert_eq!(u32::from(bytes[4]), lagoon_core::store::FORMAT_VERSION);
-    bytes[4] = 1;
+    bytes[4] = 3; // the version a store written before the bump carries
     std::fs::write(&path, &bytes).unwrap();
 
     lagoon.registry().reset_compiled();
@@ -196,7 +196,7 @@ fn old_format_artifacts_are_stale_not_corrupt() {
         "old format must be stale, not corrupt"
     );
     assert!(
-        util.detail.contains("format version 1"),
+        util.detail.contains("format version 3"),
         "diagnostic should name the found version: {}",
         util.detail
     );
@@ -205,42 +205,6 @@ fn old_format_artifacts_are_stale_not_corrupt() {
     lagoon.registry().reset_compiled();
     let (_, warm) = lagoon.run_with_stats("main", EngineKind::Vm).unwrap();
     assert_eq!(warm.cache_hits(), 2, "{:?}", warm.caches);
-}
-
-#[test]
-fn peephole_setting_is_part_of_cache_validity() {
-    let (lagoon, _dir) = cached_world("peephole");
-    assert!(lagoon::peephole_enabled(), "peephole defaults to on");
-    lagoon.run("main", EngineKind::Vm).unwrap();
-
-    // a --no-peephole session must not reuse fused bytecode
-    lagoon.set_peephole(false);
-    lagoon.registry().reset_compiled();
-    let (v, report) = lagoon.run_with_stats("main", EngineKind::Vm).unwrap();
-    assert_eq!(v.to_string(), "42");
-    let util = report
-        .caches
-        .iter()
-        .find(|r| r.module == "util")
-        .unwrap_or_else(|| panic!("no cache row for util: {:?}", report.caches));
-    assert_eq!(util.status, "stale");
-    assert!(
-        util.detail.contains("peephole"),
-        "diagnostic should name the mismatch: {}",
-        util.detail
-    );
-
-    // the unfused artifacts hit while the setting is unchanged...
-    lagoon.registry().reset_compiled();
-    let (_, warm) = lagoon.run_with_stats("main", EngineKind::Vm).unwrap();
-    assert_eq!(warm.cache_hits(), 2, "{:?}", warm.caches);
-
-    // ...and switching back invalidates them again
-    lagoon.set_peephole(true);
-    lagoon.registry().reset_compiled();
-    let (v, report) = lagoon.run_with_stats("main", EngineKind::Vm).unwrap();
-    assert_eq!(v.to_string(), "42");
-    assert_eq!(report.cache_hits(), 0, "{:?}", report.caches);
 }
 
 #[test]
@@ -1022,4 +986,77 @@ fn an_unregistered_recipe_passes_the_header_but_loads_as_corrupt() {
         written,
         "the recompile rewrote util"
     );
+}
+
+#[test]
+fn out_of_range_operands_read_as_corrupt_and_recompile() {
+    use lagoon_vm::bytecode::{Arg, Op, Proto};
+
+    const SRC: &str = "#lang lagoon\n(define (f x y) (+ x 1))\n(f 41 0)\n";
+    let dir = temp_store("operands");
+    let lagoon = Lagoon::new();
+    lagoon.set_cache_dir(Some(dir.clone()));
+    lagoon.add_module("m", SRC);
+    assert_eq!(lagoon.run("m", EngineKind::Vm).unwrap().to_string(), "42");
+    let path = dir.join("m.lagc");
+    let clean = std::fs::read(&path).unwrap();
+
+    let (l, k) = (|i| Arg::local(i).unwrap(), |i| Arg::constant(i).unwrap());
+    // each case replaces the code of `f` (a 2-local proto with one
+    // constant, no captures and no children) or of the module body,
+    // which defines one global, with `[op, Return]`
+    let cases = [
+        ("operand local", false, Op::Add2(l(3), k(0))),
+        ("operand constant", false, Op::Add2(l(0), k(1))),
+        ("local", false, Op::LoadLocal(2)),
+        ("constant", false, Op::Const(1)),
+        ("capture", false, Op::LoadCapture(0)),
+        ("global", false, Op::LoadGlobal(9)),
+        ("child proto", false, Op::MakeClosure(0)),
+        ("jump target", false, Op::Jump(2)),
+        ("branch target", false, Op::BrLt2(l(0), l(1), 7)),
+        ("module global", true, Op::StoreGlobal(5)),
+    ];
+    for (what, in_top, op) in cases {
+        // decode the clean artifact, swap in the bad code and re-encode
+        // it: the content digest is valid, only the index is not
+        let mut artifact = lagoon_core::store::decode(&clean, &|_, _| None).unwrap();
+        let top = std::rc::Rc::get_mut(&mut artifact.code.top).unwrap();
+        let proto: &mut Proto = if in_top {
+            top
+        } else {
+            std::rc::Rc::get_mut(&mut top.protos[0]).unwrap()
+        };
+        proto.code = vec![op, Op::Return];
+        let header = &artifact.header;
+        let (env, src, deps) = (
+            header.env_digest,
+            header.source_digest,
+            header.dep_digests.clone(),
+        );
+        let bytes = lagoon_core::store::encode(&artifact.into_compiled(), env, src, &deps).unwrap();
+        assert!(lagoon_core::store::decode_header(&bytes).is_ok(), "{what}");
+        std::fs::write(&path, &bytes).unwrap();
+
+        lagoon.registry().reset_compiled();
+        let (v, report) = lagoon
+            .run_with_stats("m", EngineKind::Vm)
+            .unwrap_or_else(|e| {
+                panic!("{what}: {e}");
+            });
+        assert_eq!(v.to_string(), "42", "{what}");
+        let row = report
+            .caches
+            .iter()
+            .find(|r| r.module == "m")
+            .unwrap_or_else(|| panic!("{what}: no cache row: {:?}", report.caches));
+        assert_eq!(row.status, "corrupt", "{what}: {}", row.detail);
+        assert!(
+            row.detail.contains("out of range"),
+            "{what}: {}",
+            row.detail
+        );
+        assert_eq!(std::fs::read(&path).unwrap(), clean, "{what}: recompiled");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
