@@ -48,7 +48,8 @@ pub struct CompiledModule {
     pub lang: Symbol,
     /// Exports: external name → binding.
     pub exports: Vec<(Symbol, Binding)>,
-    /// The expanded module body (kept for tooling and tests).
+    /// The expanded module body (kept for tooling and tests; empty for a
+    /// module loaded from the store, whose artifact persists none).
     pub expanded: Vec<Syntax>,
     /// Parsed core forms (for the interpreter engine).
     pub forms: Vec<CoreForm>,
@@ -100,8 +101,8 @@ pub struct ModuleRegistry {
     /// Rehydrators for persisted native-transformer exports, by recipe tag.
     #[allow(clippy::type_complexity)]
     rehydrators: RefCell<HashMap<Symbol, Rc<dyn Fn(&Datum) -> Option<Rc<NativeMacro>>>>>,
-    /// Per-module artifact digests this session: (digest of the artifact
-    /// bytes, whether the module was *loaded* from the store rather than
+    /// Per-module artifact digests this session: (the artifact's content
+    /// digest, whether the module was *loaded* from the store rather than
     /// compiled fresh). Importers may only hit the cache when every
     /// dependency was itself loaded with a matching digest — fresh
     /// compiles use live gensyms a decoded importer cannot reference.
@@ -131,18 +132,12 @@ enum CacheOutcome {
 /// An artifact that passed its own header checks, before its module
 /// dependencies are checked (see [`ModuleRegistry::verify_artifact`]).
 struct OwnHeader {
-    /// The [`store::artifact_digest`] its importers record.
+    /// The content digest its importers record.
     digest: u64,
     /// Its module dependencies, each with the digest it recorded.
     deps: Vec<(Symbol, u64)>,
     /// Its length in bytes.
     len: usize,
-}
-
-/// Module names that map to a file inside the store directory. Names
-/// with path separators (or traversal) are compiled but never stored.
-fn cacheable_name(name: Symbol) -> bool {
-    name.with_str(|s| !s.is_empty() && !s.contains(['/', '\\']) && !s.contains(".."))
 }
 
 fn artifact_path(dir: &std::path::Path, name: Symbol) -> PathBuf {
@@ -504,7 +499,7 @@ impl ModuleRegistry {
     /// holds one.
     fn read_artifact(&self, name: Symbol) -> Option<Vec<u8>> {
         let dir = self.store_dir.borrow().clone()?;
-        if !cacheable_name(name) {
+        if !name.with_str(store::is_module_file_name) {
             return None;
         }
         std::fs::read(artifact_path(&dir, name)).ok()
@@ -515,8 +510,9 @@ impl ModuleRegistry {
     /// # Errors
     ///
     /// Propagates dependency compilation failures; every *artifact*
-    /// problem (corrupt bytes, stale digests) degrades to a cache miss
-    /// with a diagnostic event, never an error or a panic.
+    /// problem (corrupt bytes, stale digests, a recorded dependency that
+    /// names no module) degrades to a cache miss with a diagnostic
+    /// event, never an error or a panic.
     fn try_load_cached(&self, name: Symbol) -> Result<CacheOutcome, RtError> {
         use lagoon_diag::CacheStatus;
         let Some(bytes) = self.read_artifact(name) else {
@@ -552,10 +548,16 @@ impl ModuleRegistry {
                 }
                 continue;
             }
-            // a dependency back onto the modules being compiled: only a
-            // crafted artifact records one, and loading it would recurse
+            // a dependency back onto the modules being compiled, or one
+            // that names no module: only a crafted or damaged artifact
+            // records one, and loading it would recurse or fail. Any
+            // other dependency that fails to compile fails the importer
+            // too, whose unchanged source requires it.
             if self.compiling.borrow().contains(dep) {
                 return stale(format!("dependency cycle through {dep}"));
+            }
+            if !self.compiled.borrow().contains_key(dep) && self.source_of(*dep).is_none() {
+                return stale(format!("dependency {dep} names no module"));
             }
             self.compile(*dep)?;
             match self.artifact_digests.borrow().get(dep) {
@@ -601,7 +603,7 @@ impl ModuleRegistry {
         }
         self.artifact_digests
             .borrow_mut()
-            .insert(name, (store::artifact_digest(&bytes), true));
+            .insert(name, (artifact.header.digest, true));
         lagoon_diag::cache_event(name, CacheStatus::Hit, bytes.len());
         Ok(CacheOutcome::Hit(Rc::new(artifact.into_compiled())))
     }
@@ -693,7 +695,7 @@ impl ModuleRegistry {
             }
         }
         Some(OwnHeader {
-            digest: store::artifact_digest(&bytes),
+            digest: header.digest,
             deps,
             len: bytes.len(),
         })
@@ -714,7 +716,7 @@ impl ModuleRegistry {
             return;
         };
         let name = compiled.name;
-        if !cacheable_name(name) {
+        if !name.with_str(store::is_module_file_name) {
             miss("not cached: unstorable module name".into());
             return;
         }
@@ -739,14 +741,14 @@ impl ModuleRegistry {
             miss("not cached: module source unavailable".into());
             return;
         };
-        let encoded = store::encode(
+        let encoded = store::encode_with_digest(
             compiled,
             self.env_digest.get(),
             store::source_digest(&source),
             &dep_digests,
         );
-        let bytes = match encoded {
-            Ok(b) => b,
+        let (bytes, digest) = match encoded {
+            Ok(encoded) => encoded,
             Err(e) => {
                 miss(format!("not cached: {e}").into());
                 let _ = std::fs::remove_file(artifact_path(&dir, name));
@@ -758,7 +760,7 @@ impl ModuleRegistry {
             Ok(()) => {
                 self.artifact_digests
                     .borrow_mut()
-                    .insert(name, (store::artifact_digest(&bytes), false));
+                    .insert(name, (digest, false));
                 miss("compiled and stored".into());
             }
             Err(e) => miss(format!("not cached: {e}").into()),
@@ -1081,12 +1083,21 @@ impl ModuleRegistry {
     }
 
     /// The expanded body of a module (compiling it if needed) — for tests
-    /// and tools that inspect core forms.
+    /// and tools that inspect core forms. An artifact persists no
+    /// expansion, so a module loaded from the store is expanded again
+    /// from its source; that compile is neither stored nor cached, and
+    /// leaves the registry's persistent footprint as it was.
     ///
     /// # Errors
     ///
     /// Propagates compilation errors.
     pub fn expanded_body(&self, module: &str) -> Result<Vec<Syntax>, RtError> {
-        Ok(self.compile(Symbol::intern(module))?.expanded.clone())
+        let name = Symbol::intern(module);
+        let compiled = self.compile(name)?;
+        let loaded = matches!(self.artifact_digests.borrow().get(&name), Some((_, true)));
+        if !loaded {
+            return Ok(compiled.expanded.clone());
+        }
+        Ok(self.compile_inner(name)?.expanded.clone())
     }
 }

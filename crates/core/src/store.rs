@@ -2,11 +2,18 @@
 //! [`CompiledModule`]s to content-addressed `.lagc` artifacts.
 //!
 //! This is the paper's §5 separate-compilation story made persistent: a
-//! compiled module — exports, bytecode, core forms, runtime requires,
-//! and the *persisted compile-time declarations* that must replay when
-//! the module is imported — survives the process, so a later `lagoon
-//! run` deserializes it straight into the registry and skips
-//! read→expand→typecheck→compile entirely.
+//! compiled module — exports, core forms, runtime requires, and the
+//! *persisted compile-time declarations* that must replay when the
+//! module is imported — survives the process, so a later `lagoon run`
+//! decodes it straight into the registry and skips
+//! read→expand→typecheck entirely. The artifact holds one program, the
+//! core forms: the interpreter runs them as decoded, and the load
+//! compiles the VM's bytecode from them ([`Compiler::compile_module`]).
+//! Compiling costs a load more than decoding persisted bytecode did,
+//! but a persisted second program made every artifact about a sixth
+//! larger and tied the format to the instruction set; with the smaller
+//! artifacts, a warm run that loads every module is no slower end to
+//! end (EXPERIMENTS.md, "Artifacts without bytecode").
 //!
 //! ## Validity
 //!
@@ -28,8 +35,8 @@
 //! * the **source digest** — a hash of the module's current source
 //!   text (which includes its `#lang` line);
 //! * every recorded **dependency digest** — [`language_digest`] for a
-//!   registered language, otherwise a hash of the dependency's own
-//!   artifact *bytes*, which must itself pass these checks. This rule
+//!   registered language, otherwise the dependency artifact's content
+//!   digest, and that artifact must itself pass these checks. This rule
 //!   is what makes editing one module invalidate its dependents, and
 //!   the recorded list includes requires a macro generated, which no
 //!   scan of the source text sees.
@@ -54,15 +61,19 @@
 //! compare the last two by digest, so for an artifact this binary wrote
 //! the load checks cannot fail once the header checks pass.
 //!
-//! Decoding the body also checks every index the bytecode holds (locals,
-//! captures, constants, globals, child protos, operand addresses and
-//! jump targets) against the proto or module it belongs to, since the
-//! machine indexes without checking.
+//! Decoding the body ends by compiling the decoded forms to bytecode, so
+//! every index the machine reads (locals, captures, constants, globals,
+//! child protos, operand addresses and jump targets) comes from the
+//! compiler, never from disk.
 //!
 //! Failing the version or digest checks is *stale*; bytes that cannot
-//! be decoded, or that index out of range, are *corrupt*. Both fall back to recompilation with a
-//! structured diagnostic — never a panic (the wire layer is fully
-//! bounds-checked).
+//! be decoded, or forms that do not compile, are *corrupt*. Both fall
+//! back to recompilation with a structured diagnostic — never a panic
+//! (the wire layer is fully bounds-checked). A recorded dependency that
+//! names no module or closes a cycle, which only a damaged or crafted
+//! artifact holds, is stale too. A recorded dependency that exists but
+//! fails to compile fails the load with its own error, after one
+//! compile: the importer's unchanged source requires it.
 //!
 //! ## What cannot be cached
 //!
@@ -77,11 +88,13 @@ use crate::binding::{Binding, CoreFormKind, NativeMacro};
 use crate::module::CompiledModule;
 use lagoon_syntax::{fnv1a, Datum, Symbol, WireError, WireReader, WireWriter};
 use lagoon_vm::codec;
-use lagoon_vm::CoreForm;
+use lagoon_vm::{Compiler, CoreForm};
 use std::rc::Rc;
 
 /// Bumped whenever the artifact layout (or anything it embeds, like the
-/// opcode table) changes incompatibly. Old artifacts read as stale.
+/// core-form or constant encoding) changes incompatibly. Old artifacts
+/// read as stale. The instruction set is not part of the format: an
+/// instruction change needs no bump.
 ///
 /// History: 2 added the peephole superinstruction opcodes and the
 /// artifact's `peephole` flag. 3 switched [`Value`](lagoon_runtime::Value)
@@ -89,8 +102,11 @@ use std::rc::Rc;
 /// canonicalization means float constants round-trip through one bit
 /// pattern per NaN) and the opcode operand layout. 4 gave instructions
 /// operand addresses and branch forms, retiring the float-stack and
-/// superinstruction opcodes and the `peephole` flag.
-pub const FORMAT_VERSION: u32 = 4;
+/// superinstruction opcodes and the `peephole` flag. 5 drops the
+/// persisted bytecode; the VM compiles it from the forms at load, and
+/// importers record a dependency's content digest rather than a hash
+/// of its whole file.
+pub const FORMAT_VERSION: u32 = 5;
 
 const MAGIC: &[u8; 4] = b"LAGC";
 
@@ -128,6 +144,9 @@ impl std::fmt::Display for DecodeError {
 /// whether the module is up to date, readable without decoding the body.
 #[derive(Debug)]
 pub struct Header {
+    /// The content digest: the hash of the body that [`decode_header`]
+    /// checked, and the digest importers record for this artifact.
+    pub digest: u64,
     /// Digest of the base environment the artifact was compiled against.
     pub env_digest: u64,
     /// Digest of the module's source text at compile time.
@@ -136,8 +155,9 @@ pub struct Header {
     pub name: Symbol,
     /// The module's language.
     pub lang: Symbol,
-    /// Runtime requires, each with the digest of the dependency's own
-    /// artifact bytes (or [`language_digest`] for registered languages).
+    /// Runtime requires, each with the content digest of the
+    /// dependency's artifact (or [`language_digest`] for registered
+    /// languages).
     pub dep_digests: Vec<(Symbol, u64)>,
 }
 
@@ -156,14 +176,15 @@ pub struct Artifact {
     pub persisted: Vec<(Symbol, Symbol, Datum)>,
     /// Core forms (interpreter engine).
     pub forms: Vec<CoreForm>,
-    /// Bytecode (VM engine).
+    /// Bytecode (VM engine), compiled from `forms` by the decode.
     pub code: lagoon_vm::bytecode::ModuleCode,
 }
 
 impl Artifact {
     /// Converts into a registry-ready [`CompiledModule`]. The expanded
-    /// syntax is not persisted (it exists only for tooling on fresh
-    /// compiles).
+    /// syntax is not persisted (it exists only for tooling, which
+    /// expands a loaded module's source again; see
+    /// [`ModuleRegistry::expanded_body`](crate::module::ModuleRegistry::expanded_body)).
     pub fn into_compiled(self) -> CompiledModule {
         CompiledModule {
             name: self.header.name,
@@ -198,10 +219,13 @@ pub fn source_digest(source: &str) -> u64 {
     fnv1a(source.as_bytes())
 }
 
-/// Digest of an artifact's encoded bytes (the dependency digest its
-/// importers embed).
-pub fn artifact_digest(bytes: &[u8]) -> u64 {
-    fnv1a(bytes)
+/// Whether `name` names a file directly inside one directory: non-empty,
+/// with no path separator and no `..`. Such names key the store's
+/// artifacts (`<dir>/<name>.lagc`), and source loaders resolve only
+/// such names (`<root>/<name>.lag`); any other module name is compiled
+/// but never stored or loaded from a file.
+pub fn is_module_file_name(name: &str) -> bool {
+    !name.is_empty() && !name.contains(['/', '\\']) && !name.contains("..")
 }
 
 fn encode_binding(w: &mut WireWriter, binding: &Binding) -> Result<(), WireError> {
@@ -276,13 +300,28 @@ fn decode_binding(
 /// # Errors
 ///
 /// Fails when the module is uncacheable: an export without a serialized
-/// form, or a bytecode constant with no datum representation.
+/// form, or a quoted constant with no datum representation.
 pub fn encode(
     module: &CompiledModule,
     env_digest: u64,
     src_digest: u64,
     dep_digests: &[(Symbol, u64)],
 ) -> Result<Vec<u8>, WireError> {
+    encode_with_digest(module, env_digest, src_digest, dep_digests).map(|(bytes, _)| bytes)
+}
+
+/// [`encode`], also returning the content digest the frame carries —
+/// the digest importers record ([`Header::digest`] on a load).
+///
+/// # Errors
+///
+/// As [`encode`].
+pub(crate) fn encode_with_digest(
+    module: &CompiledModule,
+    env_digest: u64,
+    src_digest: u64,
+    dep_digests: &[(Symbol, u64)],
+) -> Result<(Vec<u8>, u64), WireError> {
     let mut w = WireWriter::new();
     w.uint(env_digest);
     w.uint(src_digest);
@@ -308,17 +347,17 @@ pub fn encode(
     for form in &module.forms {
         codec::encode_form(&mut w, form)?;
     }
-    codec::encode_module_code(&mut w, &module.code)?;
     // frame the body behind a content digest so any byte flip is caught
     // here, as corruption, rather than reaching the engines as silently
-    // mutated bytecode
+    // mutated forms
     let body = w.into_bytes();
+    let digest = fnv1a(&body);
     let mut framed = WireWriter::new();
     framed.raw(MAGIC);
     framed.u32(FORMAT_VERSION);
-    framed.uint(fnv1a(&body));
+    framed.uint(digest);
     framed.raw(&body);
-    Ok(framed.into_bytes())
+    Ok((framed.into_bytes(), digest))
 }
 
 /// Reads an artifact's frame — the magic, the format version and the
@@ -363,6 +402,7 @@ pub fn decode_header(bytes: &[u8]) -> Result<(Header, Body<'_>), DecodeError> {
         dep_digests.push((dep, digest));
     }
     let header = Header {
+        digest: content_digest,
         env_digest,
         source_digest,
         name,
@@ -373,14 +413,15 @@ pub fn decode_header(bytes: &[u8]) -> Result<(Header, Body<'_>), DecodeError> {
 }
 
 impl Body<'_> {
-    /// Decodes the body behind `header`. `rehydrate` maps a recipe tag +
-    /// datum back to a live native transformer (see
+    /// Decodes the body behind `header` and compiles its forms to
+    /// bytecode. `rehydrate` maps a recipe tag + datum back to a live
+    /// native transformer (see
     /// [`ModuleRegistry::register_rehydrator`](crate::module::ModuleRegistry::register_rehydrator)).
     ///
     /// # Errors
     ///
-    /// Anything structurally invalid, including an export whose recipe
-    /// has no rehydrator: the artifact is corrupt.
+    /// Anything structurally invalid, an export whose recipe has no
+    /// rehydrator, or forms the compiler rejects: the artifact is corrupt.
     pub fn decode(
         self,
         header: Header,
@@ -407,13 +448,14 @@ impl Body<'_> {
         for _ in 0..nforms {
             forms.push(codec::decode_form(&mut r)?);
         }
-        let code = codec::decode_module_code(&mut r)?;
         if !r.is_empty() {
             return Err(WireError::new(
                 format!("{} trailing bytes after artifact", r.remaining()),
                 r.position(),
             ));
         }
+        let code = Compiler::compile_module(&forms)
+            .map_err(|e| WireError::new(format!("core forms do not compile: {e}"), r.position()))?;
         Ok(Artifact {
             header,
             exports,
@@ -490,8 +532,9 @@ mod tests {
             Binding::Variable(Symbol::intern("x~1")),
         )]);
         let deps = vec![(Symbol::intern("dep"), 77u64)];
-        let bytes = encode(&m, 11, 22, &deps).unwrap();
+        let (bytes, digest) = encode_with_digest(&m, 11, 22, &deps).unwrap();
         let a = decode(&bytes, &no_rehydrate).unwrap();
+        assert_eq!(a.header.digest, digest);
         assert_eq!(a.header.env_digest, 11);
         assert_eq!(a.header.source_digest, 22);
         assert_eq!(a.header.name, m.name);
@@ -502,6 +545,38 @@ mod tests {
         assert_eq!(back.requires, m.requires);
         assert_eq!(back.exports.len(), 1);
         assert_eq!(back.code.global_names, m.code.global_names);
+        assert_eq!(back.code.top.disassemble(), m.code.top.disassemble());
+    }
+
+    #[test]
+    fn forms_that_do_not_compile_are_corrupt() {
+        // a lambda with no body decodes, but the compiler rejects it
+        let mut m = sample_module(vec![]);
+        m.forms = vec![CoreForm::Expr(CoreExpr::Lambda(lagoon_vm::LambdaCore {
+            name: None,
+            formals: vec![],
+            rest: None,
+            body: vec![],
+            span: Span::synthetic(),
+        }))];
+        let bytes = encode(&m, 0, 0, &[]).unwrap();
+        assert!(decode_header(&bytes).is_ok());
+        match decode(&bytes, &no_rehydrate) {
+            Err(DecodeError::Corrupt(e)) => {
+                assert!(e.to_string().contains("do not compile"), "{e}")
+            }
+            other => panic!("expected corrupt, got {:?}", other.err()),
+        }
+    }
+
+    #[test]
+    fn module_file_names_stay_inside_their_directory() {
+        for ok in ["m", "typed-util", "a.b"] {
+            assert!(is_module_file_name(ok), "{ok}");
+        }
+        for bad in ["", "a/b", "a\\b", "..", "x..y", "/abs"] {
+            assert!(!is_module_file_name(bad), "{bad}");
+        }
     }
 
     #[test]

@@ -44,11 +44,14 @@ use lagoon_syntax::{read_module, Symbol};
 /// Shared by the scanner and every worker's lazy loader.
 pub type SourceFn = Arc<dyn Fn(&str) -> Option<String> + Send + Sync>;
 
-/// Returns a [`SourceFn`] resolving `<name>.lag` files under `root`.
-/// Names containing path separators or `..` are refused.
+/// Returns a [`SourceFn`] resolving `<name>.lag` files under `root`:
+/// the one module-file loader, shared by builds, the daemon and the CLI.
+/// It refuses every name the store would not key an artifact by
+/// ([`store::is_module_file_name`](lagoon_core::store::is_module_file_name)),
+/// so lookups stay inside `root`.
 pub fn dir_source(root: PathBuf) -> SourceFn {
     Arc::new(move |name: &str| {
-        if name.contains('/') || name.contains('\\') || name.contains("..") {
+        if !lagoon_core::store::is_module_file_name(name) {
             return None;
         }
         std::fs::read_to_string(root.join(format!("{name}.lag"))).ok()

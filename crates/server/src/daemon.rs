@@ -761,14 +761,8 @@ fn build_world(shared: &Arc<Shared>) -> std::rc::Rc<ModuleRegistry> {
     lagoon_optimizer::register_typed_languages(&registry);
     registry.set_store_dir(shared.opts.cache_dir.clone());
     if let Some(root) = shared.opts.source_root.clone() {
-        registry.set_loader(move |name: Symbol| {
-            name.with_str(|s| {
-                if s.contains('/') || s.contains('\\') || s.contains("..") {
-                    return None;
-                }
-                std::fs::read_to_string(root.join(format!("{s}.lag"))).ok()
-            })
-        });
+        let source = crate::build::dir_source(root);
+        registry.set_loader(move |name: Symbol| name.with_str(|s| source(s)));
     }
     registry
 }
@@ -991,7 +985,7 @@ fn handle_request(
     req_id: &AtomicU64,
 ) -> (Json, bool) {
     // Resolve the target module: inline source gets a unique name that
-    // `cacheable_name` rejects (it contains '/'), so request bodies
+    // `store::is_module_file_name` rejects (it contains '/'), so request bodies
     // never enter the shared store and never collide across requests.
     // The `req/{id}` symbol and everything the request interns land in
     // this worker's epoch table, which the worker truncates after the

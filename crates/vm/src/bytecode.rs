@@ -79,21 +79,6 @@ impl Arg {
     pub fn index(self) -> usize {
         (self.0 & Arg::MAX_INDEX) as usize
     }
-
-    /// The wire form.
-    pub fn bits(self) -> u32 {
-        self.0
-    }
-
-    /// Reads the wire form back, rejecting an unknown kind or a stack
-    /// address with an index.
-    pub fn from_bits(bits: u32) -> Option<Arg> {
-        match bits >> KIND_SHIFT {
-            0 if bits == 0 => Some(Arg::STACK),
-            LOCAL | CONST => Some(Arg(bits)),
-            _ => None,
-        }
-    }
 }
 
 impl std::fmt::Debug for Arg {
@@ -678,11 +663,6 @@ mod tests {
         assert!(k.is_const() && !l.is_const() && !Arg::STACK.is_const());
         assert_eq!((l.index(), k.index()), (5, Arg::MAX_INDEX as usize));
         assert_eq!(Arg::local(Arg::MAX_INDEX + 1), None);
-        for a in [Arg::STACK, l, k] {
-            assert_eq!(Arg::from_bits(a.bits()), Some(a));
-        }
-        assert_eq!(Arg::from_bits(3 << KIND_SHIFT), None, "unknown kind");
-        assert_eq!(Arg::from_bits(7), None, "a stack address has no index");
         assert_eq!(format!("{:?}", Op::Sub2(l, k)), "Sub2(L5, K1073741823)");
     }
 

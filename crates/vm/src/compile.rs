@@ -186,9 +186,9 @@ impl Compiler {
             .pop()
             .ok_or_else(|| RtError::new(Kind::Internal, "compiler lost its top scope"))?;
         let top = Rc::new(top.finish());
-        // sorted so the artifact encoding is deterministic: HashSet
-        // iteration order varies with interner state, and `.lagc`
-        // bytes must be a pure function of module content
+        // sorted so the same forms always compile to the same code:
+        // HashSet iteration order varies with interner state, and the
+        // code a store load compiles must match a fresh compile's
         let mut defined: Vec<u32> = c
             .defined
             .iter()

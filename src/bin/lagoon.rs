@@ -607,13 +607,8 @@ fn setup_program(lagoon: &Lagoon, file: &Path) -> Result<String, String> {
         .map_err(|e| format!("cannot read {}: {e}", file.display()))?;
     lagoon.add_module(&main_name, &source);
     let dir = file.parent().unwrap_or(Path::new(".")).to_path_buf();
-    lagoon.set_module_loader(move |name| {
-        // keep lookups inside the program's directory
-        if name.is_empty() || name.contains(['/', '\\']) || name.contains("..") {
-            return None;
-        }
-        std::fs::read_to_string(dir.join(format!("{name}.lag"))).ok()
-    });
+    let source = lagoon::server::dir_source(dir);
+    lagoon.set_module_loader(move |name| source(name));
     Ok(main_name)
 }
 
@@ -738,8 +733,8 @@ fn run_file_with_stats(
 }
 
 fn expand_file(file: &Path, timings: bool) -> ExitCode {
-    // no compiled store here: `expand` exists to show the expansion,
-    // which a cache hit would skip
+    // no compiled store here: an artifact carries no expansion, so a
+    // loaded module would be expanded from its source again anyway
     let lagoon = Lagoon::new();
     let main = match setup_program(&lagoon, file) {
         Ok(m) => m,

@@ -633,7 +633,9 @@ fn interp_vs_vm_differential_sweep_agrees() {
 fn compiled_store_codec_is_a_fixed_point() {
     // seeded generator → compile → encode → decode → re-encode must
     // reproduce the artifact bytes exactly (symbols, spans, consts,
-    // bytecode, persisted declarations — everything survives the trip)
+    // core forms, persisted declarations — everything survives the
+    // trip), and the bytecode the decode compiles from the forms must
+    // be the bytecode the fresh compile produced
     let n: u64 = if cfg!(debug_assertions) { 150 } else { 600 };
     let mut rng = SplitMix64::new(0xc0dec);
     let lagoon = Lagoon::new();
@@ -686,6 +688,18 @@ fn compiled_store_codec_is_a_fixed_point() {
         };
         let artifact = lagoon_core::store::decode(&bytes, &rehydrate)
             .unwrap_or_else(|e| panic!("fresh artifact must decode, got {e}\nsource:\n{src}"));
+        let (loaded, fresh) = (&artifact.code, &compiled.code);
+        assert_eq!(
+            loaded.top.disassemble(),
+            fresh.top.disassemble(),
+            "load-compiled bytecode differs for:\n{src}"
+        );
+        assert_eq!(
+            format!("{:?}", loaded.global_names),
+            format!("{:?}", fresh.global_names),
+            "load-compiled globals differ for:\n{src}"
+        );
+        assert_eq!(loaded.defined, fresh.defined, "{src}");
         let back = artifact.into_compiled();
         let bytes2 = lagoon_core::store::encode(&back, 11, 22, &deps)
             .unwrap_or_else(|e| panic!("decoded module must re-encode, got {e}\nsource:\n{src}"));
@@ -788,4 +802,153 @@ fn lagc_corruption_sweep_never_panics() {
         run(i, "the rebuilt store");
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn lagc_body_mutation_sweep_loads_or_recompiles() {
+    // seeded byte flips, truncations and splices of artifact *bodies*,
+    // re-framed with a valid content digest and the current format
+    // version, so that the body decoder, rehydration and the load's
+    // compile all run on them: every load must end hit, stale or
+    // corrupt — never a panic or an internal error — and every stale or
+    // corrupt read must recompile to the clean value. A hit may run a
+    // different program: the frame cannot tell a mutated body from one
+    // a compile wrote.
+    use lagoon_core::store::FORMAT_VERSION;
+    use lagoon_syntax::{WireReader, WireWriter};
+
+    let n: u64 = std::env::var("LAGOON_FUZZ_N")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .map(|v: u64| v / 10)
+        .unwrap_or(if cfg!(debug_assertions) { 100 } else { 400 });
+    let dir = std::env::temp_dir().join(format!("lagoon-body-sweep-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    // a typed module (rehydrated export recipes, persisted types,
+    // optimized float code) under an untyped importer with closures,
+    // a loop, a mutated global and quoted data
+    let modules = [
+        (
+            "geo",
+            "#lang typed/lagoon\n(: scale : Float Float -> Float)\n\
+             (define (scale x k) (* x k))\n(define: unit : Float 1.5)\n(provide scale unit)\n",
+        ),
+        (
+            "app",
+            "#lang lagoon\n(require geo)\n(define tags '(a \"b\" #\\c 2.5))\n\
+             (define (sum-to n) (let loop ([i 0] [acc 0.0]) \
+             (if (< i n) (loop (+ i 1) (+ acc (scale unit 2.0))) acc)))\n\
+             (define count 0)\n(define (bump!) (set! count (+ count 1)) count)\n\
+             (bump!)\n(list (sum-to 4) (length tags) (bump!) (lambda (y) (+ y count)))\n",
+        ),
+    ];
+    let lagoon = Lagoon::new();
+    lagoon.set_cache_dir(Some(dir.clone()));
+    for (name, source) in modules {
+        lagoon.add_module(name, source);
+    }
+    let run = || {
+        lagoon.registry().reset_compiled();
+        let collector = lagoon::diag::Collector::install();
+        lagoon.set_limits(strict());
+        let result = lagoon.run("app", EngineKind::Vm);
+        lagoon.set_limits(Limits::default());
+        lagoon::diag::uninstall();
+        (result.map(|v| v.to_string()), collector.report())
+    };
+    let expected = run().0.unwrap();
+    // each clean artifact split at its frame: magic, version, digest
+    let bodies: Vec<(&str, Vec<u8>, Vec<u8>)> = modules
+        .iter()
+        .map(|(name, _)| {
+            let bytes = std::fs::read(dir.join(format!("{name}.lagc"))).unwrap();
+            let mut r = WireReader::new(&bytes);
+            r.raw(4).unwrap();
+            assert_eq!(r.u32().unwrap(), FORMAT_VERSION);
+            r.uint().unwrap();
+            let at = bytes.len() - r.remaining();
+            (*name, bytes.clone(), bytes[at..].to_vec())
+        })
+        .collect();
+    let mut rng = SplitMix64::new(0xb0d7);
+    let mut seen: std::collections::BTreeMap<&str, u64> = Default::default();
+    for i in 0..n {
+        let (victim, _, clean) = &bodies[(i % 2) as usize];
+        let mut body = clean.clone();
+        let len = body.len() as u64;
+        let what = match rng.below(3) {
+            0 => {
+                for _ in 0..=rng.below(3) {
+                    let at = rng.below(len) as usize;
+                    body[at] ^= (1 + rng.below(255)) as u8;
+                }
+                "flip"
+            }
+            1 => {
+                body.truncate(rng.below(len) as usize);
+                "truncation"
+            }
+            _ => {
+                // a run of bytes from either body, written over or
+                // inserted at a random position
+                let donor = &bodies[rng.below(2) as usize].2;
+                let from = rng.below(donor.len() as u64) as usize;
+                let take = 1 + rng.below(16.min(donor.len() - from) as u64) as usize;
+                let piece = donor[from..from + take].to_vec();
+                let at = rng.below(len) as usize;
+                if rng.chance(1, 2) {
+                    let end = (at + take).min(body.len());
+                    body.splice(at..end, piece);
+                } else {
+                    body.splice(at..at, piece);
+                }
+                "splice"
+            }
+        };
+        for (name, bytes, _) in &bodies {
+            std::fs::write(dir.join(format!("{name}.lagc")), bytes).unwrap();
+        }
+        let mut framed = WireWriter::new();
+        framed.raw(b"LAGC");
+        framed.u32(FORMAT_VERSION);
+        framed.uint(lagoon_syntax::fnv1a(&body));
+        framed.raw(&body);
+        std::fs::write(dir.join(format!("{victim}.lagc")), framed.into_bytes()).unwrap();
+
+        let (result, report) = run();
+        if let Err(e) = &result {
+            assert!(
+                !matches!(e.kind, Kind::Internal),
+                "iteration {i}: a {what} of {victim} failed internally: {e}"
+            );
+        }
+        let row = report
+            .caches
+            .iter()
+            .find(|r| r.module == *victim)
+            .unwrap_or_else(|| {
+                panic!(
+                    "iteration {i}: a {what} of {victim} left no store row: {:?} ({result:?})",
+                    report.caches
+                )
+            });
+        match row.status {
+            "hit" => {}
+            "stale" | "corrupt" => assert_eq!(
+                result.as_deref(),
+                Ok(expected.as_str()),
+                "iteration {i}: a {what} of {victim} read {} ({}) and must recompile cleanly",
+                row.status,
+                row.detail
+            ),
+            other => panic!("iteration {i}: a {what} of {victim} read {other}"),
+        }
+        *seen.entry(row.status).or_default() += 1;
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+    // the sweep reached the decoder and the compile, not only the frame
+    assert!(seen.get("corrupt").copied().unwrap_or(0) > 0, "{seen:?}");
+    assert!(seen.get("hit").copied().unwrap_or(0) > 0, "{seen:?}");
+    eprintln!("body mutation sweep: {n} loads, {seen:?}");
 }

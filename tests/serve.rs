@@ -305,6 +305,91 @@ fn daemon_expand_check_and_protocol_errors() {
     daemon.shutdown();
 }
 
+/// `text` with each scoped gensym's module digest (`x~1a2b3c4d.7`)
+/// masked, so the forms of one source compiled under two module names
+/// compare equal.
+fn mask_gensym_digests(text: &str) -> String {
+    let mut out = String::with_capacity(text.len());
+    let mut rest = text;
+    while let Some(at) = rest.find('~') {
+        out.push_str(&rest[..=at]);
+        rest = &rest[at + 1..];
+        let digest = rest
+            .get(..9)
+            .filter(|d| d.ends_with('.') && d[..8].bytes().all(|b| b.is_ascii_hexdigit()));
+        if digest.is_some() {
+            out.push_str("########");
+            rest = &rest[8..];
+        }
+    }
+    out.push_str(rest);
+    out
+}
+
+#[test]
+fn expanding_a_built_named_module_matches_its_inline_expansion() {
+    // a named module the daemon loads from a store a build wrote carries
+    // no expansion of its own; `expand` must show the same forms as the
+    // same source sent inline
+    const SRC: &str = "#lang typed/lagoon\n(: sq : Float -> Float)\n\
+                       (define (sq x) (* x x))\n(sq 7.0)\n";
+    let root = std::env::temp_dir().join(format!("lagoon-serve-expand-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let store = root.join("store");
+    std::fs::create_dir_all(&root).expect("scratch dir");
+    std::fs::write(root.join("m.lag"), SRC).expect("write module");
+    let built = Command::new(env!("CARGO_BIN_EXE_lagoon"))
+        .arg("build")
+        .arg(root.join("m.lag"))
+        .arg("--cache-dir")
+        .arg(&store)
+        .output()
+        .expect("run lagoon build");
+    assert!(built.status.success(), "{built:?}");
+    assert!(store.join("m.lagc").is_file());
+
+    let (root_arg, store_arg) = (
+        root.to_str().expect("utf-8"),
+        store.to_str().expect("utf-8"),
+    );
+    let daemon = Daemon::spawn(&[
+        "--workers",
+        "1",
+        "--root",
+        root_arg,
+        "--cache-dir",
+        store_arg,
+    ]);
+    let addr = daemon.addr.clone();
+    // gensyms carry a digest of the module's name and source, and the
+    // name differs between `m` and the inline request's scratch name
+    let expand = |body: &str| -> Vec<String> {
+        let (status, response) = call(&addr, "POST", "/v1/expand", body);
+        assert_eq!(status, 200, "{response}");
+        let Some(Json::Arr(forms)) = response.get("forms") else {
+            panic!("expand returned no forms: {response}");
+        };
+        forms
+            .iter()
+            .map(|f| mask_gensym_digests(f.as_str().expect("form text")))
+            .collect()
+    };
+    let named = expand(r#"{"module":"m"}"#);
+    let inline = expand(&client::inline_request(SRC, vec![]));
+    assert!(!inline.is_empty());
+    assert_eq!(named, inline);
+    let hits = gauge(&stats(&addr), "cache", "hits");
+    assert!(hits >= 1, "m must load from the store ({hits} hits)");
+
+    // after a run the module stays loaded, and still expands
+    let response = run(&addr, r#"{"module":"m"}"#);
+    assert_eq!(response.get("value").and_then(Json::as_str), Some("49.0"));
+    assert_eq!(expand(r#"{"module":"m"}"#), inline);
+
+    daemon.shutdown();
+    let _ = std::fs::remove_dir_all(&root);
+}
+
 #[test]
 fn daemon_backpressure_rejects_rather_than_queues_unboundedly() {
     // one worker and a 2-deep queue: flooding with slow requests must

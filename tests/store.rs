@@ -180,7 +180,7 @@ fn old_format_artifacts_are_stale_not_corrupt() {
     let mut bytes = std::fs::read(&path).unwrap();
     assert_eq!(&bytes[..4], b"LAGC");
     assert_eq!(u32::from(bytes[4]), lagoon_core::store::FORMAT_VERSION);
-    bytes[4] = 3; // the version a store written before the bump carries
+    bytes[4] = 4; // the version a store written before the bump carries
     std::fs::write(&path, &bytes).unwrap();
 
     lagoon.registry().reset_compiled();
@@ -196,7 +196,7 @@ fn old_format_artifacts_are_stale_not_corrupt() {
         "old format must be stale, not corrupt"
     );
     assert!(
-        util.detail.contains("format version 3"),
+        util.detail.contains("format version 4"),
         "diagnostic should name the found version: {}",
         util.detail
     );
@@ -231,6 +231,29 @@ fn stats_report_timing_buckets_and_load_phase() {
     let json = warm.to_json();
     assert!(json.contains("\"buckets\""), "buckets missing from {json}");
     assert!(json.contains("\"cache\""), "cache rows missing from {json}");
+}
+
+#[test]
+fn expanding_a_loaded_module_expands_its_source_again() {
+    let (lagoon, dir) = cached_world("expand");
+    let render = |forms: Vec<lagoon::Syntax>| -> Vec<String> {
+        forms.iter().map(|f| f.to_datum().to_string()).collect()
+    };
+    let fresh = render(lagoon.expanded("main").unwrap());
+    assert!(!fresh.is_empty());
+    let stored = artifact_bytes(&dir);
+
+    // an artifact persists no expansion: a loaded module is expanded
+    // again from its source, and nothing is stored or kept
+    lagoon.registry().reset_compiled();
+    let (loaded, report) = lagoon.expand_with_stats("main").unwrap();
+    assert_eq!(render(loaded), fresh);
+    assert_eq!(report.cache_hits(), 2, "{:?}", report.caches);
+    assert_eq!(report.cache_misses(), 0, "{:?}", report.caches);
+    let footprint = lagoon.registry().persistent_footprint();
+    assert_eq!(render(lagoon.expanded("main").unwrap()), fresh);
+    assert_eq!(lagoon.registry().persistent_footprint(), footprint);
+    assert_eq!(artifact_bytes(&dir), stored, "no artifact was rewritten");
 }
 
 #[test]
@@ -943,6 +966,92 @@ fn a_long_chain_rebuilds_from_a_small_stack() {
 }
 
 #[test]
+fn a_broken_leaf_under_a_warm_chain_compiles_once() {
+    // every importer's artifact still passes its header checks after
+    // the leaf breaks, so each load reaches the leaf through its
+    // recorded dependencies: the leaf's error must end the run after
+    // one compile of the leaf, not one per importer on the path
+    const N: usize = 12;
+    const BROKEN: &str = "#lang lagoon\n(define (f0) 0\n(provide f0)\n";
+    let dir = temp_store("broken-leaf");
+    let lagoon = Lagoon::new();
+    lagoon.set_cache_dir(Some(dir.clone()));
+    lagoon.add_module("c0", "#lang lagoon\n(define (f0) 0)\n(provide f0)\n");
+    for i in 1..N {
+        let call = if i == N - 1 {
+            format!("(f{i})\n")
+        } else {
+            String::new()
+        };
+        lagoon.add_module(
+            &format!("c{i}"),
+            &format!(
+                "#lang lagoon\n(require c{p})\n(define (f{i}) (+ 1 (f{p})))\n(provide f{i})\n{call}",
+                p = i - 1
+            ),
+        );
+    }
+    let top = format!("c{}", N - 1);
+    assert_eq!(
+        lagoon.run(&top, EngineKind::Vm).unwrap().to_string(),
+        (N - 1).to_string()
+    );
+
+    let alone = Lagoon::new();
+    alone.add_module("c0", BROKEN);
+    let expected = alone.run("c0", EngineKind::Vm).unwrap_err().to_string();
+    lagoon.add_module("c0", BROKEN);
+    lagoon.registry().reset_compiled();
+    let collector = lagoon::diag::Collector::install();
+    let result = lagoon.run(&top, EngineKind::Vm);
+    lagoon::diag::uninstall();
+    assert_eq!(result.unwrap_err().to_string(), expected);
+    let rows = collector.report().caches;
+    let leaf: Vec<_> = rows.iter().filter(|r| r.module == "c0").collect();
+    assert_eq!(leaf.len(), 1, "the leaf compiled more than once: {rows:?}");
+    assert_eq!(leaf[0].status, "stale", "{}", leaf[0].detail);
+    assert_eq!(
+        rows.len(),
+        1,
+        "no importer reads stale or recompiles: {rows:?}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_recorded_dependency_that_names_no_module_reads_stale() {
+    // a damaged artifact can record a dependency no module answers to:
+    // the load reads stale and recompiles, rather than failing the run
+    // with that name's "unknown module"
+    let (lagoon, dir) = cached_world("unknown-dep");
+    lagoon.run("main", EngineKind::Vm).unwrap();
+    let path = dir.join("main.lagc");
+    let written = std::fs::read(&path).unwrap();
+    let artifact = lagoon_core::store::decode(&written, &|_, _| None).unwrap();
+    let (env, src) = (artifact.header.env_digest, artifact.header.source_digest);
+    let deps = [(lagoon::Symbol::intern("no-such-module"), 7)];
+    let bytes = lagoon_core::store::encode(&artifact.into_compiled(), env, src, &deps).unwrap();
+    std::fs::write(&path, bytes).unwrap();
+
+    lagoon.registry().reset_compiled();
+    let (v, report) = lagoon.run_with_stats("main", EngineKind::Vm).unwrap();
+    assert_eq!(v.to_string(), "42");
+    let main = report
+        .caches
+        .iter()
+        .find(|r| r.module == "main")
+        .unwrap_or_else(|| panic!("no cache row for main: {:?}", report.caches));
+    assert_eq!(main.status, "stale");
+    assert!(main.detail.contains("names no module"), "{}", main.detail);
+    assert_eq!(
+        std::fs::read(&path).unwrap(),
+        written,
+        "the recompile rewrote main"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn an_unregistered_recipe_passes_the_header_but_loads_as_corrupt() {
     let (lagoon, dir) = cached_world("unregistered-recipe");
     lagoon.run("main", EngineKind::Vm).unwrap();
@@ -986,77 +1095,4 @@ fn an_unregistered_recipe_passes_the_header_but_loads_as_corrupt() {
         written,
         "the recompile rewrote util"
     );
-}
-
-#[test]
-fn out_of_range_operands_read_as_corrupt_and_recompile() {
-    use lagoon_vm::bytecode::{Arg, Op, Proto};
-
-    const SRC: &str = "#lang lagoon\n(define (f x y) (+ x 1))\n(f 41 0)\n";
-    let dir = temp_store("operands");
-    let lagoon = Lagoon::new();
-    lagoon.set_cache_dir(Some(dir.clone()));
-    lagoon.add_module("m", SRC);
-    assert_eq!(lagoon.run("m", EngineKind::Vm).unwrap().to_string(), "42");
-    let path = dir.join("m.lagc");
-    let clean = std::fs::read(&path).unwrap();
-
-    let (l, k) = (|i| Arg::local(i).unwrap(), |i| Arg::constant(i).unwrap());
-    // each case replaces the code of `f` (a 2-local proto with one
-    // constant, no captures and no children) or of the module body,
-    // which defines one global, with `[op, Return]`
-    let cases = [
-        ("operand local", false, Op::Add2(l(3), k(0))),
-        ("operand constant", false, Op::Add2(l(0), k(1))),
-        ("local", false, Op::LoadLocal(2)),
-        ("constant", false, Op::Const(1)),
-        ("capture", false, Op::LoadCapture(0)),
-        ("global", false, Op::LoadGlobal(9)),
-        ("child proto", false, Op::MakeClosure(0)),
-        ("jump target", false, Op::Jump(2)),
-        ("branch target", false, Op::BrLt2(l(0), l(1), 7)),
-        ("module global", true, Op::StoreGlobal(5)),
-    ];
-    for (what, in_top, op) in cases {
-        // decode the clean artifact, swap in the bad code and re-encode
-        // it: the content digest is valid, only the index is not
-        let mut artifact = lagoon_core::store::decode(&clean, &|_, _| None).unwrap();
-        let top = std::rc::Rc::get_mut(&mut artifact.code.top).unwrap();
-        let proto: &mut Proto = if in_top {
-            top
-        } else {
-            std::rc::Rc::get_mut(&mut top.protos[0]).unwrap()
-        };
-        proto.code = vec![op, Op::Return];
-        let header = &artifact.header;
-        let (env, src, deps) = (
-            header.env_digest,
-            header.source_digest,
-            header.dep_digests.clone(),
-        );
-        let bytes = lagoon_core::store::encode(&artifact.into_compiled(), env, src, &deps).unwrap();
-        assert!(lagoon_core::store::decode_header(&bytes).is_ok(), "{what}");
-        std::fs::write(&path, &bytes).unwrap();
-
-        lagoon.registry().reset_compiled();
-        let (v, report) = lagoon
-            .run_with_stats("m", EngineKind::Vm)
-            .unwrap_or_else(|e| {
-                panic!("{what}: {e}");
-            });
-        assert_eq!(v.to_string(), "42", "{what}");
-        let row = report
-            .caches
-            .iter()
-            .find(|r| r.module == "m")
-            .unwrap_or_else(|| panic!("{what}: no cache row: {:?}", report.caches));
-        assert_eq!(row.status, "corrupt", "{what}: {}", row.detail);
-        assert!(
-            row.detail.contains("out of range"),
-            "{what}: {}",
-            row.detail
-        );
-        assert_eq!(std::fs::read(&path).unwrap(), clean, "{what}: recompiled");
-    }
-    let _ = std::fs::remove_dir_all(&dir);
 }
