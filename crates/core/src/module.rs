@@ -57,9 +57,36 @@ pub struct CompiledModule {
     pub code: lagoon_vm::bytecode::ModuleCode,
     /// Modules required at runtime.
     pub requires: Vec<Symbol>,
+    /// The modules its source's top-level `require` forms name
+    /// ([`static_requires`]): its edges in the static dependency graph.
+    pub static_requires: Vec<Symbol>,
     /// Compile-time declarations to replay when this module is required
     /// during a later compilation (serialized as S-expression data).
     pub persisted: Vec<(Symbol, Symbol, Datum)>,
+}
+
+/// The modules a module's top-level `(require …)` forms name, in order
+/// of first mention: its edges in the static dependency graph, read from
+/// its forms as the reader produced them. Requires a macro synthesizes
+/// are invisible here; the expander records those among
+/// [`CompiledModule::requires`].
+pub fn static_requires(body: &[Syntax]) -> Vec<Symbol> {
+    let require = Symbol::intern("require");
+    let mut found = Vec::new();
+    for form in body {
+        let Some((head, specs)) = form.as_list().and_then(<[Syntax]>::split_first) else {
+            continue;
+        };
+        if head.sym() != Some(require) {
+            continue;
+        }
+        for dep in specs.iter().filter_map(Syntax::sym) {
+            if !found.contains(&dep) {
+                found.push(dep);
+            }
+        }
+    }
+    found
 }
 
 /// A language usable on a `#lang` line: a bundle of bindings (and, for
@@ -127,6 +154,30 @@ enum CacheOutcome {
         /// A diagnostic event for this module was already emitted.
         reported: bool,
     },
+}
+
+/// One walk over the store's artifact headers, such as a rebuild's
+/// discovery: [`ModuleRegistry::recorded_requires`] and
+/// [`ModuleRegistry::verify_artifact`] share it, so each artifact is
+/// read and checked once, and each module's verdict is decided once.
+#[derive(Default)]
+pub struct HeaderWalk {
+    /// Each module whose artifact was read: its header and byte length
+    /// when the header passed the checks it decides on its own, `None`
+    /// otherwise.
+    headers: HashMap<Symbol, Option<(store::Header, usize)>>,
+    /// Each module checked: its artifact's content digest when up to
+    /// date, `None` when dirty.
+    verdicts: HashMap<Symbol, Option<u64>>,
+}
+
+impl HeaderWalk {
+    /// Every module the walk found up to date: those
+    /// [`ModuleRegistry::verify_artifact`] was asked about, and the
+    /// dependencies it reached through their recorded lists.
+    pub fn up_to_date(&self) -> impl Iterator<Item = Symbol> + '_ {
+        self.verdicts.iter().filter_map(|(m, d)| d.map(|_| *m))
+    }
 }
 
 /// An artifact that passed its own header checks, before its module
@@ -618,19 +669,14 @@ impl ModuleRegistry {
     ///
     /// True when the artifact is up to date; false when it is dirty:
     /// missing, stale, corrupt, or part of a recorded dependency cycle.
-    /// `verdicts` memoizes one walk over the store, mapping each module
-    /// checked to its artifact digest when up to date and to `None` when
-    /// dirty; pass the same map to every call of the walk. Each module
-    /// found up to date emits one `hit` cache event; a dirty one emits
-    /// nothing, since compiling it reports why.
+    /// `walk` memoizes the headers read and the verdicts reached; pass
+    /// the same walk to every call. Each module found up to date emits
+    /// one `hit` cache event; a dirty one emits nothing, since compiling
+    /// it reports why.
     ///
     /// Dependencies are walked with an explicit stack, so a long chain
     /// does not deepen the native stack.
-    pub fn verify_artifact(
-        &self,
-        name: Symbol,
-        verdicts: &mut HashMap<Symbol, Option<u64>>,
-    ) -> bool {
+    pub fn verify_artifact(&self, name: Symbol, walk: &mut HeaderWalk) -> bool {
         enum Step {
             Enter(Symbol),
             /// The module passed its own checks, and its module
@@ -645,11 +691,11 @@ impl ModuleRegistry {
         while let Some(step) = stack.pop() {
             match step {
                 Step::Enter(m) => {
-                    if path.contains(&m) || verdicts.contains_key(&m) {
+                    if path.contains(&m) || walk.verdicts.contains_key(&m) {
                         continue;
                     }
-                    let Some(own) = self.verify_own_header(m) else {
-                        verdicts.insert(m, None);
+                    let Some(own) = self.verify_own_header(m, walk) else {
+                        walk.verdicts.insert(m, None);
                         continue;
                     };
                     path.insert(m);
@@ -663,7 +709,7 @@ impl ModuleRegistry {
                     let fresh = own
                         .deps
                         .iter()
-                        .all(|(dep, recorded)| verdicts.get(dep) == Some(&Some(*recorded)));
+                        .all(|(dep, recorded)| walk.verdicts.get(dep) == Some(&Some(*recorded)));
                     if fresh {
                         lagoon_diag::cache_event(
                             m,
@@ -671,23 +717,57 @@ impl ModuleRegistry {
                             format!("{} bytes, header verified", own.len),
                         );
                     }
-                    verdicts.insert(m, fresh.then_some(own.digest));
+                    walk.verdicts.insert(m, fresh.then_some(own.digest));
                 }
             }
         }
-        matches!(verdicts.get(&name), Some(Some(_)))
+        matches!(walk.verdicts.get(&name), Some(Some(_)))
+    }
+
+    /// The static require list `name`'s artifact recorded
+    /// ([`CompiledModule::static_requires`]), when its header passes the
+    /// checks a header decides on its own: the frame, the module name,
+    /// the base environment and the source digest. For an artifact this
+    /// binary wrote, the list is then exactly what [`static_requires`]
+    /// reads from the current source, so a rebuild can take the module's
+    /// graph edges from it without parsing the source. The list is graph
+    /// data, not a validity check: the content digest is a hash, not a
+    /// MAC, so a re-framed artifact can record any list.
+    pub fn recorded_requires<'w>(
+        &self,
+        name: Symbol,
+        walk: &'w mut HeaderWalk,
+    ) -> Option<&'w [Symbol]> {
+        let (header, _) = self.own_header(name, walk)?;
+        Some(&header.static_requires)
+    }
+
+    /// `name`'s artifact header and length, read once per walk, when the
+    /// header passes [`Self::check_header`].
+    fn own_header<'w>(
+        &self,
+        name: Symbol,
+        walk: &'w mut HeaderWalk,
+    ) -> Option<&'w (store::Header, usize)> {
+        walk.headers
+            .entry(name)
+            .or_insert_with(|| {
+                let bytes = self.read_artifact(name)?;
+                let (header, _) = store::decode_header(&bytes).ok()?;
+                self.check_header(name, &header).ok()?;
+                Some((header, bytes.len()))
+            })
+            .as_ref()
     }
 
     /// `verify_artifact`'s checks on one artifact, leaving its module
     /// dependencies to the caller: the header checks, and the digest of
     /// every registered language it recorded.
-    fn verify_own_header(&self, name: Symbol) -> Option<OwnHeader> {
-        let bytes = self.read_artifact(name)?;
-        let (header, _) = store::decode_header(&bytes).ok()?;
-        self.check_header(name, &header).ok()?;
+    fn verify_own_header(&self, name: Symbol, walk: &mut HeaderWalk) -> Option<OwnHeader> {
+        let (header, len) = self.own_header(name, walk)?;
         let languages = self.languages.borrow();
         let mut deps = Vec::new();
-        for (dep, digest) in header.dep_digests {
+        for &(dep, digest) in &header.dep_digests {
             if !languages.contains_key(&dep) {
                 deps.push((dep, digest));
             } else if digest != store::language_digest(dep) {
@@ -697,7 +777,7 @@ impl ModuleRegistry {
         Some(OwnHeader {
             digest: header.digest,
             deps,
-            len: bytes.len(),
+            len: *len,
         })
     }
 
@@ -886,6 +966,7 @@ impl ModuleRegistry {
             forms,
             code,
             requires,
+            static_requires: static_requires(&module.body),
             persisted: exp.persisted(),
         }))
     }

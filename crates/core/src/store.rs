@@ -41,6 +41,15 @@
 //!   the recorded list includes requires a macro generated, which no
 //!   scan of the source text sees.
 //!
+//! The header also carries the module's **static require list**: the
+//! modules its source's top-level `require` forms name
+//! ([`static_requires`](crate::module::static_requires)). It is graph
+//! data for a rebuild's discovery, not a validity check. When the frame,
+//! name, environment and source checks pass, discovery takes the
+//! module's graph edges from the list instead of parsing the source; the
+//! content digest is a hash, not a MAC, so discovery still parses the
+//! source when the list names a module its loader cannot find.
+//!
 //! The **load checks** need the decoded body or a live registry, so
 //! only a load (`lagoon run`, the daemon, a build worker's
 //! dependencies) applies them, after the header checks:
@@ -105,8 +114,8 @@ use std::rc::Rc;
 /// superinstruction opcodes and the `peephole` flag. 5 drops the
 /// persisted bytecode; the VM compiles it from the forms at load, and
 /// importers record a dependency's content digest rather than a hash
-/// of its whole file.
-pub const FORMAT_VERSION: u32 = 5;
+/// of its whole file. 6 records the static require list.
+pub const FORMAT_VERSION: u32 = 6;
 
 const MAGIC: &[u8; 4] = b"LAGC";
 
@@ -159,6 +168,10 @@ pub struct Header {
     /// dependency's artifact (or [`language_digest`] for registered
     /// languages).
     pub dep_digests: Vec<(Symbol, u64)>,
+    /// The modules the source's top-level `require` forms name
+    /// ([`CompiledModule::static_requires`]): graph data for a rebuild's
+    /// discovery, not a validity check.
+    pub static_requires: Vec<Symbol>,
 }
 
 /// The undecoded rest of an artifact whose frame and header
@@ -199,6 +212,7 @@ impl Artifact {
                 .iter()
                 .map(|(dep, _)| *dep)
                 .collect(),
+            static_requires: self.header.static_requires,
             persisted: self.persisted,
         }
     }
@@ -332,6 +346,10 @@ pub(crate) fn encode_with_digest(
         w.symbol(*dep);
         w.uint(*digest);
     }
+    w.len(module.static_requires.len());
+    for dep in &module.static_requires {
+        w.symbol(*dep);
+    }
     w.len(module.exports.len());
     for (external, binding) in &module.exports {
         w.symbol(*external);
@@ -401,6 +419,11 @@ pub fn decode_header(bytes: &[u8]) -> Result<(Header, Body<'_>), DecodeError> {
         let digest = r.uint()?;
         dep_digests.push((dep, digest));
     }
+    let nstatic = r.len()?;
+    let mut static_requires = Vec::with_capacity(nstatic);
+    for _ in 0..nstatic {
+        static_requires.push(r.symbol()?);
+    }
     let header = Header {
         digest: content_digest,
         env_digest,
@@ -408,6 +431,7 @@ pub fn decode_header(bytes: &[u8]) -> Result<(Header, Body<'_>), DecodeError> {
         name,
         lang,
         dep_digests,
+        static_requires,
     };
     Ok((header, Body(r)))
 }
@@ -513,6 +537,7 @@ mod tests {
                 defined: vec![0],
             },
             requires: vec![Symbol::intern("dep")],
+            static_requires: vec![Symbol::intern("dep"), Symbol::intern("other")],
             persisted: vec![(
                 Symbol::intern("typed-type"),
                 Symbol::intern("x"),
@@ -540,9 +565,11 @@ mod tests {
         assert_eq!(a.header.name, m.name);
         assert_eq!(a.header.lang, m.lang);
         assert_eq!(a.header.dep_digests, deps);
+        assert_eq!(a.header.static_requires, m.static_requires);
         assert_eq!(a.persisted, m.persisted);
         let back = a.into_compiled();
         assert_eq!(back.requires, m.requires);
+        assert_eq!(back.static_requires, m.static_requires);
         assert_eq!(back.exports.len(), 1);
         assert_eq!(back.code.global_names, m.code.global_names);
         assert_eq!(back.code.top.disassemble(), m.code.top.disassemble());

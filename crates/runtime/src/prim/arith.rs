@@ -51,19 +51,28 @@ fn chain_compare(
     }
 }
 
-/// `min` or `max`: the argument no other one beats, or `+nan.0` when any
-/// argument is NaN. Every argument is type-checked either way.
+/// `min` or `max`: the argument no other one beats, made inexact when
+/// any argument is, or `+nan.0` when any argument is NaN (as in Racket).
+/// Every argument is type-checked either way.
 fn extremum(name: &str, args: &[Value], beats: fn(Ordering) -> bool) -> Result<Value, RtError> {
     let mut best = args[0].clone();
+    let mut inexact = best.is_float();
     let mut nan = false;
     for v in &args[1..] {
+        inexact |= v.is_float();
         match number::compare(name, v, &best)? {
             Some(o) if beats(o) => best = v.clone(),
             Some(_) => {}
             None => nan = true,
         }
     }
-    Ok(if nan { Value::Float(f64::NAN) } else { best })
+    if nan {
+        Ok(Value::Float(f64::NAN))
+    } else if inexact {
+        number::to_inexact(&best)
+    } else {
+        Ok(best)
+    }
 }
 
 pub(super) fn install(out: &mut Vec<(lagoon_syntax::Symbol, Value)>) {

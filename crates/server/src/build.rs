@@ -1,15 +1,23 @@
 //! The parallel build scheduler.
 //!
 //! [`build`] first *discovers* the module graph on one thread of its
-//! own: it scans each source, from the entry modules down, for
-//! top-level `(require …)` forms, and then checks each module's
-//! artifact from its header alone. A module whose artifact is up to
-//! date ([`ModuleRegistry::verify_artifact`]: its header and,
-//! transitively, its recorded dependencies' headers pass the store's
-//! checks) is done: nothing decodes or compiles it. The *dirty* modules
-//! are compiled as a wavefront across up to `jobs` worker threads: a
-//! module becomes ready the moment its last dirty dependency finishes,
-//! and no worker starts when nothing is dirty.
+//! own, header first, in one pass from the entry modules down that
+//! fetches each source once and reads each artifact once. A module's
+//! edges are its static requires: the modules its top-level
+//! `(require …)` forms name ([`lagoon_core::static_requires`]). Every
+//! artifact records that list, so when a module's header passes its own
+//! checks (frame digest, name, environment digest, source digest)
+//! discovery takes the edges from the header, and parses only the
+//! sources with no usable header; a no-op rebuild parses none. The list
+//! is graph data, not a validity check: a recorded edge naming a module
+//! the loader cannot find sends discovery back to the source. Discovery
+//! then checks each module's artifact from its header alone. A module
+//! whose artifact is up to date ([`ModuleRegistry::verify_artifact`]:
+//! its header and, transitively, its recorded dependencies' headers pass
+//! the store's checks) is done: nothing decodes or compiles it. The
+//! *dirty* modules are compiled as a wavefront across up to `jobs`
+//! worker threads: a module becomes ready the moment its last dirty
+//! dependency finishes, and no worker starts when nothing is dirty.
 //!
 //! Each worker owns a private [`ModuleRegistry`] — Lagoon values are
 //! `Rc`-based and never cross threads — so workers exchange finished
@@ -21,7 +29,7 @@
 //! `--jobs N` output is byte-identical to `--jobs 1`.
 //!
 //! A process-wide single-flight map backs the schedule up: requires the
-//! static scan could not see (macros can synthesize `require` forms
+//! static graph does not show (macros can synthesize `require` forms
 //! during expansion) are claimed in the map by the first worker to need
 //! them, and other workers briefly block and then load the artifact
 //! from the store instead of re-compiling. Modules discovery found up
@@ -35,13 +43,13 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::{self, ThreadId};
 use std::time::{Duration, Instant};
 
-use lagoon_core::ModuleRegistry;
+use lagoon_core::{static_requires, HeaderWalk, ModuleRegistry};
 use lagoon_diag::trace::Trace;
 use lagoon_diag::{Collector, Limits, Report};
 use lagoon_syntax::{read_module, Symbol};
 
 /// A source-text oracle: maps a module name to its `#lang` source.
-/// Shared by the scanner and every worker's lazy loader.
+/// Shared by discovery and every worker's lazy loader.
 pub type SourceFn = Arc<dyn Fn(&str) -> Option<String> + Send + Sync>;
 
 /// Returns a [`SourceFn`] resolving `<name>.lag` files under `root`:
@@ -69,9 +77,10 @@ pub struct BuildOptions {
     /// Resource limits installed on every worker thread.
     pub limits: Limits,
     /// Whether the build returns its traces: the `discovery` span (with
-    /// the store hits it verified), and each worker's spans. Traces come
-    /// back on [`BuildReport::traces`], one track each (see
-    /// `lagoon_diag::trace`).
+    /// the store hits it verified, and notes counting the modules
+    /// `verified`, those left `dirty` and the sources it `parsed`), and
+    /// each worker's spans. Traces come back on [`BuildReport::traces`],
+    /// one track each (see `lagoon_diag::trace`).
     pub trace: bool,
 }
 
@@ -309,33 +318,16 @@ impl SingleFlight {
 // Discovery
 // ---------------------------------------------------------------------------
 
-/// The `(require …)` names a module's top level mentions: its edges in
-/// the static dependency graph. Requires synthesized by macros are
-/// invisible here; the single-flight map covers those at build time.
-fn scan_requires(name: &str, source: &str) -> Result<Vec<String>, String> {
-    let module = read_module(source, name).map_err(|e| format!("read error: {e:?}"))?;
-    let mut found = Vec::new();
-    for form in &module.body {
-        let Some(items) = form.as_list() else {
-            continue;
-        };
-        let is_require = items
-            .first()
-            .and_then(|h| h.sym())
-            .is_some_and(|s| s.with_str(|s| s == "require"));
-        if !is_require {
-            continue;
-        }
-        for spec in &items[1..] {
-            if let Some(sym) = spec.sym() {
-                let dep = sym.as_str();
-                if !found.contains(&dep) {
-                    found.push(dep);
-                }
-            }
-        }
-    }
-    Ok(found)
+/// `name`'s source, asking `source_of` at most once per name.
+fn fetch<'a>(
+    fetched: &'a mut HashMap<String, Option<String>>,
+    source_of: &SourceFn,
+    name: &str,
+) -> Option<&'a String> {
+    fetched
+        .entry(name.to_string())
+        .or_insert_with(|| source_of(name))
+        .as_ref()
 }
 
 /// The static graph, split by what the store already holds.
@@ -348,7 +340,7 @@ struct Discovery {
     settled: Vec<String>,
     /// Dirty modules, each with the modules its source requires.
     dirty: HashMap<String, Vec<String>>,
-    /// Modules that failed to scan (with why).
+    /// Modules with no source, or whose source failed to read (with why).
     failures: Vec<(String, String)>,
     /// The `hit` rows of the settled modules.
     report: Report,
@@ -363,10 +355,12 @@ fn build_registry(opts: &BuildOptions) -> std::rc::Rc<ModuleRegistry> {
     registry
 }
 
-/// Scans the static graph from `entries` — the requires each source
+/// Walks the static graph from `entries` — the requires each source
 /// names — and then verifies each module's artifact from its header,
-/// inside one `discovery` span. Runs on a thread of its own, so the
-/// caller's thread-local diagnostics and limits are untouched.
+/// inside one `discovery` span. A module's edges come from its
+/// artifact's recorded list when its header passes its own checks, and
+/// from parsing its source otherwise. Runs on a thread of its own, so
+/// the caller's thread-local diagnostics and limits are untouched.
 fn discover(entries: &[String], source_of: &SourceFn, opts: &BuildOptions) -> Discovery {
     let registry = build_registry(opts);
     {
@@ -376,6 +370,9 @@ fn discover(entries: &[String], source_of: &SourceFn, opts: &BuildOptions) -> Di
     let collector = Collector::install();
     let span = lagoon_diag::trace::start("discovery", None);
     let mut found = Discovery::default();
+    let mut walk = HeaderWalk::default();
+    let mut fetched: HashMap<String, Option<String>> = HashMap::new();
+    let mut parsed = 0usize;
     let mut graph: Vec<(String, Vec<String>)> = Vec::new();
     let mut queue: VecDeque<String> = entries.iter().cloned().collect();
     let mut seen: HashSet<String> = HashSet::new();
@@ -383,35 +380,51 @@ fn discover(entries: &[String], source_of: &SourceFn, opts: &BuildOptions) -> Di
         if !seen.insert(name.clone()) {
             continue;
         }
-        let Some(source) = source_of(&name) else {
+        let Some(source) = fetch(&mut fetched, source_of, &name).cloned() else {
             found.failures.push((name, "module not found".to_string()));
             continue;
         };
-        match scan_requires(&name, &source) {
-            Ok(deps) => {
-                // the header checks read the source from the registry
-                registry.add_module(&name, &source);
-                queue.extend(deps.iter().cloned());
-                graph.push((name, deps));
+        // the header checks read the source from the registry
+        registry.add_module(&name, &source);
+        let recorded = registry
+            .recorded_requires(Symbol::intern(&name), &mut walk)
+            .map(|deps| deps.iter().map(|d| d.as_str()).collect::<Vec<_>>())
+            // a recorded edge the loader cannot resolve is not trusted:
+            // the source decides instead
+            .filter(|deps| {
+                deps.iter()
+                    .all(|d| fetch(&mut fetched, source_of, d).is_some())
+            });
+        let deps = match recorded {
+            Some(deps) => deps,
+            None => {
+                parsed += 1;
+                match read_module(&source, &name) {
+                    Ok(module) => static_requires(&module.body)
+                        .iter()
+                        .map(|d| d.as_str())
+                        .collect(),
+                    Err(e) => {
+                        found.failures.push((name, format!("read error: {e:?}")));
+                        continue;
+                    }
+                }
             }
-            Err(why) => found.failures.push((name, why)),
-        }
+        };
+        queue.extend(deps.iter().cloned());
+        graph.push((name, deps));
     }
-    let mut verdicts = HashMap::new();
     for (name, deps) in graph {
-        if registry.verify_artifact(Symbol::intern(&name), &mut verdicts) {
+        if registry.verify_artifact(Symbol::intern(&name), &mut walk) {
             found.verified.push(name);
         } else {
             found.dirty.insert(name, deps);
         }
     }
-    found.settled = verdicts
-        .into_iter()
-        .filter(|(_, digest)| digest.is_some())
-        .map(|(name, _)| name.as_str())
-        .collect();
+    found.settled = walk.up_to_date().map(|m| m.as_str()).collect();
     lagoon_diag::trace::note("verified", found.verified.len());
     lagoon_diag::trace::note("dirty", found.dirty.len() + found.failures.len());
+    lagoon_diag::trace::note("parsed", parsed);
     drop(span);
     lagoon_diag::uninstall();
     found.report = collector.report();
@@ -640,7 +653,7 @@ pub fn build(entries: &[String], source_of: SourceFn, opts: &BuildOptions) -> Bu
     let mut ready: VecDeque<String> = VecDeque::new();
     for (name, ds) in &found.dirty {
         // Only dirty deps gate scheduling: an up-to-date one is already
-        // in the store, and one that failed to scan is reported by the
+        // in the store, and one that failed to read is reported by the
         // compile that needs it.
         let gating: Vec<&String> = ds.iter().filter(|d| found.dirty.contains_key(*d)).collect();
         if gating.is_empty() {

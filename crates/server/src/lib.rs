@@ -11,7 +11,7 @@
 //! worker produced them (deterministic gensym freshening makes compiled
 //! output a pure function of module content).
 //!
-//! - [`build`] schedules a statically-scanned dependency graph as a
+//! - [`build()`] schedules the static `require` graph as a
 //!   wavefront over N compile workers (`lagoon build --jobs N`).
 //! - [`daemon`] serves `run`/`expand`/`check` requests over HTTP with a
 //!   bounded queue, per-request resource limits, and graceful drain

@@ -27,8 +27,10 @@
 //! lagoon build <entry.lag>... [--jobs N] [--cache-dir <dir>]
 //!              [--stats [--json]] [--trace <out.json>] [limit options]
 //!                                      compile a module graph in parallel:
-//!                                      the graph is scanned from top-level
-//!                                      (require ...) forms and scheduled as
+//!                                      the graph follows top-level
+//!                                      (require ...) forms (read from each
+//!                                      artifact header that matches its
+//!                                      source) and is scheduled as
 //!                                      a wavefront over N workers sharing
 //!                                      one .lagc store. N defaults to the
 //!                                      host's available cores (a warning is

@@ -90,6 +90,15 @@ const TABLE: &[(&str, &str)] = &[
         "((lambda (x y) (unsafe-flmin x y)) (/ 0.0 0.0) 1.0)",
         "+nan.0",
     ),
+    // generic min and max return an inexact result when any argument
+    // is inexact, even when an exact argument wins
+    ("(min 1 2.0)", "1.0"),
+    ("(max 3 2.0)", "3.0"),
+    ("(max 1 3 2.0)", "3.0"),
+    ("(min 1 3 2.0)", "1.0"),
+    ("(max 1 2.0)", "2.0"),
+    ("(min 2 2.0)", "2.0"),
+    ("(min 1 3 2)", "1"),
 ];
 
 #[test]

@@ -206,11 +206,13 @@ fn arb_expr(rng: &mut Rng, depth: usize, vars: &[(String, bool)], calls_loop: bo
             let is_float = t.is_float;
             Expr::shape("(if {} {} {})", &[&test, &t, &e], is_float)
         }
-        // min/max keep both real
+        // min/max over any mix of exact and inexact operands: the result
+        // is inexact if either operand is
         5 => {
             let op = ["min", "max"][rng.below(2)];
-            let (a, b) = (sub(rng).inexact(), sub(rng).inexact());
-            Expr::shape(&format!("({op} {{}} {{}})"), &[&a, &b], true)
+            let (a, b) = (sub(rng), sub(rng));
+            let is_float = a.is_float || b.is_float;
+            Expr::shape(&format!("({op} {{}} {{}})"), &[&a, &b], is_float)
         }
         // a let-bound local
         6 => {

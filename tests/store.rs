@@ -180,7 +180,7 @@ fn old_format_artifacts_are_stale_not_corrupt() {
     let mut bytes = std::fs::read(&path).unwrap();
     assert_eq!(&bytes[..4], b"LAGC");
     assert_eq!(u32::from(bytes[4]), lagoon_core::store::FORMAT_VERSION);
-    bytes[4] = 4; // the version a store written before the bump carries
+    bytes[4] = 5; // the version a store written before the bump carries
     std::fs::write(&path, &bytes).unwrap();
 
     lagoon.registry().reset_compiled();
@@ -196,7 +196,7 @@ fn old_format_artifacts_are_stale_not_corrupt() {
         "old format must be stale, not corrupt"
     );
     assert!(
-        util.detail.contains("format version 4"),
+        util.detail.contains("format version 5"),
         "diagnostic should name the found version: {}",
         util.detail
     );
@@ -745,11 +745,11 @@ fn build_traces_open_with_a_discovery_track() {
     let n = sources.len();
     let (tracks, notes, hits) = traced(2);
     assert_eq!(tracks, "discovery worker 0 worker 1");
-    assert_eq!(notes, format!("verified=0 dirty={n}"));
+    assert_eq!(notes, format!("verified=0 dirty={n} parsed={n}"));
     assert_eq!(hits, 0);
     let (tracks, notes, hits) = traced(2);
     assert_eq!(tracks, "discovery", "a no-op rebuild starts no worker");
-    assert_eq!(notes, format!("verified={n} dirty=0"));
+    assert_eq!(notes, format!("verified={n} dirty=0 parsed=0"));
     assert_eq!(hits, n, "one store hit per verified module");
 }
 
@@ -797,6 +797,113 @@ fn an_edit_recompiles_exactly_the_module_and_its_importers() {
     let (v, report) = lagoon.run_with_stats("top", EngineKind::Vm).unwrap();
     assert_eq!(v.to_string(), "35");
     assert_eq!(report.cache_misses(), 0, "{:?}", report.caches);
+}
+
+/// A traced [`build_into`], with the number of sources its discovery
+/// parsed: the `discovery` span's `parsed` note.
+fn build_counting_parses(
+    sources: &std::collections::BTreeMap<String, String>,
+    entries: &[&str],
+    jobs: usize,
+    dir: &std::path::Path,
+) -> (lagoon::server::BuildReport, usize) {
+    let report = lagoon::server::build_from_map(
+        &entries.iter().map(|e| e.to_string()).collect::<Vec<_>>(),
+        sources.clone(),
+        &lagoon::server::BuildOptions {
+            jobs,
+            cache_dir: Some(dir.to_path_buf()),
+            trace: true,
+            ..Default::default()
+        },
+    );
+    assert!(report.success(), "build failed: {:?}", report.failures());
+    let parsed = report.traces[0]
+        .1
+        .spans
+        .iter()
+        .find(|s| s.phase == "discovery")
+        .and_then(|s| s.notes.iter().find(|(k, _)| *k == "parsed"))
+        .map(|(_, v)| v.parse().unwrap())
+        .expect("a discovery span noting what it parsed");
+    (report, parsed)
+}
+
+fn module_names(report: &lagoon::server::BuildReport) -> Vec<&str> {
+    report.modules.iter().map(|m| m.name.as_str()).collect()
+}
+
+#[test]
+fn rebuilds_parse_only_the_sources_that_changed() {
+    // the stress graph plus a second leaf that only `mid` requires, so
+    // an edit to a leaf reaches some modules and not others
+    let mut sources = stress_graph();
+    sources.insert(
+        "mid".to_string(),
+        sources["mid"].replace("(require a0 b0)", "(require a0 b0 side)"),
+    );
+    sources.insert(
+        "side".to_string(),
+        "#lang lagoon\n(define (tip n) n)\n(provide tip)\n".to_string(),
+    );
+    let cold_dir = temp_store("parse-cold");
+    let (cold, parsed) = build_counting_parses(&sources, &["top"], 1, &cold_dir);
+    assert_eq!(parsed, sources.len(), "a cold build parses every source");
+
+    for jobs in [1usize, 4] {
+        let dir = temp_store(&format!("parse-noop-{jobs}"));
+        build_into(&sources, &["top"], jobs, &dir);
+        let (report, parsed) = build_counting_parses(&sources, &["top"], jobs, &dir);
+        assert_eq!(parsed, 0, "a no-op rebuild at --jobs {jobs} parses nothing");
+        assert!(compiled_modules(&report).is_empty());
+        assert_eq!(module_names(&report), module_names(&cold));
+    }
+
+    let dir = temp_store("parse-edit");
+    build_into(&sources, &["top"], 2, &dir);
+    sources.insert(
+        "side".to_string(),
+        sources["side"].replace("(tip n) n", "(tip n) (+ n 1)"),
+    );
+    let (report, parsed) = build_counting_parses(&sources, &["top"], 2, &dir);
+    assert_eq!(parsed, 1, "the rebuild parses the edited source alone");
+    assert_eq!(compiled_modules(&report), ["mid", "side", "top"]);
+    let cold_dir = temp_store("parse-edit-cold");
+    let (edited_cold, _) = build_counting_parses(&sources, &["top"], 1, &cold_dir);
+    assert_eq!(module_names(&report), module_names(&edited_cold));
+    assert_eq!(artifact_bytes(&dir), artifact_bytes(&cold_dir));
+}
+
+#[test]
+fn a_recorded_require_naming_no_module_is_parsed_not_trusted() {
+    // the content digest is a hash, not a MAC: a re-framed artifact can
+    // record any static require list, and one naming a module the loader
+    // cannot find must not fail a build the source alone would pass
+    let sources = stress_graph();
+    let cold = build_into(&sources, &["top"], 1, &temp_store("bogus-require-cold"));
+    let dir = temp_store("bogus-require");
+    build_into(&sources, &["top"], 1, &dir);
+    let path = dir.join("mid.lagc");
+    let artifact = lagoon_core::store::decode(&std::fs::read(&path).unwrap(), &|_, _| None)
+        .unwrap_or_else(|e| panic!("mid: {e}"));
+    let header = &artifact.header;
+    let (env, src, deps) = (
+        header.env_digest,
+        header.source_digest,
+        header.dep_digests.clone(),
+    );
+    let mut compiled = artifact.into_compiled();
+    compiled
+        .static_requires
+        .push(lagoon::Symbol::intern("no-such-module"));
+    let bytes = lagoon_core::store::encode(&compiled, env, src, &deps).unwrap();
+    std::fs::write(&path, bytes).unwrap();
+
+    for jobs in [1usize, 2] {
+        let (report, parsed) = build_counting_parses(&sources, &["top"], jobs, &dir);
+        assert_eq!(parsed, 1, "mid's source decides its edges");
+        assert_eq!(module_names(&report), module_names(&cold));
+    }
 }
 
 #[test]
