@@ -208,12 +208,6 @@ impl BindingTable {
         }
     }
 
-    /// Number of `(scope set, binding)` entries across all buckets — a
-    /// growth gauge for long-lived tables (the daemon's leak tests).
-    pub fn entry_count(&self) -> usize {
-        self.entries.borrow().values().map(Vec::len).sum()
-    }
-
     /// Sweeps entries belonging to a discarded request world: any entry
     /// whose key symbol is no longer live on this thread (its epoch was
     /// truncated), whose scope set references a scope allocated at or

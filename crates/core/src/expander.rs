@@ -20,9 +20,9 @@
 //! [`Expander::meta_persist`], which both updates the current compile-time
 //! table and records the declaration for embedding in the compiled module.
 
-use crate::binding::{Binding, BindingTable, CoreFormKind, ExpandCtx, Expanded, NativeMacro};
+use crate::binding::{Binding, BindingTable, CoreFormKind, ExpandCtx, Expanded};
 use lagoon_runtime::{Kind, RtError, Value};
-use lagoon_syntax::{Datum, Scope, ScopeSet, Symbol, SynData, Syntax};
+use lagoon_syntax::{Datum, Scope, Symbol, SynData, Syntax};
 use lagoon_vm::{Engine, Env, Interp};
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -119,10 +119,10 @@ impl Expander {
         exp
     }
 
-    /// Converts a budget exhaustion into a span-carrying diagnostic,
-    /// recording the limit hit ([`lagoon_diag::limit_event`]) on the way.
+    /// Converts a budget exhaustion into a span-carrying diagnostic (the
+    /// request it fails records the `limits` row:
+    /// [`ModuleRegistry::request`](crate::ModuleRegistry::request)).
     fn exhaust(&self, e: lagoon_diag::Exhausted, stx: &Syntax) -> RtError {
-        lagoon_diag::limit_event(&e, self.module_name, Some(stx.span()));
         RtError::from(e).with_span(stx.span())
     }
 
@@ -200,17 +200,6 @@ impl Expander {
         Ok(Syntax::ident(fresh, id.span())
             .copy_properties_from(id)
             .with_property(Symbol::intern("source-name"), Datum::Symbol(sym).into()))
-    }
-
-    /// Installs a native transformer under `name` in the base (scopeless)
-    /// environment — how substrate libraries (the typed language, the
-    /// optimizer) plug in.
-    pub fn bind_native(&self, name: &str, native: Rc<NativeMacro>) {
-        self.table.bind(
-            Symbol::intern(name),
-            ScopeSet::new(),
-            Binding::Native(native),
-        );
     }
 
     // ----- phase-1 evaluation -----

@@ -37,6 +37,7 @@ pub mod template;
 pub use binding::{Binding, BindingTable, CoreFormKind, ExpandCtx, Expanded, NativeMacro};
 pub use expander::{current_expander, syntax_error, Expander, ProvideItem};
 pub use module::{
-    static_requires, CompiledModule, EngineKind, HeaderWalk, Language, ModuleRegistry,
+    contained, static_requires, CompiledModule, EngineKind, HeaderWalk, Language, ModuleRegistry,
+    Outcome, Step,
 };
 pub use stxparse::{native, native_with_recipe, phase1_natives};

@@ -89,6 +89,74 @@ pub fn static_requires(body: &[Syntax]) -> Vec<Symbol> {
     found
 }
 
+/// What a [`ModuleRegistry::request`] does with its module.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Step {
+    /// Compile the module, then run it inside a `run` span.
+    Run {
+        /// The engine to instantiate it on.
+        engine: EngineKind,
+        /// Whether the VM counts the opcodes it executes into the
+        /// recorder (the report's opcode mix).
+        count_opcodes: bool,
+    },
+    /// Its expanded body ([`ModuleRegistry::expanded_body`]).
+    Expand,
+    /// Compile it (and its dependencies) only.
+    Check,
+}
+
+/// What a [`ModuleRegistry::request`] produced, one variant per [`Step`].
+#[derive(Debug)]
+pub enum Outcome {
+    /// A run's value.
+    Value(Value),
+    /// An expansion's core forms.
+    Forms(Vec<Syntax>),
+    /// A check compiled the module.
+    Checked,
+}
+
+impl Outcome {
+    /// A run's value; void for the other steps.
+    pub fn into_value(self) -> Value {
+        match self {
+            Outcome::Value(v) => v,
+            _ => Value::Void,
+        }
+    }
+
+    /// An expansion's forms; empty for the other steps.
+    pub fn into_forms(self) -> Vec<Syntax> {
+        match self {
+            Outcome::Forms(forms) => forms,
+            _ => Vec::new(),
+        }
+    }
+}
+
+/// The panic barrier: refills this thread's resource budgets, so each
+/// call gets the full allowance of the installed limits, and turns a
+/// panic that escapes `f` into an `internal` error instead of unwinding
+/// through the caller.
+///
+/// # Errors
+///
+/// Returns `f`'s error, or the `internal` error for its panic.
+pub fn contained<T>(f: impl FnOnce() -> Result<T, RtError>) -> Result<T, RtError> {
+    lagoon_diag::limits::refill();
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).unwrap_or_else(|payload| {
+        let message = if let Some(s) = payload.downcast_ref::<&str>() {
+            (*s).to_string()
+        } else if let Some(s) = payload.downcast_ref::<String>() {
+            s.clone()
+        } else {
+            "unknown panic payload".to_string()
+        };
+        Err(RtError::new(Kind::Internal, format!("panicked: {message}")))
+    })
+}
+
 /// A language usable on a `#lang` line: a bundle of bindings (and, for
 /// variable bindings backed by natives, their runtime values).
 pub struct Language {
@@ -1027,6 +1095,55 @@ impl ModuleRegistry {
             EngineKind::Interp => self.instantiate_interp(name).map(|(_, v)| v),
             EngineKind::Vm => self.instantiate_vm(name).map(|(_, v)| v),
         }
+    }
+
+    /// The one request path — the embedding API, the CLI, the daemon and
+    /// build workers all take it: runs `step` on module `name` behind
+    /// the panic barrier ([`contained`]), recording into whatever
+    /// diagnostics recorder the caller installed. A run compiles first,
+    /// so its `run` span times execution alone, and counts the VM's
+    /// opcodes into the record only when its step asks. A request that
+    /// exhausts a budget records it as a `limits` row. Instances are left
+    /// as they are: resetting them is the caller's choice.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the step's errors, and reports a panic as an
+    /// `internal` error.
+    pub fn request(&self, name: &str, step: Step) -> Result<Outcome, RtError> {
+        let module = Symbol::intern(name);
+        let count_opcodes = matches!(
+            step,
+            Step::Run {
+                count_opcodes: true,
+                ..
+            }
+        );
+        if count_opcodes {
+            lagoon_vm::counters::reset();
+        }
+        let result = contained(|| match step {
+            Step::Run { engine, .. } => {
+                self.compile(module)?;
+                lagoon_vm::counters::set_active(count_opcodes);
+                let _t = lagoon_diag::time(lagoon_diag::Phase::Run, module);
+                self.run(name, engine).map(Outcome::Value)
+            }
+            Step::Expand => self.expanded_body(name).map(Outcome::Forms),
+            Step::Check => self.compile(module).map(|_| Outcome::Checked),
+        });
+        if count_opcodes {
+            lagoon_vm::counters::set_active(false);
+            for (op, class, fused, count) in lagoon_vm::counters::snapshot() {
+                lagoon_diag::opcode(op, class.name(), fused, count);
+            }
+        }
+        if let Err(e) = &result {
+            if let Kind::ResourceExhausted { budget } = e.kind {
+                lagoon_diag::limit_event_named(budget, module, e.span);
+            }
+        }
+        result
     }
 
     fn guard_instantiation(&self, name: Symbol) -> Result<(), RtError> {

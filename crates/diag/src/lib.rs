@@ -557,13 +557,8 @@ pub fn cache_event(module: Symbol, status: CacheStatus, detail: impl Into<Val>) 
     });
 }
 
-/// Records an exhausted budget (or an injected fault).
-pub fn limit_event(exhausted: &Exhausted, module: Symbol, span: Option<Span>) {
-    limit_event_named(exhausted.budget.name(), module, span);
-}
-
-/// Like [`limit_event`] for callers that only have the budget's name
-/// (e.g. recovered from an error kind rather than a live [`Exhausted`]).
+/// Records an exhausted budget (or an injected fault) by its
+/// [`Budget::name`]: a request that failed with it ran `module`.
 pub fn limit_event_named(budget: &'static str, module: Symbol, span: Option<Span>) {
     with_record(|r| r.point("limit", module, span, vec![("budget", Val::Str(budget))]));
 }
@@ -1213,16 +1208,6 @@ impl Histogram {
         self.count = self.count.saturating_add(other.count);
         self.total_micros = self.total_micros.saturating_add(other.total_micros);
         self.max_micros = self.max_micros.max(other.max_micros);
-    }
-
-    /// The non-empty buckets as `(upper_bound_micros, count)` pairs.
-    pub fn nonzero_buckets(&self) -> Vec<(u64, u64)> {
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter(|(_, n)| **n > 0)
-            .map(|(idx, n)| (if idx == 0 { 1 } else { 1u64 << idx }, *n))
-            .collect()
     }
 
     /// The non-empty buckets with both bounds:

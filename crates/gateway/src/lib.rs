@@ -67,9 +67,6 @@ pub struct GatewayOptions {
     pub request_timeout: Option<Duration>,
     /// Enables `POST /v1/test/kill-shard` (and the daemons' test ops).
     pub test_ops: bool,
-    /// Extra arguments appended to each spawned `serve` command
-    /// (process backend only) — e.g. `--recycle-after N`.
-    pub extra_shard_args: Vec<String>,
 }
 
 impl Default for GatewayOptions {
@@ -86,7 +83,6 @@ impl Default for GatewayOptions {
             max_body_bytes: 1 << 20,
             request_timeout: Some(Duration::from_secs(30)),
             test_ops: false,
-            extra_shard_args: Vec::new(),
         }
     }
 }
@@ -189,11 +185,6 @@ impl Gateway {
     /// [`Gateway::wait`] will drain the shards.
     pub fn shutdown(&self) {
         self.shared.drain();
-    }
-
-    /// Whether a shutdown has been requested.
-    pub fn is_shutting_down(&self) -> bool {
-        self.shared.draining()
     }
 
     /// Blocks until the acceptor and supervisor exit, then drains and

@@ -83,7 +83,6 @@ fn start_backend(opts: &GatewayOptions, index: usize) -> std::io::Result<(String
                 cache_dir: opts.cache_dir.clone(),
                 source_root: opts.source_root.clone(),
                 limits: opts.limits,
-                recycle_after: 0,
                 test_ops: opts.test_ops,
                 max_request_bytes: opts.max_body_bytes,
             })?;
@@ -132,7 +131,6 @@ fn start_backend(opts: &GatewayOptions, index: usize) -> std::io::Result<(String
             if opts.test_ops {
                 command.arg("--test-ops");
             }
-            command.args(&opts.extra_shard_args);
             command
                 .stdin(std::process::Stdio::null())
                 .stdout(std::process::Stdio::piped())

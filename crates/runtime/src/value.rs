@@ -794,15 +794,6 @@ impl Value {
         }
     }
 
-    /// An owning handle to the box payload.
-    pub fn to_box_rc(&self) -> Option<Rc<RefCell<Value>>> {
-        if self.is_heap() && self.heap_kind() == HK_BOX {
-            Some(unsafe { self.clone_rc::<RefCell<Value>>() })
-        } else {
-            None
-        }
-    }
-
     /// An owning handle to the closure payload.
     pub fn to_closure_rc(&self) -> Option<Rc<Closure>> {
         if self.is_heap() && self.heap_kind() == HK_CLOSURE {
@@ -816,24 +807,6 @@ impl Value {
     pub fn to_native_rc(&self) -> Option<Rc<Native>> {
         if self.is_heap() && self.heap_kind() == HK_NATIVE {
             Some(unsafe { self.clone_rc::<Native>() })
-        } else {
-            None
-        }
-    }
-
-    /// An owning handle to the contracted-procedure payload.
-    pub fn to_contracted_rc(&self) -> Option<Rc<Contracted>> {
-        if self.is_heap() && self.heap_kind() == HK_CONTRACTED {
-            Some(unsafe { self.clone_rc::<Contracted>() })
-        } else {
-            None
-        }
-    }
-
-    /// An owning handle to the multiple-values payload.
-    pub fn to_values_rc(&self) -> Option<Rc<Vec<Value>>> {
-        if self.is_heap() && self.heap_kind() == HK_VALUES {
-            Some(unsafe { self.clone_rc::<Vec<Value>>() })
         } else {
             None
         }

@@ -36,14 +36,13 @@
 //! to date start out settled in the map, so loading one claims nothing.
 
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::{self, ThreadId};
 use std::time::{Duration, Instant};
 
-use lagoon_core::{static_requires, HeaderWalk, ModuleRegistry};
+use lagoon_core::{static_requires, HeaderWalk, ModuleRegistry, Step};
 use lagoon_diag::trace::Trace;
 use lagoon_diag::{Collector, Limits, Report};
 use lagoon_syntax::{read_module, Symbol};
@@ -587,9 +586,8 @@ fn worker_loop(
     };
     while let Some(job) = sched.next_job() {
         let start = Instant::now();
-        lagoon_diag::limits::refill();
         let claim = flight.claim(&job);
-        let result = catch_unwind(AssertUnwindSafe(|| registry.compile(Symbol::intern(&job))));
+        let result = registry.request(&job, Step::Check);
         if let Claim::Ours = claim {
             flight.finish(&job);
         }
@@ -600,9 +598,8 @@ fn worker_loop(
         row.busy += duration;
         row.modules += 1;
         let status = match result {
-            Ok(Ok(_)) => ModuleStatus::Built,
-            Ok(Err(e)) => ModuleStatus::Failed(rt_error_text(&e)),
-            Err(_) => ModuleStatus::Failed("internal error: compile panicked".to_string()),
+            Ok(_) => ModuleStatus::Built,
+            Err(e) => ModuleStatus::Failed(rt_error_text(&e)),
         };
         sched.complete(ModuleOutcome {
             name: job,

@@ -12,9 +12,10 @@
 //! without bound.
 //!
 //! Each request runs under its own [`Limits`] (merged over the server's
-//! defaults) with a diagnostics recorder installed, behind the same
-//! panic barrier as the embedding API; the response's `phases` are a
-//! view of that record. The status is the serving outcome, not the
+//! defaults) with a diagnostics recorder installed, through the same
+//! request path as the embedding API and the CLI
+//! ([`ModuleRegistry::request`]); the response's `phases` are a view of
+//! that record. The status is the serving outcome, not the
 //! program's: program results (values and type, runtime or budget
 //! errors alike) are 200, `protocol` errors 400, `internal` errors 500,
 //! sheds 503. `POST /v1/shutdown` — or, on unix, `SIGTERM` — drains the
@@ -29,7 +30,7 @@ use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use lagoon_core::{EngineKind, ModuleRegistry};
+use lagoon_core::{EngineKind, ModuleRegistry, Outcome, Step};
 use lagoon_diag::{Collector, Histogram, Limits};
 use lagoon_runtime::{Kind, RtError};
 use lagoon_syntax::Symbol;
@@ -52,10 +53,6 @@ pub struct ServeOptions {
     pub source_root: Option<PathBuf>,
     /// Default per-request limits (a request may tighten them).
     pub limits: Limits,
-    /// Rebuild a worker's world (registry + symbol epoch) after this
-    /// many requests; `0` disables. Defense-in-depth against residual
-    /// per-world growth (e.g. a stream of distinct named modules).
-    pub recycle_after: usize,
     /// Enables the `POST /v1/test/panic|kill` routes that deliberately
     /// crash a worker — for the self-healing tests and CI probes only.
     pub test_ops: bool,
@@ -75,7 +72,6 @@ impl Default for ServeOptions {
             cache_dir: None,
             source_root: None,
             limits: Limits::default(),
-            recycle_after: 0,
             test_ops: false,
             max_request_bytes: DEFAULT_MAX_REQUEST_BYTES,
         }
@@ -143,9 +139,9 @@ struct StatsInner {
     /// Workers whose threads died (escaped panic) and were respawned.
     worker_deaths: u64,
     respawns: u64,
-    /// Worlds rebuilt by `--recycle-after`.
-    recycles: u64,
-    /// Requests that panicked but were contained by a panic barrier.
+    /// Requests that ended in an internal error (a panic a barrier
+    /// contained, or a broken engine invariant), after each of which
+    /// the worker rebuilt its world.
     panics: u64,
     /// Queue depth over time: `(ms since start, depth)`, sampled at
     /// every enqueue and completion, last [`DEPTH_SERIES_CAP`] points.
@@ -313,9 +309,7 @@ impl Shared {
                     ("live", Json::Num(live as f64)),
                     ("deaths", Json::Num(s.worker_deaths as f64)),
                     ("respawns", Json::Num(s.respawns as f64)),
-                    ("recycles", Json::Num(s.recycles as f64)),
                     ("panics", Json::Num(s.panics as f64)),
-                    ("recycle_after", Json::Num(self.opts.recycle_after as f64)),
                 ]),
             ),
             (
@@ -605,11 +599,6 @@ impl Server {
         self.shared.begin_shutdown();
     }
 
-    /// Whether a shutdown has been requested.
-    pub fn is_shutting_down(&self) -> bool {
-        self.shared.shutdown.load(Ordering::SeqCst)
-    }
-
     /// Blocks until the acceptor, supervisor, and all workers have
     /// drained and exited (call [`Server::shutdown`] first, or rely on
     /// a client's `POST /v1/shutdown` / SIGTERM).
@@ -806,16 +795,14 @@ impl Drop for LiveWorkerGuard<'_> {
 /// panic — in production a bug, in tests `test/kill`) drops the reply
 /// sender (the connection maps that to a structured `internal` error)
 /// and the supervisor respawns the slot; the per-request `catch_unwind`
-/// below converts panics that escape `handle_request`'s own barrier
-/// into structured errors and rebuilds the world (a panic mid-compile
-/// can leave registry guards dirty); `--recycle-after N` rebuilds the
-/// world on a schedule as defense-in-depth.
+/// below converts a panic outside the request path's own barrier into
+/// a structured error; and after any internal error the worker rebuilds
+/// its world (a panic mid-compile can leave registry guards dirty).
 fn worker_main(index: usize, shared: &Arc<Shared>) {
     shared.live_workers.fetch_add(1, Ordering::SeqCst);
     let _live = LiveWorkerGuard(shared);
     let mut registry = build_world(shared);
     report_epoch_gauge(shared, index, true);
-    let mut served_since_build: usize = 0;
     static REQ_ID: AtomicU64 = AtomicU64::new(0);
     static TRACE_SEQ: AtomicU64 = AtomicU64::new(0);
 
@@ -875,20 +862,15 @@ fn worker_main(index: usize, shared: &Arc<Shared>) {
             let scope_watermark = lagoon_syntax::Scope::watermark();
             let epoch = lagoon_syntax::epoch_mark();
 
-            let outcome = catch_unwind(AssertUnwindSafe(|| {
+            let response = catch_unwind(AssertUnwindSafe(|| {
                 handle_request(&registry, &job.request, op, shared, &REQ_ID)
-            }));
-            let (response, panicked) = match outcome {
-                Ok((response, panicked)) => (response, panicked),
-                Err(_) => (
-                    error_json("internal", "internal error: request panicked"),
-                    true,
-                ),
-            };
+            }))
+            .unwrap_or_else(|_| error_json("internal", "internal error: request panicked"));
 
-            if panicked {
-                // The inner barrier (or the one above) contained a panic,
-                // but mid-flight registry state (cycle guards, partial
+            if status_of(&response) == 500 {
+                // An internal error: a panic the request barrier (or the
+                // one above) contained, or a broken engine invariant.
+                // Mid-flight registry state (cycle guards, partial
                 // compiles) may be dirty: rebuild the whole world.
                 {
                     let mut stats = shared.stats.lock().unwrap_or_else(|e| e.into_inner());
@@ -897,7 +879,6 @@ fn worker_main(index: usize, shared: &Arc<Shared>) {
                 drop(registry);
                 lagoon_syntax::epoch_reset();
                 registry = build_world(shared);
-                served_since_build = 0;
                 report_epoch_gauge(shared, index, true);
             } else if registry.persistent_footprint() == footprint {
                 // Truncate first so the binding-table sweep sees the
@@ -908,22 +889,9 @@ fn worker_main(index: usize, shared: &Arc<Shared>) {
                 report_epoch_gauge(shared, index, false);
             } else {
                 // The request warmed a named module; its world is now part
-                // of the persistent working set. Growth converges to the
-                // named-module set; `--recycle-after` bounds the rest.
+                // of the persistent working set, and growth converges to
+                // the named-module set.
                 report_epoch_gauge(shared, index, false);
-            }
-
-            served_since_build += 1;
-            if shared.opts.recycle_after > 0 && served_since_build >= shared.opts.recycle_after {
-                drop(registry);
-                lagoon_syntax::epoch_reset();
-                registry = build_world(shared);
-                served_since_build = 0;
-                {
-                    let mut stats = shared.stats.lock().unwrap_or_else(|e| e.into_inner());
-                    stats.recycles += 1;
-                }
-                report_epoch_gauge(shared, index, true);
             }
 
             let latency = start.elapsed();
@@ -973,17 +941,18 @@ fn status_of(response: &Json) -> u16 {
     }
 }
 
-/// Serves one request against the worker's world. Returns the response
-/// plus whether the request panicked (contained by the barrier below) —
-/// the worker rebuilds its world in that case, because a panic can
-/// leave registry guards (cycle sets, partial compiles) dirty.
+/// Serves one request against the worker's world through the one
+/// request path ([`ModuleRegistry::request`]), under the request's limits
+/// and with a diagnostics recorder installed: the response's `phases` and,
+/// when the request sets `"diag": true`, its `report` (opcode mix
+/// included) are views of that record.
 fn handle_request(
     registry: &std::rc::Rc<ModuleRegistry>,
     request: &Json,
     op: &'static str,
     shared: &Arc<Shared>,
     req_id: &AtomicU64,
-) -> (Json, bool) {
+) -> Json {
     // Resolve the target module: inline source gets a unique name that
     // `store::is_module_file_name` rejects (it contains '/'), so request bodies
     // never enter the shared store and never collide across requests.
@@ -1001,23 +970,15 @@ fn handle_request(
             name
         }
         (None, Some(m)) => {
-            if m.contains("..") || m.contains('\\') {
-                return (error_json("protocol", "invalid module name"), false);
+            // the loader's own rule: a name it would refuse never reaches
+            // the registry, so no request can name an inline module
+            if !lagoon_core::store::is_module_file_name(m) {
+                return error_json("protocol", "invalid module name");
             }
             m.to_string()
         }
-        (None, None) if op == "test/panic" => {
-            // Deliberate panic *inside* the request barrier: the client
-            // must get a structured `internal` error and the worker
-            // must survive (its world is rebuilt).
-            String::new()
-        }
-        (None, None) => {
-            return (
-                error_json("protocol", "need \"module\" or \"source\""),
-                false,
-            )
-        }
+        (None, None) if op == "test/panic" => String::new(),
+        (None, None) => return error_json("protocol", "need \"module\" or \"source\""),
     };
     let engine = match request.get("engine").and_then(Json::as_str) {
         Some("interp") => EngineKind::Interp,
@@ -1031,47 +992,23 @@ fn handle_request(
     // Fresh instances per request: compiled code stays warm, run-time
     // module state does not leak between requests.
     registry.reset_instances();
-    let mut panicked = false;
-    let result: Result<Json, RtError> = {
-        lagoon_diag::limits::refill();
-        let guarded = catch_unwind(AssertUnwindSafe(|| match op {
-            "test/panic" => panic!("test/panic: deliberate request panic"),
-            "run" => {
-                let (result, output) =
-                    lagoon_runtime::io::capture_output(|| registry.run(&name, engine));
-                result.map(|value| {
-                    obj(vec![
-                        ("ok", Json::Bool(true)),
-                        ("value", Json::Str(value.to_string())),
-                        ("output", Json::Str(output)),
-                    ])
-                })
-            }
-            "expand" => registry.expanded_body(&name).map(|forms| {
-                let rendered: Vec<Json> = forms
-                    .iter()
-                    .map(|f| Json::Str(f.to_datum().to_string()))
-                    .collect();
-                obj(vec![
-                    ("ok", Json::Bool(true)),
-                    ("forms", Json::Arr(rendered)),
-                ])
-            }),
-            "check" => registry
-                .compile(Symbol::intern(&name))
-                .map(|_| obj(vec![("ok", Json::Bool(true))])),
-            _ => Err(RtError::new(Kind::Internal, "unreachable op".to_string())),
-        }));
-        match guarded {
-            Ok(r) => r,
-            Err(_) => {
-                panicked = true;
-                Err(RtError::new(
-                    Kind::Internal,
-                    "internal error: request panicked".to_string(),
-                ))
-            }
-        }
+    let (result, output) = match op {
+        // Deliberate panic inside the request barrier: the client must
+        // get a structured `internal` error and the worker must survive
+        // (its world is rebuilt).
+        "test/panic" => (
+            lagoon_core::contained(|| panic!("test/panic: deliberate request panic")),
+            String::new(),
+        ),
+        "run" => lagoon_runtime::io::capture_output(|| {
+            let step = Step::Run {
+                engine,
+                count_opcodes: want_diag,
+            };
+            registry.request(&name, step)
+        }),
+        "expand" => (registry.request(&name, Step::Expand), String::new()),
+        _ => (registry.request(&name, Step::Check), String::new()),
     };
     lagoon_diag::uninstall();
     // Restore the server-default limits for whatever runs next.
@@ -1092,7 +1029,22 @@ fn handle_request(
     }
 
     let mut response = match result {
-        Ok(v) => v,
+        Ok(Outcome::Value(value)) => obj(vec![
+            ("ok", Json::Bool(true)),
+            ("value", Json::Str(value.to_string())),
+            ("output", Json::Str(output)),
+        ]),
+        Ok(Outcome::Forms(forms)) => {
+            let rendered = forms
+                .iter()
+                .map(|f| Json::Str(f.to_datum().to_string()))
+                .collect();
+            obj(vec![
+                ("ok", Json::Bool(true)),
+                ("forms", Json::Arr(rendered)),
+            ])
+        }
+        Ok(Outcome::Checked) => obj(vec![("ok", Json::Bool(true))]),
         Err(e) => rt_error_json(&e),
     };
     if let Json::Obj(map) = &mut response {
@@ -1108,7 +1060,7 @@ fn handle_request(
             map.insert("report".to_string(), parsed);
         }
     }
-    (response, panicked)
+    response
 }
 
 #[cfg(test)]

@@ -27,9 +27,12 @@
 //! 22–30) and a 22-bit table slot (bits 0–21). Truncation bumps the
 //! generation, so a stale handle held across a truncation is *detected*
 //! (its name reads as `#<stale-symbol>`) rather than aliasing a newer
-//! symbol. After 512 truncations the stamp wraps; workers that also
-//! recycle their whole world (`--recycle-after`) make misattribution
-//! across a wrap practically impossible.
+//! symbol. After 512 truncations the stamp wraps, so detection is a
+//! safety net, not the guarantee. The guarantee is that no handle
+//! outlives its truncation: the daemon truncates only after a request
+//! that left its registry's persistent footprint unchanged, so nothing
+//! that survives the request holds one of its symbols, and the world it
+//! rebuilds after an internal error starts from [`epoch_reset`].
 //!
 //! Epoch symbols are meaningful only on the thread that created them.
 //! That matches the system's architecture — values are `Rc`-based and

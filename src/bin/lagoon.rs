@@ -11,7 +11,9 @@
 //!                                      counters (marking instructions
 //!                                      with folded operands or branch
 //!                                      targets as fused), --json
-//!                                      machine-readably.
+//!                                      machine-readably; a failed run
+//!                                      still prints its report (its
+//!                                      exhausted budget as a limits row).
 //!                                      Compiled modules persist as .lagc
 //!                                      artifacts under <dir>/compiled (or
 //!                                      --cache-dir) and are reused while
@@ -76,14 +78,14 @@
 //!   --timeout-ms <n>         wall-clock deadline in milliseconds
 //! ```
 
-use lagoon::{EngineKind, Lagoon, Limits};
+use lagoon::{diag, EngineKind, Lagoon, Limits, Outcome, Step};
 use std::io::{BufRead, Write};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  lagoon run <file.lag> [--interp] [--stats [--json]] [--no-cache] [--cache-dir <dir>] [--trace <out.json>] [limit options]\n  lagoon expand <file.lag> [--timings]\n  lagoon repl [--typed]\n  lagoon build <entry.lag>... [--jobs N] [--cache-dir <dir>] [--stats [--json]] [--trace <out.json>] [limit options]\n  lagoon serve [--addr HOST:PORT] [--workers N] [--queue-cap N] [--recycle-after N] [--root <dir>] [--cache-dir <dir>] [--max-request-bytes B] [limit options]\n  lagoon gateway [--addr HOST:PORT] [--shards N] [--workers-per-shard M] [--queue-cap N] [--root <dir>] [--cache-dir <dir>] [--max-request-bytes B] [limit options]\n  lagoon remote --addr HOST:PORT <run|expand|check|stats|shutdown> [<file.lag>] [--json] [--repeat N] [--retries N] [--backoff-ms B] [limit options]\n\nlimit options:\n  --max-steps <n>  --max-expand-steps <n>  --max-expand-depth <n>\n  --max-phase1-steps <n>  --max-stack-depth <n>  --timeout-ms <n>"
+        "usage:\n  lagoon run <file.lag> [--interp] [--stats [--json]] [--no-cache] [--cache-dir <dir>] [--trace <out.json>] [limit options]\n  lagoon expand <file.lag> [--timings]\n  lagoon repl [--typed]\n  lagoon build <entry.lag>... [--jobs N] [--cache-dir <dir>] [--stats [--json]] [--trace <out.json>] [limit options]\n  lagoon serve [--addr HOST:PORT] [--workers N] [--queue-cap N] [--root <dir>] [--cache-dir <dir>] [--max-request-bytes B] [limit options]\n  lagoon gateway [--addr HOST:PORT] [--shards N] [--workers-per-shard M] [--queue-cap N] [--root <dir>] [--cache-dir <dir>] [--max-request-bytes B] [limit options]\n  lagoon remote --addr HOST:PORT <run|expand|check|stats|shutdown> [<file.lag>] [--json] [--repeat N] [--retries N] [--backoff-ms B] [limit options]\n\nlimit options:\n  --max-steps <n>  --max-expand-steps <n>  --max-expand-depth <n>\n  --max-phase1-steps <n>  --max-stack-depth <n>  --timeout-ms <n>"
     );
     ExitCode::from(2)
 }
@@ -149,8 +151,13 @@ fn main() -> ExitCode {
             } else {
                 EngineKind::Vm
             };
-            let stats = args.iter().any(|a| a == "--stats");
-            let json = args.iter().any(|a| a == "--json");
+            let view = match flag_value(&args, "--trace") {
+                Some(out) => View::Trace(PathBuf::from(out)),
+                None if args.iter().any(|a| a == "--stats") => View::Stats {
+                    json: args.iter().any(|a| a == "--json"),
+                },
+                None => View::Value,
+            };
             let limits = match parse_limits(&args) {
                 Ok(l) => l,
                 Err(e) => {
@@ -171,13 +178,7 @@ fn main() -> ExitCode {
                         file.parent().unwrap_or(Path::new(".")).join("compiled")
                     }))
                 };
-            if let Some(trace_out) = flag_value(&args, "--trace") {
-                run_file_traced(file, engine, Path::new(trace_out), limits, cache_dir)
-            } else if stats {
-                run_file_with_stats(file, engine, json, limits, cache_dir)
-            } else {
-                run_file(file, engine, limits, cache_dir)
-            }
+            run_file(file, engine, &view, limits, cache_dir)
         }
         Some("expand") => {
             let Some(file) = args.get(1) else {
@@ -254,7 +255,7 @@ fn build_cmd(args: &[String]) -> ExitCode {
     };
     let report = lagoon::server::build(&names, lagoon::server::dir_source(root), &opts);
     if let Some(path) = &trace_out {
-        let json = lagoon::diag::trace::chrome_trace_json(&report.traces, &[]);
+        let json = diag::trace::chrome_trace_json(&report.traces, &[]);
         if let Err(e) = std::fs::write(path, json) {
             eprintln!("cannot write trace {}: {e}", path.display());
             return ExitCode::FAILURE;
@@ -326,13 +327,6 @@ fn serve_cmd(args: &[String]) -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let recycle_after = match parse_flag(args, "--recycle-after", 0usize) {
-        Ok(n) => n,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::from(2);
-        }
-    };
     let max_request_bytes = match parse_flag(
         args,
         "--max-request-bytes",
@@ -353,7 +347,6 @@ fn serve_cmd(args: &[String]) -> ExitCode {
         cache_dir: flag_value(args, "--cache-dir").map(PathBuf::from),
         source_root: flag_value(args, "--root").map(PathBuf::from),
         limits,
-        recycle_after,
         // Undocumented: enables the fault-injection ops ("test-panic",
         // "test-kill") the supervision tests drive.
         test_ops: args.iter().any(|a| a == "--test-ops"),
@@ -409,10 +402,6 @@ fn gateway_cmd(args: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let mut extra_shard_args = Vec::new();
-    if let Some(n) = flag_value(args, "--recycle-after") {
-        extra_shard_args.extend(["--recycle-after".to_string(), n.to_string()]);
-    }
     let opts = lagoon::gateway::GatewayOptions {
         addr: flag_value(args, "--addr")
             .unwrap_or("127.0.0.1:0")
@@ -429,7 +418,6 @@ fn gateway_cmd(args: &[String]) -> ExitCode {
         max_body_bytes,
         request_timeout: Some(std::time::Duration::from_secs(60)),
         test_ops: args.iter().any(|a| a == "--test-ops"),
-        extra_shard_args,
     };
     lagoon::server::install_sigterm_handler();
     let gateway = match lagoon::gateway::Gateway::start(opts) {
@@ -614,9 +602,30 @@ fn setup_program(lagoon: &Lagoon, file: &Path) -> Result<String, String> {
     Ok(main_name)
 }
 
+/// What `lagoon run` shows besides the program's value.
+enum View {
+    /// The value alone.
+    Value,
+    /// `--stats [--json]`: the diagnostics report, also when the run
+    /// fails.
+    Stats {
+        /// Print one JSON object instead of text.
+        json: bool,
+    },
+    /// `--trace <out.json>`: the record's spans plus the VM sampling
+    /// profile, written as a Chrome trace-event JSON file loadable in
+    /// Perfetto or chrome://tracing.
+    Trace(PathBuf),
+}
+
+/// `lagoon run`: runs the program in a fresh world through the one
+/// request path, with a diagnostics recorder installed for the views
+/// that need one (only `--stats` counts opcodes, so a traced run times
+/// the uncounted loop), then prints the value or the error and the view.
 fn run_file(
     file: &Path,
     engine: EngineKind,
+    view: &View,
     limits: Option<Limits>,
     cache_dir: Option<PathBuf>,
 ) -> ExitCode {
@@ -632,105 +641,60 @@ fn run_file(
             return ExitCode::FAILURE;
         }
     };
-    match lagoon.run(&main, engine) {
-        Ok(v) => {
+    let collector = (!matches!(view, View::Value)).then(diag::Collector::install);
+    let step = Step::Run {
+        engine,
+        count_opcodes: matches!(view, View::Stats { .. }),
+    };
+    let result = lagoon
+        .registry()
+        .request(&main, step)
+        .map(Outcome::into_value);
+    diag::uninstall();
+    if let Err(e) = &result {
+        eprintln!("{e}");
+    }
+    let print_value = || {
+        if let Ok(v) = &result {
             if !v.is_void() {
                 println!("{}", v.write_string());
             }
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("{e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
-/// `lagoon run --trace out.json`: runs with a diagnostics recorder
-/// installed, then writes its trace view — spans plus the VM sampling
-/// profile — as a Chrome trace-event JSON file loadable in Perfetto or
-/// chrome://tracing.
-fn run_file_traced(
-    file: &Path,
-    engine: EngineKind,
-    out_path: &Path,
-    limits: Option<Limits>,
-    cache_dir: Option<PathBuf>,
-) -> ExitCode {
-    let lagoon = Lagoon::new();
-    if let Some(limits) = limits {
-        lagoon.set_limits(limits);
-    }
-    lagoon.set_cache_dir(cache_dir);
-    let main = match setup_program(&lagoon, file) {
-        Ok(m) => m,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
         }
     };
-    let (result, trace) = lagoon.run_traced(&main, engine);
-    let profile = trace.profile_json();
-    let tracks = [("main".to_string(), trace)];
-    let json = lagoon::diag::trace::chrome_trace_json(&tracks, &[("vmProfile", profile)]);
-    if let Err(e) = std::fs::write(out_path, json) {
-        eprintln!("cannot write trace {}: {e}", out_path.display());
-        return ExitCode::FAILURE;
-    }
-    eprintln!("trace written to {}", out_path.display());
-    match result {
-        Ok(v) => {
-            if !v.is_void() {
-                println!("{}", v.write_string());
+    match (view, collector) {
+        (View::Trace(out), Some(collector)) => {
+            let trace = collector.trace();
+            let profile = trace.profile_json();
+            let tracks = [("main".to_string(), trace)];
+            let json = diag::trace::chrome_trace_json(&tracks, &[("vmProfile", profile)]);
+            if let Err(e) = std::fs::write(out, json) {
+                eprintln!("cannot write trace {}: {e}", out.display());
+                return ExitCode::FAILURE;
             }
-            ExitCode::SUCCESS
+            eprintln!("trace written to {}", out.display());
+            print_value();
         }
-        Err(e) => {
-            eprintln!("{e}");
-            ExitCode::FAILURE
+        (View::Stats { json: true }, Some(collector)) => {
+            let (key, text) = match &result {
+                Ok(v) => ("result", v.write_string()),
+                Err(e) => ("error", e.to_string()),
+            };
+            println!(
+                "{{\"{key}\":{},\"report\":{}}}",
+                diag::json_string(&text),
+                collector.report().to_json()
+            );
         }
+        (View::Stats { json: false }, Some(collector)) => {
+            print_value();
+            print!("{}", collector.report().render_text());
+        }
+        _ => print_value(),
     }
-}
-
-fn run_file_with_stats(
-    file: &Path,
-    engine: EngineKind,
-    json: bool,
-    limits: Option<Limits>,
-    cache_dir: Option<PathBuf>,
-) -> ExitCode {
-    let lagoon = Lagoon::new();
-    if let Some(limits) = limits {
-        lagoon.set_limits(limits);
-    }
-    lagoon.set_cache_dir(cache_dir);
-    let main = match setup_program(&lagoon, file) {
-        Ok(m) => m,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    match lagoon.run_with_stats(&main, engine) {
-        Ok((v, report)) => {
-            if json {
-                println!(
-                    "{{\"result\":{},\"report\":{}}}",
-                    lagoon::diag::json_string(&v.write_string()),
-                    report.to_json()
-                );
-            } else {
-                if !v.is_void() {
-                    println!("{}", v.write_string());
-                }
-                print!("{}", report.render_text());
-            }
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("{e}");
-            ExitCode::FAILURE
-        }
+    if result.is_ok() {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
     }
 }
 

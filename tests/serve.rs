@@ -269,6 +269,13 @@ fn daemon_expand_check_and_protocol_errors() {
         ("POST", "/v1/reboot", "{}", 404),
         ("POST", "/v1/test/kill", "{}", 404),
         ("GET", "/v1/run", "", 405),
+        // a module name the loader would refuse never reaches a worker,
+        // and no name addresses an inline request's `req/N` module
+        ("POST", "/v1/run", r#"{"module":"a/b"}"#, 400),
+        ("POST", "/v1/run", r#"{"module":""}"#, 400),
+        ("POST", "/v1/run", r#"{"module":"../m"}"#, 400),
+        ("POST", "/v1/run", r#"{"module":"a\\b"}"#, 400),
+        ("POST", "/v1/check", r#"{"module":"req/0"}"#, 400),
     ] {
         let (status, response) = call(&addr, method, path, body);
         assert_eq!(status, want, "{method} {path} {body:?}: {response}");
@@ -431,6 +438,10 @@ fn daemon_backpressure_rejects_rather_than_queues_unboundedly() {
     daemon.shutdown();
 }
 
+fn positive(n: Option<&Json>) -> bool {
+    matches!(n, Some(Json::Num(n)) if *n > 0.0)
+}
+
 fn gauge(stats: &Json, outer: &str, inner: &str) -> u64 {
     stats
         .get(outer)
@@ -506,6 +517,7 @@ fn daemon_stats_gauges_trace_ids_and_flat_interner() {
                     "phases missing {key}: {parsed}"
                 );
             }
+            assert!(positive(phases.get("run")), "run not timed: {parsed}");
         }
         let sample = stats(&addr);
         assert_eq!(
@@ -587,6 +599,10 @@ fn daemon_stats_gauges_trace_ids_and_flat_interner() {
             "phases_ms missing {key}: {after}"
         );
     }
+    assert!(
+        positive(after.get("phases_ms").and_then(|p| p.get("run"))),
+        "run time missing from phases_ms: {after}"
+    );
     let routed = after
         .get("http")
         .and_then(|h| h.get("routes"))
@@ -595,6 +611,62 @@ fn daemon_stats_gauges_trace_ids_and_flat_interner() {
         .and_then(Json::as_u64)
         .unwrap_or(0);
     assert!(routed > (BATCHES * PER_BATCH) as u64, "{after}");
+
+    daemon.shutdown();
+}
+
+/// An inline `run` body that asks for the `diag` report.
+fn diag_request(source: &str, limits: Vec<(&str, u64)>) -> String {
+    let mut body = json::parse(&client::inline_request(source, limits)).expect("request body");
+    if let Json::Obj(fields) = &mut body {
+        fields.insert("diag".to_string(), Json::Bool(true));
+    }
+    body.to_string()
+}
+
+#[test]
+fn daemon_diag_report_says_what_run_with_stats_says() {
+    const LOOP: &str = "#lang typed/lagoon\n(: go : Integer Float -> Float)\n\
+                        (define (go i acc) (if (= i 0) acc (go (- i 1) (+ acc 1.5))))\n\
+                        (go 3000 0.0)\n";
+    let daemon = Daemon::spawn(&["--workers", "1"]);
+    let addr = daemon.addr.clone();
+
+    // a `diag` run counts the opcodes it executes, exactly as the
+    // embedding API's report does for the same source
+    let response = run(&addr, &diag_request(LOOP, vec![]));
+    assert_eq!(response.get("value").and_then(Json::as_str), Some("4500.0"));
+    assert!(
+        positive(response.get("phases").and_then(|p| p.get("run"))),
+        "{response}"
+    );
+    let report = response.get("report").expect("diag report");
+    let lagoon = lagoon::Lagoon::new();
+    lagoon.add_module("loop", LOOP);
+    let (_, local) = lagoon
+        .run_with_stats("loop", lagoon::EngineKind::Vm)
+        .expect("local run");
+    assert!(!local.opcodes.is_empty());
+    // rows (op, class, fused, count), in the report's stable order
+    let local = json::parse(&local.to_json()).expect("local report");
+    assert_eq!(report.get("opcodes"), local.get("opcodes"), "{response}");
+
+    // under a step budget the run fails, and the report carries the
+    // exhaustion as its one limits row
+    let response = run(&addr, &diag_request(LOOP, vec![("max_vm_steps", 1000)]));
+    assert_eq!(
+        err_kind(&response),
+        Some("resource-exhausted"),
+        "{response}"
+    );
+    let Some(Json::Arr(limits)) = response.get("report").and_then(|r| r.get("limits")) else {
+        panic!("report has no limits table: {response}");
+    };
+    assert_eq!(limits.len(), 1, "{response}");
+    assert_eq!(
+        limits[0].get("budget").and_then(Json::as_str),
+        Some("vm-steps")
+    );
 
     daemon.shutdown();
 }
@@ -664,31 +736,6 @@ fn daemon_contains_request_panics_without_losing_the_worker() {
         "a contained panic must not kill the worker: {stats}"
     );
     // the rebuilt world still reports a flat interner at idle
-    assert_eq!(gauge(&stats, "interner", "growth"), 0, "{stats}");
-
-    daemon.shutdown();
-}
-
-#[test]
-fn daemon_recycles_worker_worlds_on_schedule() {
-    let daemon = Daemon::spawn(&["--workers", "1", "--recycle-after", "2"]);
-    let addr = daemon.addr.clone();
-
-    for i in 0..5 {
-        let request = client::inline_request(&format!("#lang lagoon\n(+ {i} 2)\n"), vec![]);
-        let response = run(&addr, &request);
-        assert_eq!(
-            response.get("value").and_then(Json::as_str),
-            Some(format!("{}", i + 2).as_str()),
-            "recycling must be invisible to clients: {response}"
-        );
-    }
-
-    let stats = stats(&addr);
-    assert!(
-        gauge(&stats, "supervision", "recycles") >= 2,
-        "5 requests at --recycle-after 2 must recycle at least twice: {stats}"
-    );
     assert_eq!(gauge(&stats, "interner", "growth"), 0, "{stats}");
 
     daemon.shutdown();

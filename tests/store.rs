@@ -612,6 +612,48 @@ fn parallel_build_reports_failures_and_skips_dependents() {
     }
 }
 
+#[test]
+fn a_panicking_compile_fails_its_module_with_an_internal_error() {
+    // `boom` is required only once (use-boom) expands, so discovery never
+    // asks for it: the worker's compile does, and the source oracle's
+    // panic unwinds into the request path's barrier
+    let report = lagoon::server::build(
+        &["main".to_string(), "other".to_string()],
+        std::sync::Arc::new(|name: &str| match name {
+            "main" => Some(
+                "#lang lagoon
+(define-syntax use-boom (syntax-rules () [(_) (require boom)]))
+(use-boom)
+"
+                .to_string(),
+            ),
+            "other" => Some("#lang lagoon\n(+ 1 2)\n".to_string()),
+            "boom" => panic!("the source oracle failed"),
+            _ => None,
+        }),
+        &lagoon::server::BuildOptions::default(),
+    );
+    let status_of = |name: &str| {
+        report
+            .modules
+            .iter()
+            .find(|m| m.name == name)
+            .map(|m| m.status.clone())
+    };
+    match status_of("main") {
+        Some(lagoon::server::ModuleStatus::Failed(message)) => assert!(
+            message.starts_with("internal error") && message.contains("the source oracle failed"),
+            "{message}"
+        ),
+        other => panic!("main must fail with an internal error: {other:?}"),
+    }
+    // the one worker survives the panic and builds its other job
+    assert_eq!(
+        status_of("other"),
+        Some(lagoon::server::ModuleStatus::Built)
+    );
+}
+
 // ---------------------------------------------------------------------------
 // Rebuilds over an existing store
 // ---------------------------------------------------------------------------
