@@ -556,11 +556,13 @@ fn worker_loop(
     source_of: &SourceFn,
     opts: &BuildOptions,
 ) -> WorkerResult {
-    lagoon_diag::limits::install(opts.limits);
     let collector = Collector::install();
 
     let setup_start = Instant::now();
     let registry = build_registry(opts);
+    // after the bootstrap, as the daemon installs a request's limits: the
+    // prelude's own expansion must not spend the jobs' budgets
+    lagoon_diag::limits::install(opts.limits);
     // Names this worker claimed in the single-flight map from inside the
     // loader (statically invisible requires); released after the
     // enclosing top-level compile returns.

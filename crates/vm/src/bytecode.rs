@@ -116,8 +116,9 @@ impl OpClass {
     }
 }
 
-/// Declares [`Op`] by class, deriving [`Op::mnemonic`] (the variant
-/// name) and [`Op::class`] from the declaration.
+/// Declares [`Op`] by class, deriving `Op::kind` (the variant's position
+/// in the declaration) and the `KINDS` table of mnemonics and classes
+/// from the declaration.
 macro_rules! ops {
     ($( $class:ident { $( $(#[$doc:meta])* $name:ident $(($($ty:ty),*))?, )* } )*) => {
         /// One bytecode instruction. A `Br*` instruction jumps to its
@@ -128,19 +129,24 @@ macro_rules! ops {
             $($( $(#[$doc])* $name $(($($ty),*))?, )*)*
         }
 
-        impl Op {
-            /// The instruction mnemonic, ignoring any operand payload.
-            pub fn mnemonic(&self) -> &'static str {
-                match self {
-                    $($( Op::$name { .. } => stringify!($name), )*)*
-                }
-            }
+        /// The variants of [`Op`] without their operands.
+        #[derive(Clone, Copy)]
+        enum Kind {
+            $($( $name, )*)*
+        }
 
-            /// Which [`OpClass`] this instruction belongs to.
-            pub fn class(&self) -> OpClass {
-                match self {
-                    $($( Op::$name { .. } => OpClass::$class, )*)*
-                }
+        /// Each instruction kind's mnemonic and class, indexed by
+        /// `Op::kind`.
+        pub(crate) const KINDS: &[(&str, OpClass)] = &[$($( (stringify!($name), OpClass::$class), )*)*];
+
+        impl Op {
+            /// The variant's position in the declaration: its row in
+            /// `KINDS`.
+            #[inline(always)]
+            pub(crate) fn kind(&self) -> usize {
+                (match self {
+                    $($( Op::$name { .. } => Kind::$name, )*)*
+                }) as usize
             }
         }
     };
@@ -172,6 +178,11 @@ ops! {
         Call(u16),
         /// Tail call with `n` arguments, replacing the current frame.
         TailCall(u16),
+        /// A module-level function's tail call to itself with its `n`
+        /// arguments on the stack: they become the parameters, the other
+        /// locals are reset to void, and the frame restarts at its first
+        /// instruction.
+        Loop(u16),
         /// Return the top of stack from the current frame.
         Return,
         /// Discard the top of stack.
@@ -337,8 +348,19 @@ ops! {
 const _: () = assert!(std::mem::size_of::<Op>() <= 16);
 
 impl Op {
+    /// The instruction mnemonic, ignoring any operand payload.
+    pub fn mnemonic(&self) -> &'static str {
+        KINDS[self.kind()].0
+    }
+
+    /// Which [`OpClass`] this instruction belongs to.
+    pub fn class(&self) -> OpClass {
+        KINDS[self.kind()].1
+    }
+
     /// The operand addresses this instruction reads through, with
     /// [`Arg::STACK`] for operands it has no address for.
+    #[inline]
     pub fn args(&self) -> [Arg; 2] {
         match *self {
             Op::Add2(a, b)
@@ -406,12 +428,14 @@ impl Op {
     }
 
     /// The jump target this instruction carries, if any.
+    #[inline]
     pub fn target(&self) -> Option<u32> {
         let mut op = *self;
         op.target_mut().copied()
     }
 
     /// The jump target this instruction carries, for patching.
+    #[inline]
     pub fn target_mut(&mut self) -> Option<&mut u32> {
         match self {
             Op::Jump(t)
@@ -469,6 +493,7 @@ impl Op {
     /// instruction: those with a folded operand address, and the branch
     /// forms. The counters report a fusion rate (fused executions over
     /// total executions) from this flag.
+    #[inline]
     pub fn is_fused(&self) -> bool {
         let branch = self.target().is_some() && !matches!(self, Op::Jump(_) | Op::JumpIfFalse(_));
         branch || self.args().iter().any(|a| !a.is_stack())

@@ -17,7 +17,12 @@
 //!   and a comparison or predicate that an `if` tests becomes a branch
 //!   form carrying the jump target. Generic and `unsafe-*` instructions
 //!   get the same treatment, so a specialized instruction never costs
-//!   more dispatches than the generic one it replaces.
+//!   more dispatches than the generic one it replaces;
+//! * **control without dispatches** — a tail-position `if` arm returns
+//!   directly instead of jumping to a join that only returns,
+//!   `(if (not e) a b)` compiles as `(if e b a)` so the test keeps its
+//!   branch form, and a module-level function's tail call to itself is
+//!   one [`Op::Loop`] (see [`Compiler::compile_module`] for the guard).
 //!
 //! Precondition (guaranteed by the expander): all bindings are globally
 //! uniquely named, so a reference spelled `+` can only denote the base
@@ -34,6 +39,9 @@ use std::rc::Rc;
 struct FnScope {
     name: Option<Symbol>,
     arity: Arity,
+    /// The module-level name whose tail calls from this scope compile
+    /// to [`Op::Loop`].
+    loops_as: Option<Symbol>,
     locals: HashMap<Symbol, u32>,
     nlocals: u32,
     capture_names: Vec<Symbol>,
@@ -50,6 +58,7 @@ impl FnScope {
         FnScope {
             name,
             arity,
+            loops_as: None,
             locals: HashMap::new(),
             nlocals: 0,
             capture_names: Vec::new(),
@@ -139,6 +148,13 @@ pub struct Compiler {
 impl Compiler {
     /// Compiles a module body to bytecode.
     ///
+    /// A tail call inside `(define-values (f) (#%plain-lambda …))` to `f`
+    /// itself compiles to [`Op::Loop`] when the module defines `f` once
+    /// and never `set!`s it, `f` has no rest parameter, and the call
+    /// passes exactly `f`'s arity. The global then always holds the
+    /// closure that is running, so the call needs no callee load and no
+    /// callee check.
+    ///
     /// # Errors
     ///
     /// Returns an internal error for malformed input (which the expander
@@ -151,10 +167,13 @@ impl Compiler {
             defined: HashSet::new(),
             mutated: HashSet::new(),
         };
+        let mut redefined = HashSet::new();
         for form in forms {
             match form {
                 CoreForm::Define(name, rhs, _) => {
-                    c.defined.insert(*name);
+                    if !c.defined.insert(*name) {
+                        redefined.insert(*name);
+                    }
                     collect_mutated(rhs, &mut c.mutated);
                 }
                 CoreForm::Expr(e) => collect_mutated(e, &mut c.mutated),
@@ -167,7 +186,16 @@ impl Compiler {
             let last = i + 1 == forms.len();
             match form {
                 CoreForm::Define(name, rhs, _) => {
-                    c.compile_expr(rhs, false)?;
+                    match rhs {
+                        CoreExpr::Lambda(lam)
+                            if lam.rest.is_none()
+                                && !redefined.contains(name)
+                                && !c.mutated.contains(name) =>
+                        {
+                            c.compile_lambda(lam, Some(*name))?
+                        }
+                        _ => c.compile_expr(rhs, false)?,
+                    }
                     let g = c.global_index(*name);
                     c.top().emit(Op::StoreGlobal(g));
                     c.top().emit(Op::Void);
@@ -295,13 +323,21 @@ impl Compiler {
         self.compile_expr(last, tail)
     }
 
-    fn compile_lambda(&mut self, lam: &LambdaCore) -> Result<(), RtError> {
+    /// Compiles `lam` to a child proto and emits its `MakeClosure`. Tail
+    /// calls from its body to `loops_as` become [`Op::Loop`].
+    fn compile_lambda(
+        &mut self,
+        lam: &LambdaCore,
+        loops_as: Option<Symbol>,
+    ) -> Result<(), RtError> {
         let arity = if lam.rest.is_some() {
             Arity::at_least(lam.formals.len())
         } else {
             Arity::exactly(lam.formals.len())
         };
-        self.fns.push(FnScope::new(lam.name, arity));
+        let mut scope = FnScope::new(lam.name, arity);
+        scope.loops_as = loops_as;
+        self.fns.push(scope);
         for f in &lam.formals {
             self.top().alloc_local(*f);
         }
@@ -346,16 +382,31 @@ impl Compiler {
             }
             CoreExpr::Var(sym, _) => self.emit_load(*sym),
             CoreExpr::If(c, t, e) => {
+                // `(if (not c) t e)` is `(if c e t)`
+                let (mut c, mut t, mut e) = (&**c, &**t, &**e);
+                while let Some(inner) = self.negated(c) {
+                    c = inner;
+                    std::mem::swap(&mut t, &mut e);
+                }
                 self.compile_expr(c, false)?;
                 let jf = self.top().emit_test_jump();
                 self.compile_expr(t, tail)?;
-                let j = self.top().emit(Op::Jump(0));
-                self.top().patch_jump(jf);
-                self.compile_expr(e, tail)?;
-                self.top().patch_jump(j);
+                if tail {
+                    // the join would only return: return from the arm,
+                    // and let the else arm fall through to the `Return`
+                    // that ends the body
+                    self.top().emit(Op::Return);
+                    self.top().patch_jump(jf);
+                    self.compile_expr(e, tail)?;
+                } else {
+                    let j = self.top().emit(Op::Jump(0));
+                    self.top().patch_jump(jf);
+                    self.compile_expr(e, tail)?;
+                    self.top().patch_jump(j);
+                }
             }
             CoreExpr::Begin(body) => self.compile_body(body, tail)?,
-            CoreExpr::Lambda(lam) => self.compile_lambda(lam)?,
+            CoreExpr::Lambda(lam) => self.compile_lambda(lam, None)?,
             CoreExpr::Let(bindings, body) => {
                 for (name, rhs) in bindings {
                     self.compile_expr(rhs, false)?;
@@ -406,14 +457,23 @@ impl Compiler {
                 }
             },
             CoreExpr::App(f, args, _) => {
-                // primitive specialization: a head that is a free reference
-                // to a known primitive with a matching argument count
+                let n = u16::try_from(args.len())
+                    .map_err(|_| RtError::new(Kind::Internal, "too many arguments in one call"))?;
                 if let CoreExpr::Var(sym, _) = &**f {
-                    let is_local = self
-                        .fns
-                        .iter()
-                        .any(|s| s.locals.contains_key(sym) || s.capture_names.contains(sym));
-                    if !is_local && !self.defined.contains(sym) {
+                    let loops = self.fns.last().is_some_and(|s| {
+                        s.loops_as == Some(*sym) && s.arity.required == args.len()
+                    });
+                    if tail && loops && !self.is_local(*sym) {
+                        for a in args {
+                            self.compile_expr(a, false)?;
+                        }
+                        self.top().emit(Op::Loop(n));
+                        return Ok(());
+                    }
+                    // primitive specialization: a head that is a free
+                    // reference to a known primitive with a matching
+                    // argument count
+                    if self.is_base(*sym) {
                         if let Some(prim) = sym.with_str(|n| specialized_op(n, args.len())) {
                             let op = match prim {
                                 PrimOp::Stack(op) => {
@@ -437,13 +497,37 @@ impl Compiler {
                 for a in args {
                     self.compile_expr(a, false)?;
                 }
-                let n = u16::try_from(args.len())
-                    .map_err(|_| RtError::new(Kind::Internal, "too many arguments in one call"))?;
                 self.top()
                     .emit(if tail { Op::TailCall(n) } else { Op::Call(n) });
             }
         }
         Ok(())
+    }
+
+    /// Whether `sym` is bound by an enclosing function.
+    fn is_local(&self, sym: Symbol) -> bool {
+        self.fns
+            .iter()
+            .any(|s| s.locals.contains_key(&sym) || s.capture_names.contains(&sym))
+    }
+
+    /// Whether `sym` names the base environment's binding: neither a
+    /// local nor defined by this module.
+    fn is_base(&self, sym: Symbol) -> bool {
+        !self.is_local(sym) && !self.defined.contains(&sym)
+    }
+
+    /// `e` when `test` is `(not e)` with the base `not`.
+    fn negated<'e>(&self, test: &'e CoreExpr) -> Option<&'e CoreExpr> {
+        match test {
+            CoreExpr::App(f, args, _) if args.len() == 1 => match &**f {
+                CoreExpr::Var(sym, _) if self.is_base(*sym) && sym.with_str(|n| n == "not") => {
+                    Some(&args[0])
+                }
+                _ => None,
+            },
+            _ => None,
+        }
     }
 
     /// Compiles one operand of an addressed instruction: a constant or
@@ -586,9 +670,101 @@ mod tests {
 
     #[test]
     fn tail_calls_are_marked() {
+        // a module-level function's call to itself restarts its frame
         let m = compile("(define-values (loop) (#%plain-lambda (n) (#%plain-app loop n)))");
+        assert_eq!(
+            m.top.protos[0].code,
+            vec![Op::LoadLocal(0), Op::Loop(1), Op::Return]
+        );
+        // a tail call to anything else still replaces the frame
+        let m = compile("(define-values (f) (#%plain-lambda (n) (#%plain-app g n)))");
+        assert_eq!(
+            m.top.protos[0].code,
+            vec![
+                Op::LoadGlobal(0),
+                Op::LoadLocal(0),
+                Op::TailCall(1),
+                Op::Return
+            ]
+        );
+    }
+
+    #[test]
+    fn loop_needs_a_module_level_name_that_always_holds_the_running_closure() {
+        let tail_calls = |src: &str| {
+            let m = compile(src);
+            let inner = &m.top.protos[0];
+            let count = |mnemonic| {
+                inner
+                    .code
+                    .iter()
+                    .filter(|op| op.mnemonic() == mnemonic)
+                    .count()
+            };
+            (count("Loop"), count("TailCall"))
+        };
+        let f = "(define-values (f) (#%plain-lambda (n) (if n (#%plain-app f n) n)))";
+        assert_eq!(tail_calls(f), (1, 0));
+        // the module `set!`s f, or defines it twice
+        assert_eq!(tail_calls(&format!("{f} (set! f car)")), (0, 1));
+        assert_eq!(tail_calls(&format!("{f} (define-values (f) car)")), (0, 1));
+        // a rest parameter, or a call with another argument count
+        let rest = "(define-values (f) (#%plain-lambda (n . r) (#%plain-app f n)))";
+        assert_eq!(tail_calls(rest), (0, 1));
+        let arity = "(define-values (f) (#%plain-lambda (n) (#%plain-app f n n)))";
+        assert_eq!(tail_calls(arity), (0, 1));
+        // a call that is not in tail position, or made from a closure
+        // nested inside f, is no loop of f's frame
+        let non_tail =
+            "(define-values (f) (#%plain-lambda (n) (#%plain-app car (#%plain-app f n))))";
+        assert_eq!(tail_calls(non_tail), (0, 0));
+        let nested = compile(
+            "(define-values (f) (#%plain-lambda (n) (#%plain-lambda () (#%plain-app f n))))",
+        );
+        assert!(nested.top.protos[0].protos[0]
+            .code
+            .contains(&Op::TailCall(1)));
+        // a parameter that shadows the name
+        let shadow = "(define-values (f) (#%plain-lambda (f) (#%plain-app f f)))";
+        assert_eq!(tail_calls(shadow), (0, 1));
+    }
+
+    #[test]
+    fn a_negated_test_swaps_the_arms() {
+        // `(if (not (< x y)) 1 2)` runs as `(if (< x y) 2 1)`
+        let m = compile(
+            "(#%plain-lambda (x y)
+               (if (#%plain-app not (#%plain-app < x y)) 1 2))",
+        );
         let inner = &m.top.protos[0];
-        assert!(inner.code.iter().any(|op| matches!(op, Op::TailCall(1))));
+        assert_eq!(
+            inner.code,
+            vec![
+                Op::BrLt2(l(0), l(1), 3),
+                Op::Const(0),
+                Op::Return,
+                Op::Const(1),
+                Op::Return
+            ]
+        );
+        assert_eq!(inner.consts[0].as_int(), Some(2));
+        // two negations cancel
+        let m = compile("(#%plain-lambda (x) (if (#%plain-app not (#%plain-app not x)) 1 2))");
+        assert_eq!(
+            m.top.protos[0].code[..2],
+            [Op::LoadLocal(0), Op::JumpIfFalse(4)]
+        );
+        assert_eq!(m.top.protos[0].consts[0].as_int(), Some(1));
+        // a `not` that is a local or the module's own is just a call
+        for src in [
+            "(#%plain-lambda (not x) (if (#%plain-app not x) 1 2))",
+            "(define-values (not) car) (#%plain-lambda (x) (if (#%plain-app not x) 1 2))",
+        ] {
+            let m = compile(src);
+            let inner = m.top.protos.last().unwrap();
+            assert!(inner.code.contains(&Op::Call(1)), "{src}");
+            assert_eq!(inner.consts[0].as_int(), Some(1), "{src}");
+        }
     }
 
     #[test]
@@ -693,19 +869,20 @@ mod tests {
                    (if (#%plain-app zero? (#%plain-app car xs)) 3 4)))",
         );
         let inner = &m.top.protos[0];
+        // tail-position arms return instead of jumping to a join
         assert_eq!(
             inner.code,
             vec![
                 Op::BrFxLt(l(0), l(1), 6),
                 Op::BrNullP(l(2), 4),
                 Op::Const(0),
-                Op::Jump(5),
+                Op::Return,
                 Op::Const(1),
-                Op::Jump(11),
+                Op::Return,
                 Op::Car(l(2)),
                 Op::BrZeroP(S, 10),
                 Op::Const(2),
-                Op::Jump(11),
+                Op::Return,
                 Op::Const(3),
                 Op::Return,
             ]
@@ -715,7 +892,8 @@ mod tests {
     #[test]
     fn a_comparison_a_jump_lands_after_keeps_its_jump_if_false() {
         // the then-arm's Jump lands on the outer test's JumpIfFalse, so
-        // the trailing `>` must not absorb it
+        // the trailing `>` must not absorb it; the outer `if` is in tail
+        // position, so its arms return
         let m = compile(
             "(#%plain-lambda (p x)
                (if (if p (#%plain-app < x 1) (#%plain-app > x 2)) 3 4))",
@@ -730,7 +908,7 @@ mod tests {
                 Op::Gt2(l(1), k(1)),
                 Op::JumpIfFalse(8),
                 Op::Const(2),
-                Op::Jump(9),
+                Op::Return,
                 Op::Const(3),
                 Op::Return,
             ]
@@ -747,7 +925,7 @@ mod tests {
                 Op::Const(1),
                 Op::BrLt2(S, l(1), 8),
                 Op::Const(2),
-                Op::Jump(9),
+                Op::Return,
                 Op::Const(3),
                 Op::Return,
             ]

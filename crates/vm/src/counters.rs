@@ -3,18 +3,40 @@
 //! Counting is always compiled in and off until [`set_active`] turns it
 //! on for a run. The machine ([`crate::machine`]) checks [`active`] once
 //! per VM entry and selects a monomorphized interpreter loop, so the hot
-//! loop carries no per-opcode branch when counting is off.
+//! loop carries no per-opcode branch when counting is off. The counting
+//! loop adds each instruction into a [`Tally`] of its own activation and
+//! adds that into the thread's counts once, when the activation exits.
 
-use crate::bytecode::{Op, OpClass};
+use crate::bytecode::{Op, OpClass, KINDS};
 use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
 
-/// Executions per (mnemonic, fused), with the instruction's class.
-type Counts = HashMap<(&'static str, bool), (OpClass, u64)>;
+/// Slots of a dense count table: one per instruction kind with and
+/// without folded operands.
+const SLOTS: usize = 2 * KINDS.len();
+
+/// Executions per instruction kind and fused flag, slot `2 * kind +
+/// fused` (see [`Op::kind`] and [`Op::is_fused`]).
+pub(crate) struct Tally([u64; SLOTS]);
+
+impl Default for Tally {
+    fn default() -> Tally {
+        Tally([0; SLOTS])
+    }
+}
+
+impl Tally {
+    /// Counts one execution of `op`. An instruction counts separately
+    /// with and without folded operands (`Add2(S, S)` and `Add2(L0, K1)`
+    /// are two rows), so the fused share is exact.
+    #[inline(always)]
+    pub(crate) fn record(&mut self, op: &Op) {
+        self.0[2 * op.kind() + usize::from(op.is_fused())] += 1;
+    }
+}
 
 thread_local! {
     static ACTIVE: Cell<bool> = const { Cell::new(false) };
-    static COUNTS: RefCell<Counts> = RefCell::new(HashMap::new());
+    static COUNTS: RefCell<Tally> = RefCell::new(Tally::default());
 }
 
 /// Turns opcode counting on or off for this thread. The machine samples
@@ -29,22 +51,23 @@ pub fn active() -> bool {
     ACTIVE.with(Cell::get)
 }
 
-/// Records one execution of `op`. An instruction counts separately with
-/// and without folded operands (`Add2(S, S)` and `Add2(L0, K1)` are two
-/// rows), so the fused share is exact.
-#[inline]
-pub fn record(op: &Op) {
+/// Adds an activation's counts into this thread's.
+pub(crate) fn add(tally: &Tally) {
     COUNTS.with(|c| {
-        c.borrow_mut()
-            .entry((op.mnemonic(), op.is_fused()))
-            .or_insert((op.class(), 0))
-            .1 += 1;
+        for (total, n) in c.borrow_mut().0.iter_mut().zip(&tally.0) {
+            *total += n;
+        }
     });
+}
+
+/// Records one execution of `op` in this thread's counts.
+pub fn record(op: &Op) {
+    COUNTS.with(|c| c.borrow_mut().record(op));
 }
 
 /// Clears all recorded counts.
 pub fn reset() {
-    COUNTS.with(|c| c.borrow_mut().clear());
+    COUNTS.with(|c| *c.borrow_mut() = Tally::default());
 }
 
 /// The recorded counts as `(mnemonic, class, fused, count)`, sorted by
@@ -54,8 +77,14 @@ pub fn reset() {
 pub fn snapshot() -> Vec<(&'static str, OpClass, bool, u64)> {
     let mut rows: Vec<_> = COUNTS.with(|c| {
         c.borrow()
+            .0
             .iter()
-            .map(|(&(name, fused), &(class, count))| (name, class, fused, count))
+            .enumerate()
+            .filter(|(_, &count)| count > 0)
+            .map(|(slot, &count)| {
+                let (name, class) = KINDS[slot / 2];
+                (name, class, slot % 2 == 1, count)
+            })
             .collect()
     });
     rows.sort_by(|a, b| b.3.cmp(&a.3).then(a.0.cmp(b.0)).then(a.2.cmp(&b.2)));

@@ -13,6 +13,7 @@
 //! slots and constants are read in place.
 
 use crate::bytecode::{Arg, CaptureSrc, ModuleCode, Op, Proto};
+use crate::counters::Tally;
 use crate::engine::{apply_contracted, is_apply_native, splice_apply_args, Engine};
 use lagoon_runtime::{number, Closure, Kind, RtError, Value};
 use lagoon_syntax::Symbol;
@@ -177,17 +178,6 @@ fn underflow() -> RtError {
     RtError::new(Kind::Internal, "value stack underflow")
 }
 
-/// Pops a value, surfacing a corrupted stack as a structured internal
-/// error instead of a panic.
-macro_rules! pop {
-    ($stack:expr) => {
-        match $stack.pop() {
-            Some(v) => v,
-            None => return Err(underflow()),
-        }
-    };
-}
-
 // Unsafe-op payload extraction: a misapplied operand yields an arbitrary
 // value (0 / 0.0), never UB. Works on a `&Value` without cloning — with
 // the word representation this is a tag test plus a bit reinterpretation.
@@ -252,10 +242,14 @@ fn return_buffers(mut bufs: Buffers) {
 /// [`exec`] once per entry, so the hot loop itself carries no counting
 /// branch when opcode counters are off.
 fn run(proto: Rc<Proto>, env: Rc<VmEnv>, args: &[Value]) -> Result<Value, RtError> {
-    if crate::counters::active() {
-        return exec::<true>(proto, env, args);
-    }
-    exec::<false>(proto, env, args)
+    let mut bufs = take_buffers();
+    let result = if crate::counters::active() {
+        exec::<true>(proto, env, args, &mut bufs)
+    } else {
+        exec::<false>(proto, env, args, &mut bufs)
+    };
+    return_buffers(bufs);
+    result
 }
 
 /// The interpreter loop, monomorphized over whether per-opcode counters
@@ -263,449 +257,534 @@ fn run(proto: Rc<Proto>, env: Rc<VmEnv>, args: &[Value]) -> Result<Value, RtErro
 ///
 /// Fuel is drawn from the shared step budget in chunks
 /// ([`lagoon_diag::limits::vm_take_fuel`]) and counted down in a local,
-/// so the per-opcode cost is a decrement-and-test. Natives can re-enter
-/// the VM, so the unused remainder is returned on every exit path.
+/// so the per-opcode cost is a decrement-and-test; the stack-depth limit
+/// is read once per activation. Every exit, errors included, leaves the
+/// loop through the `'exit` block, after which the unused fuel goes back
+/// to the budget (natives can re-enter the VM) and the activation's
+/// opcode counts join the thread's.
 fn exec<const COUNT: bool>(
     proto: Rc<Proto>,
     env: Rc<VmEnv>,
     args: &[Value],
-) -> Result<Value, RtError> {
-    let mut fuel: u64 = 0;
-    let mut bufs = take_buffers();
-    let result = exec_loop::<COUNT>(proto, env, args, &mut fuel, &mut bufs);
-    return_buffers(bufs);
-    lagoon_diag::limits::vm_return_fuel(fuel);
-    result
-}
-
-fn exec_loop<const COUNT: bool>(
-    proto: Rc<Proto>,
-    env: Rc<VmEnv>,
-    args: &[Value],
-    fuel: &mut u64,
     bufs: &mut Buffers,
 ) -> Result<Value, RtError> {
+    let max_depth = lagoon_diag::limits::max_stack_depth();
+    let mut fuel: u64 = 0;
+    let mut tally = Tally::default();
     // the unified operand/frame stack: every frame's callee sits at
     // `base - 1`, its args/locals at frame-pointer-relative slots
-    // `base..base + nlocals`, and operand temporaries above them
-    let stack = &mut bufs.stack;
+    // `base..base + nlocals`, and operand temporaries above them. Held
+    // in a local for the activation, so a push or a pop reaches its
+    // length without first loading where the buffers live
+    let mut stack = std::mem::take(&mut bufs.stack);
+    let stack = &mut stack;
     // suspended callers only — the active frame lives in the `cur`
     // local, so per-instruction dispatch touches frame state (proto,
     // code, ip, base, env) through a local instead of re-borrowing the
     // frame vector every iteration
     let frames = &mut bufs.frames;
-    // dummy callee slot so every frame has `base - 1` valid
-    stack.push(Value::Void);
-    stack.extend_from_slice(args);
-    let mut cur = make_frame(stack, proto, env, 1, args.len(), 0)?;
+    let result = 'exit: {
+        /// Unwraps a result, or leaves the loop with its error.
+        macro_rules! ok {
+            ($e:expr) => {
+                match $e {
+                    Ok(v) => v,
+                    Err(e) => break 'exit Err(e),
+                }
+            };
+        }
+        /// Pops a value, surfacing a corrupted stack as a structured
+        /// internal error instead of a panic.
+        macro_rules! pop {
+            () => {
+                match stack.pop() {
+                    Some(v) => v,
+                    None => break 'exit Err(underflow()),
+                }
+            };
+        }
 
-    loop {
-        if *fuel == 0 {
-            let (grant, sample) = lagoon_diag::limits::vm_take_fuel().map_err(RtError::from)?;
-            *fuel = grant;
-            // sampling profiler: attribute the last chunk of executed
-            // steps to the innermost running function (rarely-taken
-            // branch, so the hot path carries no per-opcode cost)
-            if sample {
-                lagoon_diag::sample(cur.proto.name);
+        // dummy callee slot so every frame has `base - 1` valid
+        stack.push(Value::Void);
+        stack.extend_from_slice(args);
+        let mut cur = ok!(make_frame(stack, proto, env, 1, args.len(), 0, max_depth));
+
+        loop {
+            fuel = match fuel.checked_sub(1) {
+                Some(left) => left,
+                None => {
+                    let (grant, sample) =
+                        ok!(lagoon_diag::limits::vm_take_fuel().map_err(RtError::from));
+                    // sampling profiler: attribute the last chunk of
+                    // executed steps to the innermost running function
+                    // (rarely-taken branch, so the hot path carries no
+                    // per-opcode cost)
+                    if sample {
+                        lagoon_diag::sample(cur.proto.name);
+                    }
+                    // a grant is never empty: an exhausted budget is the
+                    // error above
+                    grant - 1
+                }
+            };
+            let op = cur.proto.code[cur.ip];
+            cur.ip += 1;
+            if COUNT {
+                tally.record(&op);
             }
-        }
-        *fuel -= 1;
-        let op = cur.proto.code[cur.ip];
-        cur.ip += 1;
-        if COUNT {
-            crate::counters::record(&op);
-        }
-        match op {
-            Op::Const(k) => stack.push(cur.proto.consts[k as usize].clone()),
-            Op::Void => stack.push(Value::Void),
-            Op::LoadLocal(i) => stack.push(stack[cur.base + i as usize].clone()),
-            Op::StoreLocal(i) => {
-                let v = pop!(stack);
-                let slot = cur.base + i as usize;
-                stack[slot] = v;
-            }
-            Op::LoadCapture(i) => stack.push(cur.env.captures[i as usize].clone()),
-            Op::LoadGlobal(i) => {
-                // straight-line runs of loads (argument setup for a call
-                // is the common case) share one slot borrow: each extra
-                // load still pays its fuel and its counter, so budgets
-                // and recorded opcode mixes are identical to dispatching
-                // them individually, and the borrow ends before any
-                // other instruction (or a re-entrant native) runs
-                let slots = cur.env.globals.slots.borrow();
-                let mut idx = i;
-                loop {
-                    match &slots[idx as usize] {
-                        Some(v) => stack.push(v.clone()),
+            match op {
+                Op::Const(k) => stack.push(cur.proto.consts[k as usize].clone()),
+                Op::Void => stack.push(Value::Void),
+                Op::LoadLocal(i) => stack.push(stack[cur.base + i as usize].clone()),
+                Op::StoreLocal(i) => {
+                    let v = pop!();
+                    let slot = cur.base + i as usize;
+                    stack[slot] = v;
+                }
+                Op::LoadCapture(i) => stack.push(cur.env.captures[i as usize].clone()),
+                Op::LoadGlobal(i) => {
+                    // straight-line runs of loads (argument setup for a
+                    // call is the common case) share one slot borrow: each
+                    // extra load still pays its fuel and its counter, so
+                    // budgets and recorded opcode mixes are identical to
+                    // dispatching them individually, and the borrow ends
+                    // before any other instruction (or a re-entrant
+                    // native) runs
+                    let slots = cur.env.globals.slots.borrow();
+                    let mut idx = i;
+                    loop {
+                        match &slots[idx as usize] {
+                            Some(v) => stack.push(v.clone()),
+                            None => {
+                                let name = cur.env.globals.names[idx as usize];
+                                break 'exit Err(RtError::unbound(name));
+                            }
+                        }
+                        match cur.proto.code.get(cur.ip).copied() {
+                            Some(next @ Op::LoadGlobal(j)) if fuel > 0 => {
+                                idx = j;
+                                cur.ip += 1;
+                                fuel -= 1;
+                                if COUNT {
+                                    tally.record(&next);
+                                }
+                            }
+                            _ => break,
+                        }
+                    }
+                }
+                Op::StoreGlobal(i) => {
+                    let v = pop!();
+                    cur.env.globals.slots.borrow_mut()[i as usize] = Some(v);
+                }
+                Op::Jump(t) => cur.ip = t as usize,
+                Op::JumpIfFalse(t) => {
+                    if !pop!().is_truthy() {
+                        cur.ip = t as usize;
+                    }
+                }
+                Op::MakeClosure(i) => {
+                    let child = cur.proto.protos[i as usize].clone();
+                    let captures = child
+                        .captures
+                        .iter()
+                        .map(|src| match src {
+                            CaptureSrc::Local(s) => stack[cur.base + *s as usize].clone(),
+                            CaptureSrc::Capture(c) => cur.env.captures[*c as usize].clone(),
+                        })
+                        .collect();
+                    let env = Rc::new(VmEnv {
+                        captures,
+                        globals: cur.env.globals.clone(),
+                    });
+                    stack.push(Value::Closure(Rc::new(Closure {
+                        name: child.name,
+                        arity: child.arity,
+                        code: child,
+                        env,
+                    })));
+                }
+                Op::Call(n) => {
+                    match ok!(enter_call(
+                        stack,
+                        n as usize,
+                        None,
+                        frames.len() + 1,
+                        max_depth
+                    )) {
+                        Dispatch::Frame(f) => frames.push(std::mem::replace(&mut cur, f)),
+                        Dispatch::Done => {}
+                    }
+                }
+                Op::TailCall(n) => {
+                    let argstart = stack.len() - n as usize;
+                    // self-tail-call: the callee is bit-identical to the
+                    // closure this frame is already running (a loop the
+                    // compiler could not prove, such as a `letrec`-bound
+                    // one), so the frame can be reused in place — same
+                    // proto, same captures, no dispatch, no depth
+                    // bookkeeping. The exact-arity check is the whole of
+                    // `accepts` with `rest == false`, and the closure
+                    // guard keeps the outermost frame's dummy void callee
+                    // from ever matching itself.
+                    if n as usize == cur.proto.arity.required
+                        && !cur.proto.arity.rest
+                        && stack[argstart - 1].eq_identity(&stack[cur.base - 1])
+                        && stack[cur.base - 1].as_closure().is_some()
+                    {
+                        restart(stack, &mut cur, n as usize);
+                        continue;
+                    }
+                    match ok!(enter_call(
+                        stack,
+                        n as usize,
+                        Some(cur.base),
+                        frames.len(),
+                        max_depth
+                    )) {
+                        Dispatch::Frame(f) => cur = f,
+                        Dispatch::Done => {
+                            // a native/contracted callee completed the
+                            // tail call; unwind to the caller as `Return`
+                            // would
+                            let result = pop!();
+                            stack.truncate(cur.base - 1);
+                            match frames.pop() {
+                                Some(f) => {
+                                    cur = f;
+                                    stack.push(result);
+                                }
+                                None => break 'exit Ok(result),
+                            }
+                        }
+                    }
+                }
+                Op::Loop(n) => restart(stack, &mut cur, n as usize),
+                Op::Return => {
+                    let result = pop!();
+                    stack.truncate(cur.base - 1);
+                    match frames.pop() {
+                        Some(f) => {
+                            cur = f;
+                            stack.push(result);
+                        }
+                        None => break 'exit Ok(result),
+                    }
+                }
+                Op::Pop => {
+                    stack.pop();
+                }
+                Op::BoxNew => {
+                    let v = pop!();
+                    stack.push(Value::Box(Rc::new(RefCell::new(v))));
+                }
+                Op::BoxGet => {
+                    let v = pop!();
+                    match v.as_box() {
+                        Some(b) => {
+                            let inner = b.borrow().clone();
+                            stack.push(inner);
+                        }
+                        None => break 'exit Err(RtError::new(Kind::Internal, "BoxGet on non-box")),
+                    }
+                }
+                Op::BoxSet => {
+                    let v = pop!();
+                    let b = pop!();
+                    match b.as_box() {
+                        Some(b) => {
+                            *b.borrow_mut() = v;
+                        }
+                        None => break 'exit Err(RtError::new(Kind::Internal, "BoxSet on non-box")),
+                    }
+                    stack.push(Value::Void);
+                }
+
+                // ---- generic fast paths ----
+                Op::Add2(a, b) => ok!(arith(stack, &cur, a, b, add_value)),
+                Op::Sub2(a, b) => ok!(arith(stack, &cur, a, b, sub_value)),
+                Op::Mul2(a, b) => ok!(arith(stack, &cur, a, b, mul_value)),
+                Op::Div2(a, b) => ok!(arith(stack, &cur, a, b, div_value)),
+                Op::Lt2(a, b) => ok!(test(stack, &cur, a, b, lt)),
+                Op::Le2(a, b) => ok!(test(stack, &cur, a, b, le)),
+                Op::Gt2(a, b) => ok!(test(stack, &cur, a, b, gt)),
+                Op::Ge2(a, b) => ok!(test(stack, &cur, a, b, ge)),
+                Op::NumEq2(a, b) => ok!(test(stack, &cur, a, b, num_eq_value)),
+                Op::BrLt2(a, b, t) => ok!(branch(stack, &mut cur, a, b, t, lt)),
+                Op::BrLe2(a, b, t) => ok!(branch(stack, &mut cur, a, b, t, le)),
+                Op::BrGt2(a, b, t) => ok!(branch(stack, &mut cur, a, b, t, gt)),
+                Op::BrGe2(a, b, t) => ok!(branch(stack, &mut cur, a, b, t, ge)),
+                Op::BrNumEq2(a, b, t) => ok!(branch(stack, &mut cur, a, b, t, num_eq_value)),
+                Op::Add1 => {
+                    let a = pop!();
+                    stack.push(ok!(add_value(&a, &Value::Int(1))));
+                }
+                Op::Sub1 => {
+                    let a = pop!();
+                    stack.push(ok!(sub_value(&a, &Value::Int(1))));
+                }
+                Op::ZeroP(a) => {
+                    let x = ok!(unary(stack, &cur, a, zero_value));
+                    stack.push(Value::Bool(x));
+                }
+                Op::BrZeroP(a, t) => {
+                    if !ok!(unary(stack, &cur, a, zero_value)) {
+                        cur.ip = t as usize;
+                    }
+                }
+                Op::Car(a) => {
+                    let x = ok!(unary(stack, &cur, a, car_value));
+                    stack.push(x);
+                }
+                Op::Cdr(a) => {
+                    let x = ok!(unary(stack, &cur, a, cdr_value));
+                    stack.push(x);
+                }
+                Op::Cons => {
+                    let b = pop!();
+                    let a = pop!();
+                    stack.push(Value::cons(a, b));
+                }
+                Op::NullP(a) => {
+                    let x = ok!(unary(stack, &cur, a, |v| Ok(v.is_nil())));
+                    stack.push(Value::Bool(x));
+                }
+                Op::BrNullP(a, t) => {
+                    if !ok!(unary(stack, &cur, a, |v| Ok(v.is_nil()))) {
+                        cur.ip = t as usize;
+                    }
+                }
+                Op::PairP(a) => {
+                    let x = ok!(unary(stack, &cur, a, |v| Ok(v.as_pair().is_some())));
+                    stack.push(Value::Bool(x));
+                }
+                Op::BrPairP(a, t) => {
+                    if ok!(unary(stack, &cur, a, |v| Ok(v.as_pair().is_none()))) {
+                        cur.ip = t as usize;
+                    }
+                }
+                Op::Not => {
+                    let a = pop!();
+                    stack.push(Value::Bool(!a.is_truthy()));
+                }
+                Op::EqP => {
+                    let b = pop!();
+                    let a = pop!();
+                    stack.push(Value::Bool(a.eq_identity(&b)));
+                }
+                Op::VectorRef(a, b) => ok!(arith(stack, &cur, a, b, vector_ref_value)),
+                Op::VectorSet => {
+                    let x = pop!();
+                    let i = pop!();
+                    let v = pop!();
+                    match (v.as_vector(), i.as_int()) {
+                        (Some(vec), Some(n)) => {
+                            let mut vec = vec.borrow_mut();
+                            let idx = n as usize;
+                            if n < 0 || idx >= vec.len() {
+                                break 'exit Err(RtError::new(
+                                    Kind::Range,
+                                    format!(
+                                        "vector-set!: index {n} out of range for length {}",
+                                        vec.len()
+                                    ),
+                                ));
+                            }
+                            vec[idx] = x;
+                        }
+                        _ => {
+                            break 'exit Err(RtError::type_error(
+                                "vector-set!: expected vector and index",
+                            ))
+                        }
+                    }
+                    stack.push(Value::Void);
+                }
+                Op::VectorLength => {
+                    let v = pop!();
+                    match v.as_vector() {
+                        Some(vec) => {
+                            let len = vec.borrow().len() as i64;
+                            stack.push(Value::Int(len));
+                        }
                         None => {
-                            let name = cur.env.globals.names[idx as usize];
-                            return Err(RtError::unbound(name));
-                        }
-                    }
-                    match cur.proto.code.get(cur.ip).copied() {
-                        Some(Op::LoadGlobal(j)) if *fuel > 0 => {
-                            idx = j;
-                            cur.ip += 1;
-                            *fuel -= 1;
-                            if COUNT {
-                                crate::counters::record(&Op::LoadGlobal(idx));
-                            }
-                        }
-                        _ => break,
-                    }
-                }
-            }
-            Op::StoreGlobal(i) => {
-                let v = pop!(stack);
-                cur.env.globals.slots.borrow_mut()[i as usize] = Some(v);
-            }
-            Op::Jump(t) => cur.ip = t as usize,
-            Op::JumpIfFalse(t) => {
-                if !pop!(stack).is_truthy() {
-                    cur.ip = t as usize;
-                }
-            }
-            Op::MakeClosure(i) => {
-                let child = cur.proto.protos[i as usize].clone();
-                let captures = child
-                    .captures
-                    .iter()
-                    .map(|src| match src {
-                        CaptureSrc::Local(s) => stack[cur.base + *s as usize].clone(),
-                        CaptureSrc::Capture(c) => cur.env.captures[*c as usize].clone(),
-                    })
-                    .collect();
-                let env = Rc::new(VmEnv {
-                    captures,
-                    globals: cur.env.globals.clone(),
-                });
-                stack.push(Value::Closure(Rc::new(Closure {
-                    name: child.name,
-                    arity: child.arity,
-                    code: child,
-                    env,
-                })));
-            }
-            Op::Call(n) => match enter_call(stack, n as usize, None, frames.len() + 1)? {
-                Dispatch::Frame(f) => frames.push(std::mem::replace(&mut cur, f)),
-                Dispatch::Done => {}
-            },
-            Op::TailCall(n) => {
-                let argstart = stack.len() - n as usize;
-                // self-tail-call: the callee is bit-identical to the
-                // closure this frame is already running (the common
-                // shape of every compiled loop), so the frame can be
-                // reused in place — same proto, same captures, no
-                // dispatch, no depth bookkeeping. The exact-arity check
-                // is the whole of `accepts` with `rest == false`, and
-                // the closure guard keeps the outermost frame's dummy
-                // void callee from ever matching itself.
-                if n as usize == cur.proto.arity.required
-                    && !cur.proto.arity.rest
-                    && stack[argstart - 1].eq_identity(&stack[cur.base - 1])
-                    && stack[cur.base - 1].as_closure().is_some()
-                {
-                    for i in 0..n as usize {
-                        stack.swap(cur.base + i, argstart + i);
-                    }
-                    stack.truncate(cur.base + n as usize);
-                    while stack.len() < cur.base + cur.proto.nlocals as usize {
-                        stack.push(Value::Void);
-                    }
-                    cur.ip = 0;
-                    continue;
-                }
-                match enter_call(stack, n as usize, Some(cur.base), frames.len())? {
-                    Dispatch::Frame(f) => cur = f,
-                    Dispatch::Done => {
-                        // a native/contracted callee completed the tail
-                        // call; unwind to the caller as `Return` would
-                        let result = pop!(stack);
-                        stack.truncate(cur.base - 1);
-                        match frames.pop() {
-                            Some(f) => {
-                                cur = f;
-                                stack.push(result);
-                            }
-                            None => return Ok(result),
+                            break 'exit Err(RtError::type_error(format!(
+                                "vector-length: expected vector, got {}",
+                                v.write_string()
+                            )))
                         }
                     }
                 }
-            }
-            Op::Return => {
-                let result = pop!(stack);
-                stack.truncate(cur.base - 1);
-                match frames.pop() {
-                    Some(f) => {
-                        cur = f;
-                        stack.push(result);
-                    }
-                    None => return Ok(result),
-                }
-            }
-            Op::Pop => {
-                stack.pop();
-            }
-            Op::BoxNew => {
-                let v = pop!(stack);
-                stack.push(Value::Box(Rc::new(RefCell::new(v))));
-            }
-            Op::BoxGet => {
-                let v = pop!(stack);
-                match v.as_box() {
-                    Some(b) => {
-                        let inner = b.borrow().clone();
-                        stack.push(inner);
-                    }
-                    None => return Err(RtError::new(Kind::Internal, "BoxGet on non-box")),
-                }
-            }
-            Op::BoxSet => {
-                let v = pop!(stack);
-                let b = pop!(stack);
-                match b.as_box() {
-                    Some(b) => {
-                        *b.borrow_mut() = v;
-                    }
-                    None => return Err(RtError::new(Kind::Internal, "BoxSet on non-box")),
-                }
-                stack.push(Value::Void);
-            }
 
-            // ---- generic fast paths ----
-            Op::Add2(a, b) => arith(stack, &cur, a, b, add_value)?,
-            Op::Sub2(a, b) => arith(stack, &cur, a, b, sub_value)?,
-            Op::Mul2(a, b) => arith(stack, &cur, a, b, mul_value)?,
-            Op::Div2(a, b) => arith(stack, &cur, a, b, div_value)?,
-            Op::Lt2(a, b) => test(stack, &cur, a, b, lt)?,
-            Op::Le2(a, b) => test(stack, &cur, a, b, le)?,
-            Op::Gt2(a, b) => test(stack, &cur, a, b, gt)?,
-            Op::Ge2(a, b) => test(stack, &cur, a, b, ge)?,
-            Op::NumEq2(a, b) => test(stack, &cur, a, b, num_eq_value)?,
-            Op::BrLt2(a, b, t) => branch(stack, &mut cur, a, b, t, lt)?,
-            Op::BrLe2(a, b, t) => branch(stack, &mut cur, a, b, t, le)?,
-            Op::BrGt2(a, b, t) => branch(stack, &mut cur, a, b, t, gt)?,
-            Op::BrGe2(a, b, t) => branch(stack, &mut cur, a, b, t, ge)?,
-            Op::BrNumEq2(a, b, t) => branch(stack, &mut cur, a, b, t, num_eq_value)?,
-            Op::Add1 => {
-                let a = pop!(stack);
-                stack.push(add_value(&a, &Value::Int(1))?);
-            }
-            Op::Sub1 => {
-                let a = pop!(stack);
-                stack.push(sub_value(&a, &Value::Int(1))?);
-            }
-            Op::ZeroP(a) => {
-                let x = unary(stack, &cur, a, zero_value)??;
-                stack.push(Value::Bool(x));
-            }
-            Op::BrZeroP(a, t) => {
-                if !unary(stack, &cur, a, zero_value)?? {
-                    cur.ip = t as usize;
+                // ---- unsafe specialized instructions ----
+                Op::FlAdd(a, b) => ok!(fl(stack, &cur, a, b, |x, y| x + y)),
+                Op::FlSub(a, b) => ok!(fl(stack, &cur, a, b, |x, y| x - y)),
+                Op::FlMul(a, b) => ok!(fl(stack, &cur, a, b, |x, y| x * y)),
+                Op::FlDiv(a, b) => ok!(fl(stack, &cur, a, b, |x, y| x / y)),
+                Op::FlMin(a, b) => ok!(fl(stack, &cur, a, b, number::flmin)),
+                Op::FlMax(a, b) => ok!(fl(stack, &cur, a, b, number::flmax)),
+                Op::FlLt(a, b) => ok!(test(stack, &cur, a, b, |x, y| Ok(flval!(x) < flval!(y)))),
+                Op::FlLe(a, b) => ok!(test(stack, &cur, a, b, |x, y| Ok(flval!(x) <= flval!(y)))),
+                Op::FlGt(a, b) => ok!(test(stack, &cur, a, b, |x, y| Ok(flval!(x) > flval!(y)))),
+                Op::FlGe(a, b) => ok!(test(stack, &cur, a, b, |x, y| Ok(flval!(x) >= flval!(y)))),
+                Op::FlEq(a, b) => ok!(test(stack, &cur, a, b, |x, y| Ok(flval!(x) == flval!(y)))),
+                Op::BrFlLt(a, b, t) => {
+                    ok!(branch(stack, &mut cur, a, b, t, |x, y| Ok(
+                        flval!(x) < flval!(y)
+                    )))
                 }
-            }
-            Op::Car(a) => {
-                let x = unary(stack, &cur, a, car_value)??;
-                stack.push(x);
-            }
-            Op::Cdr(a) => {
-                let x = unary(stack, &cur, a, cdr_value)??;
-                stack.push(x);
-            }
-            Op::Cons => {
-                let b = pop!(stack);
-                let a = pop!(stack);
-                stack.push(Value::cons(a, b));
-            }
-            Op::NullP(a) => {
-                let x = unary(stack, &cur, a, Value::is_nil)?;
-                stack.push(Value::Bool(x));
-            }
-            Op::BrNullP(a, t) => {
-                if !unary(stack, &cur, a, Value::is_nil)? {
-                    cur.ip = t as usize;
+                Op::BrFlLe(a, b, t) => {
+                    ok!(branch(stack, &mut cur, a, b, t, |x, y| Ok(
+                        flval!(x) <= flval!(y)
+                    )))
                 }
-            }
-            Op::PairP(a) => {
-                let x = unary(stack, &cur, a, |v| v.as_pair().is_some())?;
-                stack.push(Value::Bool(x));
-            }
-            Op::BrPairP(a, t) => {
-                if unary(stack, &cur, a, |v| v.as_pair().is_none())? {
-                    cur.ip = t as usize;
+                Op::BrFlGt(a, b, t) => {
+                    ok!(branch(stack, &mut cur, a, b, t, |x, y| Ok(
+                        flval!(x) > flval!(y)
+                    )))
                 }
-            }
-            Op::Not => {
-                let a = pop!(stack);
-                stack.push(Value::Bool(!a.is_truthy()));
-            }
-            Op::EqP => {
-                let b = pop!(stack);
-                let a = pop!(stack);
-                stack.push(Value::Bool(a.eq_identity(&b)));
-            }
-            Op::VectorRef(a, b) => arith(stack, &cur, a, b, vector_ref_value)?,
-            Op::VectorSet => {
-                let x = pop!(stack);
-                let i = pop!(stack);
-                let v = pop!(stack);
-                match (v.as_vector(), i.as_int()) {
-                    (Some(vec), Some(n)) => {
+                Op::BrFlGe(a, b, t) => {
+                    ok!(branch(stack, &mut cur, a, b, t, |x, y| Ok(
+                        flval!(x) >= flval!(y)
+                    )))
+                }
+                Op::BrFlEq(a, b, t) => {
+                    ok!(branch(stack, &mut cur, a, b, t, |x, y| Ok(
+                        flval!(x) == flval!(y)
+                    )))
+                }
+                Op::FlSqrt => {
+                    let a = flval!(pop!());
+                    stack.push(Value::Float(a.sqrt()));
+                }
+                Op::FlAbs => {
+                    let a = flval!(pop!());
+                    stack.push(Value::Float(a.abs()));
+                }
+                Op::FxAdd(a, b) => ok!(fx(stack, &cur, a, b, i64::wrapping_add)),
+                Op::FxSub(a, b) => ok!(fx(stack, &cur, a, b, i64::wrapping_sub)),
+                Op::FxMul(a, b) => ok!(fx(stack, &cur, a, b, i64::wrapping_mul)),
+                Op::FxLt(a, b) => ok!(test(stack, &cur, a, b, |x, y| Ok(fxval!(x) < fxval!(y)))),
+                Op::FxLe(a, b) => ok!(test(stack, &cur, a, b, |x, y| Ok(fxval!(x) <= fxval!(y)))),
+                Op::FxGt(a, b) => ok!(test(stack, &cur, a, b, |x, y| Ok(fxval!(x) > fxval!(y)))),
+                Op::FxGe(a, b) => ok!(test(stack, &cur, a, b, |x, y| Ok(fxval!(x) >= fxval!(y)))),
+                Op::FxEq(a, b) => ok!(test(stack, &cur, a, b, |x, y| Ok(fxval!(x) == fxval!(y)))),
+                Op::BrFxLt(a, b, t) => {
+                    ok!(branch(stack, &mut cur, a, b, t, |x, y| Ok(
+                        fxval!(x) < fxval!(y)
+                    )))
+                }
+                Op::BrFxLe(a, b, t) => {
+                    ok!(branch(stack, &mut cur, a, b, t, |x, y| Ok(
+                        fxval!(x) <= fxval!(y)
+                    )))
+                }
+                Op::BrFxGt(a, b, t) => {
+                    ok!(branch(stack, &mut cur, a, b, t, |x, y| Ok(
+                        fxval!(x) > fxval!(y)
+                    )))
+                }
+                Op::BrFxGe(a, b, t) => {
+                    ok!(branch(stack, &mut cur, a, b, t, |x, y| Ok(
+                        fxval!(x) >= fxval!(y)
+                    )))
+                }
+                Op::BrFxEq(a, b, t) => {
+                    ok!(branch(stack, &mut cur, a, b, t, |x, y| Ok(
+                        fxval!(x) == fxval!(y)
+                    )))
+                }
+                Op::FcAdd(a, b) => {
+                    ok!(fc(stack, &cur, a, b, |(ar, ai), (br, bi)| (
+                        ar + br,
+                        ai + bi
+                    )))
+                }
+                Op::FcSub(a, b) => {
+                    ok!(fc(stack, &cur, a, b, |(ar, ai), (br, bi)| (
+                        ar - br,
+                        ai - bi
+                    )))
+                }
+                Op::FcMul(a, b) => ok!(fc(stack, &cur, a, b, |(ar, ai), (br, bi)| {
+                    (ar * br - ai * bi, ar * bi + ai * br)
+                })),
+                Op::FcDiv(a, b) => ok!(fc(stack, &cur, a, b, |(ar, ai), (br, bi)| {
+                    let d = br * br + bi * bi;
+                    ((ar * br + ai * bi) / d, (ai * br - ar * bi) / d)
+                })),
+                Op::FcMag => {
+                    let (re, im) = fcval!(pop!());
+                    stack.push(Value::Float(re.hypot(im)));
+                }
+                Op::UnsafeCar(a) => {
+                    let x = ok!(unary(stack, &cur, a, |v| Ok(match v.as_pair() {
+                        Some(p) => p.0.clone(),
+                        None => v.clone(),
+                    })));
+                    stack.push(x);
+                }
+                Op::UnsafeCdr(a) => {
+                    let x = ok!(unary(stack, &cur, a, |v| Ok(match v.as_pair() {
+                        Some(p) => p.1.clone(),
+                        None => v.clone(),
+                    })));
+                    stack.push(x);
+                }
+                Op::UnsafeVectorRef(a, b) => ok!(arith(stack, &cur, a, b, |v, i| {
+                    Ok(match (v.as_vector(), i.as_int()) {
+                        (Some(vec), Some(n)) => {
+                            vec.borrow().get(n as usize).cloned().unwrap_or(Value::Void)
+                        }
+                        _ => Value::Void,
+                    })
+                })),
+                Op::UnsafeVectorSet => {
+                    let x = pop!();
+                    let i = pop!();
+                    let v = pop!();
+                    if let (Some(vec), Some(n)) = (v.as_vector(), i.as_int()) {
                         let mut vec = vec.borrow_mut();
                         let idx = n as usize;
-                        if n < 0 || idx >= vec.len() {
-                            return Err(RtError::new(
-                                Kind::Range,
-                                format!(
-                                    "vector-set!: index {n} out of range for length {}",
-                                    vec.len()
-                                ),
-                            ));
+                        if idx < vec.len() {
+                            vec[idx] = x;
                         }
-                        vec[idx] = x;
                     }
-                    _ => {
-                        return Err(RtError::type_error(
-                            "vector-set!: expected vector and index",
-                        ))
-                    }
+                    stack.push(Value::Void);
                 }
-                stack.push(Value::Void);
-            }
-            Op::VectorLength => {
-                let v = pop!(stack);
-                match v.as_vector() {
-                    Some(vec) => {
-                        let len = vec.borrow().len() as i64;
-                        stack.push(Value::Int(len));
-                    }
-                    None => {
-                        return Err(RtError::type_error(format!(
-                            "vector-length: expected vector, got {}",
-                            v.write_string()
-                        )))
-                    }
+                Op::UnsafeVectorLength => {
+                    let v = pop!();
+                    let len = v.as_vector().map_or(0, |vec| vec.borrow().len() as i64);
+                    stack.push(Value::Int(len));
                 }
-            }
-
-            // ---- unsafe specialized instructions ----
-            Op::FlAdd(a, b) => fl(stack, &cur, a, b, |x, y| x + y)?,
-            Op::FlSub(a, b) => fl(stack, &cur, a, b, |x, y| x - y)?,
-            Op::FlMul(a, b) => fl(stack, &cur, a, b, |x, y| x * y)?,
-            Op::FlDiv(a, b) => fl(stack, &cur, a, b, |x, y| x / y)?,
-            Op::FlMin(a, b) => fl(stack, &cur, a, b, number::flmin)?,
-            Op::FlMax(a, b) => fl(stack, &cur, a, b, number::flmax)?,
-            Op::FlLt(a, b) => test(stack, &cur, a, b, |x, y| Ok(flval!(x) < flval!(y)))?,
-            Op::FlLe(a, b) => test(stack, &cur, a, b, |x, y| Ok(flval!(x) <= flval!(y)))?,
-            Op::FlGt(a, b) => test(stack, &cur, a, b, |x, y| Ok(flval!(x) > flval!(y)))?,
-            Op::FlGe(a, b) => test(stack, &cur, a, b, |x, y| Ok(flval!(x) >= flval!(y)))?,
-            Op::FlEq(a, b) => test(stack, &cur, a, b, |x, y| Ok(flval!(x) == flval!(y)))?,
-            Op::BrFlLt(a, b, t) => {
-                branch(stack, &mut cur, a, b, t, |x, y| Ok(flval!(x) < flval!(y)))?
-            }
-            Op::BrFlLe(a, b, t) => {
-                branch(stack, &mut cur, a, b, t, |x, y| Ok(flval!(x) <= flval!(y)))?
-            }
-            Op::BrFlGt(a, b, t) => {
-                branch(stack, &mut cur, a, b, t, |x, y| Ok(flval!(x) > flval!(y)))?
-            }
-            Op::BrFlGe(a, b, t) => {
-                branch(stack, &mut cur, a, b, t, |x, y| Ok(flval!(x) >= flval!(y)))?
-            }
-            Op::BrFlEq(a, b, t) => {
-                branch(stack, &mut cur, a, b, t, |x, y| Ok(flval!(x) == flval!(y)))?
-            }
-            Op::FlSqrt => {
-                let a = flval!(pop!(stack));
-                stack.push(Value::Float(a.sqrt()));
-            }
-            Op::FlAbs => {
-                let a = flval!(pop!(stack));
-                stack.push(Value::Float(a.abs()));
-            }
-            Op::FxAdd(a, b) => fx(stack, &cur, a, b, i64::wrapping_add)?,
-            Op::FxSub(a, b) => fx(stack, &cur, a, b, i64::wrapping_sub)?,
-            Op::FxMul(a, b) => fx(stack, &cur, a, b, i64::wrapping_mul)?,
-            Op::FxLt(a, b) => test(stack, &cur, a, b, |x, y| Ok(fxval!(x) < fxval!(y)))?,
-            Op::FxLe(a, b) => test(stack, &cur, a, b, |x, y| Ok(fxval!(x) <= fxval!(y)))?,
-            Op::FxGt(a, b) => test(stack, &cur, a, b, |x, y| Ok(fxval!(x) > fxval!(y)))?,
-            Op::FxGe(a, b) => test(stack, &cur, a, b, |x, y| Ok(fxval!(x) >= fxval!(y)))?,
-            Op::FxEq(a, b) => test(stack, &cur, a, b, |x, y| Ok(fxval!(x) == fxval!(y)))?,
-            Op::BrFxLt(a, b, t) => {
-                branch(stack, &mut cur, a, b, t, |x, y| Ok(fxval!(x) < fxval!(y)))?
-            }
-            Op::BrFxLe(a, b, t) => {
-                branch(stack, &mut cur, a, b, t, |x, y| Ok(fxval!(x) <= fxval!(y)))?
-            }
-            Op::BrFxGt(a, b, t) => {
-                branch(stack, &mut cur, a, b, t, |x, y| Ok(fxval!(x) > fxval!(y)))?
-            }
-            Op::BrFxGe(a, b, t) => {
-                branch(stack, &mut cur, a, b, t, |x, y| Ok(fxval!(x) >= fxval!(y)))?
-            }
-            Op::BrFxEq(a, b, t) => {
-                branch(stack, &mut cur, a, b, t, |x, y| Ok(fxval!(x) == fxval!(y)))?
-            }
-            Op::FcAdd(a, b) => fc(stack, &cur, a, b, |(ar, ai), (br, bi)| (ar + br, ai + bi))?,
-            Op::FcSub(a, b) => fc(stack, &cur, a, b, |(ar, ai), (br, bi)| (ar - br, ai - bi))?,
-            Op::FcMul(a, b) => fc(stack, &cur, a, b, |(ar, ai), (br, bi)| {
-                (ar * br - ai * bi, ar * bi + ai * br)
-            })?,
-            Op::FcDiv(a, b) => fc(stack, &cur, a, b, |(ar, ai), (br, bi)| {
-                let d = br * br + bi * bi;
-                ((ar * br + ai * bi) / d, (ai * br - ar * bi) / d)
-            })?,
-            Op::FcMag => {
-                let (re, im) = fcval!(pop!(stack));
-                stack.push(Value::Float(re.hypot(im)));
-            }
-            Op::UnsafeCar(a) => {
-                let x = unary(stack, &cur, a, |v| match v.as_pair() {
-                    Some(p) => p.0.clone(),
-                    None => v.clone(),
-                })?;
-                stack.push(x);
-            }
-            Op::UnsafeCdr(a) => {
-                let x = unary(stack, &cur, a, |v| match v.as_pair() {
-                    Some(p) => p.1.clone(),
-                    None => v.clone(),
-                })?;
-                stack.push(x);
-            }
-            Op::UnsafeVectorRef(a, b) => arith(stack, &cur, a, b, |v, i| {
-                Ok(match (v.as_vector(), i.as_int()) {
-                    (Some(vec), Some(n)) => {
-                        vec.borrow().get(n as usize).cloned().unwrap_or(Value::Void)
-                    }
-                    _ => Value::Void,
-                })
-            })?,
-            Op::UnsafeVectorSet => {
-                let x = pop!(stack);
-                let i = pop!(stack);
-                let v = pop!(stack);
-                if let (Some(vec), Some(n)) = (v.as_vector(), i.as_int()) {
-                    let mut vec = vec.borrow_mut();
-                    let idx = n as usize;
-                    if idx < vec.len() {
-                        vec[idx] = x;
-                    }
+                Op::FxToFl(a) => {
+                    let x = ok!(unary(stack, &cur, a, |v| Ok(fxval!(v) as f64)));
+                    stack.push(Value::Float(x));
                 }
-                stack.push(Value::Void);
-            }
-            Op::UnsafeVectorLength => {
-                let v = pop!(stack);
-                let len = v.as_vector().map_or(0, |vec| vec.borrow().len() as i64);
-                stack.push(Value::Int(len));
-            }
-            Op::FxToFl(a) => {
-                let x = unary(stack, &cur, a, |v| fxval!(v) as f64)?;
-                stack.push(Value::Float(x));
             }
         }
+    };
+    bufs.stack = std::mem::take(stack);
+    lagoon_diag::limits::vm_return_fuel(fuel);
+    if COUNT {
+        crate::counters::add(&tally);
     }
+    result
+}
+
+/// Restarts `frame` with the `n` arguments on top of the stack as its
+/// parameters and its other locals reset to void.
+#[inline(always)]
+fn restart(stack: &mut Vec<Value>, frame: &mut Frame, n: usize) {
+    let argstart = stack.len() - n;
+    for i in 0..n {
+        stack.swap(frame.base + i, argstart + i);
+    }
+    stack.truncate(frame.base + n);
+    while stack.len() < frame.base + frame.proto.nlocals as usize {
+        stack.push(Value::Void);
+    }
+    frame.ip = 0;
 }
 
 /// The operand `arg` addresses: `held` when it was popped, otherwise a
@@ -725,29 +804,30 @@ fn operand<'a>(
 }
 
 /// Applies `f` to the operands `a` and `b` address. Stack-top operands
-/// are popped first, `b` from above `a`, as the pushes left them.
+/// are popped first, `b` from above `a`, as the pushes left them. (Read
+/// in place and popped after `f`, they measured slower: see DESIGN.md.)
 #[inline(always)]
 fn binary<R>(
     stack: &mut Vec<Value>,
     frame: &Frame,
     a: Arg,
     b: Arg,
-    f: impl FnOnce(&Value, &Value) -> R,
+    f: impl FnOnce(&Value, &Value) -> Result<R, RtError>,
 ) -> Result<R, RtError> {
     let held_b = if b.is_stack() {
-        Some(pop!(stack))
+        Some(stack.pop().ok_or_else(underflow)?)
     } else {
         None
     };
     let held_a = if a.is_stack() {
-        Some(pop!(stack))
+        Some(stack.pop().ok_or_else(underflow)?)
     } else {
         None
     };
-    Ok(f(
+    f(
         operand(a, &held_a, stack, frame),
         operand(b, &held_b, stack, frame),
-    ))
+    )
 }
 
 /// Applies `f` to the operand `a` addresses.
@@ -756,14 +836,14 @@ fn unary<R>(
     stack: &mut Vec<Value>,
     frame: &Frame,
     a: Arg,
-    f: impl FnOnce(&Value) -> R,
+    f: impl FnOnce(&Value) -> Result<R, RtError>,
 ) -> Result<R, RtError> {
     let held = if a.is_stack() {
-        Some(pop!(stack))
+        Some(stack.pop().ok_or_else(underflow)?)
     } else {
         None
     };
-    Ok(f(operand(a, &held, stack, frame)))
+    f(operand(a, &held, stack, frame))
 }
 
 type Test = fn(&Value, &Value) -> Result<bool, RtError>;
@@ -777,7 +857,7 @@ fn arith(
     b: Arg,
     f: fn(&Value, &Value) -> Result<Value, RtError>,
 ) -> Result<(), RtError> {
-    let x = binary(stack, frame, a, b, f)??;
+    let x = binary(stack, frame, a, b, f)?;
     stack.push(x);
     Ok(())
 }
@@ -785,7 +865,7 @@ fn arith(
 /// A comparison or predicate whose result is pushed as a boolean.
 #[inline(always)]
 fn test(stack: &mut Vec<Value>, frame: &Frame, a: Arg, b: Arg, f: Test) -> Result<(), RtError> {
-    let x = binary(stack, frame, a, b, f)??;
+    let x = binary(stack, frame, a, b, f)?;
     stack.push(Value::Bool(x));
     Ok(())
 }
@@ -801,7 +881,7 @@ fn branch(
     t: u32,
     f: Test,
 ) -> Result<(), RtError> {
-    if !binary(stack, frame, a, b, f)?? {
+    if !binary(stack, frame, a, b, f)? {
         frame.ip = t as usize;
     }
     Ok(())
@@ -815,7 +895,7 @@ fn fl(
     b: Arg,
     f: fn(f64, f64) -> f64,
 ) -> Result<(), RtError> {
-    let x = binary(stack, frame, a, b, |x, y| f(flval!(x), flval!(y)))?;
+    let x = binary(stack, frame, a, b, |x, y| Ok(f(flval!(x), flval!(y))))?;
     stack.push(Value::Float(x));
     Ok(())
 }
@@ -828,7 +908,7 @@ fn fx(
     b: Arg,
     f: fn(i64, i64) -> i64,
 ) -> Result<(), RtError> {
-    let x = binary(stack, frame, a, b, |x, y| f(fxval!(x), fxval!(y)))?;
+    let x = binary(stack, frame, a, b, |x, y| Ok(f(fxval!(x), fxval!(y))))?;
     stack.push(Value::Int(x));
     Ok(())
 }
@@ -837,7 +917,7 @@ type FcOp = fn((f64, f64), (f64, f64)) -> (f64, f64);
 
 #[inline(always)]
 fn fc(stack: &mut Vec<Value>, frame: &Frame, a: Arg, b: Arg, f: FcOp) -> Result<(), RtError> {
-    let (re, im) = binary(stack, frame, a, b, |x, y| f(fcval!(x), fcval!(y)))?;
+    let (re, im) = binary(stack, frame, a, b, |x, y| Ok(f(fcval!(x), fcval!(y))))?;
     stack.push(Value::Complex(re, im));
     Ok(())
 }
@@ -1022,12 +1102,13 @@ enum Dispatch {
 /// stack. For a tail call, `tail_base` is the current frame's base: the
 /// callee and arguments are moved down over the frame being replaced.
 /// `depth` is the number of frames that would sit *below* the callee's
-/// frame (for the stack-depth limit).
+/// frame, checked against `max_depth`.
 fn enter_call(
     stack: &mut Vec<Value>,
     n: usize,
     tail_base: Option<usize>,
     depth: usize,
+    max_depth: u64,
 ) -> Result<Dispatch, RtError> {
     let mut n = n;
     let mut argstart = stack.len() - n;
@@ -1049,9 +1130,9 @@ fn enter_call(
     }
 
     loop {
-        let f = stack[argstart - 1].clone();
+        let f = &stack[argstart - 1];
         if let Some(nat) = f.as_native() {
-            if is_apply_native(&f) {
+            if is_apply_native(f) {
                 // replace `apply f a … lst` with `f a … lst-elems`;
                 // the new callee lands back at `argstart - 1`
                 let all: Vec<Value> = stack.drain(argstart - 1..).collect();
@@ -1061,7 +1142,7 @@ fn enter_call(
                 stack.extend(nargs);
                 continue;
             }
-            if crate::engine::is_cwv_native(&f) {
+            if crate::engine::is_cwv_native(f) {
                 // replace `call-with-values producer consumer` with
                 // `consumer v…` (the producer runs reentrantly)
                 let all: Vec<Value> = stack.drain(argstart - 1..).collect();
@@ -1090,7 +1171,7 @@ fn enter_call(
         }
         if let Some(c) = f.as_closure() {
             let (proto, env) = downcast_closure(c)?;
-            let frame = make_frame(stack, proto, env, argstart, n, depth)?;
+            let frame = make_frame(stack, proto, env, argstart, n, depth, max_depth)?;
             return Ok(Dispatch::Frame(frame));
         }
         return Err(RtError::type_error(format!(
@@ -1102,7 +1183,8 @@ fn enter_call(
 
 /// Sets up a frame for `proto` whose arguments occupy
 /// `stack[base..base + n]`: checks arity, collapses rest arguments, pads
-/// locals. `depth` is the number of frames already below this one.
+/// locals. `depth` is the number of frames already below this one, and
+/// `max_depth` the configured limit on it.
 fn make_frame(
     stack: &mut Vec<Value>,
     proto: Rc<Proto>,
@@ -1110,11 +1192,12 @@ fn make_frame(
     base: usize,
     n: usize,
     depth: usize,
+    max_depth: u64,
 ) -> Result<Frame, RtError> {
     // frames live on the heap, so this is a policy limit rather than a
     // host-stack safety one: deep non-tail recursion gets a structured
     // stack-overflow diagnostic instead of unbounded memory growth
-    if depth as u64 >= lagoon_diag::limits::max_stack_depth() {
+    if depth as u64 >= max_depth {
         return Err(RtError::from(lagoon_diag::limits::stack_overflow()));
     }
     if !proto.arity.accepts(n) {

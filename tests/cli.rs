@@ -1,5 +1,6 @@
 //! The `lagoon` command line: `run --stats` keeps its report when the
-//! run fails, as text and as `--json`.
+//! run fails, as text and as `--json`, and `build` spends its limits on
+//! the modules it builds.
 
 use lagoon::server::json::{self, Json};
 use std::path::PathBuf;
@@ -55,6 +56,61 @@ fn stats_report_survives_a_failed_run() {
         Some("vm-steps")
     );
     assert!(matches!(report.get("opcodes"), Some(Json::Arr(rows)) if !rows.is_empty()));
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A module whose own expansion takes more than five steps.
+const MACROS: &str = "#lang lagoon\n\
+                      (define (f x)\n\
+                        (cond [(< x 0) 'neg] [(= x 0) 'zero]\n\
+                              [else (let* ([a 1] [b 2]) (and a b (or #f x)))]))\n\
+                      (f 2)\n";
+
+#[test]
+fn build_limits_apply_to_the_modules_not_the_prelude() {
+    // a worker that installed its limits before bootstrapping its world
+    // exhausted them in the prelude, lost the entry from the report and
+    // exited 0
+    let dir = std::env::temp_dir().join(format!("lagoon-cli-build-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let file = dir.join("l4.lag");
+    std::fs::write(&file, MACROS).expect("write module");
+    let output = Command::new(env!("CARGO_BIN_EXE_lagoon"))
+        .arg("build")
+        .arg(&file)
+        .args(["--max-expand-steps", "5", "--json", "--cache-dir"])
+        .arg(dir.join("compiled"))
+        .output()
+        .expect("run lagoon");
+    assert_eq!(output.status.code(), Some(1), "{output:?}");
+    let stdout = String::from_utf8_lossy(&output.stdout);
+    let line = stdout.lines().last().expect("a report line");
+    let parsed = json::parse(line).unwrap_or_else(|e| panic!("{e}: {line}"));
+    let Some(Json::Arr(modules)) = parsed.get("modules") else {
+        panic!("no modules: {parsed}");
+    };
+    assert_eq!(modules.len(), 1, "{parsed}");
+    let field = |key| modules[0].get(key).and_then(Json::as_str).unwrap_or("");
+    assert_eq!(
+        (field("name"), field("status")),
+        ("l4", "failed"),
+        "{parsed}"
+    );
+    assert!(
+        field("detail").starts_with("resource exhausted (expansion-steps)"),
+        "{parsed}"
+    );
+
+    // the default limits build it
+    let output = Command::new(env!("CARGO_BIN_EXE_lagoon"))
+        .arg("build")
+        .arg(&file)
+        .arg("--cache-dir")
+        .arg(dir.join("compiled"))
+        .output()
+        .expect("run lagoon");
+    assert_eq!(output.status.code(), Some(0), "{output:?}");
 
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -155,8 +155,8 @@ impl Expr {
 /// A random expression over the variables in `vars` (name, is-Float).
 /// The shapes reach every instruction form the compiler emits: operands
 /// that are locals, constants, captures or nested calls, comparisons and
-/// `zero?` as `if` tests, and (when `calls_loop`) a call to the
-/// tail-recursive `loop`.
+/// `zero?` as `if` tests, negated or not, and (when `calls_loop`) a call
+/// to the tail-recursive `loop`, whose self call is a `Loop`.
 fn arb_expr(rng: &mut Rng, depth: usize, vars: &[(String, bool)], calls_loop: bool) -> Expr {
     if depth == 0 || rng.below(4) == 0 {
         return match rng.below(5) {
@@ -190,7 +190,8 @@ fn arb_expr(rng: &mut Rng, depth: usize, vars: &[(String, bool)], calls_loop: bo
                 Expr::shape("(sqrt (exact->inexact (abs {})))", &[&a], true)
             }
         }
-        // a comparison or `zero?` as an `if` test
+        // a comparison or `zero?` as an `if` test, sometimes negated
+        // (the compiler swaps the arms, which NaN operands must survive)
         3 | 4 => {
             let test = if rng.below(4) == 0 {
                 Expr::shape("(zero? {})", &[&sub(rng)], false)
@@ -198,6 +199,11 @@ fn arb_expr(rng: &mut Rng, depth: usize, vars: &[(String, bool)], calls_loop: bo
                 let op = ["<", "<=", ">", ">=", "="][rng.below(5)];
                 let (a, b) = (sub(rng), sub(rng));
                 Expr::shape(&format!("({op} {{}} {{}})"), &[&a, &b], false)
+            };
+            let test = if rng.below(3) == 0 {
+                Expr::shape("(not {})", &[&test], false)
+            } else {
+                test
             };
             let (mut t, mut e) = (sub(rng), sub(rng));
             if t.is_float != e.is_float {

@@ -3,9 +3,10 @@
 //! one must surface as a structured [`RtError`] (never a panic, hang, or
 //! host stack overflow), and budget failures must say which budget died.
 //!
-//! The fuzz sweeps — of programs and of the HTTP request parser — run
-//! `LAGOON_FUZZ_N` inputs when that variable is set (CI sets 10000 on a
-//! release build); the default is sized for debug test runs.
+//! The fuzz sweeps — of programs, of the two engines against each other
+//! and of the HTTP request parser — run `LAGOON_FUZZ_N` inputs when that
+//! variable is set (CI sets 10000 on a release build); the default is
+//! sized for debug test runs.
 
 use std::time::Duration;
 
@@ -589,7 +590,10 @@ fn interp_vs_vm_differential_sweep_agrees() {
 
     let lagoon = Lagoon::new();
     let mut rng = SplitMix64::new(0xe2e2);
-    let n = if cfg!(debug_assertions) { 150 } else { 500 };
+    let n: usize = std::env::var("LAGOON_FUZZ_N")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(if cfg!(debug_assertions) { 150 } else { 500 });
     // fixed seeds covering the representation's edge classes, then the
     // generator sweep
     let corpus = [
@@ -600,6 +604,10 @@ fn interp_vs_vm_differential_sweep_agrees() {
         "#lang lagoon\n(* 1073741824 1073741824)\n",
         "#lang lagoon\n(if 0.0 'float-is-truthy 'float-is-falsy)\n",
         "#lang lagoon\n(let loop ([i 0] [acc 0.0]) (if (= i 50) acc (loop (+ i 1) (unsafe-fl+ acc 0.5))))\n",
+        // a module-level self loop (one `Loop` per iteration) with a
+        // mutated parameter, and negated tests (arms swapped), NaN too
+        "#lang lagoon\n(define (sum n acc) (set! acc (+ acc n)) (if (zero? n) acc (sum (- n 1) acc)))\n(sum 40 0)\n",
+        "#lang lagoon\n(define (f x y) (if (not (< x y)) (if (not (null? x)) 'a 'b) 'c))\n(list (f 1 2) (f 2 1) (f (/ 0.0 0.0) 1.0))\n",
     ];
     let (mut compared, mut skipped) = (0u64, 0u64);
     for i in 0..(corpus.len() + n) {
