@@ -183,6 +183,8 @@ pub struct ModuleRegistry {
     /// Values for base-environment variables, per engine.
     interp_base: RefCell<Rc<Env>>,
     vm_base: RefCell<HashMap<Symbol, Value>>,
+    /// The prelude's VM instance, whose closures `vm_base` holds.
+    prelude_globals: RefCell<Option<Rc<Globals>>>,
     instances_interp: RefCell<HashMap<Symbol, (Rc<Env>, Value)>>,
     instances_vm: RefCell<HashMap<Symbol, (Rc<Globals>, Value)>>,
     instantiating: RefCell<HashSet<Symbol>>,
@@ -204,6 +206,19 @@ pub struct ModuleRegistry {
     artifact_digests: RefCell<HashMap<Symbol, (u64, bool)>>,
     /// Digest of the base environment's global names (see `store`).
     env_digest: Cell<u64>,
+}
+
+impl Drop for ModuleRegistry {
+    /// Empties every instance and the prelude's bases, which are `Rc`
+    /// cycles through the closures they define (see
+    /// [`ModuleRegistry::reset_instances`]).
+    fn drop(&mut self) {
+        self.discard_instances(None);
+        self.interp_base.borrow().clear();
+        if let Some(globals) = self.prelude_globals.borrow_mut().take() {
+            globals.clear();
+        }
+    }
 }
 
 impl std::fmt::Debug for ModuleRegistry {
@@ -326,15 +341,22 @@ fn core_form_bindings() -> Vec<(&'static str, CoreFormKind)> {
 impl ModuleRegistry {
     /// Bootstraps a registry: binds the base environment (core forms,
     /// primitives, surface macros), compiles the hosted prelude, and
-    /// prepares per-engine base instances.
+    /// prepares per-engine base instances. The bootstrap runs under no
+    /// budget ([`lagoon_diag::limits::suspended`]): the limits installed
+    /// on this thread are left for the registry's modules to spend.
     ///
     /// # Panics
     ///
     /// Panics if the built-in prelude fails to compile — a Lagoon bug.
-    /// (This is deterministic init-time code, exercised by every test, so
-    /// the expects below are deliberate rather than error-converted.)
-    #[allow(clippy::expect_used)]
     pub fn new() -> Rc<ModuleRegistry> {
+        lagoon_diag::limits::suspended(ModuleRegistry::bootstrap)
+    }
+
+    /// [`ModuleRegistry::new`]'s work. (This is deterministic init-time
+    /// code, exercised by every test, so the expects below are
+    /// deliberate rather than error-converted.)
+    #[allow(clippy::expect_used)]
+    fn bootstrap() -> Rc<ModuleRegistry> {
         // Registry bootstrap freshens names (pattern-variable markers,
         // prelude alpha-renaming) inside a deterministic gensym scope
         // keyed on the prelude source: every registry — across threads
@@ -371,6 +393,7 @@ impl ModuleRegistry {
             compiling: RefCell::new(HashSet::new()),
             interp_base: RefCell::new(Env::root()),
             vm_base: RefCell::new(HashMap::new()),
+            prelude_globals: RefCell::new(None),
             instances_interp: RefCell::new(HashMap::new()),
             instances_vm: RefCell::new(HashMap::new()),
             instantiating: RefCell::new(HashSet::new()),
@@ -427,6 +450,7 @@ impl ModuleRegistry {
             .expect("prelude evaluates (vm)");
         let mut vm_base = value_map;
         vm_base.extend(globals.snapshot());
+        *registry.prelude_globals.borrow_mut() = Some(globals);
 
         // 6.5 the compiled store re-interns symbol names on load, but the
         // prelude's globals are alpha-renamed gensyms that interning cannot
@@ -491,25 +515,40 @@ impl ModuleRegistry {
         self.instances_vm.borrow_mut().remove(&name);
     }
 
-    /// Removes a module entirely: its source, compiled form, instances,
-    /// and artifact-digest record (the on-disk artifact, if any, is left
-    /// alone). The evaluation daemon uses this to drop per-request
-    /// scratch modules so a long-lived worker's registry does not grow
-    /// without bound.
+    /// Removes a module entirely: its source, compiled form, emptied
+    /// instances ([`Self::reset_instances`]), and artifact-digest record
+    /// (the on-disk artifact, if any, is left alone). The evaluation
+    /// daemon uses this to drop per-request scratch modules so a
+    /// long-lived worker's registry does not grow without bound.
     pub fn remove_module(&self, name: &str) {
         let name = Symbol::intern(name);
         self.sources.borrow_mut().remove(&name);
         self.compiled.borrow_mut().remove(&name);
-        self.instances_interp.borrow_mut().remove(&name);
-        self.instances_vm.borrow_mut().remove(&name);
+        self.discard_instances(Some(name));
         self.artifact_digests.borrow_mut().remove(&name);
     }
 
     /// Drops all cached module instances (compiled modules are kept).
     /// Benchmarks use this to re-run a module's body from scratch.
+    ///
+    /// Each dropped instance is emptied first: a closure's environment
+    /// points back at its instance's globals, so an instance that
+    /// defines a function is an `Rc` cycle that dropping alone never
+    /// frees. A closure still held elsewhere raises `unbound` when it
+    /// next reads one of its module's globals.
     pub fn reset_instances(&self) {
-        self.instances_interp.borrow_mut().clear();
-        self.instances_vm.borrow_mut().clear();
+        self.discard_instances(None);
+    }
+
+    /// Drops and empties the instances of `name`, or of every module.
+    fn discard_instances(&self, name: Option<Symbol>) {
+        let hit = |m: &Symbol| name.is_none_or(|n| n == *m);
+        for (_, (env, _)) in self.instances_interp.borrow_mut().extract_if(|m, _| hit(m)) {
+            env.clear();
+        }
+        for (_, (globals, _)) in self.instances_vm.borrow_mut().extract_if(|m, _| hit(m)) {
+            globals.clear();
+        }
     }
 
     /// A cheap fingerprint of the registry's *persistent* contents:
@@ -577,8 +616,7 @@ impl ModuleRegistry {
     /// through the compiled store, when one is configured.
     pub fn reset_compiled(&self) {
         self.compiled.borrow_mut().clear();
-        self.instances_interp.borrow_mut().clear();
-        self.instances_vm.borrow_mut().clear();
+        self.discard_instances(None);
     }
 
     /// The module's source text, consulting the lazy loader on a miss.
@@ -1297,5 +1335,89 @@ impl ModuleRegistry {
             return Ok(compiled.expanded.clone());
         }
         Ok(self.compile_inner(name)?.expanded.clone())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use lagoon_vm::Engine;
+    use std::rc::Weak;
+
+    /// A module whose instances are `Rc` cycles: each closure points
+    /// back at the globals (or env) that hold it.
+    const DEFINES_A_FUNCTION: &str =
+        "#lang lagoon\n(define (f x) (* x k))\n(define k 2)\n(define v (make-vector 1000 1.5))\nf\n";
+
+    /// Runs `m` on both engines: weak handles on its two instances, and
+    /// the closure each run returned.
+    fn instantiate(reg: &ModuleRegistry) -> ((Weak<Globals>, Weak<Env>), (Value, Value)) {
+        let m = Symbol::intern("m");
+        let vm_f = reg.run("m", EngineKind::Vm).expect("vm run");
+        let interp_f = reg.run("m", EngineKind::Interp).expect("interp run");
+        let vm = Rc::downgrade(&reg.instances_vm.borrow()[&m].0);
+        let interp = Rc::downgrade(&reg.instances_interp.borrow()[&m].0);
+        ((vm, interp), (vm_f, interp_f))
+    }
+
+    #[test]
+    fn discarded_instances_are_freed() {
+        let reg = ModuleRegistry::new();
+        for how in ["reset_instances", "reset_compiled", "remove_module"] {
+            reg.add_module("m", DEFINES_A_FUNCTION);
+            let ((vm, interp), _) = instantiate(&reg);
+            match how {
+                "reset_instances" => reg.reset_instances(),
+                "reset_compiled" => reg.reset_compiled(),
+                _ => reg.remove_module("m"),
+            }
+            assert!(vm.upgrade().is_none(), "{how} leaked the vm instance");
+            assert!(
+                interp.upgrade().is_none(),
+                "{how} leaked the interp instance"
+            );
+        }
+    }
+
+    #[test]
+    fn a_closure_outliving_its_instance_raises_unbound() {
+        let reg = ModuleRegistry::new();
+        reg.add_module("m", DEFINES_A_FUNCTION);
+        let (_, (vm_f, interp_f)) = instantiate(&reg);
+        let arg = [Value::Int(21)];
+        assert_eq!(
+            lagoon_vm::Vm.apply(&vm_f, &arg).expect("live").to_string(),
+            "42"
+        );
+        reg.reset_instances();
+        let vm = lagoon_vm::Vm
+            .apply(&vm_f, &arg)
+            .expect_err("discarded vm instance");
+        let interp = Interp
+            .apply(&interp_f, &arg)
+            .expect_err("discarded interp instance");
+        assert!(matches!(vm.kind, Kind::Unbound), "{vm}");
+        assert!(matches!(interp.kind, Kind::Unbound), "{interp}");
+    }
+
+    #[test]
+    fn a_dropped_registry_frees_its_instances_and_prelude_bases() {
+        let reg = ModuleRegistry::new();
+        reg.add_module("m", DEFINES_A_FUNCTION);
+        let ((vm, interp), _) = instantiate(&reg);
+        let interp_base = Rc::downgrade(&reg.interp_base.borrow());
+        let prelude = Rc::downgrade(reg.prelude_globals.borrow().as_ref().expect("prelude"));
+        let registry = Rc::downgrade(&reg);
+        drop(reg);
+        assert!(
+            registry.upgrade().is_none(),
+            "nothing else holds the registry"
+        );
+        assert!(vm.upgrade().is_none() && interp.upgrade().is_none());
+        assert!(
+            interp_base.upgrade().is_none(),
+            "interp prelude base leaked"
+        );
+        assert!(prelude.upgrade().is_none(), "vm prelude instance leaked");
     }
 }

@@ -417,9 +417,9 @@ pub fn enabled() -> bool {
 /// [`Collector::trace`] and the daemon's two summaries — are pure
 /// functions of the record and stay valid after [`uninstall`].
 ///
-/// Epoch symbols are meaningful only on the thread that interned them
-/// (see `lagoon_syntax::seal_arena`), so take views on the recording
-/// thread.
+/// A symbol means something only on the thread that interned it, and
+/// the record holds symbols, so take views on the recording thread: the
+/// views render every symbol to a string and can then cross threads.
 #[derive(Clone)]
 pub struct Collector(Rc<RefCell<Record>>);
 

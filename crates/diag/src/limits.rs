@@ -256,6 +256,25 @@ pub fn refill() {
     });
 }
 
+/// Runs `f` with every limit disabled and no fault plan armed, then puts
+/// this thread's limits, budget pools and fault plan back exactly as they
+/// were, also when `f` panics. For work the caller's budgets do not
+/// cover, such as a registry's prelude bootstrap.
+pub fn suspended<R>(f: impl FnOnce() -> R) -> R {
+    struct Restore(Option<State>, bool);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            if let Some(state) = self.0.take() {
+                STATE.with(|s| *s.borrow_mut() = state);
+            }
+            FAULTS_ACTIVE.with(|f| f.set(self.1));
+        }
+    }
+    let saved = STATE.with(|s| s.replace(State::new(Limits::unlimited())));
+    let _restore = Restore(Some(saved), FAULTS_ACTIVE.with(|f| f.replace(false)));
+    f()
+}
+
 /// Arms `plan` for this thread (clearing any previous one).
 pub fn install_faults(plan: FaultPlan) {
     STATE.with(|s| {
@@ -686,6 +705,36 @@ mod tests {
         });
         assert_eq!(check_deadline().unwrap_err().budget, Budget::Deadline);
         assert_eq!(vm_take_fuel().unwrap_err().budget, Budget::Deadline);
+        install(Limits::default());
+    }
+
+    #[test]
+    fn suspended_work_leaves_the_callers_budgets_alone() {
+        install(Limits {
+            max_expansion_steps: 10,
+            ..Limits::unlimited()
+        });
+        install_faults(FaultPlan {
+            prim_call: Some(2),
+            ..FaultPlan::default()
+        });
+        expansion_steps(4).unwrap();
+        assert!(prim_call().is_ok());
+        suspended(|| {
+            expansion_steps(1_000).expect("no budget inside");
+            for _ in 0..10 {
+                prim_call().expect("no fault armed inside");
+            }
+        });
+        assert_eq!(current().max_expansion_steps, 10);
+        assert_eq!(prim_call().unwrap_err().budget, Budget::InjectedFault);
+        expansion_steps(6).unwrap();
+        assert_eq!(
+            expansion_step().unwrap_err().budget,
+            Budget::ExpansionSteps,
+            "the pool kept the steps spent before"
+        );
+        clear_faults();
         install(Limits::default());
     }
 

@@ -98,8 +98,8 @@ pub struct TraceSpan {
     /// Duration in microseconds (end and start are truncated on the
     /// same clock, so a child's interval never escapes its parent's).
     pub dur_us: u64,
-    /// Source location, when any.
-    pub src: Option<Span>,
+    /// Source location (`file:line:col`), when any.
+    pub src: Option<String>,
     /// Key/value annotations, in arrival order.
     pub notes: Vec<(&'static str, String)>,
 }
@@ -136,7 +136,7 @@ impl Record {
                         .map_or_else(|| format!("<{}>", s.phase), |l| Val::Sym(l).to_string()),
                     start_us,
                     dur_us: end_us - start_us,
-                    src: s.src,
+                    src: s.src.map(|src| src.to_string()),
                     notes: s.notes.iter().map(|(k, v)| (*k, v.to_string())).collect(),
                 }
             })
@@ -181,7 +181,7 @@ impl Trace {
                 let _ = write!(out, ",\"parent\":{parent}");
             }
             if let Some(src) = &s.src {
-                let _ = write!(out, ",\"src\":{}", crate::json_string(&src.to_string()));
+                let _ = write!(out, ",\"src\":{}", crate::json_string(src));
             }
             for (key, value) in &s.notes {
                 let _ = write!(

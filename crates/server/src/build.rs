@@ -560,8 +560,6 @@ fn worker_loop(
 
     let setup_start = Instant::now();
     let registry = build_registry(opts);
-    // after the bootstrap, as the daemon installs a request's limits: the
-    // prelude's own expansion must not spend the jobs' budgets
     lagoon_diag::limits::install(opts.limits);
     // Names this worker claimed in the single-flight map from inside the
     // loader (statically invisible requires); released after the
@@ -611,8 +609,8 @@ fn worker_loop(
         });
     }
     lagoon_diag::uninstall();
-    // the views are taken here: the record's epoch symbols mean nothing
-    // on the scheduler's thread
+    // the views are taken here: the record's symbols mean nothing on the
+    // scheduler's thread
     WorkerResult {
         index,
         row,

@@ -128,13 +128,13 @@ struct StatsInner {
     /// Pipeline time per phase bucket, summed over every request (ms).
     phases_ms: BTreeMap<&'static str, f64>,
     worker_busy: Vec<Duration>,
-    /// Highest total symbol count (arena + all worker epochs) sampled
-    /// at a request completion.
+    /// Highest total symbol count (all workers' tables) sampled at a
+    /// request completion.
     interner_high_water: u64,
-    /// Per-worker epoch gauge: `(base, current)` live epoch-symbol
-    /// counts — `base` right after the world bootstrap, `current` after
-    /// the latest request's reclamation. `current == base` means the
-    /// worker is leak-free.
+    /// Per-worker symbol gauge: `(base, current)` live symbol counts
+    /// of the worker's table — `base` right after the world bootstrap,
+    /// `current` after the latest request's reclamation. `current ==
+    /// base` means the worker is leak-free.
     worker_epoch: Vec<(u64, u64)>,
     /// Workers whose threads died (escaped panic) and were respawned.
     worker_deaths: u64,
@@ -162,9 +162,6 @@ struct Shared {
     stats: Mutex<StatsInner>,
     opts: ServeOptions,
     started: Instant,
-    /// Arena symbol count at the post-warmup seal, the shared-world
-    /// part of the `stats` op's memory-growth baseline.
-    arena_at_seal: usize,
     /// Workers currently inside their serve loop (drops on death or
     /// drain); the supervisor respawns the difference.
     live_workers: std::sync::atomic::AtomicUsize,
@@ -283,16 +280,12 @@ impl Shared {
                 ])
             })
             .collect();
-        // Per-world symbol gauges: the shared arena (frozen at the
-        // seal) plus each worker's live epoch table, sampled at request
-        // completions (after reclamation). `growth` over the baseline
-        // (arena at seal + per-worker bootstrap bases) is the leak
-        // gauge — zero for a leak-free daemon, whatever the load.
-        let arena = lagoon_syntax::arena_len() as u64;
-        let epoch_total: u64 = s.worker_epoch.iter().map(|(_, len)| *len).sum();
-        let base_total: u64 = s.worker_epoch.iter().map(|(base, _)| *base).sum();
-        let interned = arena + epoch_total;
-        let baseline = self.arena_at_seal as u64 + base_total;
+        // Per-world symbol gauges: each worker's table, sampled at
+        // request completions (after reclamation). `growth` over the
+        // baseline (the per-worker bootstrap bases) is the leak gauge —
+        // zero for a leak-free daemon, whatever the load.
+        let interned: u64 = s.worker_epoch.iter().map(|(_, len)| *len).sum();
+        let baseline: u64 = s.worker_epoch.iter().map(|(base, _)| *base).sum();
         let worker_epochs: Vec<Json> = s
             .worker_epoch
             .iter()
@@ -326,15 +319,14 @@ impl Shared {
                 ]),
             ),
             (
-                // Per-world symbol tables (arena + worker epochs):
-                // `growth` is the symbols retained beyond the sealed
-                // arena and the workers' bootstrap worlds — held at 0
-                // by per-request epoch truncation (the old process-
-                // global interner grew ~3.2 symbols/request, BENCH_6).
+                // Per-worker symbol tables: `growth` is the symbols
+                // retained beyond the workers' bootstrap worlds — held
+                // at 0 by per-request epoch truncation (the old
+                // process-global interner grew ~3.2 symbols/request,
+                // BENCH_6).
                 "interner",
                 obj(vec![
                     ("symbols", Json::Num(interned as f64)),
-                    ("arena", Json::Num(arena as f64)),
                     ("worker_epochs", Json::Arr(worker_epochs)),
                     ("at_start", Json::Num(baseline as f64)),
                     (
@@ -516,8 +508,8 @@ pub struct Server {
 }
 
 impl Server {
-    /// Binds the listener, warms and seals the shared symbol arena, and
-    /// spawns the acceptor, the worker pool, and the supervisor.
+    /// Binds the listener and spawns the acceptor, the worker pool, and
+    /// the supervisor.
     ///
     /// # Errors
     ///
@@ -536,19 +528,6 @@ impl Server {
         if opts.test_ops {
             routes.extend([("POST", "/v1/test/panic"), ("POST", "/v1/test/kill")]);
         }
-        // Warm the shared arena with the prelude/core world, then seal
-        // it: a throwaway registry bootstrap interns every prelude,
-        // core-form, primitive, and typed-language name into the arena
-        // (lock-free, `&'static` reads forever after). Post-seal, each
-        // worker's bootstrap re-interns those names as arena hits and
-        // keeps only its own gensyms in its thread-local epoch table —
-        // which per-request truncation can actually free. Idempotent
-        // across multiple servers in one process.
-        {
-            let warm = ModuleRegistry::new();
-            lagoon_optimizer::register_typed_languages(&warm);
-        }
-        lagoon_syntax::seal_arena();
         let shared = Arc::new(Shared {
             front: Front::new(routes, opts.max_request_bytes.max(1024)),
             queue: Mutex::new(QueueState {
@@ -559,7 +538,6 @@ impl Server {
             stats: Mutex::new(StatsInner::default()),
             opts,
             started: Instant::now(),
-            arena_at_seal: lagoon_syntax::arena_len(),
             live_workers: std::sync::atomic::AtomicUsize::new(0),
             pool: Mutex::new(Vec::new()),
         });
@@ -743,8 +721,8 @@ pub fn merge_limits(base: Limits, spec: Option<&Json>) -> Limits {
 }
 
 /// Builds a worker's private world: registry, languages, store handle,
-/// source loader. Post-seal, the bootstrap's interned names resolve to
-/// the shared arena; only its gensyms live in this thread's epoch table.
+/// source loader. The bootstrap's symbols fill this thread's table up to
+/// the worker's baseline.
 fn build_world(shared: &Arc<Shared>) -> std::rc::Rc<ModuleRegistry> {
     let registry = ModuleRegistry::new();
     lagoon_optimizer::register_typed_languages(&registry);
@@ -756,10 +734,10 @@ fn build_world(shared: &Arc<Shared>) -> std::rc::Rc<ModuleRegistry> {
     registry
 }
 
-/// Publishes this worker's epoch gauge (and the bootstrap base when
+/// Publishes this worker's symbol gauge (and the bootstrap base when
 /// `set_base`), and folds the total into the interner high-water mark.
 fn report_epoch_gauge(shared: &Arc<Shared>, index: usize, set_base: bool) {
-    let len = lagoon_syntax::epoch_len() as u64;
+    let len = lagoon_syntax::interned_count() as u64;
     let mut stats = shared.stats.lock().unwrap_or_else(|e| e.into_inner());
     if stats.worker_epoch.len() <= index {
         stats.worker_epoch.resize(index + 1, (0, 0));
@@ -768,8 +746,7 @@ fn report_epoch_gauge(shared: &Arc<Shared>, index: usize, set_base: bool) {
         stats.worker_epoch[index].0 = len;
     }
     stats.worker_epoch[index].1 = len;
-    let total =
-        lagoon_syntax::arena_len() as u64 + stats.worker_epoch.iter().map(|(_, l)| *l).sum::<u64>();
+    let total = stats.worker_epoch.iter().map(|(_, l)| *l).sum::<u64>();
     stats.interner_high_water = stats.interner_high_water.max(total);
 }
 
@@ -957,7 +934,7 @@ fn handle_request(
     // `store::is_module_file_name` rejects (it contains '/'), so request bodies
     // never enter the shared store and never collide across requests.
     // The `req/{id}` symbol and everything the request interns land in
-    // this worker's epoch table, which the worker truncates after the
+    // this worker's symbol table, which the worker truncates after the
     // request — the old process-global interner leak (~3.2 symbols per
     // inline request, BENCH_6) is gone.
     let inline = request.get("source").and_then(Json::as_str);

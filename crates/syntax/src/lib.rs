@@ -47,8 +47,8 @@ pub use reader::{
 pub use scope::{Scope, ScopeSet};
 pub use span::Span;
 pub use symbol::{
-    arena_len, arena_sealed, epoch_len, epoch_mark, epoch_reset, epoch_truncate, fresh_scope,
-    interned_count, seal_arena, strip_gensym, EpochMark, FreshScope, Symbol,
+    epoch_mark, epoch_reset, epoch_truncate, fresh_scope, interned_count, strip_gensym, EpochMark,
+    FreshScope, Symbol,
 };
 pub use syntax::{PropValue, SynData, Syntax};
 pub use wire::{fnv1a, Reader as WireReader, WireError, Writer as WireWriter};

@@ -1,5 +1,4 @@
-//! Interned symbols: a shared immutable arena plus per-thread epoch
-//! tables ("symbol worlds").
+//! Interned symbols: one table per thread.
 //!
 //! Symbols are the identifiers of the Lagoon language. They are interned
 //! so that equality and hashing are O(1), and so that a [`Symbol`] is a
@@ -8,36 +7,33 @@
 //!
 //! # Symbol worlds
 //!
-//! Storage is split in two:
+//! Each thread interns names and allocates gensyms in its own table, its
+//! *world*. A symbol is a slot in that table, so it means something only
+//! on the thread that made it, and the type says so: [`Symbol`] is
+//! neither `Send` nor `Sync`. That matches the rest of the system —
+//! values are `Rc`-based and never cross threads; workers exchange only
+//! serialized `.lagc` bytes, which store symbol *names* and re-intern
+//! them on load, and views of a record that leave a thread render their
+//! symbols to strings first. The layer keeps no process-global state
+//! and takes no lock, and a table is freed when its thread exits, so a
+//! CLI run, a build worker or a test thread leaves nothing behind.
 //!
-//! - The **arena**: an append-only table shared by the whole process.
-//!   Names are leaked to `&'static str`, reads are lock-free (a page
-//!   table of `OnceLock` slots), and ids are stable forever. Until the
-//!   arena is *sealed* every intern and gensym lands here — a CLI run or
-//!   a test binary behaves exactly like the old process-global interner.
-//! - The **epoch table**: a thread-local table for everything interned
-//!   after [`seal_arena`]. A long-lived worker takes an [`epoch_mark`]
-//!   before serving a request and [`epoch_truncate`]s back to it
-//!   afterwards, actually freeing the request's symbols instead of
-//!   leaking them — the fix for the measured ~3.2 interned symbols per
-//!   daemon request (BENCH_6).
-//!
-//! The split is encoded in the id: bit 31 clear means arena index; bit
-//! 31 set means epoch symbol, with a 9-bit generation stamp (bits
-//! 22–30) and a 22-bit table slot (bits 0–21). Truncation bumps the
-//! generation, so a stale handle held across a truncation is *detected*
-//! (its name reads as `#<stale-symbol>`) rather than aliasing a newer
-//! symbol. After 512 truncations the stamp wraps, so detection is a
-//! safety net, not the guarantee. The guarantee is that no handle
-//! outlives its truncation: the daemon truncates only after a request
-//! that left its registry's persistent footprint unchanged, so nothing
-//! that survives the request holds one of its symbols, and the world it
+//! A long-lived thread can also free part of its world: the daemon takes
+//! an [`epoch_mark`] before serving a request and [`epoch_truncate`]s
+//! back to it afterwards, freeing the request's symbols, and a world it
 //! rebuilds after an internal error starts from [`epoch_reset`].
 //!
-//! Epoch symbols are meaningful only on the thread that created them.
-//! That matches the system's architecture — values are `Rc`-based and
-//! never cross threads; workers exchange only serialized `.lagc` bytes,
-//! which store symbol *names* and re-intern on load.
+//! A symbol's id holds a 10-bit generation stamp (bits 22–31) and a
+//! 22-bit table slot (bits 0–21). Truncation bumps the generation, so a
+//! stale handle held across a truncation is *detected* (its name reads
+//! as `#<stale-symbol>`) rather than aliasing a newer symbol. After 1024
+//! truncations the stamp wraps, so detection is a safety net, not the
+//! guarantee. The guarantee is that no handle outlives its truncation:
+//! the daemon truncates only after a request that left its registry's
+//! persistent footprint unchanged, so nothing that survives the request
+//! holds one of its symbols. Truncation removes a name's dedup entry
+//! only when the entry points at a discarded slot, so an older symbol
+//! that shares its name with a discarded gensym keeps its identity.
 //!
 //! # Examples
 //!
@@ -48,183 +44,116 @@
 //! assert_eq!(a, b);
 //! assert_eq!(a.as_str(), "lambda");
 //! ```
+//!
+//! A symbol cannot be sent to another thread:
+//!
+//! ```compile_fail
+//! fn assert_send<T: Send>() {}
+//! assert_send::<lagoon_syntax::Symbol>();
+//! ```
 
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::{OnceLock, RwLock};
+use std::marker::PhantomData;
+use std::rc::Rc;
 
-/// An interned symbol: a cheap, copyable handle to a string.
+/// An interned symbol: a cheap, copyable handle to a string in this
+/// thread's table.
 ///
 /// Two symbols are equal iff their names are equal (for symbols created via
 /// [`Symbol::from`] on the same thread and epoch) — gensyms created with
 /// [`Symbol::fresh`] are equal only to themselves.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct Symbol(u32);
+pub struct Symbol {
+    id: u32,
+    /// Keeps the handle on the thread whose table it indexes.
+    _thread: PhantomData<*const ()>,
+}
 
-// ---------------------------------------------------------------------------
-// The shared arena
-// ---------------------------------------------------------------------------
-
-/// Arena capacity: `ARENA_PAGES * ARENA_PAGE` symbols (4M). Ids fit in
-/// 31 bits with room to spare; overflowing the arena falls back to the
-/// epoch table rather than failing.
-const ARENA_PAGE: usize = 1024;
-const ARENA_PAGES: usize = 4096;
-
-/// Bit 31 distinguishes epoch symbols from arena symbols.
-const EPOCH_FLAG: u32 = 0x8000_0000;
-/// Epoch ids: 22 bits of slot, 9 bits of generation stamp.
+/// Ids: 22 bits of slot, 10 bits of generation stamp.
 const SLOT_BITS: u32 = 22;
 const SLOT_MASK: u32 = (1 << SLOT_BITS) - 1;
-const STAMP_MASK: u32 = 0x1FF;
+const STAMP_MASK: u16 = 0x3FF;
 
-type ArenaPage = [OnceLock<&'static str>; ARENA_PAGE];
-
-/// The page table. Pages are allocated on demand and leaked; a slot's
-/// `OnceLock` publishes the name, so readers need no lock at all.
-static ARENA_TABLE: [OnceLock<&'static ArenaPage>; ARENA_PAGES] =
-    [const { OnceLock::new() }; ARENA_PAGES];
-
-struct Arena {
-    /// Published length: every id below it has its slot set.
-    len: AtomicU32,
-    /// Dedup map for *interned* names (gensyms are deliberately absent).
-    /// Also the allocation lock: all arena writes happen under its write
-    /// guard.
-    map: RwLock<HashMap<&'static str, u32>>,
-    /// Once sealed, new names go to the per-thread epoch table instead.
-    sealed: AtomicBool,
-}
-
-fn arena() -> &'static Arena {
-    static ARENA: OnceLock<Arena> = OnceLock::new();
-    ARENA.get_or_init(|| Arena {
-        len: AtomicU32::new(0),
-        map: RwLock::new(HashMap::new()),
-        sealed: AtomicBool::new(false),
-    })
-}
-
-/// Lock-free name lookup for an arena id.
-fn arena_name(id: u32) -> Option<&'static str> {
-    let page = ARENA_TABLE.get(id as usize / ARENA_PAGE)?.get()?;
-    page[id as usize % ARENA_PAGE].get().copied()
-}
-
-/// Allocates an arena slot for `name`. Callers must hold the `map`
-/// write guard (the allocation lock); the map itself is only updated by
-/// the caller, because gensyms allocate slots without map entries.
-/// Returns `None` when the arena is full.
-fn arena_alloc_locked(name: &str) -> Option<(u32, &'static str)> {
-    let a = arena();
-    let id = a.len.load(Ordering::Relaxed);
-    let page_idx = id as usize / ARENA_PAGE;
-    if page_idx >= ARENA_PAGES {
-        return None;
-    }
-    let leaked: &'static str = Box::leak(name.to_owned().into_boxed_str());
-    let page = ARENA_TABLE[page_idx]
-        .get_or_init(|| Box::leak(Box::new([const { OnceLock::new() }; ARENA_PAGE])));
-    let _ = page[id as usize % ARENA_PAGE].set(leaked);
-    a.len.store(id + 1, Ordering::Release);
-    Some((id, leaked))
-}
-
-/// Seals the arena: names interned so far (typically the prelude/core
-/// bootstrap) stay shared, lock-free and `&'static`; every *new* name on
-/// any thread goes to that thread's epoch table, where it can be freed
-/// by [`epoch_truncate`]. Sealing is process-global, idempotent, and
-/// irreversible — the evaluation daemon seals after warming up a
-/// throwaway registry, before spawning workers.
-pub fn seal_arena() {
-    arena().sealed.store(true, Ordering::SeqCst);
-}
-
-/// Whether [`seal_arena`] has been called in this process.
-pub fn arena_sealed() -> bool {
-    arena().sealed.load(Ordering::SeqCst)
-}
-
-/// Number of symbols in the shared arena (interned names and pre-seal
-/// gensyms). Flat after sealing, except for the overflow safety valve.
-pub fn arena_len() -> usize {
-    arena().len.load(Ordering::Acquire) as usize
-}
-
-// ---------------------------------------------------------------------------
-// The per-thread epoch table
-// ---------------------------------------------------------------------------
+/// The name a stale handle reads as.
+const STALE: &str = "#<stale-symbol>";
 
 #[derive(Default)]
-struct EpochTable {
-    /// Slot → name.
-    names: Vec<Box<str>>,
+struct Table {
+    /// Slot → name; an interned name's `Rc` is shared with `map`.
+    names: Vec<Rc<str>>,
     /// Slot → generation at allocation (stale-handle detection).
     stamps: Vec<u16>,
-    /// Interned names only (gensyms stay out, as in the arena).
-    map: HashMap<Box<str>, u32>,
+    /// Interned names → their symbol's id (gensyms stay out).
+    map: HashMap<Rc<str>, u32>,
     /// Current generation; bumped on every truncation.
     gen: u16,
+    /// The next unscoped gensym counter (see [`Symbol::fresh`]).
+    next_gensym: u64,
 }
 
-impl EpochTable {
-    /// Allocates a slot; gives the name back when the table is full.
-    fn alloc(&mut self, name: String) -> Result<Symbol, String> {
+impl Table {
+    /// Allocates a slot for `name`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the table already holds 2^22 symbols; a request
+    /// barrier turns that into an `internal` error.
+    fn alloc(&mut self, name: Rc<str>) -> Symbol {
         let slot = self.names.len() as u32;
-        if slot > SLOT_MASK {
-            return Err(name);
-        }
-        self.names.push(name.into_boxed_str());
+        assert!(
+            slot <= SLOT_MASK,
+            "symbol table full: this thread holds {} symbols",
+            SLOT_MASK as u64 + 1
+        );
+        self.names.push(name);
         self.stamps.push(self.gen);
-        Ok(compose_epoch(slot, self.gen))
+        Symbol::from_index((u32::from(self.gen) << SLOT_BITS) | slot)
     }
 
-    fn name_of(&self, sym: Symbol) -> Option<&str> {
-        let (slot, stamp) = decompose_epoch(sym)?;
-        let idx = slot as usize;
-        (self.stamps.get(idx) == Some(&stamp)).then(|| &*self.names[idx])
+    fn name_of(&self, sym: Symbol) -> Option<&Rc<str>> {
+        let slot = (sym.id & SLOT_MASK) as usize;
+        let stamp = (sym.id >> SLOT_BITS) as u16;
+        (self.stamps.get(slot) == Some(&stamp)).then(|| &self.names[slot])
     }
 
+    /// Discards every slot from `len` on and bumps the generation.
     fn truncate_to(&mut self, len: usize) -> usize {
         let dropped = self.names.len().saturating_sub(len);
         for name in self.names.drain(len..) {
-            self.map.remove(&name);
+            // a discarded gensym may share its name with an older
+            // interned symbol, whose entry stays
+            if self
+                .map
+                .get(&name)
+                .is_some_and(|&id| (id & SLOT_MASK) as usize >= len)
+            {
+                self.map.remove(&name);
+            }
         }
         self.stamps.truncate(len);
-        self.gen = (self.gen + 1) & STAMP_MASK as u16;
+        self.gen = (self.gen + 1) & STAMP_MASK;
         dropped
     }
 }
 
-fn compose_epoch(slot: u32, gen: u16) -> Symbol {
-    Symbol(EPOCH_FLAG | ((gen as u32 & STAMP_MASK) << SLOT_BITS) | slot)
-}
-
-fn decompose_epoch(sym: Symbol) -> Option<(u32, u16)> {
-    (sym.0 & EPOCH_FLAG != 0).then_some((
-        sym.0 & SLOT_MASK,
-        ((sym.0 >> SLOT_BITS) & STAMP_MASK) as u16,
-    ))
-}
-
 thread_local! {
-    static EPOCH: RefCell<EpochTable> = RefCell::new(EpochTable::default());
+    static TABLE: RefCell<Table> = RefCell::new(Table::default());
 }
 
-/// A point in this thread's epoch table that [`epoch_truncate`] can roll
-/// back to. Opaque and `Copy`; valid until the next truncation.
+/// A point in this thread's table that [`epoch_truncate`] can roll back
+/// to. Opaque and `Copy`; valid until the next truncation.
 #[derive(Clone, Copy, Debug)]
 pub struct EpochMark {
     len: u32,
     gen: u16,
 }
 
-/// Captures the current extent of this thread's epoch table. Symbols
-/// created after the mark are discarded by [`epoch_truncate`].
+/// Captures the current extent of this thread's table. Symbols created
+/// after the mark are discarded by [`epoch_truncate`].
 pub fn epoch_mark() -> EpochMark {
-    EPOCH.with(|t| {
+    TABLE.with(|t| {
         let t = t.borrow();
         EpochMark {
             len: t.names.len() as u32,
@@ -233,13 +162,13 @@ pub fn epoch_mark() -> EpochMark {
     })
 }
 
-/// Discards every epoch symbol this thread created after `mark`,
-/// freeing their names, and bumps the generation so stale handles are
-/// detected instead of aliased. A mark from before an intervening
-/// truncation is itself stale and is ignored (returns 0). Returns the
-/// number of symbols discarded.
+/// Discards every symbol this thread created after `mark`, freeing
+/// their names, and bumps the generation so stale handles are detected
+/// instead of aliased. A mark from before an intervening truncation is
+/// itself stale and is ignored (returns 0). Returns the number of
+/// symbols discarded.
 pub fn epoch_truncate(mark: EpochMark) -> usize {
-    EPOCH.with(|t| {
+    TABLE.with(|t| {
         let mut t = t.borrow_mut();
         if mark.gen != t.gen || mark.len as usize > t.names.len() {
             return 0;
@@ -248,23 +177,21 @@ pub fn epoch_truncate(mark: EpochMark) -> usize {
     })
 }
 
-/// Discards this thread's entire epoch table (worker recycling / world
-/// rebuild). Returns the number of symbols discarded.
+/// Discards this thread's entire table (a world rebuild). Returns the
+/// number of symbols discarded.
 pub fn epoch_reset() -> usize {
-    EPOCH.with(|t| {
+    TABLE.with(|t| {
         let mut t = t.borrow_mut();
         t.map.clear();
-        let dropped = t.names.len();
-        t.names.clear();
-        t.stamps.clear();
-        t.gen = (t.gen + 1) & STAMP_MASK as u16;
-        dropped
+        t.truncate_to(0)
     })
 }
 
-/// Number of live symbols in this thread's epoch table.
-pub fn epoch_len() -> usize {
-    EPOCH.with(|t| t.borrow().names.len())
+/// The number of symbols in this thread's world: interned names and
+/// gensyms alike. Flat across a request that is followed by an
+/// [`epoch_truncate`].
+pub fn interned_count() -> usize {
+    TABLE.with(|t| t.borrow().names.len())
 }
 
 thread_local! {
@@ -289,7 +216,7 @@ impl Drop for FreshScope {
 /// Opens a *deterministic gensym scope* on this thread until the
 /// returned guard drops: every [`Symbol::fresh`] call inside the scope
 /// is named `{base}~{digest:08x}.{n}` with `n` counting up from 0 per
-/// scope, instead of drawing from the process-global counter.
+/// scope, instead of drawing from the thread's counter.
 ///
 /// Module compilation opens a scope keyed on a digest of the module's
 /// name and source text, which makes freshened names a pure function of
@@ -298,8 +225,7 @@ impl Drop for FreshScope {
 /// from different modules cannot collide because their digests differ.
 /// Scopes nest — compiling a dependency mid-expansion pushes the
 /// dependency's scope and restores the importer's counter afterwards.
-/// Determinism is unaffected by the arena/epoch split: names depend
-/// only on the digest and counter, never on table state.
+/// Names depend only on the digest and counter, never on table state.
 pub fn fresh_scope(digest: u64) -> FreshScope {
     FRESH_SCOPES.with(|s| s.borrow_mut().push((digest, 0)));
     FreshScope(())
@@ -311,7 +237,7 @@ fn fold_digest(digest: u64) -> u32 {
 }
 
 /// Strips a gensym suffix from a printed symbol name, recovering the
-/// base the user (or the prelude) wrote: both the global-counter form
+/// base the user (or the prelude) wrote: both the counter form
 /// (`map~3` → `map`) and the deterministic scoped form
 /// (`map~1a2b3c4d.7` → `map`). Names without a recognized suffix pass
 /// through unchanged. The typechecker and optimizer use this to
@@ -336,125 +262,23 @@ pub fn strip_gensym(name: &str) -> &str {
     }
 }
 
-/// The number of symbols in *this thread's world*: the shared arena
-/// plus this thread's live epoch table (interned names and gensyms
-/// alike). Before [`seal_arena`] this is the process-global count, as
-/// it always was; after sealing, each worker thread reports its own
-/// world, and the daemon's `stats` op aggregates per-worker gauges.
-/// Flat across a request that is followed by an [`epoch_truncate`].
-pub fn interned_count() -> usize {
-    arena_len() + epoch_len()
-}
-
-/// Whether `name` is already known to this world as an *interned* name
-/// (gensyms don't count — they are never in the lookup tables).
-fn name_is_interned(name: &str) -> bool {
-    let a = arena();
-    if a.map
-        .read()
-        .unwrap_or_else(|e| e.into_inner())
-        .contains_key(name)
-    {
-        return true;
-    }
-    a.sealed.load(Ordering::SeqCst) && EPOCH.with(|t| t.borrow().map.contains_key(name))
-}
-
-/// Allocates a gensym (no lookup-table entry) in the current world:
-/// epoch table once sealed, arena before. Falls over to the other
-/// table when one is full.
-fn alloc_gensym(name: String) -> Symbol {
-    let name = if arena_sealed() {
-        match EPOCH.with(|t| t.borrow_mut().alloc(name)) {
-            Ok(sym) => return sym,
-            Err(name) => name,
-        }
-    } else {
-        name
-    };
-    // Pre-seal, or the epoch table overflowed its 22-bit slot space:
-    // allocate in the arena (no map entry — gensyms stay uninterned).
-    let wr = arena().map.write().unwrap_or_else(|e| e.into_inner());
-    if let Some((id, _)) = arena_alloc_locked(&name) {
-        drop(wr);
-        return Symbol(id);
-    }
-    drop(wr);
-    // Arena full too (4M symbols): last resort, force an epoch slot by
-    // clearing nothing — truncation pressure is the operator's problem
-    // at this point; return a best-effort epoch symbol or slot 0 alias.
-    EPOCH.with(|t| {
-        let mut t = t.borrow_mut();
-        let gen = t.gen;
-        t.alloc(name).unwrap_or_else(|_| compose_epoch(0, gen))
-    })
-}
-
-// Lock poisoning below is recovered with `into_inner`: the arena is
-// append-only (an entry is fully constructed before the guard drops), so a
-// panic elsewhere never leaves it in an inconsistent state.
 impl Symbol {
-    /// Interns `name`, returning the canonical symbol for it — from the
-    /// shared arena when the name is already there (or the arena is
-    /// unsealed), otherwise from this thread's epoch table.
+    /// Interns `name`, returning this thread's canonical symbol for it.
+    ///
+    /// # Panics
+    ///
+    /// Panics when this thread's table is full (2^22 symbols).
     pub fn intern(name: &str) -> Symbol {
-        let a = arena();
-        if let Some(&id) = a.map.read().unwrap_or_else(|e| e.into_inner()).get(name) {
-            return Symbol(id);
-        }
-        if a.sealed.load(Ordering::SeqCst) {
-            return EPOCH.with(|t| {
-                let mut t = t.borrow_mut();
-                if let Some(&id) = t.map.get(name) {
-                    return Symbol(id);
-                }
-                match t.alloc(name.to_owned()) {
-                    Ok(sym) => {
-                        t.map.insert(name.into(), sym.0);
-                        sym
-                    }
-                    // Epoch table full: spill into the arena so the
-                    // symbol still works (a permanent entry — the
-                    // safety valve, not the normal path).
-                    Err(_) => {
-                        drop(t);
-                        Symbol::intern_arena(name)
-                    }
-                }
-            });
-        }
-        Symbol::intern_arena(name)
-    }
-
-    /// Arena-path intern: dedup + allocate under the write lock.
-    fn intern_arena(name: &str) -> Symbol {
-        let a = arena();
-        let mut wr = a.map.write().unwrap_or_else(|e| e.into_inner());
-        if let Some(&id) = wr.get(name) {
-            return Symbol(id);
-        }
-        match arena_alloc_locked(name) {
-            Some((id, leaked)) => {
-                wr.insert(leaked, id);
-                Symbol(id)
+        TABLE.with(|t| {
+            let mut t = t.borrow_mut();
+            if let Some(&id) = t.map.get(name) {
+                return Symbol::from_index(id);
             }
-            None => {
-                // Arena full: fall back to an epoch entry.
-                drop(wr);
-                EPOCH.with(|t| {
-                    let mut t = t.borrow_mut();
-                    if let Some(&id) = t.map.get(name) {
-                        return Symbol(id);
-                    }
-                    let gen = t.gen;
-                    let sym = t
-                        .alloc(name.to_owned())
-                        .unwrap_or_else(|_| compose_epoch(0, gen));
-                    t.map.insert(name.into(), sym.0);
-                    sym
-                })
-            }
-        }
+            let name: Rc<str> = Rc::from(name);
+            let sym = t.alloc(Rc::clone(&name));
+            t.map.insert(name, sym.id);
+            sym
+        })
     }
 
     /// Creates a fresh, uninterned symbol whose printed name starts with
@@ -469,11 +293,15 @@ impl Symbol {
     /// freshen identically (the name may coincide with an interned
     /// symbol decoded from the module's own artifact; identities stay
     /// distinct, and by construction the names refer to the same
-    /// binding). Outside any scope the name draws from a process-global
-    /// counter and skips names the world already knows: decoding a
+    /// binding). Outside any scope the name draws from this thread's
+    /// counter and skips names the world already interned: decoding a
     /// compiled artifact interns the gensym names it recorded, and an
     /// unscoped live gensym must stay distinct from those by *name*,
     /// not just identity, for its own artifact to be loadable later.
+    ///
+    /// # Panics
+    ///
+    /// Panics when this thread's table is full (2^22 symbols).
     pub fn fresh(base: &str) -> Symbol {
         let scoped = FRESH_SCOPES.with(|s| {
             s.borrow_mut().last_mut().map(|(digest, n)| {
@@ -482,82 +310,45 @@ impl Symbol {
                 name
             })
         });
-        if let Some(name) = scoped {
-            return alloc_gensym(name);
-        }
-        static COUNTER: AtomicU64 = AtomicU64::new(0);
-        // The probe loop is bounded and formats *outside* any lock (the
-        // old implementation held the interner write lock across the
-        // whole format-and-retry loop). Collisions require someone to
-        // have interned a literal "{base}~{n}" name, so in practice the
-        // first probe wins; after the bound we take the name anyway —
-        // identity (not name) uniqueness is the hard guarantee.
-        const MAX_PROBES: u32 = 64;
-        let mut name = String::new();
-        for _ in 0..MAX_PROBES {
-            let n = COUNTER.fetch_add(1, Ordering::Relaxed);
-            name = format!("{base}~{n}");
-            if !name_is_interned(&name) {
-                break;
-            }
-        }
-        alloc_gensym(name)
+        TABLE.with(|t| {
+            let mut t = t.borrow_mut();
+            let name = scoped.unwrap_or_else(|| loop {
+                let name = format!("{base}~{}", t.next_gensym);
+                t.next_gensym += 1;
+                if !t.map.contains_key(name.as_str()) {
+                    break name;
+                }
+            });
+            t.alloc(name.into())
+        })
     }
 
-    /// The symbol's name. Allocates a `String`; prefer
-    /// [`Symbol::static_str`] or [`Symbol::with_str`] on hot paths.
-    /// A stale epoch symbol (held across a truncation) reads as
-    /// `#<stale-symbol>`.
+    /// The symbol's name, copied into a `String`; prefer
+    /// [`Symbol::with_str`] on hot paths. A stale symbol (held across a
+    /// truncation) reads as `#<stale-symbol>`.
     pub fn as_str(&self) -> String {
-        match self.static_str() {
-            Some(s) => s.to_owned(),
-            None => EPOCH.with(|t| {
-                t.borrow()
-                    .name_of(*self)
-                    .map(str::to_owned)
-                    .unwrap_or_else(|| "#<stale-symbol>".to_owned())
-            }),
-        }
+        self.with_str(str::to_owned)
     }
 
-    /// The symbol's name as a `&'static str` — `Some` for arena symbols
-    /// (prelude/core names and everything interned before sealing),
-    /// `None` for epoch symbols. Zero-cost and lock-free.
-    pub fn static_str(&self) -> Option<&'static str> {
-        if self.0 & EPOCH_FLAG == 0 {
-            arena_name(self.0)
-        } else {
-            None
-        }
-    }
-
-    /// Runs `f` on the symbol's name without cloning it for arena
-    /// symbols (the overwhelmingly common case: prelude, core forms,
-    /// user identifiers in unsealed processes). Epoch symbols copy the
-    /// name out of the thread-local table first, so `f` may intern
-    /// without re-entering the table borrow.
+    /// Runs `f` on the symbol's name without copying it. The table is
+    /// not borrowed while `f` runs, so `f` may intern.
     pub fn with_str<R>(&self, f: impl FnOnce(&str) -> R) -> R {
-        match self.static_str() {
-            Some(s) => f(s),
-            None => f(&self.as_str()),
-        }
+        let name = TABLE.with(|t| t.borrow().name_of(*self).cloned());
+        f(name.as_deref().unwrap_or(STALE))
     }
 
-    /// Whether this symbol's name is still reachable from this thread:
-    /// always true for arena symbols, true for epoch symbols until
-    /// their epoch is truncated. The daemon's binding-table sweep uses
-    /// this to drop entries that refer to a finished request's world.
+    /// Whether this symbol still names something on this thread: true
+    /// until its epoch is truncated. The daemon's binding-table sweep
+    /// uses this to drop entries that refer to a finished request's
+    /// world.
     pub fn is_live(&self) -> bool {
-        if self.0 & EPOCH_FLAG == 0 {
-            return true;
-        }
-        EPOCH.with(|t| t.borrow().name_of(*self).is_some())
+        TABLE.with(|t| t.borrow().name_of(*self).is_some())
     }
 
-    /// The raw id. Useful only for debugging (bit 31 set means an epoch
-    /// symbol; see the module docs for the layout).
+    /// The raw id. Useful only for debugging (see the module docs for
+    /// the layout).
     pub fn index(&self) -> u32 {
-        self.0
+        self.id
     }
 
     /// Rebuilds a symbol from a raw id obtained via [`Symbol::index`].
@@ -565,7 +356,10 @@ impl Symbol {
     /// value word) can round-trip symbols without a lookup. Safe for any
     /// input: an id that names nothing renders as `#<stale-symbol>`.
     pub fn from_index(raw: u32) -> Symbol {
-        Symbol(raw)
+        Symbol {
+            id: raw,
+            _thread: PhantomData,
+        }
     }
 }
 
@@ -597,10 +391,8 @@ impl fmt::Debug for Symbol {
 mod tests {
     use super::*;
 
-    // Sealing is process-global, so the epoch-world behaviors (post-seal
-    // interning, truncation, stale detection) are exercised in the
-    // `epoch_worlds` integration test, which owns its process. The unit
-    // tests here run pre- or post-seal agnostically.
+    // `cargo test` runs each test on its own thread, so each test starts
+    // from an empty table of its own.
 
     #[test]
     fn interning_is_idempotent() {
@@ -610,23 +402,15 @@ mod tests {
 
     #[test]
     fn interned_count_tracks_this_world() {
-        // Replaces the obsolete `interned_count_grows_monotonically`:
-        // the count is now a per-world gauge (arena + this thread's
-        // epoch table) that *can* shrink at a truncation, but within an
-        // epoch new symbols still grow it.
         let before = interned_count();
         let a = Symbol::intern("interned-count-probe-a");
         let g = Symbol::fresh("interned-count-probe-b");
-        let after = interned_count();
-        assert!(after >= before, "{before} -> {after}");
-        // both symbols remain resolvable in this world
+        assert_eq!(interned_count(), before + 2);
         assert_eq!(a.as_str(), "interned-count-probe-a");
         assert!(g.as_str().starts_with("interned-count-probe-b~"));
         // re-interning an existing name does not grow the world
-        // (modulo concurrent tests interning, hence >=)
-        let count = interned_count();
         let _ = Symbol::intern("interned-count-probe-a");
-        assert!(interned_count() >= count);
+        assert_eq!(interned_count(), before + 2);
     }
 
     #[test]
@@ -637,14 +421,10 @@ mod tests {
     }
 
     #[test]
-    fn static_str_matches_as_str_for_arena_symbols() {
-        let s = Symbol::from("static-str-probe");
-        if let Some(st) = s.static_str() {
-            assert_eq!(st, s.as_str());
-        } else {
-            // post-seal (another test binary sealed): still resolvable
-            assert_eq!(s.as_str(), "static-str-probe");
-        }
+    fn with_str_lends_the_name_and_allows_interning() {
+        let s = Symbol::from("with-str-probe");
+        let twin = s.with_str(Symbol::intern);
+        assert_eq!(twin, s);
         assert!(s.is_live());
     }
 
@@ -662,6 +442,10 @@ mod tests {
         let name = g.as_str();
         let interned = Symbol::intern(&name);
         assert_ne!(g, interned, "gensym must stay uninterned");
+        // an unscoped gensym skips names already interned
+        let taken = Symbol::intern("z~0");
+        let fresh = Symbol::fresh("z");
+        assert_ne!(fresh.as_str(), taken.as_str());
     }
 
     #[test]
@@ -731,11 +515,21 @@ mod tests {
     }
 
     #[test]
-    fn epoch_mark_truncate_roundtrip_is_safe_pre_seal() {
-        // Pre-seal, marks see an empty epoch table and truncation is a
-        // no-op — the daemon API is safe to call unconditionally.
+    fn truncating_a_gensym_keeps_its_interned_namesake() {
+        // the interned twin of a scoped gensym, as decoding an artifact
+        // makes it, is older than a gensym the next expansion allocates
+        // under the same scope
+        let twin = Symbol::intern("t~0000002a.0");
         let mark = epoch_mark();
-        let _ = Symbol::intern("pre-seal-probe");
-        assert_eq!(epoch_truncate(mark), 0);
+        let gensym = {
+            let _scope = fresh_scope(0x2a);
+            Symbol::fresh("t")
+        };
+        assert_eq!(gensym.as_str(), twin.as_str());
+        assert_ne!(gensym, twin);
+        assert_eq!(epoch_truncate(mark), 1);
+        assert!(!gensym.is_live());
+        assert!(twin.is_live());
+        assert_eq!(Symbol::intern("t~0000002a.0"), twin, "one identity");
     }
 }

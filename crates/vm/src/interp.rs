@@ -90,6 +90,13 @@ impl Env {
         }
     }
 
+    /// Empties this frame, so the closures defined in it stop pointing
+    /// back at it; one still held elsewhere raises `unbound` when it
+    /// next looks up a variable of this frame.
+    pub fn clear(&self) {
+        self.vars.borrow_mut().clear();
+    }
+
     /// Installs a batch of bindings (e.g. the primitive library).
     pub fn install(&self, bindings: impl IntoIterator<Item = (Symbol, Value)>) {
         let mut vars = self.vars.borrow_mut();

@@ -64,6 +64,13 @@ impl Globals {
         self.slots.borrow()[idx].clone()
     }
 
+    /// Empties every slot, so the closures the module defined stop
+    /// pointing back at this table; one still held elsewhere raises
+    /// `unbound` when it next reads a global.
+    pub fn clear(&self) {
+        self.slots.borrow_mut().fill(None);
+    }
+
     /// Every defined (non-`None`) global, by name.
     pub fn snapshot(&self) -> Vec<(Symbol, Value)> {
         self.names

@@ -107,6 +107,26 @@ fn deep_non_tail_recursion_reports_stack_depth() {
 }
 
 #[test]
+fn a_registry_built_under_a_small_budget_bootstraps() {
+    // the prelude's own expansion spends no budget: a second world built
+    // while a five-step budget is installed comes up, and the budget is
+    // left for its modules, which exhaust it
+    let first = Lagoon::new();
+    first.set_limits(Limits {
+        max_expansion_steps: 5,
+        ..Limits::default()
+    });
+    let second = Lagoon::new();
+    assert_eq!(second.limits().max_expansion_steps, 5);
+    second.add_module(
+        "m",
+        "#lang lagoon\n(define (f x) (cond [(< x 0) 'neg] [else (let* ([a 1] [b 2]) (and a b x))]))\n(f 2)\n",
+    );
+    assert_exhausted(second.run("m", EngineKind::Vm), "expansion-steps");
+    second.set_limits(Limits::default());
+}
+
+#[test]
 fn deep_recursion_within_budget_still_works() {
     let src = "#lang lagoon
         (define (count n) (if (= n 0) 0 (+ 1 (count (- n 1)))))

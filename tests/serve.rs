@@ -398,6 +398,62 @@ fn expanding_a_built_named_module_matches_its_inline_expansion() {
 }
 
 #[test]
+fn expanding_a_loaded_module_leaves_its_importers_bound() {
+    // `expand` of a store-loaded module expands its source again under
+    // the gensym scope its artifact was written with, so the request's
+    // gensyms share their names with the module's loaded globals. The
+    // worker truncates those gensyms after the request; the globals
+    // must keep their identities, or the next importer finds `f`
+    // unbound
+    let root = std::env::temp_dir().join(format!("lagoon-serve-truncate-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let store = root.join("store");
+    std::fs::create_dir_all(&root).expect("scratch dir");
+    std::fs::write(
+        root.join("m.lag"),
+        "#lang lagoon\n(provide f)\n(define (f x) (* x 2))\n",
+    )
+    .expect("write m");
+    std::fs::write(root.join("n.lag"), "#lang lagoon\n(require m)\n(f 21)\n").expect("write n");
+    let built = Command::new(env!("CARGO_BIN_EXE_lagoon"))
+        .arg("build")
+        .arg(root.join("n.lag"))
+        .arg("--cache-dir")
+        .arg(&store)
+        .output()
+        .expect("run lagoon build");
+    assert!(built.status.success(), "{built:?}");
+
+    let daemon = Daemon::spawn(&[
+        "--workers",
+        "1",
+        "--root",
+        root.to_str().expect("utf-8"),
+        "--cache-dir",
+        store.to_str().expect("utf-8"),
+    ]);
+    let addr = daemon.addr.clone();
+    let response = run(&addr, r#"{"module":"m"}"#);
+    assert_eq!(
+        response.get("ok").and_then(Json::as_bool),
+        Some(true),
+        "{response}"
+    );
+    let (status, response) = call(&addr, "POST", "/v1/expand", r#"{"module":"m"}"#);
+    assert_eq!(status, 200, "{response}");
+    for _ in 0..2 {
+        let response = run(&addr, r#"{"module":"n"}"#);
+        assert_eq!(
+            response.get("value").and_then(Json::as_str),
+            Some("42"),
+            "{response}"
+        );
+    }
+    daemon.shutdown();
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
 fn daemon_backpressure_rejects_rather_than_queues_unboundedly() {
     // one worker and a 2-deep queue: flooding with slow requests must
     // produce resource-exhausted 503s, and the daemon must stay
@@ -564,7 +620,6 @@ fn daemon_stats_gauges_trace_ids_and_flat_interner() {
         "inline requests must not leak interned symbols: {after}"
     );
     assert!(gauge(&after, "interner", "high_water") >= symbols_after);
-    assert!(gauge(&after, "interner", "arena") > 0, "{after}");
     // store gauge present (zero: this daemon has no cache dir); queue
     // depth series and worker spans recorded the traffic
     assert!(after.get("store").and_then(|s| s.get("bytes")).is_some());

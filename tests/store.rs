@@ -796,6 +796,69 @@ fn build_traces_open_with_a_discovery_track() {
 }
 
 #[test]
+fn worker_spans_of_a_parallel_build_name_their_module() {
+    // each worker renders its spans on its own thread, where the
+    // symbols they hold mean something: a span's source location names
+    // the module whose expansion it sits in, with a line
+    let sources = stress_graph();
+    let dir = temp_store("worker-span-src");
+    let report = lagoon::server::build_from_map(
+        &["top".to_string()],
+        sources.clone(),
+        &lagoon::server::BuildOptions {
+            jobs: 2,
+            cache_dir: Some(dir.clone()),
+            trace: true,
+            ..Default::default()
+        },
+    );
+    assert!(report.success(), "{:?}", report.failures());
+    let mut named = std::collections::BTreeSet::new();
+    for (track, trace) in report
+        .traces
+        .iter()
+        .filter(|(t, _)| t.starts_with("worker"))
+    {
+        let by_id: std::collections::HashMap<u64, &lagoon::diag::trace::TraceSpan> =
+            trace.spans.iter().map(|s| (s.id, s)).collect();
+        for span in &trace.spans {
+            let Some(src) = span.src.as_deref() else {
+                continue;
+            };
+            let mut parts = src.rsplitn(3, ':');
+            let (_col, line, module) = (parts.next(), parts.next(), parts.next());
+            assert!(
+                line.is_some_and(|l| l.parse::<u32>().is_ok()),
+                "{track}: {src}"
+            );
+            let mut expand = span;
+            while expand.phase != "expand" {
+                expand = by_id[&expand.parent.expect("a span with a src sits in an expand")];
+            }
+            assert_eq!(module, Some(expand.label.as_str()), "{track}: {src}");
+            named.insert(expand.label.clone());
+        }
+    }
+    assert!(named.contains("top") && named.contains("leaf"), "{named:?}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn repeated_builds_leave_no_symbols_behind() {
+    // discovery and the workers intern on threads of their own, whose
+    // tables go with them: cold builds in one process leave the
+    // caller's table as it was
+    let sources = stress_graph();
+    let before = lagoon_syntax::interned_count();
+    for round in 0..3 {
+        let dir = temp_store(&format!("repeat-{round}"));
+        build_into(&sources, &["top"], 2, &dir);
+        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(lagoon_syntax::interned_count(), before, "round {round}");
+    }
+}
+
+#[test]
 fn an_edit_recompiles_exactly_the_module_and_its_importers() {
     let mut sources = stress_graph();
     let dir = temp_store("edit-rebuild");

@@ -88,9 +88,18 @@ fn traced_run_covers_the_pipeline_and_nests() {
         .iter()
         .find(|s| s.phase == "form" && s.label == "square" && s.src.is_some())
         .expect("a source-attributed form span for square");
-    let src = form.src.expect("form span has a source location");
-    assert_eq!(src.source.as_str(), "traced-main");
-    assert!(src.line > 0);
+    let src = form
+        .src
+        .as_deref()
+        .expect("form span has a source location");
+    let mut parts = src.rsplitn(3, ':');
+    let (_col, line, source) = (parts.next(), parts.next(), parts.next());
+    assert_eq!(source, Some("traced-main"), "{src}");
+    assert!(
+        line.and_then(|l| l.parse::<u32>().ok())
+            .is_some_and(|l| l > 0),
+        "{src}"
+    );
 }
 
 #[test]
