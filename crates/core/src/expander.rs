@@ -22,7 +22,7 @@
 
 use crate::binding::{Binding, BindingTable, CoreFormKind, ExpandCtx, Expanded};
 use lagoon_runtime::{Kind, RtError, Value};
-use lagoon_syntax::{Datum, Scope, Symbol, SynData, Syntax};
+use lagoon_syntax::{Datum, Scope, Span, Symbol, SynData, Syntax};
 use lagoon_vm::{Engine, Env, Interp};
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -696,13 +696,17 @@ impl Expander {
     /// Returns expansion errors from either pass.
     pub fn expand_module_forms(&self, forms: Vec<Syntax>) -> Result<Vec<Syntax>, RtError> {
         enum Item {
-            Def(Syntax, Syntax, Syntax),
+            // binder, right-hand side, the `define-values` form, and the
+            // span of the surface form it came from (a macro's output,
+            // like `define`'s, carries a synthetic one)
+            Def(Syntax, Syntax, Syntax, Span),
             Expr(Syntax),
             Done(Syntax),
         }
         let mut items: Vec<Item> = Vec::new();
         let mut work: std::collections::VecDeque<Syntax> = forms.into_iter().collect();
         while let Some(form) = work.pop_front() {
+            let surface = form.span();
             match self.classify(form, ExpandCtx::ModuleBegin)? {
                 Classified::Done(core) => items.push(Item::Done(core)),
                 Classified::Core(CoreFormKind::Begin, stx) => {
@@ -717,7 +721,7 @@ impl Expander {
                     let (ids, rhs) = parse_define_values_ids(&stx)?;
                     if let [id] = ids.as_slice() {
                         let binder = self.fresh_binder(id)?;
-                        items.push(Item::Def(binder, rhs, stx));
+                        items.push(Item::Def(binder, rhs, stx, surface));
                     } else {
                         for f in desugar_define_values(&stx, &ids, &rhs)?.into_iter().rev() {
                             work.push_front(f);
@@ -747,8 +751,13 @@ impl Expander {
         let mut out = Vec::new();
         for item in items {
             match item {
-                Item::Def(binder, rhs, orig) => {
-                    let _t = form_trace_span(binder.sym(), &orig);
+                Item::Def(binder, rhs, orig, surface) => {
+                    let src = if surface.is_synthetic() {
+                        orig.span()
+                    } else {
+                        surface
+                    };
+                    let _t = form_trace_span(binder.sym(), src);
                     let rhs_core = self.expand_expr(&rhs)?;
                     out.push(orig.with_data(SynData::List(vec![
                         crate::build::id("define-values"),
@@ -757,7 +766,7 @@ impl Expander {
                     ])));
                 }
                 Item::Expr(e) => {
-                    let _t = form_trace_span(head_sym(&e), &e);
+                    let _t = form_trace_span(head_sym(&e), e.span());
                     out.push(self.expand_expr(&e)?);
                 }
                 Item::Done(core) => out.push(core),
@@ -867,8 +876,8 @@ fn head_sym(stx: &Syntax) -> Option<Symbol> {
 /// head) identifier and carrying its source location — the file:line
 /// attribution `lagoon run --trace` shows under each module's expand
 /// span. Inert (one thread-local read) when no recorder is installed.
-fn form_trace_span(name: Option<Symbol>, stx: &Syntax) -> lagoon_diag::trace::SpanGuard {
-    lagoon_diag::trace::start_at("form", name, stx.span())
+fn form_trace_span(name: Option<Symbol>, src: Span) -> lagoon_diag::trace::SpanGuard {
+    lagoon_diag::trace::start_at("form", name, src)
 }
 
 /// Builds the surface application `(#%values-check rhs n)` — at run

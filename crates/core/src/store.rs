@@ -579,13 +579,15 @@ mod tests {
     fn forms_that_do_not_compile_are_corrupt() {
         // a lambda with no body decodes, but the compiler rejects it
         let mut m = sample_module(vec![]);
-        m.forms = vec![CoreForm::Expr(CoreExpr::Lambda(lagoon_vm::LambdaCore {
-            name: None,
-            formals: vec![],
-            rest: None,
-            body: vec![],
-            span: Span::synthetic(),
-        }))];
+        m.forms = vec![CoreForm::Expr(CoreExpr::Lambda(Rc::new(
+            lagoon_vm::LambdaCore {
+                name: None,
+                formals: vec![],
+                rest: None,
+                body: vec![],
+                span: Span::synthetic(),
+            },
+        )))];
         let bytes = encode(&m, 0, 0, &[]).unwrap();
         assert!(decode_header(&bytes).is_ok());
         match decode(&bytes, &no_rehydrate) {

@@ -455,6 +455,7 @@ pub fn phase1_natives() -> Vec<(Symbol, Value)> {
             Value::Native(Rc::new(Native {
                 name: Symbol::intern(name),
                 arity,
+                intercept: None,
                 f,
             })),
         ));

@@ -20,4 +20,4 @@ pub mod value;
 
 pub use contract::{apply_contract, Contract};
 pub use error::{Kind, RtError};
-pub use value::{Arity, Closure, Contracted, Native, NativeFn, Pair, Unpacked, Value};
+pub use value::{Arity, Closure, Contracted, Intercept, Native, NativeFn, Pair, Unpacked, Value};

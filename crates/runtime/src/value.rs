@@ -132,8 +132,22 @@ pub struct Native {
     pub name: Symbol,
     /// Accepted argument counts.
     pub arity: Arity,
+    /// Set only on the engines' `apply` and `call-with-values`
+    /// placeholders, which an engine must intercept before `f` runs.
+    pub intercept: Option<Intercept>,
     /// The implementation.
     pub f: Box<NativeFn>,
+}
+
+/// The primitives whose behaviour needs the executing engine itself.
+/// Engines recognise them by this marker, one compare per native call,
+/// never by name.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Intercept {
+    /// `apply`: spread the final list argument.
+    Apply,
+    /// `call-with-values`: run the producer, pass its values on.
+    CallWithValues,
 }
 
 impl Native {
@@ -146,6 +160,7 @@ impl Native {
         Value::Native(Rc::new(Native {
             name: Symbol::intern(name),
             arity,
+            intercept: None,
             f: Box::new(f),
         }))
     }
@@ -399,25 +414,42 @@ impl Clone for Value {
 }
 
 impl Drop for Value {
-    #[inline]
+    // every drop site inlines only this compare: an immediate owns
+    // nothing, and a heap word calls the one out-of-line kind match
+    #[inline(always)]
     fn drop(&mut self) {
         if self.is_heap() {
-            unsafe {
-                match self.heap_kind() {
-                    HK_PAIR => drop(Rc::from_raw(self.ptr::<Pair>())),
-                    HK_STR => drop(Rc::from_raw(self.ptr::<String>())),
-                    HK_VECTOR => drop(Rc::from_raw(self.ptr::<RefCell<Vec<Value>>>())),
-                    HK_BOX => drop(Rc::from_raw(self.ptr::<RefCell<Value>>())),
-                    HK_CLOSURE => drop(Rc::from_raw(self.ptr::<Closure>())),
-                    HK_NATIVE => drop(Rc::from_raw(self.ptr::<Native>())),
-                    HK_CONTRACTED => drop(Rc::from_raw(self.ptr::<Contracted>())),
-                    HK_VALUES => drop(Rc::from_raw(self.ptr::<Vec<Value>>())),
-                    HK_SYNTAX => drop(Rc::from_raw(self.ptr::<Syntax>())),
-                    HK_COMPLEX => drop(Rc::from_raw(self.ptr::<(f64, f64)>())),
-                    _ => drop(Rc::from_raw(self.ptr::<i64>())),
-                }
-            }
+            // SAFETY: a heap word owns one strong count of the `Rc` its
+            // kind names, and this drop gives it up, once
+            unsafe { release_heap(self.0) }
         }
+    }
+}
+
+/// Releases the `Rc` packed in a heap word: the heap half of
+/// `Value::drop`, kept out of line so that the immediate test stays small
+/// enough to inline everywhere. It takes the bare word, not `&mut Value`,
+/// so a caller's value need not live in memory.
+///
+/// # Safety
+/// `bits` must be a heap word whose reference the caller gives up.
+#[inline(never)]
+unsafe fn release_heap(bits: u64) {
+    let word = std::mem::ManuallyDrop::new(Value::from_bits(bits));
+    // SAFETY: the caller gives up the word's count, and its kind names
+    // the payload type its `Rc` was made from (see `pack_ptr`)
+    match word.heap_kind() {
+        HK_PAIR => drop(Rc::from_raw(word.ptr::<Pair>())),
+        HK_STR => drop(Rc::from_raw(word.ptr::<String>())),
+        HK_VECTOR => drop(Rc::from_raw(word.ptr::<RefCell<Vec<Value>>>())),
+        HK_BOX => drop(Rc::from_raw(word.ptr::<RefCell<Value>>())),
+        HK_CLOSURE => drop(Rc::from_raw(word.ptr::<Closure>())),
+        HK_NATIVE => drop(Rc::from_raw(word.ptr::<Native>())),
+        HK_CONTRACTED => drop(Rc::from_raw(word.ptr::<Contracted>())),
+        HK_VALUES => drop(Rc::from_raw(word.ptr::<Vec<Value>>())),
+        HK_SYNTAX => drop(Rc::from_raw(word.ptr::<Syntax>())),
+        HK_COMPLEX => drop(Rc::from_raw(word.ptr::<(f64, f64)>())),
+        _ => drop(Rc::from_raw(word.ptr::<i64>())),
     }
 }
 
@@ -1260,6 +1292,30 @@ mod tests {
         );
     }
 
+    /// Counts how often it is dropped.
+    struct Dropped(Rc<std::cell::Cell<usize>>);
+
+    impl Drop for Dropped {
+        fn drop(&mut self) {
+            self.0.set(self.0.get() + 1);
+        }
+    }
+
+    /// Clones `v` once and drops both words. The payload's strong count,
+    /// read through a `Weak` made from the word itself, must follow each
+    /// step and reach zero exactly at the last drop.
+    fn balance<T>(kind: &str, v: Value) {
+        // SAFETY: every caller passes a heap word whose payload is a `T`
+        let probe = Rc::downgrade(&unsafe { v.clone_rc::<T>() });
+        assert_eq!(probe.strong_count(), 1, "{kind}: one word, one count");
+        let v2 = v.clone();
+        assert_eq!(probe.strong_count(), 2, "{kind}: clone counts");
+        drop(v);
+        assert_eq!(probe.strong_count(), 1, "{kind}: first drop");
+        drop(v2);
+        assert_eq!(probe.strong_count(), 0, "{kind}: freed at its last drop");
+    }
+
     #[test]
     fn clone_and_drop_balance_refcounts() {
         let rc = Rc::new(String::from("shared"));
@@ -1273,6 +1329,64 @@ mod tests {
         assert_eq!(Rc::strong_count(&probe), 2);
         drop(v2);
         assert_eq!(Rc::strong_count(&probe), 1);
+
+        // every heap kind; `freed` counts the destructors of the payloads
+        // that own a `Dropped`, which must each run once, at the last drop
+        let freed = Rc::new(std::cell::Cell::new(0));
+        let tracked = || {
+            let d = Dropped(freed.clone());
+            Native::value("tracked", Arity::exactly(0), move |_| {
+                let _ = &d;
+                Ok(Value::Void)
+            })
+        };
+        let mut owners = 0;
+        let mut check = |n: usize| {
+            owners += n;
+            assert_eq!(freed.get(), owners, "each payload freed exactly once");
+        };
+        balance::<Pair>("pair", Value::cons(tracked(), Value::Nil));
+        check(1);
+        balance::<String>("string", Value::string("s"));
+        balance::<RefCell<Vec<Value>>>("vector", Value::vector(vec![tracked(), tracked()]));
+        check(2);
+        balance::<RefCell<Value>>("box", Value::Box(Rc::new(RefCell::new(tracked()))));
+        check(1);
+        let closure = Closure {
+            name: None,
+            arity: Arity::exactly(0),
+            code: Rc::new(Dropped(freed.clone())),
+            env: Rc::new(Dropped(freed.clone())),
+        };
+        balance::<Closure>("closure", Value::Closure(Rc::new(closure)));
+        check(2);
+        balance::<Native>("native", tracked());
+        check(1);
+        let contracted = Contracted {
+            inner: tracked(),
+            contract: crate::contract::Contract::Any,
+            positive: Symbol::intern("server"),
+            negative: Symbol::intern("client"),
+        };
+        balance::<Contracted>("contracted", Value::Contracted(Rc::new(contracted)));
+        check(1);
+        balance::<Vec<Value>>("values", Value::Values(Rc::new(vec![tracked(), tracked()])));
+        check(2);
+        let stx = Syntax::atom(Datum::Int(1), lagoon_syntax::Span::synthetic());
+        balance::<Syntax>("syntax", Value::Syntax(stx));
+        balance::<(f64, f64)>("float-complex", Value::Complex(1.0, -2.0));
+        balance::<i64>("out-of-range integer", Value::Int(i64::MAX));
+        // immediates own nothing
+        for v in [
+            Value::Float(1.5),
+            Value::Int(7),
+            Value::Nil,
+            Value::Bool(true),
+        ] {
+            assert!(!v.is_heap(), "{v:?}");
+            drop(v.clone());
+        }
+        check(0);
     }
 
     #[test]

@@ -556,10 +556,11 @@ fn worker_loop(
     source_of: &SourceFn,
     opts: &BuildOptions,
 ) -> WorkerResult {
-    let collector = Collector::install();
-
     let setup_start = Instant::now();
     let registry = build_registry(opts);
+    // record after the bootstrap, as discovery does: the prelude's own
+    // per-form spans belong to no module of the build
+    let collector = Collector::install();
     lagoon_diag::limits::install(opts.limits);
     // Names this worker claimed in the single-flight map from inside the
     // loader (statically invisible requires); released after the

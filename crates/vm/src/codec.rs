@@ -28,6 +28,7 @@
 use crate::ir::{CoreExpr, CoreForm, LambdaCore};
 use lagoon_runtime::Value;
 use lagoon_syntax::{ScopeSet, Symbol, Syntax, WireError, WireReader, WireWriter};
+use std::rc::Rc;
 
 /// Maximum nesting depth accepted when decoding recursive structures.
 const MAX_DEPTH: usize = 512;
@@ -234,13 +235,13 @@ fn decode_expr_at(r: &mut WireReader, depth: usize) -> Result<CoreExpr, WireErro
             let rest = if r.bool()? { Some(r.symbol()?) } else { None };
             let body = decode_exprs(r, d)?;
             let span = r.span()?;
-            CoreExpr::Lambda(LambdaCore {
+            CoreExpr::Lambda(Rc::new(LambdaCore {
                 name,
                 formals,
                 rest,
                 body,
                 span,
-            })
+            }))
         }
         6 => {
             let binds = decode_bindings(r, d)?;
@@ -399,7 +400,7 @@ mod tests {
 
     #[test]
     fn expr_and_form_round_trip() {
-        let lam = CoreExpr::Lambda(LambdaCore {
+        let lam = CoreExpr::Lambda(Rc::new(LambdaCore {
             name: Some(Symbol::intern("f")),
             formals: vec![Symbol::intern("x")],
             rest: Some(Symbol::intern("rest")),
@@ -413,7 +414,7 @@ mod tests {
                 )),
             )],
             span: span(),
-        });
+        }));
         let form = CoreForm::Define(Symbol::intern("f"), lam, span());
         let mut w = WireWriter::new();
         encode_form(&mut w, &form).unwrap();

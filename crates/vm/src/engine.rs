@@ -7,7 +7,11 @@
 //! typed/untyped boundary checks behave identically regardless of engine
 //! (paper §6.1).
 
-use lagoon_runtime::{apply_contract, Contract, Contracted, RtError, Value};
+use lagoon_runtime::{
+    apply_contract, Arity, Contract, Contracted, Intercept, Kind, Native, RtError, Value,
+};
+use lagoon_syntax::Symbol;
+use std::rc::Rc;
 
 /// Anything that can apply a Lagoon procedure to arguments.
 pub trait Engine {
@@ -41,7 +45,7 @@ pub fn apply_contracted(
     }
     let Contract::Function(doms, rng) = &c.contract else {
         return Err(RtError::new(
-            lagoon_runtime::Kind::Internal,
+            Kind::Internal,
             "contracted value does not carry a function contract",
         ));
     };
@@ -91,26 +95,11 @@ pub fn splice_apply_args(args: &[Value]) -> Result<(Value, Vec<Value>), RtError>
     Ok((f.clone(), all))
 }
 
-/// True when `v` is the distinguished `apply` primitive, which engines must
-/// intercept (its behaviour needs the engine itself).
-pub fn is_apply_native(v: &Value) -> bool {
-    v.as_native()
-        .is_some_and(|n| n.name == lagoon_syntax::Symbol::intern("apply"))
-}
-
 /// The placeholder `apply` primitive; engines intercept applications of it
-/// before the fallback body (which only reports a misuse) can run.
-pub fn apply_placeholder() -> (lagoon_syntax::Symbol, Value) {
-    let name = lagoon_syntax::Symbol::intern("apply");
-    (
-        name,
-        lagoon_runtime::Native::value("apply", lagoon_runtime::Arity::at_least(2), |_| {
-            Err(RtError::new(
-                lagoon_runtime::Kind::Internal,
-                "apply must be handled by an execution engine",
-            ))
-        }),
-    )
+/// (its [`Intercept::Apply`] marker) before the fallback body, which only
+/// reports a misuse, can run.
+pub fn apply_placeholder() -> (Symbol, Value) {
+    placeholder("apply", Arity::at_least(2), Intercept::Apply)
 }
 
 /// Reduces a `call-with-values` invocation to an ordinary call: runs the
@@ -138,36 +127,50 @@ pub fn splice_cwv_args(
     Ok((consumer.clone(), vals))
 }
 
-/// True when `v` is the distinguished `call-with-values` primitive, which
-/// engines must intercept (running the producer needs the engine itself).
-pub fn is_cwv_native(v: &Value) -> bool {
-    v.as_native()
-        .is_some_and(|n| n.name == lagoon_syntax::Symbol::intern("call-with-values"))
+/// The placeholder `call-with-values` primitive; engines intercept
+/// applications of it (its [`Intercept::CallWithValues`] marker) before
+/// the fallback body can run.
+pub fn cwv_placeholder() -> (Symbol, Value) {
+    placeholder(
+        "call-with-values",
+        Arity::exactly(2),
+        Intercept::CallWithValues,
+    )
 }
 
-/// The placeholder `call-with-values` primitive; engines intercept
-/// applications of it before the fallback body can run.
-pub fn cwv_placeholder() -> (lagoon_syntax::Symbol, Value) {
-    let name = lagoon_syntax::Symbol::intern("call-with-values");
-    (
-        name,
-        lagoon_runtime::Native::value(
-            "call-with-values",
-            lagoon_runtime::Arity::exactly(2),
-            |_| {
-                Err(RtError::new(
-                    lagoon_runtime::Kind::Internal,
-                    "call-with-values must be handled by an execution engine",
-                ))
-            },
-        ),
-    )
+/// Reduces an application of a placeholder carrying `intercept` to the
+/// ordinary call it stands for: the callee and its argument list.
+///
+/// # Errors
+///
+/// As [`splice_apply_args`] and [`splice_cwv_args`].
+pub fn splice_intercepted(
+    engine: &dyn Engine,
+    intercept: Intercept,
+    args: &[Value],
+) -> Result<(Value, Vec<Value>), RtError> {
+    match intercept {
+        Intercept::Apply => splice_apply_args(args),
+        Intercept::CallWithValues => splice_cwv_args(engine, args),
+    }
+}
+
+/// The only constructor of natives that carry an [`Intercept`] marker.
+fn placeholder(name: &str, arity: Arity, intercept: Intercept) -> (Symbol, Value) {
+    let sym = Symbol::intern(name);
+    let misuse = format!("{name} must be handled by an execution engine");
+    let native = Native {
+        name: sym,
+        arity,
+        intercept: Some(intercept),
+        f: Box::new(move |_| Err(RtError::new(Kind::Internal, misuse.clone()))),
+    };
+    (sym, Value::Native(Rc::new(native)))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lagoon_runtime::{Arity, Native};
 
     struct NativeOnly;
     impl Engine for NativeOnly {
@@ -235,6 +238,21 @@ mod tests {
         let f = wrap(inc(), vec![Contract::Integer], Contract::Integer);
         let e = NativeOnly.apply(&f, &[]).unwrap_err();
         assert!(matches!(e.kind, lagoon_runtime::Kind::Contract { .. }));
+    }
+
+    #[test]
+    fn only_the_placeholders_carry_a_marker() {
+        let marker = |v: &Value| v.as_native().and_then(|n| n.intercept);
+        assert_eq!(marker(&apply_placeholder().1), Some(Intercept::Apply));
+        assert_eq!(
+            marker(&cwv_placeholder().1),
+            Some(Intercept::CallWithValues)
+        );
+        let named_apply = Native::value("apply", Arity::at_least(2), |_| Ok(Value::Void));
+        assert_eq!(marker(&named_apply), None);
+        for (_, v) in lagoon_runtime::prim::primitives() {
+            assert_eq!(marker(&v), None, "{v}");
+        }
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! Tail calls are iterative ([`Interp::apply`] loops), so tail-recursive
 //! hosted loops run in constant Rust stack.
 
-use crate::engine::{apply_contracted, is_apply_native, splice_apply_args, Engine};
+use crate::engine::{apply_contracted, splice_intercepted, Engine};
 use crate::ir::{CoreExpr, CoreForm, LambdaCore};
 use lagoon_runtime::{Arity, Closure, Kind, RtError, Value};
 use lagoon_syntax::{Span, Symbol};
@@ -251,7 +251,7 @@ impl Interp {
     }
 }
 
-fn make_closure(lam: &LambdaCore, env: &Rc<Env>) -> Value {
+fn make_closure(lam: &Rc<LambdaCore>, env: &Rc<Env>) -> Value {
     let arity = if lam.rest.is_some() {
         Arity::at_least(lam.formals.len())
     } else {
@@ -260,7 +260,7 @@ fn make_closure(lam: &LambdaCore, env: &Rc<Env>) -> Value {
     Value::Closure(Rc::new(Closure {
         name: lam.name,
         arity,
-        code: Rc::new(lam.clone()),
+        code: lam.clone(),
         env: env.clone(),
     }))
 }
@@ -271,16 +271,8 @@ impl Engine for Interp {
         let mut args = args.to_vec();
         loop {
             if let Some(n) = f.as_native() {
-                if is_apply_native(&f) {
-                    let (nf, nargs) = splice_apply_args(&args)?;
-                    f = nf;
-                    args = nargs;
-                    continue;
-                }
-                if crate::engine::is_cwv_native(&f) {
-                    let (nf, nargs) = crate::engine::splice_cwv_args(self, &args)?;
-                    f = nf;
-                    args = nargs;
+                if let Some(intercept) = n.intercept {
+                    (f, args) = splice_intercepted(self, intercept, &args)?;
                     continue;
                 }
                 if !n.arity.accepts(args.len()) {
@@ -432,6 +424,22 @@ mod tests {
         )
         .unwrap();
         assert_eq!(v.as_int(), Some(1_000_000));
+    }
+
+    #[test]
+    fn closures_from_one_lambda_share_its_code() {
+        let v = run(
+            "(define-values (mk) (#%plain-lambda () (#%plain-lambda (x) x)))
+             (#%plain-app list (#%plain-app mk) (#%plain-app mk))",
+        )
+        .unwrap();
+        let closures = v.list_to_vec().unwrap();
+        let (a, b) = (
+            closures[0].as_closure().unwrap(),
+            closures[1].as_closure().unwrap(),
+        );
+        assert!(!std::ptr::eq(a, b), "two closures");
+        assert!(Rc::ptr_eq(&a.code, &b.code), "one shared lambda");
     }
 
     #[test]

@@ -13,6 +13,7 @@
 
 use lagoon_runtime::{RtError, Value};
 use lagoon_syntax::{Datum, Span, Symbol, SynData, Syntax};
+use std::rc::Rc;
 
 /// A fully-expanded expression.
 #[derive(Clone, Debug)]
@@ -27,8 +28,9 @@ pub enum CoreExpr {
     If(Box<CoreExpr>, Box<CoreExpr>, Box<CoreExpr>),
     /// Sequencing; the last expression's value is the result.
     Begin(Vec<CoreExpr>),
-    /// A procedure.
-    Lambda(LambdaCore),
+    /// A procedure. Shared, so that every closure made from it holds the
+    /// same code rather than a copy.
+    Lambda(Rc<LambdaCore>),
     /// Parallel bindings.
     Let(Vec<(Symbol, CoreExpr)>, Vec<CoreExpr>),
     /// Mutually recursive bindings.
@@ -113,7 +115,10 @@ pub fn parse_form(stx: &Syntax) -> Result<CoreForm, RtError> {
 
 fn name_lambda(e: &mut CoreExpr, name: Symbol) {
     if let CoreExpr::Lambda(lam) = e {
-        lam.name.get_or_insert(name);
+        if lam.name.is_none() {
+            // just parsed, so not shared yet: this never copies
+            Rc::make_mut(lam).name = Some(name);
+        }
     }
 }
 
@@ -184,13 +189,13 @@ pub fn parse_expr(stx: &Syntax) -> Result<CoreExpr, RtError> {
                 }
                 Some("#%plain-lambda") if items.len() >= 3 => {
                     let (formals, rest) = parse_formals(&items[1])?;
-                    Ok(CoreExpr::Lambda(LambdaCore {
+                    Ok(CoreExpr::Lambda(Rc::new(LambdaCore {
                         name: None,
                         formals,
                         rest,
                         body: parse_body(&items[2..], stx)?,
                         span: stx.span(),
-                    }))
+                    })))
                 }
                 Some("let-values") if items.len() >= 3 => Ok(CoreExpr::Let(
                     parse_bindings(&items[1])?,

@@ -14,7 +14,7 @@
 
 use crate::bytecode::{Arg, CaptureSrc, ModuleCode, Op, Proto};
 use crate::counters::Tally;
-use crate::engine::{apply_contracted, is_apply_native, splice_apply_args, Engine};
+use crate::engine::{apply_contracted, splice_intercepted, Engine};
 use lagoon_runtime::{number, Closure, Kind, RtError, Value};
 use lagoon_syntax::Symbol;
 use std::cell::RefCell;
@@ -132,12 +132,8 @@ impl Engine for Vm {
         let mut args = args.to_vec();
         loop {
             if let Some(n) = f.as_native() {
-                if is_apply_native(&f) {
-                    (f, args) = splice_apply_args(&args)?;
-                    continue;
-                }
-                if crate::engine::is_cwv_native(&f) {
-                    (f, args) = crate::engine::splice_cwv_args(self, &args)?;
+                if let Some(intercept) = n.intercept {
+                    (f, args) = splice_intercepted(self, intercept, &args)?;
                     continue;
                 }
                 if !n.arity.accepts(args.len()) {
@@ -1139,21 +1135,13 @@ fn enter_call(
     loop {
         let f = &stack[argstart - 1];
         if let Some(nat) = f.as_native() {
-            if is_apply_native(f) {
-                // replace `apply f a … lst` with `f a … lst-elems`;
-                // the new callee lands back at `argstart - 1`
+            if let Some(intercept) = nat.intercept {
+                // replace `apply f a … lst` with `f a … lst-elems`, or
+                // `call-with-values producer consumer` with `consumer v…`
+                // (the producer runs reentrantly); the new callee lands
+                // back at `argstart - 1`
                 let all: Vec<Value> = stack.drain(argstart - 1..).collect();
-                let (nf, nargs) = splice_apply_args(&all[1..])?;
-                stack.push(nf);
-                n = nargs.len();
-                stack.extend(nargs);
-                continue;
-            }
-            if crate::engine::is_cwv_native(f) {
-                // replace `call-with-values producer consumer` with
-                // `consumer v…` (the producer runs reentrantly)
-                let all: Vec<Value> = stack.drain(argstart - 1..).collect();
-                let (nf, nargs) = crate::engine::splice_cwv_args(&Vm, &all[1..])?;
+                let (nf, nargs) = splice_intercepted(&Vm, intercept, &all[1..])?;
                 stack.push(nf);
                 n = nargs.len();
                 stack.extend(nargs);

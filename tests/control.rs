@@ -121,3 +121,34 @@ fn a_negated_comparison_on_nan_takes_the_first_arm() {
         assert_eq!(v.write_string(), "1", "{module} on {engine:?}");
     }
 }
+
+#[test]
+fn apply_and_call_with_values_are_intercepted_on_both_engines() {
+    // the engines recognise the two placeholders by their marker; each
+    // way of reaching one gives the same answer on both engines
+    for (body, want) in [
+        ("(apply + 1 '(2 3))", Ok("6")),
+        // `apply` as a value, called back by a higher-order function
+        ("(map apply (list + *) '((1 2) (3 4)))", Ok("'(3 12)")),
+        ("(apply apply (list + '(1 2)))", Ok("3")),
+        (
+            "(apply call-with-values (list (lambda () (values 1 2)) list))",
+            Ok("'(1 2)"),
+        ),
+        // the producer runs through the engine's own `apply` entry
+        (
+            "(call-with-values (lambda () (apply values '(1 2 3))) +)",
+            Ok("6"),
+        ),
+        ("(call-with-values apply list)", Err(Kind::Arity)),
+        ("(apply + 1 2)", Err(Kind::Type)),
+        ("(call-with-values (lambda () 1))", Err(Kind::Arity)),
+        // a module's own `apply` is an ordinary function
+        (
+            "(define (apply f . xs) (list 'mine (length xs)))\n(apply + 1 '(2 3))",
+            Ok("'(mine 2)"),
+        ),
+    ] {
+        agree(&format!("#lang lagoon\n{body}\n"), want);
+    }
+}

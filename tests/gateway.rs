@@ -77,6 +77,29 @@ impl GatewayProc {
     }
 }
 
+impl Drop for GatewayProc {
+    // a test that panics before `shutdown` must not leave its gateway or
+    // its shard daemons running. A kill alone would orphan the shards,
+    // so ask for the drain first and wait briefly; then end and reap a
+    // gateway that is still alive
+    fn drop(&mut self) {
+        if !matches!(self.child.try_wait(), Ok(None)) {
+            return;
+        }
+        if let Ok(mut client) = HttpClient::connect(&self.addr, Some(Duration::from_secs(2))) {
+            let _ = client.request("POST", "/v1/shutdown", &[], b"{}");
+        }
+        for _ in 0..40 {
+            if !matches!(self.child.try_wait(), Ok(None)) {
+                return;
+            }
+            std::thread::sleep(Duration::from_millis(50));
+        }
+        let _ = self.child.kill();
+        let _ = self.child.wait();
+    }
+}
+
 /// Writes raw bytes and returns everything the gateway sends back
 /// before closing (these probes all hit close-the-connection errors).
 fn raw_roundtrip(addr: &str, bytes: &[u8]) -> String {

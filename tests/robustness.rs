@@ -628,6 +628,14 @@ fn interp_vs_vm_differential_sweep_agrees() {
         // mutated parameter, and negated tests (arms swapped), NaN too
         "#lang lagoon\n(define (sum n acc) (set! acc (+ acc n)) (if (zero? n) acc (sum (- n 1) acc)))\n(sum 40 0)\n",
         "#lang lagoon\n(define (f x y) (if (not (< x y)) (if (not (null? x)) 'a 'b) 'c))\n(list (f 1 2) (f 2 1) (f (/ 0.0 0.0) 1.0))\n",
+        // the `apply` and `call-with-values` placeholders, reached
+        // directly, as values, through each other, and shadowed
+        "#lang lagoon\n(apply + 1 '(2 3))\n",
+        "#lang lagoon\n(map apply (list + *) '((1 2) (3 4)))\n",
+        "#lang lagoon\n(apply apply (list + '(1 2)))\n",
+        "#lang lagoon\n(apply call-with-values (list (lambda () (values 1 2)) list))\n",
+        "#lang lagoon\n(call-with-values (lambda () (apply values '(1 2 3))) +)\n",
+        "#lang lagoon\n(define (apply f . xs) (list 'mine (length xs)))\n(apply + 1 '(2 3))\n",
     ];
     let (mut compared, mut skipped) = (0u64, 0u64);
     for i in 0..(corpus.len() + n) {

@@ -68,6 +68,17 @@ impl Daemon {
     }
 }
 
+impl Drop for Daemon {
+    // a test that panics before `shutdown` must not leave its daemon
+    // running: end and reap a child that is still alive
+    fn drop(&mut self) {
+        if let Ok(None) = self.child.try_wait() {
+            let _ = self.child.kill();
+            let _ = self.child.wait();
+        }
+    }
+}
+
 fn body_json(response: &HttpResponse) -> Json {
     json::parse(&response.body_str())
         .unwrap_or_else(|e| panic!("non-JSON body {:?}: {e}", response.body_str()))

@@ -103,6 +103,41 @@ fn traced_run_covers_the_pipeline_and_nests() {
 }
 
 #[test]
+fn untyped_definitions_carry_their_source_lines() {
+    // a surface `define` expands to a `define-values` with a synthetic
+    // span; each definition's `form` span must still name its line
+    let lagoon = Lagoon::new();
+    lagoon.add_module(
+        "untyped-main",
+        "#lang lagoon\n\
+         (define (double x) (* 2 x))\n\
+         (define k 5)\n\
+         (define (both y)\n  (+ (double y) k))\n\
+         (list (both 10))\n",
+    );
+    let (result, trace) = lagoon.run_traced("untyped-main", EngineKind::Vm);
+    assert_eq!(result.expect("program runs").to_string(), "(25)");
+    for (name, line) in [("double", 2), ("k", 3), ("both", 4)] {
+        let spans: Vec<&TraceSpan> = trace
+            .spans
+            .iter()
+            .filter(|s| s.phase == "form" && s.label == name)
+            .collect();
+        assert!(!spans.is_empty(), "no form span for {name}");
+        for span in spans {
+            let src = span
+                .src
+                .as_deref()
+                .unwrap_or_else(|| panic!("form span for {name} has no src"));
+            assert!(
+                src.starts_with(&format!("untyped-main:{line}:")),
+                "{name}: {src}"
+            );
+        }
+    }
+}
+
+#[test]
 fn traced_run_annotates_store_hits() {
     let dir = std::env::temp_dir().join(format!("lagoon-trace-store-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
