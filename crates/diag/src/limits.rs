@@ -76,7 +76,59 @@ impl Limits {
             timeout: None,
         }
     }
+
+    /// The value of `budget`, the deadline in milliseconds; `None` for
+    /// an unset deadline and for [`Budget::InjectedFault`].
+    pub fn get(&self, budget: Budget) -> Option<u64> {
+        match budget {
+            Budget::ExpansionSteps => Some(self.max_expansion_steps),
+            Budget::ExpansionDepth => Some(self.max_expansion_depth),
+            Budget::Phase1Steps => Some(self.max_phase1_steps),
+            Budget::VmSteps => Some(self.max_vm_steps),
+            Budget::StackDepth => Some(self.max_stack_depth),
+            Budget::Deadline => self
+                .timeout
+                .map(|t| u64::try_from(t.as_millis()).unwrap_or(u64::MAX)),
+            Budget::InjectedFault => None,
+        }
+    }
+
+    /// Sets `budget` to `value`, the deadline in milliseconds;
+    /// [`Budget::InjectedFault`] has no value to set.
+    pub fn set(&mut self, budget: Budget, value: u64) {
+        match budget {
+            Budget::ExpansionSteps => self.max_expansion_steps = value,
+            Budget::ExpansionDepth => self.max_expansion_depth = value,
+            Budget::Phase1Steps => self.max_phase1_steps = value,
+            Budget::VmSteps => self.max_vm_steps = value,
+            Budget::StackDepth => self.max_stack_depth = value,
+            Budget::Deadline => self.timeout = Some(Duration::from_millis(value)),
+            Budget::InjectedFault => {}
+        }
+    }
 }
+
+/// A budget a caller can set, under the name each surface gives it.
+pub struct Setting {
+    /// The budget.
+    pub budget: Budget,
+    /// The `lagoon` option that sets it.
+    pub flag: &'static str,
+    /// The key that sets it in a daemon request's `"limits"` object.
+    pub key: &'static str,
+}
+
+/// Every budget a caller can set: the one list the command line, the
+/// daemon's requests and the gateway's shard commands read.
+#[rustfmt::skip]
+pub const SETTINGS: [Setting; 6] = [
+    Setting { budget: Budget::ExpansionSteps, flag: "--max-expand-steps", key: "max_expansion_steps" },
+    Setting { budget: Budget::ExpansionDepth, flag: "--max-expand-depth", key: "max_expansion_depth" },
+    Setting { budget: Budget::Phase1Steps,    flag: "--max-phase1-steps", key: "max_phase1_steps" },
+    Setting { budget: Budget::VmSteps,        flag: "--max-steps",        key: "max_vm_steps" },
+    Setting { budget: Budget::StackDepth,     flag: "--max-stack-depth",  key: "max_stack_depth" },
+    Setting { budget: Budget::Deadline,       flag: "--timeout-ms",       key: "timeout_ms" },
+];
 
 /// Which budget ran out.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

@@ -15,6 +15,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
+use lagoon_server::daemon::SERVE;
 use lagoon_server::http::{HttpClient, HttpResponse};
 use lagoon_server::json::{obj, Json};
 use lagoon_server::{ServeOptions, Server};
@@ -74,18 +75,20 @@ const IDLE_POOL_CAP: usize = 8;
 
 /// Starts a backend per `opts`, returning its address and runtime.
 fn start_backend(opts: &GatewayOptions, index: usize) -> std::io::Result<(String, Runtime)> {
+    // each shard's daemon: the gateway's options, on a port of its own
+    let serve = ServeOptions {
+        addr: "127.0.0.1:0".to_string(),
+        workers: opts.workers_per_shard,
+        queue_cap: opts.queue_cap,
+        cache_dir: opts.cache_dir.clone(),
+        source_root: opts.source_root.clone(),
+        limits: opts.limits,
+        test_ops: opts.test_ops,
+        max_request_bytes: opts.max_body_bytes,
+    };
     match &opts.backend {
         ShardBackend::InProcess => {
-            let server = Server::start(ServeOptions {
-                addr: "127.0.0.1:0".to_string(),
-                workers: opts.workers_per_shard,
-                queue_cap: opts.queue_cap,
-                cache_dir: opts.cache_dir.clone(),
-                source_root: opts.source_root.clone(),
-                limits: opts.limits,
-                test_ops: opts.test_ops,
-                max_request_bytes: opts.max_body_bytes,
-            })?;
+            let server = Server::start(serve)?;
             Ok((
                 server.addr().to_string(),
                 Runtime::InProcess(Box::new(server)),
@@ -95,42 +98,8 @@ fn start_backend(opts: &GatewayOptions, index: usize) -> std::io::Result<(String
             let (program, prefix) = cmd
                 .split_first()
                 .ok_or_else(|| std::io::Error::other("empty shard command"))?;
-            let limits = &opts.limits;
             let mut command = std::process::Command::new(program);
-            command.args(prefix);
-            command.args([
-                "serve",
-                "--addr",
-                "127.0.0.1:0",
-                "--workers",
-                &opts.workers_per_shard.to_string(),
-                "--queue-cap",
-                &opts.queue_cap.to_string(),
-                "--max-request-bytes",
-                &opts.max_body_bytes.to_string(),
-                "--max-steps",
-                &limits.max_vm_steps.to_string(),
-                "--max-expand-steps",
-                &limits.max_expansion_steps.to_string(),
-                "--max-expand-depth",
-                &limits.max_expansion_depth.to_string(),
-                "--max-phase1-steps",
-                &limits.max_phase1_steps.to_string(),
-                "--max-stack-depth",
-                &limits.max_stack_depth.to_string(),
-            ]);
-            if let Some(timeout) = limits.timeout {
-                command.args(["--timeout-ms", &timeout.as_millis().to_string()]);
-            }
-            if let Some(dir) = &opts.cache_dir {
-                command.args(["--cache-dir", &dir.display().to_string()]);
-            }
-            if let Some(root) = &opts.source_root {
-                command.args(["--root", &root.display().to_string()]);
-            }
-            if opts.test_ops {
-                command.arg("--test-ops");
-            }
+            command.args(prefix).arg(SERVE.name).args(serve.to_args());
             command
                 .stdin(std::process::Stdio::null())
                 .stdout(std::process::Stdio::piped())
@@ -157,16 +126,7 @@ fn start_backend(opts: &GatewayOptions, index: usize) -> std::io::Result<(String
             };
             // Keep draining the child's stdout so it can never block on
             // a full pipe (the daemon prints final stats on exit).
-            std::thread::spawn(move || {
-                let mut sink = String::new();
-                loop {
-                    sink.clear();
-                    match reader.read_line(&mut sink) {
-                        Ok(0) | Err(_) => break,
-                        Ok(_) => {}
-                    }
-                }
-            });
+            std::thread::spawn(move || std::io::copy(&mut reader, &mut std::io::sink()));
             Ok((addr, Runtime::Process(child)))
         }
     }

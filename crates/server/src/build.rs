@@ -455,16 +455,63 @@ struct Scheduler {
     cv: Condvar,
 }
 
+/// Why a module no worker finished failed.
+const WORKER_PANICKED: &str = "internal error: build worker panicked";
+
+/// The outcome of a module whose worker died before finishing it.
+fn panicked(name: String) -> ModuleOutcome {
+    ModuleOutcome {
+        name,
+        status: ModuleStatus::Failed(WORKER_PANICKED.to_string()),
+        duration: Duration::ZERO,
+        worker: None,
+    }
+}
+
+/// A job a worker holds. A worker that unwinds mid-job drops it
+/// uncompleted, and the drop completes it as failed, so the other
+/// workers never wait on it forever.
+struct Held<'a> {
+    sched: &'a Scheduler,
+    name: String,
+    completed: bool,
+}
+
+impl Held<'_> {
+    fn complete(mut self, status: ModuleStatus, duration: Duration, worker: usize) {
+        self.completed = true;
+        self.sched.complete(ModuleOutcome {
+            name: std::mem::take(&mut self.name),
+            status,
+            duration,
+            worker: Some(worker),
+        });
+    }
+}
+
+impl Drop for Held<'_> {
+    fn drop(&mut self) {
+        if !self.completed {
+            self.sched
+                .complete(panicked(std::mem::take(&mut self.name)));
+        }
+    }
+}
+
 impl Scheduler {
     /// Blocks until a module is ready or the build is over. Detects
     /// stalls (a dependency cycle leaves modules waiting forever with
     /// nothing in flight) and fails the stragglers rather than hanging.
-    fn next_job(&self) -> Option<String> {
+    fn next_job(&self) -> Option<Held<'_>> {
         let mut s = self.state.lock().unwrap_or_else(|e| e.into_inner());
         loop {
-            if let Some(job) = s.ready.pop_front() {
+            if let Some(name) = s.ready.pop_front() {
                 s.in_flight += 1;
-                return Some(job);
+                return Some(Held {
+                    sched: self,
+                    name,
+                    completed: false,
+                });
             }
             if s.remaining == 0 {
                 return None;
@@ -587,10 +634,10 @@ fn worker_loop(
     };
     while let Some(job) = sched.next_job() {
         let start = Instant::now();
-        let claim = flight.claim(&job);
-        let result = registry.request(&job, Step::Check);
+        let claim = flight.claim(&job.name);
+        let result = registry.request(&job.name, Step::Check);
         if let Claim::Ours = claim {
-            flight.finish(&job);
+            flight.finish(&job.name);
         }
         for name in claimed.borrow_mut().drain(..) {
             flight.finish(&name);
@@ -602,12 +649,7 @@ fn worker_loop(
             Ok(_) => ModuleStatus::Built,
             Err(e) => ModuleStatus::Failed(rt_error_text(&e)),
         };
-        sched.complete(ModuleOutcome {
-            name: job,
-            status,
-            duration,
-            worker: Some(index),
-        });
+        job.complete(status, duration, index);
     }
     lagoon_diag::uninstall();
     // the views are taken here: the record's symbols mean nothing on the
@@ -725,6 +767,9 @@ pub fn build(entries: &[String], source_of: SourceFn, opts: &BuildOptions) -> Bu
 
     let state = sched.state.into_inner().unwrap_or_else(|e| e.into_inner());
     outcomes.extend(state.outcomes);
+    // modules no worker lived to take: every worker died first
+    let stranded = state.ready.into_iter().chain(state.waiting.into_keys());
+    outcomes.extend(stranded.map(panicked));
 
     let mut diag = found.report;
     let mut workers = Vec::with_capacity(worker_results.len());
@@ -785,4 +830,57 @@ pub fn build_from_map(
         Arc::new(move |name: &str| sources.get(name).cloned()),
         opts,
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::mpsc;
+
+    #[test]
+    fn a_worker_that_dies_holding_a_job_fails_it_and_frees_the_others() {
+        // `b` requires `a`; `a` is ready
+        let sched = Arc::new(Scheduler {
+            state: Mutex::new(SchedState {
+                ready: VecDeque::from(["a".to_string()]),
+                waiting: HashMap::from([("b".to_string(), 1)]),
+                dependents: HashMap::from([("a".to_string(), vec!["b".to_string()])]),
+                poisoned: HashMap::new(),
+                remaining: 2,
+                in_flight: 0,
+                outcomes: Vec::new(),
+            }),
+            cv: Condvar::new(),
+        });
+        let taker = Arc::clone(&sched);
+        let died = thread::spawn(move || {
+            let _job = taker.next_job();
+            panic!("a build worker dies holding its job");
+        })
+        .join();
+        assert!(died.is_err());
+        let (tx, rx) = mpsc::channel();
+        let waiter = Arc::clone(&sched);
+        thread::spawn(move || tx.send(waiter.next_job().map(|job| job.name.clone())));
+        let next = rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("next_job waits on the dead worker's job");
+        assert_eq!(next, None);
+        let state = sched.state.lock().unwrap();
+        let outcomes: Vec<_> = state
+            .outcomes
+            .iter()
+            .map(|o| (o.name.as_str(), &o.status))
+            .collect();
+        assert_eq!(
+            outcomes,
+            [
+                ("a", &ModuleStatus::Failed(WORKER_PANICKED.to_string())),
+                (
+                    "b",
+                    &ModuleStatus::Skipped("dependency a failed".to_string())
+                ),
+            ]
+        );
+    }
 }

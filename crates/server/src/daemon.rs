@@ -31,15 +31,17 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use lagoon_core::{EngineKind, ModuleRegistry, Outcome, Step};
+use lagoon_diag::limits::SETTINGS;
 use lagoon_diag::{Collector, Histogram, Limits};
 use lagoon_runtime::{Kind, RtError};
 use lagoon_syntax::Symbol;
 
+use crate::cli::{Parsed, Spec};
 use crate::http::{self, error_json, rejection, Front, Reply, Request, Service};
 use crate::json::{self, obj, Json};
 
 /// Options for [`Server::start`].
-#[derive(Clone)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ServeOptions {
     /// Bind address, e.g. `127.0.0.1:7878` (port 0 picks one).
     pub addr: String,
@@ -75,6 +77,74 @@ impl Default for ServeOptions {
             test_ops: false,
             max_request_bytes: DEFAULT_MAX_REQUEST_BYTES,
         }
+    }
+}
+
+/// `lagoon serve`'s arguments. `--stats` prints the final statistics
+/// on exit; `--test-ops` is for tests only ([`ServeOptions::test_ops`]).
+pub const SERVE: Spec = Spec {
+    name: "serve",
+    positionals: &[],
+    values: &[
+        "--addr HOST:PORT",
+        "--workers N",
+        "--queue-cap N",
+        "--root <dir>",
+        "--cache-dir <dir>",
+        "--max-request-bytes B",
+    ],
+    switches: &["--stats", "--test-ops"],
+    budgets: true,
+};
+
+impl ServeOptions {
+    /// The [`SERVE`] arguments that start a daemon with these options;
+    /// [`ServeOptions::from_args`] reads them back.
+    pub fn to_args(&self) -> Vec<String> {
+        let mut args = vec![
+            ("--addr", self.addr.clone()),
+            ("--workers", self.workers.to_string()),
+            ("--queue-cap", self.queue_cap.to_string()),
+            ("--max-request-bytes", self.max_request_bytes.to_string()),
+        ];
+        for setting in &SETTINGS {
+            let value = self.limits.get(setting.budget);
+            args.extend(value.map(|v| (setting.flag, v.to_string())));
+        }
+        for (flag, dir) in [
+            ("--cache-dir", &self.cache_dir),
+            ("--root", &self.source_root),
+        ] {
+            args.extend(dir.as_ref().map(|d| (flag, d.display().to_string())));
+        }
+        let mut args: Vec<String> = args
+            .into_iter()
+            .flat_map(|(flag, value)| [flag.to_string(), value])
+            .collect();
+        if self.test_ops {
+            args.push("--test-ops".to_string());
+        }
+        args
+    }
+
+    /// The options a parse of [`SERVE`] arguments names, each one not
+    /// given at its default.
+    ///
+    /// # Errors
+    ///
+    /// The reason, when a value does not parse.
+    pub fn from_args(parsed: &Parsed) -> Result<ServeOptions, String> {
+        let default = ServeOptions::default();
+        Ok(ServeOptions {
+            addr: parsed.value("--addr").unwrap_or(&default.addr).to_string(),
+            workers: parsed.get("--workers", default.workers)?,
+            queue_cap: parsed.get("--queue-cap", default.queue_cap)?,
+            cache_dir: parsed.value("--cache-dir").map(PathBuf::from),
+            source_root: parsed.value("--root").map(PathBuf::from),
+            limits: parsed.limits(default.limits)?,
+            test_ops: parsed.has("--test-ops"),
+            max_request_bytes: parsed.get("--max-request-bytes", default.max_request_bytes)?,
+        })
     }
 }
 
@@ -322,8 +392,8 @@ impl Shared {
                 // Per-worker symbol tables: `growth` is the symbols
                 // retained beyond the workers' bootstrap worlds — held
                 // at 0 by per-request epoch truncation (the old
-                // process-global interner grew ~3.2 symbols/request,
-                // BENCH_6).
+                // process-global interner grew ~3.2 symbols/request:
+                // BENCH_6 in EXPERIMENTS.md's retired records).
                 "interner",
                 obj(vec![
                     ("symbols", Json::Num(interned as f64)),
@@ -689,35 +759,37 @@ fn rt_error_json(e: &RtError) -> Json {
 
 /// Merges a request's `"limits"` object over the server defaults.
 ///
-/// Requests can only *tighten* the operator-configured budgets: each
-/// field is clamped to the server default, so an untrusted client
-/// cannot lift resource caps on the daemon.
-pub fn merge_limits(base: Limits, spec: Option<&Json>) -> Limits {
+/// Requests can only *tighten* the operator-configured budgets: a
+/// value above the server default leaves the default, so an untrusted
+/// client cannot lift resource caps on the daemon.
+///
+/// # Errors
+///
+/// A message naming the key, for a `"limits"` that is not an object,
+/// a key that names no budget, or a value that is not a non-negative
+/// integer.
+pub fn merge_limits(base: Limits, spec: Option<&Json>) -> Result<Limits, String> {
     let mut limits = base;
-    let Some(spec) = spec else { return limits };
-    if let Some(n) = spec.get("max_expansion_steps").and_then(Json::as_u64) {
-        limits.max_expansion_steps = base.max_expansion_steps.min(n);
+    let fields = match spec {
+        None => return Ok(limits),
+        Some(Json::Obj(fields)) => fields,
+        Some(_) => return Err("\"limits\" must be an object".to_string()),
+    };
+    for (key, value) in fields {
+        let setting = SETTINGS
+            .iter()
+            .find(|s| s.key == key)
+            .ok_or_else(|| format!("unknown limit \"{key}\""))?;
+        // `as_u64` truncates a fraction; a budget is a whole number
+        let n = value
+            .as_u64()
+            .filter(|n| Json::Num(*n as f64) == *value)
+            .ok_or_else(|| format!("limit \"{key}\" must be a non-negative integer"))?;
+        if base.get(setting.budget).is_none_or(|default| n < default) {
+            limits.set(setting.budget, n);
+        }
     }
-    if let Some(n) = spec.get("max_expansion_depth").and_then(Json::as_u64) {
-        limits.max_expansion_depth = base.max_expansion_depth.min(n);
-    }
-    if let Some(n) = spec.get("max_phase1_steps").and_then(Json::as_u64) {
-        limits.max_phase1_steps = base.max_phase1_steps.min(n);
-    }
-    if let Some(n) = spec.get("max_vm_steps").and_then(Json::as_u64) {
-        limits.max_vm_steps = base.max_vm_steps.min(n);
-    }
-    if let Some(n) = spec.get("max_stack_depth").and_then(Json::as_u64) {
-        limits.max_stack_depth = base.max_stack_depth.min(n);
-    }
-    if let Some(ms) = spec.get("timeout_ms").and_then(Json::as_u64) {
-        let requested = Duration::from_millis(ms);
-        limits.timeout = Some(match base.timeout {
-            Some(default) => default.min(requested),
-            None => requested,
-        });
-    }
-    limits
+    Ok(limits)
 }
 
 /// Builds a worker's private world: registry, languages, store handle,
@@ -930,13 +1002,18 @@ fn handle_request(
     shared: &Arc<Shared>,
     req_id: &AtomicU64,
 ) -> Json {
+    let limits = match merge_limits(shared.opts.limits, request.get("limits")) {
+        Ok(limits) => limits,
+        Err(message) => return error_json("protocol", &message),
+    };
     // Resolve the target module: inline source gets a unique name that
     // `store::is_module_file_name` rejects (it contains '/'), so request bodies
     // never enter the shared store and never collide across requests.
     // The `req/{id}` symbol and everything the request interns land in
     // this worker's symbol table, which the worker truncates after the
     // request — the old process-global interner leak (~3.2 symbols per
-    // inline request, BENCH_6) is gone.
+    // inline request, BENCH_6 in EXPERIMENTS.md's retired records) is
+    // gone.
     let inline = request.get("source").and_then(Json::as_str);
     let named = request.get("module").and_then(Json::as_str);
     let name = match (inline, named) {
@@ -961,7 +1038,6 @@ fn handle_request(
         Some("interp") => EngineKind::Interp,
         _ => EngineKind::Vm,
     };
-    let limits = merge_limits(shared.opts.limits, request.get("limits"));
     let want_diag = request.get("diag").and_then(Json::as_bool) == Some(true);
 
     lagoon_diag::limits::install(limits);
@@ -1106,7 +1182,7 @@ mod tests {
         };
         // Tightening requests take effect.
         let spec = json::parse(r#"{"max_vm_steps":10,"timeout_ms":100}"#).unwrap();
-        let merged = merge_limits(base, Some(&spec));
+        let merged = merge_limits(base, Some(&spec)).unwrap();
         assert_eq!(merged.max_vm_steps, 10);
         assert_eq!(merged.timeout, Some(Duration::from_millis(100)));
         // Attempts to exceed the server defaults are clamped to them.
@@ -1116,7 +1192,7 @@ mod tests {
                 "max_stack_depth":9999,"timeout_ms":3600000}"#,
         )
         .unwrap();
-        let merged = merge_limits(base, Some(&spec));
+        let merged = merge_limits(base, Some(&spec)).unwrap();
         assert_eq!(merged, base);
         // With no default timeout, a request may introduce one (that
         // only tightens from "unlimited").
@@ -1126,8 +1202,59 @@ mod tests {
         };
         let spec = json::parse(r#"{"timeout_ms":100}"#).unwrap();
         assert_eq!(
-            merge_limits(open, Some(&spec)).timeout,
+            merge_limits(open, Some(&spec)).unwrap().timeout,
             Some(Duration::from_millis(100))
         );
+    }
+
+    #[test]
+    fn merge_limits_names_what_it_cannot_take() {
+        for (spec, message) in [
+            (r#"{"max_steps":10}"#, r#"unknown limit "max_steps""#),
+            (
+                r#"{"max_vm_steps":-1}"#,
+                r#"limit "max_vm_steps" must be a non-negative integer"#,
+            ),
+            (
+                r#"{"timeout_ms":1.5}"#,
+                r#"limit "timeout_ms" must be a non-negative integer"#,
+            ),
+            (
+                r#"{"max_stack_depth":"10"}"#,
+                r#"limit "max_stack_depth" must be a non-negative integer"#,
+            ),
+            ("[]", r#""limits" must be an object"#),
+        ] {
+            let spec = json::parse(spec).unwrap();
+            assert_eq!(
+                merge_limits(Limits::default(), Some(&spec)).unwrap_err(),
+                message
+            );
+        }
+    }
+
+    #[test]
+    fn serve_options_read_back_from_their_arguments() {
+        let changed = ServeOptions {
+            addr: "127.0.0.1:7000".to_string(),
+            workers: 3,
+            queue_cap: 5,
+            cache_dir: Some(PathBuf::from("store dir")),
+            source_root: Some(PathBuf::from("src")),
+            limits: Limits {
+                max_expansion_steps: 1,
+                max_expansion_depth: 2,
+                max_phase1_steps: 3,
+                max_vm_steps: 4,
+                max_stack_depth: 5,
+                timeout: Some(Duration::from_millis(6)),
+            },
+            test_ops: true,
+            max_request_bytes: 4096,
+        };
+        for opts in [changed, ServeOptions::default()] {
+            let parsed = crate::cli::parse(&SERVE, &opts.to_args()).unwrap();
+            assert_eq!(ServeOptions::from_args(&parsed).unwrap(), opts);
+        }
     }
 }

@@ -17,7 +17,7 @@
 //! errors (unknown route, bad JSON body) keep it open.
 
 use std::collections::BTreeMap;
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -244,13 +244,24 @@ pub fn read_head(r: &mut impl BufRead) -> Result<Head, HttpError> {
         v if v.starts_with("HTTP/") => return Err(HttpError::UnsupportedVersion),
         _ => return Err(HttpError::BadRequestLine),
     };
+    Ok(Head {
+        method: method.to_string(),
+        target: target.to_string(),
+        http11,
+        headers: read_headers(r)?,
+    })
+}
+
+/// Reads the header lines of a request or a response up to the blank
+/// line that ends them, within the header caps.
+fn read_headers(r: &mut impl BufRead) -> Result<Vec<(String, String)>, HttpError> {
     let mut headers = Vec::new();
     let mut header_bytes = 0usize;
     loop {
         let line = read_line_bounded(r, MAX_HEADER_LINE, || HttpError::HeadersTooLarge)?
             .ok_or(HttpError::BadHeader)?;
         if line.is_empty() {
-            break;
+            return Ok(headers);
         }
         header_bytes += line.len();
         if header_bytes > MAX_HEADER_BYTES || headers.len() >= MAX_HEADERS {
@@ -262,12 +273,6 @@ pub fn read_head(r: &mut impl BufRead) -> Result<Head, HttpError> {
         }
         headers.push((name.to_string(), value.trim().to_string()));
     }
-    Ok(Head {
-        method: method.to_string(),
-        target: target.to_string(),
-        http11,
-        headers,
-    })
 }
 
 /// Reads the request body declared by `head`, bounded by `max_body`.
@@ -420,6 +425,57 @@ fn invalid(msg: &str) -> std::io::Error {
     std::io::Error::new(std::io::ErrorKind::InvalidData, msg.to_string())
 }
 
+/// Largest response body a client reads: far above any response a
+/// daemon or a gateway sends (a request body is capped at 1 MiB by
+/// default), so only a broken or hostile peer reaches it.
+pub const MAX_RESPONSE_BODY: usize = 64 << 20;
+
+/// Reads one response off `r` (skipping any `100 Continue` interim),
+/// within the caps a request's head has and a body of at most
+/// [`MAX_RESPONSE_BODY`] bytes.
+///
+/// # Errors
+///
+/// Transport failures, or `InvalidData` on malformed framing or an
+/// over-cap line, header block or body.
+pub fn read_response(r: &mut impl BufRead) -> std::io::Result<HttpResponse> {
+    let framing = |e: HttpError| match e {
+        HttpError::Io(e) => e,
+        e => invalid(&format!("bad response framing: {e:?}")),
+    };
+    loop {
+        let line = read_line_bounded(r, MAX_REQUEST_LINE, || HttpError::RequestLineTooLong)
+            .map_err(framing)?
+            .ok_or_else(|| invalid("connection closed before status line"))?;
+        let mut parts = line.splitn(3, ' ');
+        let (version, status) = (parts.next().unwrap_or(""), parts.next().unwrap_or(""));
+        if !version.starts_with("HTTP/1.") {
+            return Err(invalid("bad status line"));
+        }
+        let status: u16 = status.parse().map_err(|_| invalid("bad status code"))?;
+        let headers = read_headers(r).map_err(framing)?;
+        let response = HttpResponse {
+            status,
+            headers,
+            body: Vec::new(),
+        };
+        let len = match response.header("content-length") {
+            None => 0,
+            Some(v) => v.parse().map_err(|_| invalid("bad content-length"))?,
+        };
+        if len > MAX_RESPONSE_BODY {
+            return Err(invalid(&format!(
+                "response body of {len} bytes exceeds the {MAX_RESPONSE_BODY}-byte cap"
+            )));
+        }
+        if status != 100 {
+            let mut body = vec![0u8; len];
+            r.read_exact(&mut body)?;
+            return Ok(HttpResponse { body, ..response });
+        }
+    }
+}
+
 /// A keep-alive HTTP client connection. [`HttpClient::send`] and
 /// [`HttpClient::read_response`] are split so callers can pipeline:
 /// write several requests, then read the responses in order.
@@ -472,53 +528,9 @@ impl HttpClient {
     ///
     /// # Errors
     ///
-    /// Transport failures, or `InvalidData` on malformed framing.
+    /// As the free [`read_response`].
     pub fn read_response(&mut self) -> std::io::Result<HttpResponse> {
-        loop {
-            let response = self.read_one()?;
-            if response.status != 100 {
-                return Ok(response);
-            }
-        }
-    }
-
-    fn read_one(&mut self) -> std::io::Result<HttpResponse> {
-        let mut line = String::new();
-        if self.reader.read_line(&mut line)? == 0 {
-            return Err(invalid("connection closed before status line"));
-        }
-        let mut parts = line.trim_end().splitn(3, ' ');
-        let (version, status) = (parts.next().unwrap_or(""), parts.next().unwrap_or(""));
-        if !version.starts_with("HTTP/1.") {
-            return Err(invalid("bad status line"));
-        }
-        let status: u16 = status.parse().map_err(|_| invalid("bad status code"))?;
-        let mut headers = Vec::new();
-        loop {
-            let mut line = String::new();
-            if self.reader.read_line(&mut line)? == 0 {
-                return Err(invalid("connection closed in headers"));
-            }
-            let line = line.trim_end();
-            if line.is_empty() {
-                break;
-            }
-            if let Some((name, value)) = line.split_once(':') {
-                headers.push((name.to_string(), value.trim().to_string()));
-            }
-        }
-        let len = headers
-            .iter()
-            .find(|(k, _)| k.eq_ignore_ascii_case("content-length"))
-            .and_then(|(_, v)| v.parse::<usize>().ok())
-            .unwrap_or(0);
-        let mut body = vec![0u8; len];
-        self.reader.read_exact(&mut body)?;
-        Ok(HttpResponse {
-            status,
-            headers,
-            body,
-        })
+        read_response(&mut self.reader)
     }
 
     /// [`HttpClient::send`] then [`HttpClient::read_response`].
@@ -1085,6 +1097,35 @@ mod tests {
             assert_eq!(e.get("retryable").and_then(Json::as_bool), Some(false));
             assert!(e.get("retry_after_ms").is_none());
             assert!(reply.headers.is_empty());
+        }
+    }
+
+    #[test]
+    fn responses_are_read_within_the_caps() {
+        let read = |raw: &str| read_response(&mut Cursor::new(raw.as_bytes().to_vec()));
+        let ok =
+            read("HTTP/1.1 100 Continue\r\n\r\nHTTP/1.1 200 OK\r\ncontent-length: 2\r\n\r\n{}")
+                .expect("parse");
+        assert_eq!((ok.status, ok.body.as_slice()), (200, b"{}".as_slice()));
+        for (raw, why) in [
+            (
+                "HTTP/1.1 200 OK\r\ncontent-length: 1000000000000\r\n\r\n".to_string(),
+                "exceeds",
+            ),
+            (
+                format!("HTTP/1.1 200 OK\r\nx: {}\r\n\r\n", "v".repeat(64 << 10)),
+                "HeadersTooLarge",
+            ),
+            (
+                "HTTP/1.1 200 OK\r\ncontent-length: -1\r\n\r\n".to_string(),
+                "content-length",
+            ),
+            ("HTTP/1.1 200 OK\r\n".to_string(), "BadHeader"),
+            (String::new(), "closed"),
+        ] {
+            let e = read(&raw).expect_err(why);
+            assert_eq!(e.kind(), std::io::ErrorKind::InvalidData, "{why}: {e}");
+            assert!(e.to_string().contains(why), "{why}: {e}");
         }
     }
 

@@ -19,6 +19,8 @@
 //! - [`http`] is the one wire protocol: the HTTP/1.1 parser, writer and
 //!   keep-alive client, and the accept and connection loops that the
 //!   daemon and the gateway both run.
+//! - [`cli`] is the one parser every `lagoon` subcommand reads its
+//!   arguments through.
 //! - [`client`] adds retry with jittered backoff to the HTTP client
 //!   (`lagoon remote`, against a daemon or a gateway).
 //! - [`json`] is the std-only JSON used on the wire (the workspace
@@ -30,6 +32,7 @@
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod build;
+pub mod cli;
 pub mod client;
 pub mod daemon;
 pub mod http;

@@ -1,10 +1,15 @@
 //! The `lagoon` command line: `run --stats` keeps its report when the
-//! run fails, as text and as `--json`, and `build` spends its limits on
-//! the modules it builds.
+//! run fails, as text and as `--json`, `build` spends its limits on
+//! the modules it builds, options mean the same wherever they stand,
+//! a bad one exits 2 before anything runs, and `remote` sends only the
+//! budgets it is given.
 
 use lagoon::server::json::{self, Json};
+use std::io::{BufReader, Write};
+use std::net::TcpListener;
 use std::path::PathBuf;
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
+use std::time::{Duration, Instant};
 
 /// A typed loop that runs far past a 1000-step budget.
 const LOOP: &str = "#lang typed/lagoon\n(: go : Integer Float -> Float)\n\
@@ -112,5 +117,169 @@ fn build_limits_apply_to_the_modules_not_the_prelude() {
         .expect("run lagoon");
     assert_eq!(output.status.code(), Some(0), "{output:?}");
 
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Runs `lagoon` with `args`, failing the test if it outlives `within`.
+fn lagoon_within(args: &[&str], within: Duration) -> Output {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_lagoon"))
+        .args(args)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("run lagoon");
+    let deadline = Instant::now() + within;
+    while child.try_wait().expect("try_wait").is_none() {
+        if Instant::now() > deadline {
+            let _ = child.kill();
+            panic!("lagoon {args:?} still running after {within:?}");
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    child.wait_with_output().expect("output")
+}
+
+fn lagoon(args: &[&str]) -> Output {
+    lagoon_within(args, Duration::from_secs(60))
+}
+
+/// The exit code and output with every digit and blank dropped, so two
+/// runs that differ only in their timings (and the padding of those
+/// columns) compare equal.
+fn shape(output: &Output) -> (Option<i32>, String, String) {
+    let strip = |bytes: &[u8]| {
+        String::from_utf8_lossy(bytes)
+            .chars()
+            .filter(|c| !c.is_ascii_digit() && !c.is_whitespace())
+            .collect()
+    };
+    (
+        output.status.code(),
+        strip(&output.stdout),
+        strip(&output.stderr),
+    )
+}
+
+fn scratch(name: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("lagoon-cli-{name}-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    dir
+}
+
+#[test]
+fn options_before_the_file_mean_what_they_mean_after_it() {
+    let dir = scratch("order");
+    // each `run --stats` runs cold in a directory of its own, so both
+    // report the same store misses
+    let [first, last] = ["first", "last"].map(|sub| {
+        std::fs::create_dir_all(dir.join(sub)).expect("dir");
+        let file = dir.join(sub).join("one.lag");
+        std::fs::write(&file, "#lang lagoon\n(display 1)\n(+ 1 2)\n").expect("write");
+        file.display().to_string()
+    });
+    for (before, after) in [
+        (
+            vec!["run", "--stats", &first],
+            vec!["run", &last, "--stats"],
+        ),
+        (
+            vec!["run", "--no-cache", &first],
+            vec!["run", &last, "--no-cache"],
+        ),
+        (
+            vec!["expand", "--timings", &first],
+            vec!["expand", &last, "--timings"],
+        ),
+    ] {
+        let (before_out, after_out) = (lagoon(&before), lagoon(&after));
+        assert_eq!(
+            before_out.status.code(),
+            Some(0),
+            "{before:?}: {before_out:?}"
+        );
+        assert_eq!(shape(&before_out), shape(&after_out), "{before:?}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn bad_options_exit_2_before_anything_runs() {
+    let dir = scratch("usage");
+    let spin = dir.join("spin.lag");
+    std::fs::write(&spin, "#lang lagoon\n(define (spin) (spin))\n(spin)\n").expect("write");
+    let spin = spin.display().to_string();
+    for (args, reason) in [
+        (
+            vec!["run", &spin, "--no-cache", "--max-step", "1000"],
+            "run takes no option --max-step",
+        ),
+        (vec!["run", &spin, "--trace"], "--trace needs a value"),
+        (
+            vec!["run", &spin, "--cache-dir", "a", "--cache-dir", "b"],
+            "--cache-dir given twice",
+        ),
+        (
+            vec!["build", "a.lag", "--job", "1"],
+            "build takes no option --job",
+        ),
+        (vec!["run", &spin, &spin], "run takes no argument"),
+    ] {
+        let output = lagoon_within(&args, Duration::from_secs(10));
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.starts_with(reason), "{args:?}: {stderr}");
+        assert!(stderr.contains("usage:"), "{args:?}: {stderr}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn remote_sends_only_the_budgets_given() {
+    use lagoon::server::http::{read_body, read_head};
+    let dir = scratch("remote");
+    let file = dir.join("one.lag");
+    std::fs::write(&file, "#lang lagoon\n(+ 1 2)\n").expect("write");
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    listener.set_nonblocking(true).expect("nonblocking");
+    let addr = listener.local_addr().expect("addr").to_string();
+    let mut child = Command::new(env!("CARGO_BIN_EXE_lagoon"))
+        .args(["remote", "--addr", &addr, "run"])
+        .arg(&file)
+        .args(["--max-steps", "10", "--retries", "0"])
+        .stdout(Stdio::piped())
+        .spawn()
+        .expect("run lagoon remote");
+    let deadline = Instant::now() + Duration::from_secs(30);
+    let stream = loop {
+        match listener.accept() {
+            Ok((stream, _)) => break stream,
+            Err(_) if Instant::now() < deadline => std::thread::sleep(Duration::from_millis(10)),
+            Err(e) => {
+                let _ = child.kill();
+                panic!("lagoon remote never connected: {e}");
+            }
+        }
+    };
+    stream.set_nonblocking(false).expect("blocking");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let head = read_head(&mut reader).expect("request head");
+    let body = read_body(&mut reader, &head, 1 << 20).expect("request body");
+    let reply = r#"{"ok":true,"value":"3","output":""}"#;
+    write!(
+        &stream,
+        "HTTP/1.1 200 OK\r\ncontent-length: {}\r\nconnection: close\r\n\r\n{reply}",
+        reply.len()
+    )
+    .expect("reply");
+    let output = child.wait_with_output().expect("remote output");
+    assert_eq!(output.status.code(), Some(0), "{output:?}");
+    assert_eq!(String::from_utf8_lossy(&output.stdout), "3\n");
+    let request = json::parse(std::str::from_utf8(&body).expect("utf8")).expect("json body");
+    let limits = request.get("limits").map(Json::to_string);
+    assert_eq!(
+        limits.as_deref(),
+        Some(r#"{"max_vm_steps":10}"#),
+        "{request}"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }

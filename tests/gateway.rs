@@ -472,11 +472,12 @@ fn one_and_two_shard_stores_are_byte_identical() {
     let _ = std::fs::remove_dir_all(&scratch);
 }
 
-/// A gateway's default limits bind its shards whichever backend runs
-/// them: a spawned `lagoon serve` gets them as flags, an in-process
-/// daemon as options.
+/// A gateway's default limits and queue capacity bind its shards
+/// whichever backend runs them: a spawned `lagoon serve` gets them as
+/// flags, an in-process daemon as options.
 #[test]
 fn both_shard_backends_apply_the_gateway_limits() {
+    const QUEUE_CAP: usize = 7;
     let spin = br##"{"source":"#lang lagoon\n(define (spin n) (if (= n 0) 'done (spin (- n 1))))\n(spin 200000)\n"}"##;
     for backend in [
         ShardBackend::InProcess,
@@ -489,6 +490,7 @@ fn both_shard_backends_apply_the_gateway_limits() {
             shards: 1,
             workers_per_shard: 1,
             backend,
+            queue_cap: QUEUE_CAP,
             limits: Limits {
                 max_vm_steps: 10_000,
                 ..Limits::default()
@@ -496,14 +498,30 @@ fn both_shard_backends_apply_the_gateway_limits() {
             ..GatewayOptions::default()
         })
         .expect("start gateway");
-        let response =
+        let exchange =
             HttpClient::connect(&gateway.addr().to_string(), Some(Duration::from_secs(30)))
-                .and_then(|mut client| client.request("POST", "/v1/run", &[], spin));
+                .and_then(|mut client| {
+                    let run = client.request("POST", "/v1/run", &[], spin)?;
+                    Ok((run, client.request("GET", "/v1/stats", &[], b"")?))
+                });
         // stop the shard before asserting, so a failure leaves no
         // spawned daemon behind
         gateway.shutdown();
         gateway.wait();
-        let response = response.expect("run");
+        let (response, stats) = exchange.expect("run and stats");
+        let capacity = body_json(&stats)
+            .get("daemons")
+            .and_then(|d| match d {
+                Json::Arr(daemons) => daemons.first().cloned(),
+                _ => None,
+            })
+            .and_then(|d| d.get("queue")?.get("capacity")?.as_u64());
+        assert_eq!(
+            capacity,
+            Some(QUEUE_CAP as u64),
+            "{name}: {}",
+            stats.body_str()
+        );
         assert_eq!(response.status, 200, "{name}: {}", response.body_str());
         let error = body_json(&response)
             .get("error")

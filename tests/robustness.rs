@@ -12,6 +12,7 @@ use std::time::Duration;
 
 use lagoon::diag::gen::SplitMix64;
 use lagoon::diag::limits;
+use lagoon::server::http::HttpResponse;
 use lagoon::{EngineKind, FaultPlan, Kind, Lagoon, Limits, RtError};
 
 /// Small budgets so hostile tests fail fast even in debug builds.
@@ -412,6 +413,45 @@ fn clean_request(rng: &mut SplitMix64) -> CleanRequest {
     }
 }
 
+/// One well-formed response, as a daemon or a gateway writes it, and
+/// its bytes on the wire (sometimes after a `100 Continue`, which the
+/// reader skips).
+fn clean_response(rng: &mut SplitMix64) -> (HttpResponse, Vec<u8>) {
+    let status = rng.pick(&[200u16, 400, 404, 413, 500, 502, 503]);
+    let body: Vec<u8> = (0..rng.below(200)).map(|_| rng.below(256) as u8).collect();
+    let mut headers = vec![
+        ("content-type".to_string(), "application/json".to_string()),
+        ("content-length".to_string(), body.len().to_string()),
+    ];
+    if rng.chance(1, 2) {
+        headers.push((
+            "x-lagoon-trace-id".to_string(),
+            format!("t-{}", rng.next_u64()),
+        ));
+    }
+    if rng.chance(1, 4) {
+        headers.push(("connection".to_string(), "close".to_string()));
+    }
+    let eol = if rng.chance(1, 4) { "\n" } else { "\r\n" };
+    let mut head = String::new();
+    if rng.chance(1, 8) {
+        head.push_str(&format!("HTTP/1.1 100 Continue{eol}{eol}"));
+    }
+    head.push_str(&format!("HTTP/1.1 {status} Reason Phrase{eol}"));
+    for (name, value) in &headers {
+        head.push_str(&format!("{name}: {value}{eol}"));
+    }
+    head.push_str(eol);
+    let mut wire = head.into_bytes();
+    wire.extend_from_slice(&body);
+    let response = HttpResponse {
+        status,
+        headers,
+        body,
+    };
+    (response, wire)
+}
+
 /// Applies one structural mutation to a request's wire bytes: byte
 /// flips, inserted framing bytes, deleted, duplicated or truncated
 /// ranges, and edits aimed at each framing rule (request line,
@@ -512,7 +552,7 @@ fn mutate_request(rng: &mut SplitMix64, wire: &mut Vec<u8>) {
 
 #[test]
 fn http_parser_fuzz_never_panics() {
-    use lagoon::server::http::{error_status, read_body, read_head, HttpError};
+    use lagoon::server::http::{error_status, read_body, read_head, read_response, HttpError};
     use std::io::{BufReader, Cursor};
 
     let n: u64 = std::env::var("LAGOON_FUZZ_N")
@@ -520,8 +560,12 @@ fn http_parser_fuzz_never_panics() {
         .and_then(|v| v.parse().ok())
         .unwrap_or(if cfg!(debug_assertions) { 1_000 } else { 5_000 });
     let mut rng = SplitMix64::new(0x4775);
+    // the response side draws from its own stream, so the request side
+    // sees the same inputs it always has
+    let mut response_rng = SplitMix64::new(0x5e5b);
     let mut statuses = std::collections::BTreeMap::new();
     let mut mutated_ok = 0u64;
+    let (mut responses_ok, mut responses_failed) = (0u64, 0u64);
     for i in 0..n {
         // two clean requests, then a mutated one, on one stream
         let first = clean_request(&mut rng);
@@ -572,6 +616,40 @@ fn http_parser_fuzz_never_panics() {
             }
             break;
         }
+
+        // the response side: two clean responses then a mutated one,
+        // read as a client reads them off a shard or a gateway
+        let clean = [
+            clean_response(&mut response_rng),
+            clean_response(&mut response_rng),
+        ];
+        let mut bad = clean_response(&mut response_rng).1;
+        for _ in 0..=response_rng.below(3) {
+            mutate_request(&mut response_rng, &mut bad);
+        }
+        let mut stream = clean[0].1.clone();
+        stream.extend_from_slice(&clean[1].1);
+        stream.extend_from_slice(&bad);
+        let mut reader = BufReader::with_capacity(64, Cursor::new(stream));
+        for (sent, _) in &clean {
+            let response = read_response(&mut reader)
+                .unwrap_or_else(|e| panic!("input {i}: clean response failed: {e}"));
+            assert_eq!(response.status, sent.status, "input {i}");
+            assert_eq!(response.headers, sent.headers, "input {i}");
+            assert_eq!(
+                response.body, sent.body,
+                "input {i}: pipelined body out of order"
+            );
+        }
+        for _ in 0..64 {
+            match read_response(&mut reader) {
+                Ok(_) => responses_ok += 1,
+                Err(_) => {
+                    responses_failed += 1;
+                    break;
+                }
+            }
+        }
     }
     // sanity: the mutations must reach every framing rule and leave some
     // requests parseable, or the sweep proves nothing
@@ -582,6 +660,10 @@ fn http_parser_fuzz_never_panics() {
             "{statuses:?}"
         );
         assert!(mutated_ok > 0, "no mutated request parsed: {statuses:?}");
+        assert!(
+            responses_ok > 0 && responses_failed > 0,
+            "mutated responses: {responses_ok} parsed, {responses_failed} failed"
+        );
     }
 }
 
