@@ -3,12 +3,12 @@
 //!
 //! The gateway answers the daemon's own HTTP routes — `POST
 //! /v1/run|expand|check`, `GET /v1/stats`, `POST /v1/shutdown` — plus
-//! `GET /v1/healthz`, through the same accept and connection loops
-//! ([`lagoon_server::http`]). A shard supervisor runs N daemons —
+//! `GET /v1/healthz`, through the same server skeleton
+//! ([`lagoon_server::http::Running`]). The gateway runs N daemons —
 //! spawned `lagoon serve` processes in production, in-process servers in
 //! tests and the benchmark — that share compiled modules only through
 //! the content-addressed `.lagc` store (made multi-process-safe by its
-//! tmp+rename writes).
+//! tmp+rename writes), and its supervision tick respawns a dead one.
 //!
 //! Routing is least-outstanding-requests with shed-aware failover: a
 //! request goes to the shard with the fewest requests in flight, and a
@@ -32,11 +32,10 @@ use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use lagoon_diag::Limits;
-use lagoon_server::http::{Front, HttpResponse, Reply, Request, Service};
+use lagoon_server::http::{Front, HttpResponse, Reply, Request, Running, Service};
 use lagoon_server::json::{self, obj, Json};
 
 use shard::{Shard, ShardBackend};
@@ -109,16 +108,11 @@ struct GwShared {
 
 /// A running gateway; call [`Gateway::shutdown`] then [`Gateway::wait`]
 /// (or rely on `POST /v1/shutdown` / SIGTERM) to stop it.
-pub struct Gateway {
-    addr: SocketAddr,
-    shared: Arc<GwShared>,
-    acceptor: Option<JoinHandle<()>>,
-    supervisor: Option<JoinHandle<()>>,
-}
+pub struct Gateway(Running<GwShared>);
 
 impl Gateway {
-    /// Binds the HTTP listener, starts every shard, and spawns the
-    /// acceptor and the shard supervisor.
+    /// Binds the HTTP listener, starts every shard, and starts the
+    /// runner.
     ///
     /// # Errors
     ///
@@ -126,15 +120,12 @@ impl Gateway {
     /// are stopped before the error surfaces).
     pub fn start(opts: GatewayOptions) -> std::io::Result<Gateway> {
         let listener = lagoon_server::http::listen(&opts.addr)?;
-        let addr = listener.local_addr()?;
         let mut shards = Vec::new();
         for index in 0..opts.shards.max(1) {
             match Shard::start(&opts, index) {
                 Ok(shard) => shards.push(shard),
                 Err(e) => {
-                    for shard in &shards {
-                        shard.stop(opts.request_timeout);
-                    }
+                    stop(&shards, &opts);
                     return Err(e);
                 }
             }
@@ -145,7 +136,6 @@ impl Gateway {
             ("POST", "/v1/run"),
             ("POST", "/v1/expand"),
             ("POST", "/v1/check"),
-            ("POST", "/v1/shutdown"),
         ];
         if opts.test_ops {
             routes.push(("POST", "/v1/test/kill-shard"));
@@ -160,63 +150,40 @@ impl Gateway {
             failovers: AtomicU64::new(0),
             unavailable: AtomicU64::new(0),
         });
-        let acceptor = {
-            let shared = Arc::clone(&shared);
-            std::thread::spawn(move || lagoon_server::http::serve(listener, shared))
-        };
-        let supervisor = {
-            let shared = Arc::clone(&shared);
-            std::thread::spawn(move || supervisor_main(&shared))
-        };
-        Ok(Gateway {
-            addr,
-            shared,
-            acceptor: Some(acceptor),
-            supervisor: Some(supervisor),
-        })
+        Running::start(listener, Arc::clone(&shared))
+            .map(Gateway)
+            .inspect_err(|_| stop(&shared.shards, &shared.opts))
     }
 
     /// The bound HTTP address (useful with port 0).
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.0.addr()
     }
 
     /// Starts shutdown: the acceptor stops taking connections and
     /// [`Gateway::wait`] will drain the shards.
     pub fn shutdown(&self) {
-        self.shared.drain();
+        self.0.shutdown();
     }
 
-    /// Blocks until the acceptor and supervisor exit, then drains and
-    /// reaps every shard daemon.
-    pub fn wait(mut self) {
-        if let Some(a) = self.acceptor.take() {
-            let _ = a.join();
-        }
-        if let Some(s) = self.supervisor.take() {
-            let _ = s.join();
-        }
-        for shard in &self.shared.shards {
-            shard.stop(self.shared.opts.request_timeout);
-        }
+    /// Blocks until the runner's threads exit, then drains and reaps
+    /// every shard daemon.
+    pub fn wait(self) {
+        let shared = self.0.join();
+        stop(&shared.shards, &shared.opts);
     }
 
     /// The gateway's statistics object (`deep` embeds each daemon's
     /// own `stats`).
     pub fn stats_json(&self, deep: bool) -> String {
-        stats_json(&self.shared, deep).to_string()
+        stats_json(self.0.service(), deep).to_string()
     }
 }
 
-fn supervisor_main(shared: &Arc<GwShared>) {
-    loop {
-        if shared.draining() {
-            return;
-        }
-        for shard in &shared.shards {
-            shard.ensure_live(&shared.opts);
-        }
-        std::thread::sleep(Duration::from_millis(50));
+/// Drains and reaps each shard daemon.
+fn stop(shards: &[Shard], opts: &GatewayOptions) {
+    for shard in shards {
+        shard.stop(opts.request_timeout);
     }
 }
 
@@ -232,16 +199,6 @@ impl Service for GwShared {
                 let deep = !request.head.target.contains("deep=0");
                 Reply::json(200, &stats_json(self, deep))
             }
-            "/v1/shutdown" => {
-                self.drain();
-                Reply::json(
-                    200,
-                    &obj(vec![
-                        ("ok", Json::Bool(true)),
-                        ("draining", Json::Bool(true)),
-                    ]),
-                )
-            }
             "/v1/test/kill-shard" => kill_shard(self, request),
             _ => dispatch(self, path, request),
         }
@@ -253,6 +210,13 @@ impl Service for GwShared {
 
     fn drain(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
+    }
+
+    /// Respawns each shard whose daemon died.
+    fn tick(self: &Arc<Self>) {
+        for shard in &self.shards {
+            shard.ensure_live(&self.opts);
+        }
     }
 }
 
@@ -268,10 +232,13 @@ fn healthz(shared: &GwShared) -> Reply {
 }
 
 fn kill_shard(shared: &GwShared, request: &Request) -> Reply {
-    let index = lagoon_server::http::json_body(&request.body)
+    let shard = lagoon_server::http::json_body(&request.body)
         .ok()
-        .and_then(|body| body.get("shard").and_then(Json::as_u64))
-        .unwrap_or(0) as usize;
+        .and_then(|body| body.get("shard").cloned());
+    let index = match shard {
+        Some(Json::Num(n)) if n >= 0.0 && n.fract() == 0.0 => n as usize,
+        _ => return Reply::error(400, "protocol", "need an integer \"shard\""),
+    };
     match shared.shards.get(index) {
         None => Reply::error(400, "protocol", &format!("no shard {index}")),
         Some(shard) => {
@@ -335,25 +302,7 @@ fn dispatch(shared: &GwShared, path: &str, request: &Request) -> Reply {
     }
 
     shared.unavailable.fetch_add(1, Ordering::Relaxed);
-    let body = obj(vec![
-        ("ok", Json::Bool(false)),
-        (
-            "error",
-            obj(vec![
-                ("kind", Json::Str("unavailable".to_string())),
-                (
-                    "message",
-                    Json::Str("no shard could take the request".to_string()),
-                ),
-                ("retryable", Json::Bool(true)),
-                ("retry_after_ms", Json::Num(200.0)),
-            ]),
-        ),
-    ]);
-    Reply {
-        headers: vec![("x-lagoon-retry-after-ms", "200".to_string())],
-        ..Reply::json(502, &body)
-    }
+    lagoon_server::http::unavailable("no shard could take the request")
 }
 
 /// A daemon's response as the gateway's reply: its status, body, trace

@@ -4,8 +4,8 @@
 //! HTTP connections, an outstanding-request gauge for least-outstanding
 //! routing, and failure counters.
 //!
-//! The supervisor tick ([`Shard::ensure_live`]) is the daemon's worker
-//! respawn pattern lifted to process granularity: a shard whose
+//! The gateway's supervision tick ([`Shard::ensure_live`]) is the
+//! daemon's worker respawn lifted to process granularity: a shard whose
 //! process exits (crash, kill) is respawned in place with the same
 //! store directory, and the connection pool is flushed so stale
 //! sockets never serve the new address.
@@ -40,8 +40,20 @@ pub enum ShardBackend {
 enum Runtime {
     Process(std::process::Child),
     InProcess(Box<Server>),
-    /// Killed or exited; the supervisor respawns it on its next tick.
+    /// Killed or exited; the supervision tick respawns it.
     Dead,
+}
+
+impl Runtime {
+    /// Whether the daemon is gone: killed, or a process that exited (or
+    /// cannot be asked).
+    fn dead(&mut self) -> bool {
+        match self {
+            Runtime::Dead => true,
+            Runtime::InProcess(_) => false,
+            Runtime::Process(child) => !matches!(child.try_wait(), Ok(None)),
+        }
+    }
 }
 
 struct ShardInner {
@@ -66,7 +78,7 @@ pub struct Shard {
     pub sheds: AtomicU64,
     /// Transport failures talking to this shard.
     pub conn_errors: AtomicU64,
-    /// Times the supervisor respawned this shard's daemon.
+    /// Times the supervision tick respawned this shard's daemon.
     pub respawns: AtomicU64,
 }
 
@@ -164,17 +176,12 @@ impl Shard {
             .clone()
     }
 
-    /// Whether the shard's daemon is (as far as we know) running. A
-    /// freshly-killed process reads as live until the supervisor's
-    /// next tick reaps it — routing discovers the death first through
-    /// a connection error and fails over.
+    /// Whether the shard's daemon is (as far as we know) running.
+    /// Routing discovers a death first, through a connection error, and
+    /// fails over until the supervision tick respawns the shard.
     pub fn is_live(&self) -> bool {
         let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        match &mut inner.runtime {
-            Runtime::Dead => false,
-            Runtime::InProcess(_) => true,
-            Runtime::Process(child) => !matches!(child.try_wait(), Ok(Some(_))),
-        }
+        !inner.runtime.dead()
     }
 
     /// Sends one request to this shard's daemon and reads the response,
@@ -237,9 +244,8 @@ impl Shard {
 
     /// Kills the shard's daemon (test op / shutdown path). A process
     /// backend is killed outright; an in-process backend is drained on
-    /// a detached thread. Either way the supervisor sees a dead shard
-    /// and respawns it on its next tick — unless the gateway is
-    /// shutting down.
+    /// a detached thread. Either way the supervision tick sees a dead
+    /// shard and respawns it — unless the gateway is shutting down.
     pub fn kill(&self) {
         let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
         inner.idle.clear();
@@ -256,22 +262,13 @@ impl Shard {
         }
     }
 
-    /// Supervisor tick: if the daemon died (killed, crashed, or
-    /// exited), respawn it in place and flush the stale connection
-    /// pool. Returns whether a respawn happened.
-    pub fn ensure_live(&self, opts: &GatewayOptions) -> bool {
+    /// The gateway's supervision tick for this shard: if the daemon
+    /// died (killed, crashed, or exited), respawn it in place and flush
+    /// the stale connection pool.
+    pub fn ensure_live(&self, opts: &GatewayOptions) {
         let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        let dead = match &mut inner.runtime {
-            Runtime::Dead => true,
-            Runtime::InProcess(_) => false,
-            Runtime::Process(child) => match child.try_wait() {
-                Ok(Some(_)) => true,
-                Ok(None) => false,
-                Err(_) => true,
-            },
-        };
-        if !dead {
-            return false;
+        if !inner.runtime.dead() {
+            return;
         }
         match start_backend(opts, self.index) {
             Ok((addr, runtime)) => {
@@ -279,14 +276,10 @@ impl Shard {
                 inner.runtime = runtime;
                 inner.idle.clear();
                 self.respawns.fetch_add(1, Ordering::Relaxed);
-                true
             }
-            Err(_) => {
-                // Spawn failed (transient fork/bind issue): leave the
-                // shard dead; the next tick tries again.
-                inner.runtime = Runtime::Dead;
-                false
-            }
+            // Spawn failed (a transient fork or bind error): leave the shard
+            // dead; the next tick tries again.
+            Err(_) => inner.runtime = Runtime::Dead,
         }
     }
 

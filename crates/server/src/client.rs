@@ -176,9 +176,9 @@ pub fn repeat_request(
 }
 
 /// A keep-alive connection taking request lines that carry an `"op"`
-/// field, each posted to `/v1/{op}`, answered with the response body.
-/// It keeps the request-line interface the benchmark drives a daemon
-/// through; new callers use [`HttpClient`].
+/// field, each posted without it to `/v1/{op}`, answered with the
+/// response body. It keeps the request-line interface the benchmark
+/// drives a daemon through; new callers use [`HttpClient`].
 pub struct Connection(HttpClient);
 
 impl Connection {
@@ -191,18 +191,26 @@ impl Connection {
         HttpClient::connect(addr, timeout).map(Connection)
     }
 
-    /// Posts one request line to the route its `"op"` names and returns
-    /// the response body.
+    /// Posts one request line, less its `"op"`, to the route that field
+    /// names (the daemon takes no `"op"` field: the route is the op) and
+    /// returns the response body. A line that is not a JSON object is
+    /// posted as it is, to `/v1/`.
     ///
     /// # Errors
     ///
     /// Propagates I/O failures.
     pub fn roundtrip(&mut self, line: &str) -> std::io::Result<String> {
-        let parsed = json::parse(line).unwrap_or(Json::Null);
-        let op = parsed.get("op").and_then(Json::as_str).unwrap_or_default();
+        let (op, body) = match json::parse(line) {
+            Ok(Json::Obj(mut fields)) => {
+                let op = fields.remove("op");
+                let op = op.as_ref().and_then(Json::as_str).unwrap_or_default();
+                (op.to_string(), Json::Obj(fields).to_string())
+            }
+            _ => (String::new(), line.to_string()),
+        };
         let response = self
             .0
-            .request("POST", &format!("/v1/{op}"), &[], line.as_bytes())?;
+            .request("POST", &format!("/v1/{op}"), &[], body.as_bytes())?;
         Ok(response.body_str())
     }
 }

@@ -19,7 +19,9 @@
 //! program's: program results (values and type, runtime or budget
 //! errors alike) are 200, `protocol` errors 400, `internal` errors 500,
 //! sheds 503. `POST /v1/shutdown` — or, on unix, `SIGTERM` — drains the
-//! queue and stops the workers gracefully.
+//! queue and stops the workers gracefully. The threads around the
+//! workers — the accept loop and the supervision tick that respawns a
+//! dead worker — are the runner's ([`http::Running`]).
 
 use std::collections::BTreeMap;
 use std::net::SocketAddr;
@@ -37,7 +39,7 @@ use lagoon_runtime::{Kind, RtError};
 use lagoon_syntax::Symbol;
 
 use crate::cli::{Parsed, Spec};
-use crate::http::{self, error_json, rejection, Front, Reply, Request, Service};
+use crate::http::{self, error_json, rejection, Front, Reply, Request, Running, Service};
 use crate::json::{self, obj, Json};
 
 /// Options for [`Server::start`].
@@ -233,10 +235,10 @@ struct Shared {
     opts: ServeOptions,
     started: Instant,
     /// Workers currently inside their serve loop (drops on death or
-    /// drain); the supervisor respawns the difference.
+    /// drain); the supervision tick respawns the difference.
     live_workers: std::sync::atomic::AtomicUsize,
-    /// Worker threads by pool slot; the supervisor replaces finished
-    /// handles, [`Server::wait`] joins whatever is left.
+    /// Worker threads by pool slot; the supervision tick replaces
+    /// finished handles, [`Server::wait`] joins whatever is left.
     pool: Mutex<Vec<Option<JoinHandle<()>>>>,
 }
 
@@ -284,11 +286,6 @@ impl Shared {
         drop(stats);
         self.cv.notify_one();
         Ok(())
-    }
-
-    fn begin_shutdown(&self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        self.cv.notify_all();
     }
 
     fn stats_json(&self) -> Json {
@@ -473,26 +470,14 @@ impl Service for Shared {
     }
 
     fn call(&self, path: &'static str, request: &Request) -> Reply {
-        match path {
-            "/v1/stats" => {
-                let mut stats = self.stats_json();
-                if let Json::Obj(map) = &mut stats {
-                    map.insert("ok".to_string(), Json::Bool(true));
-                }
-                Reply::json(200, &stats)
-            }
-            "/v1/shutdown" => {
-                self.begin_shutdown();
-                Reply::json(
-                    200,
-                    &obj(vec![
-                        ("ok", Json::Bool(true)),
-                        ("draining", Json::Bool(true)),
-                    ]),
-                )
-            }
-            _ => self.submit(path, request),
+        if path != "/v1/stats" {
+            return self.submit(path, request);
         }
+        let mut stats = self.stats_json();
+        if let Json::Obj(map) = &mut stats {
+            map.insert("ok".to_string(), Json::Bool(true));
+        }
+        Reply::json(200, &stats)
     }
 
     fn draining(&self) -> bool {
@@ -500,7 +485,29 @@ impl Service for Shared {
     }
 
     fn drain(&self) {
-        self.begin_shutdown();
+        self.shutdown.store(true, Ordering::SeqCst);
+        self.cv.notify_all();
+    }
+
+    /// Respawns, in its pool slot, each worker whose thread died (an
+    /// escaped panic), so a panicking request can degrade but never
+    /// wedge the daemon. Queued requests are untouched by a death: they
+    /// stay in the shared queue until a surviving or respawned worker
+    /// pops them.
+    fn tick(self: &Arc<Self>) {
+        let mut pool = self.pool.lock().unwrap_or_else(|e| e.into_inner());
+        for (index, slot) in pool.iter_mut().enumerate() {
+            if !slot.as_ref().is_some_and(JoinHandle::is_finished) {
+                continue;
+            }
+            if slot.take().is_some_and(|handle| handle.join().is_err()) {
+                let mut stats = self.stats.lock().unwrap_or_else(|e| e.into_inner());
+                stats.worker_deaths += 1;
+                stats.respawns += 1;
+                drop(stats);
+                *slot = Some(spawn_worker(index, self));
+            }
+        }
     }
 }
 
@@ -570,30 +577,22 @@ impl StatsInner {
 
 /// A running daemon; dropping it does **not** stop it — call
 /// [`Server::shutdown`] and [`Server::wait`].
-pub struct Server {
-    addr: SocketAddr,
-    shared: Arc<Shared>,
-    acceptor: Option<JoinHandle<()>>,
-    supervisor: Option<JoinHandle<()>>,
-}
+pub struct Server(Running<Shared>);
 
 impl Server {
-    /// Binds the listener and spawns the acceptor, the worker pool, and
-    /// the supervisor.
+    /// Binds the listener and starts the runner and the worker pool.
     ///
     /// # Errors
     ///
     /// Returns the bind error if the address is unavailable.
     pub fn start(opts: ServeOptions) -> std::io::Result<Server> {
         let listener = http::listen(&opts.addr)?;
-        let addr = listener.local_addr()?;
         let workers = opts.workers.max(1);
         let mut routes = vec![
             ("POST", "/v1/run"),
             ("POST", "/v1/expand"),
             ("POST", "/v1/check"),
             ("GET", "/v1/stats"),
-            ("POST", "/v1/shutdown"),
         ];
         if opts.test_ops {
             routes.extend([("POST", "/v1/test/panic"), ("POST", "/v1/test/kill")]);
@@ -611,113 +610,53 @@ impl Server {
             live_workers: std::sync::atomic::AtomicUsize::new(0),
             pool: Mutex::new(Vec::new()),
         });
-
-        {
-            let mut pool = shared.pool.lock().unwrap_or_else(|e| e.into_inner());
-            for index in 0..workers {
-                let shared = Arc::clone(&shared);
-                pool.push(Some(std::thread::spawn(move || {
-                    worker_main(index, &shared)
-                })));
-            }
-        }
-        let acceptor = {
-            let shared = Arc::clone(&shared);
-            std::thread::spawn(move || http::serve(listener, shared))
-        };
-        let supervisor = {
-            let shared = Arc::clone(&shared);
-            std::thread::spawn(move || supervisor_main(&shared))
-        };
-        Ok(Server {
-            addr,
-            shared,
-            acceptor: Some(acceptor),
-            supervisor: Some(supervisor),
-        })
+        // the pool starts after the runner, so a runner that fails to
+        // start leaves no worker behind; requests queue meanwhile
+        let running = Running::start(listener, Arc::clone(&shared))?;
+        let mut pool = shared.pool.lock().unwrap_or_else(|e| e.into_inner());
+        pool.extend((0..workers).map(|index| Some(spawn_worker(index, &shared))));
+        drop(pool);
+        Ok(Server(running))
     }
 
     /// The bound address (useful with port 0).
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.0.addr()
     }
 
     /// Starts a graceful drain: stop accepting, finish queued work.
     pub fn shutdown(&self) {
-        self.shared.begin_shutdown();
+        self.0.shutdown();
     }
 
-    /// Blocks until the acceptor, supervisor, and all workers have
-    /// drained and exited (call [`Server::shutdown`] first, or rely on
-    /// a client's `POST /v1/shutdown` / SIGTERM).
-    pub fn wait(mut self) {
-        self.join_all();
+    /// Blocks until the runner's threads and all workers have drained
+    /// and exited (call [`Server::shutdown`] first, or rely on a
+    /// client's `POST /v1/shutdown` / SIGTERM).
+    pub fn wait(self) {
+        self.join();
     }
 
     /// The server's current statistics as a JSON object.
     pub fn stats_json(&self) -> String {
-        self.shared.stats_json().to_string()
+        self.0.service().stats_json().to_string()
     }
 
     /// Like [`Server::wait`], then returns the final statistics.
-    pub fn wait_with_stats(mut self) -> String {
-        self.join_all();
-        self.shared.stats_json().to_string()
+    pub fn wait_with_stats(self) -> String {
+        self.join().stats_json().to_string()
     }
 
-    fn join_all(&mut self) {
-        if let Some(a) = self.acceptor.take() {
-            let _ = a.join();
-        }
-        // The supervisor exits only after shutdown, and never respawns
-        // once the flag is up — so the pool it leaves behind is final.
-        if let Some(s) = self.supervisor.take() {
-            let _ = s.join();
-        }
+    fn join(self) -> Arc<Shared> {
+        // no tick runs once the runner is joined, so the pool is final
+        let shared = self.0.join();
         let handles: Vec<JoinHandle<()>> = {
-            let mut pool = self.shared.pool.lock().unwrap_or_else(|e| e.into_inner());
+            let mut pool = shared.pool.lock().unwrap_or_else(|e| e.into_inner());
             pool.drain(..).flatten().collect()
         };
         for w in handles {
             let _ = w.join();
         }
-    }
-}
-
-/// Detects dead workers (threads that exited without a shutdown — an
-/// escaped panic) and respawns them in the same pool slot, so a
-/// panicking request can degrade but never wedge the daemon. Queued
-/// requests are untouched by a death: they stay in the shared queue
-/// until a surviving or respawned worker pops them.
-fn supervisor_main(shared: &Arc<Shared>) {
-    loop {
-        let draining = shared.shutdown.load(Ordering::SeqCst);
-        {
-            let mut pool = shared.pool.lock().unwrap_or_else(|e| e.into_inner());
-            for (index, slot) in pool.iter_mut().enumerate() {
-                let finished = slot.as_ref().is_some_and(JoinHandle::is_finished);
-                if !finished {
-                    continue;
-                }
-                if let Some(handle) = slot.take() {
-                    let died = handle.join().is_err();
-                    if !died || draining {
-                        continue;
-                    }
-                    {
-                        let mut stats = shared.stats.lock().unwrap_or_else(|e| e.into_inner());
-                        stats.worker_deaths += 1;
-                        stats.respawns += 1;
-                    }
-                    let shared = Arc::clone(shared);
-                    *slot = Some(std::thread::spawn(move || worker_main(index, &shared)));
-                }
-            }
-        }
-        if draining {
-            return;
-        }
-        std::thread::sleep(Duration::from_millis(25));
+        shared
     }
 }
 
@@ -740,21 +679,21 @@ fn kind_slug(kind: &Kind) -> &'static str {
     }
 }
 
-fn rt_error_json(e: &RtError) -> Json {
-    let mut fields = vec![
-        ("kind", Json::Str(kind_slug(&e.kind).to_string())),
-        ("message", Json::Str(e.message.clone())),
-    ];
-    match &e.kind {
+/// A program's error as the daemon answers it, with the status: 500
+/// for an internal error (a contained panic or a broken engine
+/// invariant), else 200 — the daemon served the request, and a program
+/// that exhausted its own budget is a result too, so the gateway never
+/// fails it over to a second shard.
+fn rt_error(e: &RtError) -> (u16, Json) {
+    let (status, fields) = match &e.kind {
         Kind::ResourceExhausted { budget } => {
-            fields.push(("budget", Json::Str((*budget).to_string())));
+            (200, vec![("budget", Json::Str(budget.to_string()))])
         }
-        Kind::Contract { blame } => {
-            fields.push(("blame", Json::Str(blame.as_str())));
-        }
-        _ => {}
-    }
-    obj(vec![("ok", Json::Bool(false)), ("error", obj(fields))])
+        Kind::Contract { blame } => (200, vec![("blame", Json::Str(blame.as_str()))]),
+        Kind::Internal => (500, Vec::new()),
+        _ => (200, Vec::new()),
+    };
+    (status, error_json(kind_slug(&e.kind), &e.message, fields))
 }
 
 /// Merges a request's `"limits"` object over the server defaults.
@@ -792,6 +731,12 @@ pub fn merge_limits(base: Limits, spec: Option<&Json>) -> Result<Limits, String>
     Ok(limits)
 }
 
+/// Spawns the worker for pool slot `index`.
+fn spawn_worker(index: usize, shared: &Arc<Shared>) -> JoinHandle<()> {
+    let shared = Arc::clone(shared);
+    std::thread::spawn(move || worker_main(index, &shared))
+}
+
 /// Builds a worker's private world: registry, languages, store handle,
 /// source loader. The bootstrap's symbols fill this thread's table up to
 /// the worker's baseline.
@@ -823,8 +768,8 @@ fn report_epoch_gauge(shared: &Arc<Shared>, index: usize, set_base: bool) {
 }
 
 /// Accounts a worker in `live_workers` for the scope of its serve loop,
-/// surviving panics (the supervisor reads the count for shedding
-/// decisions while it respawns).
+/// surviving panics (shedding decisions read the count while the
+/// supervision tick respawns).
 struct LiveWorkerGuard<'a>(&'a Arc<Shared>);
 
 impl Drop for LiveWorkerGuard<'_> {
@@ -843,7 +788,7 @@ impl Drop for LiveWorkerGuard<'_> {
 /// Self-healing layers, outermost first: a thread death (escaped
 /// panic — in production a bug, in tests `test/kill`) drops the reply
 /// sender (the connection maps that to a structured `internal` error)
-/// and the supervisor respawns the slot; the per-request `catch_unwind`
+/// and the supervision tick respawns the slot; the per-request `catch_unwind`
 /// below converts a panic outside the request path's own barrier into
 /// a structured error; and after any internal error the worker rebuilds
 /// its world (a panic mid-compile can leave registry guards dirty).
@@ -894,7 +839,7 @@ fn worker_main(index: usize, shared: &Arc<Shared>) {
             if op == "test/kill" {
                 // Simulates a crashed worker: die outside every barrier,
                 // dropping `job.reply` (client sees a structured error) and
-                // leaving the thread to the supervisor.
+                // leaving the thread to the supervision tick.
                 panic!("test/kill: deliberate worker death");
             }
             // Echoed on the response and recorded on the request's worker
@@ -911,12 +856,19 @@ fn worker_main(index: usize, shared: &Arc<Shared>) {
             let scope_watermark = lagoon_syntax::Scope::watermark();
             let epoch = lagoon_syntax::epoch_mark();
 
-            let response = catch_unwind(AssertUnwindSafe(|| {
+            let answer = catch_unwind(AssertUnwindSafe(|| {
                 handle_request(&registry, &job.request, op, shared, &REQ_ID)
-            }))
-            .unwrap_or_else(|_| error_json("internal", "internal error: request panicked"));
+            }));
+            let (status, mut response) = match answer {
+                Ok(Ok(answer)) => answer,
+                Ok(Err(message)) => (400, error_json("protocol", &message, Vec::new())),
+                Err(_) => {
+                    let message = "internal error: request panicked";
+                    (500, error_json("internal", message, Vec::new()))
+                }
+            };
 
-            if status_of(&response) == 500 {
+            if status == 500 {
                 // An internal error: a panic the request barrier (or the
                 // one above) contained, or a broken engine invariant.
                 // Mid-flight registry state (cycle guards, partial
@@ -961,50 +913,63 @@ fn worker_main(index: usize, shared: &Arc<Shared>) {
                     dur_ms: latency.as_secs_f64() * 1e3,
                 });
             }
-            let mut response = response;
             if let Json::Obj(map) = &mut response {
                 map.insert("micros".to_string(), Json::Num(latency.as_micros() as f64));
                 map.insert("trace_id".to_string(), Json::Str(trace_id.clone()));
             }
             let _ = job.reply.send(Reply {
                 headers: vec![("x-lagoon-trace-id", trace_id)],
-                ..Reply::json(status_of(&response), &response)
+                ..Reply::json(status, &response)
             });
         }
     }
 }
 
-/// The HTTP status of a worker's response: the serving outcome, not the
-/// program's. Protocol misuse is 400 and a daemon fault 500; program
-/// results — values and type, runtime or budget errors alike — are 200
-/// with the structured body, because the daemon served them.
-fn status_of(response: &Json) -> u16 {
-    match response
-        .get("error")
-        .and_then(|e| e.get("kind"))
-        .and_then(Json::as_str)
-    {
-        Some("protocol") => 400,
-        Some("internal") => 500,
-        _ => 200,
-    }
-}
+/// The top-level fields a run, expand or check request may carry.
+const FIELDS: [&str; 5] = ["source", "module", "engine", "diag", "limits"];
 
 /// Serves one request against the worker's world through the one
 /// request path ([`ModuleRegistry::request`]), under the request's limits
 /// and with a diagnostics recorder installed: the response's `phases` and,
 /// when the request sets `"diag": true`, its `report` (opcode mix
-/// included) are views of that record.
+/// included) are views of that record. Returns the status with the body:
+/// [`rt_error`]'s for a failed program, else 200.
+///
+/// # Errors
+///
+/// A `protocol` message naming the field, for a field not in [`FIELDS`],
+/// a `source` or `module` that is not a string (or both of them), an
+/// `engine` other than `"vm"` or `"interp"`, a `diag` that is not a
+/// boolean, a bad `limits` ([`merge_limits`]) or a module name the
+/// loader refuses.
 fn handle_request(
     registry: &std::rc::Rc<ModuleRegistry>,
     request: &Json,
     op: &'static str,
     shared: &Arc<Shared>,
     req_id: &AtomicU64,
-) -> Json {
-    let limits = match merge_limits(shared.opts.limits, request.get("limits")) {
-        Ok(limits) => limits,
-        Err(message) => return error_json("protocol", &message),
+) -> Result<(u16, Json), String> {
+    if let Json::Obj(fields) = request {
+        if let Some(key) = fields.keys().find(|key| !FIELDS.contains(&key.as_str())) {
+            return Err(format!("unknown field \"{key}\""));
+        }
+    }
+    let limits = merge_limits(shared.opts.limits, request.get("limits"))?;
+    let text = |key: &str| match request.get(key) {
+        None => Ok(None),
+        Some(Json::Str(text)) => Ok(Some(text.as_str())),
+        Some(_) => Err(format!("\"{key}\" must be a string")),
+    };
+    let (inline, named) = (text("source")?, text("module")?);
+    let engine = match request.get("engine").map(Json::as_str) {
+        None | Some(Some("vm")) => EngineKind::Vm,
+        Some(Some("interp")) => EngineKind::Interp,
+        Some(_) => return Err("\"engine\" must be \"vm\" or \"interp\"".to_string()),
+    };
+    let want_diag = match request.get("diag") {
+        None => false,
+        Some(Json::Bool(diag)) => *diag,
+        Some(_) => return Err("\"diag\" must be a boolean".to_string()),
     };
     // Resolve the target module: inline source gets a unique name that
     // `store::is_module_file_name` rejects (it contains '/'), so request bodies
@@ -1014,10 +979,9 @@ fn handle_request(
     // request — the old process-global interner leak (~3.2 symbols per
     // inline request, BENCH_6 in EXPERIMENTS.md's retired records) is
     // gone.
-    let inline = request.get("source").and_then(Json::as_str);
-    let named = request.get("module").and_then(Json::as_str);
     let name = match (inline, named) {
-        (Some(src), _) => {
+        (Some(_), Some(_)) => return Err("give \"source\" or \"module\", not both".to_string()),
+        (Some(src), None) => {
             let id = req_id.fetch_add(1, Ordering::Relaxed);
             let name = format!("req/{id}");
             registry.add_module(&name, src);
@@ -1027,18 +991,13 @@ fn handle_request(
             // the loader's own rule: a name it would refuse never reaches
             // the registry, so no request can name an inline module
             if !lagoon_core::store::is_module_file_name(m) {
-                return error_json("protocol", "invalid module name");
+                return Err("invalid module name".to_string());
             }
             m.to_string()
         }
         (None, None) if op == "test/panic" => String::new(),
-        (None, None) => return error_json("protocol", "need \"module\" or \"source\""),
+        (None, None) => return Err("need \"module\" or \"source\"".to_string()),
     };
-    let engine = match request.get("engine").and_then(Json::as_str) {
-        Some("interp") => EngineKind::Interp,
-        _ => EngineKind::Vm,
-    };
-    let want_diag = request.get("diag").and_then(Json::as_bool) == Some(true);
 
     lagoon_diag::limits::install(limits);
     let collector = Collector::install();
@@ -1081,24 +1040,26 @@ fn handle_request(
         }
     }
 
-    let mut response = match result {
-        Ok(Outcome::Value(value)) => obj(vec![
-            ("ok", Json::Bool(true)),
-            ("value", Json::Str(value.to_string())),
-            ("output", Json::Str(output)),
-        ]),
-        Ok(Outcome::Forms(forms)) => {
-            let rendered = forms
-                .iter()
-                .map(|f| Json::Str(f.to_datum().to_string()))
-                .collect();
-            obj(vec![
-                ("ok", Json::Bool(true)),
-                ("forms", Json::Arr(rendered)),
-            ])
+    let (status, mut response) = match result {
+        Err(e) => rt_error(&e),
+        Ok(outcome) => {
+            let mut fields = vec![("ok", Json::Bool(true))];
+            match outcome {
+                Outcome::Value(value) => fields.extend([
+                    ("value", Json::Str(value.to_string())),
+                    ("output", Json::Str(output)),
+                ]),
+                Outcome::Forms(forms) => {
+                    let rendered = forms
+                        .iter()
+                        .map(|f| Json::Str(f.to_datum().to_string()))
+                        .collect();
+                    fields.push(("forms", Json::Arr(rendered)));
+                }
+                Outcome::Checked => {}
+            }
+            (200, obj(fields))
         }
-        Ok(Outcome::Checked) => obj(vec![("ok", Json::Bool(true))]),
-        Err(e) => rt_error_json(&e),
     };
     if let Json::Obj(map) = &mut response {
         // Per-phase span summary (pipeline buckets, ms). Present on
@@ -1113,7 +1074,7 @@ fn handle_request(
             map.insert("report".to_string(), parsed);
         }
     }
-    response
+    Ok((status, response))
 }
 
 #[cfg(test)]
@@ -1122,29 +1083,17 @@ mod tests {
 
     #[test]
     fn statuses_reflect_the_serving_outcome() {
-        let status = |body: &str| status_of(&json::parse(body).unwrap());
-        assert_eq!(status(r#"{"ok":true,"value":"3"}"#), 200);
-        assert_eq!(
-            status(r#"{"ok":false,"error":{"kind":"protocol","message":"m"}}"#),
-            400
-        );
-        assert_eq!(
-            status(r#"{"ok":false,"error":{"kind":"internal","message":"m"}}"#),
-            500
-        );
-        // Program-level errors are 200: the daemon served the request.
-        assert_eq!(
-            status(r#"{"ok":false,"error":{"kind":"type","message":"m"}}"#),
-            200
-        );
-        // A program that exhausted its own budget is a result too, so
-        // the gateway never fails it over to a second shard.
-        assert_eq!(
-            status(
-                r#"{"ok":false,"error":{"kind":"resource-exhausted","message":"m","budget":"vm-steps"}}"#
-            ),
-            200
-        );
+        let status = |kind: Kind| rt_error(&RtError::new(kind, "m")).0;
+        assert_eq!(status(Kind::Internal), 500);
+        // Program-level errors are 200: the daemon served the request,
+        // and a program that exhausted its own budget is a result too.
+        assert_eq!(status(Kind::Type), 200);
+        let budget = Kind::ResourceExhausted { budget: "vm-steps" };
+        assert_eq!(status(budget.clone()), 200);
+        let (_, body) = rt_error(&RtError::new(budget, "m"));
+        let error = body.get("error").expect("error");
+        assert_eq!(error.get("budget").and_then(Json::as_str), Some("vm-steps"));
+        assert_eq!(body.get("ok").and_then(Json::as_bool), Some(false));
     }
 
     #[test]

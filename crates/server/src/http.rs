@@ -1,6 +1,8 @@
 //! The one wire protocol: a hand-rolled HTTP/1.1 layer — request
-//! reading, response writing, a small keep-alive client — and the accept
-//! and connection loops that both the daemon and the gateway run.
+//! reading, response writing, a small keep-alive client — and the server
+//! skeleton that both the daemon and the gateway run: the runner
+//! ([`Running`]) with its accept loop, connection loop and supervision
+//! thread, the shutdown route, and the error replies.
 //!
 //! It is std-only and covers exactly what Lagoon's servers need:
 //! `GET`/`POST` with `Content-Length` bodies, keep-alive (HTTP/1.1
@@ -18,8 +20,9 @@
 
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::{Arc, Mutex};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use lagoon_diag::Histogram;
@@ -551,11 +554,15 @@ impl HttpClient {
 }
 
 // ---------------------------------------------------------------------------
-// Serving: one accept loop and one connection loop for both servers
+// Serving: one runner, accept loop and connection loop for both servers
 // ---------------------------------------------------------------------------
 
 /// A route: its method and its path.
 pub type Route = (&'static str, &'static str);
+
+/// The route every server answers alike, in the connection loop: it
+/// drains the service.
+const SHUTDOWN: Route = ("POST", "/v1/shutdown");
 
 /// The latency-histogram key for requests whose path no route serves,
 /// so hostile or mistyped paths share one bucket instead of growing
@@ -565,6 +572,9 @@ const UNMATCHED: &str = "unmatched";
 /// How long a kept-alive connection may sit idle before its thread
 /// lets it go.
 const IDLE_TIMEOUT: Duration = Duration::from_secs(60);
+
+/// How often the runner calls [`Service::tick`].
+const TICK: Duration = Duration::from_millis(25);
 
 /// A response as a [`Service`] builds it; the connection loop adds the
 /// framing headers.
@@ -587,25 +597,46 @@ impl Reply {
         }
     }
 
-    /// A reply carrying [`error_json`]`(kind, message)`.
+    /// A reply carrying [`error_json`]`(kind, message, [])`.
     pub fn error(status: u16, kind: &str, message: &str) -> Reply {
-        Reply::json(status, &error_json(kind, message))
+        Reply::json(status, &error_json(kind, message, Vec::new()))
     }
 }
 
-/// The error body both servers answer with:
-/// `{"ok":false,"error":{"kind":…,"message":…}}`.
-pub fn error_json(kind: &str, message: &str) -> Json {
-    obj(vec![
-        ("ok", Json::Bool(false)),
-        (
-            "error",
-            obj(vec![
-                ("kind", Json::Str(kind.to_string())),
-                ("message", Json::Str(message.to_string())),
-            ]),
-        ),
-    ])
+/// The one error body the servers answer with:
+/// `{"ok":false,"error":{"kind":…,"message":…}}`, with `fields` added
+/// to the error.
+pub fn error_json(kind: &str, message: &str, fields: Vec<(&str, Json)>) -> Json {
+    let mut error = vec![
+        ("kind", Json::Str(kind.to_string())),
+        ("message", Json::Str(message.to_string())),
+    ];
+    error.extend(fields);
+    obj(vec![("ok", Json::Bool(false)), ("error", obj(error))])
+}
+
+/// An error reply that tells the client whether to retry: the error
+/// carries `retryable`, and a retryable one its `retry_after_ms` hint,
+/// which the `retry-after` (whole seconds, at least 1) and
+/// `x-lagoon-retry-after-ms` headers repeat.
+fn hinted(
+    status: u16,
+    kind: &str,
+    message: &str,
+    mut fields: Vec<(&str, Json)>,
+    retry_after_ms: Option<u64>,
+) -> Reply {
+    fields.push(("retryable", Json::Bool(retry_after_ms.is_some())));
+    let mut headers = Vec::new();
+    if let Some(ms) = retry_after_ms {
+        fields.push(("retry_after_ms", Json::Num(ms as f64)));
+        headers.push(("retry-after", ms.div_ceil(1000).max(1).to_string()));
+        headers.push(("x-lagoon-retry-after-ms", ms.to_string()));
+    }
+    Reply {
+        headers,
+        ..Reply::json(status, &error_json(kind, message, fields))
+    }
 }
 
 /// An admission rejection: `resource-exhausted` with a shedding
@@ -615,39 +646,26 @@ pub fn error_json(kind: &str, message: &str) -> Json {
 /// Clients with a retry policy back off and retry exactly the retryable
 /// ones — a program that exhausted its *own* budget carries a `budget`
 /// field instead and is never retried. Retryable rejections carry a
-/// `retry_after_ms` hint, in the body and as `retry-after` /
-/// `x-lagoon-retry-after-ms` headers, sized to how long the condition
-/// usually lasts: a full queue drains in tens of milliseconds, a
-/// degraded pool needs a respawn, an empty pool needs several.
+/// `retry_after_ms` hint sized to how long the condition usually lasts:
+/// a full queue drains in tens of milliseconds, a degraded pool needs a
+/// respawn, an empty pool needs several.
 pub(crate) fn rejection(reason: &str, message: &str) -> Reply {
-    let status = if reason == "request-too-large" {
-        413
-    } else {
-        503
+    let (status, hint) = match reason {
+        "queue-full" => (503, Some(25)),
+        "workers-degraded" => (503, Some(50)),
+        "workers-unavailable" => (503, Some(100)),
+        "request-too-large" => (413, None),
+        _ => (503, None),
     };
-    let retry_after_ms: Option<u64> = match reason {
-        "queue-full" => Some(25),
-        "workers-degraded" => Some(50),
-        "workers-unavailable" => Some(100),
-        _ => None,
-    };
-    let mut fields = vec![
-        ("kind", Json::Str("resource-exhausted".to_string())),
-        ("message", Json::Str(message.to_string())),
-        ("reason", Json::Str(reason.to_string())),
-        ("retryable", Json::Bool(retry_after_ms.is_some())),
-    ];
-    let mut headers = Vec::new();
-    if let Some(ms) = retry_after_ms {
-        fields.push(("retry_after_ms", Json::Num(ms as f64)));
-        headers.push(("retry-after", ms.div_ceil(1000).max(1).to_string()));
-        headers.push(("x-lagoon-retry-after-ms", ms.to_string()));
-    }
-    let body = obj(vec![("ok", Json::Bool(false)), ("error", obj(fields))]);
-    Reply {
-        headers,
-        ..Reply::json(status, &body)
-    }
+    let fields = vec![("reason", Json::Str(reason.to_string()))];
+    hinted(status, "resource-exhausted", message, fields, hint)
+}
+
+/// A proxy's reply when no upstream could take a request: 502
+/// `unavailable`, retryable after 200 ms (a dead upstream is back
+/// within a few supervision ticks).
+pub fn unavailable(message: &str) -> Reply {
+    hinted(502, "unavailable", message, Vec::new(), Some(200))
 }
 
 /// A request body as a JSON object; an empty body reads as `{}`.
@@ -688,8 +706,10 @@ struct HttpStats {
 }
 
 impl Front {
-    /// A front answering `routes`, with bodies capped at `max_body`.
-    pub fn new(routes: Vec<Route>, max_body: usize) -> Front {
+    /// A front answering `routes` and `POST /v1/shutdown`, with bodies
+    /// capped at `max_body`.
+    pub fn new(mut routes: Vec<Route>, max_body: usize) -> Front {
+        routes.push(SHUTDOWN);
         Front {
             routes,
             max_body,
@@ -725,26 +745,29 @@ impl Front {
     }
 
     /// Matches a request to a route and answers it: 404 for an unknown
-    /// path, 405 for a known path with the wrong method. Returns the
-    /// histogram key with the reply.
+    /// path, 405 for a known path with the wrong method, and the drain
+    /// for `POST /v1/shutdown`. Returns the histogram key with the reply.
     fn answer<S: Service>(&self, service: &S, request: &Request) -> (&'static str, Reply) {
         let path = request.path();
         let method = request.head.method.as_str();
-        match self.routes.iter().find(|(_, p)| *p == path) {
-            None => (
-                UNMATCHED,
-                Reply::error(404, "protocol", &format!("no route for {path}")),
-            ),
-            Some(&(want, p)) => {
-                let key = p.strip_prefix("/v1/").unwrap_or(p);
-                if want == method {
-                    (key, service.call(p, request))
-                } else {
-                    let message = format!("method {method} not allowed here");
-                    (key, Reply::error(405, "protocol", &message))
-                }
-            }
-        }
+        let Some(&(want, p)) = self.routes.iter().find(|(_, p)| *p == path) else {
+            let message = format!("no route for {path}");
+            return (UNMATCHED, Reply::error(404, "protocol", &message));
+        };
+        let reply = if want != method {
+            let message = format!("method {method} not allowed here");
+            Reply::error(405, "protocol", &message)
+        } else if (want, p) == SHUTDOWN {
+            service.drain();
+            let draining = obj(vec![
+                ("ok", Json::Bool(true)),
+                ("draining", Json::Bool(true)),
+            ]);
+            Reply::json(200, &draining)
+        } else {
+            service.call(p, request)
+        };
+        (p.strip_prefix("/v1/").unwrap_or(p), reply)
     }
 
     fn record(&self, key: &'static str, bytes_in: usize, reply: &Reply, took: Duration) {
@@ -761,21 +784,89 @@ impl Front {
     }
 }
 
-/// What a server plugs into [`serve`]: everything but HTTP framing.
+/// What a server plugs into [`Running`]: everything but HTTP framing,
+/// the shutdown route and the threads.
 pub trait Service: Send + Sync + 'static {
     /// The server's routes, body cap and HTTP counters.
     fn front(&self) -> &Front;
-    /// Answers a request on one of the front's routes; `path` is that
-    /// route's path.
+    /// Answers a request on one of the front's routes other than
+    /// `POST /v1/shutdown`; `path` is that route's path.
     fn call(&self, path: &'static str, request: &Request) -> Reply;
-    /// Whether the server is draining; the accept loop then exits.
+    /// Whether the server is draining; the accept loop and the
+    /// supervision thread then exit.
     fn draining(&self) -> bool;
-    /// Starts the drain (the accept loop calls it on SIGTERM).
+    /// Starts the drain (on `POST /v1/shutdown`, SIGTERM or
+    /// [`Running::shutdown`]).
     fn drain(&self);
+    /// One supervision pass, which brings back what died. The runner
+    /// calls it every 25 ms until the server drains, on a thread of its
+    /// own, so a slow pass never stalls accepts.
+    fn tick(self: &Arc<Self>);
 }
 
-/// Binds a listener for [`serve`]. It is non-blocking, so the accept
-/// loop can poll for shutdown between connections.
+/// A server running a [`Service`]: the accept loop ([`serve`]) and the
+/// supervision thread that calls [`Service::tick`].
+pub struct Running<S> {
+    addr: SocketAddr,
+    service: Arc<S>,
+    threads: [JoinHandle<()>; 2],
+}
+
+impl<S: Service> Running<S> {
+    /// Spawns the accept loop on `listener` and the supervision thread.
+    ///
+    /// # Errors
+    ///
+    /// Returns the error reading the listener's address; nothing is
+    /// spawned then.
+    pub fn start(listener: TcpListener, service: Arc<S>) -> std::io::Result<Running<S>> {
+        let addr = listener.local_addr()?;
+        let accepting = Arc::clone(&service);
+        let supervised = Arc::clone(&service);
+        let threads = [
+            std::thread::spawn(move || serve(listener, accepting)),
+            std::thread::spawn(move || {
+                while !supervised.draining() {
+                    supervised.tick();
+                    std::thread::sleep(TICK);
+                }
+            }),
+        ];
+        Ok(Running {
+            addr,
+            service,
+            threads,
+        })
+    }
+
+    /// The bound address (useful with port 0).
+    pub fn addr(&self) -> SocketAddr {
+        self.addr
+    }
+
+    /// The service.
+    pub fn service(&self) -> &S {
+        &self.service
+    }
+
+    /// Starts the service's drain.
+    pub fn shutdown(&self) {
+        self.service.drain();
+    }
+
+    /// Blocks until the accept loop and the supervision thread have
+    /// exited, which they do once the service drains, and returns the
+    /// service; no tick runs after it returns.
+    pub fn join(self) -> Arc<S> {
+        for thread in self.threads {
+            let _ = thread.join();
+        }
+        self.service
+    }
+}
+
+/// Binds a listener for [`Running::start`]. It is non-blocking, so the
+/// accept loop can poll for shutdown between connections.
 ///
 /// # Errors
 ///
@@ -914,6 +1005,7 @@ fn sigterm_triggered() -> bool {
 mod tests {
     use super::*;
     use std::io::Cursor;
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering::SeqCst};
 
     fn head_of(raw: &str) -> Result<Head, HttpError> {
         read_head(&mut Cursor::new(raw.as_bytes().to_vec()))
@@ -1067,37 +1159,117 @@ mod tests {
         assert!(text.ends_with("\r\n\r\n{}"));
     }
 
+    /// A service with one route of its own, `POST /v1/x`, that counts
+    /// its supervision ticks.
+    struct Stub {
+        front: Front,
+        ticks: AtomicUsize,
+        drained: AtomicBool,
+    }
+
+    impl Stub {
+        fn new() -> Stub {
+            Stub {
+                front: Front::new(vec![("POST", "/v1/x")], 1024),
+                ticks: Default::default(),
+                drained: Default::default(),
+            }
+        }
+    }
+
+    impl Service for Stub {
+        fn front(&self) -> &Front {
+            &self.front
+        }
+        fn call(&self, _: &'static str, _: &Request) -> Reply {
+            Reply::json(200, &obj(vec![("ok", Json::Bool(true))]))
+        }
+        fn draining(&self) -> bool {
+            self.drained.load(SeqCst)
+        }
+        fn drain(&self) {
+            self.drained.store(true, SeqCst);
+        }
+        fn tick(self: &Arc<Self>) {
+            self.ticks.fetch_add(1, SeqCst);
+        }
+    }
+
     #[test]
     fn rejections_carry_retry_hints_in_body_and_headers() {
-        for (reason, ms) in [
-            ("queue-full", 25),
-            ("workers-degraded", 50),
-            ("workers-unavailable", 100),
+        let stub = Stub::new();
+        let answer = |method: &str, path: &str| {
+            let head = Head {
+                method: method.to_string(),
+                target: path.to_string(),
+                http11: true,
+                headers: Vec::new(),
+            };
+            let request = Request {
+                head,
+                body: Vec::new(),
+            };
+            stub.front.answer(&stub, &request).1
+        };
+        // every error reply the servers build, with its hint: none, not
+        // retryable, or retryable after the given milliseconds
+        for (reply, status, hint) in [
+            (Reply::error(400, "protocol", "m"), 400, None),
+            (answer("GET", "/v1/nope"), 404, None),
+            (answer("GET", "/v1/x"), 405, None),
+            (answer("GET", "/v1/shutdown"), 405, None),
+            (rejection("request-too-large", "m"), 413, Some(None)),
+            (Reply::error(500, "internal", "m"), 500, None),
+            (unavailable("m"), 502, Some(Some(200))),
+            (rejection("queue-full", "m"), 503, Some(Some(25))),
+            (rejection("workers-degraded", "m"), 503, Some(Some(50))),
+            (rejection("workers-unavailable", "m"), 503, Some(Some(100))),
+            (rejection("shutting-down", "m"), 503, Some(None)),
         ] {
-            let reply = rejection(reason, "m");
-            assert_eq!(reply.status, 503);
-            let body = json::parse(std::str::from_utf8(&reply.body).unwrap()).unwrap();
-            let e = body.get("error").expect("error");
-            assert_eq!(e.get("retryable").and_then(Json::as_bool), Some(true));
-            assert_eq!(e.get("retry_after_ms").and_then(Json::as_u64), Some(ms));
-            assert!(reply
-                .headers
-                .iter()
-                .any(|(k, v)| *k == "x-lagoon-retry-after-ms" && *v == ms.to_string()));
-            assert!(reply
-                .headers
-                .iter()
-                .any(|(k, v)| *k == "retry-after" && v == "1"));
-        }
-        for (reason, status) in [("shutting-down", 503), ("request-too-large", 413)] {
-            let reply = rejection(reason, "m");
             assert_eq!(reply.status, status);
             let body = json::parse(std::str::from_utf8(&reply.body).unwrap()).unwrap();
+            assert_eq!(body.get("ok").and_then(Json::as_bool), Some(false));
             let e = body.get("error").expect("error");
-            assert_eq!(e.get("retryable").and_then(Json::as_bool), Some(false));
-            assert!(e.get("retry_after_ms").is_none());
-            assert!(reply.headers.is_empty());
+            assert!(e.get("kind").and_then(Json::as_str).is_some(), "{body}");
+            assert!(e.get("message").and_then(Json::as_str).is_some(), "{body}");
+            let retryable = hint.map(|ms: Option<u64>| ms.is_some());
+            assert_eq!(e.get("retryable").and_then(Json::as_bool), retryable);
+            let ms = hint.flatten();
+            assert_eq!(e.get("retry_after_ms").and_then(Json::as_u64), ms);
+            let header = |name| reply.headers.iter().find(|(k, _)| *k == name);
+            let header = |name| header(name).map(|(_, v)| v.as_str());
+            let ms = ms.map(|ms| ms.to_string());
+            assert_eq!(header("x-lagoon-retry-after-ms"), ms.as_deref(), "{status}");
+            // every hint is under a second: `retry-after` rounds it up
+            let seconds = ms.as_ref().map(|_| "1");
+            assert_eq!(header("retry-after"), seconds, "{status}");
         }
+        assert!(!stub.draining(), "a 405 on the shutdown route drained");
+    }
+
+    #[test]
+    fn the_runner_ticks_until_a_shutdown_request_drains_the_service() {
+        let listener = listen("127.0.0.1:0").expect("bind");
+        let running = Running::start(listener, Arc::new(Stub::new())).expect("start");
+        let ticks = || running.service().ticks.load(SeqCst);
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while ticks() < 2 {
+            assert!(Instant::now() < deadline, "the supervision tick never ran");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        let addr = running.addr().to_string();
+        let mut client =
+            HttpClient::connect(&addr, Some(Duration::from_secs(10))).expect("connect");
+        let response = client
+            .request("POST", "/v1/shutdown", &[], b"{}")
+            .expect("shutdown");
+        assert_eq!(response.status, 200);
+        assert_eq!(response.body_str(), r#"{"draining":true,"ok":true}"#);
+        let stub = running.join();
+        let after = stub.ticks.load(SeqCst);
+        std::thread::sleep(TICK * 4);
+        let now = stub.ticks.load(SeqCst);
+        assert_eq!(now, after, "a tick ran after the join");
     }
 
     #[test]

@@ -8,13 +8,14 @@
 //!   lazily to sibling `<name>.lag` files at compile time). `--stats`
 //!   prints phase timings, the optimizer decision log and opcode
 //!   counters (marking instructions with folded operands or branch
-//!   targets as fused), `--json` machine-readably; a failed run still
-//!   prints its report (its exhausted budget as a limits row). Compiled
-//!   modules persist as `.lagc` artifacts under `<dir>/compiled` (or
-//!   `--cache-dir`) and are reused while fresh; `--no-cache` disables
-//!   this. `--trace` writes a Chrome trace-event JSON file (load it in
-//!   Perfetto or chrome://tracing) of nested phase spans with source
-//!   attribution, plus a VM sampling profile.
+//!   targets as fused), with `--json` machine-readably; a failed run
+//!   still prints its report (its exhausted budget as a limits row).
+//!   Compiled modules persist as `.lagc` artifacts under
+//!   `<dir>/compiled` (or `--cache-dir`) and are reused while fresh;
+//!   `--no-cache` disables this. `--trace`, which `--stats` excludes,
+//!   writes a Chrome trace-event JSON file (load it in Perfetto or
+//!   chrome://tracing) of nested phase spans with source attribution,
+//!   plus a VM sampling profile.
 //! - `lagoon expand <file.lag>` prints the fully-expanded core forms
 //!   (`--timings` adds the phase timings); `lagoon repl` is an
 //!   interactive prompt.
@@ -438,12 +439,20 @@ fn write_trace(path: &Path, json: String) -> Result<(), Stop> {
 /// - `--trace <out.json>`: the record's spans plus the VM sampling
 ///   profile, written as a Chrome trace-event JSON file loadable in
 ///   Perfetto or chrome://tracing;
-/// - else `--stats`: the diagnostics report, also when the run fails,
+/// - or `--stats`: the diagnostics report, also when the run fails,
 ///   as one JSON object with `--json`.
 ///
-/// Only `--stats` counts opcodes, so a traced run times the uncounted
-/// loop.
+/// Only `--stats` counts opcodes, which would skew a trace's `run` span,
+/// so the two views exclude each other and a traced run times the
+/// uncounted loop.
 fn run_cmd(parsed: &Parsed) -> Result<ExitCode, Stop> {
+    if parsed.has("--json") && !parsed.has("--stats") {
+        return Err(Stop::Usage("run --json needs --stats".to_string()));
+    }
+    if parsed.has("--stats") && parsed.has("--trace") {
+        let reason = "run takes --stats or --trace, not both: counting opcodes skews the trace";
+        return Err(Stop::Usage(reason.to_string()));
+    }
     let file = Path::new(&parsed.positionals[0]);
     let engine = if parsed.has("--interp") {
         EngineKind::Interp
@@ -451,7 +460,7 @@ fn run_cmd(parsed: &Parsed) -> Result<ExitCode, Stop> {
         EngineKind::Vm
     };
     let trace = parsed.value("--trace").map(PathBuf::from);
-    let stats = trace.is_none() && parsed.has("--stats");
+    let stats = parsed.has("--stats");
     let limits = parsed.limits(Limits::default())?;
     let lagoon = Lagoon::new();
     lagoon.set_limits(limits);

@@ -223,6 +223,13 @@ fn bad_options_exit_2_before_anything_runs() {
             "build takes no option --job",
         ),
         (vec!["run", &spin, &spin], "run takes no argument"),
+        // option pairs that would do nothing: `--json` formats only the
+        // `--stats` report, and `--stats` counting would skew a trace
+        (vec!["run", &spin, "--json"], "run --json needs --stats"),
+        (
+            vec!["run", &spin, "--stats", "--trace", "t.json"],
+            "run takes --stats or --trace, not both",
+        ),
     ] {
         let output = lagoon_within(&args, Duration::from_secs(10));
         let stderr = String::from_utf8_lossy(&output.stderr);

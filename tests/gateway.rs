@@ -544,3 +544,100 @@ fn both_shard_backends_apply_the_gateway_limits() {
         );
     }
 }
+
+/// Both servers answer `POST /v1/shutdown` in the connection loop they
+/// share: the same status and body, and each one's `wait` returns once
+/// it has drained.
+#[test]
+fn daemon_and_gateway_answer_shutdown_alike() {
+    let daemon = lagoon::server::Server::start(lagoon::server::ServeOptions {
+        workers: 1,
+        ..Default::default()
+    })
+    .expect("start daemon");
+    let gateway = Gateway::start(GatewayOptions {
+        shards: 1,
+        workers_per_shard: 1,
+        ..GatewayOptions::default()
+    })
+    .expect("start gateway");
+    let shutdown = |addr: String| {
+        let response = HttpClient::connect(&addr, Some(Duration::from_secs(30)))
+            .and_then(|mut client| client.request("POST", "/v1/shutdown", &[], b"{}"))
+            .expect("shutdown");
+        (response.status, response.body_str())
+    };
+    let from_daemon = shutdown(daemon.addr().to_string());
+    let from_gateway = shutdown(gateway.addr().to_string());
+    let (done, waited) = std::sync::mpsc::channel();
+    let daemon_done = done.clone();
+    std::thread::spawn(move || {
+        daemon.wait();
+        daemon_done.send("daemon")
+    });
+    std::thread::spawn(move || {
+        gateway.wait();
+        done.send("gateway")
+    });
+    let mut returned: Vec<&str> = (0..2)
+        .filter_map(|_| waited.recv_timeout(Duration::from_secs(30)).ok())
+        .collect();
+    returned.sort();
+    assert_eq!(
+        returned,
+        ["daemon", "gateway"],
+        "wait returns after the drain"
+    );
+    assert_eq!(
+        from_daemon,
+        (200, r#"{"draining":true,"ok":true}"#.to_string())
+    );
+    assert_eq!(from_gateway, from_daemon);
+}
+
+/// The test route that kills a shard names it: a body without an
+/// integer `shard` is a 400 and kills nothing.
+#[test]
+fn kill_shard_needs_an_integer_shard() {
+    let gateway = Gateway::start(GatewayOptions {
+        shards: 1,
+        workers_per_shard: 1,
+        test_ops: true,
+        ..GatewayOptions::default()
+    })
+    .expect("start gateway");
+    let exchange = HttpClient::connect(&gateway.addr().to_string(), Some(Duration::from_secs(30)))
+        .and_then(|mut client| {
+            let mut answers = Vec::new();
+            for body in [
+                "",
+                "{}",
+                r#"{"shard":"0"}"#,
+                r#"{"shard":0.5}"#,
+                r#"{"shard":1}"#,
+            ] {
+                let response =
+                    client.request("POST", "/v1/test/kill-shard", &[], body.as_bytes())?;
+                answers.push((body, response));
+            }
+            Ok((
+                answers,
+                client.request("GET", "/v1/stats?deep=0", &[], b"")?,
+            ))
+        });
+    gateway.shutdown();
+    gateway.wait();
+    let (answers, stats) = exchange.expect("kill-shard requests and stats");
+    for (body, response) in answers {
+        assert_eq!(response.status, 400, "{body}: {}", response.body_str());
+        let error = body_json(&response).get("error").cloned().expect("error");
+        assert_eq!(error.get("kind").and_then(Json::as_str), Some("protocol"));
+        let message = error
+            .get("message")
+            .and_then(Json::as_str)
+            .unwrap_or_default();
+        assert!(message.contains("shard"), "{body}: {message}");
+    }
+    let stats = body_json(&stats);
+    assert_eq!(stats.get("live").and_then(Json::as_u64), Some(1), "{stats}");
+}

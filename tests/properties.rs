@@ -6,26 +6,27 @@
 //! arithmetic programs, run them as `#lang lagoon`, `#lang typed/no-opt`,
 //! and `#lang typed/lagoon` on both engines, and require agreement.
 //!
-//! The generators are driven by a fixed-seed splitmix64 stream rather
-//! than a property-testing framework, so the workspace stays
-//! dependency-free and every failure reproduces exactly.
+//! The generators are driven by a fixed-seed splitmix64 stream
+//! (`diag::gen`'s) rather than a property-testing framework, so the
+//! workspace stays dependency-free and every failure reproduces exactly.
 
+use lagoon::diag::gen::SplitMix64;
 use lagoon::{Datum, EngineKind, Lagoon};
 
-/// Deterministic splitmix64 stream.
-struct Rng(u64);
+/// The seeded stream with this suite's range helpers.
+struct Rng(SplitMix64);
 
 impl Rng {
+    fn new(seed: u64) -> Rng {
+        Rng(SplitMix64::new(seed))
+    }
+
     fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        self.0.next_u64()
     }
 
     fn below(&mut self, n: usize) -> usize {
-        (self.next() % n as u64) as usize
+        self.0.below(n as u64) as usize
     }
 
     fn int(&mut self, lo: i64, hi: i64) -> i64 {
@@ -76,7 +77,7 @@ fn arb_datum(rng: &mut Rng, depth: usize) -> Datum {
 
 #[test]
 fn reader_printer_round_trip() {
-    let mut rng = Rng(0x5EED);
+    let mut rng = Rng::new(0x5EED);
     for _ in 0..128 {
         let d = arb_datum(&mut rng, 3);
         let printed = d.to_string();
@@ -340,7 +341,7 @@ fn optimizer_preserves_semantics() {
         ("ast-interp", "u", EngineKind::Interp),
         ("vm+opt on ast-interp", "t", EngineKind::Interp),
     ];
-    let mut rng = Rng(0x0B51D1A);
+    let mut rng = Rng::new(0x0B51D1A);
     let mut lagoon = Lagoon::new();
     let mut errors = 0;
     for program in 0..programs {
@@ -397,7 +398,7 @@ fn optimizer_preserves_semantics() {
 /// temporary never captures user bindings, whatever they're called.
 #[test]
 fn hygiene_survives_any_names() {
-    let mut rng = Rng(0x416E);
+    let mut rng = Rng::new(0x416E);
     let mut tried = 0;
     while tried < 32 {
         let len = 1 + rng.below(6);
@@ -478,7 +479,7 @@ fn hygiene_survives_any_names() {
 /// clients and rejects every non-integer first-order value.
 #[test]
 fn contract_boundary_is_sound() {
-    let mut rng = Rng(0xC0117AC7);
+    let mut rng = Rng::new(0xC0117AC7);
     for _ in 0..32 {
         let n = rng.int(-1000, 1000);
         let bad_len = rng.below(9);

@@ -293,6 +293,54 @@ fn daemon_expand_check_and_protocol_errors() {
         assert_eq!(err_kind(&response), Some("protocol"), "{response}");
     }
 
+    // a field the daemon does not take, or one of the wrong type or
+    // value, is a 400 naming the field, never silently ignored: a
+    // misspelt `limits` would lift the budget, a misspelt engine would
+    // run the VM. The route is the op, so `op` is unknown too.
+    let spin = "#lang lagoon\n(define (spin n) (if (= n 0) 0 (spin (- n 1))))\n(spin 1000)\n";
+    for (extra, field) in [
+        (r#""limit":{"max_vm_steps":10}"#, "limit"),
+        (r#""engine":"inpterp","diag":true"#, "engine"),
+        (r#""engine":1"#, "engine"),
+        (r#""diag":"yes""#, "diag"),
+        (r#""module":"m""#, "module"),
+        (r#""op":"run""#, "op"),
+    ] {
+        let body = format!(r#"{{"source":{},{extra}}}"#, Json::Str(spin.to_string()));
+        let (status, response) = call(&addr, "POST", "/v1/run", &body);
+        assert_eq!(status, 400, "{body}: {response}");
+        assert_eq!(err_kind(&response), Some("protocol"), "{response}");
+        let message = response.get("error").and_then(|e| e.get("message"));
+        let message = message.and_then(Json::as_str).unwrap_or_default();
+        assert!(
+            message.contains(&format!("\"{field}\"")),
+            "{body}: {response}"
+        );
+    }
+    for (body, field) in [
+        (r#"{"source":42}"#, "source"),
+        (r#"{"module":["m"]}"#, "module"),
+    ] {
+        let (status, response) = call(&addr, "POST", "/v1/run", body);
+        assert_eq!(status, 400, "{body}: {response}");
+        let message = response.get("error").and_then(|e| e.get("message"));
+        let message = message.and_then(Json::as_str).unwrap_or_default();
+        assert!(
+            message.contains(&format!("\"{field}\"")),
+            "{body}: {response}"
+        );
+    }
+
+    // the request-line client strips the `op` it routes by
+    let mut lines = client::Connection::connect(&addr, TIMEOUT).expect("connect");
+    let line = format!(r#"{{"op":"run","source":{}}}"#, Json::Str(spin.to_string()));
+    let answer = json::parse(&lines.roundtrip(&line).expect("roundtrip")).expect("json");
+    assert_eq!(
+        answer.get("value").and_then(Json::as_str),
+        Some("0"),
+        "{answer}"
+    );
+
     // a raw request line in the retired newline-delimited format is a
     // framing error: a structured 400, then the daemon closes (no hang)
     let mut raw = std::net::TcpStream::connect(&addr).expect("connect");
