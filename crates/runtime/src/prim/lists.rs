@@ -57,20 +57,20 @@ pub(super) fn install(out: &mut Vec<(lagoon_syntax::Symbol, Value)>) {
         Ok(Value::Bool(args[0].is_nil()))
     });
     def(out, "list?", Arity::exactly(1), |args| {
-        Ok(Value::Bool(args[0].list_to_vec().is_some()))
+        Ok(Value::Bool(args[0].list_length().is_some()))
     });
 
     def(out, "list", Arity::at_least(0), |args| {
         Ok(Value::list(args.to_vec()))
     });
     def(out, "length", Arity::exactly(1), |args| {
-        let items = args[0].list_to_vec().ok_or_else(|| {
+        let n = args[0].list_length().ok_or_else(|| {
             RtError::type_error(format!(
                 "length: expected list, got {}",
                 args[0].write_string()
             ))
         })?;
-        Ok(Value::Int(items.len() as i64))
+        Ok(Value::Int(n as i64))
     });
     def(out, "append", Arity::at_least(0), |args| {
         let Some((last, init)) = args.split_last() else {
@@ -305,6 +305,24 @@ mod tests {
         )));
         let miss = call("assq", &[Value::Symbol(Symbol::from("z")), alist]).unwrap();
         assert!(!miss.is_truthy());
+    }
+
+    #[test]
+    fn length_and_list_p_walk_long_and_improper_lists() {
+        let long = ilist(&(0..100_000).collect::<Vec<_>>());
+        assert_eq!(
+            call("length", std::slice::from_ref(&long))
+                .unwrap()
+                .as_int(),
+            Some(100_000)
+        );
+        assert!(call("list?", &[long]).unwrap().is_truthy());
+        assert_eq!(call("length", &[Value::Nil]).unwrap().as_int(), Some(0));
+        let improper = Value::cons(Value::Int(1), Value::cons(Value::Int(2), Value::Int(3)));
+        let e = call("length", std::slice::from_ref(&improper)).unwrap_err();
+        assert_eq!(e.message, "length: expected list, got '(1 2 . 3)");
+        assert!(!call("list?", &[improper]).unwrap().is_truthy());
+        assert!(!call("list?", &[Value::Int(3)]).unwrap().is_truthy());
     }
 
     #[test]

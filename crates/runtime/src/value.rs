@@ -38,7 +38,7 @@
 //! Procedures come in three flavours:
 //!
 //! * [`Closure`] — compiled Lagoon code (the code/env payloads are owned by
-//!   the VM and stored here as `Rc<dyn Any>`),
+//!   the engine that made it, which names their types to read them back),
 //! * [`Native`] — a Rust function exposed as a primitive,
 //! * [`Contracted`] — a procedure wrapped in a higher-order contract at a
 //!   typed/untyped module boundary (paper §6).
@@ -48,7 +48,7 @@
 
 use crate::error::RtError;
 use lagoon_syntax::{Datum, Symbol, Syntax};
-use std::any::Any;
+use std::any::{Any, TypeId};
 use std::cell::RefCell;
 use std::fmt;
 use std::marker::PhantomData;
@@ -100,17 +100,60 @@ impl fmt::Display for Arity {
     }
 }
 
-/// A compiled Lagoon procedure. The `code` and `env` payloads belong to the
-/// executing engine (`lagoon-vm`), which downcasts them.
+/// A compiled Lagoon procedure. The engine that makes it picks the types
+/// of its code and environment payloads, and the closure records them,
+/// so [`Closure::payload`] hands the payloads back with one compare.
 pub struct Closure {
     /// Name for error messages, when known.
     pub name: Option<Symbol>,
     /// Accepted argument counts.
     pub arity: Arity,
-    /// Engine-owned code payload.
-    pub code: Rc<dyn Any>,
-    /// Engine-owned captured environment payload.
-    pub env: Rc<dyn Any>,
+    /// The `TypeId` of `(C, E)` for the `Closure::new::<C, E>` that made
+    /// this closure.
+    payload: TypeId,
+    /// Engine-owned code payload, a `C`.
+    code: Rc<dyn Any>,
+    /// Engine-owned captured environment payload, an `E`.
+    env: Rc<dyn Any>,
+}
+
+impl Closure {
+    /// A closure whose payloads are `code` and `env`.
+    pub fn new<C: Any, E: Any>(
+        name: Option<Symbol>,
+        arity: Arity,
+        code: Rc<C>,
+        env: Rc<E>,
+    ) -> Closure {
+        Closure {
+            name,
+            arity,
+            payload: TypeId::of::<(C, E)>(),
+            code,
+            env,
+        }
+    }
+
+    /// The code and environment payloads, when `C` and `E` are the types
+    /// the closure was made with; `None` for another engine's closure.
+    #[inline(always)]
+    pub fn payload<C: Any, E: Any>(&self) -> Option<(Rc<C>, Rc<E>)> {
+        if self.payload != TypeId::of::<(C, E)>() {
+            return None;
+        }
+        // SAFETY: the fields are private and only `Closure::new::<C, E>`
+        // sets them, so a recorded `(C, E)` means `code` was made from an
+        // `Rc<C>` and `env` from an `Rc<E>`. Each pointer passed to
+        // `Rc::from_raw` therefore comes from `Rc::into_raw` on an `Rc`
+        // whose value is a `C` (an `E`), and each new `Rc` owns the count
+        // its `Rc::clone` took.
+        unsafe {
+            Some((
+                Rc::from_raw(Rc::into_raw(Rc::clone(&self.code)).cast::<C>()),
+                Rc::from_raw(Rc::into_raw(Rc::clone(&self.env)).cast::<E>()),
+            ))
+        }
+    }
 }
 
 impl fmt::Debug for Closure {
@@ -912,6 +955,18 @@ impl Value {
         }
     }
 
+    /// The number of elements of a proper list, counted by walking its
+    /// pairs in place; `None` when `self` is not a proper list.
+    pub fn list_length(&self) -> Option<usize> {
+        let mut n = 0;
+        let mut cur = self;
+        while !cur.is_nil() {
+            cur = &cur.as_pair()?.1;
+            n += 1;
+        }
+        Some(n)
+    }
+
     /// Converts quoted data to a value (`quote` semantics).
     pub fn from_datum(d: &Datum) -> Value {
         match d {
@@ -1352,12 +1407,12 @@ mod tests {
         check(2);
         balance::<RefCell<Value>>("box", Value::Box(Rc::new(RefCell::new(tracked()))));
         check(1);
-        let closure = Closure {
-            name: None,
-            arity: Arity::exactly(0),
-            code: Rc::new(Dropped(freed.clone())),
-            env: Rc::new(Dropped(freed.clone())),
-        };
+        let closure = Closure::new(
+            None,
+            Arity::exactly(0),
+            Rc::new(Dropped(freed.clone())),
+            Rc::new(Dropped(freed.clone())),
+        );
         balance::<Closure>("closure", Value::Closure(Rc::new(closure)));
         check(2);
         balance::<Native>("native", tracked());
@@ -1510,6 +1565,21 @@ mod tests {
         assert!(Arity::at_least(1).accepts(1));
         assert!(Arity::at_least(1).accepts(5));
         assert!(!Arity::at_least(1).accepts(0));
+    }
+
+    #[test]
+    fn closure_payloads_come_back_only_as_their_own_types() {
+        let code = Rc::new(String::from("code"));
+        let env = Rc::new(7_u32);
+        let c = Closure::new(None, Arity::exactly(1), code.clone(), env.clone());
+        assert!(c.payload::<u32, String>().is_none(), "swapped");
+        assert!(c.payload::<String, u64>().is_none(), "wrong environment");
+        assert!(c.payload::<(), u32>().is_none(), "wrong code");
+        let (k, e) = c.payload::<String, u32>().expect("its own types");
+        assert!(Rc::ptr_eq(&k, &code) && Rc::ptr_eq(&e, &env));
+        assert_eq!(Rc::strong_count(&code), 3, "the accessor clones");
+        drop((k, e, c));
+        assert_eq!((Rc::strong_count(&code), Rc::strong_count(&env)), (1, 1));
     }
 
     #[test]

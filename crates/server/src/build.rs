@@ -150,6 +150,12 @@ pub struct BuildReport {
     pub cache_hits: usize,
     /// Compiled-store misses across all workers.
     pub cache_misses: usize,
+    /// Modules of the graph that more than one compile read from
+    /// source. Always 0 at `--jobs 1`; at more jobs, a worker that
+    /// compiled a dependency itself cannot load an importer's artifact
+    /// another worker stored against that dependency's other compile,
+    /// and compiles the importer again.
+    pub recompiled: usize,
     /// The merged diagnostics report of discovery and every worker.
     pub diag: Report,
     /// Named trace tracks — `discovery`, then `worker 0`, `worker 1`, …
@@ -186,13 +192,14 @@ impl BuildReport {
         let mut out = String::new();
         let _ = write!(
             out,
-            "{{\"jobs\":{},\"wall_ms\":{:.3},\"utilization\":{:.4},\"single_flight_waits\":{},\"cache_hits\":{},\"cache_misses\":{}",
+            "{{\"jobs\":{},\"wall_ms\":{:.3},\"utilization\":{:.4},\"single_flight_waits\":{},\"cache_hits\":{},\"cache_misses\":{},\"recompiled\":{}",
             self.jobs,
             self.wall.as_secs_f64() * 1e3,
             self.utilization(),
             self.single_flight_waits,
             self.cache_hits,
             self.cache_misses,
+            self.recompiled,
         );
         out.push_str(",\"modules\":[");
         for (i, m) in self.modules.iter().enumerate() {
@@ -800,6 +807,14 @@ pub fn build(entries: &[String], source_of: SourceFn, opts: &BuildOptions) -> Bu
         .iter()
         .filter(|c| c.status == "miss" && in_graph(&c.module))
         .count();
+    // every compile from source reads the source once, in its own span
+    let mut reads: HashMap<&str, usize> = HashMap::new();
+    for row in &diag.phases {
+        if row.phase == lagoon_diag::Phase::Read.name() && in_graph(&row.module) {
+            *reads.entry(row.module.as_str()).or_default() += 1;
+        }
+    }
+    let recompiled = reads.values().filter(|&&n| n > 1).count();
 
     // Stable order for reporting: completion order is nondeterministic
     // across workers, so sort by name for byte-stable JSON.
@@ -813,6 +828,7 @@ pub fn build(entries: &[String], source_of: SourceFn, opts: &BuildOptions) -> Bu
         single_flight_waits: flight.waits.load(Ordering::Relaxed),
         cache_hits,
         cache_misses,
+        recompiled,
         diag,
         traces,
     }

@@ -32,6 +32,8 @@ pub enum CaptureSrc {
     Local(u32),
     /// A capture of the enclosing closure.
     Capture(u32),
+    /// The enclosing closure itself, from its frame's callee slot.
+    Callee,
 }
 
 /// Where an instruction reads one operand: the stack top (popped), the
@@ -164,6 +166,9 @@ ops! {
         StoreLocal(u32),
         /// Push capture `i`.
         LoadCapture(u32),
+        /// Push the running closure, from the frame's callee slot: how a
+        /// `letrec`-bound lambda names itself.
+        LoadCallee,
         /// Push global `i` (error if undefined).
         LoadGlobal(u32),
         /// Pop into global `i`.

@@ -4,9 +4,11 @@
 //!
 //! * slot assignment for locals, capture threading for free variables,
 //!   global-slot layout for everything else;
-//! * assignment conversion — variables that are `set!` (and all
-//!   `letrec`-bound variables) live in boxes, so capture-by-value closures
-//!   observe mutation;
+//! * assignment conversion — variables that are `set!`, and `letrec`-bound
+//!   variables other than a lambda no other right-hand side names, live in
+//!   boxes, so capture-by-value closures observe mutation. Such a lambda
+//!   reads itself from its frame's callee slot ([`Op::LoadCallee`]), so
+//!   its closure does not point back at itself;
 //! * **primitive specialization** — a call to a known primitive (generic
 //!   like `+`, or unsafe like `unsafe-fl+`) with a matching argument count
 //!   compiles to a dedicated instruction instead of a procedure call. The
@@ -42,6 +44,9 @@ struct FnScope {
     /// The module-level name whose tail calls from this scope compile
     /// to [`Op::Loop`].
     loops_as: Option<Symbol>,
+    /// The unboxed `letrec` name bound to this function's own closure,
+    /// which it reads from its callee slot.
+    self_name: Option<Symbol>,
     locals: HashMap<Symbol, u32>,
     nlocals: u32,
     capture_names: Vec<Symbol>,
@@ -59,6 +64,7 @@ impl FnScope {
             name,
             arity,
             loops_as: None,
+            self_name: None,
             locals: HashMap::new(),
             nlocals: 0,
             capture_names: Vec::new(),
@@ -133,6 +139,8 @@ enum Resolved {
     Local(u32),
     Capture(u32),
     Global(u32),
+    /// The running closure itself (see `FnScope::self_name`).
+    Callee,
 }
 
 /// The bytecode compiler. One instance compiles one module.
@@ -192,7 +200,7 @@ impl Compiler {
                                 && !redefined.contains(name)
                                 && !c.mutated.contains(name) =>
                         {
-                            c.compile_lambda(lam, Some(*name))?
+                            c.compile_lambda(lam, Some(*name), None)?
                         }
                         _ => c.compile_expr(rhs, false)?,
                     }
@@ -253,6 +261,9 @@ impl Compiler {
         if let Some(&slot) = self.fns[depth].locals.get(&sym) {
             return Resolved::Local(slot);
         }
+        if self.fns[depth].self_name == Some(sym) {
+            return Resolved::Callee;
+        }
         // find in an enclosing scope
         let mut found: Option<(usize, CaptureSrc)> = None;
         for d in (0..depth).rev() {
@@ -262,6 +273,10 @@ impl Compiler {
             }
             if let Some(pos) = self.fns[d].capture_names.iter().position(|n| *n == sym) {
                 found = Some((d, CaptureSrc::Capture(pos as u32)));
+                break;
+            }
+            if self.fns[d].self_name == Some(sym) {
+                found = Some((d, CaptureSrc::Callee));
                 break;
             }
         }
@@ -283,7 +298,7 @@ impl Compiler {
                 }
                 Resolved::Capture(match src {
                     CaptureSrc::Capture(i) => i,
-                    CaptureSrc::Local(_) => unreachable!("threaded capture"),
+                    CaptureSrc::Local(_) | CaptureSrc::Callee => unreachable!("threaded capture"),
                 })
             }
         }
@@ -309,6 +324,9 @@ impl Compiler {
             Resolved::Global(i) => {
                 scope.emit(Op::LoadGlobal(i));
             }
+            Resolved::Callee => {
+                scope.emit(Op::LoadCallee);
+            }
         }
     }
 
@@ -324,11 +342,13 @@ impl Compiler {
     }
 
     /// Compiles `lam` to a child proto and emits its `MakeClosure`. Tail
-    /// calls from its body to `loops_as` become [`Op::Loop`].
+    /// calls from its body to `loops_as` become [`Op::Loop`], and
+    /// `self_name` in its body is the closure itself.
     fn compile_lambda(
         &mut self,
         lam: &LambdaCore,
         loops_as: Option<Symbol>,
+        self_name: Option<Symbol>,
     ) -> Result<(), RtError> {
         let arity = if lam.rest.is_some() {
             Arity::at_least(lam.formals.len())
@@ -337,6 +357,7 @@ impl Compiler {
         };
         let mut scope = FnScope::new(lam.name, arity);
         scope.loops_as = loops_as;
+        scope.self_name = self_name;
         self.fns.push(scope);
         for f in &lam.formals {
             self.top().alloc_local(*f);
@@ -406,7 +427,7 @@ impl Compiler {
                 }
             }
             CoreExpr::Begin(body) => self.compile_body(body, tail)?,
-            CoreExpr::Lambda(lam) => self.compile_lambda(lam, None)?,
+            CoreExpr::Lambda(lam) => self.compile_lambda(lam, None, None)?,
             CoreExpr::Let(bindings, body) => {
                 for (name, rhs) in bindings {
                     self.compile_expr(rhs, false)?;
@@ -419,22 +440,35 @@ impl Compiler {
                 self.compile_body(body, tail)?;
             }
             CoreExpr::Letrec(bindings, body) => {
-                // all letrec-bound names are boxed (collect_mutated marks them)
+                // a boxed name gets its box before any right-hand side
+                // runs; an unboxed one (`collect_mutated`) is a lambda
+                // that only itself and the body name, so its slot is
+                // written once, with its closure
                 let mut slots = Vec::with_capacity(bindings.len());
                 for (name, _) in bindings {
-                    let scope = self.top();
-                    scope.emit(Op::Void);
-                    scope.emit(Op::BoxNew);
                     let slot = self.top().alloc_local(*name);
-                    self.top().emit(Op::StoreLocal(slot));
+                    if self.mutated.contains(name) {
+                        let scope = self.top();
+                        scope.emit(Op::Void);
+                        scope.emit(Op::BoxNew);
+                        scope.emit(Op::StoreLocal(slot));
+                    }
                     slots.push(slot);
                 }
-                for ((_, rhs), slot) in bindings.iter().zip(&slots) {
-                    self.top().emit(Op::LoadLocal(*slot));
-                    self.compile_expr(rhs, false)?;
-                    let scope = self.top();
-                    scope.emit(Op::BoxSet);
-                    scope.emit(Op::Pop);
+                for ((name, rhs), slot) in bindings.iter().zip(&slots) {
+                    match rhs {
+                        CoreExpr::Lambda(lam) if !self.mutated.contains(name) => {
+                            self.compile_lambda(lam, None, Some(*name))?;
+                            self.top().emit(Op::StoreLocal(*slot));
+                        }
+                        _ => {
+                            self.top().emit(Op::LoadLocal(*slot));
+                            self.compile_expr(rhs, false)?;
+                            let scope = self.top();
+                            scope.emit(Op::BoxSet);
+                            scope.emit(Op::Pop);
+                        }
+                    }
                 }
                 self.compile_body(body, tail)?;
             }
@@ -454,6 +488,13 @@ impl Compiler {
                     let scope = self.top();
                     scope.emit(Op::StoreGlobal(i));
                     scope.emit(Op::Void);
+                }
+                // a `set!` target is boxed, so never the callee
+                Resolved::Callee => {
+                    return Err(RtError::new(
+                        Kind::Internal,
+                        "set! of an unboxed letrec name",
+                    ))
                 }
             },
             CoreExpr::App(f, args, _) => {
@@ -543,7 +584,7 @@ impl Compiler {
             }
             CoreExpr::Var(sym, _) if !self.mutated.contains(sym) => match self.resolve(*sym) {
                 Resolved::Local(i) => Arg::local(i),
-                Resolved::Capture(_) | Resolved::Global(_) => None,
+                Resolved::Capture(_) | Resolved::Global(_) | Resolved::Callee => None,
             },
             _ => None,
         };
@@ -562,8 +603,9 @@ fn count_fused(proto: &Proto) -> u64 {
     own + proto.protos.iter().map(|p| count_fused(p)).sum::<u64>()
 }
 
-/// Collects every `set!` target and `letrec`-bound name — the variables
-/// that must live in boxes.
+/// Collects the variables that must live in boxes: every `set!` target,
+/// and every `letrec`-bound name except a lambda that no other
+/// right-hand side of its `letrec` names.
 fn collect_mutated(expr: &CoreExpr, out: &mut HashSet<Symbol>) {
     match expr {
         CoreExpr::Quote(_) | CoreExpr::QuoteSyntax(_) | CoreExpr::Var(_, _) => {}
@@ -581,8 +623,22 @@ fn collect_mutated(expr: &CoreExpr, out: &mut HashSet<Symbol>) {
             body.iter().for_each(|e| collect_mutated(e, out));
         }
         CoreExpr::Letrec(bindings, body) => {
+            // names are unique, so any occurrence is a reference
+            let mut named_by_others = HashSet::new();
+            if bindings.len() > 1 {
+                let names: HashSet<Symbol> = bindings.iter().map(|(n, _)| *n).collect();
+                for (own, rhs) in bindings {
+                    each_name(rhs, &mut |sym| {
+                        if sym != *own && names.contains(&sym) {
+                            named_by_others.insert(sym);
+                        }
+                    });
+                }
+            }
             for (name, rhs) in bindings {
-                out.insert(*name);
+                if !matches!(rhs, CoreExpr::Lambda(_)) || named_by_others.contains(name) {
+                    out.insert(*name);
+                }
                 collect_mutated(rhs, out);
             }
             body.iter().for_each(|e| collect_mutated(e, out));
@@ -594,6 +650,33 @@ fn collect_mutated(expr: &CoreExpr, out: &mut HashSet<Symbol>) {
         CoreExpr::App(f, args, _) => {
             collect_mutated(f, out);
             args.iter().for_each(|a| collect_mutated(a, out));
+        }
+    }
+}
+
+/// Calls `f` on every variable `expr` reads or `set!`s.
+fn each_name(expr: &CoreExpr, f: &mut impl FnMut(Symbol)) {
+    match expr {
+        CoreExpr::Quote(_) | CoreExpr::QuoteSyntax(_) => {}
+        CoreExpr::Var(name, _) => f(*name),
+        CoreExpr::If(c, t, e) => {
+            each_name(c, f);
+            each_name(t, f);
+            each_name(e, f);
+        }
+        CoreExpr::Begin(body) => body.iter().for_each(|e| each_name(e, f)),
+        CoreExpr::Lambda(lam) => lam.body.iter().for_each(|e| each_name(e, f)),
+        CoreExpr::Let(bindings, body) | CoreExpr::Letrec(bindings, body) => {
+            bindings.iter().for_each(|(_, rhs)| each_name(rhs, f));
+            body.iter().for_each(|e| each_name(e, f));
+        }
+        CoreExpr::Set(name, rhs, _) => {
+            f(*name);
+            each_name(rhs, f);
+        }
+        CoreExpr::App(head, args, _) => {
+            each_name(head, f);
+            args.iter().for_each(|a| each_name(a, f));
         }
     }
 }

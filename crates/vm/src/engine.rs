@@ -23,6 +23,40 @@ pub trait Engine {
     fn apply(&self, f: &Value, args: &[Value]) -> Result<Value, RtError>;
 }
 
+/// Calls a primitive that is not an [`Intercept`] placeholder (the caller
+/// splices those): checks the argument count, takes the injected-fault
+/// probe, then runs the primitive on `args`.
+///
+/// # Errors
+///
+/// An arity error, an injected fault, or the primitive's own error.
+#[inline(always)]
+pub(crate) fn call_native(nat: &Native, args: &[Value]) -> Result<Value, RtError> {
+    if !nat.arity.accepts(args.len()) {
+        return Err(arity_error(Some(nat.name), nat.arity, args.len()));
+    }
+    lagoon_diag::limits::prim_call().map_err(RtError::from)?;
+    (nat.f)(args)
+}
+
+/// The error for a call that passes `got` arguments to the procedure
+/// `name` (`#<procedure>` when unnamed), which accepts `arity`.
+#[cold]
+pub(crate) fn arity_error(name: Option<Symbol>, arity: Arity, got: usize) -> RtError {
+    // as_str (allocating) is fine here: error path only
+    let name = name.map_or_else(|| "#<procedure>".into(), |s| s.as_str());
+    RtError::arity(format!("{name}: expects {arity} argument(s), got {got}"))
+}
+
+/// The error for applying `f`, which is not a procedure.
+#[cold]
+pub(crate) fn not_a_procedure(f: &Value) -> RtError {
+    RtError::type_error(format!(
+        "application: not a procedure: {}",
+        f.write_string()
+    ))
+}
+
 /// Applies a contract-wrapped procedure: checks each argument against the
 /// domain contracts (blaming the *negative* party — the client — on
 /// failure), calls the inner procedure, then checks the result against the

@@ -12,7 +12,9 @@
 //! Tail calls are iterative ([`Interp::apply`] loops), so tail-recursive
 //! hosted loops run in constant Rust stack.
 
-use crate::engine::{apply_contracted, splice_intercepted, Engine};
+use crate::engine::{
+    apply_contracted, arity_error, call_native, not_a_procedure, splice_intercepted, Engine,
+};
 use crate::ir::{CoreExpr, CoreForm, LambdaCore};
 use lagoon_runtime::{Arity, Closure, Kind, RtError, Value};
 use lagoon_syntax::{Span, Symbol};
@@ -238,11 +240,7 @@ impl Interp {
                         argv.push(self.eval(a, &env)?);
                     }
                     if !fv.is_procedure() {
-                        return Err(RtError::type_error(format!(
-                            "application: not a procedure: {}",
-                            fv.write_string()
-                        ))
-                        .with_span(*span));
+                        return Err(not_a_procedure(&fv).with_span(*span));
                     }
                     return Ok(Step::Call(fv, argv));
                 }
@@ -257,12 +255,12 @@ fn make_closure(lam: &Rc<LambdaCore>, env: &Rc<Env>) -> Value {
     } else {
         Arity::exactly(lam.formals.len())
     };
-    Value::Closure(Rc::new(Closure {
-        name: lam.name,
+    Value::Closure(Rc::new(Closure::new(
+        lam.name,
         arity,
-        code: lam.clone(),
-        env: env.clone(),
-    }))
+        lam.clone(),
+        env.clone(),
+    )))
 }
 
 impl Engine for Interp {
@@ -275,40 +273,20 @@ impl Engine for Interp {
                     (f, args) = splice_intercepted(self, intercept, &args)?;
                     continue;
                 }
-                if !n.arity.accepts(args.len()) {
-                    return Err(RtError::arity(format!(
-                        "{}: expects {} argument(s), got {}",
-                        n.name,
-                        n.arity,
-                        args.len()
-                    )));
-                }
-                lagoon_diag::limits::prim_call().map_err(RtError::from)?;
-                return (n.f)(&args);
+                return call_native(n, &args);
             }
             if let Some(c) = f.as_contracted() {
                 return apply_contracted(self, c, &args);
             }
             if let Some(c) = f.as_closure() {
-                let lam = c.code.clone().downcast::<LambdaCore>().map_err(|_| {
+                let (lam, parent) = c.payload::<LambdaCore, Env>().ok_or_else(|| {
                     RtError::new(
                         Kind::Internal,
                         "closure from a different engine applied by the interpreter",
                     )
                 })?;
-                let parent = c.env.clone().downcast::<Env>().map_err(|_| {
-                    RtError::new(Kind::Internal, "closure environment has the wrong shape")
-                })?;
                 if !c.arity.accepts(args.len()) {
-                    // as_str (allocating) is fine here: error path only
-                    return Err(RtError::arity(format!(
-                        "{}: expects {} argument(s), got {}",
-                        c.name
-                            .map(|n| n.as_str())
-                            .unwrap_or_else(|| "#<procedure>".into()),
-                        c.arity,
-                        args.len()
-                    )));
+                    return Err(arity_error(c.name, c.arity, args.len()));
                 }
                 let frame = Env::child(&parent);
                 for (name, v) in lam.formals.iter().zip(args.iter()) {
@@ -330,10 +308,7 @@ impl Engine for Interp {
                 }
                 continue;
             }
-            return Err(RtError::type_error(format!(
-                "application: not a procedure: {}",
-                f.write_string()
-            )));
+            return Err(not_a_procedure(&f));
         }
     }
 }
@@ -439,7 +414,8 @@ mod tests {
             closures[1].as_closure().unwrap(),
         );
         assert!(!std::ptr::eq(a, b), "two closures");
-        assert!(Rc::ptr_eq(&a.code, &b.code), "one shared lambda");
+        let code = |c: &Closure| c.payload::<LambdaCore, Env>().unwrap().0;
+        assert!(Rc::ptr_eq(&code(a), &code(b)), "one shared lambda");
     }
 
     #[test]

@@ -14,8 +14,10 @@
 
 use crate::bytecode::{Arg, CaptureSrc, ModuleCode, Op, Proto};
 use crate::counters::Tally;
-use crate::engine::{apply_contracted, splice_intercepted, Engine};
-use lagoon_runtime::{number, Closure, Kind, RtError, Value};
+use crate::engine::{
+    apply_contracted, arity_error, call_native, not_a_procedure, splice_intercepted, Engine,
+};
+use lagoon_runtime::{number, Arity, Closure, Kind, Native, RtError, Value};
 use lagoon_syntax::Symbol;
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -121,7 +123,7 @@ impl Vm {
             captures: Vec::new(),
             globals: globals.clone(),
         });
-        let v = run(code.top.clone(), env, &[])?;
+        let v = run(&Value::Void, code.top.clone(), env, &[])?;
         Ok((v, globals))
     }
 }
@@ -136,45 +138,26 @@ impl Engine for Vm {
                     (f, args) = splice_intercepted(self, intercept, &args)?;
                     continue;
                 }
-                if !n.arity.accepts(args.len()) {
-                    // as_str (allocating) is fine here: error path only
-                    return Err(arity_error(n.name.as_str(), n.arity, args.len()));
-                }
-                lagoon_diag::limits::prim_call().map_err(RtError::from)?;
-                return (n.f)(&args);
+                return call_native(n, &args);
             }
             if let Some(c) = f.as_contracted() {
                 return apply_contracted(self, c, &args);
             }
             if let Some(c) = f.as_closure() {
-                let (proto, env) = downcast_closure(c)?;
-                return run(proto, env, &args);
+                let (proto, env) = c.payload().ok_or_else(foreign_closure)?;
+                return run(&f, proto, env, &args);
             }
-            return Err(RtError::type_error(format!(
-                "application: not a procedure: {}",
-                f.write_string()
-            )));
+            return Err(not_a_procedure(&f));
         }
     }
 }
 
-fn arity_error(name: impl std::fmt::Display, arity: lagoon_runtime::Arity, got: usize) -> RtError {
-    RtError::arity(format!("{name}: expects {arity} argument(s), got {got}"))
-}
-
-fn downcast_closure(c: &Closure) -> Result<(Rc<Proto>, Rc<VmEnv>), RtError> {
-    let proto = c.code.clone().downcast::<Proto>().map_err(|_| {
-        RtError::new(
-            Kind::Internal,
-            "closure from a different engine applied by the VM",
-        )
-    })?;
-    let env = c
-        .env
-        .clone()
-        .downcast::<VmEnv>()
-        .map_err(|_| RtError::new(Kind::Internal, "VM closure has a foreign environment"))?;
-    Ok((proto, env))
+#[cold]
+fn foreign_closure() -> RtError {
+    RtError::new(
+        Kind::Internal,
+        "closure from a different engine applied by the VM",
+    )
 }
 
 fn underflow() -> RtError {
@@ -239,17 +222,18 @@ fn return_buffers(mut bufs: Buffers) {
     });
 }
 
-/// Runs `proto` as the body of a call with `args`, to completion.
+/// Runs `proto` as the body of a call of `callee` (the closure it
+/// belongs to, or void for a module body) with `args`, to completion.
 ///
 /// Selects between the counting and non-counting monomorphizations of
 /// [`exec`] once per entry, so the hot loop itself carries no counting
 /// branch when opcode counters are off.
-fn run(proto: Rc<Proto>, env: Rc<VmEnv>, args: &[Value]) -> Result<Value, RtError> {
+fn run(callee: &Value, proto: Rc<Proto>, env: Rc<VmEnv>, args: &[Value]) -> Result<Value, RtError> {
     let mut bufs = take_buffers();
     let result = if crate::counters::active() {
-        exec::<true>(proto, env, args, &mut bufs)
+        exec::<true>(callee, proto, env, args, &mut bufs)
     } else {
-        exec::<false>(proto, env, args, &mut bufs)
+        exec::<false>(callee, proto, env, args, &mut bufs)
     };
     return_buffers(bufs);
     result
@@ -266,6 +250,7 @@ fn run(proto: Rc<Proto>, env: Rc<VmEnv>, args: &[Value]) -> Result<Value, RtErro
 /// to the budget (natives can re-enter the VM) and the activation's
 /// opcode counts join the thread's.
 fn exec<const COUNT: bool>(
+    callee: &Value,
     proto: Rc<Proto>,
     env: Rc<VmEnv>,
     args: &[Value],
@@ -307,8 +292,9 @@ fn exec<const COUNT: bool>(
             };
         }
 
-        // dummy callee slot so every frame has `base - 1` valid
-        stack.push(Value::Void);
+        // every frame's callee slot `base - 1` holds the closure it runs
+        // (a module body's holds void)
+        stack.push(callee.clone());
         stack.extend_from_slice(args);
         let mut cur = ok!(make_frame(stack, proto, env, 1, args.len(), 0, max_depth));
 
@@ -394,33 +380,41 @@ fn exec<const COUNT: bool>(
                         .map(|src| match src {
                             CaptureSrc::Local(s) => stack[cur.base + *s as usize].clone(),
                             CaptureSrc::Capture(c) => cur.env.captures[*c as usize].clone(),
+                            CaptureSrc::Callee => stack[cur.base - 1].clone(),
                         })
                         .collect();
                     let env = Rc::new(VmEnv {
                         captures,
                         globals: cur.env.globals.clone(),
                     });
-                    stack.push(Value::Closure(Rc::new(Closure {
-                        name: child.name,
-                        arity: child.arity,
-                        code: child,
-                        env,
-                    })));
+                    let closure = Closure::new(child.name, child.arity, child, env);
+                    stack.push(Value::Closure(Rc::new(closure)));
                 }
+                Op::LoadCallee => stack.push(stack[cur.base - 1].clone()),
                 Op::Call(n) => {
-                    match ok!(enter_call(
-                        stack,
-                        n as usize,
-                        None,
-                        frames.len() + 1,
-                        max_depth
-                    )) {
-                        Dispatch::Frame(f) => frames.push(std::mem::replace(&mut cur, f)),
-                        Dispatch::Done => {}
+                    // a VM closure of exact arity and a plain native are
+                    // called here; everything else goes through
+                    // `enter_call`
+                    let n = n as usize;
+                    let argstart = stack.len() - n;
+                    if let Some((proto, env)) = exact_closure(&stack[argstart - 1], n) {
+                        let depth = frames.len() + 1;
+                        let f = ok!(make_frame(stack, proto, env, argstart, n, depth, max_depth));
+                        frames.push(std::mem::replace(&mut cur, f));
+                    } else if let Some(nat) = plain_native(&stack[argstart - 1]) {
+                        let result = ok!(call_native(nat, &stack[argstart..]));
+                        stack.truncate(argstart - 1);
+                        stack.push(result);
+                    } else {
+                        match ok!(enter_call(stack, n, None, frames.len() + 1, max_depth)) {
+                            Dispatch::Frame(f) => frames.push(std::mem::replace(&mut cur, f)),
+                            Dispatch::Done => {}
+                        }
                     }
                 }
                 Op::TailCall(n) => {
-                    let argstart = stack.len() - n as usize;
+                    let n = n as usize;
+                    let argstart = stack.len() - n;
                     // self-tail-call: the callee is bit-identical to the
                     // closure this frame is already running (a loop the
                     // compiler could not prove, such as a `letrec`-bound
@@ -428,38 +422,45 @@ fn exec<const COUNT: bool>(
                     // proto, same captures, no dispatch, no depth
                     // bookkeeping. The exact-arity check is the whole of
                     // `accepts` with `rest == false`, and the closure
-                    // guard keeps the outermost frame's dummy void callee
-                    // from ever matching itself.
-                    if n as usize == cur.proto.arity.required
+                    // guard keeps a module body's void callee from ever
+                    // matching itself.
+                    if n == cur.proto.arity.required
                         && !cur.proto.arity.rest
                         && stack[argstart - 1].eq_identity(&stack[cur.base - 1])
                         && stack[cur.base - 1].as_closure().is_some()
                     {
-                        restart(stack, &mut cur, n as usize);
+                        restart(stack, &mut cur, n);
+                        continue;
+                    }
+                    if let Some((proto, env)) = exact_closure(&stack[argstart - 1], n) {
+                        slide_down(stack, cur.base, n);
+                        let (base, depth) = (cur.base, frames.len());
+                        cur = ok!(make_frame(stack, proto, env, base, n, depth, max_depth));
                         continue;
                     }
                     match ok!(enter_call(
                         stack,
-                        n as usize,
+                        n,
                         Some(cur.base),
                         frames.len(),
                         max_depth
                     )) {
-                        Dispatch::Frame(f) => cur = f,
-                        Dispatch::Done => {
-                            // a native/contracted callee completed the
-                            // tail call; unwind to the caller as `Return`
-                            // would
-                            let result = pop!();
-                            stack.truncate(cur.base - 1);
-                            match frames.pop() {
-                                Some(f) => {
-                                    cur = f;
-                                    stack.push(result);
-                                }
-                                None => break 'exit Ok(result),
-                            }
+                        Dispatch::Frame(f) => {
+                            cur = f;
+                            continue;
                         }
+                        Dispatch::Done => {}
+                    }
+                    // a native or contracted callee completed the tail
+                    // call; unwind to the caller as `Return` would
+                    let result = pop!();
+                    stack.truncate(cur.base - 1);
+                    match frames.pop() {
+                        Some(f) => {
+                            cur = f;
+                            stack.push(result);
+                        }
+                        None => break 'exit Ok(result),
                     }
                 }
                 Op::Loop(n) => restart(stack, &mut cur, n as usize),
@@ -1117,19 +1118,8 @@ fn enter_call(
     let mut argstart = stack.len() - n;
 
     if let Some(base) = tail_base {
-        // move callee + args down over the current frame
-        let dest = base - 1;
-        let src = argstart - 1;
-        if src != dest {
-            // swap rather than clone: the slots being vacated die at the
-            // truncate below, so this moves the callee + args without
-            // any refcount traffic
-            for i in 0..=n {
-                stack.swap(dest + i, src + i);
-            }
-            stack.truncate(dest + n + 1);
-            argstart = dest + 1;
-        }
+        slide_down(stack, base, n);
+        argstart = base;
     }
 
     loop {
@@ -1147,12 +1137,7 @@ fn enter_call(
                 stack.extend(nargs);
                 continue;
             }
-            if !nat.arity.accepts(n) {
-                // as_str (allocating) is fine here: error path only
-                return Err(arity_error(nat.name.as_str(), nat.arity, n));
-            }
-            lagoon_diag::limits::prim_call().map_err(RtError::from)?;
-            let result = (nat.f)(&stack[argstart..])?;
+            let result = call_native(nat, &stack[argstart..])?;
             stack.truncate(argstart - 1);
             stack.push(result);
             return Ok(Dispatch::Done);
@@ -1165,21 +1150,58 @@ fn enter_call(
             return Ok(Dispatch::Done);
         }
         if let Some(c) = f.as_closure() {
-            let (proto, env) = downcast_closure(c)?;
+            let (proto, env) = c.payload().ok_or_else(foreign_closure)?;
             let frame = make_frame(stack, proto, env, argstart, n, depth, max_depth)?;
             return Ok(Dispatch::Frame(frame));
         }
-        return Err(RtError::type_error(format!(
-            "application: not a procedure: {}",
-            f.write_string()
-        )));
+        return Err(not_a_procedure(f));
+    }
+}
+
+/// The code and environment of `callee` when it is a VM closure that
+/// takes exactly `n` arguments: the calls the dispatch loop enters
+/// without [`enter_call`].
+#[inline(always)]
+fn exact_closure(callee: &Value, n: usize) -> Option<(Rc<Proto>, Rc<VmEnv>)> {
+    let c = callee.as_closure()?;
+    if c.arity != Arity::exactly(n) {
+        return None;
+    }
+    c.payload()
+}
+
+/// `callee` when it is a native other than an intercept placeholder: the
+/// natives the dispatch loop calls without [`enter_call`].
+#[inline(always)]
+fn plain_native(callee: &Value) -> Option<&Native> {
+    callee.as_native().filter(|nat| nat.intercept.is_none())
+}
+
+/// Moves the callee and the `n` arguments on top of the stack down over
+/// the frame at `base`, so the arguments start at `base` and the callee
+/// sits in the frame's callee slot; what they replace is dropped.
+#[inline(always)]
+fn slide_down(stack: &mut Vec<Value>, base: usize, n: usize) {
+    let dest = base - 1;
+    let src = stack.len() - n - 1;
+    if src != dest {
+        // swap rather than clone: the slots being vacated die at the
+        // truncate below, so this moves the callee + args without any
+        // refcount traffic
+        for i in 0..=n {
+            stack.swap(dest + i, src + i);
+        }
+        stack.truncate(dest + n + 1);
     }
 }
 
 /// Sets up a frame for `proto` whose arguments occupy
-/// `stack[base..base + n]`: checks arity, collapses rest arguments, pads
-/// locals. `depth` is the number of frames already below this one, and
-/// `max_depth` the configured limit on it.
+/// `stack[base..base + n]`: checks the depth limit and the arity,
+/// collapses rest arguments, pads locals. Every closure call enters its
+/// frame here, the dispatch loop's own and [`enter_call`]'s. `depth` is
+/// the number of frames already below this one, and `max_depth` the
+/// configured limit on it.
+#[inline(always)]
 fn make_frame(
     stack: &mut Vec<Value>,
     proto: Rc<Proto>,
@@ -1193,23 +1215,13 @@ fn make_frame(
     // host-stack safety one: deep non-tail recursion gets a structured
     // stack-overflow diagnostic instead of unbounded memory growth
     if depth as u64 >= max_depth {
-        return Err(RtError::from(lagoon_diag::limits::stack_overflow()));
+        return Err(stack_overflow());
     }
     if !proto.arity.accepts(n) {
-        // as_str (allocating) is fine here: error path only
-        return Err(arity_error(
-            proto
-                .name
-                .map(|s| s.as_str())
-                .unwrap_or_else(|| "#<procedure>".into()),
-            proto.arity,
-            n,
-        ));
+        return Err(arity_error(proto.name, proto.arity, n));
     }
     if proto.arity.rest {
-        let required = proto.arity.required;
-        let rest: Vec<Value> = stack.drain(base + required..).collect();
-        stack.push(Value::list(rest));
+        collect_rest(stack, base + proto.arity.required);
     }
     while stack.len() < base + proto.nlocals as usize {
         stack.push(Value::Void);
@@ -1220,6 +1232,19 @@ fn make_frame(
         base,
         env,
     })
+}
+
+#[cold]
+fn stack_overflow() -> RtError {
+    RtError::from(lagoon_diag::limits::stack_overflow())
+}
+
+/// Replaces the arguments from `stack[from]` up with one list of them: a
+/// rest parameter's value.
+#[inline(never)]
+fn collect_rest(stack: &mut Vec<Value>, from: usize) {
+    let rest: Vec<Value> = stack.drain(from..).collect();
+    stack.push(Value::list(rest));
 }
 
 #[cfg(test)]

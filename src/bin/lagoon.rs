@@ -217,11 +217,12 @@ fn build_cmd(parsed: &Parsed) -> Result<ExitCode, Stop> {
         let compiled = built.iter().filter(|m| m.worker.is_some()).count();
         let up_to_date = built.len() - compiled;
         println!(
-            "built {}/{} modules with {} jobs in {:.1} ms: {up_to_date} up to date, {compiled} compiled ({} store hits, {} misses, utilization {:.0}%)",
+            "built {}/{} modules with {} jobs in {:.1} ms: {up_to_date} up to date, {compiled} compiled, {} more than once ({} store hits, {} misses, utilization {:.0}%)",
             built.len(),
             report.modules.len(),
             report.jobs,
             report.wall.as_secs_f64() * 1e3,
+            report.recompiled,
             report.cache_hits,
             report.cache_misses,
             report.utilization() * 100.0,

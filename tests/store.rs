@@ -560,6 +560,19 @@ fn parallel_build_jobs_do_not_change_artifacts() {
 }
 
 #[test]
+fn one_worker_compiles_each_module_once() {
+    // `recompiled` counts the graph's modules that more than one compile
+    // read from source; with one worker every module is compiled once
+    let dir = temp_store("recompiled");
+    let sources = stress_graph();
+    let report = build_into(&sources, &["top"], 1, &dir);
+    assert_eq!(compiled_modules(&report).len(), sources.len());
+    assert_eq!(report.recompiled, 0);
+    assert!(report.to_json().contains("\"recompiled\":0"));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn parallel_build_reports_failures_and_skips_dependents() {
     let mut sources = stress_graph();
     sources.insert(
