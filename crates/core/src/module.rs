@@ -927,12 +927,15 @@ impl ModuleRegistry {
             miss("not cached: module source unavailable".into());
             return;
         };
-        let encoded = store::encode_with_digest(
-            compiled,
-            self.env_digest.get(),
-            store::source_digest(&source),
-            &dep_digests,
-        );
+        let encoded = {
+            let _span = lagoon_diag::trace::start("encode", Some(name));
+            store::encode_with_digest(
+                compiled,
+                self.env_digest.get(),
+                store::source_digest(&source),
+                &dep_digests,
+            )
+        };
         let (bytes, digest) = match encoded {
             Ok(encoded) => encoded,
             Err(e) => {
@@ -942,7 +945,11 @@ impl ModuleRegistry {
             }
         };
         let path = artifact_path(&dir, name);
-        match std::fs::create_dir_all(&dir).and_then(|()| write_atomically(&path, &bytes)) {
+        let written = {
+            let _span = lagoon_diag::trace::start("write", Some(name));
+            std::fs::create_dir_all(&dir).and_then(|()| write_atomically(&path, &bytes))
+        };
+        match written {
             Ok(()) => {
                 self.artifact_digests
                     .borrow_mut()

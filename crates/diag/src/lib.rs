@@ -30,20 +30,24 @@
 //! ```
 //!
 //! [`Report`] holds the tables the CLI (`lagoon run --stats`) and the
-//! daemon print, rendered as text or hand-rolled JSON (this crate
-//! deliberately depends on nothing but `lagoon-syntax`, for [`Span`]s);
-//! [`trace::Trace`] is the span tree `--trace` exports. The record keeps
-//! symbols, spans and unrendered [`Val`]ues, so only the views format
-//! strings.
+//! daemon print, rendered as text or as a [`json::Json`] value;
+//! [`trace::Trace`] is the span tree `--trace` exports. [`json`] is the
+//! workspace's one JSON value, parser and writer: every machine-readable
+//! view and every wire body is built and rendered through it (this
+//! crate deliberately depends on nothing but `lagoon-syntax`, for
+//! [`Span`]s). The record keeps symbols, spans and unrendered [`Val`]ues,
+//! so only the views format strings.
 
 #![warn(missing_docs)]
 
 pub mod gen;
+pub mod json;
 pub mod limits;
 pub mod trace;
 
 pub use limits::{Budget, Exhausted, FaultPlan, Limits};
 
+use json::{obj, Json};
 use lagoon_syntax::{Span, Symbol};
 use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
@@ -960,118 +964,106 @@ impl Report {
         out
     }
 
-    /// The report as a machine-readable JSON object.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        out.push_str("\"phases\":[");
-        push_rows(&mut out, &self.phases, |out, p| {
-            let _ = write!(
-                out,
-                "{{\"module\":{},\"phase\":{},\"ms\":{:.6}}}",
-                json_string(&p.module),
-                json_string(p.phase),
-                p.nanos as f64 / 1e6
-            );
+    /// The report as a machine-readable JSON object: one array per
+    /// table, the `buckets` in milliseconds, and a `summary` of counts.
+    pub fn to_json(&self) -> Json {
+        let text = |s: &str| Json::Str(s.to_string());
+        let ms = |nanos: u128| Json::Num(nanos as f64 / 1e6);
+        let num = |n: u64| Json::Num(n as f64);
+        let count = |n: usize| Json::Num(n as f64);
+        let phases = rows(&self.phases, |p| {
+            vec![
+                ("module", text(&p.module)),
+                ("phase", text(p.phase)),
+                ("ms", ms(p.nanos)),
+            ]
         });
-        out.push_str("],\"counters\":[");
-        push_rows(&mut out, &self.counters, |out, c| {
-            let _ = write!(
-                out,
-                "{{\"module\":{},\"name\":{},\"value\":{}}}",
-                json_string(&c.module),
-                json_string(&c.name),
-                c.value
-            );
+        let counters = rows(&self.counters, |c| {
+            vec![
+                ("module", text(&c.module)),
+                ("name", text(&c.name)),
+                ("value", num(c.value)),
+            ]
         });
-        out.push_str("],\"rewrites\":[");
-        push_rows(&mut out, &self.rewrites, |out, r| {
-            let _ = write!(
-                out,
-                "{{\"module\":{},\"family\":{},\"op\":{},\"rule\":{},\"span\":{},\"line\":{}}}",
-                json_string(&r.module),
-                json_string(r.family),
-                json_string(&r.op),
-                json_string(&r.rule),
-                json_string(&r.span),
-                r.line
-            );
+        let rewrites = rows(&self.rewrites, |r| {
+            vec![
+                ("module", text(&r.module)),
+                ("family", text(r.family)),
+                ("op", text(&r.op)),
+                ("rule", text(&r.rule)),
+                ("span", text(&r.span)),
+                ("line", num(u64::from(r.line))),
+            ]
         });
-        out.push_str("],\"near_misses\":[");
-        push_rows(&mut out, &self.near_misses, |out, n| {
-            let _ = write!(
-                out,
-                "{{\"module\":{},\"family\":{},\"op\":{},\"span\":{},\"line\":{},\"reason\":{}}}",
-                json_string(&n.module),
-                json_string(n.family),
-                json_string(&n.op),
-                json_string(&n.span),
-                n.line,
-                json_string(&n.reason)
-            );
+        let near_misses = rows(&self.near_misses, |n| {
+            vec![
+                ("module", text(&n.module)),
+                ("family", text(n.family)),
+                ("op", text(&n.op)),
+                ("span", text(&n.span)),
+                ("line", num(u64::from(n.line))),
+                ("reason", text(&n.reason)),
+            ]
         });
-        out.push_str("],\"contracts\":[");
-        push_rows(&mut out, &self.contracts, |out, c| {
-            let _ = write!(
-                out,
-                "{{\"export\":{},\"positive\":{},\"negative\":{},\"count\":{}}}",
-                json_string(&c.export),
-                json_string(&c.positive),
-                json_string(&c.negative),
-                c.count
-            );
+        let contracts = rows(&self.contracts, |c| {
+            vec![
+                ("export", text(&c.export)),
+                ("positive", text(&c.positive)),
+                ("negative", text(&c.negative)),
+                ("count", num(c.count)),
+            ]
         });
-        out.push_str("],\"limits\":[");
-        push_rows(&mut out, &self.limits, |out, l| {
-            let _ = write!(
-                out,
-                "{{\"budget\":{},\"module\":{},\"span\":{}}}",
-                json_string(&l.budget),
-                json_string(&l.module),
-                json_string(&l.span)
-            );
+        let limits = rows(&self.limits, |l| {
+            vec![
+                ("budget", text(&l.budget)),
+                ("module", text(&l.module)),
+                ("span", text(&l.span)),
+            ]
         });
-        out.push_str("],\"cache\":[");
-        push_rows(&mut out, &self.caches, |out, c| {
-            let _ = write!(
-                out,
-                "{{\"module\":{},\"status\":{},\"detail\":{}}}",
-                json_string(&c.module),
-                json_string(c.status),
-                json_string(&c.detail)
-            );
+        let cache = rows(&self.caches, |c| {
+            vec![
+                ("module", text(&c.module)),
+                ("status", text(c.status)),
+                ("detail", text(&c.detail)),
+            ]
         });
-        out.push_str("],\"buckets\":{");
-        for (i, (name, nanos)) in self.timing_buckets().iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{}:{:.6}", json_string(name), *nanos as f64 / 1e6);
-        }
-        out.push_str("},\"opcodes\":[");
-        push_rows(&mut out, &self.opcodes, |out, o| {
-            let _ = write!(
-                out,
-                "{{\"op\":{},\"class\":{},\"fused\":{},\"count\":{}}}",
-                json_string(&o.op),
-                json_string(&o.class),
-                o.fused,
-                o.count
-            );
+        let opcodes = rows(&self.opcodes, |o| {
+            vec![
+                ("op", text(&o.op)),
+                ("class", text(&o.class)),
+                ("fused", Json::Bool(o.fused)),
+                ("count", num(o.count)),
+            ]
         });
-        let _ = write!(
-            out,
-            "],\"summary\":{{\"rewrites\":{},\"near_misses\":{},\"generic_ops\":{},\"specialized_ops\":{},\"fused_ops\":{},\"total_ops\":{},\"cache_hits\":{},\"cache_misses\":{}}}}}",
-            self.rewrites.len(),
-            self.near_misses.len(),
-            self.generic_ops(),
-            self.specialized_ops(),
-            self.fused_ops(),
-            self.total_ops(),
-            self.cache_hits(),
-            self.cache_misses()
-        );
-        out
+        let buckets = self.timing_buckets().map(|(name, nanos)| (name, ms(nanos)));
+        let summary = obj(vec![
+            ("rewrites", count(self.rewrites.len())),
+            ("near_misses", count(self.near_misses.len())),
+            ("generic_ops", num(self.generic_ops())),
+            ("specialized_ops", num(self.specialized_ops())),
+            ("fused_ops", num(self.fused_ops())),
+            ("total_ops", num(self.total_ops())),
+            ("cache_hits", count(self.cache_hits())),
+            ("cache_misses", count(self.cache_misses())),
+        ]);
+        obj(vec![
+            ("phases", phases),
+            ("counters", counters),
+            ("rewrites", rewrites),
+            ("near_misses", near_misses),
+            ("contracts", contracts),
+            ("limits", limits),
+            ("cache", cache),
+            ("buckets", obj(buckets.to_vec())),
+            ("opcodes", opcodes),
+            ("summary", summary),
+        ])
     }
+}
+
+/// One JSON object per item, in order.
+fn rows<T>(items: &[T], row: impl Fn(&T) -> Vec<(&'static str, Json)>) -> Json {
+    Json::Arr(items.iter().map(|item| obj(row(item))).collect())
 }
 
 // ---------------------------------------------------------------------
@@ -1230,58 +1222,30 @@ impl Histogram {
     /// the bucket-ceiling quantiles `p50_us`/`p99_us`, the interpolated
     /// estimates `p50_est_us`/`p99_est_us`, and the non-empty `buckets`
     /// with both bounds (`ge_us` inclusive lower, `le_us` upper).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        let _ = write!(
-            out,
-            "\"count\":{},\"mean_us\":{:.1},\"max_us\":{},\"p50_us\":{},\"p99_us\":{},\"p50_est_us\":{:.1},\"p99_est_us\":{:.1},\"buckets\":[",
-            self.count,
-            self.mean_micros(),
-            self.max_micros,
-            self.quantile_upper_micros(0.5),
-            self.quantile_upper_micros(0.99),
-            self.quantile_est_micros(0.5),
-            self.quantile_est_micros(0.99)
-        );
-        for (i, (lo, hi, n)) in self.nonzero_bucket_spans().iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{{\"ge_us\":{lo},\"le_us\":{hi},\"count\":{n}}}");
-        }
-        out.push_str("]}");
-        out
+    pub fn to_json(&self) -> Json {
+        let num = |n: u64| Json::Num(n as f64);
+        let buckets = self
+            .nonzero_bucket_spans()
+            .into_iter()
+            .map(|(lo, hi, n)| {
+                obj(vec![
+                    ("ge_us", num(lo)),
+                    ("le_us", num(hi)),
+                    ("count", num(n)),
+                ])
+            })
+            .collect();
+        obj(vec![
+            ("count", num(self.count)),
+            ("mean_us", Json::Num(self.mean_micros())),
+            ("max_us", num(self.max_micros)),
+            ("p50_us", num(self.quantile_upper_micros(0.5))),
+            ("p99_us", num(self.quantile_upper_micros(0.99))),
+            ("p50_est_us", Json::Num(self.quantile_est_micros(0.5))),
+            ("p99_est_us", Json::Num(self.quantile_est_micros(0.99))),
+            ("buckets", Json::Arr(buckets)),
+        ])
     }
-}
-
-fn push_rows<T>(out: &mut String, rows: &[T], mut f: impl FnMut(&mut String, &T)) {
-    for (i, row) in rows.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        f(out, row);
-    }
-}
-
-/// Renders `s` as a JSON string literal (with escaping).
-pub fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]
@@ -1391,19 +1355,28 @@ mod tests {
         let profile = vec![("<anonymous>".to_string(), 10_000), ("fib".to_string(), 2)];
         let trace = c.trace();
         assert_eq!(trace.profile, profile);
-        assert!(trace.profile_json().contains(r#"{"fn":"fib","chunks":2}"#));
+        let fib = obj(vec![
+            ("fn", Json::Str("fib".to_string())),
+            ("chunks", Json::Num(2.0)),
+        ]);
+        assert!(matches!(trace.profile_json(), Json::Arr(rows) if rows.contains(&fib)));
         assert!(trace.spans.is_empty());
     }
 
     #[test]
-    fn json_is_wellformed_enough() {
+    fn report_json_reads_back_unchanged() {
         let c = Collector::install();
         count("steps", m("a\"b"), 1);
         uninstall();
         let json = c.report().to_json();
-        assert!(json.starts_with('{') && json.ends_with('}'));
-        assert!(json.contains("\"a\\\"b\""));
-        assert!(json.contains("\"summary\""));
+        let counter = match json.get("counters") {
+            Some(Json::Arr(rows)) => rows.first(),
+            _ => None,
+        };
+        let module = counter.and_then(|row| row.get("module"));
+        assert_eq!(module.and_then(Json::as_str), Some("a\"b"));
+        assert!(json.get("summary").is_some());
+        assert_eq!(json::parse(&json.to_string()), Ok(json));
     }
 
     #[test]
@@ -1425,8 +1398,15 @@ mod tests {
         let text = report.render_text();
         assert!(text.contains("fusion share 25.0%"));
         let json = report.to_json();
-        assert!(json.contains("\"fused\":true"));
-        assert!(json.contains("\"fused_ops\":15"));
+        let fused_ops = json.get("summary").and_then(|s| s.get("fused_ops"));
+        assert_eq!(fused_ops.and_then(Json::as_u64), Some(15));
+        let Some(Json::Arr(opcodes)) = json.get("opcodes") else {
+            panic!("no opcodes: {json}");
+        };
+        let fused = opcodes
+            .iter()
+            .filter(|o| o.get("fused") == Some(&Json::Bool(true)));
+        assert_eq!(fused.count(), 1);
     }
 
     #[test]
@@ -1492,10 +1472,17 @@ mod tests {
         h.merge(&other);
         assert_eq!(h.count(), 4);
         let json = h.to_json();
-        assert!(json.contains("\"count\":4"), "{json}");
-        assert!(json.contains("\"le_us\":1"), "{json}");
-        assert!(json.contains("\"ge_us\":0"), "{json}");
-        assert!(json.contains("\"p50_est_us\""), "{json}");
+        assert_eq!(json.get("count").and_then(Json::as_u64), Some(4));
+        assert!(json.get("p50_est_us").is_some(), "{json}");
+        let Some(Json::Arr(buckets)) = json.get("buckets") else {
+            panic!("no buckets: {json}");
+        };
+        let bound = |key: &str| buckets[0].get(key).and_then(Json::as_u64);
+        assert_eq!(
+            (bound("ge_us"), bound("le_us")),
+            (Some(0), Some(1)),
+            "{json}"
+        );
     }
 
     #[test]

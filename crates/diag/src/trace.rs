@@ -11,7 +11,7 @@
 //! installed.
 //!
 //! [`Collector::trace`](crate::Collector::trace) renders the completed
-//! spans as a [`Trace`], which [`chrome_trace_json`] writes as Chrome
+//! spans as a [`Trace`], which [`chrome_trace_json`] builds into Chrome
 //! trace-event JSON (the `about:tracing` / Perfetto format).
 //!
 //! ```
@@ -31,10 +31,10 @@
 //! assert_eq!(t.spans[1].parent, None);
 //! ```
 
+use crate::json::{obj, Json};
 use crate::{with_record, Key, Record, Val};
 use lagoon_syntax::{Span, Symbol};
 use std::collections::HashMap;
-use std::fmt::Write as _;
 
 /// Opens a span nested under the innermost open span; the returned
 /// guard closes it on drop. Inert (and free) when no recorder is
@@ -160,98 +160,65 @@ impl Record {
 }
 
 impl Trace {
-    /// Appends this trace's spans as Chrome trace-event objects
-    /// (`"ph":"X"` complete events, comma-separated, no surrounding
-    /// brackets) for process `pid`, track `tid`.
-    pub fn write_chrome_events(&self, pid: u32, tid: u32, out: &mut String) {
-        for (i, s) in self.spans.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"name\":{},\"cat\":{},\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":{pid},\"tid\":{tid},\"args\":{{\"id\":{}",
-                crate::json_string(&s.label),
-                crate::json_string(s.phase),
-                s.start_us,
-                s.dur_us,
-                s.id
-            );
-            if let Some(parent) = s.parent {
-                let _ = write!(out, ",\"parent\":{parent}");
-            }
-            if let Some(src) = &s.src {
-                let _ = write!(out, ",\"src\":{}", crate::json_string(src));
-            }
-            for (key, value) in &s.notes {
-                let _ = write!(
-                    out,
-                    ",{}:{}",
-                    crate::json_string(key),
-                    crate::json_string(value)
-                );
-            }
-            out.push_str("}}");
-        }
-    }
-
     /// The profile as a JSON array of `{"fn","chunks"}` rows.
-    pub fn profile_json(&self) -> String {
-        let mut out = String::from("[");
-        for (i, (name, chunks)) in self.profile.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"fn\":{},\"chunks\":{chunks}}}",
-                crate::json_string(name)
-            );
-        }
-        out.push(']');
-        out
+    pub fn profile_json(&self) -> Json {
+        let rows = self.profile.iter().map(|(name, chunks)| {
+            obj(vec![
+                ("fn", Json::Str(name.clone())),
+                ("chunks", Json::Num(*chunks as f64)),
+            ])
+        });
+        Json::Arr(rows.collect())
     }
 }
 
-/// Renders one or more traces as a complete Chrome trace-event JSON
-/// document (loadable in `about:tracing` or Perfetto). Each `(name,
-/// trace)` pair becomes its own track (`tid`), labeled via a
-/// `thread_name` metadata event; parallel build workers each get one.
-/// `extra` key/value pairs (the value must already be valid JSON) are
-/// embedded as additional top-level fields — trace viewers ignore
-/// fields they do not know, so this is where profiles and A/B metadata
-/// ride along.
-pub fn chrome_trace_json(tracks: &[(String, Trace)], extra: &[(&str, String)]) -> String {
-    let mut out = String::from("{\"traceEvents\":[");
-    let mut first = true;
+/// One or more traces as a complete Chrome trace-event JSON document
+/// (loadable in `about:tracing` or Perfetto). Each `(name, trace)` pair
+/// becomes its own track (`tid`), labeled via a `thread_name` metadata
+/// event, and each span a `"ph":"X"` complete event whose `args` hold
+/// its id, parent, source location and notes; parallel build workers
+/// each get a track. `extra` pairs are embedded as additional top-level
+/// fields — trace viewers ignore fields they do not know, so this is
+/// where profiles ride along.
+pub fn chrome_trace_json(tracks: &[(String, Trace)], extra: Vec<(&str, Json)>) -> Json {
+    let num = |n: u64| Json::Num(n as f64);
+    let text = |s: &str| Json::Str(s.to_string());
+    let mut events = Vec::new();
     for (tid, (name, _)) in tracks.iter().enumerate() {
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        let _ = write!(
-            out,
-            "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":{tid},\"args\":{{\"name\":{}}}}}",
-            crate::json_string(name)
-        );
+        events.push(obj(vec![
+            ("name", text("thread_name")),
+            ("ph", text("M")),
+            ("pid", num(1)),
+            ("tid", num(tid as u64)),
+            ("args", obj(vec![("name", text(name))])),
+        ]));
     }
     for (tid, (_, trace)) in tracks.iter().enumerate() {
-        if !trace.spans.is_empty() {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            trace.write_chrome_events(1, tid as u32, &mut out);
+        for s in &trace.spans {
+            let mut args = vec![("id", num(s.id))];
+            args.extend(s.parent.map(|parent| ("parent", num(parent))));
+            args.extend(s.src.as_deref().map(|src| ("src", text(src))));
+            args.extend(s.notes.iter().map(|(k, v)| (*k, text(v))));
+            events.push(obj(vec![
+                ("name", text(&s.label)),
+                ("cat", text(s.phase)),
+                ("ph", text("X")),
+                ("ts", num(s.start_us)),
+                ("dur", num(s.dur_us)),
+                ("pid", num(1)),
+                ("tid", num(tid as u64)),
+                ("args", obj(args)),
+            ]));
         }
     }
-    out.push_str("],\"displayTimeUnit\":\"ms\"");
-    let dropped: u64 = tracks.iter().map(|(_, t)| t.dropped).sum();
-    let _ = write!(out, ",\"droppedSpans\":{dropped}");
-    for (key, value) in extra {
-        let _ = write!(out, ",{}:{value}", crate::json_string(key));
-    }
-    out.push('}');
-    out
+    let dropped = tracks.iter().map(|(_, t)| t.dropped).sum();
+    let mut fields = vec![
+        ("traceEvents", Json::Arr(events)),
+        ("displayTimeUnit", text("ms")),
+        ("droppedSpans", num(dropped)),
+    ];
+    fields.extend(extra);
+    obj(fields)
 }
 
 #[cfg(test)]
@@ -347,13 +314,23 @@ mod tests {
         uninstall();
         let t = c.trace();
         assert_eq!(t.spans[0].label, "<form>");
-        let json = chrome_trace_json(&[("main".to_string(), t)], &[("profile", "[]".to_string())]);
-        assert!(json.starts_with("{\"traceEvents\":["));
-        assert!(json.contains("\"ph\":\"X\""));
-        assert!(json.contains("\"thread_name\""));
-        assert!(json.contains("x.lag:3:1"));
-        assert!(json.contains("\"mod \\\"x\\\"\""));
-        assert!(json.contains("\"profile\":[]"));
-        assert!(json.ends_with('}'));
+        let json = chrome_trace_json(
+            &[("main".to_string(), t)],
+            vec![("profile", Json::Arr(vec![]))],
+        );
+        let Some(Json::Arr(events)) = json.get("traceEvents") else {
+            panic!("no traceEvents: {json}");
+        };
+        // the track's name, then the spans in completion order
+        let text = |e: &Json, key: &str| e.get(key).and_then(Json::as_str).map(str::to_string);
+        assert_eq!(events.len(), 3);
+        assert_eq!(text(&events[0], "name").as_deref(), Some("thread_name"));
+        assert_eq!(text(&events[0], "ph").as_deref(), Some("M"));
+        let read = &events[2];
+        assert_eq!(text(read, "ph").as_deref(), Some("X"));
+        assert_eq!(text(read, "name").as_deref(), Some("mod \"x\""));
+        let src = read.get("args").and_then(|a| a.get("src"));
+        assert_eq!(src.and_then(Json::as_str), Some("x.lag:3:1"));
+        assert_eq!(json.get("profile"), Some(&Json::Arr(vec![])));
     }
 }

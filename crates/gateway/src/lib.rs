@@ -34,9 +34,9 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use lagoon_diag::json::{self, obj, Json};
 use lagoon_diag::Limits;
 use lagoon_server::http::{Front, HttpResponse, Reply, Request, Running, Service};
-use lagoon_server::json::{self, obj, Json};
 
 use shard::{Shard, ShardBackend};
 

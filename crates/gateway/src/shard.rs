@@ -15,9 +15,9 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
+use lagoon_diag::json::{obj, Json};
 use lagoon_server::daemon::SERVE;
 use lagoon_server::http::{HttpClient, HttpResponse};
-use lagoon_server::json::{obj, Json};
 use lagoon_server::{ServeOptions, Server};
 
 use crate::GatewayOptions;

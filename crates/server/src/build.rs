@@ -43,6 +43,7 @@ use std::thread::{self, ThreadId};
 use std::time::{Duration, Instant};
 
 use lagoon_core::{static_requires, HeaderWalk, ModuleRegistry, Step};
+use lagoon_diag::json::{obj, Json};
 use lagoon_diag::trace::Trace;
 use lagoon_diag::{Collector, Limits, Report};
 use lagoon_syntax::{read_module, Symbol};
@@ -186,55 +187,44 @@ impl BuildReport {
         busy / (self.wall.as_secs_f64() * self.workers.len() as f64)
     }
 
-    /// The report as a JSON object (machine-readable `--stats` output).
-    pub fn to_json(&self) -> String {
-        use std::fmt::Write;
-        let mut out = String::new();
-        let _ = write!(
-            out,
-            "{{\"jobs\":{},\"wall_ms\":{:.3},\"utilization\":{:.4},\"single_flight_waits\":{},\"cache_hits\":{},\"cache_misses\":{},\"recompiled\":{}",
-            self.jobs,
-            self.wall.as_secs_f64() * 1e3,
-            self.utilization(),
-            self.single_flight_waits,
-            self.cache_hits,
-            self.cache_misses,
-            self.recompiled,
-        );
-        out.push_str(",\"modules\":[");
-        for (i, m) in self.modules.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
+    /// The report as a JSON object (`lagoon build --json`). A module no
+    /// worker compiled (its artifact was up to date) reads `"worker": -1`.
+    pub fn to_json(&self) -> Json {
+        let num = |n: usize| Json::Num(n as f64);
+        let ms = |d: Duration| Json::Num(d.as_secs_f64() * 1e3);
+        let waits = Json::Num(self.single_flight_waits as f64);
+        let modules = self.modules.iter().map(|m| {
             let (status, detail) = match &m.status {
                 ModuleStatus::Built => ("built", String::new()),
                 ModuleStatus::Failed(e) => ("failed", e.clone()),
                 ModuleStatus::Skipped(d) => ("skipped", d.clone()),
             };
-            let _ = write!(
-                out,
-                "{{\"name\":{},\"status\":\"{status}\",\"detail\":{},\"ms\":{:.3},\"worker\":{}}}",
-                lagoon_diag::json_string(&m.name),
-                lagoon_diag::json_string(&detail),
-                m.duration.as_secs_f64() * 1e3,
-                m.worker.map_or(-1i64, |w| w as i64),
-            );
-        }
-        out.push_str("],\"workers\":[");
-        for (i, w) in self.workers.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"busy_ms\":{:.3},\"setup_ms\":{:.3},\"modules\":{}}}",
-                w.busy.as_secs_f64() * 1e3,
-                w.setup.as_secs_f64() * 1e3,
-                w.modules,
-            );
-        }
-        out.push_str("]}");
-        out
+            obj(vec![
+                ("name", Json::Str(m.name.clone())),
+                ("status", Json::Str(status.to_string())),
+                ("detail", Json::Str(detail)),
+                ("ms", ms(m.duration)),
+                ("worker", Json::Num(m.worker.map_or(-1.0, |w| w as f64))),
+            ])
+        });
+        let workers = self.workers.iter().map(|w| {
+            obj(vec![
+                ("busy_ms", ms(w.busy)),
+                ("setup_ms", ms(w.setup)),
+                ("modules", num(w.modules)),
+            ])
+        });
+        obj(vec![
+            ("jobs", num(self.jobs)),
+            ("wall_ms", ms(self.wall)),
+            ("utilization", Json::Num(self.utilization())),
+            ("single_flight_waits", waits),
+            ("cache_hits", num(self.cache_hits)),
+            ("cache_misses", num(self.cache_misses)),
+            ("recompiled", num(self.recompiled)),
+            ("modules", Json::Arr(modules.collect())),
+            ("workers", Json::Arr(workers.collect())),
+        ])
     }
 }
 
@@ -658,13 +648,21 @@ fn worker_loop(
         };
         job.complete(status, duration, index);
     }
-    lagoon_diag::uninstall();
     // the views are taken here: the record's symbols mean nothing on the
-    // scheduler's thread
+    // scheduler's thread. The report reads no `teardown` span, so it is
+    // taken while the registry still holds its memory: built after the
+    // drop, it outlived the thread in the freed registry's place, and
+    // lagbench's warm rebuild after each cold build read 6% more user CPU
+    let report = collector.report();
+    {
+        let _span = lagoon_diag::trace::start("teardown", None);
+        drop(registry);
+    }
+    lagoon_diag::uninstall();
     WorkerResult {
         index,
         row,
-        report: collector.report(),
+        report,
         trace: opts.trace.then(|| collector.trace()),
     }
 }

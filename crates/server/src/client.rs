@@ -9,7 +9,7 @@ use std::time::{Duration, Instant};
 use lagoon_diag::gen::SplitMix64;
 
 use crate::http::{HttpClient, HttpResponse};
-use crate::json::{self, obj, Json};
+use lagoon_diag::json::{self, obj, Json};
 
 /// Retry-with-backoff settings for [`repeat_request`].
 ///

@@ -40,7 +40,7 @@ use lagoon_syntax::Symbol;
 
 use crate::cli::{Parsed, Spec};
 use crate::http::{self, error_json, rejection, Front, Reply, Request, Running, Service};
-use crate::json::{self, obj, Json};
+use lagoon_diag::json::{obj, Json};
 
 /// Options for [`Server::start`].
 #[derive(Clone, Debug, PartialEq)]
@@ -317,13 +317,11 @@ impl Shared {
         } else {
             0.0
         };
-        let mut ops = BTreeMap::new();
-        for (op, h) in &s.per_op {
-            // Histogram::to_json emits a JSON object; round-trip it
-            // through the parser to embed it structurally.
-            let parsed = json::parse(&h.to_json()).unwrap_or(Json::Null);
-            ops.insert(op.to_string(), parsed);
-        }
+        let ops = s
+            .per_op
+            .iter()
+            .map(|(op, h)| (op.to_string(), h.to_json()))
+            .collect();
         let phases_ms = s
             .phases_ms
             .iter()
@@ -637,13 +635,13 @@ impl Server {
     }
 
     /// The server's current statistics as a JSON object.
-    pub fn stats_json(&self) -> String {
-        self.0.service().stats_json().to_string()
+    pub fn stats_json(&self) -> Json {
+        self.0.service().stats_json()
     }
 
     /// Like [`Server::wait`], then returns the final statistics.
-    pub fn wait_with_stats(self) -> String {
-        self.join().stats_json().to_string()
+    pub fn wait_with_stats(self) -> Json {
+        self.join().stats_json()
     }
 
     fn join(self) -> Arc<Shared> {
@@ -1070,8 +1068,7 @@ fn handle_request(
             .collect();
         map.insert("phases".to_string(), Json::Obj(phases));
         if want_diag {
-            let parsed = json::parse(&collector.report().to_json()).unwrap_or(Json::Null);
-            map.insert("report".to_string(), parsed);
+            map.insert("report".to_string(), collector.report().to_json());
         }
     }
     Ok((status, response))
@@ -1080,6 +1077,7 @@ fn handle_request(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lagoon_diag::json;
 
     #[test]
     fn statuses_reflect_the_serving_outcome() {

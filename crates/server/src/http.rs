@@ -27,7 +27,7 @@ use std::time::{Duration, Instant};
 
 use lagoon_diag::Histogram;
 
-use crate::json::{self, obj, Json};
+use lagoon_diag::json::{self, obj, Json};
 
 /// Longest accepted request line (method + target + version).
 pub const MAX_REQUEST_LINE: usize = 8 * 1024;
@@ -726,12 +726,7 @@ impl Front {
         let routes = stats
             .per_route
             .iter()
-            .map(|(route, h)| {
-                // Histogram::to_json emits a JSON object; round-trip it
-                // through the parser to embed it structurally.
-                let parsed = json::parse(&h.to_json()).unwrap_or(Json::Null);
-                (route.to_string(), parsed)
-            })
+            .map(|(route, h)| (route.to_string(), h.to_json()))
             .collect();
         obj(vec![
             ("requests", Json::Num(stats.requests as f64)),

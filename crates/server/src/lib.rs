@@ -23,8 +23,6 @@
 //!   arguments through.
 //! - [`client`] adds retry with jittered backoff to the HTTP client
 //!   (`lagoon remote`, against a daemon or a gateway).
-//! - [`json`] is the std-only JSON used on the wire (the workspace
-//!   builds offline; no external crates).
 
 #![warn(missing_docs)]
 // panic-free core: unwrap/expect in non-test code must be justified
@@ -36,7 +34,10 @@ pub mod cli;
 pub mod client;
 pub mod daemon;
 pub mod http;
-pub mod json;
+
+/// The JSON value, which moved to [`lagoon_diag::json`]; re-exported
+/// under its old path for the benchmark, which still imports it here.
+pub use lagoon_diag::json;
 
 pub use build::{build, build_from_map, dir_source, BuildOptions, BuildReport, ModuleStatus};
 pub use daemon::{ServeOptions, Server};

@@ -5,10 +5,10 @@
 //! * slot assignment for locals, capture threading for free variables,
 //!   global-slot layout for everything else;
 //! * assignment conversion — variables that are `set!`, and `letrec`-bound
-//!   variables other than a lambda no other right-hand side names, live in
-//!   boxes, so capture-by-value closures observe mutation. Such a lambda
-//!   reads itself from its frame's callee slot ([`Op::LoadCallee`]), so
-//!   its closure does not point back at itself;
+//!   variables other than a lambda no earlier right-hand side names, live
+//!   in boxes, so capture-by-value closures observe mutation. Such a
+//!   lambda reads itself from its frame's callee slot ([`Op::LoadCallee`]),
+//!   so its closure does not point back at itself;
 //! * **primitive specialization** — a call to a known primitive (generic
 //!   like `+`, or unsafe like `unsafe-fl+`) with a matching argument count
 //!   compiles to a dedicated instruction instead of a procedure call. The
@@ -442,8 +442,8 @@ impl Compiler {
             CoreExpr::Letrec(bindings, body) => {
                 // a boxed name gets its box before any right-hand side
                 // runs; an unboxed one (`collect_mutated`) is a lambda
-                // that only itself and the body name, so its slot is
-                // written once, with its closure
+                // no earlier right-hand side names, so its slot is
+                // written once, with its closure, before anything reads it
                 let mut slots = Vec::with_capacity(bindings.len());
                 for (name, _) in bindings {
                     let slot = self.top().alloc_local(*name);
@@ -604,8 +604,10 @@ fn count_fused(proto: &Proto) -> u64 {
 }
 
 /// Collects the variables that must live in boxes: every `set!` target,
-/// and every `letrec`-bound name except a lambda that no other
-/// right-hand side of its `letrec` names.
+/// and every `letrec`-bound name except a lambda that no earlier
+/// right-hand side of its `letrec` names. A later right-hand side runs
+/// after the lambda's slot holds its closure, so it reads the slot
+/// directly; an earlier one may capture the name before that.
 fn collect_mutated(expr: &CoreExpr, out: &mut HashSet<Symbol>) {
     match expr {
         CoreExpr::Quote(_) | CoreExpr::QuoteSyntax(_) | CoreExpr::Var(_, _) => {}
@@ -624,19 +626,17 @@ fn collect_mutated(expr: &CoreExpr, out: &mut HashSet<Symbol>) {
         }
         CoreExpr::Letrec(bindings, body) => {
             // names are unique, so any occurrence is a reference
-            let mut named_by_others = HashSet::new();
-            if bindings.len() > 1 {
-                let names: HashSet<Symbol> = bindings.iter().map(|(n, _)| *n).collect();
-                for (own, rhs) in bindings {
+            let mut named_early = HashSet::new();
+            for (i, (name, rhs)) in bindings.iter().enumerate() {
+                let later = &bindings[i + 1..];
+                if !later.is_empty() {
                     each_name(rhs, &mut |sym| {
-                        if sym != *own && names.contains(&sym) {
-                            named_by_others.insert(sym);
+                        if later.iter().any(|(n, _)| *n == sym) {
+                            named_early.insert(sym);
                         }
                     });
                 }
-            }
-            for (name, rhs) in bindings {
-                if !matches!(rhs, CoreExpr::Lambda(_)) || named_by_others.contains(name) {
+                if !matches!(rhs, CoreExpr::Lambda(_)) || named_early.contains(name) {
                     out.insert(*name);
                 }
                 collect_mutated(rhs, out);

@@ -43,6 +43,8 @@
 //! The limit options are resource budgets, so runaway programs become
 //! diagnostics; `lagoon_diag::limits::SETTINGS` lists them.
 
+use lagoon::diag::json::{self, obj, Json};
+use lagoon::diag::trace::Trace;
 use lagoon::server::cli::{self, Parsed, Spec};
 use lagoon::server::daemon::SERVE;
 use lagoon::server::ServeOptions;
@@ -204,7 +206,7 @@ fn build_cmd(parsed: &Parsed) -> Result<ExitCode, Stop> {
     };
     let report = lagoon::server::build(&names, lagoon::server::dir_source(root), &opts);
     if let Some(path) = &trace_out {
-        write_trace(path, diag::trace::chrome_trace_json(&report.traces, &[]))?;
+        write_trace(path, &report.traces, vec![])?;
     }
     if parsed.has("--json") {
         println!("{}", report.to_json());
@@ -385,7 +387,6 @@ fn remote_cmd(parsed: &Parsed) -> Result<ExitCode, Stop> {
 /// Prints one response body for a person: a run's output and value, an
 /// error's message on stderr, anything else as the body itself.
 fn print_response(response: &str) {
-    use lagoon::server::json::{self, Json};
     let Ok(parsed) = json::parse(response) else {
         println!("{response}");
         return;
@@ -426,9 +427,15 @@ fn setup_program(lagoon: &Lagoon, file: &Path) -> Result<String, String> {
     Ok(main_name)
 }
 
-/// Writes a Chrome trace-event JSON file and says where it went.
-fn write_trace(path: &Path, json: String) -> Result<(), Stop> {
-    std::fs::write(path, json)
+/// Writes `tracks` as a Chrome trace-event JSON file, with `extra`
+/// top-level fields, and says where it went.
+fn write_trace(
+    path: &Path,
+    tracks: &[(String, Trace)],
+    extra: Vec<(&str, Json)>,
+) -> Result<(), Stop> {
+    let json = diag::trace::chrome_trace_json(tracks, extra);
+    std::fs::write(path, json.to_string())
         .map_err(|e| Stop::Fail(format!("cannot write trace {}: {e}", path.display())))?;
     eprintln!("trace written to {}", path.display());
     Ok(())
@@ -496,10 +503,10 @@ fn run_cmd(parsed: &Parsed) -> Result<ExitCode, Stop> {
         (Some(out), Some(collector)) => {
             let trace = collector.trace();
             let profile = trace.profile_json();
-            let tracks = [("main".to_string(), trace)];
             write_trace(
                 &out,
-                diag::trace::chrome_trace_json(&tracks, &[("vmProfile", profile)]),
+                &[("main".to_string(), trace)],
+                vec![("vmProfile", profile)],
             )?;
             print_value();
         }
@@ -508,11 +515,8 @@ fn run_cmd(parsed: &Parsed) -> Result<ExitCode, Stop> {
                 Ok(v) => ("result", v.write_string()),
                 Err(e) => ("error", e.to_string()),
             };
-            println!(
-                "{{\"{key}\":{},\"report\":{}}}",
-                diag::json_string(&text),
-                collector.report().to_json()
-            );
+            let report = collector.report().to_json();
+            println!("{}", obj(vec![(key, Json::Str(text)), ("report", report)]));
         }
         (None, Some(collector)) => {
             print_value();

@@ -4,7 +4,7 @@
 //! a bad one exits 2 before anything runs, and `remote` sends only the
 //! budgets it is given.
 
-use lagoon::server::json::{self, Json};
+use lagoon::diag::json::{self, Json};
 use std::io::{BufReader, Write};
 use std::net::TcpListener;
 use std::path::PathBuf;

@@ -35,13 +35,18 @@ fn agree(src: &str, want: Result<&str, Kind>) -> (u64, u64) {
         want,
         "ast-interp on:\n{src}"
     );
-    // the thread's counts, which a failed run leaves too
+    let [loops, tail_calls] = executed(src, ["Loop", "TailCall"]);
+    (loops, tail_calls)
+}
+
+/// How often the VM executed each of `ops` running `src` (the thread's
+/// counts, which a failed run leaves too).
+fn executed<const N: usize>(src: &str, ops: [&str; N]) -> [u64; N] {
     let lagoon = Lagoon::new();
     lagoon.add_module("m", src);
     let _ = lagoon.run_with_stats("m", EngineKind::Vm);
     let rows = counters::snapshot();
-    let executed = |op: &str| rows.iter().filter(|row| row.0 == op).map(|row| row.3).sum();
-    (executed("Loop"), executed("TailCall"))
+    ops.map(|op| rows.iter().filter(|row| row.0 == op).map(|row| row.3).sum())
 }
 
 #[test]
@@ -467,6 +472,11 @@ fn letrec_lambdas_agree_on_both_engines() {
             "(define (h n)\n  (define (go i acc) (if (= i 0) acc (go (- i 1) (+ acc i))))\n  (define total (go n 0))\n  (list total (go 2 0)))\n(h 4)",
             Ok("'(10 3)"),
         ),
+        // a helper that only a later definition and itself call
+        (
+            "(define (f x)\n  (define (go i acc) (if (= i 0) acc (go (- i 1) (+ acc i))))\n  (define r (go 3 x))\n  r)\n(list (f 0) (f 10))",
+            Ok("'(6 16)"),
+        ),
         (
             "(let loop ([i 0]) (if (< i 2) (loop (+ i 1) 'extra) i))",
             Err(Kind::Arity),
@@ -474,6 +484,41 @@ fn letrec_lambdas_agree_on_both_engines() {
     ] {
         agree(&format!("#lang lagoon\n{body}\n"), want);
     }
+}
+
+#[test]
+fn a_letrec_lambda_an_earlier_right_hand_side_names_keeps_its_box() {
+    // `a`'s closure is made before `b`'s, so it captures `b`'s box and
+    // reads `b` through it once `b` is stored
+    let src = "#lang lagoon\n(letrec ([a (lambda () (b))] [b (lambda () 1)]) (a))\n";
+    agree(src, Ok("1"));
+    assert_eq!(executed(src, ["BoxGet"]), [1]);
+}
+
+#[test]
+fn an_internal_helper_a_later_definition_calls_dies_with_its_call() {
+    // `go` is named by its own body and by the later `r`, which runs
+    // after `go`'s slot holds its closure: the closure keeps no box of
+    // its own, so once `mk`'s result and the instances are gone,
+    // nothing keeps it alive
+    let lagoon = Lagoon::new();
+    lagoon.add_module(
+        "m",
+        "#lang lagoon\n\
+         (define (mk x)\n\
+           (define (go i) (if (< i x) (go (+ i 1)) go))\n\
+           (define r (go 0))\n\
+           r)\n\
+         (mk 3)\n",
+    );
+    let v = lagoon.run("m", EngineKind::Vm).unwrap();
+    let probe = Rc::downgrade(&v.to_closure_rc().expect("a closure"));
+    drop(v);
+    lagoon.registry().reset_instances();
+    assert!(
+        probe.upgrade().is_none(),
+        "the internal helper's closure outlived every handle"
+    );
 }
 
 #[test]

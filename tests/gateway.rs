@@ -6,10 +6,10 @@
 //! shard or two coming out byte for byte the same. Both shard backends
 //! run under the gateway's limits.
 
+use lagoon::diag::json::{self, Json};
 use lagoon::gateway::shard::ShardBackend;
 use lagoon::gateway::{Gateway, GatewayOptions};
 use lagoon::server::http::{HttpClient, HttpResponse};
-use lagoon::server::json::{self, Json};
 use lagoon::Limits;
 use std::io::{BufRead, Read, Write};
 use std::net::TcpStream;

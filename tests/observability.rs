@@ -4,6 +4,7 @@
 //! the optimized opcode mix must actually show the generic-to-specialized
 //! dispatch shift the paper's §7 rewrites promise.
 
+use lagoon::diag::json::Json;
 use lagoon::{EngineKind, Lagoon};
 
 /// A float-heavy typed loop: every iteration runs a comparison and two
@@ -41,9 +42,18 @@ fn stats_run_reports_phases_and_decisions() {
         report.rewrites
     );
 
-    // both renderings mention the decision log
+    // both renderings carry the decision log
     assert!(report.render_text().contains("optimizer decisions"));
-    assert!(report.to_json().contains("\"rewrites\""));
+    let json = report.to_json();
+    let Some(Json::Arr(rewrites)) = json.get("rewrites") else {
+        panic!("no rewrites table: {json}");
+    };
+    assert_eq!(rewrites.len(), report.rewrites.len());
+    let float_add = |r: &Json| {
+        r.get("family").and_then(Json::as_str) == Some("float")
+            && r.get("op").and_then(Json::as_str) == Some("+")
+    };
+    assert!(rewrites.iter().any(float_add), "{json}");
 }
 
 #[test]

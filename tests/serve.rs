@@ -4,9 +4,9 @@
 //! response is structured JSON with a status that reflects the serving
 //! outcome, per-request limits hold, and no state crosses requests.
 
+use lagoon::diag::json::{self, Json};
 use lagoon::server::client;
 use lagoon::server::http::{HttpClient, HttpResponse};
-use lagoon::server::json::{self, Json};
 use std::io::{BufRead, Read, Write};
 use std::process::{Child, Command, Stdio};
 use std::time::Duration;
@@ -762,7 +762,7 @@ fn daemon_diag_report_says_what_run_with_stats_says() {
         .expect("local run");
     assert!(!local.opcodes.is_empty());
     // rows (op, class, fused, count), in the report's stable order
-    let local = json::parse(&local.to_json()).expect("local report");
+    let local = local.to_json();
     assert_eq!(report.get("opcodes"), local.get("opcodes"), "{response}");
 
     // under a step budget the run fails, and the report carries the
@@ -781,6 +781,100 @@ fn daemon_diag_report_says_what_run_with_stats_says() {
         limits[0].get("budget").and_then(Json::as_str),
         Some("vm-steps")
     );
+
+    daemon.shutdown();
+}
+
+/// Checks that `view` renders and reads back unchanged and holds every
+/// one of `keys`; returns it.
+fn reads_back<'v>(view: &'v Json, keys: &[&str]) -> &'v Json {
+    assert_eq!(json::parse(&view.to_string()).as_ref(), Ok(view));
+    for key in keys {
+        assert!(view.get(key).is_some(), "no {key:?} in {view}");
+    }
+    view
+}
+
+#[test]
+fn daemon_diag_report_and_stats_carry_their_documented_keys() {
+    let daemon = Daemon::spawn(&["--workers", "1"]);
+    let addr = daemon.addr.clone();
+    let response = run(
+        &addr,
+        &diag_request("#lang lagoon\n(define (f x) (* x 2))\n(f 21)\n", vec![]),
+    );
+    reads_back(
+        &response,
+        &["ok", "value", "output", "phases", "report", "trace_id"],
+    );
+    let report = response.get("report").expect("diag report");
+    reads_back(
+        report,
+        &[
+            "phases",
+            "counters",
+            "rewrites",
+            "near_misses",
+            "contracts",
+            "limits",
+            "cache",
+            "buckets",
+            "opcodes",
+            "summary",
+        ],
+    );
+
+    let stats = stats(&addr);
+    reads_back(
+        &stats,
+        &[
+            "uptime_ms",
+            "workers",
+            "supervision",
+            "queue",
+            "interner",
+            "store",
+            "requests",
+            "cache",
+            "utilization",
+            "worker_busy_ms",
+            "worker_spans",
+            "ops",
+            "phases_ms",
+            "http",
+        ],
+    );
+    let histogram = [
+        "count",
+        "mean_us",
+        "max_us",
+        "p50_us",
+        "p99_us",
+        "p50_est_us",
+        "p99_est_us",
+        "buckets",
+    ];
+    let run_ops = stats.get("ops").and_then(|o| o.get("run"));
+    reads_back(run_ops.expect("a run histogram"), &histogram);
+    let http = stats.get("http").expect("http counters");
+    reads_back(
+        http,
+        &[
+            "requests",
+            "ok_2xx",
+            "err_4xx",
+            "err_5xx",
+            "bytes_in",
+            "bytes_out",
+            "routes",
+        ],
+    );
+    let run_route = http.get("routes").and_then(|r| r.get("run"));
+    reads_back(run_route.expect("the run route's histogram"), &histogram);
+    let Some(Json::Arr(spans)) = stats.get("worker_spans") else {
+        panic!("no worker spans: {stats}");
+    };
+    reads_back(&spans[0], &["worker", "op", "trace_id", "start_ms", "ms"]);
 
     daemon.shutdown();
 }

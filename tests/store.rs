@@ -5,6 +5,7 @@
 //! from their persisted recipes, and the lazy module loader resolves
 //! requires — including macro-generated ones — at compile time.
 
+use lagoon::diag::json::Json;
 use lagoon::{EngineKind, Lagoon};
 use std::path::PathBuf;
 
@@ -229,8 +230,15 @@ fn stats_report_timing_buckets_and_load_phase() {
     assert_eq!(bucket(&warm, "compile"), 0, "warm run compiles nothing");
     assert!(bucket(&warm, "load") > 0, "warm run loads artifacts");
     let json = warm.to_json();
-    assert!(json.contains("\"buckets\""), "buckets missing from {json}");
-    assert!(json.contains("\"cache\""), "cache rows missing from {json}");
+    let load = json.get("buckets").and_then(|b| b.get("load"));
+    assert!(matches!(load, Some(Json::Num(ms)) if *ms > 0.0), "{json}");
+    let Some(Json::Arr(cache)) = json.get("cache") else {
+        panic!("cache rows missing from {json}");
+    };
+    assert_eq!(cache.len(), warm.caches.len(), "{json}");
+    assert!(cache
+        .iter()
+        .all(|row| row.get("status").and_then(Json::as_str) == Some("hit")));
 }
 
 #[test]
@@ -568,7 +576,8 @@ fn one_worker_compiles_each_module_once() {
     let report = build_into(&sources, &["top"], 1, &dir);
     assert_eq!(compiled_modules(&report).len(), sources.len());
     assert_eq!(report.recompiled, 0);
-    assert!(report.to_json().contains("\"recompiled\":0"));
+    let json = report.to_json();
+    assert_eq!(json.get("recompiled").and_then(Json::as_u64), Some(0));
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -853,6 +862,54 @@ fn worker_spans_of_a_parallel_build_name_their_module() {
         }
     }
     assert!(named.contains("top") && named.contains("leaf"), "{named:?}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_traced_build_spans_each_artifact_write_and_worker_teardown() {
+    // every compile from source reads its module once and stores it in
+    // an `encode` and a `write` span labelled with the module (a module
+    // two workers compile is read, encoded and written twice), and a
+    // worker's track ends with dropping its registry in one `teardown`
+    let sources = stress_graph();
+    let dir = temp_store("store-spans");
+    let report = lagoon::server::build_from_map(
+        &["top".to_string()],
+        sources,
+        &lagoon::server::BuildOptions {
+            jobs: 2,
+            cache_dir: Some(dir.clone()),
+            trace: true,
+            ..Default::default()
+        },
+    );
+    assert!(report.success(), "{:?}", report.failures());
+    let mut per_phase: std::collections::BTreeMap<&str, Vec<&str>> = Default::default();
+    let workers: Vec<_> = report
+        .traces
+        .iter()
+        .filter(|(t, _)| t.starts_with("worker"))
+        .collect();
+    assert!(!workers.is_empty());
+    for (track, trace) in workers {
+        let teardowns = trace.spans.iter().filter(|s| s.phase == "teardown");
+        assert_eq!(teardowns.count(), 1, "{track}");
+        for span in &trace.spans {
+            if matches!(span.phase, "read" | "encode" | "write") {
+                let names = per_phase.entry(span.phase).or_default();
+                names.push(span.label.as_str());
+            }
+        }
+    }
+    for names in per_phase.values_mut() {
+        names.sort_unstable();
+    }
+    let reads = &per_phase["read"];
+    assert_eq!(per_phase.get("encode"), Some(reads));
+    assert_eq!(per_phase.get("write"), Some(reads));
+    let mut once = reads.clone();
+    once.dedup();
+    assert_eq!(once, compiled_modules(&report));
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -3,8 +3,8 @@
 //! invariants hold, source locations survive to the spans, and the
 //! Chrome trace-event rendering round-trips through a JSON parser.
 
+use lagoon::diag::json::{self, obj, Json};
 use lagoon::diag::trace::{Trace, TraceSpan};
-use lagoon::server::json::{self, Json};
 use lagoon::{EngineKind, Lagoon};
 use std::collections::HashMap;
 
@@ -179,14 +179,16 @@ fn traced_run_annotates_store_hits() {
 fn chrome_trace_json_round_trips() {
     let trace = traced_run(None);
     let span_count = trace.spans.len();
-    let rendered = lagoon::diag::trace::chrome_trace_json(
+    let profile = obj(vec![
+        ("fn", Json::Str("square".to_string())),
+        ("chunks", Json::Num(1.0)),
+    ]);
+    let built = lagoon::diag::trace::chrome_trace_json(
         &[("main".to_string(), trace)],
-        &[(
-            "vmProfile",
-            "[{\"fn\":\"square\",\"chunks\":1}]".to_string(),
-        )],
+        vec![("vmProfile", Json::Arr(vec![profile]))],
     );
-    let parsed = json::parse(&rendered).expect("chrome trace JSON parses");
+    let parsed = json::parse(&built.to_string()).expect("chrome trace JSON parses");
+    assert_eq!(parsed, built, "the rendering reads back unchanged");
 
     let events = match parsed.get("traceEvents") {
         Some(Json::Arr(events)) => events,
@@ -259,11 +261,10 @@ fn chrome_export_and_report_are_views_of_one_record() {
     assert!(report.rewrites.len() >= 3, "{:?}", report.rewrites);
     assert!(!report.near_misses.is_empty(), "{:?}", report.near_misses);
 
-    let rendered =
-        lagoon::diag::trace::chrome_trace_json(&[("main".to_string(), collector.trace())], &[]);
-    let parsed = json::parse(&rendered).expect("chrome trace JSON parses");
+    let parsed =
+        lagoon::diag::trace::chrome_trace_json(&[("main".to_string(), collector.trace())], vec![]);
     let Some(Json::Arr(events)) = parsed.get("traceEvents") else {
-        panic!("traceEvents missing: {rendered}");
+        panic!("traceEvents missing: {parsed}");
     };
     let cat = |e: &Json| e.get("cat").and_then(Json::as_str).map(str::to_string);
     let arg = |e: &Json, key: &str| {
