@@ -40,6 +40,32 @@ pub enum EngineKind {
     Vm,
 }
 
+/// A module's instance on one engine: the interpreter's environment or
+/// the VM's globals.
+#[derive(Clone)]
+enum Instance {
+    Interp(Rc<Env>),
+    Vm(Rc<Globals>),
+}
+
+impl Instance {
+    /// The value of the module-level variable `name`.
+    fn get(&self, name: Symbol) -> Option<Value> {
+        match self {
+            Instance::Interp(env) => env.lookup(name),
+            Instance::Vm(globals) => globals.get(name),
+        }
+    }
+
+    /// Empties the instance (see [`ModuleRegistry::reset_instances`]).
+    fn clear(&self) {
+        match self {
+            Instance::Interp(env) => env.clear(),
+            Instance::Vm(globals) => globals.clear(),
+        }
+    }
+}
+
 /// A compiled module: the persistent result of compilation (paper §5).
 pub struct CompiledModule {
     /// The module's name.
@@ -185,8 +211,8 @@ pub struct ModuleRegistry {
     vm_base: RefCell<HashMap<Symbol, Value>>,
     /// The prelude's VM instance, whose closures `vm_base` holds.
     prelude_globals: RefCell<Option<Rc<Globals>>>,
-    instances_interp: RefCell<HashMap<Symbol, (Rc<Env>, Value)>>,
-    instances_vm: RefCell<HashMap<Symbol, (Rc<Globals>, Value)>>,
+    /// Each instantiated module on each engine, with its body's value.
+    instances: RefCell<HashMap<(Symbol, EngineKind), (Instance, Value)>>,
     instantiating: RefCell<HashSet<Symbol>>,
     self_ref: RefCell<std::rc::Weak<ModuleRegistry>>,
     /// Where `.lagc` artifacts live; `None` disables the compiled store.
@@ -394,8 +420,7 @@ impl ModuleRegistry {
             interp_base: RefCell::new(Env::root()),
             vm_base: RefCell::new(HashMap::new()),
             prelude_globals: RefCell::new(None),
-            instances_interp: RefCell::new(HashMap::new()),
-            instances_vm: RefCell::new(HashMap::new()),
+            instances: RefCell::new(HashMap::new()),
             instantiating: RefCell::new(HashSet::new()),
             self_ref: RefCell::new(std::rc::Weak::new()),
             store_dir: RefCell::new(None),
@@ -511,8 +536,7 @@ impl ModuleRegistry {
         let name = Symbol::intern(name);
         self.sources.borrow_mut().insert(name, source.to_owned());
         self.compiled.borrow_mut().remove(&name);
-        self.instances_interp.borrow_mut().remove(&name);
-        self.instances_vm.borrow_mut().remove(&name);
+        self.instances.borrow_mut().retain(|(m, _), _| *m != name);
     }
 
     /// Removes a module entirely: its source, compiled form, emptied
@@ -542,12 +566,9 @@ impl ModuleRegistry {
 
     /// Drops and empties the instances of `name`, or of every module.
     fn discard_instances(&self, name: Option<Symbol>) {
-        let hit = |m: &Symbol| name.is_none_or(|n| n == *m);
-        for (_, (env, _)) in self.instances_interp.borrow_mut().extract_if(|m, _| hit(m)) {
-            env.clear();
-        }
-        for (_, (globals, _)) in self.instances_vm.borrow_mut().extract_if(|m, _| hit(m)) {
-            globals.clear();
+        let mut instances = self.instances.borrow_mut();
+        for (_, (instance, _)) in instances.extract_if(|(m, _), _| name.is_none_or(|n| n == *m)) {
+            instance.clear();
         }
     }
 
@@ -1135,11 +1156,8 @@ impl ModuleRegistry {
     ///
     /// Propagates compilation and runtime errors.
     pub fn run(&self, name: &str, engine: EngineKind) -> Result<Value, RtError> {
-        let name = Symbol::intern(name);
-        match engine {
-            EngineKind::Interp => self.instantiate_interp(name).map(|(_, v)| v),
-            EngineKind::Vm => self.instantiate_vm(name).map(|(_, v)| v),
-        }
+        self.instantiate(Symbol::intern(name), engine)
+            .map(|(_, value)| value)
     }
 
     /// The one request path — the embedding API, the CLI, the daemon and
@@ -1200,80 +1218,54 @@ impl ModuleRegistry {
         Ok(())
     }
 
-    fn instantiate_interp(&self, name: Symbol) -> Result<(Rc<Env>, Value), RtError> {
-        if let Some((env, v)) = self.instances_interp.borrow().get(&name) {
-            return Ok((env.clone(), v.clone()));
+    /// Module `name`'s instance on `engine` and its body's value,
+    /// instantiating it, and first its dependencies, when it has none.
+    /// The imports are gathered alike for both engines; only running the
+    /// body differs: the interpreter evaluates the core forms in a child
+    /// of its prelude base, the VM runs the bytecode over its own base.
+    fn instantiate(&self, name: Symbol, engine: EngineKind) -> Result<(Instance, Value), RtError> {
+        if let Some(found) = self.instances.borrow().get(&(name, engine)) {
+            return Ok(found.clone());
         }
         let compiled = self.compile(name)?;
         self.guard_instantiation(name)?;
-        let result = (|| -> Result<(Rc<Env>, Value), RtError> {
-            let env = Env::child(&self.interp_base.borrow());
-            for dep in &compiled.requires {
-                // a language registered with native values?
-                if let Some(language) = self.languages.borrow().get(dep).cloned() {
-                    env.install(language.values.iter().map(|(k, v)| (*k, v.clone())));
-                    continue;
-                }
-                let (dep_env, _) = self.instantiate_interp(*dep)?;
-                let dep_compiled = self.compile(*dep)?;
-                for (_, binding) in &dep_compiled.exports {
-                    if let Binding::Variable(rt) = binding {
-                        if let Some(v) = dep_env.lookup(*rt) {
-                            env.define(*rt, v);
-                        }
-                    }
-                }
-            }
-            let value = Interp.eval_forms(&compiled.forms, &env)?;
-            Ok((env, value))
-        })();
-        self.instantiating.borrow_mut().remove(&name);
-        let (env, value) = result?;
-        self.instances_interp
-            .borrow_mut()
-            .insert(name, (env.clone(), value.clone()));
-        Ok((env, value))
-    }
-
-    fn instantiate_vm(&self, name: Symbol) -> Result<(Rc<Globals>, Value), RtError> {
-        if let Some((g, v)) = self.instances_vm.borrow().get(&name) {
-            return Ok((g.clone(), v.clone()));
-        }
-        let compiled = self.compile(name)?;
-        self.guard_instantiation(name)?;
-        let result = (|| -> Result<(Rc<Globals>, Value), RtError> {
-            // gather import values: dependency exports + language natives
+        let result = (|| -> Result<(Instance, Value), RtError> {
+            // dependency exports and language natives
             let mut imports: HashMap<Symbol, Value> = HashMap::new();
             for dep in &compiled.requires {
                 if let Some(language) = self.languages.borrow().get(dep).cloned() {
                     imports.extend(language.values.iter().map(|(k, v)| (*k, v.clone())));
                     continue;
                 }
-                let (dep_globals, _) = self.instantiate_vm(*dep)?;
-                let dep_compiled = self.compile(*dep)?;
-                for (_, binding) in &dep_compiled.exports {
+                let (dep_instance, _) = self.instantiate(*dep, engine)?;
+                for (_, binding) in &self.compile(*dep)?.exports {
                     if let Binding::Variable(rt) = binding {
-                        if let Some(v) = dep_globals.get(*rt) {
-                            imports.insert(*rt, v);
-                        }
+                        imports.extend(dep_instance.get(*rt).map(|v| (*rt, v)));
                     }
                 }
             }
-            let vm_base = self.vm_base.borrow();
-            let (value, globals) = Vm.run_module(&compiled.code, |sym| {
-                imports
-                    .get(&sym)
-                    .cloned()
-                    .or_else(|| vm_base.get(&sym).cloned())
-            })?;
-            Ok((globals, value))
+            match engine {
+                EngineKind::Interp => {
+                    let env = Env::child(&self.interp_base.borrow());
+                    env.install(imports);
+                    let value = Interp.eval_forms(&compiled.forms, &env)?;
+                    Ok((Instance::Interp(env), value))
+                }
+                EngineKind::Vm => {
+                    let vm_base = self.vm_base.borrow();
+                    let (value, globals) = Vm.run_module(&compiled.code, |sym| {
+                        imports.get(&sym).or_else(|| vm_base.get(&sym)).cloned()
+                    })?;
+                    Ok((Instance::Vm(globals), value))
+                }
+            }
         })();
         self.instantiating.borrow_mut().remove(&name);
-        let (globals, value) = result?;
-        self.instances_vm
+        let found = result?;
+        self.instances
             .borrow_mut()
-            .insert(name, (globals.clone(), value.clone()));
-        Ok((globals, value))
+            .insert((name, engine), found.clone());
+        Ok(found)
     }
 
     /// Looks up an exported value from an instantiated module.
@@ -1313,16 +1305,8 @@ impl ModuleRegistry {
                     "{module} does not export a variable named {export}"
                 ))
             })?;
-        match engine {
-            EngineKind::Interp => {
-                let (env, _) = self.instantiate_interp(name)?;
-                env.lookup(rt).ok_or_else(|| RtError::unbound(rt))
-            }
-            EngineKind::Vm => {
-                let (globals, _) = self.instantiate_vm(name)?;
-                globals.get(rt).ok_or_else(|| RtError::unbound(rt))
-            }
-        }
+        let (instance, _) = self.instantiate(name, engine)?;
+        instance.get(rt).ok_or_else(|| RtError::unbound(rt))
     }
 
     /// The expanded body of a module (compiling it if needed) — for tests
@@ -1353,8 +1337,8 @@ mod tests {
 
     /// A module whose instances are `Rc` cycles: each closure points
     /// back at the globals (or env) that hold it.
-    const DEFINES_A_FUNCTION: &str =
-        "#lang lagoon\n(define (f x) (* x k))\n(define k 2)\n(define v (make-vector 1000 1.5))\nf\n";
+    const DEFINES_A_FUNCTION: &str = "#lang lagoon\n(provide f)\n(define (f x) (* x k))\n\
+                                      (define k 2)\n(define v (make-vector 1000 1.5))\nf\n";
 
     /// Runs `m` on both engines: weak handles on its two instances, and
     /// the closure each run returned.
@@ -1362,9 +1346,14 @@ mod tests {
         let m = Symbol::intern("m");
         let vm_f = reg.run("m", EngineKind::Vm).expect("vm run");
         let interp_f = reg.run("m", EngineKind::Interp).expect("interp run");
-        let vm = Rc::downgrade(&reg.instances_vm.borrow()[&m].0);
-        let interp = Rc::downgrade(&reg.instances_interp.borrow()[&m].0);
-        ((vm, interp), (vm_f, interp_f))
+        let instances = reg.instances.borrow();
+        let (Instance::Vm(vm), _) = &instances[&(m, EngineKind::Vm)] else {
+            panic!("the vm instance is the VM's globals");
+        };
+        let (Instance::Interp(interp), _) = &instances[&(m, EngineKind::Interp)] else {
+            panic!("the interp instance is an environment");
+        };
+        ((Rc::downgrade(vm), Rc::downgrade(interp)), (vm_f, interp_f))
     }
 
     #[test]
@@ -1405,6 +1394,39 @@ mod tests {
             .expect_err("discarded interp instance");
         assert!(matches!(vm.kind, Kind::Unbound), "{vm}");
         assert!(matches!(interp.kind, Kind::Unbound), "{interp}");
+    }
+
+    #[test]
+    fn each_engine_keeps_its_own_instance() {
+        let arg = [Value::Int(21)];
+        let answers = |f: &Value, engine: EngineKind| {
+            let applied = match engine {
+                EngineKind::Vm => lagoon_vm::Vm.apply(f, &arg),
+                EngineKind::Interp => Interp.apply(f, &arg),
+            };
+            applied.map(|v| v.to_string())
+        };
+        let reg = ModuleRegistry::new();
+        for (first, other) in [
+            (EngineKind::Vm, EngineKind::Interp),
+            (EngineKind::Interp, EngineKind::Vm),
+        ] {
+            // `exported_value` after a run on the other engine returns a
+            // closure of the engine asked for
+            reg.add_module("m", DEFINES_A_FUNCTION);
+            let ran = reg.run("m", first).expect("run");
+            let f = reg.exported_value("m", "f", other).expect("export");
+            assert_eq!(answers(&f, other).expect("own engine"), "42");
+            let foreign = answers(&f, first).expect_err("a closure of the other engine");
+            assert!(matches!(foreign.kind, Kind::Internal), "{foreign}");
+            // replacing the module drops its instances without emptying
+            // them: closures taken before still answer on their engine
+            reg.add_module("m", "#lang lagoon\n(provide f)\n(define (f x) x)\n");
+            assert_eq!(answers(&ran, first).expect("replaced, not emptied"), "42");
+            assert_eq!(answers(&f, other).expect("replaced, not emptied"), "42");
+            let replaced = reg.exported_value("m", "f", first).expect("export");
+            assert_eq!(answers(&replaced, first).expect("the new module"), "21");
+        }
     }
 
     #[test]

@@ -244,19 +244,27 @@ enum FlightState {
     Done,
 }
 
-/// What a [`SingleFlight::claim`] call found.
-enum Claim {
-    /// We claimed it: we are the builder and must call `finish`.
-    Ours,
-    /// Someone (possibly us, earlier) already built it, or we already
-    /// hold the claim on this thread.
-    Settled,
-}
-
 struct SingleFlight {
     state: Mutex<HashMap<String, FlightState>>,
     cv: Condvar,
     waits: AtomicU64,
+}
+
+/// A worker's claim on a module in the single-flight map: while it is
+/// held, other workers that need the module wait for it. Dropping it —
+/// after the compile returns, or while the worker unwinds — marks the
+/// module built and wakes them.
+struct Claim {
+    map: Arc<SingleFlight>,
+    name: String,
+}
+
+impl Drop for Claim {
+    fn drop(&mut self) {
+        let mut guard = self.map.state.lock().unwrap_or_else(|e| e.into_inner());
+        guard.insert(std::mem::take(&mut self.name), FlightState::Done);
+        self.map.cv.notify_all();
+    }
 }
 
 impl SingleFlight {
@@ -273,7 +281,10 @@ impl SingleFlight {
         }
     }
 
-    fn claim(&self, name: &str) -> Claim {
+    /// The claim on `name`, when this call made it. `None` when the
+    /// module is built already, when this thread holds its claim, or
+    /// when another worker's claim outlasted [`FLIGHT_WAIT_CAP`].
+    fn claim(self: &Arc<Self>, name: &str) -> Option<Claim> {
         let me = thread::current().id();
         let mut guard = self.state.lock().unwrap_or_else(|e| e.into_inner());
         let deadline = Instant::now() + FLIGHT_WAIT_CAP;
@@ -281,17 +292,20 @@ impl SingleFlight {
             match guard.get(name) {
                 None => {
                     guard.insert(name.to_string(), FlightState::Building(me));
-                    return Claim::Ours;
+                    return Some(Claim {
+                        map: Arc::clone(self),
+                        name: name.to_string(),
+                    });
                 }
-                Some(FlightState::Done) => return Claim::Settled,
-                Some(FlightState::Building(owner)) if *owner == me => return Claim::Settled,
+                Some(FlightState::Done) => return None,
+                Some(FlightState::Building(owner)) if *owner == me => return None,
                 Some(FlightState::Building(_)) => {
                     self.waits.fetch_add(1, Ordering::Relaxed);
                     let now = Instant::now();
                     if now >= deadline {
                         // Give up waiting: compile locally (benign
                         // duplicate; see FLIGHT_WAIT_CAP).
-                        return Claim::Settled;
+                        return None;
                     }
                     let (g, _) = self
                         .cv
@@ -301,12 +315,6 @@ impl SingleFlight {
                 }
             }
         }
-    }
-
-    fn finish(&self, name: &str) {
-        let mut guard = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        guard.insert(name.to_string(), FlightState::Done);
-        self.cv.notify_all();
     }
 }
 
@@ -606,19 +614,17 @@ fn worker_loop(
     // per-form spans belong to no module of the build
     let collector = Collector::install();
     lagoon_diag::limits::install(opts.limits);
-    // Names this worker claimed in the single-flight map from inside the
-    // loader (statically invisible requires); released after the
-    // enclosing top-level compile returns.
-    let claimed = std::rc::Rc::new(std::cell::RefCell::new(Vec::<String>::new()));
+    // The claims this worker holds in the single-flight map: its job's,
+    // and those the loader made for statically invisible requires;
+    // released after the job's compile returns.
+    let claimed = std::rc::Rc::new(std::cell::RefCell::new(Vec::<Claim>::new()));
     {
         let source_of = Arc::clone(source_of);
         let claimed = std::rc::Rc::clone(&claimed);
         let flight = Arc::clone(flight);
         registry.set_loader(move |name: Symbol| {
             let name = name.as_str();
-            if let Claim::Ours = flight.claim(&name) {
-                claimed.borrow_mut().push(name.clone());
-            }
+            claimed.borrow_mut().extend(flight.claim(&name));
             source_of(&name)
         });
     }
@@ -631,14 +637,9 @@ fn worker_loop(
     };
     while let Some(job) = sched.next_job() {
         let start = Instant::now();
-        let claim = flight.claim(&job.name);
+        claimed.borrow_mut().extend(flight.claim(&job.name));
         let result = registry.request(&job.name, Step::Check);
-        if let Claim::Ours = claim {
-            flight.finish(&job.name);
-        }
-        for name in claimed.borrow_mut().drain(..) {
-            flight.finish(&name);
-        }
+        claimed.borrow_mut().clear();
         let duration = start.elapsed();
         row.busy += duration;
         row.modules += 1;
@@ -850,6 +851,25 @@ pub fn build_from_map(
 mod tests {
     use super::*;
     use std::sync::mpsc;
+
+    #[test]
+    fn a_claim_held_by_a_worker_that_dies_is_released() {
+        let flight = Arc::new(SingleFlight::new(Vec::new()));
+        let holder = Arc::clone(&flight);
+        let died = thread::spawn(move || {
+            let _claim = holder.claim("h");
+            panic!("a build worker dies holding a claim");
+        })
+        .join();
+        assert!(died.is_err());
+        let (tx, rx) = mpsc::channel();
+        let waiter = Arc::clone(&flight);
+        thread::spawn(move || tx.send(waiter.claim("h").is_none()));
+        let settled = rx
+            .recv_timeout(Duration::from_secs(1))
+            .expect("claim waits out the dead worker's flight");
+        assert!(settled, "the dead worker's claim reads built");
+    }
 
     #[test]
     fn a_worker_that_dies_holding_a_job_fails_it_and_frees_the_others() {

@@ -23,7 +23,7 @@
 //! workers — the accept loop and the supervision tick that respawns a
 //! dead worker — are the runner's ([`http::Running`]).
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::net::SocketAddr;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -163,18 +163,10 @@ struct Job {
     reply: mpsc::Sender<Reply>,
 }
 
-struct QueueState {
-    jobs: std::collections::VecDeque<Job>,
-}
-
 /// Bounded history lengths for the time-series gauges: old samples age
 /// out rather than growing without bound in a long-lived daemon.
 const DEPTH_SERIES_CAP: usize = 512;
 const WORKER_SPANS_CAP: usize = 256;
-
-/// Most jobs a worker claims in one wake; keeps a single worker from
-/// hoarding a burst while its peers idle.
-const WAKE_BATCH_CAP: usize = 8;
 
 /// One completed request as a worker-occupancy span (for the `stats`
 /// op's `worker_spans` gauge).
@@ -216,19 +208,18 @@ struct StatsInner {
     /// the worker rebuilt its world.
     panics: u64,
     /// Queue depth over time: `(ms since start, depth)`, sampled at
-    /// every enqueue and completion, last [`DEPTH_SERIES_CAP`] points.
-    depth_series: std::collections::VecDeque<(u64, u64)>,
+    /// every enqueue and dequeue, in time order, last
+    /// [`DEPTH_SERIES_CAP`] points.
+    depth_series: VecDeque<(u64, u64)>,
     /// Recent completed requests as worker busy spans.
-    worker_spans: std::collections::VecDeque<WorkerSpan>,
-    /// Worker wakeups that claimed at least one job, and the jobs they
-    /// claimed: `batched_jobs / batch_wakes` is the mean batch size.
-    batch_wakes: u64,
-    batched_jobs: u64,
+    worker_spans: VecDeque<WorkerSpan>,
 }
 
 struct Shared {
     front: Front,
-    queue: Mutex<QueueState>,
+    /// Requests waiting for a worker; each worker takes one per wake,
+    /// so every waiting request counts against `--queue-cap`.
+    queue: Mutex<VecDeque<Job>>,
     cv: Condvar,
     shutdown: AtomicBool,
     stats: Mutex<StatsInner>,
@@ -256,7 +247,7 @@ impl Shared {
         if self.shutdown.load(Ordering::SeqCst) {
             return Err(("shutting-down", "server is shutting down".to_string()));
         }
-        if q.jobs.len() >= self.opts.queue_cap {
+        if q.len() >= self.opts.queue_cap {
             let mut stats = self.stats.lock().unwrap_or_else(|e| e.into_inner());
             stats.rejected += 1;
             let live = self.live_workers.load(Ordering::SeqCst);
@@ -276,8 +267,8 @@ impl Shared {
             };
             return Err((reason, message));
         }
-        q.jobs.push_back(job);
-        let depth = q.jobs.len();
+        q.push_back(job);
+        let depth = q.len();
         drop(q);
         let mut stats = self.stats.lock().unwrap_or_else(|e| e.into_inner());
         stats.enqueued += 1;
@@ -288,13 +279,28 @@ impl Shared {
         Ok(())
     }
 
+    /// Takes the oldest waiting job, with the queue depth it leaves,
+    /// waiting for one; `None` once the daemon drains and the queue is
+    /// empty.
+    fn next_job(&self) -> Option<(Job, usize)> {
+        let mut q = self.queue.lock().unwrap_or_else(|e| e.into_inner());
+        loop {
+            if let Some(job) = q.pop_front() {
+                return Some((job, q.len()));
+            }
+            if self.shutdown.load(Ordering::SeqCst) {
+                return None;
+            }
+            q = self
+                .cv
+                .wait_timeout(q, Duration::from_millis(200))
+                .unwrap_or_else(|e| e.into_inner())
+                .0;
+        }
+    }
+
     fn stats_json(&self) -> Json {
-        let depth = self
-            .queue
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .jobs
-            .len();
+        let depth = self.queue.lock().unwrap_or_else(|e| e.into_inner()).len();
         let s = self.stats.lock().unwrap_or_else(|e| e.into_inner());
         let hit_share = if s.cache_hits + s.cache_misses > 0 {
             s.cache_hits as f64 / (s.cache_hits + s.cache_misses) as f64
@@ -378,8 +384,6 @@ impl Shared {
                     ("capacity", Json::Num(self.opts.queue_cap as f64)),
                     ("enqueued", Json::Num(s.enqueued as f64)),
                     ("rejected", Json::Num(s.rejected as f64)),
-                    ("batch_wakes", Json::Num(s.batch_wakes as f64)),
-                    ("batched_jobs", Json::Num(s.batched_jobs as f64)),
                     ("depth_series", Json::Arr(depth_series)),
                 ]),
             ),
@@ -546,30 +550,26 @@ fn store_gauges(dir: Option<&PathBuf>) -> (u64, u64) {
 }
 
 impl StatsInner {
-    fn record_op(&mut self, op: &'static str, latency: Duration, worker: usize, err: bool) {
-        self.done += 1;
-        if err {
-            self.errors += 1;
-        }
-        self.per_op.entry(op).or_default().record(latency);
-        if self.worker_busy.len() <= worker {
-            self.worker_busy.resize(worker + 1, Duration::ZERO);
-        }
-        self.worker_busy[worker] += latency;
-    }
-
+    /// Adds a queue-depth sample in time order: a worker records the
+    /// sample it took at dequeue only when its request completes.
     fn record_depth(&mut self, at_ms: u64, depth: u64) {
         if self.depth_series.len() == DEPTH_SERIES_CAP {
             self.depth_series.pop_front();
         }
-        self.depth_series.push_back((at_ms, depth));
+        let at = self.depth_series.partition_point(|&(t, _)| t <= at_ms);
+        self.depth_series.insert(at, (at_ms, depth));
     }
 
-    fn record_span(&mut self, span: WorkerSpan) {
-        if self.worker_spans.len() == WORKER_SPANS_CAP {
-            self.worker_spans.pop_front();
+    /// Publishes worker `index`'s symbol gauge — its bootstrap `base`
+    /// and its `current` count — and folds the total into the interner
+    /// high-water mark.
+    fn record_epoch(&mut self, index: usize, base: u64, current: u64) {
+        if self.worker_epoch.len() <= index {
+            self.worker_epoch.resize(index + 1, (0, 0));
         }
-        self.worker_spans.push_back(span);
+        self.worker_epoch[index] = (base, current);
+        let total = self.worker_epoch.iter().map(|(_, l)| *l).sum::<u64>();
+        self.interner_high_water = self.interner_high_water.max(total);
     }
 }
 
@@ -597,9 +597,7 @@ impl Server {
         }
         let shared = Arc::new(Shared {
             front: Front::new(routes, opts.max_request_bytes.max(1024)),
-            queue: Mutex::new(QueueState {
-                jobs: std::collections::VecDeque::new(),
-            }),
+            queue: Mutex::new(VecDeque::new()),
             cv: Condvar::new(),
             shutdown: AtomicBool::new(false),
             stats: Mutex::new(StatsInner::default()),
@@ -749,22 +747,6 @@ fn build_world(shared: &Arc<Shared>) -> std::rc::Rc<ModuleRegistry> {
     registry
 }
 
-/// Publishes this worker's symbol gauge (and the bootstrap base when
-/// `set_base`), and folds the total into the interner high-water mark.
-fn report_epoch_gauge(shared: &Arc<Shared>, index: usize, set_base: bool) {
-    let len = lagoon_syntax::interned_count() as u64;
-    let mut stats = shared.stats.lock().unwrap_or_else(|e| e.into_inner());
-    if stats.worker_epoch.len() <= index {
-        stats.worker_epoch.resize(index + 1, (0, 0));
-    }
-    if set_base {
-        stats.worker_epoch[index].0 = len;
-    }
-    stats.worker_epoch[index].1 = len;
-    let total = stats.worker_epoch.iter().map(|(_, l)| *l).sum::<u64>();
-    stats.interner_high_water = stats.interner_high_water.max(total);
-}
-
 /// Accounts a worker in `live_workers` for the scope of its serve loop,
 /// surviving panics (shedding decisions read the count while the
 /// supervision tick respawns).
@@ -776,12 +758,39 @@ impl Drop for LiveWorkerGuard<'_> {
     }
 }
 
+/// A request's reply, with what its record adds to `/v1/stats`.
+struct Served {
+    status: u16,
+    body: Json,
+    /// Compiled-store hits and misses.
+    cache: (usize, usize),
+    /// Time per phase bucket, in nanoseconds.
+    buckets: Vec<(&'static str, u128)>,
+}
+
+impl Served {
+    /// An error reply from a request that recorded nothing.
+    fn error(status: u16, kind: &str, message: &str) -> Served {
+        Served {
+            status,
+            body: error_json(kind, message, Vec::new()),
+            cache: (0, 0),
+            buckets: Vec::new(),
+        }
+    }
+}
+
 /// One worker's world and request loop. The registry persists across
-/// requests — compiled modules stay warm — but instances are reset per
-/// request, inline sources get unique un-cacheable names, and when a
-/// request leaves the persistent footprint unchanged the worker
+/// requests — compiled modules stay warm — but instances are reset after
+/// each request, inline sources get unique un-cacheable names, and when
+/// a request leaves the persistent footprint unchanged the worker
 /// truncates its symbol epoch and sweeps its binding table back to the
 /// pre-request state: no run-time state *or memory* crosses requests.
+///
+/// A worker takes one job per wake, so every request that waits is in
+/// the shared queue, where `--queue-cap` bounds it and an idle worker
+/// can take it. Per request it takes the queue lock once, to dequeue,
+/// and the stats lock once, to record the request.
 ///
 /// Self-healing layers, outermost first: a thread death (escaped
 /// panic — in production a bug, in tests `test/kill`) drops the reply
@@ -794,132 +803,113 @@ fn worker_main(index: usize, shared: &Arc<Shared>) {
     shared.live_workers.fetch_add(1, Ordering::SeqCst);
     let _live = LiveWorkerGuard(shared);
     let mut registry = build_world(shared);
-    report_epoch_gauge(shared, index, true);
+    let mut base = lagoon_syntax::interned_count() as u64;
+    let mut stats = shared.stats.lock().unwrap_or_else(|e| e.into_inner());
+    stats.record_epoch(index, base, base);
+    drop(stats);
     static REQ_ID: AtomicU64 = AtomicU64::new(0);
     static TRACE_SEQ: AtomicU64 = AtomicU64::new(0);
 
-    loop {
-        // Batch per wake: grab a fair share of the queue (depth divided
-        // by live workers, capped) under one lock acquisition, instead
-        // of one lock round-trip per job. Under a burst this turns N
-        // wakeups into roughly N/batch lock acquisitions; under light
-        // load the batch is one job and behavior is unchanged.
-        let batch = {
-            let mut q = shared.queue.lock().unwrap_or_else(|e| e.into_inner());
-            loop {
-                if !q.jobs.is_empty() {
-                    let live = shared.live_workers.load(Ordering::SeqCst).max(1);
-                    let depth = q.jobs.len();
-                    let take = depth.div_ceil(live).clamp(1, WAKE_BATCH_CAP);
-                    let batch: Vec<Job> = q.jobs.drain(..take.min(depth)).collect();
-                    break Some(batch);
-                }
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    break None;
-                }
-                let (guard, _) = shared
-                    .cv
-                    .wait_timeout(q, Duration::from_millis(200))
-                    .unwrap_or_else(|e| e.into_inner());
-                q = guard;
-            }
-        };
-        let Some(batch) = batch else { return };
-        {
-            let mut stats = shared.stats.lock().unwrap_or_else(|e| e.into_inner());
-            stats.batch_wakes += 1;
-            stats.batched_jobs += batch.len() as u64;
+    while let Some((job, depth)) = shared.next_job() {
+        let start = Instant::now();
+        let since_start = start.duration_since(shared.started);
+        let op = job.op;
+        if op == "test/kill" {
+            // Simulates a crashed worker: die outside every barrier,
+            // dropping `job.reply` (client sees a structured error) and
+            // leaving the thread to the supervision tick.
+            panic!("test/kill: deliberate worker death");
         }
-        for job in batch {
-            let start = Instant::now();
-            let start_ms = start.duration_since(shared.started).as_secs_f64() * 1e3;
-            let op = job.op;
-            if op == "test/kill" {
-                // Simulates a crashed worker: die outside every barrier,
-                // dropping `job.reply` (client sees a structured error) and
-                // leaving the thread to the supervision tick.
-                panic!("test/kill: deliberate worker death");
-            }
-            // Echoed on the response and recorded on the request's worker
-            // span, so clients can line up their own telemetry with the
-            // daemon's.
-            let trace_id = job
-                .trace_id
-                .unwrap_or_else(|| format!("lag-{}", TRACE_SEQ.fetch_add(1, Ordering::Relaxed)));
+        // Echoed on the response and recorded on the request's worker
+        // span, so clients can line up their own telemetry with the
+        // daemon's.
+        let trace_id = job
+            .trace_id
+            .unwrap_or_else(|| format!("lag-{}", TRACE_SEQ.fetch_add(1, Ordering::Relaxed)));
 
-            // Reclamation checkpoint: if the request leaves the persistent
-            // registry footprint unchanged, everything it interned and
-            // bound is garbage afterwards.
-            let footprint = registry.persistent_footprint();
-            let scope_watermark = lagoon_syntax::Scope::watermark();
-            let epoch = lagoon_syntax::epoch_mark();
+        // Reclamation checkpoint: if the request leaves the persistent
+        // registry footprint unchanged, everything it interned and
+        // bound is garbage afterwards.
+        let footprint = registry.persistent_footprint();
+        let scope_watermark = lagoon_syntax::Scope::watermark();
+        let epoch = lagoon_syntax::epoch_mark();
 
-            let answer = catch_unwind(AssertUnwindSafe(|| {
-                handle_request(&registry, &job.request, op, shared, &REQ_ID)
-            }));
-            let (status, mut response) = match answer {
-                Ok(Ok(answer)) => answer,
-                Ok(Err(message)) => (400, error_json("protocol", &message, Vec::new())),
-                Err(_) => {
-                    let message = "internal error: request panicked";
-                    (500, error_json("internal", message, Vec::new()))
-                }
-            };
+        let answer = catch_unwind(AssertUnwindSafe(|| {
+            handle_request(&registry, &job.request, op, shared.opts.limits, &REQ_ID)
+        }));
+        let Served {
+            status,
+            body: mut response,
+            cache: (hits, misses),
+            buckets,
+        } = match answer {
+            Ok(Ok(served)) => served,
+            Ok(Err(message)) => Served::error(400, "protocol", &message),
+            Err(_) => Served::error(500, "internal", "internal error: request panicked"),
+        };
 
-            if status == 500 {
-                // An internal error: a panic the request barrier (or the
-                // one above) contained, or a broken engine invariant.
-                // Mid-flight registry state (cycle guards, partial
-                // compiles) may be dirty: rebuild the whole world.
-                {
-                    let mut stats = shared.stats.lock().unwrap_or_else(|e| e.into_inner());
-                    stats.panics += 1;
-                }
-                drop(registry);
-                lagoon_syntax::epoch_reset();
-                registry = build_world(shared);
-                report_epoch_gauge(shared, index, true);
-            } else if registry.persistent_footprint() == footprint {
-                // Truncate first so the binding-table sweep sees the
-                // request's symbols as dead.
-                registry.reset_instances();
+        let rebuilt = status == 500;
+        if rebuilt {
+            // An internal error: a panic the request barrier (or the
+            // one above) contained, or a broken engine invariant.
+            // Mid-flight registry state (cycle guards, partial
+            // compiles) may be dirty: rebuild the whole world.
+            drop(registry);
+            lagoon_syntax::epoch_reset();
+            registry = build_world(shared);
+            base = lagoon_syntax::interned_count() as u64;
+        } else {
+            // Fresh instances for the next request: compiled code stays
+            // warm, run-time module state does not cross requests.
+            registry.reset_instances();
+            // Unless the request warmed a named module, whose world is
+            // now part of the persistent working set (growth converges
+            // to the named-module set), reclaim what it interned and
+            // bound. Truncate first so the binding-table sweep sees the
+            // request's symbols as dead.
+            if registry.persistent_footprint() == footprint {
                 lagoon_syntax::epoch_truncate(epoch);
                 registry.sweep_ephemeral(scope_watermark);
-                report_epoch_gauge(shared, index, false);
-            } else {
-                // The request warmed a named module; its world is now part
-                // of the persistent working set, and growth converges to
-                // the named-module set.
-                report_epoch_gauge(shared, index, false);
             }
-
-            let latency = start.elapsed();
-            let is_err = response.get("ok").and_then(Json::as_bool) != Some(true);
-            let depth = {
-                let q = shared.queue.lock().unwrap_or_else(|e| e.into_inner());
-                q.jobs.len() as u64
-            };
-            {
-                let mut stats = shared.stats.lock().unwrap_or_else(|e| e.into_inner());
-                stats.record_op(op, latency, index, is_err);
-                stats.record_depth(shared.started.elapsed().as_millis() as u64, depth);
-                stats.record_span(WorkerSpan {
-                    worker: index,
-                    op: op.to_string(),
-                    trace_id: trace_id.clone(),
-                    start_ms,
-                    dur_ms: latency.as_secs_f64() * 1e3,
-                });
-            }
-            if let Json::Obj(map) = &mut response {
-                map.insert("micros".to_string(), Json::Num(latency.as_micros() as f64));
-                map.insert("trace_id".to_string(), Json::Str(trace_id.clone()));
-            }
-            let _ = job.reply.send(Reply {
-                headers: vec![("x-lagoon-trace-id", trace_id)],
-                ..Reply::json(status, &response)
-            });
         }
+
+        let latency = start.elapsed();
+        let mut stats = shared.stats.lock().unwrap_or_else(|e| e.into_inner());
+        stats.done += 1;
+        stats.errors += u64::from(response.get("ok").and_then(Json::as_bool) != Some(true));
+        stats.panics += u64::from(rebuilt);
+        stats.cache_hits += hits as u64;
+        stats.cache_misses += misses as u64;
+        for (phase, nanos) in buckets {
+            *stats.phases_ms.entry(phase).or_insert(0.0) += nanos as f64 / 1e6;
+        }
+        stats.per_op.entry(op).or_default().record(latency);
+        if stats.worker_busy.len() <= index {
+            stats.worker_busy.resize(index + 1, Duration::ZERO);
+        }
+        stats.worker_busy[index] += latency;
+        stats.record_depth(since_start.as_millis() as u64, depth as u64);
+        if stats.worker_spans.len() == WORKER_SPANS_CAP {
+            stats.worker_spans.pop_front();
+        }
+        stats.worker_spans.push_back(WorkerSpan {
+            worker: index,
+            op: op.to_string(),
+            trace_id: trace_id.clone(),
+            start_ms: since_start.as_secs_f64() * 1e3,
+            dur_ms: latency.as_secs_f64() * 1e3,
+        });
+        stats.record_epoch(index, base, lagoon_syntax::interned_count() as u64);
+        drop(stats);
+
+        if let Json::Obj(map) = &mut response {
+            map.insert("micros".to_string(), Json::Num(latency.as_micros() as f64));
+            map.insert("trace_id".to_string(), Json::Str(trace_id.clone()));
+        }
+        let _ = job.reply.send(Reply {
+            headers: vec![("x-lagoon-trace-id", trace_id)],
+            ..Reply::json(status, &response)
+        });
     }
 }
 
@@ -928,10 +918,11 @@ const FIELDS: [&str; 5] = ["source", "module", "engine", "diag", "limits"];
 
 /// Serves one request against the worker's world through the one
 /// request path ([`ModuleRegistry::request`]), under the request's limits
-/// and with a diagnostics recorder installed: the response's `phases` and,
-/// when the request sets `"diag": true`, its `report` (opcode mix
-/// included) are views of that record. Returns the status with the body:
-/// [`rt_error`]'s for a failed program, else 200.
+/// (merged over `defaults`) and with a diagnostics recorder installed:
+/// the response's `phases` and, when the request sets `"diag": true`,
+/// its `report` (opcode mix included) are views of that record. Returns
+/// the status with the body — [`rt_error`]'s for a failed program, else
+/// 200 — and the record's store counts and phase buckets.
 ///
 /// # Errors
 ///
@@ -944,15 +935,15 @@ fn handle_request(
     registry: &std::rc::Rc<ModuleRegistry>,
     request: &Json,
     op: &'static str,
-    shared: &Arc<Shared>,
+    defaults: Limits,
     req_id: &AtomicU64,
-) -> Result<(u16, Json), String> {
+) -> Result<Served, String> {
     if let Json::Obj(fields) = request {
         if let Some(key) = fields.keys().find(|key| !FIELDS.contains(&key.as_str())) {
             return Err(format!("unknown field \"{key}\""));
         }
     }
-    let limits = merge_limits(shared.opts.limits, request.get("limits"))?;
+    let limits = merge_limits(defaults, request.get("limits"))?;
     let text = |key: &str| match request.get(key) {
         None => Ok(None),
         Some(Json::Str(text)) => Ok(Some(text.as_str())),
@@ -997,11 +988,10 @@ fn handle_request(
         (None, None) => return Err("need \"module\" or \"source\"".to_string()),
     };
 
+    // Every request installs its own limits before it runs, and nothing
+    // the worker runs between requests charges a budget.
     lagoon_diag::limits::install(limits);
     let collector = Collector::install();
-    // Fresh instances per request: compiled code stays warm, run-time
-    // module state does not leak between requests.
-    registry.reset_instances();
     let (result, output) = match op {
         // Deliberate panic inside the request barrier: the client must
         // get a structured `internal` error and the worker must survive
@@ -1021,22 +1011,10 @@ fn handle_request(
         _ => (registry.request(&name, Step::Check), String::new()),
     };
     lagoon_diag::uninstall();
-    // Restore the server-default limits for whatever runs next.
-    lagoon_diag::limits::install(shared.opts.limits);
     if inline.is_some() {
         registry.remove_module(&name);
     }
-
-    let (hits, misses) = collector.cache_counts();
     let buckets = collector.timing_buckets();
-    {
-        let mut stats = shared.stats.lock().unwrap_or_else(|e| e.into_inner());
-        stats.cache_hits += hits as u64;
-        stats.cache_misses += misses as u64;
-        for &(name, nanos) in &buckets {
-            *stats.phases_ms.entry(name).or_insert(0.0) += nanos as f64 / 1e6;
-        }
-    }
 
     let (status, mut response) = match result {
         Err(e) => rt_error(&e),
@@ -1071,7 +1049,12 @@ fn handle_request(
             map.insert("report".to_string(), collector.report().to_json());
         }
     }
-    Ok((status, response))
+    Ok(Served {
+        status,
+        body: response,
+        cache: collector.cache_counts(),
+        buckets: buckets.to_vec(),
+    })
 }
 
 #[cfg(test)]

@@ -218,22 +218,21 @@ fn daemon_serves_16_concurrent_mixed_requests() {
         );
     }
 
-    // the stats route reflects the traffic: 16 requests done, with run
-    // latencies recorded in the per-op histogram
+    // the stats route counts exactly the 16 requests that reached a
+    // worker, each once: queued, done, timed in the per-op histograms,
+    // and the 12 failed programs as errors
     let stats = stats(&addr);
-    let done = stats
-        .get("requests")
-        .and_then(|r| r.get("done"))
-        .and_then(Json::as_u64)
-        .unwrap_or(0);
-    assert!(done >= 16, "stats lost requests: {stats}");
-    let run_count = stats
-        .get("ops")
-        .and_then(|o| o.get("run"))
-        .and_then(|r| r.get("count"))
-        .and_then(Json::as_u64)
-        .unwrap_or(0);
-    assert!(run_count >= 16, "run histogram lost samples: {stats}");
+    assert_eq!(gauge(&stats, "queue", "enqueued"), 16, "{stats}");
+    assert_eq!(gauge(&stats, "requests", "done"), 16, "{stats}");
+    let Some(Json::Obj(ops)) = stats.get("ops") else {
+        panic!("no ops histograms: {stats}");
+    };
+    let timed: u64 = ops
+        .values()
+        .map(|histogram| histogram.get("count").and_then(Json::as_u64).unwrap_or(0))
+        .sum();
+    assert_eq!(timed, 16, "{stats}");
+    assert_eq!(gauge(&stats, "requests", "errors"), 12, "{stats}");
 
     daemon.shutdown();
 }
@@ -550,6 +549,132 @@ fn daemon_backpressure_rejects_rather_than_queues_unboundedly() {
     );
     assert_eq!(after.get("value").and_then(Json::as_str), Some("3"));
 
+    daemon.shutdown();
+}
+
+/// An inline `run` body whose program busy-waits for `ms` milliseconds
+/// of wall time, so it lasts as long in a debug build as in release.
+fn busy(ms: u64) -> String {
+    let source = format!(
+        "#lang lagoon\n(define end (+ (current-inexact-milliseconds) {ms}))\n\
+         (define (wait) (if (< (current-inexact-milliseconds) end) (wait) 'done))\n(wait)\n"
+    );
+    client::inline_request(&source, vec![])
+}
+
+/// Polls `/v1/stats` until `ready` holds of it (30 s at most).
+fn wait_for(addr: &str, what: &str, ready: impl Fn(&Json) -> bool) {
+    let deadline = std::time::Instant::now() + Duration::from_secs(30);
+    loop {
+        let stats = stats(addr);
+        if ready(&stats) {
+            return;
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "waited 30 s for {what}: {stats}"
+        );
+        std::thread::sleep(Duration::from_millis(2));
+    }
+}
+
+/// Whether `n` requests have reached the queue: queued or shed.
+fn arrived(n: u64) -> impl Fn(&Json) -> bool {
+    move |stats| gauge(stats, "queue", "enqueued") + gauge(stats, "queue", "rejected") == n
+}
+
+#[test]
+fn queue_cap_bounds_every_waiting_request() {
+    // one worker and room for two waiting requests. While S0 runs, J1
+    // (slow) and J2 wait; once S0 is answered the worker takes J1 alone,
+    // so J2 still waits, J3 fills the queue and J4 is shed
+    let daemon = Daemon::spawn(&["--workers", "1", "--queue-cap", "2"]);
+    let addr = daemon.addr.as_str();
+    let quick = client::inline_request("#lang lagoon\n(+ 1 2)\n", vec![]);
+    std::thread::scope(|scope| {
+        let post = |body: String| scope.spawn(move || call(addr, "POST", "/v1/run", &body));
+        let s0 = post(busy(300));
+        wait_for(addr, "the worker to take S0", |stats| {
+            gauge(stats, "queue", "enqueued") == 1 && gauge(stats, "queue", "depth") == 0
+        });
+        let j1 = post(busy(600));
+        wait_for(addr, "J1 to queue", arrived(2));
+        let j2 = post(quick.clone());
+        wait_for(addr, "J2 to queue", arrived(3));
+        assert_eq!(s0.join().expect("S0").0, 200);
+        wait_for(addr, "the worker to take J1", |stats| {
+            gauge(stats, "queue", "depth") < 2
+        });
+        let j3 = post(quick.clone());
+        wait_for(addr, "J3 to arrive", arrived(4));
+        let j4 = post(quick.clone());
+        let late = [j3, j4].map(|client| client.join().expect("J3 and J4"));
+        let shed: Vec<&Json> = late
+            .iter()
+            .filter(|(status, _)| *status == 503)
+            .map(|(_, body)| body)
+            .collect();
+        assert_eq!(shed.len(), 1, "exactly one of J3 and J4 is shed: {late:?}");
+        let reason = shed[0].get("error").and_then(|e| e.get("reason"));
+        assert_eq!(
+            reason.and_then(Json::as_str),
+            Some("queue-full"),
+            "{}",
+            shed[0]
+        );
+        for client in [j1, j2] {
+            let (status, body) = client.join().expect("J1 and J2");
+            assert_eq!(status, 200, "{body}");
+        }
+    });
+    assert_eq!(gauge(&stats(addr), "queue", "rejected"), 1);
+    daemon.shutdown();
+}
+
+#[test]
+fn a_trivial_request_is_not_held_behind_a_slow_one() {
+    // two workers busy with equal blockers; S (four blockers long), F1
+    // and F2 queue in that order. The first worker free takes S and the
+    // second F1, so F1 is answered long before S
+    let daemon = Daemon::spawn(&["--workers", "2"]);
+    let addr = daemon.addr.as_str();
+    let quick = client::inline_request("#lang lagoon\n(+ 1 2)\n", vec![]);
+    // both worlds built, so the blockers start together
+    wait_for(addr, "both workers to start", |stats| {
+        let epochs = stats.get("interner").and_then(|i| i.get("worker_epochs"));
+        let Some(Json::Arr(epochs)) = epochs else {
+            return false;
+        };
+        epochs.len() == 2 && epochs.iter().all(|e| positive(Some(e)))
+    });
+    let (slow, first, second) = std::thread::scope(|scope| {
+        let post = |body: String| {
+            scope.spawn(move || {
+                let (status, body) = call(addr, "POST", "/v1/run", &body);
+                assert_eq!(status, 200, "{body}");
+                std::time::Instant::now()
+            })
+        };
+        let blockers = [post(busy(300)), post(busy(300))];
+        wait_for(addr, "both workers to take a blocker", |stats| {
+            gauge(stats, "queue", "enqueued") == 2 && gauge(stats, "queue", "depth") == 0
+        });
+        let slow = post(busy(1200));
+        wait_for(addr, "S to queue", arrived(3));
+        let first = post(quick.clone());
+        wait_for(addr, "F1 to queue", arrived(4));
+        let second = post(quick.clone());
+        for blocker in blockers {
+            blocker.join().expect("blocker");
+        }
+        let answered =
+            |client: std::thread::ScopedJoinHandle<'_, _>| client.join().expect("client");
+        (answered(slow), answered(first), answered(second))
+    });
+    // answered while S still runs, not right after it: S takes 1.2 s
+    let half_of_s = Duration::from_millis(600);
+    assert!(first + half_of_s < slow, "F1 was held behind S");
+    assert!(second + half_of_s < slow, "F2 was held behind S");
     daemon.shutdown();
 }
 
