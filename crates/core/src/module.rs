@@ -74,8 +74,12 @@ pub struct CompiledModule {
     pub lang: Symbol,
     /// Exports: external name → binding.
     pub exports: Vec<(Symbol, Binding)>,
-    /// The expanded module body (kept for tooling and tests; empty for a
-    /// module loaded from the store, whose artifact persists none).
+    /// The expanded module body, for tooling and tests. Only a module
+    /// the store does not hold keeps it: a registry without a store, or
+    /// a module the store cannot key or encode. A module in the store,
+    /// whether loaded from its artifact or compiled and written to it,
+    /// holds none, since the artifact persists none;
+    /// [`ModuleRegistry::expanded_body`] expands its source again.
     pub expanded: Vec<Syntax>,
     /// Parsed core forms (for the interpreter engine).
     pub forms: Vec<CoreForm>,
@@ -213,6 +217,10 @@ pub struct ModuleRegistry {
     prelude_globals: RefCell<Option<Rc<Globals>>>,
     /// Each instantiated module on each engine, with its body's value.
     instances: RefCell<HashMap<(Symbol, EngineKind), (Instance, Value)>>,
+    /// Instances of modules [`ModuleRegistry::add_module`] replaced:
+    /// closures taken before the replacement keep answering until the
+    /// registry is dropped, which empties them.
+    replaced: RefCell<Vec<Instance>>,
     instantiating: RefCell<HashSet<Symbol>>,
     self_ref: RefCell<std::rc::Weak<ModuleRegistry>>,
     /// Where `.lagc` artifacts live; `None` disables the compiled store.
@@ -240,6 +248,9 @@ impl Drop for ModuleRegistry {
     /// [`ModuleRegistry::reset_instances`]).
     fn drop(&mut self) {
         self.discard_instances(None);
+        for instance in self.replaced.take() {
+            instance.clear();
+        }
         self.interp_base.borrow().clear();
         if let Some(globals) = self.prelude_globals.borrow_mut().take() {
             globals.clear();
@@ -338,7 +349,7 @@ fn module_fresh_digest(name: Symbol, source: &str) -> u64 {
     name.with_str(|s| bytes.extend_from_slice(s.as_bytes()));
     bytes.push(0);
     bytes.extend_from_slice(source.as_bytes());
-    lagoon_syntax::fnv1a(&bytes)
+    lagoon_syntax::digest(&bytes)
 }
 
 fn core_form_bindings() -> Vec<(&'static str, CoreFormKind)> {
@@ -391,7 +402,7 @@ impl ModuleRegistry {
         // workers exchange `.lagc` artifacts (the artifact's
         // env-digest check) and keeps those artifacts byte-identical
         // to a serial build's.
-        let _fresh = lagoon_syntax::fresh_scope(lagoon_syntax::fnv1a(
+        let _fresh = lagoon_syntax::fresh_scope(lagoon_syntax::digest(
             crate::prelude::PRELUDE_SOURCE.as_bytes(),
         ));
         let table = Rc::new(BindingTable::new());
@@ -421,6 +432,7 @@ impl ModuleRegistry {
             vm_base: RefCell::new(HashMap::new()),
             prelude_globals: RefCell::new(None),
             instances: RefCell::new(HashMap::new()),
+            replaced: RefCell::new(Vec::new()),
             instantiating: RefCell::new(HashSet::new()),
             self_ref: RefCell::new(std::rc::Weak::new()),
             store_dir: RefCell::new(None),
@@ -508,7 +520,9 @@ impl ModuleRegistry {
             digest_input.extend_from_slice(n.as_bytes());
             digest_input.push(0);
         }
-        registry.env_digest.set(lagoon_syntax::fnv1a(&digest_input));
+        registry
+            .env_digest
+            .set(lagoon_syntax::digest(&digest_input));
         *registry.vm_base.borrow_mut() = vm_base;
 
         // 7. the real phase-1 base: primitives + natives over the interp
@@ -531,12 +545,18 @@ impl ModuleRegistry {
         self.self_ref.borrow().clone()
     }
 
-    /// Registers (or replaces) a module's source text.
+    /// Registers (or replaces) a module's source text. A replaced
+    /// module's instances are set aside, not emptied: closures taken
+    /// from them keep answering while the registry lives.
     pub fn add_module(&self, name: &str, source: &str) {
         let name = Symbol::intern(name);
         self.sources.borrow_mut().insert(name, source.to_owned());
         self.compiled.borrow_mut().remove(&name);
-        self.instances.borrow_mut().retain(|(m, _), _| *m != name);
+        let mut instances = self.instances.borrow_mut();
+        let replaced = instances.extract_if(|(m, _), _| *m == name);
+        self.replaced
+            .borrow_mut()
+            .extend(replaced.map(|(_, (instance, _))| instance));
     }
 
     /// Removes a module entirely: its source, compiled form, emptied
@@ -752,13 +772,11 @@ impl ModuleRegistry {
         };
         // collision guard: decoding re-interns gensym names, so a global
         // this module defines must not collide with any name visible to
-        // it — the base environment or a dependency's exports
-        let mut visible: HashSet<Symbol> = self
-            .vm_base
-            .borrow()
-            .keys()
-            .map(|s| s.with_str(Symbol::intern))
-            .collect();
+        // it — the base environment or a dependency's exports. `vm_base`
+        // holds every base name's interned twin (bootstrap step 6.5), so
+        // looking a decoded name up there checks the base environment.
+        let vm_base = self.vm_base.borrow();
+        let mut visible: HashSet<Symbol> = HashSet::new();
         for (dep, _) in &artifact.header.dep_digests {
             if let Some(language) = self.languages.borrow().get(dep).cloned() {
                 visible.extend(language.values.keys().map(|s| s.with_str(Symbol::intern)));
@@ -774,7 +792,7 @@ impl ModuleRegistry {
         }
         for idx in &artifact.code.defined {
             if let Some(sym) = artifact.code.global_names.get(*idx as usize) {
-                if visible.contains(sym) {
+                if vm_base.contains_key(sym) || visible.contains(sym) {
                     return stale(format!("symbol collision on {sym}"));
                 }
             }
@@ -908,11 +926,11 @@ impl ModuleRegistry {
         })
     }
 
-    /// Best-effort write of a fresh compile's artifact. Emits this
-    /// compile's cache event unless the load side already `reported` why
-    /// the module had to be recompiled. Write failures only disable
-    /// caching — they never fail the compile.
-    fn store_artifact(&self, compiled: &CompiledModule, reported: bool) {
+    /// Best-effort write of a fresh compile's artifact; true when it was
+    /// written. Emits this compile's cache event unless the load side
+    /// already `reported` why the module had to be recompiled. Write
+    /// failures only disable caching — they never fail the compile.
+    fn store_artifact(&self, compiled: &CompiledModule, reported: bool) -> bool {
         use lagoon_diag::CacheStatus;
         let miss = |detail: lagoon_diag::Val| {
             if !reported {
@@ -920,12 +938,12 @@ impl ModuleRegistry {
             }
         };
         let Some(dir) = self.store_dir.borrow().clone() else {
-            return;
+            return false;
         };
         let name = compiled.name;
         if !name.with_str(store::is_module_file_name) {
             miss("not cached: unstorable module name".into());
-            return;
+            return false;
         }
         // this compile supersedes any digest recorded for an older artifact
         self.artifact_digests.borrow_mut().remove(&name);
@@ -940,13 +958,13 @@ impl ModuleRegistry {
                 None => {
                     miss(format!("not cached: dependency {dep} is uncacheable").into());
                     let _ = std::fs::remove_file(artifact_path(&dir, name));
-                    return;
+                    return false;
                 }
             }
         }
         let Some(source) = self.source_of(name) else {
             miss("not cached: module source unavailable".into());
-            return;
+            return false;
         };
         let encoded = {
             let _span = lagoon_diag::trace::start("encode", Some(name));
@@ -962,7 +980,7 @@ impl ModuleRegistry {
             Err(e) => {
                 miss(format!("not cached: {e}").into());
                 let _ = std::fs::remove_file(artifact_path(&dir, name));
-                return;
+                return false;
             }
         };
         let path = artifact_path(&dir, name);
@@ -976,13 +994,19 @@ impl ModuleRegistry {
                     .borrow_mut()
                     .insert(name, (digest, false));
                 miss("compiled and stored".into());
+                true
             }
-            Err(e) => miss(format!("not cached: {e}").into()),
+            Err(e) => {
+                miss(format!("not cached: {e}").into());
+                false
+            }
         }
     }
 
     /// The compiled form of `name`, compiling it (and its dependencies)
-    /// on demand.
+    /// on demand. A module the store holds is held as a load of its
+    /// artifact holds it, without its expansion
+    /// ([`CompiledModule::expanded`]), also when this call compiled it.
     ///
     /// # Errors
     ///
@@ -1000,9 +1024,11 @@ impl ModuleRegistry {
         let result: Result<Rc<CompiledModule>, RtError> = (|| match self.try_load_cached(name)? {
             CacheOutcome::Hit(m) => Ok(m),
             CacheOutcome::Miss { reported } => {
-                let compiled = self.compile_inner(name)?;
-                self.store_artifact(&compiled, reported);
-                Ok(compiled)
+                let mut compiled = self.compile_inner(name)?;
+                if self.store_artifact(&compiled, reported) {
+                    compiled.expanded = Vec::new();
+                }
+                Ok(Rc::new(compiled))
             }
         })();
         self.compiling.borrow_mut().remove(&name);
@@ -1011,7 +1037,7 @@ impl ModuleRegistry {
         Ok(compiled)
     }
 
-    fn compile_inner(&self, name: Symbol) -> Result<Rc<CompiledModule>, RtError> {
+    fn compile_inner(&self, name: Symbol) -> Result<CompiledModule, RtError> {
         let source = self
             .source_of(name)
             .ok_or_else(|| RtError::user(format!("unknown module: {name}")))?;
@@ -1092,7 +1118,7 @@ impl ModuleRegistry {
         }
 
         let requires = exp.requires.borrow().clone();
-        Ok(Rc::new(CompiledModule {
+        Ok(CompiledModule {
             name,
             lang: module.lang,
             exports,
@@ -1102,7 +1128,7 @@ impl ModuleRegistry {
             requires,
             static_requires: static_requires(&module.body),
             persisted: exp.persisted(),
-        }))
+        })
     }
 
     fn import_language(&self, exp: &Expander, lang: Symbol, span: Span) -> Result<(), RtError> {
@@ -1310,10 +1336,12 @@ impl ModuleRegistry {
     }
 
     /// The expanded body of a module (compiling it if needed) — for tests
-    /// and tools that inspect core forms. An artifact persists no
-    /// expansion, so a module loaded from the store is expanded again
-    /// from its source; that compile is neither stored nor cached, and
-    /// leaves the registry's persistent footprint as it was.
+    /// and tools that inspect core forms. A module the store holds,
+    /// loaded or just compiled and written, keeps no expansion (see
+    /// [`Self::compile`]), so it is expanded again from its source; that
+    /// compile is neither stored nor cached, and leaves the registry's
+    /// persistent footprint as it was. Any other module returns the
+    /// expansion it kept.
     ///
     /// # Errors
     ///
@@ -1321,11 +1349,10 @@ impl ModuleRegistry {
     pub fn expanded_body(&self, module: &str) -> Result<Vec<Syntax>, RtError> {
         let name = Symbol::intern(module);
         let compiled = self.compile(name)?;
-        let loaded = matches!(self.artifact_digests.borrow().get(&name), Some((_, true)));
-        if !loaded {
+        if !self.artifact_digests.borrow().contains_key(&name) {
             return Ok(compiled.expanded.clone());
         }
-        Ok(self.compile_inner(name)?.expanded.clone())
+        Ok(self.compile_inner(name)?.expanded)
     }
 }
 
@@ -1419,8 +1446,9 @@ mod tests {
             assert_eq!(answers(&f, other).expect("own engine"), "42");
             let foreign = answers(&f, first).expect_err("a closure of the other engine");
             assert!(matches!(foreign.kind, Kind::Internal), "{foreign}");
-            // replacing the module drops its instances without emptying
-            // them: closures taken before still answer on their engine
+            // replacing the module sets its instances aside without
+            // emptying them: closures taken before still answer on their
+            // engine
             reg.add_module("m", "#lang lagoon\n(provide f)\n(define (f x) x)\n");
             assert_eq!(answers(&ran, first).expect("replaced, not emptied"), "42");
             assert_eq!(answers(&f, other).expect("replaced, not emptied"), "42");
@@ -1433,6 +1461,8 @@ mod tests {
     fn a_dropped_registry_frees_its_instances_and_prelude_bases() {
         let reg = ModuleRegistry::new();
         reg.add_module("m", DEFINES_A_FUNCTION);
+        let ((replaced_vm, replaced_interp), _) = instantiate(&reg);
+        reg.add_module("m", DEFINES_A_FUNCTION);
         let ((vm, interp), _) = instantiate(&reg);
         let interp_base = Rc::downgrade(&reg.interp_base.borrow());
         let prelude = Rc::downgrade(reg.prelude_globals.borrow().as_ref().expect("prelude"));
@@ -1443,6 +1473,10 @@ mod tests {
             "nothing else holds the registry"
         );
         assert!(vm.upgrade().is_none() && interp.upgrade().is_none());
+        assert!(
+            replaced_vm.upgrade().is_none() && replaced_interp.upgrade().is_none(),
+            "the replaced module's instances leaked"
+        );
         assert!(
             interp_base.upgrade().is_none(),
             "interp prelude base leaked"

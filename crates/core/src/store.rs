@@ -95,7 +95,7 @@
 
 use crate::binding::{Binding, CoreFormKind, NativeMacro};
 use crate::module::CompiledModule;
-use lagoon_syntax::{fnv1a, Datum, Symbol, WireError, WireReader, WireWriter};
+use lagoon_syntax::{digest, Datum, Symbol, WireError, WireReader, WireWriter};
 use lagoon_vm::codec;
 use lagoon_vm::{Compiler, CoreForm};
 use std::rc::Rc;
@@ -114,8 +114,10 @@ use std::rc::Rc;
 /// superinstruction opcodes and the `peephole` flag. 5 drops the
 /// persisted bytecode; the VM compiles it from the forms at load, and
 /// importers record a dependency's content digest rather than a hash
-/// of its whole file. 6 records the static require list.
-pub const FORMAT_VERSION: u32 = 6;
+/// of its whole file. 6 records the static require list. 7 computes
+/// every digest with XXH64 ([`lagoon_syntax::digest`]) instead of
+/// FNV-1a, and so freshens gensyms from different seeds.
+pub const FORMAT_VERSION: u32 = 7;
 
 const MAGIC: &[u8; 4] = b"LAGC";
 
@@ -225,12 +227,12 @@ pub fn language_digest(name: Symbol) -> u64 {
     let mut bytes = Vec::new();
     name.with_str(|s| bytes.extend_from_slice(s.as_bytes()));
     bytes.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-    fnv1a(&bytes)
+    digest(&bytes)
 }
 
 /// Digest of a module's source text.
 pub fn source_digest(source: &str) -> u64 {
-    fnv1a(source.as_bytes())
+    digest(source.as_bytes())
 }
 
 /// Whether `name` names a file directly inside one directory: non-empty,
@@ -369,13 +371,13 @@ pub(crate) fn encode_with_digest(
     // here, as corruption, rather than reaching the engines as silently
     // mutated forms
     let body = w.into_bytes();
-    let digest = fnv1a(&body);
+    let content_digest = digest(&body);
     let mut framed = WireWriter::new();
     framed.raw(MAGIC);
     framed.u32(FORMAT_VERSION);
-    framed.uint(digest);
+    framed.uint(content_digest);
     framed.raw(&body);
-    Ok((framed.into_bytes(), digest))
+    Ok((framed.into_bytes(), content_digest))
 }
 
 /// Reads an artifact's frame — the magic, the format version and the
@@ -401,7 +403,7 @@ pub fn decode_header(bytes: &[u8]) -> Result<(Header, Body<'_>), DecodeError> {
     }
     let content_digest = outer.uint()?;
     let body = outer.raw(outer.remaining())?;
-    if fnv1a(body) != content_digest {
+    if digest(body) != content_digest {
         return Err(DecodeError::Corrupt(WireError::new(
             "content digest mismatch (artifact bytes were altered)",
             0,

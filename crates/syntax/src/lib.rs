@@ -51,4 +51,4 @@ pub use symbol::{
     FreshScope, Symbol,
 };
 pub use syntax::{PropValue, SynData, Syntax};
-pub use wire::{fnv1a, Reader as WireReader, WireError, Writer as WireWriter};
+pub use wire::{digest, Reader as WireReader, WireError, Writer as WireWriter};

@@ -468,16 +468,66 @@ impl<'a> Reader<'a> {
     }
 }
 
-/// FNV-1a 64-bit over `bytes` — the store's content digest. Not
-/// cryptographic; it only needs to make accidental staleness collisions
-/// vanishingly unlikely.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+const P1: u64 = 0x9E37_79B1_85EB_CA87;
+const P2: u64 = 0xC2B2_AE3D_27D4_EB4F;
+const P3: u64 = 0x1656_67B1_9E37_79F9;
+const P4: u64 = 0x85EB_CA77_C2B2_AE63;
+const P5: u64 = 0x27D4_EB2F_1656_67C5;
+
+/// One XXH64 accumulator step over an 8-byte word.
+fn xxh_round(acc: u64, word: u64) -> u64 {
+    acc.wrapping_add(word.wrapping_mul(P2))
+        .rotate_left(31)
+        .wrapping_mul(P1)
+}
+
+/// XXH64 with seed 0 over `bytes`: every digest the store records (an
+/// artifact's content, a source text, a language, the base environment)
+/// and the deterministic gensym-scope seeds. Not cryptographic; it only
+/// needs to make accidental staleness collisions vanishingly unlikely.
+/// It reads 32-byte stripes of little-endian words, not single bytes,
+/// because every build and load hashes each artifact it touches.
+pub fn digest(bytes: &[u8]) -> u64 {
+    let (stripes, tail) = bytes.as_chunks::<32>();
+    let mut h = if stripes.is_empty() {
+        P5
+    } else {
+        let mut acc = [P1.wrapping_add(P2), P2, 0, P1.wrapping_neg()];
+        for stripe in stripes {
+            for (v, word) in acc.iter_mut().zip(stripe.as_chunks::<8>().0) {
+                *v = xxh_round(*v, u64::from_le_bytes(*word));
+            }
+        }
+        let mut h = acc[0]
+            .rotate_left(1)
+            .wrapping_add(acc[1].rotate_left(7))
+            .wrapping_add(acc[2].rotate_left(12))
+            .wrapping_add(acc[3].rotate_left(18));
+        for v in acc {
+            h = (h ^ xxh_round(0, v)).wrapping_mul(P1).wrapping_add(P4);
+        }
+        h
+    };
+    h = h.wrapping_add(bytes.len() as u64);
+    let (words, mut rest) = tail.as_chunks::<8>();
+    for word in words {
+        h ^= xxh_round(0, u64::from_le_bytes(*word));
+        h = h.rotate_left(27).wrapping_mul(P1).wrapping_add(P4);
     }
-    hash
+    if let Some((half, after)) = rest.split_first_chunk::<4>() {
+        h ^= u64::from(u32::from_le_bytes(*half)).wrapping_mul(P1);
+        h = h.rotate_left(23).wrapping_mul(P2).wrapping_add(P3);
+        rest = after;
+    }
+    for &b in rest {
+        h ^= u64::from(b).wrapping_mul(P5);
+        h = h.rotate_left(11).wrapping_mul(P1);
+    }
+    h ^= h >> 33;
+    h = h.wrapping_mul(P2);
+    h ^= h >> 29;
+    h = h.wrapping_mul(P3);
+    h ^ (h >> 32)
 }
 
 #[cfg(test)]
@@ -588,9 +638,24 @@ mod tests {
     }
 
     #[test]
-    fn fnv_is_stable_and_input_sensitive() {
-        assert_eq!(fnv1a(b""), 0xcbf29ce484222325);
-        assert_ne!(fnv1a(b"a"), fnv1a(b"b"));
-        assert_eq!(fnv1a(b"lagoon"), fnv1a(b"lagoon"));
+    fn digest_is_xxh64_with_seed_0() {
+        // XXH64's sanity buffer: byte i is the top byte of
+        // 2654435761 * 11400714785074694797^i (mod 2^64)
+        let mut buffer = Vec::with_capacity(222);
+        let mut gen: u64 = 2_654_435_761;
+        for _ in 0..222 {
+            buffer.push((gen >> 56) as u8);
+            gen = gen.wrapping_mul(11_400_714_785_074_694_797);
+        }
+        // 222 bytes run the 32-byte stripe loop and every tail step
+        for (len, expected) in [
+            (0, 0xEF46_DB37_51D8_E999),
+            (1, 0xE934_A84A_DB05_2768),
+            (14, 0x8282_DCC4_994E_35C8),
+            (222, 0xB641_AE8C_B691_C174),
+        ] {
+            assert_eq!(digest(&buffer[..len]), expected, "length {len}");
+        }
+        assert_ne!(digest(b"a"), digest(b"b"));
     }
 }

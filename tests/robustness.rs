@@ -1030,7 +1030,7 @@ fn lagc_body_mutation_sweep_loads_or_recompiles() {
         let mut framed = WireWriter::new();
         framed.raw(b"LAGC");
         framed.u32(FORMAT_VERSION);
-        framed.uint(lagoon_syntax::fnv1a(&body));
+        framed.uint(lagoon_syntax::digest(&body));
         framed.raw(&body);
         std::fs::write(dir.join(format!("{victim}.lagc")), framed.into_bytes()).unwrap();
 

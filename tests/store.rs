@@ -181,7 +181,7 @@ fn old_format_artifacts_are_stale_not_corrupt() {
     let mut bytes = std::fs::read(&path).unwrap();
     assert_eq!(&bytes[..4], b"LAGC");
     assert_eq!(u32::from(bytes[4]), lagoon_core::store::FORMAT_VERSION);
-    bytes[4] = 5; // the version a store written before the bump carries
+    bytes[4] = 6; // the version a store written before the bump carries
     std::fs::write(&path, &bytes).unwrap();
 
     lagoon.registry().reset_compiled();
@@ -197,7 +197,7 @@ fn old_format_artifacts_are_stale_not_corrupt() {
         "old format must be stale, not corrupt"
     );
     assert!(
-        util.detail.contains("format version 5"),
+        util.detail.contains("format version 6"),
         "diagnostic should name the found version: {}",
         util.detail
     );
@@ -244,9 +244,6 @@ fn stats_report_timing_buckets_and_load_phase() {
 #[test]
 fn expanding_a_loaded_module_expands_its_source_again() {
     let (lagoon, dir) = cached_world("expand");
-    let render = |forms: Vec<lagoon::Syntax>| -> Vec<String> {
-        forms.iter().map(|f| f.to_datum().to_string()).collect()
-    };
     let fresh = render(lagoon.expanded("main").unwrap());
     assert!(!fresh.is_empty());
     let stored = artifact_bytes(&dir);
@@ -262,6 +259,55 @@ fn expanding_a_loaded_module_expands_its_source_again() {
     assert_eq!(render(lagoon.expanded("main").unwrap()), fresh);
     assert_eq!(lagoon.registry().persistent_footprint(), footprint);
     assert_eq!(artifact_bytes(&dir), stored, "no artifact was rewritten");
+}
+
+/// How many times the recorded work read `module`'s source: its `read`
+/// phase rows.
+fn reads(report: &lagoon::diag::Report, module: &str) -> usize {
+    report
+        .phases
+        .iter()
+        .filter(|p| p.phase == "read" && p.module == module)
+        .count()
+}
+
+fn render(forms: Vec<lagoon::Syntax>) -> Vec<String> {
+    forms.iter().map(|f| f.to_datum().to_string()).collect()
+}
+
+#[test]
+fn expanding_a_module_just_stored_reads_its_source_again() {
+    // a registry without a store keeps each expansion: one read
+    let plain = Lagoon::new();
+    plain.add_module("util", UTIL);
+    plain.add_module("main", MAIN);
+    let (kept, report) = plain.expand_with_stats("main").unwrap();
+    assert_eq!(reads(&report, "main"), 1, "{:?}", report.phases);
+    let main = lagoon::Symbol::intern("main");
+    assert!(!plain.registry().compile(main).unwrap().expanded.is_empty());
+
+    // a module compiled into the store is held as a load of its artifact
+    // holds it, without its expansion: expanding it reads the source again
+    let (lagoon, dir) = cached_world("expand-stored");
+    let (forms, report) = lagoon.expand_with_stats("main").unwrap();
+    assert_eq!(reads(&report, "main"), 2, "{:?}", report.phases);
+    assert_eq!(report.cache_misses(), 2, "{:?}", report.caches);
+    assert!(dir.join("main.lagc").is_file(), "main was stored");
+    assert!(lagoon.registry().compile(main).unwrap().expanded.is_empty());
+    assert_eq!(render(forms), render(kept));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn expanding_a_module_the_store_cannot_key_reads_its_source_once() {
+    // the daemon names an inline request's module `req/<id>`, which keys
+    // no artifact: that module keeps its expansion
+    let (lagoon, dir) = cached_world("expand-unkeyed");
+    lagoon.add_module("req/1", MAIN);
+    let (forms, report) = lagoon.expand_with_stats("req/1").unwrap();
+    assert_eq!(reads(&report, "req/1"), 1, "{:?}", report.phases);
+    assert!(!forms.is_empty());
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -974,6 +1020,40 @@ fn an_edit_recompiles_exactly_the_module_and_its_importers() {
     assert_eq!(report.cache_misses(), 0, "{:?}", report.caches);
 }
 
+#[test]
+fn a_previous_format_artifact_recompiles_its_module_and_importers() {
+    // an artifact a previous binary wrote fails discovery's header check
+    // as stale: a no-op rebuild parses and recompiles exactly that module
+    // and its importers, and leaves the store a cold build writes
+    let sources = stress_graph();
+    let cold = temp_store("old-format-cold");
+    build_into(&sources, &["top"], 1, &cold);
+    for jobs in [1usize, 4] {
+        let dir = temp_store(&format!("old-format-{jobs}"));
+        build_into(&sources, &["top"], jobs, &dir);
+        let path = dir.join("a2.lagc");
+        let mut bytes = std::fs::read(&path).unwrap();
+        assert_eq!(u32::from(bytes[4]), lagoon_core::store::FORMAT_VERSION);
+        bytes[4] = 6;
+        std::fs::write(&path, &bytes).unwrap();
+
+        let (report, parsed) = build_counting_parses(&sources, &["top"], jobs, &dir);
+        assert_eq!(parsed, 1, "jobs={jobs}: the stale artifact's source alone");
+        assert_eq!(
+            compiled_modules(&report),
+            ["a0", "a1", "a2", "mid", "top"],
+            "jobs={jobs}"
+        );
+        assert_eq!(
+            artifact_bytes(&dir),
+            artifact_bytes(&cold),
+            "jobs={jobs}: the rebuilt store differs from a cold build"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+    let _ = std::fs::remove_dir_all(&cold);
+}
+
 /// A traced [`build_into`], with the number of sources its discovery
 /// parsed: the `discovery` span's `parsed` note.
 fn build_counting_parses(
@@ -1334,6 +1414,58 @@ fn a_recorded_dependency_that_names_no_module_reads_stale() {
 }
 
 #[test]
+fn a_definition_that_reinterns_to_a_base_name_reads_stale() {
+    // decoding re-interns gensym names: an artifact whose forms define a
+    // global that re-interns to a base name (here `car`) would shadow it
+    // in every importer, so the collision guard reads it stale
+    let dir = temp_store("collision");
+    let lagoon = Lagoon::new();
+    lagoon.set_cache_dir(Some(dir.clone()));
+    lagoon.add_module("m", "#lang lagoon\n(define x 21)\n(* x 2)\n");
+    lagoon.run("m", EngineKind::Vm).unwrap();
+    let path = dir.join("m.lagc");
+    let written = std::fs::read(&path).unwrap();
+    let artifact = lagoon_core::store::decode(&written, &|_, _| None).unwrap();
+    let header = &artifact.header;
+    let (env, src, deps) = (
+        header.env_digest,
+        header.source_digest,
+        header.dep_digests.clone(),
+    );
+    let mut compiled = artifact.into_compiled();
+    let defined = compiled
+        .forms
+        .iter_mut()
+        .find_map(|form| match form {
+            lagoon_vm::CoreForm::Define(name, ..) => Some(name),
+            lagoon_vm::CoreForm::Expr(_) => None,
+        })
+        .expect("m defines a global");
+    *defined = lagoon::Symbol::intern("car");
+    let bytes = lagoon_core::store::encode(&compiled, env, src, &deps).unwrap();
+    std::fs::write(&path, bytes).unwrap();
+
+    lagoon.registry().reset_compiled();
+    let (v, report) = lagoon.run_with_stats("m", EngineKind::Vm).unwrap();
+    assert_eq!(v.to_string(), "42");
+    let [row] = &report.caches[..] else {
+        panic!("one cache row for m: {:?}", report.caches);
+    };
+    assert_eq!(row.status, "stale", "{}", row.detail);
+    assert!(
+        row.detail.contains("symbol collision on car"),
+        "{}",
+        row.detail
+    );
+    assert_eq!(
+        std::fs::read(&path).unwrap(),
+        written,
+        "the recompile rewrote m"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn an_unregistered_recipe_passes_the_header_but_loads_as_corrupt() {
     let (lagoon, dir) = cached_world("unregistered-recipe");
     lagoon.run("main", EngineKind::Vm).unwrap();
@@ -1356,7 +1488,7 @@ fn an_unregistered_recipe_passes_the_header_but_loads_as_corrupt() {
     let mut framed = lagoon_syntax::WireWriter::new();
     framed.raw(magic);
     framed.u32(version);
-    framed.uint(lagoon_syntax::fnv1a(&body));
+    framed.uint(lagoon_syntax::digest(&body));
     framed.raw(&body);
     let crafted = framed.into_bytes();
     assert!(lagoon_core::store::decode_header(&crafted).is_ok());
