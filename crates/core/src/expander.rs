@@ -903,8 +903,9 @@ fn values_ref(tmp: &Syntax, i: usize, n: usize) -> Syntax {
 
 /// Rewrites a `let-values`/`letrec-values` form with clauses binding a
 /// number of identifiers other than one into all-single clauses over the
-/// `values` runtime helpers. Temporaries are uninterned gensyms with no
-/// scopes, so user code cannot capture (or shadow) them.
+/// `values` runtime helpers. Temporaries are gensyms named from a
+/// digest of the module's own source, with no scopes, so user code
+/// cannot capture (or shadow) them.
 ///
 /// Non-recursive: the checked packages bind in an outer `let-values`
 /// (right-hand sides still see only the surrounding environment) and the

@@ -37,7 +37,7 @@ pub mod template;
 pub use binding::{Binding, BindingTable, CoreFormKind, ExpandCtx, Expanded, NativeMacro};
 pub use expander::{current_expander, syntax_error, Expander, ProvideItem};
 pub use module::{
-    contained, static_requires, CompiledModule, EngineKind, HeaderWalk, Language, ModuleRegistry,
-    Outcome, Step,
+    contained, link_only_export, static_requires, CompiledModule, EngineKind, HeaderWalk, Language,
+    ModuleRegistry, Outcome, Step,
 };
 pub use stxparse::{native, native_with_recipe, phase1_natives};

@@ -95,6 +95,36 @@ pub struct CompiledModule {
     pub persisted: Vec<(Symbol, Symbol, Datum)>,
 }
 
+impl CompiledModule {
+    /// The exports a client may name: all but the link-only ones (see
+    /// [`link_only_export`]). Importing binds these exports, and a lookup
+    /// by name (`exported_value`, `require/typed`) searches only them.
+    pub fn client_exports(&self) -> impl Iterator<Item = &(Symbol, Binding)> {
+        self.exports.iter().filter(|export| !is_link_only(export))
+    }
+}
+
+/// A *link-only* export of the module variable `rt`, a gensym: instances
+/// link it, and no client can name it. The typed language exports each
+/// provide's raw and defensive variables this way; a client reaches them
+/// only through the provide's indirection, which picks the variant its
+/// context may call.
+///
+/// An artifact records an export as its name and binding alone, so the
+/// mark is the export's shape: a variable exported under its own name,
+/// which carries a gensym suffix. No client export has that shape: a
+/// module exports a variable it defines under a name its source wrote,
+/// and a re-exported base primitive (`(provide car)`) is named, like its
+/// variable, without a suffix.
+pub fn link_only_export(rt: Symbol) -> (Symbol, Binding) {
+    (rt, Binding::Variable(rt))
+}
+
+fn is_link_only((name, binding): &(Symbol, Binding)) -> bool {
+    matches!(binding, Binding::Variable(rt) if rt == name)
+        && name.with_str(|s| lagoon_syntax::strip_gensym(s) != s)
+}
+
 /// The modules a module's top-level `(require …)` forms name, in order
 /// of first mention: its edges in the static dependency graph, read from
 /// its forms as the reader produced them. Requires a macro synthesizes
@@ -232,12 +262,10 @@ pub struct ModuleRegistry {
     /// Rehydrators for persisted native-transformer exports, by recipe tag.
     #[allow(clippy::type_complexity)]
     rehydrators: RefCell<HashMap<Symbol, Rc<dyn Fn(&Datum) -> Option<Rc<NativeMacro>>>>>,
-    /// Per-module artifact digests this session: (the artifact's content
-    /// digest, whether the module was *loaded* from the store rather than
-    /// compiled fresh). Importers may only hit the cache when every
-    /// dependency was itself loaded with a matching digest — fresh
-    /// compiles use live gensyms a decoded importer cannot reference.
-    artifact_digests: RefCell<HashMap<Symbol, (u64, bool)>>,
+    /// The content digest of each module's artifact, loaded or written
+    /// by this registry. An importer's artifact loads only when each of
+    /// its module dependencies' digests equals the one it recorded.
+    artifact_digests: RefCell<HashMap<Symbol, u64>>,
     /// Digest of the base environment's global names (see `store`).
     env_digest: Cell<u64>,
 }
@@ -398,10 +426,10 @@ impl ModuleRegistry {
         // prelude alpha-renaming) inside a deterministic gensym scope
         // keyed on the prelude source: every registry — across threads
         // and across processes — builds a base environment with the
-        // *same* global names, which is what lets parallel build
-        // workers exchange `.lagc` artifacts (the artifact's
-        // env-digest check) and keeps those artifacts byte-identical
-        // to a serial build's.
+        // *same* global names, interned as a decoded artifact's names
+        // are, which is what lets parallel build workers exchange
+        // `.lagc` artifacts (the artifact's env-digest check) and keeps
+        // those artifacts byte-identical to a serial build's.
         let _fresh = lagoon_syntax::fresh_scope(lagoon_syntax::digest(
             crate::prelude::PRELUDE_SOURCE.as_bytes(),
         ));
@@ -489,28 +517,9 @@ impl ModuleRegistry {
         vm_base.extend(globals.snapshot());
         *registry.prelude_globals.borrow_mut() = Some(globals);
 
-        // 6.5 the compiled store re-interns symbol names on load, but the
-        // prelude's globals are alpha-renamed gensyms that interning cannot
-        // reach; alias each such global under its interned twin so decoded
-        // bytecode resolves the same base environment, and digest the
-        // resulting name set so artifacts compiled against a different
-        // base read as stale.
-        let twins: Vec<(Symbol, Symbol)> = vm_base
-            .keys()
-            .filter_map(|sym| {
-                let interned = sym.with_str(Symbol::intern);
-                (interned != *sym).then_some((*sym, interned))
-            })
-            .collect();
-        for (orig, twin) in &twins {
-            if let Some(v) = vm_base.get(orig).cloned() {
-                vm_base.insert(*twin, v);
-            }
-            if let Some(v) = interp_base.lookup(*orig) {
-                interp_base.define(*twin, v);
-            }
-        }
-        // as_str (allocating) is intentional: the digest input needs
+        // digest the base environment's global names, so artifacts
+        // compiled against a different base read as stale; as_str
+        // (allocating) is intentional: the digest input needs
         // owned, sortable strings regardless
         let mut names: Vec<String> = vm_base.keys().map(|s| s.as_str()).collect();
         names.sort();
@@ -735,10 +744,8 @@ impl ModuleRegistry {
         if let Err(detail) = self.check_header(name, &header) {
             return stale(detail);
         }
-        // dependencies: registered languages by constant digest; module
-        // dependencies must themselves have come from the store, with the
-        // digest this artifact was compiled against (a freshly compiled
-        // dep uses live gensyms a decoded importer cannot reference)
+        // dependencies: registered languages by constant digest, modules
+        // by the digest of the artifact this registry loaded or wrote
         for (dep, recorded) in &header.dep_digests {
             if self.languages.borrow().contains_key(dep) {
                 if *recorded != store::language_digest(*dep) {
@@ -758,9 +765,8 @@ impl ModuleRegistry {
                 return stale(format!("dependency {dep} names no module"));
             }
             self.compile(*dep)?;
-            match self.artifact_digests.borrow().get(dep) {
-                Some((digest, true)) if digest == recorded => {}
-                _ => return stale(format!("dependency {dep} recompiled")),
+            if self.artifact_digests.borrow().get(dep) != Some(recorded) {
+                return stale(format!("dependency {dep} changed"));
             }
         }
         let rehydrators = self.rehydrators.borrow().clone();
@@ -770,16 +776,14 @@ impl ModuleRegistry {
             Ok(a) => a,
             Err(e) => return corrupt(e),
         };
-        // collision guard: decoding re-interns gensym names, so a global
-        // this module defines must not collide with any name visible to
-        // it — the base environment or a dependency's exports. `vm_base`
-        // holds every base name's interned twin (bootstrap step 6.5), so
-        // looking a decoded name up there checks the base environment.
+        // collision guard: decoding interns the recorded names, so a
+        // global this module defines must not collide with any name
+        // visible to it — the base environment or a dependency's exports
         let vm_base = self.vm_base.borrow();
         let mut visible: HashSet<Symbol> = HashSet::new();
         for (dep, _) in &artifact.header.dep_digests {
             if let Some(language) = self.languages.borrow().get(dep).cloned() {
-                visible.extend(language.values.keys().map(|s| s.with_str(Symbol::intern)));
+                visible.extend(language.values.keys());
                 continue;
             }
             if let Some(dep_compiled) = self.compiled.borrow().get(dep) {
@@ -799,7 +803,7 @@ impl ModuleRegistry {
         }
         self.artifact_digests
             .borrow_mut()
-            .insert(name, (artifact.header.digest, true));
+            .insert(name, artifact.header.digest);
         lagoon_diag::cache_event(name, CacheStatus::Hit, bytes.len());
         Ok(CacheOutcome::Hit(Rc::new(artifact.into_compiled())))
     }
@@ -954,7 +958,7 @@ impl ModuleRegistry {
                 continue;
             }
             match self.artifact_digests.borrow().get(dep) {
-                Some((digest, _)) => dep_digests.push((*dep, *digest)),
+                Some(digest) => dep_digests.push((*dep, *digest)),
                 None => {
                     miss(format!("not cached: dependency {dep} is uncacheable").into());
                     let _ = std::fs::remove_file(artifact_path(&dir, name));
@@ -990,9 +994,7 @@ impl ModuleRegistry {
         };
         match written {
             Ok(()) => {
-                self.artifact_digests
-                    .borrow_mut()
-                    .insert(name, (digest, false));
+                self.artifact_digests.borrow_mut().insert(name, digest);
                 miss("compiled and stored".into());
                 true
             }
@@ -1161,7 +1163,7 @@ impl ModuleRegistry {
     pub fn import_into(&self, exp: &Expander, dep: Symbol, span: Span) -> Result<(), RtError> {
         let compiled = self.compile(dep).map_err(|e| e.with_span(span))?;
         let msc = ScopeSet::new().with(exp.module_scope);
-        for (name, binding) in &compiled.exports {
+        for (name, binding) in compiled.client_exports() {
             exp.table.bind(*name, msc.clone(), binding.clone());
         }
         exp.replay(&compiled.persisted);
@@ -1309,30 +1311,29 @@ impl ModuleRegistry {
         let name = Symbol::intern(module);
         let export = Symbol::intern(export);
         let compiled = self.compile(name)?;
-        let contracted_alias = Symbol::intern(&format!("{export}#contracted"));
-        let rt = compiled
-            .exports
-            .iter()
-            .find_map(|(ext, b)| match (ext, b) {
-                (e, Binding::Variable(rt)) if *e == export => Some(*rt),
+        let variable = |wanted: Symbol| {
+            compiled.client_exports().find_map(|(ext, b)| match b {
+                Binding::Variable(rt) if *ext == wanted => Some(*rt),
                 _ => None,
             })
-            .or_else(|| {
-                // typed modules export an indirection macro under the
-                // plain name; Rust embedders are untyped clients and get
-                // the contract-protected variant
-                compiled.exports.iter().find_map(|(ext, b)| match (ext, b) {
-                    (e, Binding::Variable(rt)) if *e == contracted_alias => Some(*rt),
-                    _ => None,
-                })
-            })
+        };
+        let rt = variable(export)
+            // typed modules export an indirection macro under the plain
+            // name; Rust embedders are untyped clients and get the
+            // contract-protected variant
+            .or_else(|| variable(Symbol::intern(&format!("{export}#contracted"))))
             .ok_or_else(|| {
                 RtError::user(format!(
                     "{module} does not export a variable named {export}"
                 ))
             })?;
         let (instance, _) = self.instantiate(name, engine)?;
-        instance.get(rt).ok_or_else(|| RtError::unbound(rt))
+        // a re-exported base primitive is no VM module global (the
+        // interpreter's instance environment reaches the base itself)
+        instance
+            .get(rt)
+            .or_else(|| self.vm_base.borrow().get(&rt).cloned())
+            .ok_or_else(|| RtError::unbound(rt))
     }
 
     /// The expanded body of a module (compiling it if needed) — for tests

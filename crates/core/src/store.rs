@@ -28,10 +28,10 @@
 //!   corrupt before anything is decoded;
 //! * the **module name** the artifact was written for;
 //! * the **environment digest** — a hash of the base environment's
-//!   global names. The prelude's definitions are alpha-renamed with a
-//!   process-global counter, so artifacts only make sense against a
-//!   base environment whose (deterministic) names they were compiled
-//!   for;
+//!   global names. The prelude's definitions are alpha-renamed inside a
+//!   gensym scope keyed on the prelude's source, so every registry
+//!   names them alike, and an artifact makes sense only against a base
+//!   environment with the names it was compiled for;
 //! * the **source digest** — a hash of the module's current source
 //!   text (which includes its `#lang` line);
 //! * every recorded **dependency digest** — [`language_digest`] for a
@@ -57,11 +57,13 @@
 //! * every native-transformer export **rehydrates** from a registered
 //!   recipe;
 //! * no global the module defines **collides** with a name visible to
-//!   it, since decoding re-interns gensym names;
-//! * each module dependency was itself **loaded** from the store this
-//!   session: a freshly compiled dependency uses live gensyms that a
-//!   decoded importer cannot see, so a fresh dep forces the importer to
-//!   recompile.
+//!   it, since decoding interns the names the artifact recorded.
+//!
+//! A load compares a module dependency's recorded digest with that of
+//! the artifact the registry loaded for it or wrote when it compiled
+//! it: either way the dependency names its globals with the same
+//! symbols, because a compile's gensyms are interned
+//! ([`Symbol::fresh`]), so the importer links against it alike.
 //!
 //! A rebuild skips the load checks for a module whose header checks
 //! pass, because it loads nothing. Which recipes are registered and

@@ -152,10 +152,10 @@ pub struct BuildReport {
     /// Compiled-store misses across all workers.
     pub cache_misses: usize,
     /// Modules of the graph that more than one compile read from
-    /// source. Always 0 at `--jobs 1`; at more jobs, a worker that
-    /// compiled a dependency itself cannot load an importer's artifact
-    /// another worker stored against that dependency's other compile,
-    /// and compiles the importer again.
+    /// source. Always 0 at `--jobs 1`. At more jobs it counts only what
+    /// compiles twice by design: a module the store cannot hold that two
+    /// workers need, or one whose single-flight wait gave up
+    /// (`FLIGHT_WAIT_CAP`, 10 s).
     pub recompiled: usize,
     /// The merged diagnostics report of discovery and every worker.
     pub diag: Report,

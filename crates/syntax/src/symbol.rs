@@ -31,9 +31,10 @@
 //! guarantee. The guarantee is that no handle outlives its truncation:
 //! the daemon truncates only after a request that left its registry's
 //! persistent footprint unchanged, so nothing that survives the request
-//! holds one of its symbols. Truncation removes a name's dedup entry
-//! only when the entry points at a discarded slot, so an older symbol
-//! that shares its name with a discarded gensym keeps its identity.
+//! holds one of its symbols. Truncation drops the dedup entry of every
+//! discarded name: no name is interned at an older slot than one it
+//! discards, because a scoped gensym *is* its interned name and an
+//! unscoped one skips names already interned (see [`Symbol::fresh`]).
 //!
 //! # Examples
 //!
@@ -61,9 +62,9 @@ use std::rc::Rc;
 /// An interned symbol: a cheap, copyable handle to a string in this
 /// thread's table.
 ///
-/// Two symbols are equal iff their names are equal (for symbols created via
-/// [`Symbol::from`] on the same thread and epoch) — gensyms created with
-/// [`Symbol::fresh`] are equal only to themselves.
+/// Two symbols of one thread and epoch are equal iff their names are
+/// equal, with one exception: a gensym [`Symbol::fresh`] makes outside
+/// any [`fresh_scope`] is equal only to itself.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Symbol {
     id: u32,
@@ -85,7 +86,7 @@ struct Table {
     names: Vec<Rc<str>>,
     /// Slot → generation at allocation (stale-handle detection).
     stamps: Vec<u16>,
-    /// Interned names → their symbol's id (gensyms stay out).
+    /// Interned names → their symbol's id (unscoped gensyms stay out).
     map: HashMap<Rc<str>, u32>,
     /// Current generation; bumped on every truncation.
     gen: u16,
@@ -122,15 +123,7 @@ impl Table {
     fn truncate_to(&mut self, len: usize) -> usize {
         let dropped = self.names.len().saturating_sub(len);
         for name in self.names.drain(len..) {
-            // a discarded gensym may share its name with an older
-            // interned symbol, whose entry stays
-            if self
-                .map
-                .get(&name)
-                .is_some_and(|&id| (id & SLOT_MASK) as usize >= len)
-            {
-                self.map.remove(&name);
-            }
+            self.map.remove(&name);
         }
         self.stamps.truncate(len);
         self.gen = (self.gen + 1) & STAMP_MASK;
@@ -180,11 +173,7 @@ pub fn epoch_truncate(mark: EpochMark) -> usize {
 /// Discards this thread's entire table (a world rebuild). Returns the
 /// number of symbols discarded.
 pub fn epoch_reset() -> usize {
-    TABLE.with(|t| {
-        let mut t = t.borrow_mut();
-        t.map.clear();
-        t.truncate_to(0)
-    })
+    TABLE.with(|t| t.borrow_mut().truncate_to(0))
 }
 
 /// The number of symbols in this thread's world: interned names and
@@ -216,7 +205,7 @@ impl Drop for FreshScope {
 /// Opens a *deterministic gensym scope* on this thread until the
 /// returned guard drops: every [`Symbol::fresh`] call inside the scope
 /// is named `{base}~{digest:08x}.{n}` with `n` counting up from 0 per
-/// scope, instead of drawing from the thread's counter.
+/// scope, instead of drawing from the thread's counter, and is interned.
 ///
 /// Module compilation opens a scope keyed on a digest of the module's
 /// name and source text, which makes freshened names a pure function of
@@ -281,23 +270,21 @@ impl Symbol {
         })
     }
 
-    /// Creates a fresh, uninterned symbol whose printed name starts with
-    /// `base`. The result is distinct from every other symbol, including
-    /// other fresh symbols with the same base.
+    /// Creates a fresh symbol whose printed name starts with `base`, the
+    /// analogue of Lisp's `gensym`, used by the expander for globally
+    /// unique binding names.
     ///
-    /// This is the analogue of Lisp's `gensym`, used by the expander for
-    /// globally unique binding names.
-    ///
-    /// Inside a [`fresh_scope`] the name is `{base}~{digest:08x}.{n}` —
-    /// deterministic per scope, so parallel builds of the same module
-    /// freshen identically (the name may coincide with an interned
-    /// symbol decoded from the module's own artifact; identities stay
-    /// distinct, and by construction the names refer to the same
-    /// binding). Outside any scope the name draws from this thread's
-    /// counter and skips names the world already interned: decoding a
-    /// compiled artifact interns the gensym names it recorded, and an
-    /// unscoped live gensym must stay distinct from those by *name*,
-    /// not just identity, for its own artifact to be loadable later.
+    /// Inside a [`fresh_scope`] the name is `{base}~{digest:08x}.{n}`,
+    /// unique while no two scopes' digests fold to the same 32 bits, and
+    /// the symbol is [`Symbol::intern`] of it: one identity per name, so
+    /// a module compiled on this thread and a load of its artifact,
+    /// which interns the names it recorded, name every global with the
+    /// same symbols. Only expanding the same module text again makes a
+    /// scoped name twice, and then it names the same binding. Outside
+    /// any scope (a program's `gensym` calls at run time) the symbol is
+    /// uninterned, distinct from every other symbol, and its name draws
+    /// from this thread's counter, skipping names the world already
+    /// interned.
     ///
     /// # Panics
     ///
@@ -310,15 +297,18 @@ impl Symbol {
                 name
             })
         });
+        if let Some(name) = scoped {
+            return Symbol::intern(&name);
+        }
         TABLE.with(|t| {
             let mut t = t.borrow_mut();
-            let name = scoped.unwrap_or_else(|| loop {
+            let name = loop {
                 let name = format!("{base}~{}", t.next_gensym);
                 t.next_gensym += 1;
                 if !t.map.contains_key(name.as_str()) {
                     break name;
                 }
-            });
+            };
             t.alloc(name.into())
         })
     }
@@ -456,31 +446,30 @@ mod tests {
 
     #[test]
     fn scoped_fresh_is_deterministic_per_digest() {
-        let names_a: Vec<String> = {
-            let _scope = fresh_scope(0xDEAD_BEEF_0000_0001);
-            (0..3).map(|_| Symbol::fresh("t").as_str()).collect()
+        let fresh = |digest| -> Vec<Symbol> {
+            let _scope = fresh_scope(digest);
+            (0..3).map(|_| Symbol::fresh("t")).collect()
         };
-        let names_b: Vec<String> = {
-            let _scope = fresh_scope(0xDEAD_BEEF_0000_0001);
-            (0..3).map(|_| Symbol::fresh("t").as_str()).collect()
-        };
-        assert_eq!(names_a, names_b, "same digest must freshen identically");
-        let other: Vec<String> = {
-            let _scope = fresh_scope(0xDEAD_BEEF_0000_0002);
-            (0..3).map(|_| Symbol::fresh("t").as_str()).collect()
-        };
-        assert_ne!(names_a, other, "different digests must not collide");
-        // identities are still unique even when names repeat
-        let a = {
+        let a = fresh(0xDEAD_BEEF_0000_0001);
+        assert_ne!(a[0], a[1], "each call in a scope names a new symbol");
+        let other = fresh(0xDEAD_BEEF_0000_0002);
+        assert!(
+            a.iter().all(|s| !other.contains(s)),
+            "different digests must not collide"
+        );
+        // one identity per name: the same digest and counter give the
+        // same symbol, which is the interned one, whether the name was
+        // interned before (as decoding an artifact does) or after
+        assert_eq!(fresh(0xDEAD_BEEF_0000_0001), a);
+        for sym in &a {
+            assert_eq!(sym.with_str(Symbol::intern), *sym);
+        }
+        let decoded = Symbol::intern("x~00000007.0");
+        let gensym = {
             let _scope = fresh_scope(7);
             Symbol::fresh("x")
         };
-        let b = {
-            let _scope = fresh_scope(7);
-            Symbol::fresh("x")
-        };
-        assert_eq!(a.as_str(), b.as_str());
-        assert_ne!(a, b);
+        assert_eq!(gensym, decoded);
     }
 
     #[test]
@@ -516,20 +505,23 @@ mod tests {
 
     #[test]
     fn truncating_a_gensym_keeps_its_interned_namesake() {
-        // the interned twin of a scoped gensym, as decoding an artifact
-        // makes it, is older than a gensym the next expansion allocates
-        // under the same scope
-        let twin = Symbol::intern("t~0000002a.0");
+        // a scoped name interned before the mark (as decoding an
+        // artifact interns it) is the symbol the next expansion's gensym
+        // returns, so the truncation keeps it; a scoped name first made
+        // after the mark is discarded with its dedup entry
+        let namesake = Symbol::intern("t~0000002a.0");
         let mark = epoch_mark();
-        let gensym = {
+        let (again, first) = {
             let _scope = fresh_scope(0x2a);
-            Symbol::fresh("t")
+            (Symbol::fresh("t"), Symbol::fresh("t"))
         };
-        assert_eq!(gensym.as_str(), twin.as_str());
-        assert_ne!(gensym, twin);
+        assert_eq!(again, namesake, "one identity");
+        assert_eq!(first.as_str(), "t~0000002a.1");
         assert_eq!(epoch_truncate(mark), 1);
-        assert!(!gensym.is_live());
-        assert!(twin.is_live());
-        assert_eq!(Symbol::intern("t~0000002a.0"), twin, "one identity");
+        assert!(namesake.is_live());
+        assert!(!first.is_live());
+        assert_eq!(Symbol::intern("t~0000002a.0"), namesake);
+        let remade = Symbol::intern("t~0000002a.1");
+        assert!(remade.is_live() && remade != first);
     }
 }

@@ -10,10 +10,11 @@
 //!
 //! * **Symbols survive re-interning.** A symbol is encoded by *name*
 //!   and decoded with [`Symbol::intern`], so artifacts written by one
-//!   process link correctly in another. Gensyms (`Symbol::fresh`)
-//!   decode to their *interned twins* — same name, different identity —
-//!   which the module registry compensates for (base-environment
-//!   aliasing and artifact-identity digests; see `lagoon-core`).
+//!   process link correctly in another. The gensyms a module's compile
+//!   makes are scoped, and so interned (see [`Symbol::fresh`]): each
+//!   decodes to itself on the thread that made it. Only an unscoped
+//!   gensym decodes to an interned namesake of a different identity,
+//!   and no compile writes one to an artifact.
 //! * **Decoding hostile bytes never panics.** Every read is
 //!   bounds-checked, claimed collection lengths are capped by the bytes
 //!   actually remaining, and recursion is depth-limited; failures
@@ -597,7 +598,20 @@ mod tests {
     }
 
     #[test]
+    fn scoped_gensyms_decode_to_themselves() {
+        let g = {
+            let _scope = crate::symbol::fresh_scope(0xCAC4E);
+            Symbol::fresh("cache")
+        };
+        let mut w = Writer::new();
+        w.symbol(g);
+        let bytes = w.into_bytes();
+        assert_eq!(Reader::new(&bytes).symbol().unwrap(), g);
+    }
+
+    #[test]
     fn gensyms_decode_to_interned_twins() {
+        // an unscoped gensym, as a program's `gensym` call makes at run time
         let g = Symbol::fresh("cache");
         let mut w = Writer::new();
         w.symbol(g);

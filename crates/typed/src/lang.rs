@@ -22,12 +22,12 @@ use crate::check::{
 use crate::types::Type;
 use lagoon_core::build::{self, id, id_sym, lst, quote_datum, quote_sym};
 use lagoon_core::{
-    native, native_with_recipe, syntax_error, Binding, Expanded, Expander, Language,
-    ModuleRegistry, NativeMacro,
+    link_only_export, native, native_with_recipe, syntax_error, Binding, Expanded, Expander,
+    Language, ModuleRegistry, NativeMacro,
 };
 use lagoon_runtime::value::{Arity, Native};
 use lagoon_runtime::{apply_contract, Contract, RtError, Value};
-use lagoon_syntax::{Datum, ScopeSet, Symbol, SynData, Syntax};
+use lagoon_syntax::{Datum, Scope, ScopeSet, Symbol, SynData, Syntax};
 use std::collections::HashMap;
 use std::rc::Rc;
 
@@ -302,7 +302,11 @@ fn cast_macro() -> Rc<NativeMacro> {
 }
 
 /// `(foreign-ref name)` — a core-level reference to an already-unique
-/// runtime name (used by generated interop code).
+/// runtime name, which `require/typed` emits for an import's variable.
+/// It resolves no name, so it is bound only at a scope of its own that
+/// `require/typed`'s output alone carries (see [`register`]): no source
+/// can use it to call a typed module's link-only variables past their
+/// contracts.
 fn foreign_ref() -> Rc<NativeMacro> {
     native("foreign-ref", |_exp, stx, _| {
         let items = stx
@@ -317,8 +321,10 @@ fn foreign_ref() -> Rc<NativeMacro> {
 // require/typed (§6.1, paper figure 4)
 // ---------------------------------------------------------------------
 
-fn require_typed() -> Rc<NativeMacro> {
-    native("require/typed", |exp, stx, _| {
+/// `foreign_ref` is the `foreign-ref` identifier, with the scope that
+/// its binding needs.
+fn require_typed(foreign_ref: Syntax) -> Rc<NativeMacro> {
+    native("require/typed", move |exp, stx, _| {
         let items = stx
             .to_list()
             .filter(|p| p.len() >= 3 && p[1].is_identifier())
@@ -350,8 +356,7 @@ fn require_typed() -> Rc<NativeMacro> {
             let ty = Tcx::new(exp).parse_type(&parts[1])?;
             // stage 1: locate the untyped export's runtime name
             let rt = compiled
-                .exports
-                .iter()
+                .client_exports()
                 .find_map(|(ext, b)| match b {
                     Binding::Variable(rt) if *ext == name.sym().unwrap() => Some(*rt),
                     _ => None,
@@ -370,7 +375,7 @@ fn require_typed() -> Rc<NativeMacro> {
                 id("typed-wrap-import"),
                 vec![
                     quote_datum(ty.to_datum()),
-                    lst(vec![id("foreign-ref"), id_sym(rt)]),
+                    lst(vec![foreign_ref.clone(), id_sym(rt)]),
                     quote_sym(dep),
                     quote_sym(exp.module_name),
                 ],
@@ -460,9 +465,9 @@ fn typed_module_begin(optimize: Option<Rc<OptimizeFn>>) -> Rc<NativeMacro> {
             let indirection = export_indirection(item.external, rt, defensive);
             let mut extra = exp.extra_exports.borrow_mut();
             extra.push((item.external, Binding::Native(indirection)));
-            // hidden raw exports so instances can link either variant
-            extra.push((rt, Binding::Variable(rt)));
-            extra.push((defensive, Binding::Variable(defensive)));
+            // instances link either variant; no client may name them
+            extra.push(link_only_export(rt));
+            extra.push(link_only_export(defensive));
             // a stable alias for embedders (untyped clients from Rust)
             extra.push((
                 Symbol::intern(&format!("{}#contracted", item.external)),
@@ -605,10 +610,12 @@ pub fn register(registry: &Rc<ModuleRegistry>, name: &str, optimize: Option<Rc<O
         let defensive = items[2].as_symbol()?;
         Some(export_indirection(external, raw, defensive))
     });
-    // foreign-ref is an ambient helper for generated interop code
+    // foreign-ref is bound at a fresh scope, which no source identifier
+    // carries, and only require/typed's output names it
+    let private = Scope::fresh();
     registry.table.bind(
         Symbol::intern("foreign-ref"),
-        ScopeSet::new(),
+        ScopeSet::new().with(private),
         Binding::Native(foreign_ref()),
     );
     // the runtime support natives are ambient base variables; their
@@ -633,7 +640,10 @@ pub fn register(registry: &Rc<ModuleRegistry>, name: &str, optimize: Option<Rc<O
         ("define-type", Binding::Native(define_type())),
         ("ann", Binding::Native(ann_macro())),
         ("cast", Binding::Native(cast_macro())),
-        ("require/typed", Binding::Native(require_typed())),
+        (
+            "require/typed",
+            Binding::Native(require_typed(id("foreign-ref").add_scope(private))),
+        ),
     ]
     .into_iter()
     .map(|(n, b)| (Symbol::intern(n), b))

@@ -13,11 +13,12 @@
 //! depth limit — a corrupted artifact must surface as a diagnostic and
 //! a recompile, never a crash.
 //!
-//! Symbols are serialized by *name* and re-interned on decode. Gensyms
-//! (`x~42`) therefore come back as interned symbols distinct from any
-//! live gensym with the same printed name; the module store's
-//! invalidation rules (see `lagoon_core::store`) are responsible for
-//! never mixing decoded artifacts with freshly expanded dependents.
+//! Symbols are serialized by *name* and interned on decode. The gensyms
+//! a module's compile makes (`x~1a2b3c4d.7`) are interned already, so a
+//! decoded artifact names the same symbols as a compile of its module
+//! on the decoding thread. Only an unscoped gensym (`x~42`, which a
+//! program's `gensym` call makes at run time) comes back as an interned
+//! symbol distinct from the one written.
 //!
 //! Syntax-object constants (`quote-syntax`) are encoded as their datum
 //! plus source span; scope sets and syntax properties are *not*

@@ -2,7 +2,8 @@
 //! through multiple boundaries, and data contracts (paper §6, pushed
 //! past the inline examples).
 
-use lagoon::{EngineKind, Kind, Lagoon};
+use lagoon::{EngineKind, Kind, Lagoon, Symbol, Value};
+use lagoon_vm::{Engine, Vm};
 
 fn contract_blame(err: &lagoon::RtError) -> Option<String> {
     match &err.kind {
@@ -163,6 +164,83 @@ fn typed_reexports_through_untyped_keep_protection() {
     );
     let err = lagoon.run("end-bad", EngineKind::Vm).unwrap_err();
     assert!(contract_blame(&err).is_some(), "got: {err}");
+}
+
+#[test]
+fn hidden_typed_variables_are_unbound_cold_and_warm() {
+    // a typed module exports each provide's raw and defensive variables
+    // under their own names, for instances to link; a client can name
+    // only the provide, whose contract blames it, whether this world
+    // compiled the typed module (cold) or loaded it from the store (warm)
+    const FL: &str = "#lang typed/lagoon
+(: scale : Float -> Float)
+(define (scale x) (* x 2.0))
+(provide scale)
+";
+    let dir = std::env::temp_dir().join(format!("lagoon-hidden-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let world = |status: &str| {
+        let lagoon = Lagoon::new();
+        lagoon.set_cache_dir(Some(dir.clone()));
+        lagoon.add_module("fl", FL);
+        let (_, report) = lagoon.run_with_stats("fl", EngineKind::Vm).unwrap();
+        assert_eq!(report.caches[0].status, status, "{:?}", report.caches);
+        lagoon
+    };
+    for (lagoon, status) in [(world("miss"), "cold"), (world("hit"), "warm")] {
+        let fl = lagoon.registry().compile(Symbol::intern("fl")).unwrap();
+        let hidden: Vec<String> = fl
+            .exports
+            .iter()
+            .map(|(name, _)| name.as_str())
+            .filter(|name| name.contains('~'))
+            .collect();
+        assert_eq!(hidden.len(), 2, "{status}: raw and defensive: {hidden:?}");
+        for name in &hidden {
+            // by its name, or as the core reference require/typed emits
+            for call in [
+                format!("({name} \"x\")"),
+                format!("((foreign-ref {name}) \"x\")"),
+            ] {
+                let client = format!("#lang lagoon\n(require fl)\n{call}\n");
+                lagoon.add_module("client", &client);
+                let err = lagoon.run("client", EngineKind::Vm).unwrap_err();
+                assert!(matches!(err.kind, Kind::Unbound), "{status} {call}: {err}");
+            }
+            let err = lagoon.exported("fl", name, EngineKind::Vm).unwrap_err();
+            assert!(err.to_string().contains("does not export"), "{err}");
+        }
+        lagoon.add_module("client", "#lang lagoon\n(require fl)\n(scale \"x\")\n");
+        let err = lagoon.run("client", EngineKind::Vm).unwrap_err();
+        let blame = contract_blame(&err);
+        assert_eq!(blame.as_deref(), Some("untyped-client"), "{status}: {err}");
+        let scale = lagoon.exported("fl", "scale", EngineKind::Vm).unwrap();
+        let err = Vm.apply(&scale, &[Value::string("x")]).unwrap_err();
+        assert_eq!(contract_blame(&err).as_deref(), Some("untyped-client"));
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_reexported_primitive_stays_a_client_export() {
+    // an untyped module's `(provide car)` exports `car` under its own
+    // name, as a typed module exports a link-only variable, but without
+    // a gensym suffix: clients can still name it
+    let lagoon = Lagoon::new();
+    lagoon.add_module("prims", "#lang lagoon\n(provide car)\n");
+    lagoon.add_module(
+        "typed",
+        "#lang typed/lagoon
+         (require/typed prims [car ((Listof Integer) -> Integer)])
+         (car (list 7 8))",
+    );
+    let value = lagoon.run("typed", EngineKind::Vm).unwrap();
+    assert_eq!(value.as_int(), Some(7));
+    for engine in [EngineKind::Vm, EngineKind::Interp] {
+        let car = lagoon.exported("prims", "car", engine).unwrap();
+        let list = Value::list(vec![Value::Int(7), Value::Int(8)]);
+        assert_eq!(Vm.apply(&car, &[list]).unwrap().as_int(), Some(7));
+    }
 }
 
 #[test]

@@ -100,6 +100,16 @@ fn fresh_importers_use_rehydrated_typed_exports() {
     assert_eq!(v.to_string(), "21");
 }
 
+/// `module`'s store lookup in `report`: its status and detail.
+fn cache_row(report: &lagoon::diag::Report, module: &str) -> (&'static str, String) {
+    report
+        .caches
+        .iter()
+        .find(|r| r.module == module)
+        .map(|r| (r.status, r.detail.clone()))
+        .unwrap_or_else(|| panic!("no cache row for {module}: {:?}", report.caches))
+}
+
 #[test]
 fn editing_a_module_invalidates_it_and_its_dependents() {
     let (lagoon, _dir) = cached_world("edit");
@@ -109,23 +119,46 @@ fn editing_a_module_invalidates_it_and_its_dependents() {
     lagoon.registry().reset_compiled();
     let (v, report) = lagoon.run_with_stats("main", EngineKind::Vm).unwrap();
     assert_eq!(v.to_string(), "56");
-    let status = |m: &str| {
-        report
-            .caches
-            .iter()
-            .find(|r| r.module == m)
-            .map(|r| (r.status, r.detail.clone()))
-            .unwrap_or_else(|| panic!("no cache row for {m}: {:?}", report.caches))
-    };
-    assert_eq!(status("util").0, "stale");
-    assert_eq!(status("util").1, "source changed");
-    assert_eq!(status("main").0, "stale");
-    assert_eq!(status("main").1, "dependency util recompiled");
+    assert_eq!(
+        cache_row(&report, "util"),
+        ("stale", "source changed".into())
+    );
+    assert_eq!(
+        cache_row(&report, "main"),
+        ("stale", "dependency util changed".into())
+    );
 
     // and the rewritten artifacts hit on the next warm run
     lagoon.registry().reset_compiled();
     let (_, warm) = lagoon.run_with_stats("main", EngineKind::Vm).unwrap();
     assert_eq!(warm.cache_hits(), 2, "{:?}", warm.caches);
+}
+
+#[test]
+fn an_importer_loads_over_a_dependency_this_world_compiled() {
+    // two worlds on one thread share a store: A compiles and stores util,
+    // B loads util and compiles and stores main against it, and A then
+    // loads main over its own compile of util, whose gensyms are the
+    // symbols main's artifact names
+    let dir = temp_store("two-worlds");
+    let world = || {
+        let lagoon = Lagoon::new();
+        lagoon.set_cache_dir(Some(dir.clone()));
+        lagoon.add_module("util", UTIL);
+        lagoon.add_module("main", MAIN);
+        lagoon
+    };
+    let (a, b) = (world(), world());
+    let (_, report) = a.run_with_stats("util", EngineKind::Vm).unwrap();
+    assert_eq!(cache_row(&report, "util").0, "miss");
+    let (_, report) = b.run_with_stats("main", EngineKind::Vm).unwrap();
+    assert_eq!(cache_row(&report, "util").0, "hit");
+    assert_eq!(cache_row(&report, "main").0, "miss");
+    let (v, report) = a.run_with_stats("main", EngineKind::Vm).unwrap();
+    assert_eq!(v.to_string(), "42");
+    assert_eq!(cache_row(&report, "main").0, "hit", "{:?}", report.caches);
+    assert_eq!(a.run("main", EngineKind::Interp).unwrap().to_string(), "42");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -616,15 +649,23 @@ fn parallel_build_jobs_do_not_change_artifacts() {
 #[test]
 fn one_worker_compiles_each_module_once() {
     // `recompiled` counts the graph's modules that more than one compile
-    // read from source; with one worker every module is compiled once
-    let dir = temp_store("recompiled");
+    // read from source. One worker compiles every module once, and so do
+    // four: a worker that compiled a dependency itself loads an importer
+    // that another worker stored against its own compile of that
+    // dependency, as both compiles name its globals with the same symbols
     let sources = stress_graph();
-    let report = build_into(&sources, &["top"], 1, &dir);
-    assert_eq!(compiled_modules(&report).len(), sources.len());
-    assert_eq!(report.recompiled, 0);
-    let json = report.to_json();
-    assert_eq!(json.get("recompiled").and_then(Json::as_u64), Some(0));
-    let _ = std::fs::remove_dir_all(&dir);
+    for jobs in [1, 4] {
+        for round in 0..4 {
+            let dir = temp_store(&format!("once-{jobs}-{round}"));
+            let report = build_into(&sources, &["top"], jobs, &dir);
+            assert_eq!(compiled_modules(&report).len(), sources.len());
+            let why = format!("--jobs {jobs}, round {round}: {:?}", report.diag.caches);
+            assert_eq!(report.recompiled, 0, "{why}");
+            let json = report.to_json();
+            assert_eq!(json.get("recompiled").and_then(Json::as_u64), Some(0));
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
 }
 
 #[test]
