@@ -39,7 +39,7 @@ pub enum CoreFormKind {
     Set,
     /// `(#%plain-app f e …)`.
     App,
-    /// `(define-values (x) e)` — definition contexts only.
+    /// `(define-values (x …) e)` — definition contexts only.
     DefineValues,
     /// `(define-syntaxes (x) e)` — definition contexts only.
     DefineSyntaxes,
@@ -108,23 +108,13 @@ pub enum Expanded {
     Core(Syntax),
 }
 
-/// Expansion context passed to native transformers.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ExpandCtx {
-    /// Ordinary expression position.
-    Expression,
-    /// Module-body definition context.
-    ModuleBegin,
-    /// Internal definition context (lambda/let body).
-    InternalDefine,
-}
-
-/// The Rust signature of a native transformer. Native transformers are
-/// the compiled-library analogue of Racket macros: they receive the whole
-/// use-site form plus access to the expander (for `local-expand`, fresh
-/// scopes, binding installation, …).
-pub type NativeFn =
-    dyn Fn(&crate::expander::Expander, Syntax, ExpandCtx) -> Result<Expanded, RtError>;
+/// The Rust signature of a native transformer,
+/// `Fn(&Expander, Syntax) -> Result<Expanded, RtError>`. Native
+/// transformers are the compiled-library analogue of Racket macros: they
+/// receive the whole use-site form (or the bare identifier, for an
+/// identifier macro) plus access to the expander (for `local-expand`,
+/// fresh scopes, binding installation, …).
+pub type NativeFn = dyn Fn(&crate::expander::Expander, Syntax) -> Result<Expanded, RtError>;
 
 /// A named native transformer.
 pub struct NativeMacro {

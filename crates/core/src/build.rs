@@ -102,16 +102,6 @@ pub fn headed_by(stx: &Syntax, name: &str) -> bool {
         .unwrap_or(false)
 }
 
-/// The elements of a list form headed by `name`, if it is one.
-pub fn match_head<'a>(stx: &'a Syntax, name: &str) -> Option<&'a [Syntax]> {
-    let items = stx.as_list()?;
-    if items.first()?.sym()? == Symbol::intern(name) {
-        Some(items)
-    } else {
-        None
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -150,7 +140,6 @@ mod tests {
         let s = app(id("f"), vec![]);
         assert!(headed_by(&s, "#%plain-app"));
         assert!(!headed_by(&s, "quote"));
-        assert_eq!(match_head(&s, "#%plain-app").unwrap().len(), 2);
-        assert!(match_head(&int(3), "quote").is_none());
+        assert!(!headed_by(&int(3), "quote"));
     }
 }

@@ -20,12 +20,12 @@
 //! [`Expander::meta_persist`], which both updates the current compile-time
 //! table and records the declaration for embedding in the compiled module.
 
-use crate::binding::{Binding, BindingTable, CoreFormKind, ExpandCtx, Expanded};
+use crate::binding::{Binding, BindingTable, CoreFormKind, Expanded};
 use lagoon_runtime::{Kind, RtError, Value};
 use lagoon_syntax::{Datum, Scope, Span, Symbol, SynData, Syntax};
 use lagoon_vm::{Engine, Env, Interp};
 use std::cell::RefCell;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::rc::{Rc, Weak};
 
 thread_local! {
@@ -90,8 +90,25 @@ enum Classified {
     Done(Syntax),
     /// A core form to dispatch on.
     Core(CoreFormKind, Syntax),
-    /// Not macro-headed: a reference, literal, or application.
+    /// An identifier that names no macro, with the binding it resolved
+    /// to (`None` when unbound).
+    Reference(Syntax, Option<Binding>),
+    /// Not macro-headed: a literal or an application.
     Other(Syntax),
+}
+
+/// What the definition-context pass ([`Expander::partial_expand`]) hands
+/// to its context, in order.
+enum BodyForm {
+    /// A one-identifier `define-values`: the fresh binder, the unexpanded
+    /// right-hand side, the `define-values` form, and the span of the
+    /// surface form it came from (a macro's output, like `define`'s,
+    /// carries a synthetic one).
+    Define(Syntax, Syntax, Syntax, Span),
+    /// An expression, expanded when its context reaches it.
+    Expr(Syntax),
+    /// Core syntax a native transformer produced.
+    Done(Syntax),
 }
 
 impl Expander {
@@ -210,7 +227,7 @@ impl Expander {
     /// # Errors
     ///
     /// Propagates transformer errors; errors if the result is not syntax.
-    pub fn apply_hosted_macro(&self, transformer: &Value, stx: &Syntax) -> Result<Syntax, RtError> {
+    fn apply_hosted_macro(&self, transformer: &Value, stx: &Syntax) -> Result<Syntax, RtError> {
         let intro = Scope::fresh();
         let input = stx.flip_scope(intro);
         let result = self.with_current(|| {
@@ -235,67 +252,58 @@ impl Expander {
     /// Propagates expansion and evaluation errors.
     pub fn eval_phase1(&self, stx: &Syntax) -> Result<Value, RtError> {
         let core = self.expand_expr(stx)?;
-        let expr = lagoon_vm::parse_expr(&core)?;
+        self.run_phase1(&core)
+    }
+
+    fn run_phase1(&self, core: &Syntax) -> Result<Value, RtError> {
+        let expr = lagoon_vm::parse_expr(core)?;
         self.with_current(|| {
             let _p1 = lagoon_diag::limits::phase1_scope();
             Interp.eval(&expr, &self.phase1)
         })
     }
 
-    /// Evaluates a phase-1 *form*: `define-values` defines into the
-    /// module's phase-1 frame; anything else is an expression.
-    ///
-    /// # Errors
-    ///
-    /// Propagates expansion and evaluation errors.
-    pub fn eval_phase1_form(&self, stx: &Syntax) -> Result<Value, RtError> {
-        match self.classify(stx.clone(), ExpandCtx::InternalDefine)? {
-            Classified::Core(CoreFormKind::DefineValues, stx) => {
-                let (id, rhs) = parse_define_values(&stx)?;
-                let binder = self.fresh_binder(&id)?;
-                let v = self.eval_phase1(&rhs)?;
+    /// Evaluates a `(begin-for-syntax form …)` at phase 1, each form as
+    /// the definition-context pass hands it over: a definition defines
+    /// into the module's phase-1 frame before the next form expands, so
+    /// a later `define-syntax` sees it.
+    fn eval_phase1_form(&self, stx: &Syntax) -> Result<(), RtError> {
+        let forms = stx
+            .as_list()
+            .ok_or_else(|| syntax_error("malformed begin-for-syntax", stx))?;
+        self.partial_expand(forms[1..].to_vec(), false, &mut |form| match form {
+            BodyForm::Define(binder, rhs, ..) => {
                 let name = binder
                     .sym()
                     .ok_or_else(|| syntax_error("define-values: expected identifier", &binder))?;
-                self.phase1.define(name, v);
-                Ok(Value::Void)
+                self.phase1.define(name, self.eval_phase1(&rhs)?);
+                Ok(())
             }
-            Classified::Core(CoreFormKind::DefineSyntaxes, stx) => {
-                self.handle_define_syntaxes(&stx)?;
-                Ok(Value::Void)
-            }
-            Classified::Core(CoreFormKind::Begin, stx) => {
-                let items = stx
-                    .as_list()
-                    .ok_or_else(|| syntax_error("malformed begin", &stx))?;
-                let mut last = Value::Void;
-                for f in &items[1..] {
-                    last = self.eval_phase1_form(f)?;
-                }
-                Ok(last)
-            }
-            Classified::Done(core) => {
-                let expr = lagoon_vm::parse_expr(&core)?;
-                self.with_current(|| {
-                    let _p1 = lagoon_diag::limits::phase1_scope();
-                    Interp.eval(&expr, &self.phase1)
-                })
-            }
-            Classified::Core(_, stx) | Classified::Other(stx) => self.eval_phase1(&stx),
-        }
+            BodyForm::Expr(e) => self.eval_phase1(&e).map(drop),
+            BodyForm::Done(core) => self.run_phase1(&core).map(drop),
+        })
     }
 
     // ----- expansion -----
 
-    /// Expands macro uses at the head of `stx` until a core form,
-    /// reference, or application emerges.
-    fn classify(&self, mut stx: Syntax, ctx: ExpandCtx) -> Result<Classified, RtError> {
+    /// Runs transformers until a core form, reference, or application
+    /// emerges: the macro at the head of `stx`, or `stx` itself when it
+    /// is an identifier macro. This is the one place a transformer runs:
+    /// each run charges one expansion step (a hosted macro's output, its
+    /// width too), so a chain of identifier macros is bounded like a
+    /// chain of macro-headed forms.
+    fn classify(&self, mut stx: Syntax) -> Result<Classified, RtError> {
         loop {
-            let head = stx.as_list().and_then(|items| items.first().cloned());
-            let Some(head) = head.filter(Syntax::is_identifier) else {
+            let bare = stx.is_identifier();
+            let head = if bare {
+                Some(&stx)
+            } else {
+                stx.as_list().and_then(<[Syntax]>::first)
+            };
+            let Some(head) = head.filter(|h| h.is_identifier()) else {
                 return Ok(Classified::Other(stx));
             };
-            match self.resolve(&head)? {
+            match self.resolve(head)? {
                 Some(Binding::Macro(transformer)) => {
                     self.charge_expansion(&stx)?;
                     lagoon_diag::count("macro-steps", self.module_name, 1);
@@ -310,11 +318,12 @@ impl Expander {
                 }
                 Some(Binding::Native(native)) => {
                     self.charge_expansion(&stx)?;
-                    match (native.expand)(self, stx, ctx)? {
+                    match (native.expand)(self, stx)? {
                         Expanded::Surface(s) => stx = s,
                         Expanded::Core(s) => return Ok(Classified::Done(s)),
                     }
                 }
+                binding if bare => return Ok(Classified::Reference(stx, binding)),
                 Some(Binding::Core(kind)) => return Ok(Classified::Core(kind, stx)),
                 _ => return Ok(Classified::Other(stx)),
             }
@@ -329,11 +338,11 @@ impl Expander {
     /// Returns syntax errors for malformed forms and unbound identifiers.
     pub fn expand_expr(&self, stx: &Syntax) -> Result<Syntax, RtError> {
         let _depth = lagoon_diag::limits::enter_expansion().map_err(|e| self.exhaust(e, stx))?;
-        match self.classify(stx.clone(), ExpandCtx::Expression)? {
+        match self.classify(stx.clone())? {
             Classified::Done(core) => Ok(core),
             Classified::Core(kind, stx) => self.expand_core(kind, &stx),
+            Classified::Reference(id, binding) => expand_reference(&id, binding),
             Classified::Other(stx) => match stx.e() {
-                SynData::Atom(Datum::Symbol(_)) => self.expand_reference(&stx),
                 // self-evaluating literals expand to (quote lit), as in
                 // Racket's core grammar
                 SynData::Atom(_) | SynData::Vector(_) => {
@@ -349,42 +358,6 @@ impl Expander {
                 }
                 _ => Err(syntax_error("bad expression syntax", &stx)),
             },
-        }
-    }
-
-    fn expand_reference(&self, id: &Syntax) -> Result<Syntax, RtError> {
-        match self.resolve(id)? {
-            Some(Binding::Variable(name)) => {
-                Ok(Syntax::ident(name, id.span()).copy_properties_from(id))
-            }
-            Some(Binding::PatternVar(name, depth)) => {
-                if depth == 0 {
-                    Ok(Syntax::ident(name, id.span()))
-                } else {
-                    Err(syntax_error(
-                        "pattern variable used without enough ellipses",
-                        id,
-                    ))
-                }
-            }
-            Some(Binding::Core(_)) => Err(syntax_error("core form used as an expression", id)),
-            // identifier macros: apply the transformer to the bare
-            // identifier (how the typed language's export indirections
-            // work, paper §6.2)
-            Some(Binding::Macro(transformer)) => {
-                let out = self.apply_hosted_macro(&transformer, id)?;
-                self.expand_expr(&out)
-            }
-            Some(Binding::Native(native)) => {
-                match (native.expand)(self, id.clone(), ExpandCtx::Expression)? {
-                    Expanded::Core(core) => Ok(core),
-                    Expanded::Surface(s) => self.expand_expr(&s),
-                }
-            }
-            None => Err(
-                RtError::new(Kind::Unbound, format!("{}: unbound identifier", id))
-                    .with_span(id.span()),
-            ),
         }
     }
 
@@ -512,7 +485,7 @@ impl Expander {
             _ => return Err(syntax_error("lambda: malformed formals", &items[1])),
         };
         let body: Vec<Syntax> = items[2..].iter().map(|f| f.add_scope(sc)).collect();
-        let body_core = self.expand_body(&body)?;
+        let body_core = self.expand_body(body)?;
         Ok(stx.with_data(SynData::List(vec![
             crate::build::id("#%plain-lambda"),
             formals_out,
@@ -586,7 +559,7 @@ impl Expander {
             }
         }
         let body: Vec<Syntax> = items[2..].iter().map(|f| f.add_scope(sc)).collect();
-        let body_core = self.expand_body(&body)?;
+        let body_core = self.expand_body(body)?;
         Ok(stx.with_data(SynData::List(vec![
             crate::build::id(if rec { "letrec-values" } else { "let-values" }),
             crate::build::lst(out_clauses),
@@ -595,23 +568,66 @@ impl Expander {
     }
 
     /// Expands an internal-definition context (a lambda/let body that may
-    /// mix definitions and expressions) into a single core expression.
+    /// mix definitions and expressions) into a single core expression:
+    /// `letrec-values` over its definitions, or `begin`.
     ///
     /// # Errors
     ///
     /// Returns syntax errors for bodies with no expressions or malformed
     /// definitions.
-    pub fn expand_body(&self, forms: &[Syntax]) -> Result<Syntax, RtError> {
-        enum Item {
-            Def(Syntax, Syntax),
-            Expr(Syntax),
-            Done(Syntax),
+    pub fn expand_body(&self, forms: Vec<Syntax>) -> Result<Syntax, RtError> {
+        let mut items = Vec::new();
+        self.partial_expand(forms, false, &mut |item| {
+            items.push(item);
+            Ok(())
+        })?;
+        let mut clauses = Vec::new();
+        let mut exprs = Vec::new();
+        for item in items {
+            match item {
+                BodyForm::Define(binder, rhs, ..) => {
+                    let rhs_core = self.expand_expr(&rhs)?;
+                    clauses.push(crate::build::lst(vec![
+                        crate::build::lst(vec![binder]),
+                        rhs_core,
+                    ]));
+                }
+                BodyForm::Expr(e) => exprs.push(self.expand_expr(&e)?),
+                BodyForm::Done(core) => exprs.push(core),
+            }
         }
-        let mut items: Vec<Item> = Vec::new();
-        let mut work: std::collections::VecDeque<Syntax> = forms.iter().cloned().collect();
+        if exprs.is_empty() {
+            return Err(RtError::user("body has no expression"));
+        }
+        if clauses.is_empty() {
+            return Ok(crate::build::begin(exprs));
+        }
+        let mut out = vec![
+            crate::build::id("letrec-values"),
+            crate::build::lst(clauses),
+        ];
+        out.extend(exprs);
+        Ok(crate::build::lst(out))
+    }
+
+    /// The first pass over a definition context: a module body (paper
+    /// §4.2's driver), an internal-definition body, or a
+    /// `begin-for-syntax`. Classifies each form, splices `begin`, binds
+    /// each `define-values` binder (several identifiers go through the
+    /// `values` desugaring) and runs `define-syntaxes` at once; in a
+    /// module body it also runs `begin-for-syntax`, `#%require` and
+    /// `#%provide`, which elsewhere reach `emit` as expressions and fail
+    /// to expand. Every other form goes to `emit` in order.
+    fn partial_expand(
+        &self,
+        forms: Vec<Syntax>,
+        module_level: bool,
+        emit: &mut dyn FnMut(BodyForm) -> Result<(), RtError>,
+    ) -> Result<(), RtError> {
+        let mut work = VecDeque::from(forms);
         while let Some(form) = work.pop_front() {
-            match self.classify(form, ExpandCtx::InternalDefine)? {
-                Classified::Done(core) => items.push(Item::Done(core)),
+            let surface = form.span();
+            match self.classify(form)? {
                 Classified::Core(CoreFormKind::Begin, stx) => {
                     let inner = stx
                         .as_list()
@@ -624,7 +640,7 @@ impl Expander {
                     let (ids, rhs) = parse_define_values_ids(&stx)?;
                     if let [id] = ids.as_slice() {
                         let binder = self.fresh_binder(id)?;
-                        items.push(Item::Def(binder, rhs));
+                        emit(BodyForm::Define(binder, rhs, stx, surface))?;
                     } else {
                         for f in desugar_define_values(&stx, &ids, &rhs)?.into_iter().rev() {
                             work.push_front(f);
@@ -634,38 +650,24 @@ impl Expander {
                 Classified::Core(CoreFormKind::DefineSyntaxes, stx) => {
                     self.handle_define_syntaxes(&stx)?;
                 }
-                Classified::Core(_, stx) | Classified::Other(stx) => items.push(Item::Expr(stx)),
-            }
-        }
-        let has_defs = items.iter().any(|i| matches!(i, Item::Def(_, _)));
-        let mut clauses = Vec::new();
-        let mut exprs = Vec::new();
-        for item in items {
-            match item {
-                Item::Def(binder, rhs) => {
-                    let rhs_core = self.expand_expr(&rhs)?;
-                    clauses.push(crate::build::lst(vec![
-                        crate::build::lst(vec![binder]),
-                        rhs_core,
-                    ]));
+                Classified::Core(CoreFormKind::BeginForSyntax, stx) if module_level => {
+                    self.eval_phase1_form(&stx)?;
                 }
-                Item::Expr(e) => exprs.push(self.expand_expr(&e)?),
-                Item::Done(core) => exprs.push(core),
+                Classified::Core(CoreFormKind::Require, stx) if module_level => {
+                    self.handle_require(&stx)?;
+                }
+                Classified::Core(CoreFormKind::Provide, stx) if module_level => {
+                    self.handle_provide(&stx)?;
+                }
+                Classified::Done(core) => emit(BodyForm::Done(core))?,
+                Classified::Core(_, stx)
+                | Classified::Reference(stx, _)
+                | Classified::Other(stx) => {
+                    emit(BodyForm::Expr(stx))?;
+                }
             }
         }
-        if exprs.is_empty() {
-            return Err(RtError::user("body has no expression"));
-        }
-        if has_defs {
-            let mut out = vec![
-                crate::build::id("letrec-values"),
-                crate::build::lst(clauses),
-            ];
-            out.extend(exprs);
-            Ok(crate::build::lst(out))
-        } else {
-            Ok(crate::build::begin(exprs))
-        }
+        Ok(())
     }
 
     fn handle_define_syntaxes(&self, stx: &Syntax) -> Result<(), RtError> {
@@ -683,75 +685,23 @@ impl Expander {
     }
 
     /// Expands a module body (a sequence of module-level forms) to core
-    /// module forms: the definition-context pass of paper §4.2's driver.
-    ///
-    /// First pass: expand macro heads, splice `begin`, register
-    /// `define-values` binders, evaluate `define-syntaxes` /
-    /// `begin-for-syntax`, process `#%require`, record `#%provide`.
-    /// Second pass: fully expand deferred right-hand sides and
-    /// expressions.
+    /// module forms: the definition-context pass of paper §4.2's driver,
+    /// then each deferred right-hand side and expression in order, each
+    /// under its own `form` trace span.
     ///
     /// # Errors
     ///
     /// Returns expansion errors from either pass.
     pub fn expand_module_forms(&self, forms: Vec<Syntax>) -> Result<Vec<Syntax>, RtError> {
-        enum Item {
-            // binder, right-hand side, the `define-values` form, and the
-            // span of the surface form it came from (a macro's output,
-            // like `define`'s, carries a synthetic one)
-            Def(Syntax, Syntax, Syntax, Span),
-            Expr(Syntax),
-            Done(Syntax),
-        }
-        let mut items: Vec<Item> = Vec::new();
-        let mut work: std::collections::VecDeque<Syntax> = forms.into_iter().collect();
-        while let Some(form) = work.pop_front() {
-            let surface = form.span();
-            match self.classify(form, ExpandCtx::ModuleBegin)? {
-                Classified::Done(core) => items.push(Item::Done(core)),
-                Classified::Core(CoreFormKind::Begin, stx) => {
-                    let inner = stx
-                        .as_list()
-                        .ok_or_else(|| syntax_error("malformed begin", &stx))?;
-                    for f in inner[1..].iter().rev() {
-                        work.push_front(f.clone());
-                    }
-                }
-                Classified::Core(CoreFormKind::DefineValues, stx) => {
-                    let (ids, rhs) = parse_define_values_ids(&stx)?;
-                    if let [id] = ids.as_slice() {
-                        let binder = self.fresh_binder(id)?;
-                        items.push(Item::Def(binder, rhs, stx, surface));
-                    } else {
-                        for f in desugar_define_values(&stx, &ids, &rhs)?.into_iter().rev() {
-                            work.push_front(f);
-                        }
-                    }
-                }
-                Classified::Core(CoreFormKind::DefineSyntaxes, stx) => {
-                    self.handle_define_syntaxes(&stx)?;
-                }
-                Classified::Core(CoreFormKind::BeginForSyntax, stx) => {
-                    let inner = stx
-                        .as_list()
-                        .ok_or_else(|| syntax_error("malformed begin-for-syntax", &stx))?;
-                    for f in &inner[1..] {
-                        self.eval_phase1_form(f)?;
-                    }
-                }
-                Classified::Core(CoreFormKind::Require, stx) => {
-                    self.handle_require(&stx)?;
-                }
-                Classified::Core(CoreFormKind::Provide, stx) => {
-                    self.handle_provide(&stx)?;
-                }
-                Classified::Core(_, stx) | Classified::Other(stx) => items.push(Item::Expr(stx)),
-            }
-        }
-        let mut out = Vec::new();
-        for item in items {
-            match item {
-                Item::Def(binder, rhs, orig, surface) => {
+        let mut items = Vec::new();
+        self.partial_expand(forms, true, &mut |item| {
+            items.push(item);
+            Ok(())
+        })?;
+        items
+            .into_iter()
+            .map(|item| match item {
+                BodyForm::Define(binder, rhs, orig, surface) => {
                     let src = if surface.is_synthetic() {
                         orig.span()
                     } else {
@@ -759,20 +709,19 @@ impl Expander {
                     };
                     let _t = form_trace_span(binder.sym(), src);
                     let rhs_core = self.expand_expr(&rhs)?;
-                    out.push(orig.with_data(SynData::List(vec![
+                    Ok(orig.with_data(SynData::List(vec![
                         crate::build::id("define-values"),
                         crate::build::lst(vec![binder]),
                         rhs_core,
-                    ])));
+                    ])))
                 }
-                Item::Expr(e) => {
+                BodyForm::Expr(e) => {
                     let _t = form_trace_span(head_sym(&e), e.span());
-                    out.push(self.expand_expr(&e)?);
+                    self.expand_expr(&e)
                 }
-                Item::Done(core) => out.push(core),
-            }
-        }
-        Ok(out)
+                BodyForm::Done(core) => Ok(core),
+            })
+            .collect()
     }
 
     fn handle_require(&self, stx: &Syntax) -> Result<(), RtError> {
@@ -836,7 +785,7 @@ impl Expander {
     /// Returns expansion errors, or an error if the language's
     /// `#%module-begin` does not produce a `#%plain-module-begin` form.
     pub fn expand_module_begin(&self, stx: Syntax) -> Result<Syntax, RtError> {
-        match self.classify(stx, ExpandCtx::ModuleBegin)? {
+        match self.classify(stx)? {
             Classified::Done(core) => {
                 if crate::build::headed_by(&core, "#%plain-module-begin") {
                     Ok(core)
@@ -850,10 +799,12 @@ impl Expander {
             Classified::Core(CoreFormKind::PlainModuleBegin, stx) => {
                 self.expand_core(CoreFormKind::PlainModuleBegin, &stx)
             }
-            Classified::Core(_, stx) | Classified::Other(stx) => Err(syntax_error(
-                "module body must be wrapped by #%module-begin",
-                &stx,
-            )),
+            Classified::Core(_, stx) | Classified::Reference(stx, _) | Classified::Other(stx) => {
+                Err(syntax_error(
+                    "module body must be wrapped by #%module-begin",
+                    &stx,
+                ))
+            }
         }
     }
 }
@@ -861,6 +812,26 @@ impl Expander {
 /// Builds a syntax error at `stx`.
 pub fn syntax_error(message: impl std::fmt::Display, stx: &Syntax) -> RtError {
     RtError::user(format!("{message} in: {stx}")).with_span(stx.span())
+}
+
+/// Turns the binding an identifier resolved to into a core reference,
+/// or into the error for an identifier that names no variable.
+fn expand_reference(id: &Syntax, binding: Option<Binding>) -> Result<Syntax, RtError> {
+    match binding {
+        Some(Binding::Variable(name)) => {
+            Ok(Syntax::ident(name, id.span()).copy_properties_from(id))
+        }
+        Some(Binding::PatternVar(name, 0)) => Ok(Syntax::ident(name, id.span())),
+        Some(Binding::PatternVar(..)) => Err(syntax_error(
+            "pattern variable used without enough ellipses",
+            id,
+        )),
+        // `classify` expands every macro, so a core form is all that is left
+        Some(_) => Err(syntax_error("core form used as an expression", id)),
+        None => Err(
+            RtError::new(Kind::Unbound, format!("{}: unbound identifier", id)).with_span(id.span()),
+        ),
+    }
 }
 
 /// The head identifier of a compound form (`(define …)` → `define`),
@@ -1005,25 +976,6 @@ fn parse_define_values_ids(stx: &Syntax) -> Result<(Vec<Syntax>, Syntax), RtErro
         .filter(|ids| ids.iter().all(|id| id.is_identifier()))
         .ok_or_else(|| syntax_error("define-values: expects identifiers", &items[1]))?;
     Ok((ids.to_vec(), items[2].clone()))
-}
-
-fn parse_define_values(stx: &Syntax) -> Result<(Syntax, Syntax), RtError> {
-    let items = stx
-        .as_list()
-        .ok_or_else(|| syntax_error("malformed define-values", stx))?;
-    if items.len() != 3 {
-        return Err(syntax_error("define-values: expects (id) and a value", stx));
-    }
-    let ids = items[1]
-        .as_list()
-        .filter(|ids| ids.len() == 1 && ids[0].is_identifier())
-        .ok_or_else(|| {
-            syntax_error(
-                "define-values: Lagoon supports single identifiers",
-                &items[1],
-            )
-        })?;
-    Ok((ids[0].clone(), items[2].clone()))
 }
 
 fn parse_define_syntaxes(stx: &Syntax) -> Result<(Syntax, Syntax), RtError> {

@@ -34,7 +34,7 @@ pub mod store;
 pub mod stxparse;
 pub mod template;
 
-pub use binding::{Binding, BindingTable, CoreFormKind, ExpandCtx, Expanded, NativeMacro};
+pub use binding::{Binding, BindingTable, CoreFormKind, Expanded, NativeMacro};
 pub use expander::{current_expander, syntax_error, Expander, ProvideItem};
 pub use module::{
     contained, link_only_export, static_requires, CompiledModule, EngineKind, HeaderWalk, Language,

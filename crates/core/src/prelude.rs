@@ -128,7 +128,7 @@ pub const PRELUDE_SOURCE: &str = r#"
 "#;
 
 fn define_macro() -> Rc<NativeMacro> {
-    native("define", |_exp, stx, _| {
+    native("define", |_exp, stx| {
         let items = stx
             .to_list()
             .ok_or_else(|| syntax_error("define: bad syntax", &stx))?;
@@ -179,7 +179,7 @@ fn define_macro() -> Rc<NativeMacro> {
 }
 
 fn let_macro() -> Rc<NativeMacro> {
-    native("let", |_exp, stx, _| {
+    native("let", |_exp, stx| {
         let items = stx
             .to_list()
             .ok_or_else(|| syntax_error("let: bad syntax", &stx))?;
@@ -235,7 +235,7 @@ fn parse_let_clauses(stx: &Syntax) -> Result<Vec<(Syntax, Syntax)>, lagoon_runti
 }
 
 fn let_star_macro() -> Rc<NativeMacro> {
-    native("let*", |_exp, stx, _| {
+    native("let*", |_exp, stx| {
         let items = stx
             .to_list()
             .ok_or_else(|| syntax_error("let*: bad syntax", &stx))?;
@@ -252,7 +252,7 @@ fn let_star_macro() -> Rc<NativeMacro> {
 }
 
 fn letrec_macro() -> Rc<NativeMacro> {
-    native("letrec", |_exp, stx, _| {
+    native("letrec", |_exp, stx| {
         let items = stx
             .to_list()
             .ok_or_else(|| syntax_error("letrec: bad syntax", &stx))?;
@@ -271,7 +271,7 @@ fn letrec_macro() -> Rc<NativeMacro> {
 }
 
 fn cond_macro() -> Rc<NativeMacro> {
-    native("cond", |_exp, stx, _| {
+    native("cond", |_exp, stx| {
         let items = stx
             .to_list()
             .ok_or_else(|| syntax_error("cond: bad syntax", &stx))?;
@@ -304,7 +304,7 @@ fn cond_macro() -> Rc<NativeMacro> {
 }
 
 fn case_macro() -> Rc<NativeMacro> {
-    native("case", |_exp, stx, _| {
+    native("case", |_exp, stx| {
         let items = stx
             .to_list()
             .ok_or_else(|| syntax_error("case: bad syntax", &stx))?;
@@ -338,7 +338,7 @@ fn case_macro() -> Rc<NativeMacro> {
 }
 
 fn when_macro() -> Rc<NativeMacro> {
-    native("when", |_exp, stx, _| {
+    native("when", |_exp, stx| {
         let items = stx
             .to_list()
             .filter(|p| p.len() >= 3)
@@ -352,7 +352,7 @@ fn when_macro() -> Rc<NativeMacro> {
 }
 
 fn unless_macro() -> Rc<NativeMacro> {
-    native("unless", |_exp, stx, _| {
+    native("unless", |_exp, stx| {
         let items = stx
             .to_list()
             .filter(|p| p.len() >= 3)
@@ -366,7 +366,7 @@ fn unless_macro() -> Rc<NativeMacro> {
 }
 
 fn and_macro() -> Rc<NativeMacro> {
-    native("and", |_exp, stx, _| {
+    native("and", |_exp, stx| {
         let items = stx
             .to_list()
             .ok_or_else(|| syntax_error("and: bad syntax", &stx))?;
@@ -388,7 +388,7 @@ fn and_macro() -> Rc<NativeMacro> {
 }
 
 fn or_macro() -> Rc<NativeMacro> {
-    native("or", |_exp, stx, _| {
+    native("or", |_exp, stx| {
         let items = stx
             .to_list()
             .ok_or_else(|| syntax_error("or: bad syntax", &stx))?;
@@ -411,7 +411,7 @@ fn or_macro() -> Rc<NativeMacro> {
 }
 
 fn quasiquote_macro() -> Rc<NativeMacro> {
-    native("quasiquote", |_exp, stx, _| {
+    native("quasiquote", |_exp, stx| {
         let items = stx
             .to_list()
             .filter(|p| p.len() == 2)
@@ -443,7 +443,7 @@ fn qq_expand(tmpl: &Syntax) -> Syntax {
 }
 
 fn provide_macro() -> Rc<NativeMacro> {
-    native("provide", |_exp, stx, _| {
+    native("provide", |_exp, stx| {
         let items = stx
             .to_list()
             .ok_or_else(|| syntax_error("provide: bad syntax", &stx))?;
@@ -478,7 +478,7 @@ fn provide_macro() -> Rc<NativeMacro> {
 }
 
 fn require_macro() -> Rc<NativeMacro> {
-    native("require", |_exp, stx, _| {
+    native("require", |_exp, stx| {
         let items = stx
             .to_list()
             .ok_or_else(|| syntax_error("require: bad syntax", &stx))?;
@@ -491,7 +491,7 @@ fn require_macro() -> Rc<NativeMacro> {
 /// The base language's `#%module-begin`: no extra whole-module semantics,
 /// just the plain wrapper (paper §2.3).
 fn default_module_begin() -> Rc<NativeMacro> {
-    native("#%module-begin", |_exp, stx, _| {
+    native("#%module-begin", |_exp, stx| {
         let items = stx
             .to_list()
             .ok_or_else(|| syntax_error("#%module-begin: bad syntax", &stx))?;

@@ -658,8 +658,7 @@ mod tests {
 
     #[test]
     fn uncacheable_exports_fail_encoding() {
-        let mac =
-            crate::stxparse::native("m", |_, stx, _| Ok(crate::binding::Expanded::Surface(stx)));
+        let mac = crate::stxparse::native("m", |_, stx| Ok(crate::binding::Expanded::Surface(stx)));
         let m = sample_module(vec![(Symbol::intern("m"), Binding::Native(mac))]);
         assert!(encode(&m, 0, 0, &[]).is_err());
     }
@@ -670,7 +669,7 @@ mod tests {
             "m",
             "test-recipe",
             Datum::sym("payload"),
-            |_, stx, _| Ok(crate::binding::Expanded::Surface(stx)),
+            |_, stx| Ok(crate::binding::Expanded::Surface(stx)),
         );
         let m = sample_module(vec![(Symbol::intern("m"), Binding::Native(mac))]);
         let bytes = encode(&m, 0, 0, &[]).unwrap();
@@ -684,7 +683,7 @@ mod tests {
         let a = decode(&bytes, &|tag, d| {
             assert_eq!(tag, Symbol::intern("test-recipe"));
             assert_eq!(d, &Datum::sym("payload"));
-            Some(crate::stxparse::native("m", |_, stx, _| {
+            Some(crate::stxparse::native("m", |_, stx| {
                 Ok(crate::binding::Expanded::Surface(stx))
             }))
         })

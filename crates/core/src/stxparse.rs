@@ -22,7 +22,7 @@ use std::rc::Rc;
 /// Builds a native macro.
 pub fn native(
     name: &str,
-    f: impl Fn(&Expander, Syntax, crate::binding::ExpandCtx) -> Result<Expanded, RtError> + 'static,
+    f: impl Fn(&Expander, Syntax) -> Result<Expanded, RtError> + 'static,
 ) -> Rc<NativeMacro> {
     Rc::new(NativeMacro {
         name: Symbol::intern(name),
@@ -38,7 +38,7 @@ pub fn native_with_recipe(
     name: &str,
     tag: &str,
     datum: lagoon_syntax::Datum,
-    f: impl Fn(&Expander, Syntax, crate::binding::ExpandCtx) -> Result<Expanded, RtError> + 'static,
+    f: impl Fn(&Expander, Syntax) -> Result<Expanded, RtError> + 'static,
 ) -> Rc<NativeMacro> {
     Rc::new(NativeMacro {
         name: Symbol::intern(name),
@@ -113,7 +113,7 @@ fn template_call(tmpl: Syntax, bindings: Vec<(Symbol, Syntax)>) -> Syntax {
 
 /// The `(syntax tmpl)` native macro (reader shorthand `#'tmpl`).
 pub fn syntax_macro() -> Rc<NativeMacro> {
-    native("syntax", |exp, stx, _| {
+    native("syntax", |exp, stx| {
         let items = items_of(&stx, "syntax")?;
         if items.len() != 2 {
             return Err(syntax_error("syntax: expects one template", &stx));
@@ -131,7 +131,7 @@ pub fn syntax_macro() -> Rc<NativeMacro> {
 /// The `(quasisyntax tmpl)` native macro (reader shorthand `` #`tmpl ``),
 /// supporting `(unsyntax e)` / `#,e` and `(unsyntax-splicing e)` / `#,@e`.
 pub fn quasisyntax_macro() -> Rc<NativeMacro> {
-    native("quasisyntax", |exp, stx, _| {
+    native("quasisyntax", |exp, stx| {
         let items = items_of(&stx, "quasisyntax")?;
         if items.len() != 2 {
             return Err(syntax_error("quasisyntax: expects one template", &stx));
@@ -250,7 +250,7 @@ fn bind_lookups(m: Symbol, vars: &[(Symbol, Symbol)], body: Syntax) -> Syntax {
 /// order; the first whose pattern matches runs its body with the pattern
 /// variables bound. No match raises a syntax error.
 pub fn syntax_parse_macro() -> Rc<NativeMacro> {
-    native("syntax-parse", |exp, stx, _| {
+    native("syntax-parse", |exp, stx| {
         let items = items_of(&stx, "syntax-parse")?;
         if items.len() < 3 {
             return Err(syntax_error(
@@ -298,7 +298,7 @@ pub fn syntax_parse_macro() -> Rc<NativeMacro> {
 /// against the *value* of its expression (coerced to syntax), then runs
 /// the body with the pattern variables bound.
 pub fn with_syntax_macro() -> Rc<NativeMacro> {
-    native("with-syntax", |exp, stx, _| {
+    native("with-syntax", |exp, stx| {
         let items = items_of(&stx, "with-syntax")?;
         if items.len() < 3 {
             return Err(syntax_error(
@@ -344,7 +344,7 @@ pub fn with_syntax_macro() -> Rc<NativeMacro> {
 /// body …)` and `(define-syntax name transformer)` shapes, rewritten to
 /// the `define-syntaxes` core form.
 pub fn define_syntax_macro() -> Rc<NativeMacro> {
-    native("define-syntax", |_exp, stx, _| {
+    native("define-syntax", |_exp, stx| {
         let items = items_of(&stx, "define-syntax")?;
         if items.len() < 3 {
             return Err(syntax_error("define-syntax: bad syntax", &stx));
@@ -374,7 +374,7 @@ pub fn define_syntax_macro() -> Rc<NativeMacro> {
 /// The `syntax-rules` native macro: produces a phase-1 transformer value
 /// that matches clauses and instantiates templates at runtime.
 pub fn syntax_rules_macro() -> Rc<NativeMacro> {
-    native("syntax-rules", |_exp, stx, _| {
+    native("syntax-rules", |_exp, stx| {
         let items = items_of(&stx, "syntax-rules")?;
         if items.len() < 2 {
             return Err(syntax_error(

@@ -1075,8 +1075,8 @@ fn rows<T>(items: &[T], row: impl Fn(&T) -> Vec<(&'static str, Json)>) -> Json {
 const HISTOGRAM_BUCKETS: usize = 32;
 
 /// A fixed-footprint latency histogram with power-of-two microsecond
-/// buckets. The evaluation daemon keeps one per request op; `merge`
-/// lets per-worker histograms fold into a server-wide view.
+/// buckets. The evaluation daemon keeps one per request op in the
+/// stats table its workers share.
 #[derive(Clone, Debug)]
 pub struct Histogram {
     buckets: [u64; HISTOGRAM_BUCKETS],
@@ -1190,16 +1190,6 @@ impl Histogram {
             1u64 << idx
         };
         (lo, hi)
-    }
-
-    /// Folds `other` into this histogram.
-    pub fn merge(&mut self, other: &Histogram) {
-        for (mine, theirs) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *mine = mine.saturating_add(*theirs);
-        }
-        self.count = self.count.saturating_add(other.count);
-        self.total_micros = self.total_micros.saturating_add(other.total_micros);
-        self.max_micros = self.max_micros.max(other.max_micros);
     }
 
     /// The non-empty buckets with both bounds:
@@ -1453,7 +1443,7 @@ mod tests {
     }
 
     #[test]
-    fn histogram_records_and_merges() {
+    fn histogram_records_and_reports() {
         use std::time::Duration;
         let mut h = Histogram::new();
         assert_eq!(h.count(), 0);
@@ -1467,9 +1457,7 @@ mod tests {
         assert!(h.quantile_upper_micros(0.5) >= 4);
         assert!(h.quantile_upper_micros(0.99) >= 2000);
 
-        let mut other = Histogram::new();
-        other.record(Duration::from_micros(0));
-        h.merge(&other);
+        h.record(Duration::from_micros(0));
         assert_eq!(h.count(), 4);
         let json = h.to_json();
         assert_eq!(json.get("count").and_then(Json::as_u64), Some(4));
@@ -1497,9 +1485,6 @@ mod tests {
         assert_eq!(h.quantile_est_micros(0.5), 0.0);
         assert_eq!(h.quantile_est_micros(0.99), 0.0);
         assert_eq!(h.nonzero_bucket_spans(), vec![(0, 1, 2)]);
-        // merging an empty histogram is the identity
-        h.merge(&Histogram::new());
-        assert_eq!(h.count(), 2);
     }
 
     #[test]
@@ -1507,10 +1492,8 @@ mod tests {
         use std::time::Duration;
         let mut a = Histogram::new();
         a.record(Duration::MAX); // micros saturate into the catch-all bucket
-        let mut b = Histogram::new();
-        b.record(Duration::MAX);
-        b.record(Duration::from_micros(7));
-        a.merge(&b);
+        a.record(Duration::MAX);
+        a.record(Duration::from_micros(7));
         assert_eq!(a.count(), 3);
         assert_eq!(a.max_micros(), u64::MAX);
         // the catch-all bucket's upper edge is the observed max; the

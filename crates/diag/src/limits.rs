@@ -349,19 +349,13 @@ fn exhausted(budget: Budget, limit: u64) -> Exhausted {
     Exhausted { budget, limit }
 }
 
-fn check_deadline_inner(s: &State) -> Result<(), Exhausted> {
+fn check_deadline(s: &State) -> Result<(), Exhausted> {
     if let Some(deadline) = s.deadline {
         if Instant::now() >= deadline {
             return Err(exhausted(Budget::Deadline, 0));
         }
     }
     Ok(())
-}
-
-/// Explicit deadline check, for sites that do substantial work between
-/// step charges.
-pub fn check_deadline() -> Result<(), Exhausted> {
-    STATE.with(|s| check_deadline_inner(&s.borrow()))
 }
 
 /// Charges one macro-expansion step. Checks the deadline every
@@ -396,7 +390,7 @@ pub fn expansion_steps(n: u64) -> Result<(), Exhausted> {
         s.deadline_stride = s.deadline_stride.saturating_sub(1);
         if s.deadline_stride == 0 {
             s.deadline_stride = DEADLINE_STRIDE;
-            check_deadline_inner(&s)?;
+            check_deadline(&s)?;
         }
         Ok(())
     })
@@ -546,7 +540,7 @@ pub fn interp_step() -> Result<(), Exhausted> {
         s.deadline_stride = s.deadline_stride.saturating_sub(1);
         if s.deadline_stride == 0 {
             s.deadline_stride = DEADLINE_STRIDE;
-            check_deadline_inner(&s)?;
+            check_deadline(&s)?;
         }
         Ok(())
     })
@@ -564,7 +558,7 @@ pub fn interp_step() -> Result<(), Exhausted> {
 pub fn vm_take_fuel() -> Result<(u64, bool), Exhausted> {
     STATE.with(|s| {
         let mut s = s.borrow_mut();
-        check_deadline_inner(&s)?;
+        check_deadline(&s)?;
         let used = s.limits.max_vm_steps.saturating_sub(s.vm_steps_left);
         let sample = used >= s.next_sample;
         if sample {
@@ -755,7 +749,6 @@ mod tests {
             timeout: Some(Duration::ZERO),
             ..Limits::unlimited()
         });
-        assert_eq!(check_deadline().unwrap_err().budget, Budget::Deadline);
         assert_eq!(vm_take_fuel().unwrap_err().budget, Budget::Deadline);
         install(Limits::default());
     }

@@ -877,15 +877,6 @@ impl Value {
             None
         }
     }
-
-    /// An owning handle to the native-primitive payload.
-    pub fn to_native_rc(&self) -> Option<Rc<Native>> {
-        if self.is_heap() && self.heap_kind() == HK_NATIVE {
-            Some(unsafe { self.clone_rc::<Native>() })
-        } else {
-            None
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1587,7 +1578,7 @@ mod tests {
         let v = Native::value("id", Arity::exactly(1), |args| Ok(args[0].clone()));
         assert!(v.is_procedure());
         assert_eq!(v.tag_name(), "procedure");
-        assert!(v.to_native_rc().is_some());
+        assert!(v.as_native().is_some());
         assert!(v.to_closure_rc().is_none());
     }
 }

@@ -256,11 +256,6 @@ impl Syntax {
         self.map_scopes(&|ss| ss.with(scope))
     }
 
-    /// Removes `scope` from this syntax object and all sub-syntax.
-    pub fn remove_scope(&self, scope: Scope) -> Syntax {
-        self.map_scopes(&|ss| ss.without(scope))
-    }
-
     /// Flips `scope` on this syntax object and all sub-syntax (used for
     /// macro-introduction scopes).
     pub fn flip_scope(&self, scope: Scope) -> Syntax {
@@ -378,7 +373,7 @@ mod tests {
         let s2 = s.add_scope(sc);
         let inner = &s2.as_list().unwrap()[1].as_list().unwrap()[0];
         assert!(inner.scopes().contains(sc));
-        let s3 = s2.remove_scope(sc);
+        let s3 = s2.flip_scope(sc);
         let inner3 = &s3.as_list().unwrap()[1].as_list().unwrap()[0];
         assert!(!inner3.scopes().contains(sc));
     }

@@ -67,7 +67,7 @@ fn parse_param(stx: &Syntax) -> Result<Syntax, RtError> {
 
 /// `(define: x : T rhs)` and `(define: (f [x : T] …) : R body …)`.
 fn define_colon() -> Rc<NativeMacro> {
-    native("define:", |_exp, stx, _| {
+    native("define:", |_exp, stx| {
         let items = stx
             .to_list()
             .ok_or_else(|| syntax_error("define:: bad syntax", &stx))?;
@@ -127,7 +127,7 @@ fn define_colon() -> Rc<NativeMacro> {
 
 /// `(: name T)` / `(: name : T …)` — forward type declarations.
 fn colon_decl() -> Rc<NativeMacro> {
-    native(":", |exp, stx, _| {
+    native(":", |exp, stx| {
         let items = stx
             .to_list()
             .filter(|p| p.len() >= 3 && p[1].is_identifier())
@@ -154,7 +154,7 @@ fn colon_decl() -> Rc<NativeMacro> {
 
 /// `(lambda: ([x : T] …) body …)` and `(lambda: ([x : T] …) : R body …)`.
 fn lambda_colon(name: &'static str) -> Rc<NativeMacro> {
-    native(name, move |_exp, stx, _| {
+    native(name, move |_exp, stx| {
         let items = stx
             .to_list()
             .filter(|p| p.len() >= 3)
@@ -186,7 +186,7 @@ fn lambda_colon(name: &'static str) -> Rc<NativeMacro> {
 /// `(let: ([x : T e] …) body …)` and named
 /// `(let: loop : R ([x : T e] …) body …)` (paper §3.1's `let:`).
 fn let_colon() -> Rc<NativeMacro> {
-    native("let:", |_exp, stx, _| {
+    native("let:", |_exp, stx| {
         let items = stx
             .to_list()
             .filter(|p| p.len() >= 3)
@@ -256,7 +256,7 @@ fn let_colon() -> Rc<NativeMacro> {
 
 /// `(define-type Name T)` — a type alias, persisted across compilations.
 fn define_type() -> Rc<NativeMacro> {
-    native("define-type", |exp, stx, _| {
+    native("define-type", |exp, stx| {
         let items = stx
             .to_list()
             .filter(|p| p.len() == 3 && p[1].is_identifier())
@@ -272,7 +272,7 @@ fn define_type() -> Rc<NativeMacro> {
 
 /// `(ann e T)` — static ascription, no runtime effect.
 fn ann_macro() -> Rc<NativeMacro> {
-    native("ann", |exp, stx, _| {
+    native("ann", |exp, stx| {
         let items = stx
             .to_list()
             .filter(|p| p.len() == 3)
@@ -287,7 +287,7 @@ fn ann_macro() -> Rc<NativeMacro> {
 
 /// `(cast e T)` — checked coercion: static type `T`, runtime check.
 fn cast_macro() -> Rc<NativeMacro> {
-    native("cast", |exp, stx, _| {
+    native("cast", |exp, stx| {
         let items = stx
             .to_list()
             .filter(|p| p.len() == 3)
@@ -308,7 +308,7 @@ fn cast_macro() -> Rc<NativeMacro> {
 /// can use it to call a typed module's link-only variables past their
 /// contracts.
 fn foreign_ref() -> Rc<NativeMacro> {
-    native("foreign-ref", |_exp, stx, _| {
+    native("foreign-ref", |_exp, stx| {
         let items = stx
             .to_list()
             .filter(|p| p.len() == 2 && p[1].is_identifier())
@@ -324,7 +324,7 @@ fn foreign_ref() -> Rc<NativeMacro> {
 /// `foreign_ref` is the `foreign-ref` identifier, with the scope that
 /// its binding needs.
 fn require_typed(foreign_ref: Syntax) -> Rc<NativeMacro> {
-    native("require/typed", move |exp, stx, _| {
+    native("require/typed", move |exp, stx| {
         let items = stx
             .to_list()
             .filter(|p| p.len() >= 3 && p[1].is_identifier())
@@ -394,7 +394,7 @@ fn require_typed(foreign_ref: Syntax) -> Rc<NativeMacro> {
 // ---------------------------------------------------------------------
 
 fn typed_module_begin(optimize: Option<Rc<OptimizeFn>>) -> Rc<NativeMacro> {
-    native("#%module-begin", move |exp, stx, _| {
+    native("#%module-begin", move |exp, stx| {
         let items = stx
             .to_list()
             .ok_or_else(|| syntax_error("#%module-begin: bad syntax", &stx))?;
@@ -500,7 +500,7 @@ fn export_indirection(external: Symbol, raw: Symbol, defensive: Symbol) -> Rc<Na
         Datum::Symbol(defensive),
     ]);
     external.with_str(|name| {
-        native_with_recipe(name, TYPED_EXPORT_RECIPE, recipe, move |exp, stx, _| {
+        native_with_recipe(name, TYPED_EXPORT_RECIPE, recipe, move |exp, stx| {
             let chosen = if in_typed_context(exp) {
                 raw
             } else {

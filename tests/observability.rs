@@ -99,6 +99,30 @@ fn optimized_opcode_mix_shifts_from_generic_to_specialized() {
 }
 
 #[test]
+fn identifier_macro_uses_count_as_macro_steps() {
+    // `aK` expands to `(+ aK-1 aK-1)` as a bare identifier: a use of a3
+    // runs 1 + 2 + 4 + 8 transformers, each one macro step
+    let lagoon = Lagoon::new();
+    lagoon.add_module(
+        "chain",
+        "#lang lagoon
+         (define-syntax a0 (syntax-rules () [_ 1]))
+         (define-syntax a1 (syntax-rules () [_ (+ a0 a0)]))
+         (define-syntax a2 (syntax-rules () [_ (+ a1 a1)]))
+         (define-syntax a3 (syntax-rules () [_ (+ a2 a2)]))
+         a3",
+    );
+    let (value, report) = lagoon.run_with_stats("chain", EngineKind::Vm).unwrap();
+    assert_eq!(value.to_string(), "8");
+    let steps = report
+        .counters
+        .iter()
+        .find(|c| c.module == "chain" && c.name == "macro-steps")
+        .unwrap_or_else(|| panic!("no macro-steps row: {:?}", report.counters));
+    assert_eq!(steps.value, 15);
+}
+
+#[test]
 fn contract_boundary_crossings_are_counted_per_export() {
     let lagoon = Lagoon::new();
     lagoon.add_module(

@@ -345,3 +345,50 @@ fn multiple_values_arity_mismatch_is_an_error_not_a_panic() {
         }
     }
 }
+
+/// Module bodies, `lambda` bodies and `begin-for-syntax` share one
+/// definition-context pass, so every shape a context can express means
+/// the same there: each row binds `w` in its context, and the context
+/// reads it back (`begin-for-syntax` through a macro that quotes its
+/// phase-1 value into the program).
+#[test]
+fn definition_contexts_agree_on_every_shape() {
+    // both macros expand to `(begin (define w 1) w)` with the use site's
+    // scopes, so the context sees their `w`
+    let macros = "(define-syntax (headed stx) (datum->syntax stx '(begin (define w 1) w)))
+        (define-syntax (ident stx) (datum->syntax stx '(begin (define w 1) w)))";
+    let shapes: &[(&str, &str, &str)] = &[
+        ("begin", "(begin (define w 1))", "1"),
+        (
+            "define-values",
+            "(define-values (a b) (values 20 22)) (define w (+ a b))",
+            "42",
+        ),
+        ("headed-macro", "(headed)", "1"),
+        ("identifier-macro", "ident", "1"),
+        (
+            "define-syntax",
+            "(define-syntax two (syntax-rules () [(_) 2])) (define w (two))",
+            "2",
+        ),
+    ];
+    // each context puts a shape's forms where `BODY` stands
+    let contexts = [
+        ("module", "BODY\nw"),
+        ("lambda", "((lambda () BODY w))"),
+        (
+            "begin-for-syntax",
+            "(begin-for-syntax BODY)\n(define-syntax (peek stx) (datum->syntax stx w))\n(peek)",
+        ),
+    ];
+    for (shape, body, expected) in shapes {
+        for (context, template) in contexts {
+            let name = format!("{shape}-in-{context}");
+            let lagoon = Lagoon::new();
+            let src = template.replace("BODY", body);
+            lagoon.add_module(&name, &format!("#lang lagoon\n{macros}\n{src}\n"));
+            let v = both(&lagoon, &name);
+            assert_eq!(&v.to_string(), expected, "{name}");
+        }
+    }
+}

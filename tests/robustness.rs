@@ -62,6 +62,34 @@ fn runaway_self_expanding_macro_is_cut_off() {
     assert!(e.span.is_some(), "budget diagnostics should carry a span");
 }
 
+/// `aK` is an identifier macro expanding to `(+ aK-1 aK-1)`: a use of
+/// `a{levels}` runs 2^(levels+1) - 1 transformers.
+fn identifier_macro_chain(levels: usize) -> String {
+    let mut src = String::from("#lang lagoon\n(define-syntax a0 (syntax-rules () [_ 1]))\n");
+    for k in 1..=levels {
+        src += &format!(
+            "(define-syntax a{k} (syntax-rules () [_ (+ a{j} a{j})]))\n",
+            j = k - 1
+        );
+    }
+    src + &format!("a{levels}\n")
+}
+
+#[test]
+fn an_identifier_macro_chain_is_cut_off() {
+    // a bare identifier expands where a macro-headed form does, so each
+    // of the 8,191 transformer runs charges the expansion-step budget
+    let limits = Limits {
+        max_expansion_steps: 1_000,
+        ..strict()
+    };
+    let result = run_limited(&identifier_macro_chain(12), limits, EngineKind::Vm);
+    assert_exhausted(result, "expansion-steps");
+    // within budget, the chain still expands to its value
+    let v = run_limited(&identifier_macro_chain(3), strict(), EngineKind::Vm).unwrap();
+    assert_eq!(v.to_string(), "8");
+}
+
 #[test]
 fn deeply_nested_macro_recursion_hits_depth_budget() {
     // each step expands to a use of itself nested one argument deeper:
@@ -801,7 +829,7 @@ fn compiled_store_codec_is_a_fixed_point() {
                 &name.as_str(),
                 &tag.as_str(),
                 datum.clone(),
-                |_, stx, _| Ok(lagoon_core::Expanded::Surface(stx)),
+                |_, stx| Ok(lagoon_core::Expanded::Surface(stx)),
             ))
         };
         let artifact = lagoon_core::store::decode(&bytes, &rehydrate)
